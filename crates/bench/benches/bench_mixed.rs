@@ -1,10 +1,8 @@
-//! ✦ Criterion benchmark for the mixed update+query workload: the same
-//! serve pool with a driver streaming point-update batches, run with
-//! stop-the-world barrier updates (`SharedStore`) vs zero-coordination
-//! versioned publishes (`VersionedStore`). Writes the update-latency
-//! numbers and the headline `publish_speedup` ratio to
-//! `results/BENCH_exec.json` under `bench_mixed_update` — the thresholds
-//! `progress_report --mode check_bench` and the CI `--mixed` gate
+//! ✦ Criterion benchmark for the mixed update+query workload: the serve
+//! pool over a `VersionedStore` with a driver streaming point-update
+//! batches as zero-coordination publishes. Writes the update-latency
+//! numbers to `results/BENCH_exec.json` under `bench_mixed_update` — the
+//! ceiling `progress_report --check-bench` and the CI `--mixed` gate
 //! enforce.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -18,21 +16,15 @@ fn bench_mixed_update(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("mixed_workload");
     g.sample_size(10);
-    g.bench_function("barrier", |b| b.iter(|| fixture.serve_barrier()));
     g.bench_function("versioned", |b| b.iter(|| fixture.serve_versioned()));
     g.finish();
 
-    let report = fixture.measure();
+    let run = fixture.serve_versioned();
     eprintln!(
-        "mixed workload: barrier update {:.1}us mean / {:.1}us max vs versioned \
-         publish {:.1}us mean / {:.1}us max: mean speedup {:.2}x, tail speedup {:.2}x \
+        "mixed workload: versioned publish {:.1}us mean / {:.1}us max \
          at {} workers, {} batches, {} updates x {} points",
-        report.barrier.update_mean_s * 1e6,
-        report.barrier.update_max_s * 1e6,
-        report.versioned.update_mean_s * 1e6,
-        report.versioned.update_max_s * 1e6,
-        report.publish_speedup,
-        report.tail_speedup,
+        run.update_mean_s * 1e6,
+        run.update_max_s * 1e6,
         cfg.workers,
         cfg.batches,
         cfg.updates,
@@ -48,29 +40,9 @@ fn bench_mixed_update(c: &mut Criterion) {
             ("slice_steps", Json::U64(cfg.slice_steps as u64)),
             ("updates", Json::U64(cfg.updates as u64)),
             ("points_per_update", Json::U64(cfg.points_per_update as u64)),
-            (
-                "barrier_update_mean_s",
-                Json::F64(report.barrier.update_mean_s),
-            ),
-            (
-                "barrier_update_max_s",
-                Json::F64(report.barrier.update_max_s),
-            ),
-            ("barrier_elapsed_s", Json::F64(report.barrier.elapsed_secs)),
-            (
-                "versioned_update_mean_s",
-                Json::F64(report.versioned.update_mean_s),
-            ),
-            (
-                "versioned_update_max_s",
-                Json::F64(report.versioned.update_max_s),
-            ),
-            (
-                "versioned_elapsed_s",
-                Json::F64(report.versioned.elapsed_secs),
-            ),
-            ("publish_speedup", Json::F64(report.publish_speedup)),
-            ("tail_speedup", Json::F64(report.tail_speedup)),
+            ("versioned_update_mean_s", Json::F64(run.update_mean_s)),
+            ("versioned_update_max_s", Json::F64(run.update_max_s)),
+            ("versioned_elapsed_s", Json::F64(run.elapsed_secs)),
         ]),
     );
 }

@@ -257,13 +257,15 @@ fn check_bench(path: &str) -> ExitCode {
         None => println!("  SKIP bench_serve_prefetch: section absent"),
     }
     match body("bench_mixed_update") {
-        // Recorded: ~0.1ms worst versioned publish across 24 updates on
-        // the reference box. The ceiling is generous (latency benches on
-        // shared runners are noisy) but still two orders below the
-        // barrier's reader-drain timescale: an update path that waits on
-        // slice drains again blows straight through it. Lock-freedom
-        // itself is gated structurally by the in-crate serve test that
-        // holds every slice lock across `update`.
+        // The recorded figures are this section's own
+        // `versioned_update_mean_s` / `versioned_update_max_s` (tens of
+        // microseconds on the reference box — read the file, not a
+        // comment). The ceiling is generous (latency benches on shared
+        // runners are noisy) but still far below a reader-drain
+        // timescale: an update path that waits on slice drains again
+        // blows straight through it. Lock-freedom itself is gated
+        // structurally by the in-crate serve test that holds every slice
+        // lock across `update`.
         Some(b) => ceiling(
             "bench_mixed_update",
             "versioned update max seconds",

@@ -1,25 +1,19 @@
 //! The mixed update+query workload fixture.
 //!
-//! [`MixedFixture`] serves the same pool of query batches while a driver
-//! streams point-update batches into the store, two ways:
+//! [`MixedFixture`] serves a pool of query batches
+//! (`BatchServer::serve_versioned_with` over a [`VersionedStore`]) while a
+//! driver streams point-update batches into the store: every update is
+//! one `publish` installing a new COW version with zero reader
+//! coordination, after which each batch opts forward via
+//! `ServeSession::advance_batch`.
 //!
-//! * **barrier** — `BatchServer::serve_with` over a
-//!   [`SharedStore`]: every update stops the world, taking all slice
-//!   locks before writing and repairing each in-flight executor;
-//! * **versioned** — `BatchServer::serve_versioned_with` over a
-//!   [`VersionedStore`]: every update is one `publish` installing a new
-//!   COW version with zero reader coordination, after which each batch
-//!   opts forward via `ServeSession::advance_batch`.
-//!
-//! Both sides apply the identical update stream
-//! ([`batchbb_relation::cube::batch_point_entries`] deltas) and must
-//! finalize every batch exactly. The measured contrast is *update
-//! latency under load*: the barrier pays for draining readers on every
-//! write, the versioned publish never waits on them. `bench_mixed`
-//! records the numbers to `results/BENCH_exec.json` and the
-//! `progress_report --check-bench` guard plus the CI `--mixed` gate
-//! enforce the thresholds; DESIGN.md §13 and EXPERIMENTS.md describe the
-//! workflow.
+//! The update stream is [`batchbb_relation::cube::batch_point_entries`]
+//! deltas, and every batch must finalize exactly. The measurement is
+//! *update latency under load*: a publish never waits on a reader, so its
+//! tail must stay flat however busy the pool is. `bench_mixed` records the
+//! numbers to `results/BENCH_exec.json` and the `progress_report
+//! --check-bench` guard plus the CI `--mixed` gate enforce the ceiling;
+//! DESIGN.md §13 and EXPERIMENTS.md describe the workflow.
 
 use std::time::Instant;
 
@@ -27,8 +21,8 @@ use batchbb_core::BatchQueries;
 use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::{cube, synth};
-use batchbb_serve::{BatchRequest, BatchServer, BatchStatus, ServeConfig, ServeSession};
-use batchbb_storage::{SharedStore, VersionedStore};
+use batchbb_serve::{BatchRequest, BatchServer, BatchStatus, ServeConfig};
+use batchbb_storage::VersionedStore;
 use batchbb_tensor::{CoeffKey, Shape};
 use batchbb_wavelet::Wavelet;
 
@@ -41,7 +35,7 @@ pub struct MixedConfig {
     pub queries_per_batch: usize,
     /// Records in the synthetic clustered dataset.
     pub records: usize,
-    /// Worker threads — equal on both sides; only the update path differs.
+    /// Worker threads.
     pub workers: usize,
     /// Scheduling slice budget.
     pub slice_steps: usize,
@@ -65,7 +59,7 @@ impl Default for MixedConfig {
     }
 }
 
-/// One side of the comparison, measured.
+/// One measured run.
 #[derive(Debug, Clone)]
 pub struct MixedRun {
     /// Wall-clock seconds for the whole pool run, updates included.
@@ -80,23 +74,6 @@ pub struct MixedRun {
     pub retrieved: u64,
     /// Retrievals per second over the whole run.
     pub throughput: f64,
-}
-
-/// Both sides plus the headline ratio.
-#[derive(Debug, Clone)]
-pub struct MixedReport {
-    /// Stop-the-world barrier updates over a [`SharedStore`].
-    pub barrier: MixedRun,
-    /// Zero-coordination versioned publishes over a [`VersionedStore`].
-    pub versioned: MixedRun,
-    /// `barrier.update_mean_s / versioned.update_mean_s` — how much
-    /// cheaper an update call is once it stops draining readers.
-    pub publish_speedup: f64,
-    /// `barrier.update_max_s / versioned.update_max_s` — the tail ratio.
-    /// The barrier's worst call waits out every in-flight slice, so its
-    /// tail grows with reader activity; a versioned publish never waits
-    /// on a reader and its tail stays flat.
-    pub tail_speedup: f64,
 }
 
 /// The prepared workload: coefficients, query batches, update stream.
@@ -167,78 +144,10 @@ impl MixedFixture {
             .slice_steps(self.cfg.slice_steps)
     }
 
-    /// Streams the update batches through `update`, returning per-call
-    /// latencies; `apply` performs each call against the live session.
-    fn drive(
-        &self,
-        session: &ServeSession<'_, '_>,
-        mut apply: impl FnMut(&ServeSession<'_, '_>, &[(CoeffKey, f64)]),
-    ) -> Vec<f64> {
-        self.update_stream
-            .iter()
-            .map(|delta| {
-                let started = Instant::now();
-                apply(session, delta);
-                let elapsed = started.elapsed().as_secs_f64();
-                std::thread::yield_now();
-                elapsed
-            })
-            .collect()
-    }
-
-    fn finish(&self, started: Instant, latencies: Vec<f64>, retrieved: u64) -> MixedRun {
-        let elapsed_secs = started.elapsed().as_secs_f64();
-        let updates = latencies.len() as u64;
-        let update_mean_s = latencies.iter().sum::<f64>() / updates.max(1) as f64;
-        let update_max_s = latencies.iter().copied().fold(0.0, f64::max);
-        MixedRun {
-            elapsed_secs,
-            update_mean_s,
-            update_max_s,
-            updates,
-            retrieved,
-            throughput: retrieved as f64 / elapsed_secs.max(1e-9),
-        }
-    }
-
-    /// Baseline: every update is a stop-the-world barrier over all jobs.
-    pub fn serve_barrier(&self) -> MixedRun {
-        let shared = SharedStore::new(batchbb_storage::MemoryStore::from_entries(
-            self.entries.iter().cloned(),
-        ));
-        let requests: Vec<BatchRequest<'_>> = self
-            .batches
-            .iter()
-            .map(|batch| BatchRequest::new(batch, &Sse))
-            .collect();
-        let server = BatchServer::new(self.serve_config());
-        let started = Instant::now();
-        let (results, latencies) = server.serve_with(&shared, &requests, |session| {
-            self.drive(session, |session, delta| {
-                session.update(delta, || {
-                    for &(key, value) in delta {
-                        shared.add_shared(key, value);
-                    }
-                });
-            })
-        });
-        let retrieved = results
-            .iter()
-            .inspect(|r| {
-                assert_eq!(
-                    r.status,
-                    BatchStatus::Exact,
-                    "barrier run must finish exact"
-                )
-            })
-            .map(|r| r.retrieved_entries.len() as u64)
-            .sum();
-        self.finish(started, latencies, retrieved)
-    }
-
-    /// Versioned: every update is one reader-free `publish`; batches opt
-    /// forward afterwards (the advance is reader-side work, so it is
-    /// deliberately *outside* the timed update call).
+    /// Serves the pool while streaming the updates: every update is one
+    /// reader-free `publish`, timed per call; batches opt forward
+    /// afterwards (the advance is reader-side work, so it is deliberately
+    /// *outside* the timed update call).
     pub fn serve_versioned(&self) -> MixedRun {
         let store = VersionedStore::from_entries(self.entries.iter().cloned());
         let requests: Vec<BatchRequest<'_>> = self
@@ -249,15 +158,23 @@ impl MixedFixture {
         let server = BatchServer::new(self.serve_config());
         let started = Instant::now();
         let (results, latencies) = server.serve_versioned_with(&store, &requests, |session| {
-            let latencies = self.drive(session, |session, delta| {
-                session.update(delta, || ());
-            });
+            let latencies: Vec<f64> = self
+                .update_stream
+                .iter()
+                .map(|delta| {
+                    let started = Instant::now();
+                    session.update(delta, || ());
+                    let elapsed = started.elapsed().as_secs_f64();
+                    std::thread::yield_now();
+                    elapsed
+                })
+                .collect();
             for i in 0..session.batches() {
                 session.advance_batch(i);
             }
             latencies
         });
-        let retrieved = results
+        let retrieved: u64 = results
             .iter()
             .inspect(|r| {
                 assert_eq!(
@@ -269,20 +186,15 @@ impl MixedFixture {
             })
             .map(|r| r.retrieved_entries.len() as u64)
             .sum();
-        self.finish(started, latencies, retrieved)
-    }
-
-    /// Runs both sides and reports the update-latency ratio.
-    pub fn measure(&self) -> MixedReport {
-        let barrier = self.serve_barrier();
-        let versioned = self.serve_versioned();
-        let publish_speedup = barrier.update_mean_s / versioned.update_mean_s.max(1e-12);
-        let tail_speedup = barrier.update_max_s / versioned.update_max_s.max(1e-12);
-        MixedReport {
-            barrier,
-            versioned,
-            publish_speedup,
-            tail_speedup,
+        let elapsed_secs = started.elapsed().as_secs_f64();
+        let updates = latencies.len() as u64;
+        MixedRun {
+            elapsed_secs,
+            update_mean_s: latencies.iter().sum::<f64>() / updates.max(1) as f64,
+            update_max_s: latencies.iter().copied().fold(0.0, f64::max),
+            updates,
+            retrieved,
+            throughput: retrieved as f64 / elapsed_secs.max(1e-9),
         }
     }
 }
@@ -303,11 +215,9 @@ mod tests {
             points_per_update: 2,
         };
         let fixture = MixedFixture::build(cfg);
-        let report = fixture.measure();
-        assert_eq!(report.barrier.updates, 4);
-        assert_eq!(report.versioned.updates, 4);
-        assert!(report.barrier.retrieved > 0);
-        assert!(report.versioned.retrieved > 0);
-        assert!(report.versioned.update_max_s >= report.versioned.update_mean_s);
+        let run = fixture.serve_versioned();
+        assert_eq!(run.updates, 4);
+        assert!(run.retrieved > 0);
+        assert!(run.update_max_s >= run.update_mean_s);
     }
 }

@@ -262,6 +262,10 @@ impl<S: CoefficientStore> CoefficientStore for FetchCounter<S> {
         self.inner.quiesce()
     }
 
+    fn version_tag(&self) -> u64 {
+        self.inner.version_tag()
+    }
+
     fn nnz(&self) -> usize {
         self.inner.nnz()
     }

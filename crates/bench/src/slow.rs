@@ -75,6 +75,10 @@ impl<S: CoefficientStore> CoefficientStore for SlowStore<S> {
         self.inner.quiesce()
     }
 
+    fn version_tag(&self) -> u64 {
+        self.inner.version_tag()
+    }
+
     fn nnz(&self) -> usize {
         self.inner.nnz()
     }

@@ -884,7 +884,7 @@ impl<'a> ProgressiveExecutor<'a> {
     }
 
     /// The coefficients retrieved so far with the values currently on
-    /// record (post any [`ProgressiveExecutor::apply_update`] repairs),
+    /// record (post any [`ProgressiveExecutor::advance_version`] repairs),
     /// sorted by key.
     ///
     /// Together with canonical finalization this is a *replay witness*:
@@ -981,16 +981,21 @@ impl<'a> ProgressiveExecutor<'a> {
             .or_else(|| self.heap.peek().map(|e| e.importance))
     }
 
-    /// Repairs the progressive state after the underlying view changed:
-    /// coefficient `key` gained `delta` (e.g. a tuple insert added
-    /// `delta = weight·(point transform)[key]`, see
-    /// `batchbb_relation::cube::point_entries`).
+    /// Repairs this executor across a published version delta — the
+    /// reader half of the MVCC protocol (DESIGN.md §13), and the only way
+    /// an executor learns that the data changed.
     ///
-    /// Contract: the caller updates the *store* first (so unretrieved
-    /// coefficients are read fresh later), then calls this for every
-    /// changed key so that already-retrieved coefficients are re-applied.
-    /// After a full repair, running to completion yields the exact results
-    /// on the updated database — progressive evaluation and the paper's
+    /// `delta` is the concatenated `(key, delta)` update entries between
+    /// the executor's old and new pinned versions, in publish order, as
+    /// returned by `VersionedStore::delta_between` /
+    /// `VersionView::advance_to_current` (a tuple insert contributes
+    /// `weight·(point transform)[key]` per key, see
+    /// `batchbb_relation::cube::batch_point_entries`).
+    /// Contract: the caller advances the *view* first (so re-fetched and
+    /// unretrieved coefficients read the new version), then calls this so
+    /// already-retrieved coefficients are re-applied.  After the repair,
+    /// running to completion finalizes bit-identical to a fresh executor
+    /// started on the new version — progressive evaluation and the paper's
     /// `O((2δ+1)^d log^d N)` update path compose.
     ///
     /// Repaired values mirror the stores' near-zero eviction: every
@@ -1000,106 +1005,27 @@ impl<'a> ProgressiveExecutor<'a> {
     /// (backing out the residual from the estimates). Without the snap, a
     /// repaired executor would carry the tiny residual while a restarted
     /// one reads zero, and the two could never be bit-identical.
-    pub fn apply_update(&mut self, key: &CoeffKey, delta: f64) {
-        if delta == 0.0 {
-            return;
-        }
-        if let Some(seen) = self.seen.get_mut(key) {
-            *seen += delta;
-            let column = self
-                .columns
-                .get(key)
-                .expect("seen keys come from the master list");
-            for &(qi, c) in column {
-                self.estimates[qi as usize] += c * delta;
-            }
-            if seen.abs() <= STORE_ZERO_TOL && *seen != 0.0 {
-                let residual = *seen;
-                *seen = 0.0;
-                for &(qi, c) in column {
-                    self.estimates[qi as usize] -= c * residual;
-                }
-            }
-        }
-        // A prefetched-but-unapplied value was read from the store *before*
-        // the update landed, so it needs the same repair as a seen key —
-        // applied to the buffered value, since it has not reached the
-        // estimates yet.
-        for (entry, value) in &mut self.prefetched {
-            if entry.key == *key {
-                *value += delta;
-                if value.abs() <= STORE_ZERO_TOL {
-                    *value = 0.0;
-                }
-            }
-        }
-        // A parked asynchronous prefetch that includes the updated key is
-        // abandoned wholesale: its read raced the write, so the buffered
-        // verdicts cannot be trusted.  The entries return to the heap (their
-        // importance was never debited) and are re-fetched from the updated
-        // store; the dropped completion's read finishes harmlessly in the
-        // background.  Fetches not touching the key keep flying — their
-        // pre- and post-update values are identical.
-        if self
-            .pending_fetch
-            .as_ref()
-            .is_some_and(|p| p.entries.iter().any(|e| e.key == *key))
-        {
-            let pending = self.pending_fetch.take().expect("presence just checked");
-            for entry in pending.entries {
-                self.heap.push(entry);
-            }
-        }
-        // Unretrieved keys need no repair: their importance is query-side
-        // only, and their value will be read from the (updated) store.
-        //
-        // An already-exact executor gets no further steps, so the exactness
-        // invariant — estimates are the canonical fold of `seen` — must be
-        // restored here rather than by the (absent) next step.
-        if self.is_exact() {
-            self.canonicalize_estimates();
-        }
-    }
-
-    /// Batched [`ProgressiveExecutor::apply_update`]: repairs the
-    /// progressive state for a whole update batch in input order, with
-    /// bit-identical results to calling `apply_update` once per entry —
-    /// including the per-delta near-zero snap mirroring the stores'
-    /// eviction tolerance.
-    ///
-    /// The batched path amortizes the per-entry costs: runs of equal keys
-    /// (the natural shape of support-grouped streaming updates, see
-    /// `batchbb_relation::cube::batch_point_entries`) share one
-    /// `seen`/column lookup, the prefetch buffer is walked once instead of
-    /// once per entry, and a parked asynchronous prefetch intersecting
-    /// *any* updated key is abandoned exactly once (one heap push-back
-    /// instead of one per intersecting entry — though the sequential path
-    /// also abandons at most once, it pays the intersection scan per
-    /// entry).
-    pub fn apply_update_batch(&mut self, entries: &[(CoeffKey, f64)]) {
-        // Seen/estimate repairs, one key-run at a time.  Per-key deltas are
-        // applied sequentially in input order, and deltas to distinct keys
-        // touch disjoint `seen` slots, so this equals the sequential path
-        // bit for bit (estimate increments for one key fire in input
-        // order; increments for different keys commute only through `+=`
-        // on values that each repair recomputes independently — the same
-        // interleaving the sequential path produces, since it too walks
-        // entries in input order).
+    pub fn advance_version(&mut self, delta: &[(CoeffKey, f64)]) {
+        // Seen/estimate repairs, one key-run at a time: runs of equal keys
+        // (the natural shape of support-grouped streaming updates) share
+        // one `seen`/column lookup.  Per-key deltas are applied in publish
+        // order, and deltas to distinct keys touch disjoint `seen` slots,
+        // so this equals observing each entry individually, bit for bit.
         let mut i = 0;
-        while i < entries.len() {
-            let key = &entries[i].0;
+        while i < delta.len() {
+            let key = &delta[i].0;
             let mut j = i;
             if let Some(seen) = self.seen.get_mut(key) {
                 let column = self
                     .columns
                     .get(key)
                     .expect("seen keys come from the master list");
-                while j < entries.len() && entries[j].0 == *key {
-                    let delta = entries[j].1;
-                    if delta != 0.0 {
-                        *seen += delta;
+                while j < delta.len() && delta[j].0 == *key {
+                    let d = delta[j].1;
+                    if d != 0.0 {
+                        *seen += d;
                         for &(qi, c) in column {
-                            self.estimates[qi as usize] += c * delta;
+                            self.estimates[qi as usize] += c * d;
                         }
                         if seen.abs() <= STORE_ZERO_TOL && *seen != 0.0 {
                             let residual = *seen;
@@ -1112,57 +1038,53 @@ impl<'a> ProgressiveExecutor<'a> {
                     j += 1;
                 }
             } else {
-                while j < entries.len() && entries[j].0 == *key {
+                // Unretrieved keys need no repair: their importance is
+                // query-side only, and their value will be read from the
+                // advanced view.
+                while j < delta.len() && delta[j].0 == *key {
                     j += 1;
                 }
             }
             i = j;
         }
-        // Prefetched-but-unapplied values: one pass over the buffer, each
-        // slot absorbing its key's deltas in input order.
+        // A prefetched-but-unapplied value was read *before* the view
+        // advanced, so it needs the same repair as a seen key — applied to
+        // the buffered value, since it has not reached the estimates yet.
+        // One pass over the buffer, each slot absorbing its key's deltas
+        // in publish order.
         for (entry, value) in &mut self.prefetched {
-            for (key, delta) in entries {
-                if *delta != 0.0 && entry.key == *key {
-                    *value += delta;
+            for (key, d) in delta {
+                if *d != 0.0 && entry.key == *key {
+                    *value += d;
                     if value.abs() <= STORE_ZERO_TOL {
                         *value = 0.0;
                     }
                 }
             }
         }
-        // A parked asynchronous prefetch touching any updated key is
-        // abandoned once; untouched fetches keep flying (their pre- and
-        // post-update values are identical).
+        // A parked asynchronous prefetch that includes an updated key is
+        // abandoned wholesale: its read raced the advance, so the buffered
+        // verdicts cannot be trusted.  The entries return to the heap (their
+        // importance was never debited) and are re-fetched from the advanced
+        // view; the dropped completion's read finishes harmlessly in the
+        // background.  Fetches not touching any updated key keep flying —
+        // their pre- and post-update values are identical.
         if self.pending_fetch.as_ref().is_some_and(|p| {
             p.entries
                 .iter()
-                .any(|e| entries.iter().any(|(k, d)| *d != 0.0 && e.key == *k))
+                .any(|e| delta.iter().any(|(k, d)| *d != 0.0 && e.key == *k))
         }) {
             let pending = self.pending_fetch.take().expect("presence just checked");
             for entry in pending.entries {
                 self.heap.push(entry);
             }
         }
-        // Same exactness re-canonicalization as `apply_update`: with no
-        // steps left to fire it, restore the invariant here.
+        // An already-exact executor gets no further steps, so the exactness
+        // invariant — estimates are the canonical fold of `seen` — must be
+        // restored here rather than by the (absent) next step.
         if self.is_exact() {
             self.canonicalize_estimates();
         }
-    }
-
-    /// Repairs this executor across a published version delta — the
-    /// reader half of the MVCC protocol (DESIGN.md §13).
-    ///
-    /// `delta` is the concatenated update entries between the executor's
-    /// old and new pinned versions, in publish order, as returned by
-    /// `VersionedStore::delta_between` / `VersionView::advance_to_current`.
-    /// Contract: the caller advances the *view* first (so re-fetched and
-    /// unretrieved coefficients read the new version), then calls this so
-    /// already-retrieved coefficients are re-applied.  After the repair,
-    /// running to completion finalizes bit-identical to a fresh executor
-    /// started on the new version.
-    pub fn advance_version(&mut self, delta: &[(CoeffKey, f64)]) {
-        self.apply_update_batch(delta);
     }
 
     /// Theorem 2's estimate of the penalty expected on a random unit-norm
@@ -1395,23 +1317,27 @@ mod tests {
     #[test]
     fn updates_mid_progression_stay_exact() {
         use batchbb_relation::cube::point_entries;
-        use batchbb_storage::SharedStore;
+        use batchbb_storage::VersionedStore;
 
-        let (mut dfd, store, shape, strategy) = fixture();
-        let shared = SharedStore::from_entries(strategy.transform_data(dfd.tensor()));
-        drop(store);
+        let (mut dfd, _store, shape, strategy) = fixture();
+        let versioned = VersionedStore::from_entries(strategy.transform_data(dfd.tensor()));
+        let view = versioned.pin();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
         let total = MasterList::build(&batch).len();
-        let mut exec = ProgressiveExecutor::new(&batch, &Sse, &shared);
+        let mut exec = ProgressiveExecutor::new(&batch, &Sse, &view);
         exec.run(total / 2);
-        // Two tuples arrive mid-progression: update the shared store, then
-        // repair the executor's already-retrieved coefficients.
+        // Two tuples arrive mid-progression: publish each, advance the
+        // view, then repair the executor's already-retrieved coefficients.
         for (coords, weight) in [(vec![3usize, 3usize], 2.0), (vec![12, 9], 1.0)] {
             dfd.insert_binned(&coords, weight);
-            for (k, d) in point_entries(&shape, &coords, weight, batchbb_wavelet::Wavelet::Db4) {
-                shared.add_shared(k, d);
-                exec.apply_update(&k, d);
-            }
+            versioned.publish(&point_entries(
+                &shape,
+                &coords,
+                weight,
+                batchbb_wavelet::Wavelet::Db4,
+            ));
+            let (_, delta) = view.advance_to_current();
+            exec.advance_version(&delta);
         }
         exec.run_to_end();
         for (q, est) in batch.queries().iter().zip(exec.estimates()) {
@@ -1424,14 +1350,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_repairs_seen_keys_only() {
+    fn advance_version_repairs_seen_keys_only() {
         let (_, store, shape, strategy) = fixture();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
         let mut exec = ProgressiveExecutor::new(&batch, &Sse, &store);
         let first = exec.step().unwrap();
         let before = exec.estimates().to_vec();
         // Updating a retrieved key shifts estimates by column · delta.
-        exec.apply_update(&first.key, 2.0);
+        exec.advance_version(&[(first.key, 2.0)]);
         let master = MasterList::build(&batch);
         for (i, (&a, &b)) in exec.estimates().iter().zip(&before).enumerate() {
             let c = master
@@ -1455,7 +1381,7 @@ mod tests {
                 .find(|k| *k != first.key)
                 .unwrap()
         };
-        exec.apply_update(&unseen_key, 5.0);
+        exec.advance_version(&[(unseen_key, 5.0)]);
         assert_eq!(exec.estimates(), snapshot.as_slice());
     }
 
@@ -1793,23 +1719,29 @@ mod tests {
     #[test]
     fn prefetched_values_are_repaired_by_updates() {
         use batchbb_relation::cube::point_entries;
-        use batchbb_storage::SharedStore;
+        use batchbb_storage::VersionedStore;
 
         let (mut dfd, _store, shape, strategy) = fixture();
-        let shared = SharedStore::from_entries(strategy.transform_data(dfd.tensor()));
+        let versioned = VersionedStore::from_entries(strategy.transform_data(dfd.tensor()));
+        let view = versioned.pin();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
         let policy = RetryPolicy::default();
-        let mut exec = ProgressiveExecutor::new(&batch, &Sse, &shared).with_prefetch_window(1024);
+        let mut exec = ProgressiveExecutor::new(&batch, &Sse, &view).with_prefetch_window(1024);
         // One fallible step prefetches the whole master list; all but one
         // coefficient now sit in the buffer, fetched pre-update.
         let _ = exec.try_step(&policy);
         assert!(exec.remaining() > 0);
-        // A tuple arrives: update the store, then repair the executor.
+        // A tuple arrives: publish it, advance the view, then repair the
+        // executor.
         dfd.insert_binned(&[5, 5], 3.0);
-        for (k, d) in point_entries(&shape, &[5, 5], 3.0, batchbb_wavelet::Wavelet::Db4) {
-            shared.add_shared(k, d);
-            exec.apply_update(&k, d);
-        }
+        versioned.publish(&point_entries(
+            &shape,
+            &[5, 5],
+            3.0,
+            batchbb_wavelet::Wavelet::Db4,
+        ));
+        let (_, delta) = view.advance_to_current();
+        exec.advance_version(&delta);
         assert_eq!(exec.drain_with_faults(&policy), DrainStatus::Exact);
         for (q, est) in batch.queries().iter().zip(exec.estimates()) {
             let truth = q.eval_direct(dfd.tensor());

@@ -58,6 +58,14 @@ impl<S: CoefficientStore> CoefficientStore for CallCounter<S> {
         self.inner.try_get_many(keys)
     }
 
+    fn quiesce(&self) {
+        self.inner.quiesce()
+    }
+
+    fn version_tag(&self) -> u64 {
+        self.inner.version_tag()
+    }
+
     fn nnz(&self) -> usize {
         self.inner.nnz()
     }

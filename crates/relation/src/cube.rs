@@ -12,7 +12,7 @@
 //! * [`batch_point_entries`] — the streaming-update batch path: the
 //!   concatenated point deltas of many tuples, grouped by affected wavelet
 //!   support (stable-sorted by coefficient key), so downstream consumers
-//!   (`VersionedStore::publish`, `ProgressiveExecutor::apply_update_batch`)
+//!   (`VersionedStore::publish`, `ProgressiveExecutor::advance_version`)
 //!   touch each store slot / executor column once per run instead of once
 //!   per tuple — with byte-identical results to tuple-at-a-time
 //!   maintenance.
@@ -61,7 +61,7 @@ pub fn point_entries(
 /// coefficient (overlapping supports of nearby tuples) become one
 /// contiguous run whose within-run order is the tuple order.  Applying the
 /// result in order — via `MutableStore::add`, `VersionedStore::publish`,
-/// or `ProgressiveExecutor::apply_update_batch` — is byte-identical to
+/// or `ProgressiveExecutor::advance_version` — is byte-identical to
 /// applying each tuple's entries one at a time (per-key deltas land in
 /// tuple order and distinct keys commute exactly), while the grouping lets
 /// every consumer amortize its per-key work across the run.  Deltas are

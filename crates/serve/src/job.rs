@@ -142,10 +142,9 @@ pub struct BatchSnapshot {
 }
 
 /// Executor state guarded by the job's slice lock. Workers hold this lock
-/// for one slice at a time; the *unversioned* session's update barrier
-/// holds every job's lock at once, while versioned sessions never take it
-/// during [`ServeSession::update`](crate::ServeSession::update) — only
-/// [`ServeSession::advance_batch`](crate::ServeSession::advance_batch)
+/// for one slice at a time;
+/// [`ServeSession::update`](crate::ServeSession::update) never takes it —
+/// only [`ServeSession::advance_batch`](crate::ServeSession::advance_batch)
 /// locks the one job it repairs.
 pub(crate) struct JobState<'a> {
     pub(crate) exec: ProgressiveExecutor<'a>,

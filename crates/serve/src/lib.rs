@@ -22,12 +22,10 @@
 //!   ([`BatchSnapshot`]) and cooperative cancellation while the pool
 //!   runs, reachable from the driver closure of
 //!   [`BatchServer::serve_with`];
-//! * [`ServeSession::update`] — live data updates. Against a plain store
-//!   they are applied atomically across the store, the shared cache, and
-//!   every in-flight executor (a stop-the-world barrier). Against a
+//! * [`ServeSession::update`] — live data updates, against a
 //!   [`batchbb_storage::VersionedStore`]
-//!   ([`BatchServer::serve_versioned_with`]) the update is *published* as
-//!   a new immutable snapshot version with zero reader coordination: each
+//!   ([`BatchServer::serve_versioned_with`]): the update is *published* as
+//!   a new immutable snapshot version with zero reader coordination; each
 //!   batch keeps answering for the version it pinned at admission
 //!   ([`BatchResult::pinned_version`]) unless the driver opts it forward
 //!   with [`ServeSession::advance_batch`], which repairs that one batch's
@@ -114,7 +112,6 @@ pub use slo::{AdmissionEstimate, SloContract, SloOutcome};
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     use batchbb_core::{BatchQueries, DrainStatus, ProgressiveExecutor};
@@ -122,7 +119,7 @@ mod tests {
     use batchbb_penalty::{DiagonalQuadratic, Sse};
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
     use batchbb_relation::{Attribute, FrequencyDistribution, Schema};
-    use batchbb_storage::{CoefficientStore, MemoryStore, RetryPolicy};
+    use batchbb_storage::{MemoryStore, RetryPolicy};
     use batchbb_wavelet::Wavelet;
 
     use super::*;
@@ -575,46 +572,17 @@ mod tests {
         assert!(names.iter().any(|n| n == "slo.outcome"));
     }
 
+    /// The mutate-in-place update path is gone: a session with no
+    /// versioned store cannot repair its executors, so `update` must
+    /// refuse loudly rather than accept a write it would silently drop.
     #[test]
-    fn live_update_repairs_every_inflight_batch() {
+    #[should_panic(expected = "serve_versioned")]
+    fn update_on_an_unversioned_session_panics() {
         let (store, batches, n_total, k) = fixture();
-        let shared = batchbb_storage::SharedStore::new(store);
-        let serial_all = |s: &dyn CoefficientStore| -> Vec<Vec<f64>> {
-            batches
-                .iter()
-                .map(|batch| {
-                    let mut exec = ProgressiveExecutor::new(batch, &Sse, s);
-                    exec.run_to_end();
-                    exec.estimates().to_vec()
-                })
-                .collect()
-        };
-        let pre = serial_all(&shared);
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let key = batchbb_tensor::CoeffKey::new(&[0, 0]);
-        let delta = 4.25;
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(2).slice_steps(1));
-        let writes = AtomicUsize::new(0);
-        let (results, _) = server.serve_with(&shared, &requests, |session| {
-            session.update(&[(key, delta)], || {
-                shared.add_shared(key, delta);
-                writes.fetch_add(1, Ordering::SeqCst);
-            });
+        let requests = vec![BatchRequest::new(&batches[0], &Sse)];
+        let server = BatchServer::new(ServeConfig::new(n_total, k));
+        server.serve_with(&store, &requests, |session| {
+            session.update(&[(batchbb_tensor::CoeffKey::new(&[0, 0]), 4.25)], || ());
         });
-        assert_eq!(writes.load(Ordering::SeqCst), 1);
-        let post = serial_all(&shared);
-        // The update barrier repairs every in-flight batch, so each answer
-        // is bit-identical to a serial run against the updated store; a
-        // batch that finished *before* the barrier keeps its pre-update
-        // answer. Mixed states (half-applied updates) must never appear.
-        for (i, result) in results.iter().enumerate() {
-            assert_eq!(result.status, BatchStatus::Exact);
-            let estimates = result.estimates();
-            assert!(
-                estimates == post[i].as_slice() || estimates == pre[i].as_slice(),
-                "batch {i} published a torn update"
-            );
-        }
     }
 }

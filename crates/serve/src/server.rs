@@ -55,7 +55,7 @@ struct PoolShared {
     /// Batches shelved on a still-in-flight asynchronous prefetch. They
     /// are in neither the runnable queue nor any worker's hands; every
     /// worker sweeps this list and re-queues batches whose fetch landed
-    /// (or that were cancelled, or whose fetch an update abandoned).
+    /// (or that were cancelled, or whose fetch a version advance abandoned).
     parked: Mutex<Vec<usize>>,
 }
 
@@ -97,8 +97,8 @@ impl BatchServer {
     ///
     /// The driver observes and steers the in-flight pool through a
     /// [`ServeSession`]: progressive snapshots and cancellation per batch
-    /// ([`BatchHandle`]), and live data updates applied atomically across
-    /// the store and every executor ([`ServeSession::update`]). The call
+    /// ([`BatchHandle`]). The store is read-only for the whole call — live
+    /// data updates need [`BatchServer::serve_versioned_with`]. The call
     /// returns once the driver has returned *and* every batch has
     /// published its final result.
     pub fn serve_with<R>(
@@ -125,8 +125,6 @@ impl BatchServer {
         let driver_out = {
             let session = ServeSession {
                 jobs: &jobs,
-                cache: cache.as_ref(),
-                store,
                 config,
                 versioned: None,
             };
@@ -178,8 +176,6 @@ impl BatchServer {
         let driver_out = {
             let session = ServeSession {
                 jobs: &jobs,
-                cache: None,
-                store,
                 config,
                 versioned: Some(VersionedCtx {
                     store,
@@ -487,8 +483,6 @@ impl VersionedCtx<'_, '_> {
 /// [`BatchServer::serve_versioned_with`]'s) driver.
 pub struct ServeSession<'s, 'a> {
     jobs: &'s [JobCell<'a>],
-    cache: Option<&'s ShardedCachingStore<&'a dyn CoefficientStore>>,
-    store: &'a dyn CoefficientStore,
     config: &'s ServeConfig,
     versioned: Option<VersionedCtx<'s, 'a>>,
 }
@@ -521,82 +515,36 @@ impl<'s, 'a> ServeSession<'s, 'a> {
             .all(|cell| cell.finished.load(Ordering::Acquire))
     }
 
-    /// Applies a live data update.
-    ///
-    /// **Versioned sessions** ([`BatchServer::serve_versioned_with`])
-    /// publish the update as a new store version
-    /// ([`VersionedStore::publish`]) with *zero reader coordination*: no
-    /// slice lock is taken, no fetch path quiesced, no cache invalidated.
-    /// Every in-flight executor keeps reading the immutable snapshot it
-    /// pinned at admission — there is nothing to tear — and stays on it
-    /// until the driver opts it in via [`ServeSession::advance_batch`].
-    /// `write_store` still runs (after the publish) for signature parity,
+    /// Applies a live data update: publishes `entries` as a new store
+    /// version ([`VersionedStore::publish`]) with *zero reader
+    /// coordination* — no slice lock is taken, no fetch path quiesced, no
+    /// cache touched. Every in-flight executor keeps reading the immutable
+    /// snapshot it pinned at admission — there is nothing to tear — and
+    /// stays on it until the driver opts it in via
+    /// [`ServeSession::advance_batch`]. Batches that already published a
+    /// result are never touched: their answer was final — and correct —
+    /// for the version they pinned. `write_store` runs after the publish,
     /// e.g. to mirror the update into an external system.
-    ///
-    /// **Unversioned sessions** fall back to the stop-the-world barrier:
-    /// take every job's slice lock in index order (workers hold at most
-    /// one and never take a second, so the barrier cannot deadlock), then
-    /// — with all executors paused — run `write_store` (the caller's store
-    /// mutation, e.g. `SharedStore::add_shared` per entry), invalidate the
-    /// shared cache for the touched keys, and repair each unfinished
-    /// executor with [`ProgressiveExecutor::apply_update`]. Batches that
-    /// already published a result are left untouched in either mode:
-    /// their answer was final — and correct — for the database (version)
-    /// as of their finish.
     ///
     /// `entries` lists the changed coefficients as `(key, delta)`, e.g.
     /// from `batchbb_relation::cube::point_entries` or the batched
     /// `batchbb_relation::cube::batch_point_entries`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a session that has no versioned store
+    /// ([`BatchServer::serve_with`], [`BatchServer::serve_sharded_with`]):
+    /// such a session cannot repair its executors, so silently accepting
+    /// the write would void every in-flight certificate. Serve through
+    /// [`BatchServer::serve_versioned_with`] to update live.
     pub fn update(&self, entries: &[(CoeffKey, f64)], write_store: impl FnOnce()) {
-        if let Some(versioned) = &self.versioned {
-            versioned.store.publish(entries);
-            write_store();
-            versioned.compact();
-            return;
-        }
-        let mut guards: Vec<_> = self.jobs.iter().map(|cell| cell.state.lock()).collect();
-        // Quiesce the asynchronous fetch path before mutating: with every
-        // slice lock held no executor can submit a new fetch, and the
-        // barrier waits out reads already in flight — so no pre-update
-        // read races `write_store`. Parked executors may now hold *ready*
-        // completions carrying pre-update values; `apply_update` below
-        // abandons any pending fetch that covers an updated key, so stale
-        // values for touched keys are re-fetched, and untouched keys'
-        // pre-update values are still correct.
-        match self.cache {
-            Some(cache) => cache.quiesce(),
-            None => self.store.quiesce(),
-        }
+        let versioned = self
+            .versioned
+            .as_ref()
+            .expect("ServeSession::update needs a versioned session: use serve_versioned_with");
+        versioned.store.publish(entries);
         write_store();
-        if let Some(cache) = self.cache {
-            for (key, _) in entries {
-                cache.invalidate(key);
-            }
-        }
-        for (cell, state) in self.jobs.iter().zip(guards.iter_mut()) {
-            if state.result.is_some() {
-                continue;
-            }
-            // With every slice lock held no batch is Executing; bracket
-            // the repair and restore the phase the barrier interrupted
-            // (Queued or Parked).
-            let interrupted = cell.lifecycle.as_ref().map(|lifecycle| {
-                let mut recorder = lifecycle.lock().expect("lifecycle poisoned");
-                let prev = recorder.phase();
-                recorder.transition(Phase::Repair);
-                prev
-            });
-            for (key, delta) in entries {
-                state.exec.apply_update(key, *delta);
-            }
-            let report = state
-                .exec
-                .degradation_report(self.config.n_total, self.config.k_abs_sum);
-            publish_snapshot(cell, state, &report, false);
-            if let Some(prev) = interrupted {
-                cell.enter_phase(prev);
-            }
-        }
+        versioned.compact();
     }
 
     /// The latest published store version, or `None` for unversioned
@@ -699,13 +647,13 @@ fn worker_loop(
 }
 
 /// Re-queues every parked batch whose wait is over: its in-flight fetch
-/// landed, an update abandoned the fetch, or it was cancelled. Returns
-/// whether anything was resumed.
+/// landed, a version advance abandoned the fetch, or it was cancelled.
+/// Returns whether anything was resumed.
 ///
 /// Lock discipline: slice locks are only `try_lock`ed — a held lock means
-/// another worker or the update barrier owns the batch right now, and the
-/// next sweep will catch up; blocking here could deadlock against the
-/// barrier (which takes *all* slice locks while a sweep holds the shelf).
+/// another worker or [`ServeSession::advance_batch`] owns the batch right
+/// now, and the next sweep will catch up; blocking here would stall every
+/// other worker's sweep behind that one slice (this sweep holds the shelf).
 fn resume_parked(me: usize, jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) -> bool {
     let mut parked = shared.parked.lock();
     if parked.is_empty() {
@@ -757,8 +705,8 @@ fn run_slice(
     if state.result.is_some() {
         return SliceOutcome::Finished;
     }
-    // Phase transitions happen while the slice lock is held, so during an
-    // update barrier (all locks held) a batch's phase is never Executing.
+    // Phase transitions happen while the slice lock is held, so while
+    // `advance_batch` holds it a batch's phase is never Executing.
     cell.enter_phase(Phase::Executing);
     if cell.cancelled.load(Ordering::Acquire) {
         let report = state

@@ -31,10 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use batchbb_obs::{
-    span_end_event, span_start_event, Counter, EventSink, Gauge, MetricsRegistry, TraceContext,
-    Tracer,
-};
+use batchbb_obs::{span_end_event, span_start_event, EventSink, TraceContext, Tracer};
 use batchbb_tensor::CoeffKey;
 
 use crate::completion::{Completion, InflightSlot};
@@ -89,31 +86,12 @@ struct Shared {
     /// the table degenerates to the plain per-key one). Holds only
     /// pending slots — completed entries are removed immediately.
     inflight: Mutex<HashMap<(u64, CoeffKey), InflightEntry>>,
-    /// Keys currently outstanding (queued or running), mirrored into the
-    /// `store.pending_depth` gauge when a registry is attached.
+    /// Keys currently outstanding (queued or running).
     pending_keys: AtomicU64,
     /// Submits that joined an already-outstanding read instead of queueing
     /// their own.
     dedup_hits: AtomicU64,
-    pending_gauge: Option<Gauge>,
-    dedup_counter: Option<Counter>,
     tracing: Option<Tracing>,
-}
-
-impl Shared {
-    fn add_pending(&self, n: u64) {
-        let now = self.pending_keys.fetch_add(n, Ordering::Relaxed) + n;
-        if let Some(g) = &self.pending_gauge {
-            g.set(now.min(i64::MAX as u64) as i64);
-        }
-    }
-
-    fn sub_pending(&self, n: u64) {
-        let now = self.pending_keys.fetch_sub(n, Ordering::Relaxed) - n;
-        if let Some(g) = &self.pending_gauge {
-            g.set(now.min(i64::MAX as u64) as i64);
-        }
-    }
 }
 
 /// Completion-based asynchronous wrapper over any blocking store.
@@ -134,23 +112,7 @@ pub struct AsyncFetchStore<S: CoefficientStore + 'static> {
 impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
     /// Wraps `inner` behind `threads >= 1` I/O threads.
     pub fn new(inner: S, threads: usize) -> Self {
-        Self::build(inner, threads, None, None)
-    }
-
-    /// Like [`AsyncFetchStore::new`], but wires engine metrics into
-    /// `registry`: the `store.pending_depth` gauge (keys outstanding) and
-    /// the `store.inflight_dedup_hits` counter (submits that shared an
-    /// outstanding read instead of issuing their own).
-    pub fn with_registry(inner: S, threads: usize, registry: &MetricsRegistry) -> Self {
-        Self::build(
-            inner,
-            threads,
-            Some((
-                registry.gauge("store.pending_depth"),
-                registry.counter("store.inflight_dedup_hits"),
-            )),
-            None,
-        )
+        Self::build(inner, threads, None)
     }
 
     /// Like [`AsyncFetchStore::new`], but emits causal spans into `sink`
@@ -166,20 +128,11 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
         tracer: Tracer,
         sink: Arc<dyn EventSink>,
     ) -> Self {
-        Self::build(inner, threads, None, Some(Tracing { tracer, sink }))
+        Self::build(inner, threads, Some(Tracing { tracer, sink }))
     }
 
-    fn build(
-        inner: S,
-        threads: usize,
-        metrics: Option<(Gauge, Counter)>,
-        tracing: Option<Tracing>,
-    ) -> Self {
+    fn build(inner: S, threads: usize, tracing: Option<Tracing>) -> Self {
         assert!(threads >= 1, "need at least one I/O thread");
-        let (pending_gauge, dedup_counter) = match metrics {
-            Some((g, c)) => (Some(g), Some(c)),
-            None => (None, None),
-        };
         let inner = Arc::new(inner);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
@@ -192,8 +145,6 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
             inflight: Mutex::new(HashMap::new()),
             pending_keys: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
-            pending_gauge,
-            dedup_counter,
             tracing,
         });
         let io_threads = (0..threads)
@@ -291,7 +242,9 @@ fn io_loop<S: CoefficientStore>(inner: &S, shared: &Shared) {
                 }
             }
         }
-        shared.sub_pending(job.keys.len() as u64);
+        shared
+            .pending_keys
+            .fetch_sub(job.keys.len() as u64, Ordering::Relaxed);
         let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
         state.active -= 1;
         if state.active == 0 && state.queue.is_empty() {
@@ -340,9 +293,6 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
             for key in keys {
                 if let Some(entry) = table.get(&(tag, *key)) {
                     self.shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &self.shared.dedup_counter {
-                        c.inc();
-                    }
                     if self.shared.tracing.is_some() {
                         match joined.iter_mut().find(|(span, _)| *span == entry.span) {
                             Some((_, n)) => *n += 1,
@@ -398,7 +348,9 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
             }
         }
         if !new_keys.is_empty() {
-            self.shared.add_pending(new_keys.len() as u64);
+            self.shared
+                .pending_keys
+                .fetch_add(new_keys.len() as u64, Ordering::Relaxed);
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             state.queue.push_back(Job {
                 tag,
@@ -412,12 +364,9 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
         Completion::pending(slots)
     }
 
-    /// Blocks until the queue and every running job drain.
-    ///
-    /// This is the stop-the-world barrier live updates need: after
-    /// `quiesce` returns, the in-flight table is empty, so no post-update
-    /// submit can join a read that started before the update and observe a
-    /// stale value (DESIGN.md §12).
+    /// Blocks until the queue and every running job drain, then quiesces
+    /// the inner store: after `quiesce` returns the in-flight table is
+    /// empty and the counters are final (DESIGN.md §12).
     fn quiesce(&self) {
         let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.active > 0 || !state.queue.is_empty() {
@@ -427,6 +376,8 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
+        drop(state);
+        self.inner.quiesce();
     }
 
     fn version_tag(&self) -> u64 {

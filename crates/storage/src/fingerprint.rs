@@ -2,7 +2,7 @@
 //!
 //! One fingerprint function means the deterministic fault sequences
 //! ([`crate::FaultInjectingStore`]) and the shard routing
-//! ([`crate::SharedStore`], [`crate::ShardedCachingStore`]) agree on what
+//! ([`crate::VersionedStore`], [`crate::ShardedCachingStore`]) agree on what
 //! "the same key" hashes to, and the mixing quality is tested in one place.
 
 use batchbb_tensor::CoeffKey;

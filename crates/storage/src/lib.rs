@@ -14,14 +14,10 @@
 //! * [`BlockStore`] — coefficients packed into fixed-size blocks behind an
 //!   LRU buffer pool, quantifying the paper's future-work remark on disk
 //!   layout and smart buffer management (§7) (unix only);
-//! * [`SharedStore`] — a shard-locked store for live updates during
-//!   progressive evaluation (writers stall only their own shard's readers);
-//! * [`CachingStore`] — a memoizing wrapper that turns repeated retrievals
-//!   (e.g. the round-robin baseline's) into cache hits, isolating how much
-//!   of Batch-Biggest-B's win is I/O sharing vs shared computation;
-//! * [`ShardedCachingStore`] — the concurrent variant: a sharded
-//!   read-through cache so many in-flight batches (the `batchbb-serve`
-//!   pool) share each physical fetch without serializing on one lock;
+//! * [`ShardedCachingStore`] — a sharded read-through cache: repeated
+//!   retrievals (the round-robin baseline's, or many in-flight batches of
+//!   the `batchbb-serve` pool) become cache hits, sharing each physical
+//!   fetch without serializing on one lock;
 //! * [`InstrumentedStore`] — an observability wrapper recording per-call
 //!   latency histograms, hit/miss counters, and per-class fault counters
 //!   into a `batchbb_obs` registry (plus `store.fault` trace events);
@@ -98,7 +94,6 @@
 mod async_fetch;
 #[cfg(unix)]
 mod block;
-mod caching;
 mod completion;
 #[cfg(unix)]
 mod disk;
@@ -110,7 +105,6 @@ mod memory;
 pub mod retry;
 mod shard;
 mod sharded;
-mod shared;
 mod stats;
 mod store;
 mod versioned;
@@ -118,7 +112,6 @@ mod versioned;
 pub use async_fetch::AsyncFetchStore;
 #[cfg(unix)]
 pub use block::{BlockLayout, BlockStore};
-pub use caching::CachingStore;
 pub use completion::Completion;
 #[cfg(unix)]
 pub use disk::FileStore;
@@ -130,7 +123,6 @@ pub use memory::{ArrayStore, MemoryStore};
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use shard::{HedgeConfig, LatencyStore, ShardClient, ShardRouter, ShardStats, ShardTopology};
 pub use sharded::{EvictionPolicy, ShardedCachingStore};
-pub use shared::SharedStore;
 pub use stats::{FaultStats, IoStats};
 pub use store::{CoefficientStore, MutableStore};
 pub use versioned::{VersionId, VersionView, VersionedStore};

@@ -434,32 +434,12 @@ impl ShardRouter {
         Self::with_instrumentation(clients, hedge, None, None)
     }
 
-    /// Like [`ShardRouter::new`], wiring per-shard counters
-    /// (`store.shard.{i}.rpcs` / `.errors` / `.hedges` / `.hedge_wins`)
-    /// into `registry`.
-    pub fn with_registry(
-        clients: Vec<ShardClient>,
-        hedge: HedgeConfig,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        Self::with_instrumentation(clients, hedge, Some(registry), None)
-    }
-
-    /// Like [`ShardRouter::new`], emitting `store.shard.read` and
-    /// `store.shard.hedge` spans into `sink` on `tracer`'s clock. Wire the
-    /// same [`Tracer`] the serve pool uses so shard spans are
-    /// time-comparable with batch lifecycles.
-    pub fn with_tracing(
-        clients: Vec<ShardClient>,
-        hedge: HedgeConfig,
-        tracer: Tracer,
-        sink: Arc<dyn EventSink>,
-    ) -> Self {
-        Self::with_instrumentation(clients, hedge, None, Some((tracer, sink)))
-    }
-
-    /// The general constructor: optional registry metrics and optional
-    /// span tracing in one call (what `batchbb-serve` uses).
+    /// The general constructor (what `batchbb-serve` uses). With a
+    /// `registry`, per-shard counters (`store.shard.{i}.rpcs` / `.errors` /
+    /// `.hedges` / `.hedge_wins`) are wired into it; with `tracing`,
+    /// `store.shard.read` and `store.shard.hedge` spans are emitted into
+    /// the sink on the tracer's clock — wire the same [`Tracer`] the serve
+    /// pool uses so shard spans are time-comparable with batch lifecycles.
     pub fn with_instrumentation(
         clients: Vec<ShardClient>,
         hedge: HedgeConfig,

@@ -1,12 +1,11 @@
 //! A sharded read-through cache: cross-batch I/O sharing for concurrent
 //! serving.
 //!
-//! [`CachingStore`](crate::CachingStore) funnels every lookup through one
-//! mutex, which is fine for a single executor but serializes a worker pool.
-//! [`ShardedCachingStore`] splits the memo table across independently
-//! locked shards, so concurrent batches miss-fetch and hit on *different*
-//! coefficients in parallel, and a coefficient fetched for one batch is
-//! served from memory to every other in-flight batch.
+//! A memo table behind one mutex is fine for a single executor but
+//! serializes a worker pool.  [`ShardedCachingStore`] splits the table
+//! across independently locked shards, so concurrent batches miss-fetch and
+//! hit on *different* coefficients in parallel, and a coefficient fetched
+//! for one batch is served from memory to every other in-flight batch.
 //!
 //! Each shard's lock is held across the inner fetch, so a resident
 //! coefficient is physically fetched **exactly once** no matter how many
@@ -22,9 +21,7 @@
 //! importance weight (`|value|`, with memoized absences weighing zero) is
 //! evicted, ties broken least-recently-used. Eviction only weakens the
 //! fetch guarantee from *exactly once* to *at most once while resident* —
-//! an evicted key reads through again like an
-//! [`ShardedCachingStore::invalidate`]d one, and both paths share the same
-//! removal, so eviction can never corrupt invalidation accounting.
+//! an evicted key simply reads through again.
 //!
 //! # Version awareness
 //!
@@ -34,9 +31,8 @@
 //! a [`crate::VersionedStore`]/[`crate::VersionView`] a version advance
 //! silently retires the old version's entries (they stop matching) instead
 //! of serving stale values, and entries belonging to *untouched* versions
-//! survive — publishing never blows away another reader's warm cache.
-//! [`ShardedCachingStore::invalidate`] is version-scoped for the same
-//! reason: it removes the memo for the *current* version only.
+//! survive — publishing never blows away another reader's warm cache, and
+//! nothing ever has to be invalidated.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +44,7 @@ use crate::fingerprint;
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats, StorageError};
 
-/// Default shard count, matching [`crate::SharedStore`].
+/// Default shard count, matching [`crate::VersionedStore`].
 const DEFAULT_SHARDS: usize = 16;
 
 /// One memoized coefficient: `None` memoizes "absent" (a zero
@@ -229,34 +225,9 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
     }
 
     /// Number of entries evicted to respect the capacity cap (zero for an
-    /// unbounded cache); explicit [`ShardedCachingStore::invalidate`]
-    /// removals are not counted here.
+    /// unbounded cache).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Drops the memoized value for `key` *at the inner store's current
-    /// version*, so the next retrieval reads through to the (possibly
-    /// updated) inner store. Returns whether a cached value was present.
-    ///
-    /// This is the invalidation half of the live-update contract: callers
-    /// that mutate the underlying store in place mid-serve (e.g.
-    /// `SharedStore::add_shared`) must invalidate the touched keys, or
-    /// in-flight batches would keep reading the stale memo. Invalidation
-    /// is version-scoped: entries memoized under *other* versions are left
-    /// alone — they can only be read by callers pinned to those versions,
-    /// for whom they are still correct (a versioned publish never needs
-    /// invalidation at all; the new tag simply stops matching).
-    /// Invalidating a key the capacity cap already evicted is a no-op
-    /// returning `false` — eviction and invalidation share the same
-    /// removal path, so the two can interleave freely.
-    pub fn invalidate(&self, key: &CoeffKey) -> bool {
-        let tag = self.inner.version_tag();
-        self.shards[fingerprint::shard_of(key, self.shards.len())]
-            .lock()
-            .map
-            .remove(&(tag, *key))
-            .is_some()
     }
 
     fn shard(&self, key: &CoeffKey) -> &Shard {
@@ -455,17 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_reads_through_again() {
-        let s = ShardedCachingStore::new(store(4));
-        let key = CoeffKey::one(1);
-        assert_eq!(s.get(&key), Some(2.0));
-        assert!(s.invalidate(&key));
-        assert!(!s.invalidate(&key), "second invalidation is a no-op");
-        assert_eq!(s.get(&key), Some(2.0));
-        assert_eq!(s.stats().physical_reads, 2, "re-fetched after invalidate");
-    }
-
-    #[test]
     fn capacity_bounds_the_resident_set() {
         // One shard makes the per-shard cap the total cap.
         let s = ShardedCachingStore::with_shards(store(64), 1).with_capacity(8);
@@ -542,26 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_after_eviction_is_safe() {
-        let s = ShardedCachingStore::with_shards(store(16), 1).with_capacity(2);
-        for i in 0..16 {
-            s.get(&CoeffKey::one(i));
-        }
-        let before = s.evictions();
-        let resident = s.cached();
-        assert!(resident <= 2);
-        // Most keys are already evicted; invalidating them is a clean
-        // no-op that neither panics nor double-counts evictions.
-        let mut invalidated = 0;
-        for i in 0..16 {
-            invalidated += usize::from(s.invalidate(&CoeffKey::one(i)));
-        }
-        assert_eq!(invalidated, resident, "only resident keys invalidate");
-        assert_eq!(s.cached(), 0);
-        assert_eq!(s.evictions(), before, "invalidation is not an eviction");
-    }
-
-    #[test]
     fn version_bump_never_serves_stale_values() {
         let inner = VersionedStore::from_entries([(CoeffKey::one(1), 2.0)]);
         let s = ShardedCachingStore::new(inner);
@@ -598,23 +538,6 @@ mod tests {
         assert_eq!(s.stats().cache_hits, 1, "no cross-version hit");
         assert_eq!(s.get(&key), Some(7.0));
         assert_eq!(s.stats().cache_hits, 2, "v1 entry now warm");
-    }
-
-    #[test]
-    fn invalidate_is_version_scoped() {
-        let inner = VersionedStore::from_entries([(CoeffKey::one(1), 2.0)]);
-        let s = ShardedCachingStore::new(inner);
-        let key = CoeffKey::one(1);
-        assert_eq!(s.get(&key), Some(2.0)); // v0 memo
-        s.inner().publish(&[(key, 5.0)]);
-        assert_eq!(s.get(&key), Some(7.0)); // v1 memo
-        assert_eq!(s.cached(), 2);
-        // Invalidation removes only the *current* (v1) version's entry.
-        assert!(s.invalidate(&key));
-        assert_eq!(s.cached(), 1, "the untouched v0 entry survives");
-        assert!(!s.invalidate(&key), "v1 entry already gone");
-        assert_eq!(s.get(&key), Some(7.0));
-        assert_eq!(s.stats().physical_reads, 3, "v1 read through again");
     }
 
     #[test]

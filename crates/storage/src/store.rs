@@ -76,11 +76,12 @@ pub trait CoefficientStore: Send + Sync {
     /// Blocks until every asynchronous fetch submitted to this store has
     /// completed and its in-flight bookkeeping is retired.
     ///
-    /// A no-op for synchronous stores (the default).  Writers use it as a
-    /// barrier before mutating the underlying view: after `quiesce`, no
-    /// later [`CoefficientStore::submit`] can share a read that started
-    /// before the write and observe a stale value.  Wrappers must forward
-    /// it to their inner store.
+    /// A no-op for synchronous stores (the default).  Callers use it to
+    /// settle an asynchronous engine before reading its counters or
+    /// tearing it down ([`crate::ShardRouter`] also drains cancelled
+    /// hedges); it is *not* part of the update path — data changes only
+    /// by [`crate::VersionedStore::publish`], which needs no barrier.
+    /// Wrappers must forward it to their inner store.
     fn quiesce(&self) {}
 
     /// The data version this store currently answers from, as an opaque

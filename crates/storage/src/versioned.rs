@@ -14,8 +14,10 @@
 //! [`VersionView::advance_to_current`], which re-pins and returns the exact
 //! update entries between the two versions (concatenated in publish order,
 //! never pre-summed) so a progressive executor can repair its estimates
-//! with [`apply_update`]-style arithmetic and stay bit-identical to a fresh
-//! start on the new version.
+//! (`ProgressiveExecutor::advance_version`) and stay bit-identical to a
+//! fresh start on the new version.  This publish → advance → repair chain
+//! is the only way data changes under a live reader: no store is ever
+//! mutated in place while anything reads it.
 //!
 //! Bit-identity contract: applying a published batch mutates each touched
 //! slot exactly as the equivalent sequence of [`crate::MutableStore::add`]

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use batchbb_storage::{
-    ArrayStore, CachingStore, CoefficientStore, FaultInjectingStore, FaultPlan, InstrumentedStore,
-    MemoryStore, ShardedCachingStore, SharedStore,
+    ArrayStore, CoefficientStore, FaultInjectingStore, FaultPlan, InstrumentedStore, MemoryStore,
+    ShardedCachingStore, VersionedStore,
 };
 #[cfg(unix)]
 use batchbb_storage::{BlockLayout, BlockStore, FileStore};
@@ -80,10 +80,13 @@ proptest! {
     fn all_stores_roundtrip(entries in arb_entries()) {
         // memory
         check_store(&MemoryStore::from_entries(entries.clone()), &entries, false);
-        // shared
-        check_store(&SharedStore::from_entries(entries.clone()), &entries, false);
+        // versioned: the store itself (reads the current version) and a
+        // pinned view
+        let versioned = VersionedStore::from_entries(entries.clone());
+        check_store(&versioned, &entries, false);
+        check_store(&versioned.pin(), &entries, false);
         // caching over memory — twice, to cover the memoized path
-        let caching = CachingStore::new(MemoryStore::from_entries(entries.clone()));
+        let caching = ShardedCachingStore::new(MemoryStore::from_entries(entries.clone()));
         check_store(&caching, &entries, false);
         check_store(&caching, &entries, false);
         // array
@@ -131,28 +134,17 @@ proptest! {
     ) {
         let queries = query_mix(&entries, extra);
 
-        // Default loop (memory) and the shard-grouped override.
+        // Default loop (memory; the versioned stores use it too).
         assert_batch_matches_singletons(
             &MemoryStore::from_entries(entries.clone()),
             &MemoryStore::from_entries(entries.clone()),
-            &queries,
-        );
-        assert_batch_matches_singletons(
-            &SharedStore::from_entries(entries.clone()),
-            &SharedStore::from_entries(entries.clone()),
             &queries,
         );
 
-        // Caching wrappers: the batched path must leave the memo in the
+        // Caching wrapper: the batched path must leave the memo in the
         // same state as singletons (duplicates within a batch count as
         // hits, missed fills memoize), so a second pass agrees too, and
-        // the wrappers' full IoStats — hits included — match exactly.
-        let ca = CachingStore::new(MemoryStore::from_entries(entries.clone()));
-        let cb = CachingStore::new(MemoryStore::from_entries(entries.clone()));
-        for _pass in 0..2 {
-            assert_batch_matches_singletons(&ca, &cb, &queries);
-        }
-        assert_eq!(ca.stats(), cb.stats(), "caching stats diverge");
+        // the wrapper's full IoStats — hits included — match exactly.
         let sa = ShardedCachingStore::with_shards(MemoryStore::from_entries(entries.clone()), 4);
         let sb = ShardedCachingStore::with_shards(MemoryStore::from_entries(entries.clone()), 4);
         for _pass in 0..2 {

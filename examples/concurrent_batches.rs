@@ -2,9 +2,9 @@
 //!
 //! Three dashboards fire their query batches at the same wavelet view.
 //! A 4-worker `BatchServer` advances all of them in interleaved slices,
-//! sharing every physical fetch through the cross-batch cache, while the
-//! driver thread watches progressive snapshots, streams a live insert
-//! into the store mid-flight, and cancels one dashboard early. Each
+//! each reading the store version it pinned, while the driver thread
+//! watches progressive snapshots, publishes a live insert mid-flight,
+//! opts every batch forward to it, and cancels one dashboard early. Each
 //! claim the serve layer makes is asserted as it happens.
 //!
 //! Run with: `cargo run --example concurrent_batches`
@@ -30,10 +30,10 @@ fn main() {
         }
     }
     let strategy = WaveletStrategy::new(Wavelet::Haar);
-    let shared = SharedStore::from_entries(strategy.transform_data(dfd.tensor()));
+    let store = VersionedStore::from_entries(strategy.transform_data(dfd.tensor()));
     let shape = dfd.schema().domain();
     let n_total = shape.len();
-    let k = shared.abs_sum();
+    let k = store.abs_sum();
 
     // Three dashboards: a coarse overview, a fine drill-down, a stripe
     // report. Each is its own batch with its own penalty.
@@ -51,20 +51,6 @@ fn main() {
     let requests: Vec<BatchRequest<'_>> =
         batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
 
-    // Serial answers on the initial store — the determinism reference
-    // for any batch that finishes before the live insert lands.
-    let serial_answers = |store: &SharedStore| -> Vec<Vec<f64>> {
-        batches
-            .iter()
-            .map(|batch| {
-                let mut exec = ProgressiveExecutor::new(batch, &Sse, store);
-                exec.run_to_end();
-                exec.estimates().to_vec()
-            })
-            .collect()
-    };
-    let pre_update = serial_answers(&shared);
-
     // Shared observability: every batch's trace events carry a
     // `batch = <id>` label in one sink, metrics in one registry.
     let registry = Arc::new(MetricsRegistry::new());
@@ -77,7 +63,7 @@ fn main() {
             .sink(sink.clone()),
     );
 
-    let (results, cancelled) = server.serve_with(&shared, &requests, |session| {
+    let (results, cancelled) = server.serve_versioned_with(&store, &requests, |session| {
         println!("pool is live: {} batches admitted", session.batches());
 
         // Watch progressive snapshots: every batch's Theorem-1 bound
@@ -88,16 +74,16 @@ fn main() {
             .map(|h| h.snapshot().worst_case_bound)
             .collect();
 
-        // A live insert lands mid-serve: one barrier updates the store
-        // and repairs every in-flight executor atomically.
+        // A live insert lands mid-serve: one publish installs a new
+        // store version without pausing any reader, then every batch
+        // still in flight opts forward and is repaired against the delta.
         let entries = cube::point_entries(&shape, &[10, 20], 3.0, strategy.wavelet);
-        session.update(&entries, || {
-            for &(key, delta) in &entries {
-                shared.add_shared(key, delta);
-            }
-        });
+        session.update(&entries, || ());
+        let advanced = (0..session.batches())
+            .filter(|&i| session.advance_batch(i).is_some())
+            .count();
         println!(
-            "live insert applied: {} coefficients touched",
+            "live insert published: {} coefficients touched, {advanced} batches advanced",
             entries.len()
         );
 
@@ -130,15 +116,18 @@ fn main() {
     assert!(cancelled || results[1].status == BatchStatus::Exact);
 
     // Determinism check: every exact batch matches a serial run bit for
-    // bit — against the updated store if it was repaired by the barrier,
-    // or against the initial store if it finished before the insert.
+    // bit against the version it finished pinned to — the updated one if
+    // it was advanced, the initial one if it finished before the insert.
     // Torn in-between states must never appear.
-    let post_update = serial_answers(&shared);
     for (i, result) in results.iter().enumerate() {
         if result.status == BatchStatus::Exact {
-            let estimates = result.estimates();
-            assert!(
-                estimates == post_update[i].as_slice() || estimates == pre_update[i].as_slice(),
+            let pinned = result.pinned_version.expect("versioned runs pin");
+            let view = store.pin_at(pinned).expect("pinned versions are retained");
+            let mut serial = ProgressiveExecutor::new(&batches[i], &Sse, &view);
+            serial.run_to_end();
+            assert_eq!(
+                result.estimates(),
+                serial.estimates(),
                 "batch {i} published a torn update"
             );
         }

@@ -15,7 +15,7 @@ fn main() {
     let mut dfd = dataset.to_frequency_distribution();
     let domain = dfd.schema().domain();
     let strategy = WaveletStrategy::new(Wavelet::Haar);
-    let store = SharedStore::from_entries(strategy.transform_data(dfd.tensor()));
+    let store = VersionedStore::from_entries(strategy.transform_data(dfd.tensor()));
     println!(
         "initial load: {} records, {} coefficients in the view",
         dataset.len(),
@@ -26,7 +26,10 @@ fn main() {
     let ranges = partition::grid_partition(&domain, &[8, 8]);
     let queries: Vec<RangeSum> = ranges.iter().cloned().map(RangeSum::count).collect();
     let batch = BatchQueries::rewrite(&strategy, queries, &domain).unwrap();
-    let mut exec = ProgressiveExecutor::new(&batch, &Sse, &store);
+    // The executor reads a pinned snapshot; publishes never disturb it
+    // until it opts forward.
+    let view = store.pin();
+    let mut exec = ProgressiveExecutor::new(&batch, &Sse, &view);
 
     // Interleave: a burst of progressive work, then a burst of inserts.
     let late_arrivals = synth::clustered(2, 6, 5_000, 3, 99);
@@ -35,17 +38,19 @@ fn main() {
     while !exec.is_exact() || inserted < late_arrivals.len() {
         let stepped = exec.run(32);
         if inserted < late_arrivals.len() {
+            let mut points = Vec::with_capacity(chunk);
             for tuple in &late_arrivals.tuples()[inserted..inserted + chunk] {
                 let coords = late_arrivals.schema().bin_tuple(tuple).unwrap();
                 dfd.insert_binned(&coords, 1.0);
                 dataset.push(tuple.clone()).unwrap();
-                // O(L² log²N) coefficients per insert: update the store and
-                // repair the in-flight executor.
-                for (k, d) in cube::point_entries(&domain, &coords, 1.0, Wavelet::Haar) {
-                    store.add_shared(k, d);
-                    exec.apply_update(&k, d);
-                }
+                points.push((coords, 1.0));
             }
+            // O(L² log²N) coefficients per insert: publish the burst as one
+            // new version, advance the view, and repair the in-flight
+            // executor against the exact delta.
+            store.publish(&cube::batch_point_entries(&domain, &points, Wavelet::Haar));
+            let (_, delta) = view.advance_to_current();
+            exec.advance_version(&delta);
             inserted += chunk;
             println!(
                 "after {:>5} late arrivals: {:>4} coefficients retrieved, {:>4} pending",

@@ -13,11 +13,12 @@
 #                2ms-per-round-trip store), the async-vs-sync bit-identity
 #                proptests, and the bench-regression guard over the
 #                recorded results/BENCH_exec.json thresholds
-#   --mixed      run ONLY the mixed update+query gate: the snapshot-isolation
-#                and version-advance test batteries (never-torn reads,
+#   --mixed      run ONLY the mixed update+query gate — the one update path,
+#                publish -> advance -> repair: the snapshot-isolation and
+#                version-advance test batteries (never-torn reads,
 #                advance-equals-restart bit identity), the versioned serve
-#                tests including the held-locks update check, and the
-#                bench_mixed smoke
+#                tests including the held-locks update check and the
+#                unversioned-update panic, and the bench_mixed smoke
 #   --sharded    run ONLY the sharded retrieval gate: the scatter-gather
 #                bit-identity proptest, the dead-shard degradation test,
 #                the compaction version-log bound, the shard-router and
@@ -87,11 +88,14 @@ slow_store_gate() {
 # version advance — an executor repaired through k deltas finalizes
 # bit-identically to a restart on the final version (plus the degenerate
 # empty/full/racing-async deltas); the versioned serve tests include the
-# held-locks check proving `update` takes no slice lock; and the
-# bench_mixed smoke keeps the mixed fixture (and its recorded publish
-# latencies in results/BENCH_exec.json) from rotting.
+# held-locks check proving `update` takes no slice lock, and the
+# unversioned-session check proving `update` refuses (panics) where it
+# could not repair the executors; and the bench_mixed smoke keeps the
+# mixed fixture (and its recorded publish latencies in
+# results/BENCH_exec.json) from rotting.
 mixed_gate() {
     run cargo test -q -p batchbb --test concurrency snapshot_isolation
+    run cargo test -q -p batchbb --test concurrency live_point_updates
     run cargo test -q -p batchbb-core --test versioning
     run cargo test -q -p batchbb-serve versioned
     run cargo test -q -p batchbb-serve advance_batch
@@ -158,9 +162,10 @@ if [ "$quick" -eq 0 ]; then
     echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-    # Example smoke-runs: every [[example]] in the root manifest must run to
-    # completion (they all self-check with asserts).
-    for ex in $(sed -n '/^\[\[example\]\]/{n;s/^name = "\(.*\)"/\1/p;}' Cargo.toml); do
+    # Example smoke-runs: every examples/*.rs (cargo auto-discovers them)
+    # must run to completion (they all self-check with asserts).
+    for src in examples/*.rs; do
+        ex="$(basename "$src" .rs)"
         echo "==> cargo run --release --example $ex"
         cargo run -q --release --example "$ex" > /dev/null
     done
@@ -225,6 +230,9 @@ if [ "$quick" -eq 0 ]; then
     slow_store_gate
     mixed_gate
     sharded_gate
+
+    # Net LOC is tracked per PR (ROADMAP needle 2).
+    run scripts/loc.sh
 fi
 
 echo "==> ci green"

@@ -104,11 +104,11 @@ pub mod prelude {
         SloOutcome,
     };
     pub use batchbb_storage::{
-        retry::get_with_retry, shard_of, ArrayStore, AsyncFetchStore, CachingStore,
-        CoefficientStore, Completion, EvictionPolicy, FaultInjectingStore, FaultPlan, FaultStats,
-        HedgeConfig, InstrumentedStore, IoStats, LatencyStore, MemoryStore, MutableStore,
-        RetryPolicy, ShardClient, ShardRouter, ShardStats, ShardTopology, ShardedCachingStore,
-        SharedStore, StorageError, VersionId, VersionView, VersionedStore,
+        retry::get_with_retry, shard_of, ArrayStore, AsyncFetchStore, CoefficientStore, Completion,
+        EvictionPolicy, FaultInjectingStore, FaultPlan, FaultStats, HedgeConfig, InstrumentedStore,
+        IoStats, LatencyStore, MemoryStore, MutableStore, RetryPolicy, ShardClient, ShardRouter,
+        ShardStats, ShardTopology, ShardedCachingStore, StorageError, VersionId, VersionView,
+        VersionedStore,
     };
     #[cfg(unix)]
     pub use batchbb_storage::{BlockLayout, BlockStore, FileStore};

@@ -74,21 +74,20 @@ fn replay(batch: &BatchQueries, retrieved: &[(CoeffKey, f64)]) -> Vec<f64> {
 #[test]
 fn stress_many_threads_many_batches_bit_identical() {
     let (store, batches, _, shape) = fixture();
-    let shared = SharedStore::new(store);
     let n_total = shape.len();
-    let k = shared.abs_sum();
+    let k = store.abs_sum();
     // 4 caller threads, each serving all 6 batches on its own 3-worker
-    // pool — 12 pool workers hammering one SharedStore.
+    // pool — 12 pool workers hammering one store.
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let shared = &shared;
+            let store = &store;
             let batches = &batches;
             scope.spawn(move || {
                 let requests: Vec<BatchRequest<'_>> =
                     batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
                 let server =
                     BatchServer::new(ServeConfig::new(n_total, k).workers(3).slice_steps(4));
-                let results = server.serve(shared, &requests);
+                let results = server.serve(store, &requests);
                 for (batch, result) in batches.iter().zip(&results) {
                     assert_eq!(result.status, BatchStatus::Exact);
                     // Bit-identical to a serial replay of the same
@@ -103,32 +102,31 @@ fn stress_many_threads_many_batches_bit_identical() {
 #[test]
 fn live_point_updates_interleaved_with_serving() {
     let (store, batches, strategy, shape) = fixture();
-    let shared = SharedStore::new(store);
     let n_total = shape.len();
-    let k = shared.abs_sum();
+    let k = store.abs_sum();
+    let versioned = VersionedStore::from_entries(store.iter().map(|(k, v)| (*k, *v)));
     let requests: Vec<BatchRequest<'_>> =
         batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
     let server = BatchServer::new(ServeConfig::new(n_total, k).workers(4).slice_steps(2));
     let inserts: &[(usize, usize, f64)] = &[(3, 7, 2.0), (17, 29, 1.0), (9, 9, 5.0)];
-    let (results, _) = server.serve_with(&shared, &requests, |session| {
-        // Stream point inserts while the pool runs; each is one atomic
-        // store-write + executor-repair barrier.
+    let (results, _) = server.serve_versioned_with(&versioned, &requests, |session| {
+        // Stream point inserts while the pool runs; each is one publish,
+        // after which every unfinished batch opts forward and is repaired.
         for &(x, y, w) in inserts {
             let entries = cube::point_entries(&shape, &[x, y], w, strategy.wavelet);
-            session.update(&entries, || {
-                for &(key, delta) in &entries {
-                    shared.add_shared(key, delta);
-                }
-            });
+            session.update(&entries, || ());
+            for i in 0..session.batches() {
+                session.advance_batch(i);
+            }
             std::thread::yield_now();
         }
     });
     for (batch, result) in batches.iter().zip(&results) {
         assert_eq!(result.status, BatchStatus::Exact);
         // Bit-identical replay: final estimates are a pure function of
-        // the values actually retrieved (plus barrier repairs, which
-        // leave `retrieved_entries` equal to the store state the batch
-        // finished against).
+        // the values actually retrieved (plus version-advance repairs,
+        // which leave `retrieved_entries` equal to the version the batch
+        // finished pinned to).
         assert_eq!(
             result.estimates(),
             replay(batch, &result.retrieved_entries),
@@ -191,14 +189,13 @@ fn shared_cache_beats_independent_executors_on_fetches() {
 #[test]
 fn cancellation_under_contention_is_clean() {
     let (store, batches, _, shape) = fixture();
-    let shared = SharedStore::new(store);
     let n_total = shape.len();
-    let k = shared.abs_sum();
+    let k = store.abs_sum();
     let requests: Vec<BatchRequest<'_>> =
         batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
     let server = BatchServer::new(ServeConfig::new(n_total, k).workers(2).slice_steps(1));
     let cancelled = AtomicUsize::new(0);
-    let (results, _) = server.serve_with(&shared, &requests, |session| {
+    let (results, _) = server.serve_with(&store, &requests, |session| {
         for handle in session.handles().iter().step_by(2) {
             if handle.cancel() {
                 cancelled.fetch_add(1, Ordering::SeqCst);

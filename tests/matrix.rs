@@ -49,12 +49,12 @@ fn every_strategy_times_every_store_is_exact() {
                 Box::new(MemoryStore::from_entries(entries.clone())),
             ),
             (
-                "shared",
-                Box::new(SharedStore::from_entries(entries.clone())),
+                "versioned",
+                Box::new(VersionedStore::from_entries(entries.clone())),
             ),
             (
-                "caching",
-                Box::new(CachingStore::new(MemoryStore::from_entries(
+                "sharded-caching",
+                Box::new(ShardedCachingStore::new(MemoryStore::from_entries(
                     entries.clone(),
                 ))),
             ),
