@@ -2,7 +2,8 @@
 //! serve workload over a [`SlowStore`] charging wall-clock latency per
 //! round-trip, run blocking (workers stall on every fetch) vs overlapped
 //! (batches park over in-flight completions and the pool advances other
-//! batches). Writes the headline throughput ratio and tail numbers to
+//! batches) vs that engine beneath the pool's shared cache. Writes the
+//! headline throughput ratios and round-trip counts to
 //! `results/BENCH_exec.json` under `bench_async_overlap` — the thresholds
 //! `progress_report --mode check_bench` and the CI `--slow-store` gate
 //! enforce.
@@ -20,12 +21,17 @@ fn bench_async_overlap(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("blocking", |b| b.iter(|| fixture.serve_blocking()));
     g.bench_function("overlapped", |b| b.iter(|| fixture.serve_overlapped()));
+    g.bench_function("cached", |b| b.iter(|| fixture.serve_cached()));
     g.finish();
 
     let report = fixture.measure();
     assert_eq!(
         report.blocking.estimates, report.overlapped.estimates,
         "parking must not change any final estimate"
+    );
+    assert_eq!(
+        report.blocking.estimates, report.cached.estimates,
+        "the shared cache must not change any final estimate"
     );
     eprintln!(
         "async overlap: blocking {:.0} retrievals/s ({} round-trips, {:.3}s) vs \
@@ -42,6 +48,14 @@ fn bench_async_overlap(c: &mut Criterion) {
         cfg.batches,
         cfg.window,
         cfg.latency.as_micros(),
+    );
+    eprintln!(
+        "async overlap, shared cache above the engine: {:.0} retrievals/s \
+         ({} round-trips, {:.3}s): speedup {:.2}x over blocking",
+        report.cached.throughput,
+        report.cached.store_calls,
+        report.cached.elapsed_secs,
+        report.cached_speedup,
     );
     write_section(
         &results_dir().join("BENCH_exec.json"),
@@ -78,6 +92,13 @@ fn bench_async_overlap(c: &mut Criterion) {
                 Json::F64(report.overlapped.throughput),
             ),
             ("speedup", Json::F64(report.speedup)),
+            ("cached_elapsed_s", Json::F64(report.cached.elapsed_secs)),
+            ("cached_store_calls", Json::U64(report.cached.store_calls)),
+            (
+                "cached_throughput_retrievals_per_s",
+                Json::F64(report.cached.throughput),
+            ),
+            ("cached_speedup", Json::F64(report.cached_speedup)),
         ]),
     );
 }

@@ -247,12 +247,15 @@ fn check_bench(path: &str) -> ExitCode {
         None => println!("  SKIP bench_executor_prefetch: section absent"),
     }
     match body("bench_serve_prefetch") {
-        // Recorded: 820 round-trips at W=64 across the 8-batch pool.
+        // Recorded: 60 round-trips at W=64 across the 8-batch pool, whose
+        // shared cache forwards each window's misses as one call. A cache
+        // that splits windows again (one call per cache shard) lands near
+        // 800.
         Some(b) => ceiling(
             "bench_serve_prefetch",
             "store_calls at window 64",
             window_field(b, 64, "store_calls"),
-            1200.0,
+            150.0,
         ),
         None => println!("  SKIP bench_serve_prefetch: section absent"),
     }
@@ -277,12 +280,28 @@ fn check_bench(path: &str) -> ExitCode {
     match body("bench_async_overlap") {
         // Recorded: 8.0× on the reference box; the CI smoke itself gates
         // at 3× too, so the guard and the smoke agree on the floor.
-        Some(b) => floor(
-            "bench_async_overlap",
-            "speedup",
-            number_field(b, "speedup"),
-            3.0,
-        ),
+        Some(b) => {
+            floor(
+                "bench_async_overlap",
+                "speedup",
+                number_field(b, "speedup"),
+                3.0,
+            );
+            // The shared cache above the engine must keep the overlap
+            // (same floor) and can only remove round-trips.
+            floor(
+                "bench_async_overlap",
+                "cached_speedup",
+                number_field(b, "cached_speedup"),
+                3.0,
+            );
+            ceiling(
+                "bench_async_overlap",
+                "cached_store_calls vs overlapped_store_calls",
+                number_field(b, "cached_store_calls"),
+                number_field(b, "overlapped_store_calls").unwrap_or(f64::INFINITY),
+            );
+        }
         None => println!("  SKIP bench_async_overlap: section absent"),
     }
     match body("bench_shards") {

@@ -3,10 +3,11 @@
 //! [`SlowStore`] charges a fixed wall-clock latency per *physical* store
 //! round-trip — one sleep per `get`/`try_get`/`try_get_many` call, the way
 //! a disk seek or an object-store GET charges per request, not per key.
-//! [`OverlapFixture`] runs the same serve workload against that store two
-//! ways — workers blocking on every round-trip vs. the asynchronous
-//! completion engine parking batches over in-flight fetches — and reports
-//! the throughput ratio. The CI `--slow-store` gate and `bench_async`
+//! [`OverlapFixture`] runs the same serve workload against that store
+//! three ways — workers blocking on every round-trip, the asynchronous
+//! completion engine parking batches over in-flight fetches, and that
+//! engine beneath the pool's shared cache — and reports the throughput
+//! ratios. The CI `--slow-store` gate and `bench_async`
 //! both run this measurement; DESIGN.md §12 and EXPERIMENTS.md describe
 //! the workflow.
 
@@ -145,15 +146,19 @@ pub struct OverlapRun {
     pub estimates: Vec<Vec<f64>>,
 }
 
-/// Both sides plus the headline ratio.
+/// All three arms plus the headline ratios.
 #[derive(Debug, Clone)]
 pub struct OverlapReport {
     /// Workers stalling on every round-trip.
     pub blocking: OverlapRun,
     /// Same pool, batches parked over in-flight fetches.
     pub overlapped: OverlapRun,
+    /// The overlapped arm served through the pool's shared cache.
+    pub cached: OverlapRun,
     /// `overlapped.throughput / blocking.throughput`.
     pub speedup: f64,
+    /// `cached.throughput / blocking.throughput`.
+    pub cached_speedup: f64,
 }
 
 /// The prepared workload: coefficients, query batches, serve config.
@@ -197,27 +202,32 @@ impl OverlapFixture {
         }
     }
 
-    /// The serve config both sides run under. `share_cache(false)` is
-    /// load-bearing: the pool's own cache layer sits *outside* the user
-    /// store and keeps the trait-default synchronous `submit`, which would
-    /// route every fetch around the async engine — when serving over an
-    /// [`AsyncFetchStore`], stack any cache *inside* it instead
-    /// (DESIGN.md §12).
-    fn serve_config(&self) -> ServeConfig {
+    /// The serve config every arm runs under; only `share_cache` differs.
+    /// The blocking and overlapped arms keep the pool's cache off so their
+    /// round-trip counts are the executors' own windows; the cached arm
+    /// turns it on over the same engine — the cache forwards each window's
+    /// misses as one non-blocking `submit`, so it keeps the overlap and
+    /// only removes round-trips (DESIGN.md §12).
+    fn serve_config(&self, share_cache: bool) -> ServeConfig {
         ServeConfig::new(self.n_total, self.k)
             .workers(self.cfg.workers)
             .slice_steps(self.cfg.slice_steps)
-            .share_cache(false)
+            .share_cache(share_cache)
             .prefetch_window(self.cfg.window)
     }
 
-    fn run(&self, eff: &dyn CoefficientStore, calls: impl Fn() -> u64) -> OverlapRun {
+    fn run(
+        &self,
+        eff: &dyn CoefficientStore,
+        share_cache: bool,
+        calls: impl Fn() -> u64,
+    ) -> OverlapRun {
         let requests: Vec<BatchRequest<'_>> = self
             .batches
             .iter()
             .map(|batch| BatchRequest::new(batch, &Sse))
             .collect();
-        let server = BatchServer::new(self.serve_config());
+        let server = BatchServer::new(self.serve_config(share_cache));
         let started = Instant::now();
         let results = server.serve(eff, &requests);
         let elapsed_secs = started.elapsed().as_secs_f64();
@@ -237,30 +247,43 @@ impl OverlapFixture {
     /// Baseline: every round-trip stalls the worker that issued it.
     pub fn serve_blocking(&self) -> OverlapRun {
         let slow = SlowStore::new(&self.store, self.cfg.latency);
-        self.run(&slow, || slow.calls())
+        self.run(&slow, false, || slow.calls())
     }
 
     /// Latency-hiding: the same pool over `AsyncFetchStore(SlowStore)` —
     /// a worker that submits a fetch parks the batch and advances another
     /// while the I/O threads absorb the sleep.
     pub fn serve_overlapped(&self) -> OverlapRun {
+        self.serve_engine(false)
+    }
+
+    /// The overlapped arm again with `share_cache(true)`: the pool's
+    /// shared cache sits above the same engine.
+    pub fn serve_cached(&self) -> OverlapRun {
+        self.serve_engine(true)
+    }
+
+    fn serve_engine(&self, share_cache: bool) -> OverlapRun {
         let slow = SlowStore::new(
             MemoryStore::from_entries(self.entries.clone()),
             self.cfg.latency,
         );
         let engine = AsyncFetchStore::new(slow, self.cfg.io_threads);
-        self.run(&engine, || engine.inner().calls())
+        self.run(&engine, share_cache, || engine.inner().calls())
     }
 
-    /// Runs both sides and reports the throughput ratio.
+    /// Runs all three arms and reports the throughput ratios.
     pub fn measure(&self) -> OverlapReport {
         let blocking = self.serve_blocking();
         let overlapped = self.serve_overlapped();
-        let speedup = overlapped.throughput / blocking.throughput.max(1e-9);
+        let cached = self.serve_cached();
+        let over_blocking = |run: &OverlapRun| run.throughput / blocking.throughput.max(1e-9);
         OverlapReport {
+            speedup: over_blocking(&overlapped),
+            cached_speedup: over_blocking(&cached),
             blocking,
             overlapped,
-            speedup,
+            cached,
         }
     }
 }

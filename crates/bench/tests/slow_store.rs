@@ -6,7 +6,9 @@
 //! that is the whole point of parking batches over in-flight fetches.
 //! The smoke also holds the engine to the determinism contract: both
 //! sides must produce bit-identical final estimates, and overlapping must
-//! not inflate the physical round-trip count.
+//! not inflate the physical round-trip count. A third arm serves the same
+//! engine through the pool's shared cache (`share_cache(true)`) and must
+//! clear the same floor with no more round-trips than the uncached engine.
 
 use std::time::Duration;
 
@@ -44,6 +46,35 @@ fn overlapped_pool_beats_blocking_threefold() {
         "overlap hides latency, it must not add round-trips: {} > {}",
         report.overlapped.store_calls,
         report.blocking.store_calls,
+    );
+    // The composition row: the same engine beneath the pool's shared
+    // cache. The cache forwards each window's misses as one non-blocking
+    // submit, so it must keep the overlap and can only remove round-trips.
+    eprintln!(
+        "slow-store smoke: cached {:.1} retrievals/s ({} round-trips, {:.3}s), speedup {:.2}x",
+        report.cached.throughput,
+        report.cached.store_calls,
+        report.cached.elapsed_secs,
+        report.cached_speedup,
+    );
+    assert_eq!(
+        report.blocking.estimates, report.cached.estimates,
+        "the shared cache must not change any final estimate"
+    );
+    assert_eq!(report.blocking.retrieved, report.cached.retrieved);
+    assert!(
+        report.cached.store_calls <= report.overlapped.store_calls,
+        "a cache above the engine must not add round-trips: {} > {}",
+        report.cached.store_calls,
+        report.overlapped.store_calls,
+    );
+    assert!(
+        report.cached_speedup >= 3.0,
+        "cache over engine lost the overlap: cached/blocking throughput {:.2}x < 3x \
+         (blocking {:.3}s vs cached {:.3}s)",
+        report.cached_speedup,
+        report.blocking.elapsed_secs,
+        report.cached.elapsed_secs,
     );
     assert!(
         report.speedup >= 3.0,

@@ -16,8 +16,8 @@ use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::{cube, Attribute, FrequencyDistribution, Schema};
 use batchbb_storage::{
-    AsyncFetchStore, CoefficientStore, Completion, IoStats, RetryPolicy, StorageError,
-    VersionedStore,
+    AsyncFetchStore, CoefficientStore, Completion, IoStats, RetryPolicy, ShardedCachingStore,
+    StorageError, VersionedStore,
 };
 use batchbb_tensor::{CoeffKey, Shape};
 use batchbb_wavelet::Wavelet;
@@ -234,11 +234,28 @@ impl CoefficientStore for GatedView {
 /// version and still finalizes bit-identically to a restart.
 #[test]
 fn advance_racing_a_pending_async_completion() {
+    advance_racing_a_pending_completion(false);
+}
+
+/// The same race with the shared cache between executor and engine: the
+/// abandoned completion is dropped untaken, so the cache memoizes nothing
+/// from the pre-advance read, and post-advance windows carry the new tag.
+#[test]
+fn advance_racing_a_pending_cached_async_completion() {
+    advance_racing_a_pending_completion(true);
+}
+
+fn advance_racing_a_pending_completion(cached: bool) {
     let (store, batch, _, _) = instance(4, 4, 3, Wavelet::Haar);
     let gated = GatedView::new(store.pin());
     gated.set_gate(false);
     let asynchronous = AsyncFetchStore::new(gated, 1);
-    let mut exec = ProgressiveExecutor::new(&batch, &Sse, &asynchronous).with_prefetch_window(2);
+    let cache = cached.then(|| ShardedCachingStore::new(&asynchronous));
+    let reads: &dyn CoefficientStore = match &cache {
+        Some(cache) => cache,
+        None => &asynchronous,
+    };
+    let mut exec = ProgressiveExecutor::new(&batch, &Sse, reads).with_prefetch_window(2);
     // With the gate closed, the first budgeted drain submits its prefetch
     // and parks on it: the completion is pinned in flight.
     let status = exec.drain_with_faults_budgeted(&RetryPolicy::default(), 4);

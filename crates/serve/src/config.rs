@@ -166,9 +166,11 @@ impl ServeConfig {
 
     /// Enables or disables the shared read-through coefficient cache.
     ///
-    /// With sharing on (the default), concurrent batches that need the
-    /// same coefficient trigger exactly one physical fetch; with it off,
-    /// every batch reads the store directly.
+    /// With sharing on (the default), a coefficient several batches need
+    /// is fetched once and then served from memory (the exact guarantee
+    /// per read path is in the crate docs); with it off, every batch reads
+    /// the store directly. The cache composes with an asynchronous store
+    /// beneath it: windows cross it without blocking (DESIGN.md §12).
     pub fn share_cache(mut self, share: bool) -> Self {
         self.share_cache = share;
         self

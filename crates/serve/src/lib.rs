@@ -33,8 +33,14 @@
 //!   delta;
 //! * cross-batch I/O sharing — with [`ServeConfig::share_cache`] (the
 //!   default) all batches read through one
-//!   [`batchbb_storage::ShardedCachingStore`], so coefficients needed by
-//!   several batches are fetched from the physical store exactly once;
+//!   [`batchbb_storage::ShardedCachingStore`], so a coefficient needed
+//!   by several batches is served from memory after its first fetch. At
+//!   `prefetch_window(1)` reads are singletons and a resident coefficient
+//!   is fetched exactly once; at wider windows each window crosses the
+//!   cache as one non-blocking batch — fetched at most once while
+//!   resident, and once while outstanding when the store beneath
+//!   de-duplicates in flight, as [`batchbb_storage::AsyncFetchStore`]
+//!   does, in which case the batch parks and the pool advances another;
 //! * observability — with a sink/registry configured, each batch's
 //!   `exec.*` events carry a `batch = <id>` label
 //!   ([`batchbb_obs::LabeledSink`]), all metrics land in one shared

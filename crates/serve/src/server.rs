@@ -633,15 +633,14 @@ fn worker_loop(
                 SliceOutcome::Parked => shared.parked.lock().push(index),
             },
             None if resumed => {}
-            None => {
-                // Nothing runnable. If batches are parked the pool is
-                // I/O-bound: sleep a beat instead of spinning the sweep.
-                if shared.parked.lock().is_empty() {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-            }
+            // Nothing runnable: give the core away and sweep again. Parked
+            // batches are polled, never slept on. A sleeping worker idles
+            // its core, and what waking an idle core costs is the host's
+            // to decide (on the sandbox it drifts for minutes after any
+            // sustained load); once a window is one sub-millisecond
+            // fetch, every window of every wave pays that wake-up, and
+            // run-to-run throughput follows the host instead of the code.
+            None => std::thread::yield_now(),
         }
     }
 }

@@ -365,6 +365,79 @@ proptest! {
         }
     }
 
+    /// The composed stack — shared cache above the asynchronous engine
+    /// above a seeded fault injector — changes who waits for a read, never
+    /// a result: across pool sizes, prefetch windows and a bounded or
+    /// unbounded cache, every batch finishes exact with finals and
+    /// retrieval order bit-identical to a serial run over the plain store,
+    /// and every fault ledger balances. Transient faults only, with enough
+    /// retries that none outlives its batch; which batch draws a given
+    /// fault depends on the interleaving, so the ledgers are checked for
+    /// reconciliation, not equality.
+    #[test]
+    fn cache_over_async_engine_is_bit_identical_to_serial(
+        (data, query_batches, shape) in arb_instance(),
+        workers in prop::sample::select(vec![1usize, 2, 4]),
+        slice in 1usize..9,
+        bounded in any::<bool>(),
+        seed in 0u64..1000,
+        rate in 0.0f64..0.3,
+    ) {
+        use batchbb_storage::{AsyncFetchStore, CoefficientStore, RetryPolicy};
+
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let entries = strategy.transform_data(&data);
+        let store = MemoryStore::from_entries(entries.clone());
+        let n_total = shape.len().max(2);
+        let k = store.abs_sum();
+        let batches: Vec<BatchQueries> = query_batches
+            .iter()
+            .map(|qs| BatchQueries::rewrite(&strategy, qs.clone(), &shape).unwrap())
+            .collect();
+        let requests: Vec<BatchRequest<'_>> =
+            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+        let serial: Vec<_> = batches
+            .iter()
+            .map(|batch| {
+                let mut exec = ProgressiveExecutor::new(batch, &Sse, &store);
+                exec.run_to_end();
+                (exec.estimates().to_vec(), exec.retrieved_entries())
+            })
+            .collect();
+        for window in [1usize, 4, 16] {
+            let engine = AsyncFetchStore::new(
+                FaultInjectingStore::new(
+                    MemoryStore::from_entries(entries.clone()),
+                    FaultPlan::new(seed).with_transient_rate(rate),
+                ),
+                2,
+            );
+            let mut config = ServeConfig::new(n_total, k)
+                .workers(workers)
+                .slice_steps(slice)
+                .share_cache(true)
+                .prefetch_window(window)
+                .retry(RetryPolicy { max_attempts: 24, ..RetryPolicy::default() });
+            if bounded {
+                config = config.cache_capacity(8);
+            }
+            let results = BatchServer::new(config).serve(&engine, &requests);
+            engine.quiesce();
+            prop_assert_eq!(results.len(), batches.len());
+            for (result, (estimates, retrieved)) in results.iter().zip(&serial) {
+                prop_assert_eq!(result.status, BatchStatus::Exact,
+                    "W={} workers={} bounded={}", window, workers, bounded);
+                prop_assert_eq!(result.estimates(), estimates.as_slice(),
+                    "finals diverged at W={} workers={} bounded={}", window, workers, bounded);
+                prop_assert_eq!(&result.retrieved_entries, retrieved);
+                let fault = &result.report.fault;
+                prop_assert!(fault.attempts_reconcile(), "torn ledger: {fault:?}");
+                prop_assert!(fault.deferrals_reconcile(0), "exact, so nothing stays deferred");
+            }
+            prop_assert!(engine.inner().injected().attempts_reconcile());
+        }
+    }
+
     /// Every served batch's per-slice worst-case bound trace is monotone
     /// non-increasing and terminates at zero on a fault-free store —
     /// Theorem 1 survives any scheduling interleaving.

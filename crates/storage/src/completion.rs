@@ -6,7 +6,10 @@
 //! adapter over `try_get_many`), so callers written against the completion
 //! API pay nothing extra on in-memory stores; genuinely asynchronous
 //! backends ([`crate::AsyncFetchStore`]) hand back per-key
-//! [`InflightSlot`]s that an I/O thread fills later.  The handle is
+//! [`InflightSlot`]s that an I/O thread fills later, and a wrapper that
+//! must act on the fetched values without blocking `submit`
+//! ([`crate::ShardedCachingStore`]) wraps its inner store's completion
+//! with the step to run when the result is taken.  The handle is
 //! intentionally backend-agnostic — an io_uring submission queue can sit
 //! behind the same `submit`/`Completion` shape behind a `cfg` without
 //! touching any caller.
@@ -104,14 +107,35 @@ impl InflightSlot {
     }
 }
 
+/// What a batch resolves to: the `try_get_many` result for its keys.
+type BatchResult = Result<Vec<Option<f64>>, StorageError>;
+
+/// The step a wrapper runs on an inner completion's result when it is
+/// taken (boxed so [`Completion`] stays one concrete, `Send` type).
+struct Finish(Box<dyn FnOnce(BatchResult) -> BatchResult + Send>);
+
+impl std::fmt::Debug for Finish {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Finish(..)")
+    }
+}
+
 /// How the batch is (or will be) answered.
 #[derive(Debug)]
 enum CompletionState {
     /// Resolved at submit time (the synchronous adapter path).
-    Ready(Result<Vec<Option<f64>>, StorageError>),
+    Ready(BatchResult),
     /// One in-flight slot per requested key, in key order. Slots may be
     /// shared with other completions that asked for the same key.
     Pending(Vec<std::sync::Arc<InflightSlot>>),
+    /// A wrapper's view of an inner store's completion: ready when `inner`
+    /// is, and resolved by passing `inner`'s result through `finish`.
+    /// Nothing runs until the result is taken, so dropping it unresolved
+    /// leaves no trace in the wrapper.
+    Wrapped {
+        inner: Box<Completion>,
+        finish: Finish,
+    },
 }
 
 /// Optional submit→complete latency probe, armed by
@@ -152,6 +176,22 @@ impl Completion {
         }
     }
 
+    /// Wraps `inner` so that taking the result first runs `finish` on it —
+    /// how a non-blocking wrapper ([`crate::ShardedCachingStore`]) does its
+    /// post-fetch work on whichever thread resolves the batch.
+    pub(crate) fn wrapped(
+        inner: Completion,
+        finish: impl FnOnce(BatchResult) -> BatchResult + Send + 'static,
+    ) -> Self {
+        Completion {
+            state: CompletionState::Wrapped {
+                inner: Box::new(inner),
+                finish: Finish(Box::new(finish)),
+            },
+            probe: None,
+        }
+    }
+
     /// Arms a submit→complete latency probe recording into `hist` when the
     /// completion resolves; `start` is the submit entry timestamp.
     pub(crate) fn with_probe(mut self, start: Instant, hist: Histogram) -> Self {
@@ -162,11 +202,13 @@ impl Completion {
     /// True when [`Completion::wait`] would return without blocking.
     ///
     /// Ready completions stay ready; a pending completion becomes ready
-    /// once every slot's I/O thread has published its verdict.
+    /// once every slot's I/O thread has published its verdict; a wrapped
+    /// one is ready when the completion it wraps is.
     pub fn is_ready(&self) -> bool {
         match &self.state {
             CompletionState::Ready(_) => true,
             CompletionState::Pending(slots) => slots.iter().all(|s| s.is_done()),
+            CompletionState::Wrapped { inner, .. } => inner.is_ready(),
         }
     }
 
@@ -180,6 +222,7 @@ impl Completion {
     pub fn wait(self) -> Result<Vec<Option<f64>>, StorageError> {
         let result = match self.state {
             CompletionState::Ready(result) => result,
+            CompletionState::Wrapped { inner, finish } => (finish.0)(inner.wait()),
             CompletionState::Pending(slots) => {
                 let mut values = Vec::with_capacity(slots.len());
                 let mut first_err: Option<StorageError> = None;
@@ -262,5 +305,37 @@ mod tests {
         shared.complete(Ok(Some(7.0)));
         assert_eq!(a.wait(), Ok(vec![Some(7.0)]));
         assert_eq!(b.wait(), Ok(vec![Some(7.0)]));
+    }
+
+    #[test]
+    fn wrapped_completion_follows_its_inner_and_finishes_when_taken() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let ran = Arc::new(AtomicUsize::new(0));
+        let double = |ran: &Arc<AtomicUsize>| {
+            let ran = Arc::clone(ran);
+            move |result: BatchResult| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                result.map(|values| values.into_iter().map(|v| v.map(|x| 2.0 * x)).collect())
+            }
+        };
+        let slot = Arc::new(InflightSlot::new());
+        let c = Completion::wrapped(Completion::pending(vec![slot.clone()]), double(&ran));
+        assert!(!c.is_ready(), "ready only when the inner completion is");
+        slot.complete(Ok(Some(1.5)));
+        assert!(c.is_ready());
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "nothing runs before the take"
+        );
+        assert_eq!(c.wait(), Ok(vec![Some(3.0)]));
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        // Dropped untaken: the finish step never runs.
+        drop(Completion::wrapped(
+            Completion::ready(Ok(vec![None])),
+            double(&ran),
+        ));
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 }

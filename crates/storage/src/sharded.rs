@@ -7,10 +7,24 @@
 //! hit on *different* coefficients in parallel, and a coefficient fetched
 //! for one batch is served from memory to every other in-flight batch.
 //!
-//! Each shard's lock is held across the inner fetch, so a resident
-//! coefficient is physically fetched **exactly once** no matter how many
-//! batches race on it — the property the `batchbb-serve` pool's
-//! fewer-fetches guarantee rests on.
+//! # Two read paths, two fetch guarantees
+//!
+//! *Singleton* reads (`get`/`try_get`) hold the key's shard lock across
+//! the inner fetch, so a resident coefficient is physically fetched
+//! **exactly once** no matter how many readers race on it.
+//!
+//! *Batched* reads (`submit`, and `try_get_many` = `submit(..).wait()`)
+//! never fetch under a lock and never block: the window is probed for
+//! hits, its misses cross to the inner store as **one** `submit`, and the
+//! fetched values are memoized when the returned [`Completion`] is taken.
+//! A coefficient is then fetched *at most once while resident, and once
+//! while outstanding whenever the inner store de-duplicates in flight* —
+//! which [`crate::AsyncFetchStore`] and [`crate::ShardRouter`] do, so the
+//! cache composes with either engine beneath it: the batch parks on the
+//! inner completion and racing windows ride one physical read. Over a
+//! plain blocking store two windows racing on a cold key may each read it.
+//! The memo never holds a pending marker, so a completion dropped
+//! unresolved leaves no trace and cannot strand a reader.
 //!
 //! # Bounded capacity
 //!
@@ -20,13 +34,14 @@
 //! when a shard overflows, the entry with the smallest
 //! importance weight (`|value|`, with memoized absences weighing zero) is
 //! evicted, ties broken least-recently-used. Eviction only weakens the
-//! fetch guarantee from *exactly once* to *at most once while resident* —
-//! an evicted key simply reads through again.
+//! singleton guarantee from *exactly once* to *at most once while
+//! resident* — an evicted key simply reads through again.
 //!
 //! # Version awareness
 //!
 //! Memo entries are keyed by `(version, key)` where `version` is the inner
-//! store's [`CoefficientStore::version_tag`] at lookup time.  For
+//! store's [`CoefficientStore::version_tag`] at lookup time (for a batch:
+//! at submit time, however late its completion is taken).  For
 //! unversioned stores the tag is the constant `0` and nothing changes; over
 //! a [`crate::VersionedStore`]/[`crate::VersionView`] a version advance
 //! silently retires the old version's entries (they stop matching) instead
@@ -36,13 +51,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use batchbb_tensor::CoeffKey;
 use parking_lot::Mutex;
 
 use crate::fingerprint;
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, IoStats, StorageError};
 
 /// Default shard count, matching [`crate::VersionedStore`].
 const DEFAULT_SHARDS: usize = 16;
@@ -144,6 +160,26 @@ impl ShardState {
 
 type Shard = Mutex<ShardState>;
 
+/// The memo table proper, behind an `Arc` so a batched read's completion
+/// can fill it after `submit` returned without borrowing the store.
+#[derive(Debug)]
+struct Memo {
+    shards: Box<[Shard]>,
+    evictions: AtomicU64,
+}
+
+impl Memo {
+    fn shard(&self, key: &CoeffKey) -> &Shard {
+        &self.shards[fingerprint::shard_of(key, self.shards.len())]
+    }
+
+    fn trim(&self, shard: &mut ShardState, cap: Option<usize>, policy: EvictionPolicy) {
+        if let Some(cap) = cap {
+            shard.evict_to(cap, policy, &self.evictions);
+        }
+    }
+}
+
 /// Wraps any store with a sharded read-through memo table, unbounded by
 /// default and capacity-capped via
 /// [`ShardedCachingStore::with_capacity`].
@@ -155,13 +191,12 @@ type Shard = Mutex<ShardState>;
 #[derive(Debug)]
 pub struct ShardedCachingStore<S> {
     inner: S,
-    shards: Box<[Shard]>,
+    memo: Arc<Memo>,
     /// Per-shard resident cap; `None` keeps the table unbounded.
     shard_capacity: Option<usize>,
     /// Victim-selection rule applied when a shard overflows.
     policy: EvictionPolicy,
     counters: Counters,
-    evictions: AtomicU64,
 }
 
 impl<S: CoefficientStore> ShardedCachingStore<S> {
@@ -175,13 +210,15 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
         assert!(shards >= 1, "need at least one shard");
         ShardedCachingStore {
             inner,
-            shards: (0..shards)
-                .map(|_| Mutex::new(ShardState::default()))
-                .collect(),
+            memo: Arc::new(Memo {
+                shards: (0..shards)
+                    .map(|_| Mutex::new(ShardState::default()))
+                    .collect(),
+                evictions: AtomicU64::new(0),
+            }),
             shard_capacity: None,
             policy: EvictionPolicy::default(),
             counters: Counters::default(),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -192,7 +229,7 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
     /// smallest-magnitude entry, ties broken least-recently-used.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity >= 1, "need room for at least one entry");
-        self.shard_capacity = Some(capacity.div_ceil(self.shards.len()).max(1));
+        self.shard_capacity = Some(capacity.div_ceil(self.memo.shards.len()).max(1));
         self
     }
 
@@ -216,28 +253,26 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.memo.shards.len()
     }
 
     /// Number of memoized keys across all shards.
     pub fn cached(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.memo.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// Number of entries evicted to respect the capacity cap (zero for an
     /// unbounded cache).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.memo.evictions.load(Ordering::Relaxed)
     }
 
     fn shard(&self, key: &CoeffKey) -> &Shard {
-        &self.shards[fingerprint::shard_of(key, self.shards.len())]
+        self.memo.shard(key)
     }
 
     fn trim(&self, shard: &mut ShardState) {
-        if let Some(cap) = self.shard_capacity {
-            shard.evict_to(cap, self.policy, &self.evictions);
-        }
+        self.memo.trim(shard, self.shard_capacity, self.policy);
     }
 }
 
@@ -275,70 +310,72 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
         Ok(v)
     }
 
-    /// Batched retrieval taking each shard's lock once per batch instead
-    /// of once per key.  Keys are grouped by shard; each shard's misses go
-    /// to the inner store as one `try_get_many` *while that shard's lock
-    /// is held*, so the exactly-once fill guarantee is unchanged — racing
-    /// batches still fetch a resident coefficient at most once.  Within-
-    /// batch duplicate keys are fetched once and the repeats counted as
-    /// hits, matching the singleton sequence.  Only one shard lock is held
-    /// at a time.  On a batch error nothing from the failing shard is
-    /// memoized (earlier shards' fills stand, as the singleton sequence's
-    /// would).  Capacity trimming runs after each shard's fills, so a
-    /// batch wider than the cap passes through rather than wedging.  The
-    /// inner version tag is sampled once per call: a batch memoizes under
-    /// the version it started on.
+    /// The blocking batched read *is* the non-blocking one, waited on: one
+    /// code path decides what a window costs.
     fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        let tag = self.inner.version_tag();
-        let mut out = vec![None; keys.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[fingerprint::shard_of(key, self.shards.len())].push(i);
-        }
-        for (shard_id, members) in by_shard.into_iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[shard_id].lock();
-            let mut miss_keys: Vec<CoeffKey> = Vec::new();
-            let mut miss_idx: Vec<usize> = Vec::new();
-            let mut pending: HashMap<CoeffKey, usize> = HashMap::new();
-            let mut dup_fill: Vec<(usize, usize)> = Vec::new();
-            for &i in &members {
-                let key = &keys[i];
-                self.counters.count_retrieval();
-                if let Some(v) = shard.get(&(tag, *key)) {
-                    self.counters.count_hit();
-                    out[i] = v;
-                } else if let Some(&p) = pending.get(key) {
-                    self.counters.count_hit();
-                    dup_fill.push((i, p));
-                } else {
-                    self.counters.count_physical();
-                    pending.insert(*key, miss_keys.len());
-                    miss_idx.push(i);
-                    miss_keys.push(*key);
-                }
-            }
-            if !miss_keys.is_empty() {
-                let fetched = self.inner.try_get_many(&miss_keys)?;
-                for (p, v) in fetched.iter().enumerate() {
-                    shard.insert((tag, miss_keys[p]), *v);
-                    out[miss_idx[p]] = *v;
-                }
-                for (i, p) in dup_fill {
-                    out[i] = fetched[p];
-                }
-                self.trim(&mut shard);
-            }
-        }
-        Ok(out)
+        self.submit(keys).wait()
     }
 
-    // `submit` keeps the trait default: the adapter routes through this
-    // wrapper's exactly-once-filling `try_get_many`.  For latency hiding
-    // *and* memoization, wrap this store in [`crate::AsyncFetchStore`]
-    // (dedup outside, memo inside — DESIGN.md §12).
+    /// Batched retrieval that never blocks and never fetches under a lock.
+    ///
+    /// Every key is probed for a hit (one shard lock at a time); the
+    /// distinct misses, in first-occurrence order, cross to the inner
+    /// store as **one** `submit`, so an asynchronous engine beneath keeps
+    /// its overlap and a blocking store is charged one round-trip per
+    /// window.  Within-batch repeats of a miss are fetched once and
+    /// counted as hits, matching the singleton sequence.  All accounting
+    /// happens here, at submit time.
+    ///
+    /// Taking the returned completion memoizes the fetched values — under
+    /// the inner version tag sampled *here*, so a batch straddling a
+    /// version advance can never plant an old value under the new tag —
+    /// trims each touched shard to capacity (a batch wider than the cap
+    /// passes through rather than wedging), and merges hits and fetched
+    /// values in input order.  An inner `Err` memoizes nothing and is
+    /// returned as is: it is the error the singleton loop would hit first,
+    /// because hits cannot fail and the misses keep their input order.
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        let tag = self.inner.version_tag();
+        let mut out = vec![None; keys.len()];
+        let mut misses: Vec<CoeffKey> = Vec::new();
+        let mut miss_index: HashMap<CoeffKey, usize> = HashMap::new();
+        // (position in `out`, index in `misses`) for every unanswered key.
+        let mut fills: Vec<(usize, usize)> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            self.counters.count_retrieval();
+            if let Some(&m) = miss_index.get(key) {
+                self.counters.count_hit();
+                fills.push((i, m));
+            } else if let Some(v) = self.shard(key).lock().get(&(tag, *key)) {
+                self.counters.count_hit();
+                out[i] = v;
+            } else {
+                self.counters.count_physical();
+                miss_index.insert(*key, misses.len());
+                fills.push((i, misses.len()));
+                misses.push(*key);
+            }
+        }
+        if misses.is_empty() {
+            return Completion::ready(Ok(out));
+        }
+        let fetch = self.inner.submit(&misses);
+        let memo = Arc::clone(&self.memo);
+        let (cap, policy) = (self.shard_capacity, self.policy);
+        Completion::wrapped(fetch, move |fetched| {
+            let fetched = fetched?;
+            for (key, value) in misses.iter().zip(&fetched) {
+                let mut shard = memo.shard(key).lock();
+                shard.insert((tag, *key), *value);
+                memo.trim(&mut shard, cap, policy);
+            }
+            for (i, m) in fills {
+                out[i] = fetched[m];
+            }
+            Ok(out)
+        })
+    }
+
     fn quiesce(&self) {
         self.inner.quiesce()
     }
@@ -362,11 +399,97 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Condvar, Mutex as StdMutex};
+
     use super::*;
-    use crate::{FaultInjectingStore, FaultPlan, MemoryStore, VersionedStore};
+    use crate::{AsyncFetchStore, FaultInjectingStore, FaultPlan, MemoryStore, VersionedStore};
 
     fn store(n: usize) -> MemoryStore {
         MemoryStore::from_entries((0..n).map(|i| (CoeffKey::one(i), i as f64 + 1.0)))
+    }
+
+    fn window(keys: impl IntoIterator<Item = usize>) -> Vec<CoeffKey> {
+        keys.into_iter().map(CoeffKey::one).collect()
+    }
+
+    /// What `store(n)` answers for `window(keys)`.
+    fn values(keys: std::ops::Range<usize>) -> Vec<Option<f64>> {
+        keys.map(|i| Some(i as f64 + 1.0)).collect()
+    }
+
+    /// An inner store that records every call reaching it (one entry per
+    /// call, holding that call's keys) and holds each call at a gate, so a
+    /// read can be pinned in flight. The gate starts open.
+    struct Recording<S> {
+        inner: S,
+        calls: StdMutex<Vec<Vec<CoeffKey>>>,
+        open: StdMutex<bool>,
+        cv: Condvar,
+    }
+
+    impl<S> Recording<S> {
+        fn new(inner: S) -> Self {
+            Recording {
+                inner,
+                calls: StdMutex::new(Vec::new()),
+                open: StdMutex::new(true),
+                cv: Condvar::new(),
+            }
+        }
+
+        fn set_gate(&self, open: bool) {
+            *self.open.lock().unwrap() = open;
+            self.cv.notify_all();
+        }
+
+        fn enter(&self, keys: &[CoeffKey]) {
+            self.calls.lock().unwrap().push(keys.to_vec());
+            let open = self.open.lock().unwrap();
+            drop(self.cv.wait_while(open, |open| !*open).unwrap());
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.lock().unwrap().len()
+        }
+
+        /// How many times `key` was read, over all calls.
+        fn reads_of(&self, key: &CoeffKey) -> usize {
+            let calls = self.calls.lock().unwrap();
+            calls.iter().flatten().filter(|k| *k == key).count()
+        }
+    }
+
+    impl<S: CoefficientStore> CoefficientStore for Recording<S> {
+        fn get(&self, key: &CoeffKey) -> Option<f64> {
+            self.enter(&[*key]);
+            self.inner.get(key)
+        }
+
+        fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+            self.enter(&[*key]);
+            self.inner.try_get(key)
+        }
+
+        fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+            self.enter(keys);
+            self.inner.try_get_many(keys)
+        }
+
+        fn version_tag(&self) -> u64 {
+            self.inner.version_tag()
+        }
+
+        fn nnz(&self) -> usize {
+            self.inner.nnz()
+        }
+
+        fn stats(&self) -> IoStats {
+            self.inner.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
     }
 
     #[test]
@@ -550,5 +673,137 @@ mod tests {
         }
         assert!(s.cached() <= 4);
         assert!(s.evictions() >= 28);
+    }
+
+    #[test]
+    fn a_window_reaches_the_inner_store_as_one_call() {
+        let s = ShardedCachingStore::new(Recording::new(store(16)));
+        let keys = window(0..16);
+        assert_eq!(s.try_get_many(&keys), Ok(values(0..16)));
+        // The keys spread over most of the 16 cache shards; the window
+        // still crosses the cache as one batch.
+        assert_eq!(s.inner().calls(), 1, "one window, one inner call");
+        assert_eq!(s.cached(), 16);
+        // A warm window never reaches the inner store at all.
+        assert_eq!(s.submit(&keys).wait(), Ok(values(0..16)));
+        assert_eq!(s.inner().calls(), 1);
+        assert_eq!(s.stats().cache_hits, 16);
+    }
+
+    #[test]
+    fn in_batch_duplicates_cost_one_physical_read_plus_hits() {
+        let s = ShardedCachingStore::new(Recording::new(store(4)));
+        let keys = window([2, 1, 2, 2, 1]);
+        let values = s.try_get_many(&keys).unwrap();
+        assert_eq!(
+            values,
+            vec![Some(3.0), Some(2.0), Some(3.0), Some(3.0), Some(2.0)]
+        );
+        let st = s.stats();
+        assert_eq!(
+            (st.retrievals, st.physical_reads, st.cache_hits),
+            (5, 2, 3),
+            "repeats of a miss count as hits, as in the singleton sequence"
+        );
+        assert_eq!(s.inner().calls(), 1);
+        assert_eq!(s.inner().reads_of(&CoeffKey::one(2)), 1);
+        assert_eq!(s.inner().reads_of(&CoeffKey::one(1)), 1);
+    }
+
+    #[test]
+    fn a_failed_batch_memoizes_nothing_and_recovers_after_heal() {
+        let broken = CoeffKey::one(2);
+        let s = ShardedCachingStore::new(FaultInjectingStore::new(
+            store(8),
+            FaultPlan::new(1).with_permanent_keys([broken]),
+        ));
+        let keys = window(0..4);
+        let err = s.inner().try_get_many(&keys).unwrap_err();
+        assert_eq!(*err.key(), broken);
+        assert_eq!(
+            s.try_get_many(&keys),
+            Err(err.clone()),
+            "the inner error, as is"
+        );
+        assert_eq!(s.cached(), 0, "not even the keys before the failing one");
+        assert_eq!(
+            s.submit(&keys).wait(),
+            Err(err),
+            "and the error is not cached"
+        );
+        s.inner().heal();
+        assert_eq!(s.try_get_many(&keys), Ok(values(0..4)));
+        assert_eq!(s.cached(), 4);
+    }
+
+    #[test]
+    fn windows_over_an_async_engine_park_and_share_reads_in_flight() {
+        let engine = AsyncFetchStore::new(Recording::new(store(32)), 2);
+        engine.inner().set_gate(false);
+        let s = ShardedCachingStore::new(engine);
+        // Two windows overlapping on keys 8..16, both submitted while the
+        // first read is held at the gate.
+        let (a_keys, b_keys) = (window(0..16), window(8..24));
+        let a = s.submit(&a_keys);
+        let b = s.submit(&b_keys);
+        assert!(
+            !a.is_ready() && !b.is_ready(),
+            "nothing blocks, nothing is ready"
+        );
+        assert_eq!(s.cached(), 0, "the memo never holds a pending marker");
+        assert_eq!(s.inner().dedup_hits(), 8, "the shared keys ride one read");
+        s.inner().inner().set_gate(true);
+        assert_eq!(b.wait(), Ok(values(8..24)));
+        assert_eq!(a.wait(), Ok(values(0..16)));
+        s.quiesce();
+        let recorded = s.inner().inner();
+        assert_eq!(recorded.calls(), 2, "one inner call per window");
+        for i in 0..24 {
+            assert_eq!(recorded.reads_of(&CoeffKey::one(i)), 1, "key {i}");
+        }
+        assert_eq!(s.cached(), 24);
+        // Both windows are now resident: no further inner traffic.
+        assert_eq!(s.try_get_many(&a_keys), Ok(values(0..16)));
+        assert_eq!(recorded.calls(), 2);
+    }
+
+    #[test]
+    fn a_batch_memoizes_under_its_submit_time_version() {
+        let key = CoeffKey::one(1);
+        let inner = VersionedStore::from_entries([(key, 2.0)]);
+        let s = ShardedCachingStore::new(inner.pin()); // pinned at v0
+        let pending = s.submit(&[key]);
+        // The view advances between submit and wait.
+        inner.publish(&[(key, 5.0)]);
+        s.inner().advance_to_current();
+        assert_eq!(pending.wait(), Ok(vec![Some(2.0)]), "the v0 read it issued");
+        assert_eq!(s.cached(), 1, "memoized — under v0");
+        // So the first v1 read misses and sees the new value: the late
+        // fill cannot plant a stale value under the new tag.
+        assert_eq!(s.try_get_many(&[key]), Ok(vec![Some(7.0)]));
+        let st = s.stats();
+        assert_eq!((st.physical_reads, st.cache_hits), (2, 0));
+        assert_eq!(s.cached(), 2);
+    }
+
+    #[test]
+    fn a_dropped_pending_completion_leaves_no_trace() {
+        let engine = AsyncFetchStore::new(Recording::new(store(8)), 1);
+        engine.inner().set_gate(false);
+        let s = ShardedCachingStore::new(engine);
+        let keys = window(0..8);
+        let abandoned = s.submit(&keys);
+        assert!(!abandoned.is_ready());
+        drop(abandoned);
+        assert_eq!(s.cached(), 0);
+        s.inner().inner().set_gate(true);
+        s.quiesce(); // returns: nothing waits on the dropped handle
+        assert_eq!(s.cached(), 0, "an untaken result is never memoized");
+        assert_eq!(
+            s.try_get_many(&keys),
+            Ok(values(0..8)),
+            "a later reader is not stranded"
+        );
+        assert_eq!(s.cached(), 8);
     }
 }

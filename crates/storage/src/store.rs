@@ -41,8 +41,8 @@ pub trait CoefficientStore: Send + Sync {
     /// with real batching opportunities override it: [`crate::BlockStore`]
     /// groups keys by block and reads each block at most once,
     /// [`crate::FileStore`] coalesces sorted slots into single-pass reads,
-    /// and the caching/sharded wrappers take each internal lock once per
-    /// batch instead of once per key.
+    /// and [`crate::ShardedCachingStore`] forwards a batch's misses to its
+    /// inner store as one call.
     ///
     /// Contract (see DESIGN.md §10): each key still counts as one logical
     /// retrieval; `Err` means the batch as a whole failed and *no* result
@@ -66,9 +66,12 @@ pub trait CoefficientStore: Send + Sync {
     /// completion instead: the caller may poll [`Completion::is_ready`],
     /// park the work that needs the values, and [`Completion::wait`] later
     /// — the latency-hiding primitive of DESIGN.md §12.  Wrappers that
-    /// account per call (fault injection, instrumentation, caching) keep
-    /// this default so the adapter routes through *their* `try_get_many`;
-    /// pass-through wrappers forward it to preserve asynchrony.
+    /// account per call (fault injection, instrumentation) keep this
+    /// default so the adapter routes through *their* `try_get_many`;
+    /// pass-through wrappers forward it to preserve asynchrony, and
+    /// [`crate::ShardedCachingStore`] forwards a window's misses as one
+    /// inner `submit` and memoizes when the completion is taken, so a
+    /// cache above an asynchronous engine keeps the engine's overlap.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         Completion::ready(self.try_get_many(keys))
     }

@@ -5,7 +5,9 @@
 //! so a version-keyed cache or in-flight table above it can hand one
 //! version's value to a reader of another — silently voiding the
 //! certificate. One that forgets `quiesce` leaves an asynchronous engine
-//! beneath it undrained.
+//! beneath it undrained. And whatever a wrapper does with `submit` —
+//! keep the default, forward it, batch it — the completion must resolve
+//! to exactly what `try_get_many` returns, at the same accounting cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,7 +80,8 @@ impl Harness {
 
     /// Asserts `wrapped` (a wrapper stack over [`Harness::probe`]) reports
     /// the view's version before and after a publish + advance, reads the
-    /// advanced version's value, and forwards `quiesce` to the probe.
+    /// advanced version's value, answers `submit` like `try_get_many`, and
+    /// forwards `quiesce` to the probe.
     pub(crate) fn check(&self, wrapped: &dyn CoefficientStore, name: &str) {
         let key = CoeffKey::one(1);
         assert_eq!(self.view.version().as_u64(), 1);
@@ -97,6 +100,39 @@ impl Harness {
             wrapped.try_get(&key),
             Ok(Some(7.0)),
             "{name}: a read after the advance must see the new version"
+        );
+
+        // Present, absent and repeated keys, out of key order: same
+        // values in the same order on both paths.
+        let absent = [CoeffKey::one(9), CoeffKey::one(5)];
+        let window = [absent[0], key, absent[1], key, absent[0]];
+        let want = Ok(vec![None, Some(7.0), None, Some(7.0), None]);
+        assert_eq!(wrapped.try_get_many(&window), want, "{name}: try_get_many");
+        assert_eq!(
+            wrapped.submit(&window).wait(),
+            want,
+            "{name}: submit(keys).wait() must equal try_get_many(keys)"
+        );
+        // Same accounting cost too. Measured on distinct keys (an engine
+        // that shares in-flight reads charges a repeated key once) and on
+        // a stack the calls above already warmed, so both start equal.
+        let distinct = &window[..3];
+        let s0 = wrapped.stats();
+        wrapped.try_get_many(distinct).unwrap();
+        let s1 = wrapped.stats();
+        wrapped.submit(distinct).wait().unwrap();
+        let s2 = wrapped.stats();
+        let delta = |a: IoStats, b: IoStats| {
+            (
+                b.retrievals - a.retrievals,
+                b.physical_reads - a.physical_reads,
+                b.cache_hits - a.cache_hits,
+            )
+        };
+        assert_eq!(
+            delta(s0, s1),
+            delta(s1, s2),
+            "{name}: submit must cost what try_get_many costs"
         );
 
         let before = self.quiesces.load(Ordering::SeqCst);

@@ -3,7 +3,7 @@
 # docs, example smoke-runs, and bench bitrot checks.
 # Runs entirely offline — all dependencies are in-tree (see shims/).
 #
-# Usage: scripts/ci.sh [--quick] [--threads] [--slow-store] [--mixed] [--sharded]
+# Usage: scripts/ci.sh [--quick] [--threads] [--slow-store] [--mixed] [--sharded] [--e2e]
 #   --quick      skip the release build, docs gate, example smoke-runs, and
 #                bench bitrot checks (fmt + clippy + tests only)
 #   --threads    run ONLY the concurrency test matrix (the serve-layer tests
@@ -25,6 +25,10 @@
 #                eviction-policy unit tests, the bench_shards/bench_cache
 #                smokes, and the bench-regression guard over the recorded
 #                scaling, hedging, and eviction thresholds
+#   --e2e        run ONLY the end-to-end benchmark pre-flight: every
+#                BENCHMARK.json workload for 4 s at the design size, traced
+#                and untraced, failing on any failed answer check or
+#                VIOLATED workload-premise guard (about a minute)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,6 +38,7 @@ threads_only=0
 slow_store_only=0
 mixed_only=0
 sharded_only=0
+e2e_only=0
 for arg in "$@"; do
     case "$arg" in
         --quick) quick=1 ;;
@@ -41,6 +46,7 @@ for arg in "$@"; do
         --slow-store) slow_store_only=1 ;;
         --mixed) mixed_only=1 ;;
         --sharded) sharded_only=1 ;;
+        --e2e) e2e_only=1 ;;
         *)
             echo "unknown argument: $arg" >&2
             exit 2
@@ -124,6 +130,19 @@ sharded_gate() {
         --check-bench results/BENCH_exec.json
 }
 
+# End-to-end pre-flight: the driver's benchmark (BENCHMARK.json ->
+# crates/e2e/run.sh) exits non-zero when an answer fails its oracle check
+# or a workload-premise guard is VIOLATED — e.g. a speed-up that pushes
+# dash_mem's store-busy share past its limit. The suite form runs every
+# BENCHMARK.json workload in its own process, untraced and traced (where
+# the per-layer guards are computed); 4 s each catches that here instead
+# of in the driver's 25 s runs. The guard lines are echoed so a failure
+# names its guard.
+e2e_gate() {
+    echo "==> crates/e2e/run.sh --seed 1 --seconds 4"
+    crates/e2e/run.sh --seed 1 --seconds 4 | grep -E '^# .*(guard|failed_share)'
+}
+
 if [ "$threads_only" -eq 1 ]; then
     threads_matrix
     echo "==> ci green (threads matrix)"
@@ -145,6 +164,12 @@ fi
 if [ "$sharded_only" -eq 1 ]; then
     sharded_gate
     echo "==> ci green (sharded gate)"
+    exit 0
+fi
+
+if [ "$e2e_only" -eq 1 ]; then
+    e2e_gate
+    echo "==> ci green (e2e pre-flight)"
     exit 0
 fi
 
@@ -230,6 +255,7 @@ if [ "$quick" -eq 0 ]; then
     slow_store_gate
     mixed_gate
     sharded_gate
+    e2e_gate
 
     # Net LOC is tracked per PR (ROADMAP needle 2).
     run scripts/loc.sh
