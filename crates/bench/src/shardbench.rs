@@ -129,7 +129,7 @@ impl Default for ShardBenchConfig {
 /// One built fleet: the scatter-gather router plus handles to each shard's
 /// primary latency boundary, kept so slow-shard runs can dial
 /// [`LatencyStore::set_slow_factor`] after construction (the handles are
-/// what [`batchbb_storage::ShardTopology::clients`] deliberately hides).
+/// what [`batchbb_storage::ShardTopology::build`] deliberately hides).
 pub struct Fleet {
     /// The router under test.
     pub router: ShardRouter,

@@ -5,9 +5,8 @@ use std::sync::Arc;
 use batchbb_core::BatchQueries;
 use batchbb_obs::{EventSink, MetricsRegistry, Tracer};
 use batchbb_penalty::Penalty;
-use batchbb_storage::{RetryPolicy, ShardTopology};
+use batchbb_storage::RetryPolicy;
 
-use crate::sched::SchedulerPolicy;
 use crate::slo::SloContract;
 
 /// How a [`BatchServer`](crate::BatchServer) runs its pool.
@@ -34,8 +33,6 @@ pub struct ServeConfig {
     pub(crate) prefetch_window: usize,
     /// Route all batches through one sharded read-through cache.
     pub(crate) share_cache: bool,
-    /// Shard count for the shared cache.
-    pub(crate) cache_shards: usize,
     /// Shared metrics registry for `exec.*` counters, if any.
     pub(crate) registry: Option<Arc<MetricsRegistry>>,
     /// Shared trace sink; each batch's events get a `batch = <id>` label.
@@ -43,18 +40,11 @@ pub struct ServeConfig {
     /// Causal tracer; with a sink also configured, every batch records a
     /// phase lifecycle and flushes it as spans at finalize.
     pub(crate) tracer: Option<Tracer>,
-    /// How the pool orders runnable batches between slices.
-    pub(crate) scheduler: SchedulerPolicy,
     /// Declared serving capacity in store-attempt ticks; enables
     /// admission control and load shedding when set.
     pub(crate) capacity: Option<u64>,
     /// Resident-set cap for the shared cache (`None` = unbounded).
     pub(crate) cache_capacity: Option<usize>,
-    /// Scale retry attempts down under high observed fault rates.
-    pub(crate) adaptive_retry: bool,
-    /// Scatter-gather topology for
-    /// [`BatchServer::serve_sharded`](crate::BatchServer::serve_sharded).
-    pub(crate) shard_topology: Option<ShardTopology>,
 }
 
 impl ServeConfig {
@@ -74,24 +64,12 @@ impl ServeConfig {
             retry: RetryPolicy::default(),
             prefetch_window: 1,
             share_cache: true,
-            cache_shards: 16,
             registry: None,
             sink: None,
             tracer: None,
-            scheduler: SchedulerPolicy::default(),
             capacity: None,
             cache_capacity: None,
-            adaptive_retry: true,
-            shard_topology: None,
         }
-    }
-
-    /// Picks the slice scheduling policy (default:
-    /// [`SchedulerPolicy::MarginalValue`]). Either policy leaves batch
-    /// *content* untouched — only interleaving changes.
-    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = policy;
-        self
     }
 
     /// Declares serving capacity in store-attempt ticks and turns on
@@ -121,17 +99,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables adaptive retry budgets (default: enabled).
-    ///
-    /// When enabled, a batch that has observed a high store-fault rate
-    /// (over 25 % of at least 32 attempts) derives a slice policy with
-    /// proportionally fewer attempts per retrieval
-    /// ([`RetryPolicy::adapted`]), so retries cannot amplify an overload.
-    pub fn adaptive_retry(mut self, enabled: bool) -> Self {
-        self.adaptive_retry = enabled;
-        self
-    }
-
     /// Sets the worker-pool size (values below 1 become 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -148,7 +115,11 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the retry policy used by every batch's fallible drain.
+    /// Sets the retry policy used by every batch's fallible drain. A
+    /// batch that has observed a high store-fault rate (over 25 % of at
+    /// least 32 attempts) runs its slices on proportionally fewer attempts
+    /// per retrieval ([`RetryPolicy::adapted`]), so retries cannot amplify
+    /// an overload.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -173,12 +144,6 @@ impl ServeConfig {
     /// beneath it: windows cross it without blocking (DESIGN.md §12).
     pub fn share_cache(mut self, share: bool) -> Self {
         self.share_cache = share;
-        self
-    }
-
-    /// Sets the shard count of the shared cache (values below 1 become 1).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
         self
     }
 
@@ -210,15 +175,6 @@ impl ServeConfig {
     /// bit-identity with tracing on and off).
     pub fn tracing(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Sets the scatter-gather shard topology used by
-    /// [`BatchServer::serve_sharded`](crate::BatchServer::serve_sharded):
-    /// shard count, replication, the mock-network latency profile, and
-    /// the hedge policy. Ignored by the single-store entry points.
-    pub fn shard_topology(mut self, topology: ShardTopology) -> Self {
-        self.shard_topology = Some(topology);
         self
     }
 }

@@ -6,10 +6,12 @@
 //!
 //! * [`BatchServer`] — a fixed worker pool that advances one
 //!   [`batchbb_core::ProgressiveExecutor`] per admitted batch in bounded
-//!   *slices*; the default [`SchedulerPolicy::MarginalValue`] policy ranks
-//!   runnable batches by certified bound-shrink-per-retrieval × priority
-//!   (with [`SchedulerPolicy::RoundRobin`] as the fair, contract-blind
-//!   alternative), and either way a huge batch cannot starve small ones;
+//!   *slices*, ranking runnable batches by certified
+//!   bound-shrink-per-retrieval × priority, so a huge batch cannot starve
+//!   small ones. The store is the caller's: a single store, an
+//!   asynchronous engine ([`batchbb_storage::AsyncFetchStore`]) or a
+//!   scatter-gather [`batchbb_storage::ShardRouter`] all go through the
+//!   same [`BatchServer::serve`] — sharding is a store, not a serve mode;
 //! * SLO contracts ([`SloContract`]) — per-batch target bound ε, deadline,
 //!   and priority, attached via [`BatchRequest::with_slo`]. With
 //!   [`ServeConfig::capacity`] declared, admission control prices each
@@ -38,9 +40,9 @@
 //!   `prefetch_window(1)` reads are singletons and a resident coefficient
 //!   is fetched exactly once; at wider windows each window crosses the
 //!   cache as one non-blocking batch — fetched at most once while
-//!   resident, and once while outstanding when the store beneath
-//!   de-duplicates in flight, as [`batchbb_storage::AsyncFetchStore`]
-//!   does, in which case the batch parks and the pool advances another;
+//!   resident, and once while outstanding when the store beneath is
+//!   the asynchronous engine (which shares in-flight reads), in which
+//!   case the batch parks and the pool advances another;
 //! * observability — with a sink/registry configured, each batch's
 //!   `exec.*` events carry a `batch = <id>` label
 //!   ([`batchbb_obs::LabeledSink`]), all metrics land in one shared
@@ -112,8 +114,7 @@ mod slo;
 
 pub use config::{BatchRequest, ServeConfig};
 pub use job::{BatchHandle, BatchResult, BatchSnapshot, BatchStatus};
-pub use sched::SchedulerPolicy;
-pub use server::{BatchServer, ServeSession, ShardedRun};
+pub use server::{BatchServer, ServeSession};
 pub use slo::{AdmissionEstimate, SloContract, SloOutcome};
 
 #[cfg(test)]
@@ -502,39 +503,6 @@ mod tests {
         assert!(result.report.worst_case_bound.is_finite());
         let history = &result.bound_history;
         assert!(history.windows(2).all(|w| w[1] <= w[0]), "still monotone");
-    }
-
-    #[test]
-    fn non_binding_contracts_keep_scheduling_policies_bit_identical() {
-        let (store, batches, n_total, k) = fixture();
-        let requests: Vec<BatchRequest<'_>> = batches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                BatchRequest::new(b, &Sse).with_slo(SloContract::new().with_priority(i as u8))
-            })
-            .collect();
-        let marginal = BatchServer::new(
-            ServeConfig::new(n_total, k)
-                .workers(3)
-                .slice_steps(5)
-                .scheduler(SchedulerPolicy::MarginalValue),
-        )
-        .serve(&store, &requests);
-        let round_robin = BatchServer::new(
-            ServeConfig::new(n_total, k)
-                .workers(3)
-                .slice_steps(5)
-                .scheduler(SchedulerPolicy::RoundRobin),
-        )
-        .serve(&store, &requests);
-        for (a, b) in marginal.iter().zip(&round_robin) {
-            assert_eq!(a.status, BatchStatus::Exact);
-            assert_eq!(b.status, BatchStatus::Exact);
-            assert_eq!(a.estimates(), b.estimates());
-            assert_eq!(a.retrieved_entries, b.retrieved_entries);
-            assert_eq!(a.slo, SloOutcome::Met);
-        }
     }
 
     #[test]

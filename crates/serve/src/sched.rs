@@ -1,40 +1,25 @@
-//! Slice scheduling policies for the worker pool.
+//! Slice scheduling for the worker pool.
 //!
 //! Scheduling decides only *interleaving*, never *content* (each batch
 //! walks its own importance order regardless of when its slices run), so
-//! the policy is free to optimize fleet-level progress: under the default
-//! [`SchedulerPolicy::MarginalValue`] every runnable batch is ranked by
-//! its estimated bound-shrink-per-retrieval × priority, and workers always
-//! pop the top of one shared heap. [`SchedulerPolicy::RoundRobin`] keeps
-//! the earlier per-worker deques with work stealing — pure fairness, no
-//! contract awareness.
+//! the queue is free to optimize fleet-level progress: every runnable
+//! batch is ranked by marginal value — the certified worst-case bound
+//! still outstanding, averaged over the retrievals left to spend it
+//! (`bound / (remaining + deferred)`), weighted by `priority + 1` — and
+//! workers always pop the top of one shared heap. The batch whose next
+//! slice buys the most certified-error reduction per retrieval — scaled by
+//! how much the caller cares — runs first; a batch deep in diminishing
+//! returns yields to fresher work. Ties break toward fewer slices
+//! consumed, then lower admission index, keeping the order deterministic.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use parking_lot::Mutex;
 
-/// How the pool orders runnable batches between slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Rank batches by marginal value: the certified worst-case bound
-    /// still outstanding, averaged over the retrievals left to spend it
-    /// (`bound / (remaining + deferred)`), weighted by `priority + 1`.
-    /// The batch whose next slice buys the most certified-error reduction
-    /// per retrieval — scaled by how much the caller cares — runs first;
-    /// a batch deep in diminishing returns yields to fresher work. Ties
-    /// break toward fewer slices consumed, then lower admission index,
-    /// keeping the order deterministic.
-    #[default]
-    MarginalValue,
-    /// The original policy: per-worker FIFO run queues with steal-from-
-    /// the-back work stealing. Fair and contract-blind.
-    RoundRobin,
-}
-
 /// One runnable batch in the marginal-value heap.
 #[derive(Debug)]
-pub(crate) struct Rank {
+struct Rank {
     score: f64,
     slices: usize,
     index: usize,
@@ -65,74 +50,36 @@ impl Ord for Rank {
     }
 }
 
-/// The pool's runnable-batch queue, shaped by the configured policy.
-pub(crate) enum SliceQueue {
-    Marginal(Mutex<BinaryHeap<Rank>>),
-    RoundRobin(Vec<Mutex<VecDeque<usize>>>),
-}
+/// The pool's runnable-batch queue.
+pub(crate) struct SliceQueue(Mutex<BinaryHeap<Rank>>);
 
 impl SliceQueue {
     /// Builds the queue and seeds it with `(index, initial_score)` pairs
     /// in admission order.
-    pub(crate) fn new(
-        policy: SchedulerPolicy,
-        workers: usize,
-        seeds: impl Iterator<Item = (usize, f64)>,
-    ) -> Self {
-        match policy {
-            SchedulerPolicy::MarginalValue => {
-                let heap = seeds
-                    .map(|(index, score)| Rank {
-                        score,
-                        slices: 0,
-                        index,
-                    })
-                    .collect();
-                SliceQueue::Marginal(Mutex::new(heap))
-            }
-            SchedulerPolicy::RoundRobin => {
-                let queues: Vec<Mutex<VecDeque<usize>>> =
-                    (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-                for (index, _) in seeds {
-                    queues[index % workers].lock().push_back(index);
-                }
-                SliceQueue::RoundRobin(queues)
-            }
-        }
+    pub(crate) fn new(seeds: impl Iterator<Item = (usize, f64)>) -> Self {
+        let heap = seeds
+            .map(|(index, score)| Rank {
+                score,
+                slices: 0,
+                index,
+            })
+            .collect();
+        SliceQueue(Mutex::new(heap))
     }
 
-    /// Takes the next runnable batch for worker `me`: the heap top under
-    /// marginal value; own queue front, then victims' backs, under
-    /// round-robin.
-    pub(crate) fn pop(&self, me: usize) -> Option<usize> {
-        match self {
-            SliceQueue::Marginal(heap) => heap.lock().pop().map(|rank| rank.index),
-            SliceQueue::RoundRobin(queues) => {
-                if let Some(index) = queues[me].lock().pop_front() {
-                    return Some(index);
-                }
-                for offset in 1..queues.len() {
-                    let victim = (me + offset) % queues.len();
-                    if let Some(index) = queues[victim].lock().pop_back() {
-                        return Some(index);
-                    }
-                }
-                None
-            }
-        }
+    /// Takes the highest-ranked runnable batch.
+    pub(crate) fn pop(&self) -> Option<usize> {
+        self.0.lock().pop().map(|rank| rank.index)
     }
 
     /// Re-enqueues a batch after an inconclusive slice with its refreshed
-    /// score (ignored under round-robin).
-    pub(crate) fn push(&self, me: usize, index: usize, score: f64, slices: usize) {
-        match self {
-            SliceQueue::Marginal(heap) => heap.lock().push(Rank {
-                score,
-                slices,
-                index,
-            }),
-            SliceQueue::RoundRobin(queues) => queues[me].lock().push_back(index),
-        }
+    /// score.
+    pub(crate) fn push(&self, index: usize, score: f64, slices: usize) {
+        self.0.lock().push(Rank {
+            score,
+            slices,
+            index,
+        });
     }
 }
 
@@ -141,31 +88,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn marginal_queue_pops_by_score_then_slices_then_index() {
-        let q = SliceQueue::new(
-            SchedulerPolicy::MarginalValue,
-            2,
-            [(0, 1.0), (1, 3.0), (2, 3.0)].into_iter(),
-        );
-        assert_eq!(q.pop(0), Some(1), "equal scores: lower index wins");
-        q.push(0, 1, 3.0, 1);
-        assert_eq!(q.pop(1), Some(2), "fewer slices beats re-queued peer");
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), Some(0), "lowest score drains last");
-        assert_eq!(q.pop(0), None);
-    }
-
-    #[test]
-    fn round_robin_steals_from_victims_backs() {
-        let q = SliceQueue::new(
-            SchedulerPolicy::RoundRobin,
-            2,
-            [(0, 0.0), (1, 0.0), (2, 0.0)].into_iter(),
-        );
-        // Worker 1's own queue holds [1]; worker 0's holds [0, 2].
-        assert_eq!(q.pop(1), Some(1));
-        assert_eq!(q.pop(1), Some(2), "steal takes the victim's back");
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), None);
+    fn queue_pops_by_score_then_slices_then_index() {
+        let q = SliceQueue::new([(0, 1.0), (1, 3.0), (2, 3.0)].into_iter());
+        assert_eq!(q.pop(), Some(1), "equal scores: lower index wins");
+        q.push(1, 3.0, 1);
+        assert_eq!(q.pop(), Some(2), "fewer slices beats re-queued peer");
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(0), "lowest score drains last");
+        assert_eq!(q.pop(), None);
     }
 }

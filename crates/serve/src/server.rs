@@ -7,8 +7,7 @@ use std::sync::Arc;
 use batchbb_core::{DegradationReport, ExecObserver, ProgressiveExecutor};
 use batchbb_obs::{lifecycle, LabeledSink, Lifecycle, LifecycleRecorder, Phase};
 use batchbb_storage::{
-    shard_of, CoefficientStore, FaultStats, ShardRouter, ShardStats, ShardedCachingStore,
-    VersionId, VersionView, VersionedStore,
+    CoefficientStore, FaultStats, ShardedCachingStore, VersionId, VersionView, VersionedStore,
 };
 use batchbb_tensor::CoeffKey;
 use parking_lot::Mutex;
@@ -22,14 +21,16 @@ use crate::{BatchHandle, BatchRequest, BatchResult, BatchSnapshot, BatchStatus, 
 ///
 /// Each admitted [`BatchRequest`] gets its own [`ProgressiveExecutor`];
 /// a fixed pool of workers advances them in bounded *slices*
-/// ([`ServeConfig::slice_steps`] retrievals at a time). Under the default
-/// [`crate::SchedulerPolicy::MarginalValue`] policy, runnable batches are
-/// ranked by certified bound-shrink-per-retrieval × priority, so the pool
-/// always spends its next slice where it buys the most contract value;
-/// [`crate::SchedulerPolicy::RoundRobin`] restores the earlier per-worker
-/// queues with work stealing. Either way a huge batch cannot starve small
-/// ones: after every slice the batch re-enters the queue and workers pick
-/// whatever ranks next.
+/// ([`ServeConfig::slice_steps`] retrievals at a time). Runnable batches
+/// are ranked by certified bound-shrink-per-retrieval × priority, so the
+/// pool always spends its next slice where it buys the most contract
+/// value, and a huge batch cannot starve small ones: after every slice the
+/// batch re-enters the queue and workers pick whatever ranks next.
+///
+/// The store is whatever the caller passes — a single store, an
+/// asynchronous engine, or a scatter-gather
+/// [`batchbb_storage::ShardRouter`]: sharding is a store, not a serve
+/// mode.
 ///
 /// With [`ServeConfig::capacity`] declared, submission prices every
 /// batch's [`crate::SloContract`] and rejects what does not fit
@@ -109,7 +110,7 @@ impl BatchServer {
     ) -> (Vec<BatchResult>, R) {
         let config = &self.config;
         let cache = config.share_cache.then(|| {
-            let cache = ShardedCachingStore::with_shards(store, config.cache_shards);
+            let cache = ShardedCachingStore::new(store);
             match config.cache_capacity {
                 Some(cap) => cache.with_capacity(cap),
                 None => cache,
@@ -185,94 +186,6 @@ impl BatchServer {
             run_pool(config, &shared, &jobs, &session, driver)
         };
         (collect_results(config, jobs), driver_out)
-    }
-
-    /// Serves every request through a scatter-gather [`ShardRouter`] built
-    /// from [`ServeConfig::shard_topology`] over `entries`.
-    ///
-    /// See [`BatchServer::serve_sharded_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no [`ServeConfig::shard_topology`] was configured.
-    pub fn serve_sharded(
-        &self,
-        entries: &[(CoeffKey, f64)],
-        requests: &[BatchRequest<'_>],
-    ) -> ShardedRun {
-        self.serve_sharded_with(entries, requests, |_| ())
-    }
-
-    /// Serves every request through a scatter-gather [`ShardRouter`],
-    /// calling `prepare` on the freshly built router before any batch
-    /// starts (the hook tests use to kill a shard deterministically).
-    ///
-    /// The router is built from [`ServeConfig::shard_topology`]:
-    /// `entries` is partitioned across the shards by
-    /// [`batchbb_storage::shard_of`], each shard goes behind its
-    /// mock-network latency boundary, and — when the topology replicates —
-    /// hedged reads race a replica against slow primaries. The configured
-    /// [`ServeConfig::registry`] receives the per-shard
-    /// `store.shard.{i}.*` counters and, with a tracer + sink configured,
-    /// shard RPC spans share the batch lifecycles' clock.
-    ///
-    /// The shared read-through cache is forced **off** for the run: the
-    /// router's per-shard RPC batches are the coalescing layer, and a
-    /// cache on top would serve repeats from memory, hiding exactly the
-    /// shard behavior this entry point exists to exercise. Batch results
-    /// stay bit-identical to the single-store path — scatter-gather
-    /// changes who answers a read, never the value.
-    ///
-    /// Shard failures surface as *bounded degradation*, never errors:
-    /// keys a dead shard could not serve are deferred by each executor
-    /// and certified in its `DegradationReport`; the returned
-    /// [`ShardedRun::deferred_by_shard`] maps every deferred key back to
-    /// the shard that owned it, naming the blast radius.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no [`ServeConfig::shard_topology`] was configured.
-    pub fn serve_sharded_with(
-        &self,
-        entries: &[(CoeffKey, f64)],
-        requests: &[BatchRequest<'_>],
-        prepare: impl FnOnce(&ShardRouter),
-    ) -> ShardedRun {
-        let topology = self
-            .config
-            .shard_topology
-            .expect("serve_sharded requires ServeConfig::shard_topology");
-        let tracing = match (&self.config.tracer, &self.config.sink) {
-            (Some(tracer), Some(sink)) => Some((tracer.clone(), sink.clone())),
-            _ => None,
-        };
-        let router = ShardRouter::with_instrumentation(
-            topology.clients(entries.iter().copied()),
-            topology.hedge(),
-            self.config.registry.as_deref(),
-            tracing,
-        );
-        prepare(&router);
-        let mut config = self.config.clone();
-        config.share_cache = false;
-        let sharded = BatchServer { config };
-        let (results, ()) = sharded.serve_with(&router, requests, |_| ());
-        // Drain outstanding hedge obligations so the counters below are
-        // final (a cancelled hedge may still sit queued after the last
-        // batch publishes).
-        router.quiesce();
-        let shards = topology.shards();
-        let mut deferred_by_shard = vec![Vec::new(); shards];
-        for result in &results {
-            for &(key, importance) in &result.report.deferred {
-                deferred_by_shard[shard_of(&key, shards)].push((key, importance));
-            }
-        }
-        ShardedRun {
-            results,
-            shard_stats: router.shard_stats(),
-            deferred_by_shard,
-        }
     }
 
     /// Builds one [`JobCell`] per request — executors constructed, and
@@ -396,21 +309,17 @@ fn run_pool<'s, 'a, R>(
         .collect();
     let active = AtomicUsize::new(admitted.len());
     shared.slo.set_queue_depth(admitted.len() as u64);
-    let queue = SliceQueue::new(
-        config.scheduler,
-        config.workers,
-        admitted.iter().map(|cell| {
-            let snapshot = cell.snapshot.lock();
-            let per_step =
-                snapshot.worst_case_bound / (snapshot.remaining + snapshot.deferred).max(1) as f64;
-            (cell.index, cell.contract.priority_weight() * per_step)
-        }),
-    );
+    let queue = SliceQueue::new(admitted.iter().map(|cell| {
+        let snapshot = cell.snapshot.lock();
+        let per_step =
+            snapshot.worst_case_bound / (snapshot.remaining + snapshot.deferred).max(1) as f64;
+        (cell.index, cell.contract.priority_weight() * per_step)
+    }));
     std::thread::scope(|scope| {
-        for me in 0..config.workers {
+        for _ in 0..config.workers {
             let queue = &queue;
             let active = &active;
-            scope.spawn(move || worker_loop(me, jobs, queue, active, config, shared));
+            scope.spawn(move || worker_loop(jobs, queue, active, config, shared));
         }
         driver(session)
     })
@@ -441,20 +350,6 @@ fn collect_results(config: &ServeConfig, jobs: Vec<JobCell<'_>>) -> Vec<BatchRes
             result
         })
         .collect()
-}
-
-/// What [`BatchServer::serve_sharded`] returns: the per-batch results
-/// plus the shard-level account of the run.
-pub struct ShardedRun {
-    /// Per-batch results, in request order — bit-identical to the
-    /// single-store path on a healthy topology.
-    pub results: Vec<BatchResult>,
-    /// Per-shard RPC / hedge / failover counters, indexed by shard.
-    pub shard_stats: Vec<ShardStats>,
-    /// Every deferred `(key, importance)` across all batches, attributed
-    /// to the shard owning the key: the per-shard blast radius of a
-    /// failure, reconciling with each batch's `DegradationReport`.
-    pub deferred_by_shard: Vec<Vec<(CoeffKey, f64)>>,
 }
 
 /// The versioned half of a session: the published store plus each job's
@@ -533,9 +428,9 @@ impl<'s, 'a> ServeSession<'s, 'a> {
     /// # Panics
     ///
     /// Panics on a session that has no versioned store
-    /// ([`BatchServer::serve_with`], [`BatchServer::serve_sharded_with`]):
-    /// such a session cannot repair its executors, so silently accepting
-    /// the write would void every in-flight certificate. Serve through
+    /// ([`BatchServer::serve_with`]): such a session cannot repair its
+    /// executors, so silently accepting the write would void every
+    /// in-flight certificate. Serve through
     /// [`BatchServer::serve_versioned_with`] to update live.
     pub fn update(&self, entries: &[(CoeffKey, f64)], write_store: impl FnOnce()) {
         let versioned = self
@@ -614,7 +509,6 @@ impl<'s, 'a> ServeSession<'s, 'a> {
 /// refreshed score if inconclusive (or shelve it if it parked on an
 /// in-flight fetch), spin down once every job has published.
 fn worker_loop(
-    me: usize,
     jobs: &[JobCell<'_>],
     queue: &SliceQueue,
     active: &AtomicUsize,
@@ -625,11 +519,11 @@ fn worker_loop(
         if active.load(Ordering::Acquire) == 0 {
             return;
         }
-        let resumed = resume_parked(me, jobs, queue, shared);
-        match queue.pop(me) {
+        let resumed = resume_parked(jobs, queue, shared);
+        match queue.pop() {
             Some(index) => match run_slice(&jobs[index], config, active, shared) {
                 SliceOutcome::Finished => {}
-                SliceOutcome::Requeue { score, slices } => queue.push(me, index, score, slices),
+                SliceOutcome::Requeue { score, slices } => queue.push(index, score, slices),
                 SliceOutcome::Parked => shared.parked.lock().push(index),
             },
             None if resumed => {}
@@ -653,7 +547,7 @@ fn worker_loop(
 /// another worker or [`ServeSession::advance_batch`] owns the batch right
 /// now, and the next sweep will catch up; blocking here would stall every
 /// other worker's sweep behind that one slice (this sweep holds the shelf).
-fn resume_parked(me: usize, jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) -> bool {
+fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) -> bool {
     let mut parked = shared.parked.lock();
     if parked.is_empty() {
         return false;
@@ -679,7 +573,7 @@ fn resume_parked(me: usize, jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &P
         let score = cell.contract.priority_weight() * per_step;
         let slices = snapshot.slices;
         drop(snapshot);
-        queue.push(me, index, score, slices);
+        queue.push(index, score, slices);
         resumed = true;
     }
     resumed
@@ -766,11 +660,11 @@ fn run_slice(
     let deferred = state.exec.deferred_count();
     let mut budget = config.slice_steps.max(deferred);
     let mut policy = config.retry.clone();
-    if config.adaptive_retry {
+    if fault.attempts >= 32 {
+        // Adaptive retry: under a high observed fault rate the slice runs
+        // on proportionally fewer attempts per retrieval.
         let failures = fault.transient_failures + fault.permanent_failures;
-        if fault.attempts >= 32 {
-            policy = policy.adapted(failures as f64 / fault.attempts as f64);
-        }
+        policy = policy.adapted(failures as f64 / fault.attempts as f64);
     }
     if let Some(deadline) = cell.contract.deadline_ticks {
         let remaining = deadline - elapsed; // > 0: the expiry check passed
@@ -941,26 +835,21 @@ mod tests {
     /// barrier needed — a versioned `update` still completes. If `update`
     /// took any batch's slice lock this test would deadlock on the spot.
     ///
-    /// One round-robin worker makes the pause easy to land: each batch
-    /// needs hundreds of one-step slices dealt evenly, so none finishes
-    /// until thousands of slices have run, and the worker blocks on a
-    /// driver-held lock within eight pops — freezing the whole pool
-    /// mid-drain. The driver can still lose the race outright when the OS
-    /// parks its thread for the entire drain (seen under heavily loaded
-    /// parallel test runs), so a lost race skips the asserts and the whole
-    /// serve is retried; the lock-freedom property is exercised on the
-    /// first attempt whose freeze lands.
+    /// One worker on one-step slices makes the pause easy to land: the
+    /// eight batches rank alike, so the heap deals their hundreds of
+    /// slices near-evenly and none finishes until thousands have run, and
+    /// the worker blocks on a driver-held lock at its next pop — freezing
+    /// the whole pool mid-drain. The driver can still lose the race
+    /// outright when the OS parks its thread for the entire drain (seen
+    /// under heavily loaded parallel test runs), so a lost race skips the
+    /// asserts and the whole serve is retried; the lock-freedom property is
+    /// exercised on the first attempt whose freeze lands.
     #[test]
     fn versioned_update_completes_while_slice_locks_are_held() {
         let (store, batches, n_total, k) = fixture(8);
         let requests: Vec<BatchRequest<'_>> =
             batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(
-            ServeConfig::new(n_total, k)
-                .workers(1)
-                .slice_steps(1)
-                .scheduler(crate::SchedulerPolicy::RoundRobin),
-        );
+        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(1));
         let key = CoeffKey::new(&[0, 0]);
         for _ in 0..50 {
             let (results, frozen_at) = server.serve_versioned_with(&store, &requests, |session| {

@@ -1,112 +1,43 @@
-//! A thread-pool-backed asynchronous store with cross-batch fetch dedup.
+//! A completion-based asynchronous store with cross-batch fetch dedup.
 //!
 //! [`AsyncFetchStore`] turns any blocking [`CoefficientStore`] into a
 //! completion-based one: [`CoefficientStore::submit`] enqueues the batch on
 //! a bounded pool of I/O threads and returns immediately, so a serve worker
 //! can park the submitting batch and advance another instead of stalling on
-//! the fetch (DESIGN.md §12).  The pool is the portable backend; the
-//! `submit`/[`Completion`] surface is deliberately shaped so an io_uring
-//! submission/completion queue can replace it behind a `cfg` later.
+//! the fetch (DESIGN.md §12).
 //!
-//! The engine keeps an **in-flight table**: one [`InflightSlot`] per key
-//! currently being read.  A submit that asks for a key already outstanding
-//! — from *any* batch — joins the existing slot instead of queueing a
-//! second read, so N concurrent batches wanting one coefficient ride one
-//! physical fetch and share the verdict.  Entries leave the table the
-//! moment their read completes (the *exactly-once-while-outstanding* rule):
-//! dedup never memoizes, so a later submit re-reads the store and layering
-//! a cache stays the caller's choice — the recommended latency-hiding stack
-//! is `AsyncFetchStore<ShardedCachingStore<S>>`, dedup outside, memo
-//! inside.
-//!
-//! New keys of one submit stay together as one queue job, so an inner
-//! store's batched `try_get_many` coalescing ([`crate::FileStore`]'s
-//! contiguous-run preads, [`crate::BlockStore`]'s per-block grouping) is
-//! preserved.  A job's batch error is published to each of its slots;
-//! [`Completion::wait`] collapses per-key verdicts to the earliest-index
-//! error, keeping the `try_get_many` whole-batch-failure contract intact.
+//! It owns no engine of its own: it is the crate's one I/O engine,
+//! [`ShardRouter`], over a single unreplicated shard with `threads`
+//! primary workers — the in-flight table that lets concurrent submits of
+//! one key ride one physical read, the one-job-per-submit batching that
+//! preserves an inner store's `try_get_many` coalescing
+//! ([`crate::FileStore`]'s contiguous-run preads, [`crate::BlockStore`]'s
+//! per-block grouping), the whole-batch-error fan-out, `quiesce` and the
+//! drain-then-exit drop are all the router's (see the module docs of
+//! `shard.rs`).  The in-flight table never memoizes, so layering a cache
+//! ([`crate::ShardedCachingStore`]) stays the caller's choice.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
-use batchbb_obs::{span_end_event, span_start_event, EventSink, TraceContext, Tracer};
+use batchbb_obs::{EventSink, Tracer};
 use batchbb_tensor::CoeffKey;
 
-use crate::completion::{Completion, InflightSlot};
+use crate::completion::Completion;
+use crate::shard::{HedgeConfig, ShardClient, ShardRouter};
 use crate::{CoefficientStore, IoStats, StorageError};
-
-/// Span emission for the engine: the run-wide tracer plus the sink the
-/// `store.read`/`store.rider` spans land in.
-struct Tracing {
-    tracer: Tracer,
-    sink: Arc<dyn EventSink>,
-}
-
-/// One queued fetch: the new (not-already-in-flight) keys of a submit,
-/// paired with the slots their verdicts land in and the inner store's
-/// version tag at submit time (the dedup-table namespace to retire from).
-struct Job {
-    tag: u64,
-    keys: Vec<CoeffKey>,
-    slots: Vec<Arc<InflightSlot>>,
-    /// The physical `store.read` span covering this job, `0` when tracing
-    /// is off. Started at submit; ended by the I/O thread at completion,
-    /// so the span measures true I/O latency including queueing.
-    span: u64,
-}
-
-/// A dedup-table entry: the outstanding read's slot plus the span id of
-/// the physical `store.read` covering it (`0` when tracing is off), so a
-/// rider joining the read can attribute itself to the physical fetch.
-struct InflightEntry {
-    slot: Arc<InflightSlot>,
-    span: u64,
-}
-
-/// Queue + liveness state shared between submitters and I/O threads.
-struct PoolState {
-    queue: VecDeque<Job>,
-    /// Jobs currently running on an I/O thread (popped but not finished).
-    active: usize,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Signals I/O threads that work (or shutdown) arrived.
-    work_cv: Condvar,
-    /// Signals [`AsyncFetchStore::quiesce`] waiters that the engine drained.
-    idle_cv: Condvar,
-    /// Keys with an outstanding read: the cross-batch dedup table, keyed
-    /// by `(version tag at submit, key)` so riders pinned to different
-    /// versions of a [`crate::VersionedStore`]/[`crate::VersionView`]
-    /// never share a physical read (unversioned stores all tag `0`, so
-    /// the table degenerates to the plain per-key one). Holds only
-    /// pending slots — completed entries are removed immediately.
-    inflight: Mutex<HashMap<(u64, CoeffKey), InflightEntry>>,
-    /// Keys currently outstanding (queued or running).
-    pending_keys: AtomicU64,
-    /// Submits that joined an already-outstanding read instead of queueing
-    /// their own.
-    dedup_hits: AtomicU64,
-    tracing: Option<Tracing>,
-}
 
 /// Completion-based asynchronous wrapper over any blocking store.
 ///
-/// See the module docs above for the dedup and error semantics. Blocking
-/// calls (`get`/`try_get`/`try_get_many`) forward straight to the inner
-/// store — only [`CoefficientStore::submit`] takes the asynchronous path —
-/// so accounting on the blocking paths is unchanged.
+/// Blocking calls (`get`/`try_get`/`try_get_many`) forward straight to the
+/// inner store — only [`CoefficientStore::submit`] takes the asynchronous
+/// path — so accounting on the blocking paths is unchanged.
 ///
 /// Dropping the store drains the queue (every outstanding completion still
 /// resolves) and joins the I/O threads.
 pub struct AsyncFetchStore<S: CoefficientStore + 'static> {
     inner: Arc<S>,
-    shared: Arc<Shared>,
-    io_threads: Vec<JoinHandle<()>>,
+    /// One unreplicated shard whose primary is `inner`.
+    engine: ShardRouter,
 }
 
 impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
@@ -128,37 +59,15 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
         tracer: Tracer,
         sink: Arc<dyn EventSink>,
     ) -> Self {
-        Self::build(inner, threads, Some(Tracing { tracer, sink }))
+        Self::build(inner, threads, Some((tracer, sink)))
     }
 
-    fn build(inner: S, threads: usize, tracing: Option<Tracing>) -> Self {
-        assert!(threads >= 1, "need at least one I/O thread");
+    fn build(inner: S, threads: usize, tracing: Option<(Tracer, Arc<dyn EventSink>)>) -> Self {
         let inner = Arc::new(inner);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                active: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            inflight: Mutex::new(HashMap::new()),
-            pending_keys: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            tracing,
-        });
-        let io_threads = (0..threads)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || io_loop(&*inner, &shared))
-            })
-            .collect();
-        AsyncFetchStore {
-            inner,
-            shared,
-            io_threads,
-        }
+        let client = ShardClient::new(Arc::clone(&inner) as Arc<dyn CoefficientStore>);
+        let engine =
+            ShardRouter::with_workers(vec![client], HedgeConfig::default(), threads, None, tracing);
+        AsyncFetchStore { inner, engine }
     }
 
     /// The wrapped store.
@@ -166,90 +75,15 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
         &self.inner
     }
 
-    /// How many submits joined an already-outstanding read (cross-batch or
-    /// within-batch) instead of queueing their own.
+    /// How many submitted keys joined an already-outstanding read
+    /// (cross-batch or within-batch) instead of queueing their own.
     pub fn dedup_hits(&self) -> u64 {
-        self.shared.dedup_hits.load(Ordering::Relaxed)
+        self.engine.dedup_hits()
     }
 
     /// Keys currently outstanding (queued or running).
     pub fn pending_depth(&self) -> u64 {
-        self.shared.pending_keys.load(Ordering::Relaxed)
-    }
-}
-
-/// I/O thread body: pop a job, fetch it through the inner store's batched
-/// path, publish per-key verdicts, retire the dedup-table entries.
-fn io_loop<S: CoefficientStore>(inner: &S, shared: &Shared) {
-    loop {
-        let job = {
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = state.queue.pop_front() {
-                    state.active += 1;
-                    break job;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared
-                    .work_cv
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let fetched = inner.try_get_many(&job.keys);
-        match &fetched {
-            Ok(values) => {
-                for (slot, value) in job.slots.iter().zip(values) {
-                    slot.complete(Ok(*value));
-                }
-            }
-            Err(e) => {
-                // The batch as a whole failed with no per-key verdicts;
-                // every rider sees the same error (collapsed to the
-                // earliest index by `Completion::wait`) and falls back to
-                // singleton attribution, exactly as on the blocking path.
-                for slot in &job.slots {
-                    slot.complete(Err(e.clone()));
-                }
-            }
-        }
-        if job.span != 0 {
-            if let Some(tracing) = &shared.tracing {
-                let ctx = TraceContext {
-                    trace_id: tracing.tracer.trace_id(),
-                    span_id: job.span,
-                    parent_span_id: None,
-                };
-                tracing.sink.emit(
-                    &span_end_event(ctx, tracing.tracer.now_ns()).bool("ok", fetched.is_ok()),
-                );
-            }
-        }
-        {
-            // Retire only this job's slots: a key may have been re-submitted
-            // (and re-inserted) after an abandoning caller dropped its
-            // completion, in which case the table holds a newer slot.
-            let mut table = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, slot) in job.keys.iter().zip(&job.slots) {
-                let tagged = (job.tag, *key);
-                if table
-                    .get(&tagged)
-                    .is_some_and(|e| Arc::ptr_eq(&e.slot, slot))
-                {
-                    table.remove(&tagged);
-                }
-            }
-        }
-        shared
-            .pending_keys
-            .fetch_sub(job.keys.len() as u64, Ordering::Relaxed);
-        let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.active -= 1;
-        if state.active == 0 && state.queue.is_empty() {
-            shared.idle_cv.notify_all();
-        }
+        self.engine.pending_depth()
     }
 }
 
@@ -266,118 +100,17 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
         self.inner.try_get_many(keys)
     }
 
-    /// Enqueues the batch and returns immediately.  Keys already in flight
-    /// *at the same inner version* join the outstanding read (one dedup
-    /// hit each); the rest form one queue job so the inner store's batched
-    /// coalescing is preserved.  The version tag is sampled once per
-    /// submit: a submit issued after a version advance never joins a read
-    /// issued before it (see DESIGN.md §13 for the advance protocol that
-    /// makes the remaining fetch/advance interleavings benign).
+    /// Enqueues the batch on the engine and returns immediately: keys
+    /// already in flight at the same inner version join the outstanding
+    /// read, the rest form one queue job ([`ShardRouter`]'s `submit`).
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        let tag = self.inner.version_tag();
-        let mut slots = Vec::with_capacity(keys.len());
-        let mut new_keys: Vec<CoeffKey> = Vec::new();
-        let mut new_slots: Vec<Arc<InflightSlot>> = Vec::new();
-        // The physical read's span id, allocated lazily on the first new
-        // key (0 = tracing off or nothing new to read).
-        let mut read_span = 0u64;
-        // Physical spans this submit rode instead of reading: span id →
-        // keys joined. Only populated when tracing is on.
-        let mut joined: Vec<(u64, u64)> = Vec::new();
-        {
-            let mut table = self
-                .shared
-                .inflight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for key in keys {
-                if let Some(entry) = table.get(&(tag, *key)) {
-                    self.shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    if self.shared.tracing.is_some() {
-                        match joined.iter_mut().find(|(span, _)| *span == entry.span) {
-                            Some((_, n)) => *n += 1,
-                            None => joined.push((entry.span, 1)),
-                        }
-                    }
-                    slots.push(Arc::clone(&entry.slot));
-                } else {
-                    let slot = Arc::new(InflightSlot::new());
-                    if let Some(tracing) = &self.shared.tracing {
-                        if read_span == 0 {
-                            read_span = tracing.tracer.next_span_id();
-                        }
-                    }
-                    table.insert(
-                        (tag, *key),
-                        InflightEntry {
-                            slot: Arc::clone(&slot),
-                            span: read_span,
-                        },
-                    );
-                    new_keys.push(*key);
-                    new_slots.push(Arc::clone(&slot));
-                    slots.push(slot);
-                }
-            }
-        }
-        if let Some(tracing) = &self.shared.tracing {
-            let now = tracing.tracer.now_ns();
-            if read_span != 0 {
-                let ctx = TraceContext {
-                    trace_id: tracing.tracer.trace_id(),
-                    span_id: read_span,
-                    parent_span_id: None,
-                };
-                tracing.sink.emit(
-                    &span_start_event("store.read", ctx, now)
-                        .u64("keys", new_keys.len() as u64)
-                        .u64("tag", tag),
-                );
-            }
-            // One rider span per distinct physical read this submit
-            // joined; `physical` names the shared `store.read` span so
-            // attribution can fan the one I/O out to every rider.
-            for &(physical, keys_joined) in &joined {
-                let ctx = tracing.tracer.root_context();
-                tracing.sink.emit(
-                    &span_start_event("store.rider", ctx, now)
-                        .u64("physical", physical)
-                        .u64("keys", keys_joined),
-                );
-                tracing.sink.emit(&span_end_event(ctx, now));
-            }
-        }
-        if !new_keys.is_empty() {
-            self.shared
-                .pending_keys
-                .fetch_add(new_keys.len() as u64, Ordering::Relaxed);
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.queue.push_back(Job {
-                tag,
-                keys: new_keys,
-                slots: new_slots,
-                span: read_span,
-            });
-            drop(state);
-            self.shared.work_cv.notify_one();
-        }
-        Completion::pending(slots)
+        self.engine.submit(keys)
     }
 
-    /// Blocks until the queue and every running job drain, then quiesces
-    /// the inner store: after `quiesce` returns the in-flight table is
-    /// empty and the counters are final (DESIGN.md §12).
+    /// Drains the engine, which then quiesces the inner store (its one
+    /// shard's primary).
     fn quiesce(&self) {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.active > 0 || !state.queue.is_empty() {
-            state = self
-                .shared
-                .idle_cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(state);
-        self.inner.quiesce();
+        self.engine.quiesce()
     }
 
     fn version_tag(&self) -> u64 {
@@ -397,20 +130,10 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
     }
 }
 
-impl<S: CoefficientStore + 'static> Drop for AsyncFetchStore<S> {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.shutdown = true;
-        }
-        // Shutdown is drain-then-exit: threads keep popping until the queue
-        // empties, so every published completion still resolves.
-        self.shared.work_cv.notify_all();
-        for handle in self.io_threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
+// What the gated stores in the tests below block on (they reach these
+// through `use super::*`).
+#[cfg(test)]
+use std::sync::{atomic::Ordering, Condvar, Mutex};
 
 #[cfg(test)]
 mod tests {

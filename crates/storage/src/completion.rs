@@ -41,8 +41,8 @@ enum SlotState {
 /// the key (the cross-batch dedup unit) and the I/O thread that fills it.
 ///
 /// Built on `std::sync::{Mutex, Condvar}` so waiters can block without
-/// spinning; the slot is written exactly once by [`InflightSlot::complete`]
-/// and read by any number of waiters.
+/// spinning; the slot is written once — by the first
+/// [`InflightSlot::try_complete`] — and read by any number of waiters.
 #[derive(Debug)]
 pub struct InflightSlot {
     state: Mutex<SlotState>,
@@ -58,24 +58,8 @@ impl InflightSlot {
         }
     }
 
-    /// Publishes the read's verdict and wakes every waiter. Must be called
-    /// exactly once per slot.
-    pub(crate) fn complete(&self, result: Result<Option<f64>, StorageError>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(
-            matches!(*state, SlotState::Pending),
-            "an in-flight slot completes exactly once"
-        );
-        *state = SlotState::Done(result);
-        drop(state);
-        self.cv.notify_all();
-    }
-
-    /// Races a verdict against other writers: publishes `result` and wakes
-    /// every waiter iff the slot is still pending, returning whether this
-    /// call won.  The first-success-wins primitive for hedged reads, where
-    /// a primary and a replica fetch legitimately race to fill one slot —
-    /// unlike [`InflightSlot::complete`], a lost race is not a bug.
+    /// Publishes `result` and wakes every waiter iff the slot is still
+    /// pending, returning whether this call did: the first verdict stands.
     pub(crate) fn try_complete(&self, result: Result<Option<f64>, StorageError>) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if matches!(*state, SlotState::Done(_)) {
@@ -268,9 +252,9 @@ mod tests {
         let slots: Vec<Arc<InflightSlot>> = (0..2).map(|_| Arc::new(InflightSlot::new())).collect();
         let c = Completion::pending(slots.clone());
         assert!(!c.is_ready());
-        slots[0].complete(Ok(Some(2.5)));
+        slots[0].try_complete(Ok(Some(2.5)));
         assert!(!c.is_ready());
-        slots[1].complete(Ok(None));
+        slots[1].try_complete(Ok(None));
         assert!(c.is_ready());
         assert_eq!(c.wait(), Ok(vec![Some(2.5), None]));
     }
@@ -282,9 +266,9 @@ mod tests {
         let key_a = CoeffKey::new(&[1, 1]);
         let key_b = CoeffKey::new(&[2, 2]);
         // Completion order scrambles the indexes; the collapse must not.
-        slots[2].complete(Err(StorageError::Permanent { key: key_b }));
-        slots[0].complete(Ok(Some(1.0)));
-        slots[1].complete(Err(StorageError::Transient {
+        slots[2].try_complete(Err(StorageError::Permanent { key: key_b }));
+        slots[0].try_complete(Ok(Some(1.0)));
+        slots[1].try_complete(Err(StorageError::Transient {
             key: key_a,
             attempt: 0,
         }));
@@ -302,7 +286,7 @@ mod tests {
         let shared = Arc::new(InflightSlot::new());
         let a = Completion::pending(vec![shared.clone()]);
         let b = Completion::pending(vec![shared.clone()]);
-        shared.complete(Ok(Some(7.0)));
+        shared.try_complete(Ok(Some(7.0)));
         assert_eq!(a.wait(), Ok(vec![Some(7.0)]));
         assert_eq!(b.wait(), Ok(vec![Some(7.0)]));
     }
@@ -322,7 +306,7 @@ mod tests {
         let slot = Arc::new(InflightSlot::new());
         let c = Completion::wrapped(Completion::pending(vec![slot.clone()]), double(&ran));
         assert!(!c.is_ready(), "ready only when the inner completion is");
-        slot.complete(Ok(Some(1.5)));
+        slot.try_complete(Ok(Some(1.5)));
         assert!(c.is_ready());
         assert_eq!(
             ran.load(Ordering::SeqCst),

@@ -166,20 +166,6 @@ impl<S: CoefficientStore> FaultInjectingStore<S> {
         plan.transient_rate = 0.0;
     }
 
-    /// Changes the per-attempt transient failure probability in place.
-    pub fn set_transient_rate(&self, rate: f64) {
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "transient rate must be in [0, 1), got {rate}"
-        );
-        self.plan.write().transient_rate = rate;
-    }
-
-    /// Adds `key` to the persistently failing set.
-    pub fn fail_permanently(&self, key: CoeffKey) {
-        self.plan.write().permanent.insert(key);
-    }
-
     /// Clears per-key attempt counters and injection stats, restarting the
     /// deterministic fault sequence from attempt zero for every key.
     pub fn reset_fault_state(&self) {

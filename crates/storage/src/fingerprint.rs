@@ -31,8 +31,8 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 ///
 /// Public because it is the routing contract of the scatter-gather layer
 /// (DESIGN.md §15): [`crate::ShardTopology`] partitions entries with it,
-/// [`crate::ShardRouter`] routes reads with it, and the serve layer uses
-/// it to attribute deferred keys back to the shard that failed them.
+/// [`crate::ShardRouter`] routes reads with it, and callers use it to
+/// attribute deferred keys back to the shard that failed them.
 pub fn shard_of(key: &CoeffKey, shards: usize) -> usize {
     debug_assert!(shards >= 1);
     (mix(key_fingerprint(key)) % shards as u64) as usize

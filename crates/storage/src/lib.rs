@@ -21,10 +21,12 @@
 //! * [`InstrumentedStore`] — an observability wrapper recording per-call
 //!   latency histograms, hit/miss counters, and per-class fault counters
 //!   into a `batchbb_obs` registry (plus `store.fault` trace events);
-//! * [`AsyncFetchStore`] — the completion-based asynchronous engine: a
-//!   pool of I/O threads behind [`CoefficientStore::submit`], with an
-//!   in-flight table that dedups reads *across* concurrent batches (see
-//!   [`Completion`] and DESIGN.md §12);
+//! * [`ShardRouter`] — the completion-based asynchronous engine: I/O
+//!   worker threads behind [`CoefficientStore::submit`], an in-flight
+//!   table that dedups reads *across* concurrent batches, and
+//!   scatter-gather over N shards with hedged reads (see [`Completion`]
+//!   and DESIGN.md §12, §15); [`AsyncFetchStore`] is that engine over one
+//!   shard — any blocking store made asynchronous;
 //! * [`VersionedStore`] — MVCC copy-on-write snapshots for live updates
 //!   with zero reader coordination: publishers install immutable versions
 //!   (untouched shards `Arc`-shared), readers pin a [`VersionView`] and

@@ -43,16 +43,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt, no backoff).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ticks: 0,
-            max_backoff_ticks: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Clamps the policy to a remaining simulated-tick budget: attempts
     /// and every backoff interval are capped so one retrieval can never
     /// charge more than `ticks` (each attempt costs at least one tick, so

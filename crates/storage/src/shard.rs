@@ -1,18 +1,30 @@
-//! Sharded scatter-gather retrieval: shard clients behind a mock-network
-//! latency boundary, a router that splits batched fetches into per-shard
-//! RPCs, and replication with hedged reads (DESIGN.md §15).
+//! Sharded scatter-gather retrieval and the crate's one I/O engine: shard
+//! clients behind a mock-network latency boundary, a router that splits
+//! batched fetches into per-shard RPCs and shares outstanding reads across
+//! submits, and replication with hedged reads (DESIGN.md §12, §15).
 //!
 //! The paper's evaluation order is store-agnostic — it only needs
 //! coefficients by key, in importance order — so the coefficient key space
 //! partitions cleanly across N shards by [`shard_of`].  [`ShardRouter`]
 //! implements [`CoefficientStore`] over a vector of [`ShardClient`]s:
 //!
-//! * [`CoefficientStore::submit`] groups the requested keys by shard
-//!   (preserving input order within each group), enqueues **one RPC per
-//!   shard** on that shard's I/O worker, and returns a [`Completion`]
-//!   aggregating every per-shard verdict — the PR 5 prefetch window becomes
-//!   per-shard RPC coalescing, and the PR 7 completion riders aggregate
-//!   per-shard completions into one.
+//! * [`CoefficientStore::submit`] first consults the **in-flight table**:
+//!   one [`InflightSlot`] per `(version tag, key)` currently being read.
+//!   A key already outstanding — from *any* submit — joins the existing
+//!   slot instead of being read again, so N concurrent batches wanting one
+//!   coefficient ride one physical fetch and share its verdict.  Entries
+//!   leave the table the moment their RPC is answered (the
+//!   *exactly-once-while-outstanding* rule): the table never memoizes, so a
+//!   later submit reads again and layering a cache stays the caller's
+//!   choice.
+//! * The keys that are *new* are grouped by shard (preserving input order
+//!   within each group) and enqueued as **one RPC per shard** on that
+//!   shard's I/O workers, so an inner store's batched `try_get_many`
+//!   coalescing is preserved; the returned [`Completion`] aggregates every
+//!   per-key verdict.  An RPC's batch error is published to each of its
+//!   slots; [`Completion::wait`] collapses per-key verdicts to the
+//!   earliest-index error, keeping the `try_get_many`
+//!   whole-batch-failure contract intact.
 //! * [`LatencyStore`] is the mock-network boundary: each call charges
 //!   `base + per_key × keys` (a service-rate model, so sharding genuinely
 //!   parallelizes per-key service time) plus seeded jitter and a seeded
@@ -24,17 +36,19 @@
 //!   latencies (a request is hedged when it exceeds what the rest of the
 //!   fleet would have done; using the shard's own ring would let a slow
 //!   shard balloon its own hedge delay).  If the primary finishes first
-//!   the hedge is cancelled; otherwise the replica fetch races it,
-//!   first success wins per key (`InflightSlot::try_complete`), and the
-//!   loser's verdict is discarded.  A dead primary fails over to its
-//!   replica immediately.
+//!   the hedge is cancelled; otherwise the replica fetch races it, the
+//!   first side to answer claims the job and publishes its verdicts, and
+//!   the loser's are discarded.  A dead primary fails over to its replica
+//!   immediately.
 //! * A dead shard **without** a replica surfaces per-key
 //!   [`StorageError::Permanent`] verdicts: the executor's singleton
 //!   fallback attributes them, the affected keys flow into its deferral
 //!   queue, and the batch finalizes with Theorem-1/2 certificates via
 //!   `DegradationReport` — bounded degradation, never query failure.
+//!
+//! [`crate::AsyncFetchStore`] is this engine over one unreplicated shard.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -256,7 +270,11 @@ impl ShardClient {
 /// Per-shard counter snapshot, from [`ShardRouter::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Primary RPCs issued (each covers one per-shard key group).
+    /// Primary RPCs issued (each covers one per-shard key group), plus
+    /// the per-shard legs of submits that sent nothing because all their
+    /// keys were already in flight — counted as RPCs of zero keys so this
+    /// count depends only on what was submitted, not on how submits
+    /// interleaved.
     pub rpcs: u64,
     /// Keys fetched through primary RPCs.
     pub keys: u64,
@@ -298,15 +316,45 @@ impl ShardCounters {
     }
 }
 
-/// One per-shard RPC: the shard's slice of a submitted window.
+/// One per-shard RPC: the not-already-in-flight keys of a submit that one
+/// shard owns, paired with the slots their verdicts land in.
 struct ShardJob {
+    /// The router's version tag at submit time: the in-flight table
+    /// namespace this job's entries retire from.
+    tag: u64,
     keys: Vec<CoeffKey>,
     slots: Vec<Arc<InflightSlot>>,
-    /// Set by whichever side (primary or replica) finishes the job first.
+    /// The physical `store.read` span covering this job, `0` when tracing
+    /// is off. Started at submit and ended by whichever side answers, so
+    /// the span measures true I/O latency including queueing.
+    span: u64,
+    /// Set by whichever side (primary or replica) answers the job first.
     done: AtomicBool,
     /// Set by the primary worker when the primary is dead and a replica
     /// exists: tells the hedge worker to fail over immediately.
     primary_failed: AtomicBool,
+}
+
+/// One shard's leg of a submit, while the submit is being assembled.
+#[derive(Default)]
+struct Leg {
+    /// The leg's keys that are not already in flight — what its RPC reads
+    /// — in input order, and the slots their verdicts land in.
+    keys: Vec<CoeffKey>,
+    slots: Vec<Arc<InflightSlot>>,
+    /// The RPC's `store.read` span id, allocated on the first new key
+    /// (`0` = tracing off, or nothing new to read on this shard).
+    span: u64,
+    /// Whether any of the leg's keys joined an outstanding read.
+    rode: bool,
+}
+
+/// An in-flight table entry: the outstanding read's slot plus the span id
+/// of the physical `store.read` covering it (`0` when tracing is off), so
+/// a rider joining the read can attribute itself to the physical fetch.
+struct InflightEntry {
+    slot: Arc<InflightSlot>,
+    span: u64,
 }
 
 struct WorkQueue {
@@ -332,10 +380,21 @@ struct ShardMetrics {
     hedge_wins: Counter,
 }
 
-/// Span emission for the router (same shape as the async engine's).
-struct ShardTracing {
+/// Span emission for the engine: the run-wide tracer plus the sink the
+/// `store.read`/`store.rider`/`store.shard.hedge` spans land in.
+struct Tracing {
     tracer: Tracer,
     sink: Arc<dyn EventSink>,
+}
+
+impl Tracing {
+    fn root(&self, span_id: u64) -> TraceContext {
+        TraceContext {
+            trace_id: self.tracer.trace_id(),
+            span_id,
+            parent_span_id: None,
+        }
+    }
 }
 
 /// Everything one shard's workers share with the router.
@@ -360,11 +419,17 @@ impl ShardRuntime {
         }
     }
 
-    /// Counts one singleton (`get`/`try_get`) call as a one-key RPC, so
-    /// the per-shard account covers the window-1 path too.
-    fn count_singleton(&self) {
+    /// Counts one RPC of `keys` keys against this shard. Besides the
+    /// primary's batched RPCs there are two special sizes. A singleton
+    /// (`get`/`try_get`) call is a one-key RPC, so the per-shard account
+    /// covers the window-1 path too. And a submit's leg that sent nothing
+    /// because every one of its keys was already in flight is an RPC of
+    /// zero keys: the per-shard RPC count then depends only on what was
+    /// submitted, never on how submits interleaved, so it repeats exactly
+    /// from run to run.
+    fn count_rpc(&self, keys: u64) {
         self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.counters.keys.fetch_add(1, Ordering::Relaxed);
+        self.counters.keys.fetch_add(keys, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.rpcs.inc();
         }
@@ -375,25 +440,98 @@ impl ShardRuntime {
 struct RouterShared {
     shards: Vec<ShardRuntime>,
     hedge_cfg: HedgeConfig,
+    /// Keys with an outstanding read: the cross-submit dedup table, keyed
+    /// by `(version tag at submit, key)` so riders pinned to different
+    /// versions of a [`crate::VersionedStore`]/[`crate::VersionView`]
+    /// never share a physical read (unversioned stores all tag `0`, so
+    /// the table degenerates to the plain per-key one). Holds only
+    /// unanswered jobs' slots — an answered job's entries are removed
+    /// immediately.
+    inflight: Mutex<HashMap<(u64, CoeffKey), InflightEntry>>,
+    /// Keys currently outstanding (queued or running).
+    pending_keys: AtomicU64,
+    /// Submitted keys that joined an already-outstanding read instead of
+    /// queueing their own.
+    dedup_hits: AtomicU64,
     /// Outstanding obligations: queued/running primary jobs plus
     /// unprocessed hedge entries. Zero ⇔ quiescent.
-    inflight: Mutex<u64>,
+    obligations: Mutex<u64>,
     idle_cv: Condvar,
     counters: Counters,
-    tracing: Option<ShardTracing>,
+    tracing: Option<Tracing>,
 }
 
 impl RouterShared {
     fn obligation_add(&self, n: u64) {
-        *self.inflight.lock().unwrap_or_else(|e| e.into_inner()) += n;
+        *self.obligations.lock().unwrap_or_else(|e| e.into_inner()) += n;
     }
 
     fn obligation_done(&self) {
-        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        *inflight -= 1;
-        if *inflight == 0 {
+        let mut obligations = self.obligations.lock().unwrap_or_else(|e| e.into_inner());
+        *obligations -= 1;
+        if *obligations == 0 {
             self.idle_cv.notify_all();
         }
+    }
+
+    /// Claims the right to answer `job`, once: the first caller (primary,
+    /// replica or the dead-shard refusal, each with its verdicts in hand)
+    /// retires the job's in-flight entries, ends its `store.read` span and
+    /// returns `true` — it then publishes; a later caller lost the race
+    /// and its verdicts are discarded. Entries leave the table *before*
+    /// the verdicts land, so whoever sees a completion resolve also sees
+    /// its keys readable afresh — a submit can join a read only while the
+    /// read is really outstanding.
+    fn retire(&self, job: &ShardJob, ok: bool) -> bool {
+        if job.done.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        {
+            // Only entries still holding this job's own slots: a read
+            // that some later submit re-inserted is never evicted by a
+            // job that does not own it.
+            let mut table = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            for (key, slot) in job.keys.iter().zip(&job.slots) {
+                let tagged = (job.tag, *key);
+                if table
+                    .get(&tagged)
+                    .is_some_and(|e| Arc::ptr_eq(&e.slot, slot))
+                {
+                    table.remove(&tagged);
+                }
+            }
+        }
+        self.pending_keys
+            .fetch_sub(job.keys.len() as u64, Ordering::Relaxed);
+        if let Some(t) = &self.tracing {
+            t.sink
+                .emit(&span_end_event(t.root(job.span), t.tracer.now_ns()).bool("ok", ok));
+        }
+        true
+    }
+
+    /// [`RouterShared::retire`]s `job` and, if that won, publishes
+    /// `fetched` to its slots; returns whether it did. A batch error has
+    /// no per-key verdicts: every rider sees the same error (collapsed to
+    /// the earliest index by `Completion::wait`) and falls back to
+    /// singleton attribution, exactly as on the blocking path.
+    fn answer(&self, job: &ShardJob, fetched: &Result<Vec<Option<f64>>, StorageError>) -> bool {
+        let won = self.retire(job, fetched.is_ok());
+        if won {
+            match fetched {
+                Ok(values) => {
+                    for (slot, value) in job.slots.iter().zip(values) {
+                        slot.try_complete(Ok(*value));
+                    }
+                }
+                Err(e) => {
+                    for slot in &job.slots {
+                        slot.try_complete(Err(e.clone()));
+                    }
+                }
+            }
+        }
+        won
     }
 
     /// The hedge delay for `shard`: p99 over the *other* shards' latency
@@ -419,10 +557,10 @@ impl RouterShared {
 /// Scatter-gather store over N shard clients (see the module docs).
 ///
 /// Implements [`CoefficientStore`]: singleton reads route to the owning
-/// shard, batched submits fan out one RPC per shard, and
-/// [`CoefficientStore::quiesce`] drains every queue and in-flight hedge.
-/// Dropping the router drains outstanding work (every published completion
-/// still resolves) and joins the workers.
+/// shard, batched submits join outstanding reads and fan the rest out as
+/// one RPC per shard, and [`CoefficientStore::quiesce`] drains every queue
+/// and in-flight hedge. Dropping the router drains outstanding work (every
+/// published completion still resolves) and joins the workers.
 pub struct ShardRouter {
     shared: Arc<RouterShared>,
     workers: Vec<JoinHandle<()>>,
@@ -434,19 +572,39 @@ impl ShardRouter {
         Self::with_instrumentation(clients, hedge, None, None)
     }
 
-    /// The general constructor (what `batchbb-serve` uses). With a
-    /// `registry`, per-shard counters (`store.shard.{i}.rpcs` / `.errors` /
-    /// `.hedges` / `.hedge_wins`) are wired into it; with `tracing`,
-    /// `store.shard.read` and `store.shard.hedge` spans are emitted into
-    /// the sink on the tracer's clock — wire the same [`Tracer`] the serve
-    /// pool uses so shard spans are time-comparable with batch lifecycles.
+    /// [`ShardRouter::new`] with instrumentation. With a `registry`,
+    /// per-shard counters (`store.shard.{i}.rpcs` / `.errors` / `.hedges`
+    /// / `.hedge_wins`) are wired into it; with `tracing`, the router emits
+    /// causal spans into the sink on the tracer's clock: one `store.read`
+    /// span per physical RPC (submit → answer, so the span measures
+    /// queueing plus the shard's I/O; fields `shard`, `keys`, `tag`), one
+    /// `store.rider` span per submit that joined an outstanding read,
+    /// carrying the joined read's span id in its `physical` field, and one
+    /// `store.shard.hedge` span per replica fetch. Wire the **same**
+    /// [`Tracer`] the serve pool uses so store spans are time-comparable
+    /// with batch lifecycles.
     pub fn with_instrumentation(
         clients: Vec<ShardClient>,
         hedge: HedgeConfig,
         registry: Option<&MetricsRegistry>,
         tracing: Option<(Tracer, Arc<dyn EventSink>)>,
     ) -> Self {
+        Self::with_workers(clients, hedge, 1, registry, tracing)
+    }
+
+    /// The general constructor: `workers >= 1` primary I/O workers per
+    /// unreplicated shard. A replicated shard always gets exactly one —
+    /// its hedge queue is only FIFO-consistent with a single primary
+    /// worker (see `hedge_loop`).
+    pub(crate) fn with_workers(
+        clients: Vec<ShardClient>,
+        hedge: HedgeConfig,
+        workers: usize,
+        registry: Option<&MetricsRegistry>,
+        tracing: Option<(Tracer, Arc<dyn EventSink>)>,
+    ) -> Self {
         assert!(!clients.is_empty(), "need at least one shard");
+        assert!(workers >= 1, "need at least one I/O thread");
         let shards = clients
             .into_iter()
             .enumerate()
@@ -475,21 +633,30 @@ impl ShardRouter {
         let shared = Arc::new(RouterShared {
             shards,
             hedge_cfg: hedge,
-            inflight: Mutex::new(0),
+            inflight: Mutex::new(HashMap::new()),
+            pending_keys: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
+            obligations: Mutex::new(0),
             idle_cv: Condvar::new(),
             counters: Counters::default(),
-            tracing: tracing.map(|(tracer, sink)| ShardTracing { tracer, sink }),
+            tracing: tracing.map(|(tracer, sink)| Tracing { tracer, sink }),
         });
-        let mut workers = Vec::new();
+        let mut handles = Vec::new();
         for i in 0..shared.shards.len() {
-            let s = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || primary_loop(&s, i)));
-            if shared.shards[i].client.is_replicated() {
+            let replicated = shared.shards[i].client.is_replicated();
+            for _ in 0..if replicated { 1 } else { workers } {
                 let s = Arc::clone(&shared);
-                workers.push(std::thread::spawn(move || hedge_loop(&s, i)));
+                handles.push(std::thread::spawn(move || primary_loop(&s, i)));
+            }
+            if replicated {
+                let s = Arc::clone(&shared);
+                handles.push(std::thread::spawn(move || hedge_loop(&s, i)));
             }
         }
-        ShardRouter { shared, workers }
+        ShardRouter {
+            shared,
+            workers: handles,
+        }
     }
 
     /// How many shards the router scatters over.
@@ -527,6 +694,17 @@ impl ShardRouter {
     pub fn hedge_delay_ns(&self, i: usize) -> u64 {
         self.shared.hedge_delay_ns(i)
     }
+
+    /// How many submitted keys joined an already-outstanding read
+    /// (cross-submit or within one submit) instead of queueing their own.
+    pub fn dedup_hits(&self) -> u64 {
+        self.shared.dedup_hits.load(Ordering::Relaxed)
+    }
+
+    /// Keys currently outstanding (queued or running).
+    pub fn pending_depth(&self) -> u64 {
+        self.shared.pending_keys.load(Ordering::Relaxed)
+    }
 }
 
 impl CoefficientStore for ShardRouter {
@@ -534,7 +712,7 @@ impl CoefficientStore for ShardRouter {
         self.shared.counters.count_retrieval();
         self.shared.counters.count_physical();
         let rt = &self.shared.shards[shard_of(key, self.shared.shards.len())];
-        rt.count_singleton();
+        rt.count_rpc(1);
         rt.client.primary.get(key)
     }
 
@@ -542,7 +720,7 @@ impl CoefficientStore for ShardRouter {
         self.shared.counters.count_retrieval();
         self.shared.counters.count_physical();
         let rt = &self.shared.shards[shard_of(key, self.shared.shards.len())];
-        rt.count_singleton();
+        rt.count_rpc(1);
         if rt.client.is_dead() {
             return match &rt.client.replica {
                 Some(replica) => {
@@ -562,32 +740,98 @@ impl CoefficientStore for ShardRouter {
         self.submit(keys).wait()
     }
 
-    /// Scatters the window into one RPC per owning shard and returns a
-    /// completion aggregating every per-key verdict (slots in input
-    /// order, so [`Completion::wait`]'s earliest-index error collapse and
-    /// value ordering match the single-store contract).
+    /// Joins the keys already in flight *at the same version* (one dedup
+    /// hit each), scatters the rest into one RPC per owning shard, and
+    /// returns a completion aggregating every per-key verdict (slots in
+    /// input order, so [`Completion::wait`]'s earliest-index error
+    /// collapse and value ordering match the single-store contract). The
+    /// version tag is sampled once per submit: a submit issued after a
+    /// version advance never joins a read issued before it (see DESIGN.md
+    /// §13 for the advance protocol that makes the remaining fetch/advance
+    /// interleavings benign).
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         let shared = &self.shared;
         let n = shared.shards.len();
+        let tag = self.version_tag();
         let mut slots = Vec::with_capacity(keys.len());
-        let mut groups: Vec<(Vec<CoeffKey>, Vec<Arc<InflightSlot>>)> =
-            (0..n).map(|_| (Vec::new(), Vec::new())).collect();
-        for key in keys {
-            shared.counters.count_retrieval();
-            let slot = Arc::new(InflightSlot::new());
-            let s = shard_of(key, n);
-            groups[s].0.push(*key);
-            groups[s].1.push(Arc::clone(&slot));
-            slots.push(slot);
+        let mut legs: Vec<Leg> = (0..n).map(|_| Leg::default()).collect();
+        // Physical spans this submit rode instead of reading: span id →
+        // keys joined. Only populated when tracing is on.
+        let mut joined: Vec<(u64, u64)> = Vec::new();
+        {
+            let mut table = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            for key in keys {
+                shared.counters.count_retrieval();
+                let leg = &mut legs[shard_of(key, n)];
+                if let Some(entry) = table.get(&(tag, *key)) {
+                    shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                    leg.rode = true;
+                    if shared.tracing.is_some() {
+                        match joined.iter_mut().find(|(span, _)| *span == entry.span) {
+                            Some((_, count)) => *count += 1,
+                            None => joined.push((entry.span, 1)),
+                        }
+                    }
+                    slots.push(Arc::clone(&entry.slot));
+                    continue;
+                }
+                if let (Some(t), 0) = (&shared.tracing, leg.span) {
+                    leg.span = t.tracer.next_span_id();
+                }
+                let slot = Arc::new(InflightSlot::new());
+                table.insert(
+                    (tag, *key),
+                    InflightEntry {
+                        slot: Arc::clone(&slot),
+                        span: leg.span,
+                    },
+                );
+                leg.keys.push(*key);
+                leg.slots.push(Arc::clone(&slot));
+                slots.push(slot);
+            }
         }
-        for (i, (shard_keys, shard_slots)) in groups.into_iter().enumerate() {
-            if shard_keys.is_empty() {
+        if let Some(t) = &shared.tracing {
+            let now = t.tracer.now_ns();
+            for (i, leg) in legs.iter().enumerate() {
+                if leg.span != 0 {
+                    t.sink.emit(
+                        &span_start_event("store.read", t.root(leg.span), now)
+                            .u64("shard", i as u64)
+                            .u64("keys", leg.keys.len() as u64)
+                            .u64("tag", tag),
+                    );
+                }
+            }
+            // One rider span per distinct physical read this submit
+            // joined; `physical` names the shared `store.read` span so
+            // attribution can fan the one I/O out to every rider.
+            for &(physical, keys_joined) in &joined {
+                let ctx = t.tracer.root_context();
+                t.sink.emit(
+                    &span_start_event("store.rider", ctx, now)
+                        .u64("physical", physical)
+                        .u64("keys", keys_joined),
+                );
+                t.sink.emit(&span_end_event(ctx, now));
+            }
+        }
+        for (i, leg) in legs.into_iter().enumerate() {
+            let rt = &shared.shards[i];
+            if leg.keys.is_empty() {
+                if leg.rode {
+                    rt.count_rpc(0);
+                }
                 continue;
             }
-            let rt = &shared.shards[i];
+            shared
+                .pending_keys
+                .fetch_add(leg.keys.len() as u64, Ordering::Relaxed);
             let job = Arc::new(ShardJob {
-                keys: shard_keys,
-                slots: shard_slots,
+                tag,
+                keys: leg.keys,
+                slots: leg.slots,
+                span: leg.span,
                 done: AtomicBool::new(false),
                 primary_failed: AtomicBool::new(false),
             });
@@ -612,19 +856,28 @@ impl CoefficientStore for ShardRouter {
     }
 
     /// Blocks until every queued RPC, running fetch, and pending hedge
-    /// entry has been processed — the write barrier live updates need.
+    /// entry has been processed, then quiesces every shard's stores: after
+    /// `quiesce` returns the in-flight table is empty and the counters are
+    /// final (DESIGN.md §12).
     fn quiesce(&self) {
-        let mut inflight = self
+        let mut obligations = self
             .shared
-            .inflight
+            .obligations
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        while *inflight > 0 {
-            inflight = self
+        while *obligations > 0 {
+            obligations = self
                 .shared
                 .idle_cv
-                .wait(inflight)
+                .wait(obligations)
                 .unwrap_or_else(|e| e.into_inner());
+        }
+        drop(obligations);
+        for rt in &self.shared.shards {
+            rt.client.primary.quiesce();
+            if let Some(replica) = &rt.client.replica {
+                replica.quiesce();
+            }
         }
     }
 
@@ -670,8 +923,9 @@ impl Drop for ShardRouter {
     }
 }
 
-/// Primary worker body for shard `i`: pop a job, fetch it through the
-/// shard's primary, publish per-key verdicts (or signal failover).
+/// Primary worker body for shard `i` (an unreplicated shard may run
+/// several): pop a job, fetch it through the shard's primary, publish
+/// per-key verdicts (or signal failover).
 fn primary_loop(shared: &RouterShared, i: usize) {
     let rt = &shared.shards[i];
     loop {
@@ -706,65 +960,30 @@ fn run_primary(shared: &RouterShared, i: usize, job: &ShardJob) {
             if let Some(m) = &rt.metrics {
                 m.errors.inc();
             }
-            for (key, slot) in job.keys.iter().zip(&job.slots) {
-                slot.try_complete(Err(StorageError::Permanent { key: *key }));
+            if shared.retire(job, false) {
+                for (key, slot) in job.keys.iter().zip(&job.slots) {
+                    slot.try_complete(Err(StorageError::Permanent { key: *key }));
+                }
             }
-            job.done.store(true, Ordering::Release);
         }
         return;
     }
-    let span = shared.tracing.as_ref().map(|t| {
-        let ctx = TraceContext {
-            trace_id: t.tracer.trace_id(),
-            span_id: t.tracer.next_span_id(),
-            parent_span_id: None,
-        };
-        t.sink.emit(
-            &span_start_event("store.shard.read", ctx, t.tracer.now_ns())
-                .u64("shard", i as u64)
-                .u64("keys", job.keys.len() as u64),
-        );
-        ctx
-    });
     let started = Instant::now();
     let fetched = rt.client.primary.try_get_many(&job.keys);
     let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     rt.record_latency(elapsed);
     shared.counters.count_physical();
-    rt.counters.rpcs.fetch_add(1, Ordering::Relaxed);
-    rt.counters
-        .keys
-        .fetch_add(job.keys.len() as u64, Ordering::Relaxed);
-    if let Some(m) = &rt.metrics {
-        m.rpcs.inc();
-    }
-    match &fetched {
-        Ok(values) => {
-            for (slot, value) in job.slots.iter().zip(values) {
-                slot.try_complete(Ok(*value));
-            }
-        }
-        Err(e) => {
-            rt.counters.errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &rt.metrics {
-                m.errors.inc();
-            }
-            // Same whole-batch-failure contract as the async engine: every
-            // slot sees the error; the executor's singleton fallback
-            // attributes it per key.
-            for slot in &job.slots {
-                slot.try_complete(Err(e.clone()));
-            }
+    rt.count_rpc(job.keys.len() as u64);
+    if fetched.is_err() {
+        rt.counters.errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &rt.metrics {
+            m.errors.inc();
         }
     }
-    job.done.swap(true, Ordering::AcqRel);
+    shared.answer(job, &fetched);
     if rt.client.is_replicated() {
         // Wake the hedge worker so a not-yet-fired hedge cancels now.
         rt.hedge_cv.notify_all();
-    }
-    if let (Some(t), Some(ctx)) = (&shared.tracing, span) {
-        t.sink
-            .emit(&span_end_event(ctx, t.tracer.now_ns()).bool("ok", fetched.is_ok()));
     }
 }
 
@@ -857,11 +1076,7 @@ fn run_hedge(
         m.hedges.inc();
     }
     let span = shared.tracing.as_ref().map(|t| {
-        let ctx = TraceContext {
-            trace_id: t.tracer.trace_id(),
-            span_id: t.tracer.next_span_id(),
-            parent_span_id: None,
-        };
+        let ctx = t.root(t.tracer.next_span_id());
         t.sink.emit(
             &span_start_event("store.shard.hedge", ctx, t.tracer.now_ns())
                 .u64("shard", i as u64)
@@ -872,19 +1087,7 @@ fn run_hedge(
     });
     let fetched = replica.try_get_many(&job.keys);
     shared.counters.count_physical();
-    match &fetched {
-        Ok(values) => {
-            for (slot, value) in job.slots.iter().zip(values) {
-                slot.try_complete(Ok(*value));
-            }
-        }
-        Err(e) => {
-            for slot in &job.slots {
-                slot.try_complete(Err(e.clone()));
-            }
-        }
-    }
-    let replica_won = !job.done.swap(true, Ordering::AcqRel);
+    let replica_won = shared.answer(job, &fetched);
     if replica_won && !failover {
         rt.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &rt.metrics {
@@ -901,38 +1104,24 @@ fn run_hedge(
 }
 
 /// Declarative shard topology: how many shards, whether they are
-/// replicated, and the mock-network latency profile — everything needed to
-/// partition a coefficient set into a [`ShardRouter`].
-///
-/// Defaults are a pass-through fabric (zero latency, no replication), so
-/// correctness tests pay nothing; benches dial in latency/jitter/spikes to
-/// make retrieval latency-bound.
+/// replicated, and the hedge policy — everything needed to partition a
+/// coefficient set into a pass-through (zero-latency) [`ShardRouter`] for
+/// correctness tests. Latency-bound fleets assemble their own
+/// [`ShardClient`]s over [`LatencyStore`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardTopology {
     shards: usize,
     replicate: bool,
-    base_ns: u64,
-    per_key_ns: u64,
-    jitter_ns: u64,
-    spike_permille: u32,
-    spike_ns: u64,
-    seed: u64,
     hedge: HedgeConfig,
 }
 
 impl ShardTopology {
-    /// A pass-through topology over `shards >= 1` shards.
+    /// An unreplicated topology over `shards >= 1` shards.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         ShardTopology {
             shards,
             replicate: false,
-            base_ns: 0,
-            per_key_ns: 0,
-            jitter_ns: 0,
-            spike_permille: 0,
-            spike_ns: 0,
-            seed: 0,
             hedge: HedgeConfig::default(),
         }
     }
@@ -943,88 +1132,37 @@ impl ShardTopology {
         self
     }
 
-    /// Sets the per-RPC service charge: `base_ns + per_key_ns × keys`.
-    pub fn with_latency(mut self, base_ns: u64, per_key_ns: u64) -> Self {
-        self.base_ns = base_ns;
-        self.per_key_ns = per_key_ns;
-        self
-    }
-
-    /// Adds uniform seeded jitter in `[0, jitter_ns)` per RPC.
-    pub fn with_jitter(mut self, jitter_ns: u64) -> Self {
-        self.jitter_ns = jitter_ns;
-        self
-    }
-
-    /// Adds a seeded long-tail spike (`permille` in 1000 RPCs pay
-    /// `spike_ns` extra).
-    pub fn with_spikes(mut self, permille: u32, spike_ns: u64) -> Self {
-        self.spike_permille = permille;
-        self.spike_ns = spike_ns;
-        self
-    }
-
-    /// Seeds the per-shard jitter/spike streams.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Overrides the hedge configuration.
     pub fn with_hedge(mut self, hedge: HedgeConfig) -> Self {
         self.hedge = hedge;
         self
     }
 
-    /// The shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The hedge configuration.
-    pub fn hedge(&self) -> HedgeConfig {
-        self.hedge
-    }
-
     /// Partitions `entries` by [`shard_of`] into per-shard
-    /// [`MemoryStore`]s behind [`LatencyStore`] boundaries, and returns
-    /// the shard clients (replicas are independent copies with their own
-    /// latency streams). Each shard holds **only** its own partition —
-    /// mis-routing reads zeros, which the bit-identity proptests would
-    /// catch.
-    pub fn clients(&self, entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> Vec<ShardClient> {
+    /// [`MemoryStore`]s (replicas are independent copies) and routes over
+    /// them. Each shard holds **only** its own partition — mis-routing
+    /// reads zeros, which the bit-identity proptests would catch.
+    pub fn build(&self, entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> ShardRouter {
         let mut partitions: Vec<Vec<(CoeffKey, f64)>> =
             (0..self.shards).map(|_| Vec::new()).collect();
         for (key, value) in entries {
             partitions[shard_of(&key, self.shards)].push((key, value));
         }
-        partitions
-            .into_iter()
-            .enumerate()
-            .map(|(i, partition)| {
-                let wrap = |store: MemoryStore, salt: u64| -> Arc<dyn CoefficientStore> {
-                    Arc::new(
-                        LatencyStore::new(store, self.base_ns, self.per_key_ns)
-                            .with_jitter(self.jitter_ns)
-                            .with_spikes(self.spike_permille, self.spike_ns)
-                            .with_seed(mix(self.seed ^ (i as u64) ^ salt)),
-                    )
-                };
-                let primary = wrap(MemoryStore::from_entries(partition.iter().copied()), 0);
-                let mut client = ShardClient::new(primary);
+        let store = |partition: &[(CoeffKey, f64)]| -> Arc<dyn CoefficientStore> {
+            Arc::new(MemoryStore::from_entries(partition.iter().copied()))
+        };
+        let clients = partitions
+            .iter()
+            .map(|partition| {
+                let client = ShardClient::new(store(partition));
                 if self.replicate {
-                    let replica =
-                        wrap(MemoryStore::from_entries(partition.iter().copied()), 0x9e37);
-                    client = client.with_replica(replica);
+                    client.with_replica(store(partition))
+                } else {
+                    client
                 }
-                client
             })
-            .collect()
-    }
-
-    /// [`ShardTopology::clients`] + [`ShardRouter::new`] in one step.
-    pub fn build(&self, entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> ShardRouter {
-        ShardRouter::new(self.clients(entries), self.hedge)
+            .collect();
+        ShardRouter::new(clients, self.hedge)
     }
 }
 
@@ -1112,6 +1250,7 @@ mod tests {
         router.quiesce();
         assert!(router.shard_stats()[0].failovers >= 2);
         assert_eq!(router.shard_stats()[0].hedge_wins, 0);
+        assert_eq!(router.pending_depth(), 0, "failed-over jobs retire once");
     }
 
     #[test]
@@ -1170,6 +1309,175 @@ mod tests {
         let s0 = router.shard_stats()[0];
         assert!(s0.hedges_launched >= 1, "hedge fired on the slow shard");
         assert!(s0.hedge_wins >= 1, "replica won against a 50ms primary");
+        // Both sides answered shard 0's job; only the winner retired it.
+        assert_eq!(router.pending_depth(), 0, "a raced job retires once");
+    }
+
+    /// Logs every batched fetch's keys, then holds it while the test holds
+    /// `gate` — so a read is provably outstanding while later submits
+    /// arrive.
+    struct Gated<S> {
+        inner: S,
+        gate: Mutex<()>,
+        log: Mutex<Vec<Vec<CoeffKey>>>,
+    }
+
+    impl<S: CoefficientStore> Gated<S> {
+        fn new(inner: S) -> Arc<Self> {
+            Arc::new(Gated {
+                inner,
+                gate: Mutex::new(()),
+                log: Mutex::new(Vec::new()),
+            })
+        }
+
+        /// The key lists of the batched fetches seen so far.
+        fn batches(&self) -> Vec<Vec<CoeffKey>> {
+            self.log.lock().unwrap().clone()
+        }
+    }
+
+    impl<S: CoefficientStore> CoefficientStore for Gated<S> {
+        fn get(&self, key: &CoeffKey) -> Option<f64> {
+            self.inner.get(key)
+        }
+        fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+            self.log.lock().unwrap().push(keys.to_vec());
+            drop(self.gate.lock().unwrap());
+            self.inner.try_get_many(keys)
+        }
+        fn version_tag(&self) -> u64 {
+            self.inner.version_tag()
+        }
+        fn nnz(&self) -> usize {
+            self.inner.nnz()
+        }
+        fn stats(&self) -> IoStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+    }
+
+    /// An unreplicated router over `entries(n)` split across `shards`
+    /// gated stores, plus the gates.
+    fn gated_router(shards: usize, n: usize) -> (ShardRouter, Vec<Arc<Gated<MemoryStore>>>) {
+        let gates: Vec<_> = (0..shards)
+            .map(|i| {
+                let part = entries(n)
+                    .into_iter()
+                    .filter(|(k, _)| shard_of(k, shards) == i);
+                Gated::new(MemoryStore::from_entries(part))
+            })
+            .collect();
+        let clients = gates
+            .iter()
+            .map(|g| ShardClient::new(Arc::clone(g) as Arc<dyn CoefficientStore>))
+            .collect();
+        (ShardRouter::new(clients, HedgeConfig::default()), gates)
+    }
+
+    #[test]
+    fn windows_sharing_keys_read_each_key_once_per_shard() {
+        let (router, gates) = gated_router(2, 24);
+        let single = MemoryStore::from_entries(entries(24));
+        let all = keys(24);
+        // Two windows overlapping on keys 8..16, both submitted while every
+        // shard's first RPC is stuck at its gate: the second window's
+        // shared keys must join the first's reads.
+        let closed: Vec<_> = gates.iter().map(|g| g.gate.lock().unwrap()).collect();
+        let a = router.submit(&all[..16]);
+        let b = router.submit(&all[8..]);
+        assert_eq!(router.dedup_hits(), 8, "each shared key joins once");
+        assert_eq!(router.pending_depth(), 24, "riders add nothing to read");
+        drop(closed);
+        assert_eq!(a.wait(), single.try_get_many(&all[..16]));
+        assert_eq!(b.wait(), single.try_get_many(&all[8..]));
+        router.quiesce();
+        assert_eq!(router.pending_depth(), 0);
+        let mut read: Vec<CoeffKey> = Vec::new();
+        for (i, gate) in gates.iter().enumerate() {
+            for key in gate.batches().into_iter().flatten() {
+                assert_eq!(shard_of(&key, 2), i, "key read on the wrong shard");
+                read.push(key);
+            }
+        }
+        read.sort_unstable();
+        let mut want = all.clone();
+        want.sort_unstable();
+        assert_eq!(read, want, "every key crossed the wire exactly once");
+        // The table holds only outstanding reads: a later submit re-reads.
+        router.submit(&all[8..16]).wait().unwrap();
+        let reread: usize = gates.iter().map(|g| g.batches().concat().len()).sum();
+        assert_eq!(reread, 24 + 8);
+    }
+
+    #[test]
+    fn a_submit_after_a_version_advance_never_joins_an_older_read() {
+        let probe = CoeffKey::new(&[0, 1]);
+        let versioned = crate::VersionedStore::from_entries([(probe, 0.5)]);
+        let gate = Gated::new(versioned.pin()); // v0
+        let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
+        let router = ShardRouter::new(vec![client], HedgeConfig::default());
+        let closed = gate.gate.lock().unwrap();
+        // Rider A reads `probe` at v0 and is stuck at the gate.
+        let a = router.submit(&[probe]);
+        // Publish a version touching a *different* key and advance the
+        // view: `probe`'s value is unchanged, only the tag moved.
+        versioned.publish(&[(CoeffKey::new(&[7, 7]), 1.0)]);
+        gate.inner.advance_to_current();
+        let b = router.submit(&[probe]);
+        assert_eq!(
+            router.dedup_hits(),
+            0,
+            "a post-advance submit must not join a pre-advance read"
+        );
+        // Same-version riders still share.
+        let c = router.submit(&[probe]);
+        assert_eq!(router.dedup_hits(), 1);
+        drop(closed);
+        for completion in [a, b, c] {
+            assert_eq!(completion.wait().unwrap(), vec![Some(0.5)]);
+        }
+        router.quiesce();
+        assert_eq!(gate.batches().len(), 2, "two versions, two physical reads");
+        assert_eq!(router.pending_depth(), 0);
+        // C's leg sent nothing; it still counts, as an RPC of zero keys.
+        let stats = router.shard_stats()[0];
+        assert_eq!((stats.rpcs, stats.keys), (3, 2));
+    }
+
+    #[test]
+    fn a_dead_shard_refusal_reaches_its_riders_and_retires_its_entries() {
+        let (router, gates) = gated_router(1, 8);
+        let all = keys(8);
+        // Park the shard's one worker inside a gated read, so the next job
+        // stays queued — and joinable — until the gate opens.
+        let closed = gates[0].gate.lock().unwrap();
+        let blocker = router.submit(&all[..1]);
+        while gates[0].batches().is_empty() {
+            std::thread::yield_now();
+        }
+        router.fail_shard(0);
+        let a = router.submit(&all[1..3]);
+        let b = router.submit(&all[1..3]);
+        assert_eq!(router.dedup_hits(), 2, "the second submit rides the first");
+        drop(closed);
+        blocker.wait().unwrap();
+        // The queued job meets the dead flag: one refusal, both riders see
+        // `Permanent` with the earliest key.
+        let refused = Err(StorageError::Permanent { key: all[1] });
+        assert_eq!(a.wait(), refused);
+        assert_eq!(b.wait(), refused);
+        router.quiesce();
+        assert_eq!(router.pending_depth(), 0, "the refusal retired its entries");
+        assert_eq!(gates[0].batches().len(), 1, "a refusal reads nothing");
+        // A stale entry would hand the resubmit the old refusal: after the
+        // heal it must read again and succeed.
+        router.heal_shard(0);
+        assert!(router.submit(&all[1..3]).wait().is_ok());
+        assert_eq!(gates[0].batches().len(), 2);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! hits, its misses cross to the inner store as **one** `submit`, and the
 //! fetched values are memoized when the returned [`Completion`] is taken.
 //! A coefficient is then fetched *at most once while resident, and once
-//! while outstanding whenever the inner store de-duplicates in flight* —
-//! which [`crate::AsyncFetchStore`] and [`crate::ShardRouter`] do, so the
-//! cache composes with either engine beneath it: the batch parks on the
-//! inner completion and racing windows ride one physical read. Over a
-//! plain blocking store two windows racing on a cold key may each read it.
+//! while outstanding when the inner store shares in-flight reads* — which
+//! the crate's one asynchronous engine does ([`crate::ShardRouter`], and
+//! [`crate::AsyncFetchStore`], which is that engine over one shard;
+//! DESIGN.md §12), so the cache composes with it beneath: the batch parks
+//! on the inner completion and racing windows ride one physical read. Over
+//! a plain blocking store two windows racing on a cold key may each read
+//! it.
 //! The memo never holds a pending marker, so a completion dropped
 //! unresolved leaves no trace and cannot strand a reader.
 //!
@@ -249,11 +251,6 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
     /// The wrapped store.
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.memo.shards.len()
     }
 
     /// Number of memoized keys across all shards.

@@ -4,9 +4,11 @@
 #[path = "common/forwarding.rs"]
 mod forwarding;
 
+use std::sync::Arc;
+
 use batchbb_storage::{
-    AsyncFetchStore, FaultInjectingStore, FaultPlan, InstrumentedStore, LatencyStore,
-    ShardedCachingStore,
+    AsyncFetchStore, FaultInjectingStore, FaultPlan, HedgeConfig, InstrumentedStore, LatencyStore,
+    ShardClient, ShardRouter, ShardedCachingStore,
 };
 use forwarding::Harness;
 
@@ -48,4 +50,14 @@ fn sharded_caching_store_forwards() {
 fn async_fetch_store_forwards() {
     let h = Harness::new();
     h.check(&AsyncFetchStore::new(h.probe(), 2), "AsyncFetchStore");
+}
+
+#[test]
+fn shard_router_forwards() {
+    let h = Harness::new();
+    let client = ShardClient::new(Arc::new(h.probe()));
+    h.check(
+        &ShardRouter::new(vec![client], HedgeConfig::default()),
+        "ShardRouter",
+    );
 }

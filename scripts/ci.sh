@@ -20,8 +20,11 @@
 #                tests including the held-locks update check and the
 #                unversioned-update panic, and the bench_mixed smoke
 #   --sharded    run ONLY the sharded retrieval gate: the scatter-gather
-#                bit-identity proptest, the dead-shard degradation test,
-#                the compaction version-log bound, the shard-router and
+#                bit-identity proptest and the dead-shard degradation test
+#                (a ShardRouter handed to plain serve), the compaction
+#                version-log bound, the one I/O engine's unit tests (the
+#                router's in-flight table, hedging and forwarding; the
+#                same engine as a one-shard AsyncFetchStore), the
 #                eviction-policy unit tests, the bench_shards/bench_cache
 #                smokes, and the bench-regression guard over the recorded
 #                scaling, hedging, and eviction thresholds
@@ -109,21 +112,26 @@ mixed_gate() {
     run cargo test -q -p batchbb-bench --bench bench_mixed
 }
 
-# Sharded retrieval gate (DESIGN.md §15): the scatter-gather proptest —
-# sharded serving must be bit-identical to a single-store run across
-# shard counts, replication factors, and seeded fault plans; the
+# Sharded retrieval gate (DESIGN.md §12, §15): the scatter-gather
+# proptest — a ShardRouter handed to plain `serve` must be bit-identical
+# to a single-store run across shard counts, replication and pool
+# shapes, with every retrieval accounted for by an RPC or a ride; the
 # dead-shard test — a downed shard yields certified DegradationReports
 # on the batches that needed it and leaves every other batch exact; the
-# version-log bound — long sharded sessions with compaction wired into
-# the serve loop keep the delta log from growing without bound; the
-# shard-router and cache-eviction unit tests; and the bench_shards /
-# bench_cache smokes, whose recorded thresholds (4-shard retrieval
-# speedup >= 3x, hedged p99 <= 2x the healthy baseline with one
-# 10x-slow shard, importance-weighted eviction beating LRU under scan
-# pressure) the bench-regression guard then re-checks.
+# version-log bound — long versioned sessions compact off the oldest
+# live pin, so the delta log does not grow without bound; the one I/O
+# engine's unit tests — the router's in-flight table (shared reads,
+# version isolation, refusal fan-out, retire-once under hedging and
+# failover), its forwarding-battery case, and the same engine as a
+# one-shard AsyncFetchStore; the cache-eviction unit tests; and the
+# bench_shards / bench_cache smokes, whose recorded thresholds (4-shard
+# retrieval speedup >= 3x, hedged p99 <= 2x the healthy baseline with
+# one 10x-slow shard, importance-weighted eviction beating LRU under
+# scan pressure) the bench-regression guard then re-checks.
 sharded_gate() {
     run cargo test -q -p batchbb --test sharded
     run cargo test -q -p batchbb-storage shard
+    run cargo test -q -p batchbb-storage async_fetch
     run cargo test -q -p batchbb-bench --bench bench_shards
     run cargo test -q -p batchbb-bench --bench bench_cache
     run cargo run -q --release -p batchbb-bench --bin progress_report -- \

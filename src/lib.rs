@@ -100,8 +100,7 @@ pub mod prelude {
     };
     pub use batchbb_serve::{
         AdmissionEstimate, BatchHandle, BatchRequest, BatchResult, BatchServer, BatchSnapshot,
-        BatchStatus, SchedulerPolicy, ServeConfig, ServeSession, ShardedRun, SloContract,
-        SloOutcome,
+        BatchStatus, ServeConfig, ServeSession, SloContract, SloOutcome,
     };
     pub use batchbb_storage::{
         retry::get_with_retry, shard_of, ArrayStore, AsyncFetchStore, CoefficientStore, Completion,

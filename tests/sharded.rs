@@ -7,8 +7,10 @@
 //! degradation* — deferred keys certified in each batch's
 //! `DegradationReport` and attributed back to the failing shard — never
 //! as a query error; batches that own no key on the dead shard must be
-//! untouched. And a long-serving versioned session must keep the version
-//! log bounded: the serve loop compacts off the oldest live pin.
+//! untouched. Sharding is a store, not a serve mode: every run here is a
+//! `ShardRouter` handed to plain `serve`. And a long-serving versioned
+//! session must keep the version log bounded: the serve loop compacts off
+//! the oldest live pin.
 
 use batchbb::prelude::*;
 
@@ -66,22 +68,27 @@ mod bit_identity {
             let k = single.abs_sum();
             let requests: Vec<BatchRequest<'_>> =
                 batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-            // The shared cache is off on both sides: serve_sharded forces
-            // it off (the router is the coalescing layer), and the
-            // baseline must count retrievals the same way.
+            // The shared cache is off on both sides: the router is the
+            // coalescing layer under test, and the baseline must count
+            // retrievals the same way.
             let config = ServeConfig::new(n_total, k)
                 .workers(workers)
                 .slice_steps(slice_steps)
                 .prefetch_window(window)
                 .share_cache(false);
             let baseline = BatchServer::new(config.clone()).serve(&single, &requests);
-            let mut topology = ShardTopology::new(shards).with_seed(7);
+            let mut topology = ShardTopology::new(shards);
             if replicate {
                 topology = topology.with_replication();
             }
-            let run = BatchServer::new(config.shard_topology(topology))
-                .serve_sharded(&entries, &requests);
-            for (single_result, sharded_result) in baseline.iter().zip(&run.results) {
+            let router = topology.build(entries.iter().copied());
+            let results = BatchServer::new(config).serve(&router, &requests);
+            // Drain outstanding hedge obligations so the counters below
+            // are final (a cancelled hedge may still sit queued after the
+            // last batch publishes).
+            router.quiesce();
+            let shard_stats = router.shard_stats();
+            for (single_result, sharded_result) in baseline.iter().zip(&results) {
                 prop_assert_eq!(single_result.status, BatchStatus::Exact);
                 prop_assert_eq!(sharded_result.status, BatchStatus::Exact);
                 prop_assert_eq!(single_result.estimates(), sharded_result.estimates());
@@ -91,18 +98,16 @@ mod bit_identity {
                 );
                 prop_assert_eq!(&single_result.report.fault, &sharded_result.report.fault);
             }
-            prop_assert_eq!(run.shard_stats.len(), shards);
-            prop_assert!(run.deferred_by_shard.iter().all(Vec::is_empty));
+            prop_assert_eq!(shard_stats.len(), shards);
+            prop_assert!(results.iter().all(|r| r.report.deferred.is_empty()));
             // Every logical retrieval was answered by some shard RPC —
             // singleton (window-1) calls and scatter-gather batches both
-            // land in the per-shard key account.
-            let rpc_keys: u64 = run.shard_stats.iter().map(|s| s.keys).sum();
-            let logical: u64 = run
-                .results
-                .iter()
-                .map(|r| r.report.fault.attempts)
-                .sum();
-            prop_assert!(rpc_keys >= logical);
+            // land in the per-shard key account — or rode one that was
+            // already outstanding.
+            let rpc_keys: u64 = shard_stats.iter().map(|s| s.keys).sum();
+            let logical: u64 = results.iter().map(|r| r.report.fault.attempts).sum();
+            prop_assert!(rpc_keys + router.dedup_hits() >= logical);
+            prop_assert_eq!(router.pending_depth(), 0);
         }
     }
 }
@@ -166,19 +171,39 @@ fn a_dead_shard_degrades_its_batches_and_spares_the_rest() {
         .expect("some shard hits the wide batch only");
     let requests: Vec<BatchRequest<'_>> =
         batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-    let config = ServeConfig::new(n_total, k)
-        .workers(2)
-        .slice_steps(4)
-        .prefetch_window(4)
-        .shard_topology(ShardTopology::new(SHARDS).with_seed(11));
-    let run = BatchServer::new(config.clone()).serve_sharded_with(&entries, &requests, |router| {
+    // The shared cache stays off: a cache on top would serve repeats from
+    // memory, hiding exactly the shard behavior under test.
+    let server = BatchServer::new(
+        ServeConfig::new(n_total, k)
+            .workers(2)
+            .slice_steps(4)
+            .prefetch_window(4)
+            .share_cache(false),
+    );
+    // Serves through `topology` with shard `dead` down from the start and
+    // returns the results, the final per-shard counters, and every
+    // deferred `(key, importance)` attributed to the shard owning the key
+    // — the per-shard blast radius of the failure.
+    let serve_with_dead_shard = |topology: ShardTopology| {
+        let router = topology.build(entries.iter().copied());
         router.fail_shard(dead);
-    });
+        let results = server.serve(&router, &requests);
+        router.quiesce();
+        let mut deferred_by_shard = vec![Vec::new(); SHARDS];
+        for result in &results {
+            for &(key, importance) in &result.report.deferred {
+                deferred_by_shard[shard_of(&key, SHARDS)].push((key, importance));
+            }
+        }
+        (results, router.shard_stats(), deferred_by_shard)
+    };
+    let (results, shard_stats, deferred_by_shard) =
+        serve_with_dead_shard(ShardTopology::new(SHARDS));
 
     // The affected batch finalizes *degraded*, never errored: its
     // DegradationReport reconciles and names exactly the dead shard's
     // keys as deferred.
-    let wide_result = &run.results[0];
+    let wide_result = &results[0];
     assert_eq!(wide_result.status, BatchStatus::Degraded);
     let report = &wide_result.report;
     assert!(!report.is_exact);
@@ -199,7 +224,7 @@ fn a_dead_shard_degrades_its_batches_and_spares_the_rest() {
 
     // The batch with no key on the dead shard is bit-identical to a
     // healthy serial run — unaffected, not merely "still correct".
-    let narrow_result = &run.results[1];
+    let narrow_result = &results[1];
     assert_eq!(narrow_result.status, BatchStatus::Exact);
     let single = MemoryStore::from_entries(entries.iter().copied());
     let mut serial = ProgressiveExecutor::new(&batches[1], &Sse, &single);
@@ -210,35 +235,24 @@ fn a_dead_shard_degrades_its_batches_and_spares_the_rest() {
     // The run-level attribution account reconciles with the reports:
     // every deferred key lands in the dead shard's bucket, none anywhere
     // else.
-    assert_eq!(run.deferred_by_shard[dead].len(), report.deferred.len());
-    for (shard, bucket) in run.deferred_by_shard.iter().enumerate() {
+    assert_eq!(deferred_by_shard[dead].len(), report.deferred.len());
+    for (shard, bucket) in deferred_by_shard.iter().enumerate() {
         if shard != dead {
             assert!(bucket.is_empty(), "shard {shard} wrongly blamed");
         }
     }
-    assert!(
-        run.shard_stats[dead].errors > 0,
-        "dead shard surfaced errors"
-    );
+    assert!(shard_stats[dead].errors > 0, "dead shard surfaced errors");
 
     // With replication the same topology serves the same run *exactly*:
     // the dead primary fails over to its replica.
-    let replicated = BatchServer::new(
-        ServeConfig::new(n_total, k)
-            .workers(2)
-            .slice_steps(4)
-            .prefetch_window(4)
-            .shard_topology(ShardTopology::new(SHARDS).with_seed(11).with_replication()),
-    )
-    .serve_sharded_with(&entries, &requests, |router| {
-        router.fail_shard(dead);
-    });
-    for result in &replicated.results {
+    let (replicated, replicated_stats, _) =
+        serve_with_dead_shard(ShardTopology::new(SHARDS).with_replication());
+    for result in &replicated {
         assert_eq!(result.status, BatchStatus::Exact);
         assert!(result.report.deferred.is_empty());
     }
     assert!(
-        replicated.shard_stats[dead].failovers > 0,
+        replicated_stats[dead].failovers > 0,
         "replica must have covered the dead primary"
     );
 }
