@@ -288,19 +288,25 @@ fn check_bench(path: &str) -> ExitCode {
                 3.0,
             );
             // The shared cache above the engine must keep the overlap
-            // (same floor) and can only remove round-trips.
+            // (same floor).
             floor(
                 "bench_async_overlap",
                 "cached_speedup",
                 number_field(b, "cached_speedup"),
                 3.0,
             );
-            ceiling(
-                "bench_async_overlap",
-                "cached_store_calls vs overlapped_store_calls",
-                number_field(b, "cached_store_calls"),
-                number_field(b, "overlapped_store_calls").unwrap_or(f64::INFINITY),
-            );
+            // Neither engine arm may add round-trips to the blocking
+            // count — the one count that is a function of the input (the
+            // engine groups what is queued, so its own counts depend on
+            // timing and are not ordered against each other).
+            for arm in ["overlapped_store_calls", "cached_store_calls"] {
+                ceiling(
+                    "bench_async_overlap",
+                    &format!("{arm} vs blocking_store_calls"),
+                    number_field(b, arm),
+                    number_field(b, "blocking_store_calls").unwrap_or(f64::INFINITY),
+                );
+            }
         }
         None => println!("  SKIP bench_async_overlap: section absent"),
     }

@@ -8,7 +8,11 @@
 //! sides must produce bit-identical final estimates, and overlapping must
 //! not inflate the physical round-trip count. A third arm serves the same
 //! engine through the pool's shared cache (`share_cache(true)`) and must
-//! clear the same floor with no more round-trips than the uncached engine.
+//! clear the same floor, also with no more round-trips than the blocking
+//! baseline. (The two engine arms are not ordered against each other: the
+//! engine sends whatever is queued when an I/O thread frees as one
+//! round-trip, so their counts depend on queue timing; only the blocking
+//! arm's count is a function of the input.)
 
 use std::time::Duration;
 
@@ -49,7 +53,8 @@ fn overlapped_pool_beats_blocking_threefold() {
     );
     // The composition row: the same engine beneath the pool's shared
     // cache. The cache forwards each window's misses as one non-blocking
-    // submit, so it must keep the overlap and can only remove round-trips.
+    // submit, so it must keep the overlap and, like the bare engine, can
+    // only remove round-trips from the blocking count.
     eprintln!(
         "slow-store smoke: cached {:.1} retrievals/s ({} round-trips, {:.3}s), speedup {:.2}x",
         report.cached.throughput,
@@ -63,10 +68,10 @@ fn overlapped_pool_beats_blocking_threefold() {
     );
     assert_eq!(report.blocking.retrieved, report.cached.retrieved);
     assert!(
-        report.cached.store_calls <= report.overlapped.store_calls,
+        report.cached.store_calls <= report.blocking.store_calls,
         "a cache above the engine must not add round-trips: {} > {}",
         report.cached.store_calls,
-        report.overlapped.store_calls,
+        report.blocking.store_calls,
     );
     assert!(
         report.cached_speedup >= 3.0,

@@ -12,10 +12,12 @@
 //! one key ride one physical read, the one-job-per-submit batching that
 //! preserves an inner store's `try_get_many` coalescing
 //! ([`crate::FileStore`]'s contiguous-run preads, [`crate::BlockStore`]'s
-//! per-block grouping), the whole-batch-error fan-out, `quiesce` and the
-//! drain-then-exit drop are all the router's (see the module docs of
-//! `shard.rs`).  The in-flight table never memoizes, so layering a cache
-//! ([`crate::ShardedCachingStore`]) stays the caller's choice.
+//! per-block grouping), the queue-drain rule that sends the jobs queued
+//! when an I/O thread frees as one inner call, the whole-batch-error
+//! fan-out, `quiesce` and the drain-then-exit drop are all the router's
+//! (see the module docs of `shard.rs`).  The in-flight table never
+//! memoizes, so layering a cache ([`crate::ShardedCachingStore`]) stays
+//! the caller's choice.
 
 use std::sync::Arc;
 
@@ -47,9 +49,10 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
     }
 
     /// Like [`AsyncFetchStore::new`], but emits causal spans into `sink`
-    /// on `tracer`'s clock: one `store.read` span per physical fetch
+    /// on `tracer`'s clock: one `store.read` span per queued read
     /// (submit → completion, so the span measures queueing plus inner
-    /// I/O) and one `store.rider` span per submit that joined an
+    /// I/O; its end carries `coalesced`, how many queued reads shared the
+    /// inner call) and one `store.rider` span per submit that joined an
     /// outstanding read, carrying the joined read's span id in its
     /// `physical` field. Wire the **same** [`Tracer`] the serve pool
     /// uses so store spans are time-comparable with batch lifecycles.

@@ -18,13 +18,23 @@
 //!   later submit reads again and layering a cache stays the caller's
 //!   choice.
 //! * The keys that are *new* are grouped by shard (preserving input order
-//!   within each group) and enqueued as **one RPC per shard** on that
-//!   shard's I/O workers, so an inner store's batched `try_get_many`
-//!   coalescing is preserved; the returned [`Completion`] aggregates every
-//!   per-key verdict.  An RPC's batch error is published to each of its
-//!   slots; [`Completion::wait`] collapses per-key verdicts to the
-//!   earliest-index error, keeping the `try_get_many`
-//!   whole-batch-failure contract intact.
+//!   within each group) and enqueued as **one job per shard per submit**
+//!   on that shard's I/O workers; the returned [`Completion`] aggregates
+//!   every per-key verdict.  On the wire the unit is the **queue drain**,
+//!   not the submit: a primary worker that becomes free takes the front
+//!   job *and every job queued behind it under the same version tag* (up
+//!   to `COALESCE_KEY_CAP` keys), reads their keys in queue order as
+//!   **one** `try_get_many`, and answers each job from its slice of the
+//!   result — so N batches served side by side pay a shard's fixed
+//!   round-trip charge once per drain, not once each, and an inner
+//!   store's batched `try_get_many` coalescing sees the larger group.
+//!   Nothing waits for company: a lone job is a drain of one.
+//! * A job's batch error is published to each of its slots;
+//!   [`Completion::wait`] collapses per-key verdicts to the earliest-index
+//!   error, keeping the `try_get_many` whole-batch-failure contract
+//!   intact.  A failed call that carried several jobs has no owner yet:
+//!   the worker re-reads each job on its own, so the error stays with the
+//!   job that owns the failing key and the others resolve `Ok`.
 //! * [`LatencyStore`] is the mock-network boundary: each call charges
 //!   `base + per_key × keys` (a service-rate model, so sharding genuinely
 //!   parallelizes per-key service time) plus seeded jitter and a seeded
@@ -67,6 +77,11 @@ use crate::{CoefficientStore, IoStats, MemoryStore, StorageError};
 /// How many recent per-RPC latencies each shard remembers for the
 /// p99-derived hedge delay.
 const LATENCY_RING: usize = 256;
+
+/// The most keys a wire call carries once it coalesces more than one job:
+/// it bounds how long the front job waits on the per-key service charge of
+/// the jobs riding behind it. (A single job is never split, however large.)
+const COALESCE_KEY_CAP: usize = 256;
 
 /// A latency-charging wrapper: the mock-network boundary in front of one
 /// shard's store.
@@ -270,15 +285,21 @@ impl ShardClient {
 /// Per-shard counter snapshot, from [`ShardRouter::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Primary RPCs issued (each covers one per-shard key group), plus
-    /// the per-shard legs of submits that sent nothing because all their
-    /// keys were already in flight — counted as RPCs of zero keys so this
+    /// Per-shard legs submitted: one per submit per shard it touched
+    /// (plus one per singleton read), however the legs were grouped on
+    /// the wire. A leg that sent nothing because all its keys were
+    /// already in flight counts too, as a leg of zero keys — so this
     /// count depends only on what was submitted, not on how submits
-    /// interleaved.
+    /// interleaved. (A leg a dead primary never served is not counted
+    /// here: it shows under `errors` or `failovers`.)
     pub rpcs: u64,
-    /// Keys fetched through primary RPCs.
+    /// Keys fetched through the primary, summed per leg.
     pub keys: u64,
-    /// RPCs that returned an error (including dead-shard refusals).
+    /// Physical calls to the primary (`<= rpcs`): legs queued together
+    /// cross the wire as one call. A coalesced call that failed and was
+    /// split counts once, and each per-job re-read once more.
+    pub wire_calls: u64,
+    /// Legs answered with an error (including dead-shard refusals).
     pub errors: u64,
     /// Timed hedges launched to the replica after the hedge delay.
     pub hedges_launched: u64,
@@ -295,6 +316,7 @@ pub struct ShardStats {
 struct ShardCounters {
     rpcs: AtomicU64,
     keys: AtomicU64,
+    wire_calls: AtomicU64,
     errors: AtomicU64,
     hedges_launched: AtomicU64,
     hedges_cancelled: AtomicU64,
@@ -307,6 +329,7 @@ impl ShardCounters {
         ShardStats {
             rpcs: self.rpcs.load(Ordering::Relaxed),
             keys: self.keys.load(Ordering::Relaxed),
+            wire_calls: self.wire_calls.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             hedges_launched: self.hedges_launched.load(Ordering::Relaxed),
             hedges_cancelled: self.hedges_cancelled.load(Ordering::Relaxed),
@@ -316,7 +339,7 @@ impl ShardCounters {
     }
 }
 
-/// One per-shard RPC: the not-already-in-flight keys of a submit that one
+/// One per-shard leg of a submit: its not-already-in-flight keys that one
 /// shard owns, paired with the slots their verdicts land in.
 struct ShardJob {
     /// The router's version tag at submit time: the in-flight table
@@ -375,6 +398,7 @@ struct HedgeQueue {
 /// Per-shard registry handles (`store.shard.{i}.*`).
 struct ShardMetrics {
     rpcs: Counter,
+    wire_calls: Counter,
     errors: Counter,
     hedges: Counter,
     hedge_wins: Counter,
@@ -419,19 +443,35 @@ impl ShardRuntime {
         }
     }
 
-    /// Counts one RPC of `keys` keys against this shard. Besides the
-    /// primary's batched RPCs there are two special sizes. A singleton
-    /// (`get`/`try_get`) call is a one-key RPC, so the per-shard account
+    /// Counts one leg of `keys` keys against this shard. Besides the
+    /// jobs the primary answers there are two special sizes. A singleton
+    /// (`get`/`try_get`) call is a one-key leg, so the per-shard account
     /// covers the window-1 path too. And a submit's leg that sent nothing
-    /// because every one of its keys was already in flight is an RPC of
-    /// zero keys: the per-shard RPC count then depends only on what was
-    /// submitted, never on how submits interleaved, so it repeats exactly
-    /// from run to run.
+    /// because every one of its keys was already in flight is a leg of
+    /// zero keys: the per-shard count then depends only on what was
+    /// submitted, never on how submits interleaved or how the worker
+    /// grouped them on the wire, so it repeats exactly from run to run.
     fn count_rpc(&self, keys: u64) {
         self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
         self.counters.keys.fetch_add(keys, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.rpcs.inc();
+        }
+    }
+
+    /// Counts one physical call to the primary.
+    fn count_wire_call(&self) {
+        self.counters.wire_calls.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &self.metrics {
+            m.wire_calls.inc();
+        }
+    }
+
+    /// Counts one leg answered with an error.
+    fn count_error(&self) {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &self.metrics {
+            m.errors.inc();
         }
     }
 }
@@ -481,8 +521,9 @@ impl RouterShared {
     /// and its verdicts are discarded. Entries leave the table *before*
     /// the verdicts land, so whoever sees a completion resolve also sees
     /// its keys readable afresh — a submit can join a read only while the
-    /// read is really outstanding.
-    fn retire(&self, job: &ShardJob, ok: bool) -> bool {
+    /// read is really outstanding. `coalesced` is how many jobs the
+    /// answering call carried (`0` for a refusal, which made no call).
+    fn retire(&self, job: &ShardJob, ok: bool, coalesced: usize) -> bool {
         if job.done.swap(true, Ordering::AcqRel) {
             return false;
         }
@@ -504,19 +545,28 @@ impl RouterShared {
         self.pending_keys
             .fetch_sub(job.keys.len() as u64, Ordering::Relaxed);
         if let Some(t) = &self.tracing {
-            t.sink
-                .emit(&span_end_event(t.root(job.span), t.tracer.now_ns()).bool("ok", ok));
+            t.sink.emit(
+                &span_end_event(t.root(job.span), t.tracer.now_ns())
+                    .bool("ok", ok)
+                    .u64("coalesced", coalesced as u64),
+            );
         }
         true
     }
 
     /// [`RouterShared::retire`]s `job` and, if that won, publishes
-    /// `fetched` to its slots; returns whether it did. A batch error has
+    /// `fetched` — the job's own slice of a call that carried `coalesced`
+    /// jobs — to its slots; returns whether it did. A batch error has
     /// no per-key verdicts: every rider sees the same error (collapsed to
     /// the earliest index by `Completion::wait`) and falls back to
     /// singleton attribution, exactly as on the blocking path.
-    fn answer(&self, job: &ShardJob, fetched: &Result<Vec<Option<f64>>, StorageError>) -> bool {
-        let won = self.retire(job, fetched.is_ok());
+    fn answer(
+        &self,
+        job: &ShardJob,
+        fetched: Result<&[Option<f64>], &StorageError>,
+        coalesced: usize,
+    ) -> bool {
+        let won = self.retire(job, fetched.is_ok(), coalesced);
         if won {
             match fetched {
                 Ok(values) => {
@@ -558,9 +608,10 @@ impl RouterShared {
 ///
 /// Implements [`CoefficientStore`]: singleton reads route to the owning
 /// shard, batched submits join outstanding reads and fan the rest out as
-/// one RPC per shard, and [`CoefficientStore::quiesce`] drains every queue
-/// and in-flight hedge. Dropping the router drains outstanding work (every
-/// published completion still resolves) and joins the workers.
+/// one job per shard (jobs queued together share a wire call), and
+/// [`CoefficientStore::quiesce`] drains every queue and in-flight hedge.
+/// Dropping the router drains outstanding work (every published completion
+/// still resolves) and joins the workers.
 pub struct ShardRouter {
     shared: Arc<RouterShared>,
     workers: Vec<JoinHandle<()>>,
@@ -573,11 +624,13 @@ impl ShardRouter {
     }
 
     /// [`ShardRouter::new`] with instrumentation. With a `registry`,
-    /// per-shard counters (`store.shard.{i}.rpcs` / `.errors` / `.hedges`
-    /// / `.hedge_wins`) are wired into it; with `tracing`, the router emits
-    /// causal spans into the sink on the tracer's clock: one `store.read`
-    /// span per physical RPC (submit → answer, so the span measures
-    /// queueing plus the shard's I/O; fields `shard`, `keys`, `tag`), one
+    /// per-shard counters (`store.shard.{i}.rpcs` / `.wire_calls` /
+    /// `.errors` / `.hedges` / `.hedge_wins`) are wired into it; with
+    /// `tracing`, the router emits causal spans into the sink on the
+    /// tracer's clock: one `store.read` span per leg that reads (submit →
+    /// answer, so the span measures queueing plus the shard's I/O; fields
+    /// `shard`, `keys`, `tag`, and on the end `ok` and `coalesced` — how
+    /// many legs shared the wire call that answered it), one
     /// `store.rider` span per submit that joined an outstanding read,
     /// carrying the joined read's span id in its `physical` field, and one
     /// `store.shard.hedge` span per replica fetch. Wire the **same**
@@ -624,6 +677,7 @@ impl ShardRouter {
                 latencies: Mutex::new(VecDeque::new()),
                 metrics: registry.map(|r| ShardMetrics {
                     rpcs: r.counter(&format!("store.shard.{i}.rpcs")),
+                    wire_calls: r.counter(&format!("store.shard.{i}.wire_calls")),
                     errors: r.counter(&format!("store.shard.{i}.errors")),
                     hedges: r.counter(&format!("store.shard.{i}.hedges")),
                     hedge_wins: r.counter(&format!("store.shard.{i}.hedge_wins")),
@@ -713,6 +767,7 @@ impl CoefficientStore for ShardRouter {
         self.shared.counters.count_physical();
         let rt = &self.shared.shards[shard_of(key, self.shared.shards.len())];
         rt.count_rpc(1);
+        rt.count_wire_call();
         rt.client.primary.get(key)
     }
 
@@ -733,6 +788,7 @@ impl CoefficientStore for ShardRouter {
                 }
             };
         }
+        rt.count_wire_call();
         rt.client.primary.try_get(key)
     }
 
@@ -741,7 +797,7 @@ impl CoefficientStore for ShardRouter {
     }
 
     /// Joins the keys already in flight *at the same version* (one dedup
-    /// hit each), scatters the rest into one RPC per owning shard, and
+    /// hit each), scatters the rest into one job per owning shard, and
     /// returns a completion aggregating every per-key verdict (slots in
     /// input order, so [`Completion::wait`]'s earliest-index error
     /// collapse and value ordering match the single-store contract). The
@@ -924,16 +980,19 @@ impl Drop for ShardRouter {
 }
 
 /// Primary worker body for shard `i` (an unreplicated shard may run
-/// several): pop a job, fetch it through the shard's primary, publish
-/// per-key verdicts (or signal failover).
+/// several): whenever the worker is free it takes everything the queue
+/// lets one wire call carry ([`take_call`]), reads it, and publishes
+/// per-key verdicts job by job (or signals failover). It never waits for
+/// a call to fill: what is queued *now* is the call.
 fn primary_loop(shared: &RouterShared, i: usize) {
     let rt = &shared.shards[i];
     loop {
-        let job = {
+        let jobs = {
             let mut wq = rt.work.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(job) = wq.queue.pop_front() {
-                    break job;
+                let jobs = take_call(&mut wq.queue);
+                if !jobs.is_empty() {
+                    break jobs;
                 }
                 if wq.shutdown {
                     return;
@@ -941,26 +1000,54 @@ fn primary_loop(shared: &RouterShared, i: usize) {
                 wq = rt.work_cv.wait(wq).unwrap_or_else(|e| e.into_inner());
             }
         };
-        run_primary(shared, i, &job);
-        shared.obligation_done();
+        run_primary(shared, i, &jobs);
+        for _ in &jobs {
+            shared.obligation_done();
+        }
     }
 }
 
-/// Executes one primary RPC (or the dead-shard refusal path).
-fn run_primary(shared: &RouterShared, i: usize, job: &ShardJob) {
+/// Takes the jobs of the next wire call off `queue` (none if it is empty):
+/// the front job, then every job behind it while the version tag stays the
+/// front's and the key total stays within [`COALESCE_KEY_CAP`]. Only a
+/// prefix — never a job from behind one that did not fit — so jobs are
+/// answered in queue order (the hedge queue's FIFO argument), and a read
+/// pinned to one version never shares a call with another version's.
+fn take_call(queue: &mut VecDeque<Arc<ShardJob>>) -> Vec<Arc<ShardJob>> {
+    let Some(front) = queue.pop_front() else {
+        return Vec::new();
+    };
+    let tag = front.tag;
+    let mut keys = front.keys.len();
+    let mut jobs = vec![front];
+    while let Some(next) = queue.front() {
+        if next.tag != tag || keys + next.keys.len() > COALESCE_KEY_CAP {
+            break;
+        }
+        keys += next.keys.len();
+        jobs.extend(queue.pop_front());
+    }
+    jobs
+}
+
+/// Executes one primary wire call for `jobs` (or the dead-shard path, job
+/// by job): their keys in queue order as one `try_get_many`, each job
+/// answered from its slice of the result.
+fn run_primary(shared: &RouterShared, i: usize, jobs: &[Arc<ShardJob>]) {
     let rt = &shared.shards[i];
     if rt.client.is_dead() {
         if rt.client.is_replicated() {
-            // Failover: the hedge worker serves this job from the replica
-            // immediately. The primary publishes nothing.
-            job.primary_failed.store(true, Ordering::Release);
-            rt.hedge_cv.notify_all();
-        } else {
-            rt.counters.errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &rt.metrics {
-                m.errors.inc();
+            // Failover: the hedge worker serves these jobs from the
+            // replica immediately. The primary publishes nothing.
+            for job in jobs {
+                job.primary_failed.store(true, Ordering::Release);
             }
-            if shared.retire(job, false) {
+            rt.hedge_cv.notify_all();
+            return;
+        }
+        for job in jobs {
+            rt.count_error();
+            if shared.retire(job, false, 0) {
                 for (key, slot) in job.keys.iter().zip(&job.slots) {
                     slot.try_complete(Err(StorageError::Permanent { key: *key }));
                 }
@@ -968,21 +1055,36 @@ fn run_primary(shared: &RouterShared, i: usize, job: &ShardJob) {
         }
         return;
     }
+    let keys: Vec<CoeffKey> = jobs.iter().flat_map(|job| &job.keys).copied().collect();
     let started = Instant::now();
-    let fetched = rt.client.primary.try_get_many(&job.keys);
+    let fetched = rt.client.primary.try_get_many(&keys);
     let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     rt.record_latency(elapsed);
     shared.counters.count_physical();
-    rt.count_rpc(job.keys.len() as u64);
-    if fetched.is_err() {
-        rt.counters.errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &rt.metrics {
-            m.errors.inc();
+    rt.count_wire_call();
+    if fetched.is_err() && jobs.len() > 1 {
+        // The error names one key but fails the whole call, and only one
+        // of these jobs owns that key: re-read each job on its own, so the
+        // failure (and its fault accounting upstream) stays with its owner
+        // and the others resolve from their own reads.
+        for job in jobs {
+            run_primary(shared, i, std::slice::from_ref(job));
         }
+        return;
     }
-    shared.answer(job, &fetched);
+    let mut offset = 0;
+    for job in jobs {
+        let n = job.keys.len();
+        rt.count_rpc(n as u64);
+        if fetched.is_err() {
+            rt.count_error();
+        }
+        let verdicts = fetched.as_ref().map(|values| &values[offset..offset + n]);
+        shared.answer(job, verdicts, jobs.len());
+        offset += n;
+    }
     if rt.client.is_replicated() {
-        // Wake the hedge worker so a not-yet-fired hedge cancels now.
+        // Wake the hedge worker so not-yet-fired hedges cancel now.
         rt.hedge_cv.notify_all();
     }
 }
@@ -1087,7 +1189,7 @@ fn run_hedge(
     });
     let fetched = replica.try_get_many(&job.keys);
     shared.counters.count_physical();
-    let replica_won = shared.answer(job, &fetched);
+    let replica_won = shared.answer(job, fetched.as_deref(), 1);
     if replica_won && !failover {
         rt.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &rt.metrics {
@@ -1478,6 +1580,240 @@ mod tests {
         router.heal_shard(0);
         assert!(router.submit(&all[1..3]).wait().is_ok());
         assert_eq!(gates[0].batches().len(), 2);
+    }
+
+    /// Submits `window` and returns once the shard's one worker is inside
+    /// its gated read — so every later submit stays queued, in order,
+    /// until the test opens the gate.
+    fn park_worker<S: CoefficientStore>(
+        router: &ShardRouter,
+        gate: &Gated<S>,
+        window: &[CoeffKey],
+    ) -> Completion {
+        let calls = gate.batches().len();
+        let blocker = router.submit(window);
+        while gate.batches().len() == calls {
+            std::thread::yield_now();
+        }
+        blocker
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_busy_worker_cross_the_wire_as_one_call() {
+        use batchbb_obs::{jsonl, MemorySink};
+
+        let gate = Gated::new(MemoryStore::from_entries(entries(32)));
+        let registry = MetricsRegistry::new();
+        let sink = Arc::new(MemorySink::new());
+        let router = ShardRouter::with_instrumentation(
+            vec![ShardClient::new(
+                Arc::clone(&gate) as Arc<dyn CoefficientStore>
+            )],
+            HedgeConfig::default(),
+            Some(&registry),
+            Some((Tracer::new(3), sink.clone())),
+        );
+        let single = MemoryStore::from_entries(entries(32));
+        let all = keys(32);
+        // B runs backwards, so a job answered from the wrong slice of the
+        // shared result cannot pass for right.
+        let b_keys: Vec<CoeffKey> = all[4..12].iter().rev().copied().collect();
+        let closed = gate.gate.lock().unwrap();
+        let a = park_worker(&router, &gate, &all[..4]);
+        let b = router.submit(&b_keys);
+        let c = router.submit(&all[12..20]);
+        let d = router.submit(&all[20..]);
+        drop(closed);
+        assert_eq!(a.wait(), single.try_get_many(&all[..4]));
+        assert_eq!(b.wait(), single.try_get_many(&b_keys));
+        assert_eq!(c.wait(), single.try_get_many(&all[12..20]));
+        assert_eq!(d.wait(), single.try_get_many(&all[20..]));
+        router.quiesce();
+        let bcd = [&b_keys[..], &all[12..]].concat();
+        assert_eq!(
+            gate.batches(),
+            vec![all[..4].to_vec(), bcd],
+            "what queued behind A is one call, in queue order"
+        );
+        assert_eq!(router.pending_depth(), 0);
+        let stats = router.shard_stats()[0];
+        assert_eq!((stats.rpcs, stats.keys, stats.wire_calls), (4, 32, 2));
+        let counters = registry.snapshot();
+        assert_eq!(counters.counter("store.shard.0.rpcs"), Some(4));
+        assert_eq!(counters.counter("store.shard.0.wire_calls"), Some(2));
+        // Every job's read span says how many jobs its call carried.
+        let mut coalesced: Vec<u64> = sink
+            .lines()
+            .iter()
+            .map(|l| jsonl::parse_line(l).unwrap())
+            .filter(|e| e.name() == "span.end")
+            .filter_map(|e| e.u64("coalesced"))
+            .collect();
+        coalesced.sort_unstable();
+        assert_eq!(coalesced, [1, 3, 3, 3]);
+    }
+
+    #[test]
+    fn a_failed_coalesced_call_splits_so_the_error_stays_with_its_owner() {
+        use crate::{FaultInjectingStore, FaultPlan};
+
+        let all = keys(16);
+        let broken = all[5];
+        let gate = Gated::new(FaultInjectingStore::new(
+            MemoryStore::from_entries(entries(16)),
+            FaultPlan::new(5).with_permanent_keys([broken]),
+        ));
+        let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
+        let router = ShardRouter::new(vec![client], HedgeConfig::default());
+        let single = MemoryStore::from_entries(entries(16));
+        let closed = gate.gate.lock().unwrap();
+        let a = park_worker(&router, &gate, &all[..4]);
+        let b = router.submit(&all[4..8]); // owns the failing key
+        let rider = router.submit(&[broken]);
+        assert_eq!(router.dedup_hits(), 1, "the rider joined B's read");
+        let c = router.submit(&all[8..12]);
+        let d = router.submit(&all[12..]);
+        drop(closed);
+        a.wait().unwrap();
+        let failed = Err(StorageError::Permanent { key: broken });
+        assert_eq!(b.wait(), failed);
+        assert_eq!(rider.wait(), failed);
+        assert_eq!(c.wait(), single.try_get_many(&all[8..12]));
+        assert_eq!(d.wait(), single.try_get_many(&all[12..]));
+        router.quiesce();
+        assert_eq!(
+            gate.batches(),
+            vec![
+                all[..4].to_vec(),
+                all[4..].to_vec(), // B‖C‖D: fails as a whole
+                all[4..8].to_vec(),
+                all[8..12].to_vec(),
+                all[12..].to_vec(),
+            ],
+            "the failed call is re-read job by job"
+        );
+        let stats = router.shard_stats()[0];
+        // Legs: A, B, the rider's zero-key leg, C, D. Only B's failed.
+        assert_eq!((stats.rpcs, stats.wire_calls, stats.errors), (5, 5, 1));
+        assert_eq!(router.pending_depth(), 0);
+        // B's entries retired with its error: its healthy keys read afresh.
+        let healthy = [all[4], all[6], all[7]];
+        assert_eq!(
+            router.submit(&healthy).wait(),
+            single.try_get_many(&healthy)
+        );
+        assert_eq!(gate.batches().len(), 6);
+    }
+
+    #[test]
+    fn a_coalesced_call_never_spans_a_version_advance() {
+        let all = keys(4);
+        let versioned = crate::VersionedStore::from_entries(entries(4));
+        let gate = Gated::new(versioned.pin()); // v0
+        let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
+        let router = ShardRouter::new(vec![client], HedgeConfig::default());
+        let closed = gate.gate.lock().unwrap();
+        let blocker = park_worker(&router, &gate, &all[..1]);
+        let a = router.submit(&all[1..2]);
+        let b = router.submit(&all[2..3]);
+        // Publish a version touching none of these keys and advance the
+        // view: only the tag moves.
+        versioned.publish(&[(CoeffKey::new(&[7, 7]), 1.0)]);
+        gate.inner.advance_to_current();
+        let c = router.submit(&all[3..]);
+        let d = router.submit(&all[1..2]); // A's key again, at v1: a new read
+        assert_eq!(router.dedup_hits(), 0);
+        drop(closed);
+        for (completion, key) in [(blocker, 0), (a, 1), (b, 2), (c, 3), (d, 1)] {
+            assert_eq!(completion.wait().unwrap(), vec![Some(key as f64 + 0.5)]);
+        }
+        router.quiesce();
+        assert_eq!(
+            gate.batches(),
+            vec![
+                vec![all[0]],
+                vec![all[1], all[2]], // A‖B at v0
+                vec![all[3], all[1]], // C‖D at v1
+            ],
+            "jobs share a call only with jobs of their own version"
+        );
+        assert_eq!(router.pending_depth(), 0);
+    }
+
+    #[test]
+    fn the_key_cap_splits_a_long_queue_into_several_calls() {
+        // Two of these windows fit under the cap, three do not.
+        let w = COALESCE_KEY_CAP * 2 / 5;
+        let oversize = COALESCE_KEY_CAP + 1;
+        let n = 1 + 3 * w + oversize;
+        let (router, gates) = gated_router(1, n);
+        let all = keys(n);
+        let (b, c, d, e) = (
+            1..1 + w,
+            1 + w..1 + 2 * w,
+            1 + 2 * w..1 + 3 * w,
+            1 + 3 * w..n,
+        );
+        let closed = gates[0].gate.lock().unwrap();
+        let mut completions = vec![park_worker(&router, &gates[0], &all[..1])];
+        for window in [&b, &c, &d, &e] {
+            completions.push(router.submit(&all[window.clone()]));
+        }
+        drop(closed);
+        for completion in completions {
+            completion.wait().unwrap();
+        }
+        router.quiesce();
+        assert_eq!(
+            gates[0].batches(),
+            vec![
+                all[..1].to_vec(),
+                all[b.start..c.end].to_vec(), // B‖C; D would pass the cap
+                all[d].to_vec(),              // D alone: E would pass it too
+                all[e].to_vec(),              // a single job is never split
+            ]
+        );
+        let stats = router.shard_stats()[0];
+        assert_eq!((stats.rpcs, stats.keys, stats.wire_calls), (5, n as u64, 4));
+    }
+
+    #[test]
+    fn coalesced_primary_jobs_are_still_hedged_one_by_one() {
+        // One replicated shard whose primary is stuck at its gate: the
+        // replica answers every job through its own 1 ms hedge while the
+        // primary holds A and has B, C, D queued as one call to come.
+        let gate = Gated::new(MemoryStore::from_entries(entries(16)));
+        let replica: Arc<dyn CoefficientStore> = Arc::new(MemoryStore::from_entries(entries(16)));
+        let client =
+            ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>).with_replica(replica);
+        let hedge = HedgeConfig {
+            initial_delay_ns: 1_000_000,
+            min_samples: usize::MAX,
+        };
+        let router = ShardRouter::new(vec![client], hedge);
+        let single = MemoryStore::from_entries(entries(16));
+        let all = keys(16);
+        let closed = gate.gate.lock().unwrap();
+        let a = park_worker(&router, &gate, &all[..4]);
+        let b = router.submit(&all[4..8]);
+        let c = router.submit(&all[8..12]);
+        let d = router.submit(&all[12..]);
+        // The gate is still shut: only the hedges can have answered.
+        assert_eq!(a.wait(), single.try_get_many(&all[..4]));
+        assert_eq!(b.wait(), single.try_get_many(&all[4..8]));
+        assert_eq!(c.wait(), single.try_get_many(&all[8..12]));
+        assert_eq!(d.wait(), single.try_get_many(&all[12..]));
+        drop(closed);
+        router.quiesce();
+        assert_eq!(
+            gate.batches(),
+            vec![all[..4].to_vec(), all[4..].to_vec()],
+            "the primary still reads B‖C‖D as one call — and loses all three"
+        );
+        let stats = router.shard_stats()[0];
+        assert_eq!((stats.hedges_launched, stats.hedge_wins), (4, 4));
+        assert_eq!((stats.rpcs, stats.keys, stats.wire_calls), (4, 16, 2));
+        assert_eq!(router.pending_depth(), 0, "each raced job retires once");
     }
 
     #[test]

@@ -754,14 +754,20 @@ mod tests {
         assert_eq!(a.wait(), Ok(values(0..16)));
         s.quiesce();
         let recorded = s.inner().inner();
-        assert_eq!(recorded.calls(), 2, "one inner call per window");
+        // The engine's two workers may each take a window, or the first to
+        // wake may find both queued and read them as one call.
+        let calls = recorded.calls();
+        assert!(
+            (1..=2).contains(&calls),
+            "at most one inner call per window"
+        );
         for i in 0..24 {
             assert_eq!(recorded.reads_of(&CoeffKey::one(i)), 1, "key {i}");
         }
         assert_eq!(s.cached(), 24);
         // Both windows are now resident: no further inner traffic.
         assert_eq!(s.try_get_many(&a_keys), Ok(values(0..16)));
-        assert_eq!(recorded.calls(), 2);
+        assert_eq!(recorded.calls(), calls);
     }
 
     #[test]

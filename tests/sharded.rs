@@ -292,46 +292,54 @@ fn long_serving_sessions_keep_the_version_log_bounded() {
     let requests: Vec<BatchRequest<'_>> =
         batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
     let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(1));
-    let (results, live_checks) = server.serve_versioned_with(&store, &requests, |session| {
-        let mut live_checks = 0u32;
-        for p in 0..16u64 {
-            // Identity coefficients ARE cells: a point update publishes
-            // one-entry deltas directly.
-            let entries = [(
-                CoeffKey::new(&[(p % 32) as usize, ((3 * p) % 32) as usize]),
-                1.5,
-            )];
-            session.update(&entries, || ());
-            let mut all_live = true;
-            for i in 0..session.batches() {
-                all_live &= session.advance_batch(i).is_some();
-            }
-            if all_live {
-                // Every batch now pins the newest version: compaction
-                // must have dropped everything older.
-                assert!(
-                    store.retained_versions() <= 2,
-                    "log grew to {} versions",
-                    store.retained_versions()
-                );
-                live_checks += 1;
-            }
-        }
-        live_checks
-    });
     // The driver's publish/advance cycles run in microseconds while the
-    // single worker grinds 1-step slices through eight batches: the pool
-    // is still fully live for at least the early cycles, so the
-    // bounded-log assertion fired.
-    assert!(live_checks > 0, "pool drained before any publish cycle");
-    // Retention invariant: whatever each batch finally pinned survived
-    // every compaction, so its certified answer is still replayable.
-    for (batch, result) in batches.iter().zip(&results) {
-        assert_eq!(result.status, BatchStatus::Exact);
-        let pinned = result.pinned_version.expect("versioned runs pin");
-        let view = store.pin_at(pinned).expect("final pinned version retained");
-        let mut serial = ProgressiveExecutor::new(batch, &Sse, &view);
-        serial.run_to_end();
-        assert_eq!(result.estimates(), serial.estimates());
+    // single worker grinds 1-step slices through eight batches, so the
+    // pool is normally still fully live for at least the early cycles and
+    // the bounded-log assertion fires. Under a loaded parallel test run
+    // the OS can park the driver for the whole drain; a lost race skips
+    // the asserts and the whole serve is retried.
+    for _ in 0..20 {
+        let (results, live_checks) = server.serve_versioned_with(&store, &requests, |session| {
+            let mut live_checks = 0u32;
+            for p in 0..16u64 {
+                // Identity coefficients ARE cells: a point update publishes
+                // one-entry deltas directly.
+                let entries = [(
+                    CoeffKey::new(&[(p % 32) as usize, ((3 * p) % 32) as usize]),
+                    1.5,
+                )];
+                session.update(&entries, || ());
+                let mut all_live = true;
+                for i in 0..session.batches() {
+                    all_live &= session.advance_batch(i).is_some();
+                }
+                if all_live {
+                    // Every batch now pins the newest version: compaction
+                    // must have dropped everything older.
+                    assert!(
+                        store.retained_versions() <= 2,
+                        "log grew to {} versions",
+                        store.retained_versions()
+                    );
+                    live_checks += 1;
+                }
+            }
+            live_checks
+        });
+        if live_checks == 0 {
+            continue; // pool drained before any publish cycle
+        }
+        // Retention invariant: whatever each batch finally pinned survived
+        // every compaction, so its certified answer is still replayable.
+        for (batch, result) in batches.iter().zip(&results) {
+            assert_eq!(result.status, BatchStatus::Exact);
+            let pinned = result.pinned_version.expect("versioned runs pin");
+            let view = store.pin_at(pinned).expect("final pinned version retained");
+            let mut serial = ProgressiveExecutor::new(batch, &Sse, &view);
+            serial.run_to_end();
+            assert_eq!(result.estimates(), serial.estimates());
+        }
+        return;
     }
+    panic!("pool drained before any publish cycle in 20 attempts");
 }
