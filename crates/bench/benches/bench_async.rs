@@ -1,5 +1,5 @@
 //! ✦ Criterion benchmark for the asynchronous completion engine: the same
-//! serve workload over a [`SlowStore`] charging wall-clock latency per
+//! serve workload over a `LatencyStore` charging wall-clock latency per
 //! round-trip, run blocking (workers stall on every fetch) vs overlapped
 //! (batches park over in-flight completions and the pool advances other
 //! batches) vs that engine beneath the pool's shared cache. Writes the

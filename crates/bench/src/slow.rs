@@ -1,8 +1,9 @@
 //! The slow-store latency-hiding fixture.
 //!
-//! [`SlowStore`] charges a fixed wall-clock latency per *physical* store
-//! round-trip — one sleep per `get`/`try_get`/`try_get_many` call, the way
-//! a disk seek or an object-store GET charges per request, not per key.
+//! The slow store is a [`LatencyStore`] with a base charge and no per-key
+//! term: a fixed wall-clock latency per *physical* store round-trip — one
+//! sleep per `get`/`try_get`/`try_get_many` call, the way a disk seek or
+//! an object-store GET charges per request, not per key.
 //! [`OverlapFixture`] runs the same serve workload against that store
 //! three ways — workers blocking on every round-trip, the asynchronous
 //! completion engine parking batches over in-flight fetches, and that
@@ -11,7 +12,6 @@
 //! both run this measurement; DESIGN.md §12 and EXPERIMENTS.md describe
 //! the workflow.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use batchbb_core::BatchQueries;
@@ -19,79 +19,9 @@ use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::synth;
 use batchbb_serve::{BatchRequest, BatchServer, ServeConfig};
-use batchbb_storage::{AsyncFetchStore, CoefficientStore, IoStats, MemoryStore, StorageError};
+use batchbb_storage::{AsyncFetchStore, CoefficientStore, LatencyStore, MemoryStore};
 use batchbb_tensor::CoeffKey;
 use batchbb_wavelet::Wavelet;
-
-/// A store wrapper charging `latency` of wall-clock sleep per physical
-/// round-trip (per *call*, not per key — batching round-trips is exactly
-/// the saving the prefetch window buys).
-pub struct SlowStore<S> {
-    inner: S,
-    latency: Duration,
-    calls: AtomicU64,
-}
-
-impl<S: CoefficientStore> SlowStore<S> {
-    /// Wraps `inner`, charging `latency` per round-trip.
-    pub fn new(inner: S, latency: Duration) -> Self {
-        SlowStore {
-            inner,
-            latency,
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    /// Physical round-trips charged so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    fn charge(&self) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.latency);
-    }
-}
-
-impl<S: CoefficientStore> CoefficientStore for SlowStore<S> {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.charge();
-        self.inner.get(key)
-    }
-
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.charge();
-        self.inner.try_get(key)
-    }
-
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        self.charge();
-        self.inner.try_get_many(keys)
-    }
-
-    // `submit` keeps the trait default so the latency lands in the charged
-    // `try_get_many` above: to hide it, wrap this store in
-    // `AsyncFetchStore` (the sleep then runs on its I/O threads).
-    fn quiesce(&self) {
-        self.inner.quiesce()
-    }
-
-    fn version_tag(&self) -> u64 {
-        self.inner.version_tag()
-    }
-
-    fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-}
 
 /// Shape of the blocking-vs-overlapped measurement.
 #[derive(Debug, Clone)]
@@ -138,7 +68,7 @@ pub struct OverlapRun {
     pub elapsed_secs: f64,
     /// Coefficients retrieved across all batches.
     pub retrieved: u64,
-    /// Physical round-trips charged by the [`SlowStore`].
+    /// Physical round-trips charged by the slow store.
     pub store_calls: u64,
     /// Retrievals per second.
     pub throughput: f64,
@@ -244,13 +174,22 @@ impl OverlapFixture {
         }
     }
 
+    /// `inner` charging the configured latency per round-trip (per *call*,
+    /// not per key — batching round-trips is exactly the saving the
+    /// prefetch window buys).  Its `submit` is the trait default, so the
+    /// latency lands in the charged `try_get_many`: to hide it, wrap the
+    /// store in `AsyncFetchStore` (the sleep then runs on its I/O threads).
+    fn slow<S: CoefficientStore>(&self, inner: S) -> LatencyStore<S> {
+        LatencyStore::new(inner, self.cfg.latency.as_nanos() as u64, 0)
+    }
+
     /// Baseline: every round-trip stalls the worker that issued it.
     pub fn serve_blocking(&self) -> OverlapRun {
-        let slow = SlowStore::new(&self.store, self.cfg.latency);
+        let slow = self.slow(&self.store);
         self.run(&slow, false, || slow.calls())
     }
 
-    /// Latency-hiding: the same pool over `AsyncFetchStore(SlowStore)` —
+    /// Latency-hiding: the same pool over `AsyncFetchStore(slow store)` —
     /// a worker that submits a fetch parks the batch and advances another
     /// while the I/O threads absorb the sleep.
     pub fn serve_overlapped(&self) -> OverlapRun {
@@ -264,10 +203,7 @@ impl OverlapFixture {
     }
 
     fn serve_engine(&self, share_cache: bool) -> OverlapRun {
-        let slow = SlowStore::new(
-            MemoryStore::from_entries(self.entries.clone()),
-            self.cfg.latency,
-        );
+        let slow = self.slow(MemoryStore::from_entries(self.entries.clone()));
         let engine = AsyncFetchStore::new(slow, self.cfg.io_threads);
         self.run(&engine, share_cache, || engine.inner().calls())
     }
@@ -295,7 +231,7 @@ mod tests {
     #[test]
     fn slow_store_charges_per_call() {
         let inner = MemoryStore::from_entries(vec![(CoeffKey::new(&[0]), 1.0)]);
-        let slow = SlowStore::new(inner, Duration::from_micros(10));
+        let slow = LatencyStore::new(inner, 10_000, 0);
         let key = CoeffKey::new(&[0]);
         assert_eq!(slow.get(&key), Some(1.0));
         assert_eq!(slow.try_get_many(&[key, key]).unwrap().len(), 2);

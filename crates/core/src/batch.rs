@@ -59,7 +59,7 @@ impl BatchQueries {
         Ok(BatchQueries { queries, coeffs })
     }
 
-    /// Rewrites the batch on `threads` worker threads (crossbeam scoped).
+    /// Rewrites the batch on `threads` scoped worker threads.
     ///
     /// Query rewriting is embarrassingly parallel — each query's
     /// coefficient list is independent — and dominates preprocessing time
@@ -92,13 +92,14 @@ impl BatchQueries {
         let mut slots: Vec<Option<Result<SparseCoeffs, StrategyError>>> =
             (0..queries.len()).map(|_| None).collect();
         let chunk = queries.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
+        // A panicking worker propagates its panic when the scope exits.
+        std::thread::scope(|scope| {
             for (ci, (qs, outs)) in queries
                 .chunks(chunk)
                 .zip(slots.chunks_mut(chunk))
                 .enumerate()
             {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (i, (q, out)) in qs.iter().zip(outs.iter_mut()).enumerate() {
                         let timer = observer.map(|_| SpanTimer::start());
                         let result = strategy.query_coefficients(q, domain);
@@ -113,8 +114,7 @@ impl BatchQueries {
                     }
                 });
             }
-        })
-        .expect("rewrite worker panicked");
+        });
         let coeffs = slots
             .into_iter()
             .map(|s| s.expect("all slots filled"))

@@ -282,6 +282,14 @@ pub fn evaluate_bounded_fallible_observed(
     })
 }
 
+/// Most important first, ties toward the smaller key — the executor's
+/// progression order.  Both the prune and the final cut use it, so which
+/// of several equally important keys survive never depends on the map's
+/// iteration order.
+fn selection_order(a: &(CoeffKey, f64), b: &(CoeffKey, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
 /// Pass 1: accumulate importance per key with a bounded working set, and
 /// return the top-`budget` selection (most important first) plus the peak
 /// resident key count.
@@ -312,13 +320,13 @@ fn score_and_select(
             // lost, which makes the selection approximate — the exactness
             // of the *estimates* for the selected set is unaffected.
             let mut ranked: Vec<(CoeffKey, f64)> = scores.drain().collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            ranked.sort_by(selection_order);
             ranked.truncate(cap / 2);
             scores = ranked.into_iter().collect();
         }
     }
     let mut ranked: Vec<(CoeffKey, f64)> = scores.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    ranked.sort_by(selection_order);
     ranked.truncate(budget);
     Ok((ranked, peak))
 }

@@ -1,7 +1,5 @@
 //! The progressive executor (steps 4–5 of Batch-Biggest-B).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -22,44 +20,40 @@ use crate::{BatchQueries, MasterList};
 /// updated store.
 const STORE_ZERO_TOL: f64 = 1e-13;
 
-/// A heap entry ordered by importance (ties broken by key for
-/// reproducibility).
+/// One coefficient of the progression: a master-list key and its
+/// importance `ι_p(ξ)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    importance: f64,
-    key: CoeffKey,
+pub struct ProgressionEntry {
+    /// The coefficient's importance `ι_p(ξ)` under the executor's penalty.
+    pub importance: f64,
+    /// The coefficient key.
+    pub key: CoeffKey,
 }
 
-impl Eq for HeapEntry {}
+/// What has been read ahead of the cursor.  Either way the covered entries
+/// are still *pending*: their importance stays in `remaining_importance`
+/// and each is folded into the estimates by its own step.
+enum Window {
+    /// Values read for `order[cursor..]` but not yet applied, front = next
+    /// (empty: nothing read ahead).
+    Landed(VecDeque<f64>),
+    /// One batched prefetch covering the next `len` entries, submitted to
+    /// an asynchronous store and not yet resolved.  Never seen over a
+    /// synchronous store.
+    InFlight {
+        len: usize,
+        completion: Completion,
+        /// Armed when an observer is attached: measures submit→resolve
+        /// latency for the `exec.prefetch` record, mirroring the blocking
+        /// fetch timer.
+        timer: Option<batchbb_obs::SpanTimer>,
+    },
+}
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on importance; ties resolved toward the smaller key so
-        // every component (executor, bounded variant, optimality ranking)
-        // agrees on one deterministic progression order.
-        self.importance
-            .total_cmp(&other.importance)
-            .then_with(|| other.key.cmp(&self.key))
+impl Default for Window {
+    fn default() -> Self {
+        Window::Landed(VecDeque::new())
     }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A batched prefetch submitted to the store but not yet resolved.
-///
-/// The popped heap entries ride along (in importance order — they came off
-/// the top of the heap) so resolution can refill the prefetch buffer, or
-/// push them back on a batch failure, exactly like the synchronous path.
-struct PendingFetch {
-    entries: Vec<HeapEntry>,
-    completion: Completion,
-    /// Armed when an observer is attached: measures submit→resolve latency
-    /// for the `exec.prefetch` record, mirroring the blocking fetch timer.
-    timer: Option<batchbb_obs::SpanTimer>,
 }
 
 /// What one [`ProgressiveExecutor::step`] did.
@@ -78,15 +72,16 @@ pub struct StepInfo {
 /// What one [`ProgressiveExecutor::try_step`] did on the fallible path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TryStepOutcome {
-    /// The most important heap coefficient was retrieved successfully.
+    /// The most important pending coefficient was retrieved successfully.
     Retrieved(StepInfo),
     /// A previously deferred coefficient finally resolved; its contribution
     /// is now folded into the estimates.
     Recovered(StepInfo),
     /// The step's retry budget ran out; the coefficient is parked in the
-    /// deferral queue (re-attempted by later `try_step` calls once the heap
-    /// drains). The estimates remain valid — just with a wider penalty
-    /// bound, reported by [`ProgressiveExecutor::degradation_report`].
+    /// deferral queue (re-attempted by later `try_step` calls once the
+    /// progression drains). The estimates remain valid — just with a wider
+    /// penalty bound, reported by
+    /// [`ProgressiveExecutor::degradation_report`].
     Deferred {
         /// The coefficient whose retrieval keeps failing.
         key: CoeffKey,
@@ -105,7 +100,8 @@ pub enum TryStepOutcome {
     /// — the default [`CoefficientStore::submit`] adapter resolves at
     /// submit time, keeping the blocking path bit-identical.
     Pending,
-    /// Heap and deferral queue are both empty — the estimates are exact.
+    /// Progression and deferral queue are both drained — the estimates
+    /// are exact.
     Exhausted,
 }
 
@@ -120,7 +116,7 @@ pub enum DrainStatus {
     /// The policy's total attempt budget ran out first.
     BudgetExhausted,
     /// The certified worst-case bound dropped to the caller's target
-    /// before the heap drained (only from
+    /// before the progression drained (only from
     /// [`ProgressiveExecutor::drain_with_faults_budgeted_to_bound`]): the
     /// estimates are inexact but provably within the target penalty.
     BoundReached,
@@ -165,42 +161,38 @@ pub struct DegradationReport {
 pub struct ProgressiveExecutor<'a> {
     store: &'a dyn CoefficientStore,
     columns: HashMap<CoeffKey, Vec<(u32, f64)>>,
-    heap: BinaryHeap<HeapEntry>,
+    /// Every master-list coefficient in progression order.  `ι_p` is a
+    /// function of the query coefficients alone, so the order is fixed
+    /// when the batch is scored and never changes afterwards.
+    order: Vec<ProgressionEntry>,
+    /// `order[..cursor]` has been taken (applied or moved to the deferral
+    /// queue); `order[cursor..]` is pending.  The cursor only advances, so
+    /// a failed or abandoned read-ahead needs no undo.
+    cursor: usize,
     estimates: Vec<f64>,
     homogeneity: f64,
     retrieved: usize,
     /// Keys already pulled from the store, with the value observed — needed
     /// to repair estimates when the view is updated mid-progression.
     seen: HashMap<CoeffKey, f64>,
-    /// Σ ι_p over the coefficients still in the heap — Theorem 2's
-    /// expected-penalty numerator, maintained incrementally.
+    /// Σ ι_p over `order[cursor..]` — Theorem 2's expected-penalty
+    /// numerator, summed in progression order and maintained
+    /// incrementally.
     remaining_importance: f64,
-    /// Prefetch window W: how many heap entries one fallible step may
-    /// fetch through a single [`CoefficientStore::try_get_many`] call.
+    /// Prefetch window W: how many pending entries one fallible step may
+    /// fetch through a single [`CoefficientStore::submit`] call.
     /// 1 (the default) takes exactly the singleton retrieval path.
     prefetch_window: usize,
-    /// Values fetched by a batched prefetch but not yet applied, in
-    /// importance order (front = most important).  These count as
-    /// *pending*: their importance is still in `remaining_importance`,
-    /// they participate in [`ProgressiveExecutor::remaining`] /
-    /// [`ProgressiveExecutor::next_importance`], and each is folded into
-    /// the estimates by its own step — so per-step bounds and traces are
-    /// identical to the unbatched progression.
-    prefetched: VecDeque<(HeapEntry, f64)>,
+    /// What has been read ahead of the cursor, if anything.
+    window: Window,
     /// After a whole-batch prefetch failure, how many singleton steps to
     /// run before re-attempting a batched fetch.  The singleton fallback
     /// is what attributes the failure: only the keys that individually
     /// fail get deferred, the rest retrieve normally.
     singleton_debt: usize,
-    /// A batched prefetch submitted to an asynchronous store and not yet
-    /// resolved.  Its entries still count as *pending* (importance stays in
-    /// `remaining_importance`); at most one of `prefetched`/`pending_fetch`
-    /// is ever populated — a resolved fetch empties into `prefetched`.
-    /// Always `None` over a synchronous store.
-    pending_fetch: Option<PendingFetch>,
     /// Coefficients whose retrieval exhausted its retry budget, awaiting
     /// re-attempts (FIFO so every deferred key gets its turn).
-    deferred: VecDeque<HeapEntry>,
+    deferred: VecDeque<ProgressionEntry>,
     /// Σ ι_p over the deferral queue, tracked separately from
     /// `remaining_importance` so degraded penalty bounds stay exact.
     deferred_importance: f64,
@@ -222,7 +214,7 @@ fn assert_executor_is_send(exec: ProgressiveExecutor<'_>) -> impl Send + '_ {
 
 impl<'a> ProgressiveExecutor<'a> {
     /// Builds the executor: merges the batch into a master list, scores
-    /// every coefficient with `ι_p`, and heapifies.
+    /// every coefficient with `ι_p`, and sorts them into progression order.
     pub fn new(
         batch: &BatchQueries,
         penalty: &dyn Penalty,
@@ -241,36 +233,46 @@ impl<'a> ProgressiveExecutor<'a> {
         store: &'a dyn CoefficientStore,
     ) -> Self {
         let columns = master.into_columns();
-        let mut heap = BinaryHeap::with_capacity(columns.len());
-        let mut remaining_importance = 0.0;
+        let mut order = Vec::with_capacity(columns.len());
         for (key, column) in &columns {
             let column_usize: Vec<(usize, f64)> =
                 column.iter().map(|&(i, v)| (i as usize, v)).collect();
             let importance = penalty.importance(&column_usize, batch_size);
-            // A pathological penalty can emit NaN, which would float to the
-            // top of the max-heap (total_cmp orders NaN above +inf) and
-            // poison every importance sum from here on. Treat it as "no
-            // importance" instead.
+            // A pathological penalty can emit NaN, which would sort to the
+            // front of the progression (total_cmp orders NaN above +inf)
+            // and poison every importance sum from here on. Treat it as
+            // "no importance" instead.
             let importance = if importance.is_nan() { 0.0 } else { importance };
-            remaining_importance += importance;
-            heap.push(HeapEntry {
+            order.push(ProgressionEntry {
                 importance,
                 key: *key,
             });
         }
+        // Most important first, ties resolved toward the smaller key so
+        // every component (executor, bounded variant, optimality ranking)
+        // agrees on one deterministic progression order.  Keys are unique,
+        // so the order is strict and an unstable sort is exact.
+        order.sort_unstable_by(|a, b| {
+            b.importance
+                .total_cmp(&a.importance)
+                .then_with(|| a.key.cmp(&b.key))
+        });
+        // Summed over the sorted order, not the map's: the expected
+        // penalty is then a function of the batch, not of the hash seed.
+        let remaining_importance = order.iter().fold(0.0, |sum, e| sum + e.importance);
         ProgressiveExecutor {
             store,
             columns,
-            heap,
+            order,
+            cursor: 0,
             estimates: vec![0.0; batch_size],
             homogeneity: penalty.homogeneity(),
             retrieved: 0,
             seen: HashMap::new(),
             remaining_importance,
             prefetch_window: 1,
-            prefetched: VecDeque::new(),
+            window: Window::default(),
             singleton_debt: 0,
-            pending_fetch: None,
             deferred: VecDeque::new(),
             deferred_importance: 0.0,
             fault: FaultStats::default(),
@@ -295,18 +297,17 @@ impl<'a> ProgressiveExecutor<'a> {
         self.observer.as_ref()
     }
 
-    /// Sets the prefetch window `w >= 1`: each fallible step may pop up to
-    /// `w` top-importance heap entries and fetch them through one
-    /// [`CoefficientStore::try_get_many`] call, then apply them one per
-    /// step in importance order.
+    /// Sets the prefetch window `w >= 1`: each fallible step may read the
+    /// next `w` pending entries through one [`CoefficientStore::submit`]
+    /// call, then apply them one per step in importance order.
     ///
     /// Step semantics are unchanged for every `w`: each `try_step` still
     /// folds in exactly one coefficient, per-step penalty bounds are
     /// computed over the same pending set, and (thanks to canonical
     /// finalization) the final estimates are bit-identical across windows.
     /// `w = 1` takes exactly the unbatched code path.  On a whole-batch
-    /// fetch failure the popped entries return to the heap and the next
-    /// `w` steps retrieve singleton-style, deferring only the keys that
+    /// fetch failure the cursor simply has not moved, and the next `w`
+    /// steps retrieve singleton-style, deferring only the keys that
     /// individually fail.
     pub fn with_prefetch_window(mut self, w: usize) -> Self {
         assert!(w >= 1, "prefetch window must be at least 1");
@@ -321,129 +322,150 @@ impl<'a> ProgressiveExecutor<'a> {
 
     /// Extracts the most important unretrieved coefficient, fetches its
     /// data value, and advances every query that needs it (Equation 2).
-    /// Returns `None` once the heap is empty — at which point
+    /// Returns `None` once the progression is drained — at which point
     /// [`ProgressiveExecutor::estimates`] holds the exact results.
     pub fn step(&mut self) -> Option<StepInfo> {
         // A parked asynchronous prefetch owns the next entries in
         // progression order; the infallible path simply blocks on it.
-        self.resolve_pending_blocking();
-        // A value already prefetched by the fallible path is next in the
-        // progression order; fold it in without touching the store again.
-        if let Some((entry, value)) = self.prefetched.pop_front() {
-            let info = self.apply_value(&entry, value);
-            self.debit_remaining(entry.importance);
-            if self.is_exact() {
-                self.canonicalize_estimates();
+        self.resolve_window();
+        // A value already read ahead by the fallible path is folded in
+        // without touching the store again; otherwise read through the
+        // infallible `get`, which no fault injector intercepts.
+        let (entry, value, latency_ns) = match self.take_landed() {
+            Some((entry, value)) => (entry, value, 0),
+            None => {
+                let entry = self.take_next()?;
+                let (value, latency_ns) = self.timed_read(|store| store.get(&entry.key));
+                (entry, value.unwrap_or(0.0), latency_ns)
             }
-            self.observe_step("retrieved", &info, 0);
-            return Some(info);
-        }
-        let entry = self.heap.pop()?;
+        };
+        Some(self.fold(entry, value, false, latency_ns))
+    }
+
+    /// Takes the next pending entry off the progression.
+    fn take_next(&mut self) -> Option<ProgressionEntry> {
+        let entry = *self.order.get(self.cursor)?;
+        self.cursor += 1;
+        Some(entry)
+    }
+
+    /// Whether a read-ahead value is waiting to be applied.
+    fn has_landed(&self) -> bool {
+        matches!(&self.window, Window::Landed(values) if !values.is_empty())
+    }
+
+    /// Takes the next pending entry together with its read-ahead value, if
+    /// one has landed.
+    fn take_landed(&mut self) -> Option<(ProgressionEntry, f64)> {
+        let Window::Landed(values) = &mut self.window else {
+            return None;
+        };
+        let value = values.pop_front()?;
+        let entry = self
+            .take_next()
+            .expect("landed values cover pending entries");
+        Some((entry, value))
+    }
+
+    /// Runs one store read under the observer's step timer and
+    /// `StoreWait` scope; returns what it read and the latency (0 when
+    /// unobserved).
+    fn timed_read<T>(&self, read: impl FnOnce(&'a dyn CoefficientStore) -> T) -> (T, u64) {
         let timer = ExecObserver::maybe_timer(&self.observer);
         let wait = ExecObserver::store_wait_scope(&self.observer);
-        let value = self.store.get(&entry.key).unwrap_or(0.0);
+        let out = read(self.store);
         drop(wait);
-        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-        let info = self.apply_value(&entry, value);
-        self.debit_remaining(entry.importance);
-        if self.is_exact() {
-            self.canonicalize_estimates();
-        }
-        self.observe_step("retrieved", &info, latency_ns);
-        Some(info)
+        (out, timer.map_or(0, |t| t.elapsed_ns()))
     }
 
-    /// Applies one prefetched value as a full fallible step.  The store
-    /// attempt happened (and succeeded) at prefetch time; it is *recorded*
-    /// here, one per applied coefficient, so the per-step [`FaultStats`]
-    /// progression — and the `total_attempt_budget` it is reconciled
-    /// against — is identical to the unbatched path.
-    fn apply_prefetched(&mut self, entry: HeapEntry, value: f64) -> TryStepOutcome {
-        self.fault.attempts += 1;
-        self.fault.successes += 1;
-        let info = self.apply_value(&entry, value);
-        self.debit_remaining(entry.importance);
-        if self.is_exact() {
-            self.canonicalize_estimates();
-        }
-        self.observe_step("retrieved", &info, 0);
-        TryStepOutcome::Retrieved(info)
-    }
-
-    /// Resolves a ready (or waited-on) batched prefetch: a successful batch
-    /// fills the prefetch buffer in importance order; a failed one restores
-    /// its entries to the heap and arms the singleton-fallback debt, so
-    /// only the keys that individually fail get deferred — the exact
-    /// semantics of the synchronous `try_get_many` branch.
-    fn finish_pending(&mut self, pending: PendingFetch) {
-        let PendingFetch {
-            entries,
-            completion,
-            timer,
-        } = pending;
-        let w = entries.len();
-        let wait = ExecObserver::store_wait_scope(&self.observer);
-        let fetched = completion.wait();
-        drop(wait);
-        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-        match fetched {
-            Ok(values) => {
-                if let Some(obs) = &self.observer {
-                    obs.on_prefetch(w, true, latency_ns);
-                }
-                self.prefetched.extend(
-                    entries
-                        .into_iter()
-                        .zip(values.into_iter().map(|v| v.unwrap_or(0.0))),
-                );
-            }
-            Err(_) => {
-                if let Some(obs) = &self.observer {
-                    obs.on_prefetch(w, false, latency_ns);
-                }
-                // Whole-batch failure carries no per-key verdicts: restore
-                // the heap (order is recovered by the heap itself) and let
-                // the next `w` steps retrieve singleton-style.
-                for entry in entries {
-                    self.heap.push(entry);
-                }
-                self.singleton_debt = w;
-            }
-        }
-    }
-
-    /// Blocks until a parked asynchronous prefetch resolves and folds it
-    /// in (no-op when nothing is parked).  Used by the callers that cannot
-    /// usefully yield: the infallible [`ProgressiveExecutor::step`] and the
-    /// unbounded [`ProgressiveExecutor::drain_with_faults`].
-    fn resolve_pending_blocking(&mut self) {
-        if let Some(pending) = self.pending_fetch.take() {
-            if let Some(obs) = &self.observer {
-                obs.on_resume(pending.entries.len());
-            }
-            self.finish_pending(pending);
-        }
-    }
-
-    /// Folds a retrieved value into the estimates and bookkeeping shared by
-    /// the infallible and fallible paths.
-    fn apply_value(&mut self, entry: &HeapEntry, value: f64) -> StepInfo {
+    /// Folds one retrieved value into the estimates — the one step body
+    /// the infallible and fallible paths share.  `recovered` says the
+    /// entry came off the deferral queue rather than the progression, i.e.
+    /// which importance sum it leaves.
+    fn fold(
+        &mut self,
+        entry: ProgressionEntry,
+        value: f64,
+        recovered: bool,
+        latency_ns: u64,
+    ) -> StepInfo {
         let column = self
             .columns
             .get(&entry.key)
-            .expect("heap keys come from the master list");
+            .expect("progression keys come from the master list");
         if value != 0.0 {
             for &(qi, c) in column {
                 self.estimates[qi as usize] += c * value;
             }
         }
-        self.seen.insert(entry.key, value);
-        self.retrieved += 1;
-        StepInfo {
+        let info = StepInfo {
             key: entry.key,
             importance: entry.importance,
             value,
             queries_advanced: column.len(),
+        };
+        self.seen.insert(entry.key, value);
+        self.retrieved += 1;
+        if recovered {
+            self.debit_deferred(entry.importance);
+        } else {
+            self.debit_remaining(entry.importance);
+        }
+        if self.is_exact() {
+            self.canonicalize_estimates();
+        }
+        let kind = if recovered { "recovered" } else { "retrieved" };
+        self.observe_step(kind, &info, latency_ns);
+        info
+    }
+
+    /// Resolves a ready (or waited-on) batched prefetch of the next `len`
+    /// entries: a successful one lands its values in progression order; a
+    /// failed one lands nothing — the cursor never moved — and arms the
+    /// singleton-fallback debt, so only the keys that individually fail
+    /// get deferred.
+    fn finish_window(
+        &mut self,
+        len: usize,
+        completion: Completion,
+        timer: Option<batchbb_obs::SpanTimer>,
+    ) {
+        let wait = ExecObserver::store_wait_scope(&self.observer);
+        let fetched = completion.wait();
+        drop(wait);
+        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
+        if let Some(obs) = &self.observer {
+            obs.on_prefetch(len, fetched.is_ok(), latency_ns);
+        }
+        self.window = Window::Landed(match fetched {
+            Ok(values) => values.into_iter().map(|v| v.unwrap_or(0.0)).collect(),
+            // Whole-batch failure carries no per-key verdicts: let the
+            // next `len` steps retrieve singleton-style.
+            Err(_) => {
+                self.singleton_debt = len;
+                VecDeque::new()
+            }
+        });
+    }
+
+    /// Blocks until a parked asynchronous prefetch resolves and lands it
+    /// (no-op when nothing is parked).  `try_step` calls this once the
+    /// completion is ready; the callers that cannot usefully yield — the
+    /// infallible [`ProgressiveExecutor::step`] and the unbounded
+    /// [`ProgressiveExecutor::drain_with_faults`] — call it regardless.
+    fn resolve_window(&mut self) {
+        match std::mem::take(&mut self.window) {
+            Window::InFlight {
+                len,
+                completion,
+                timer,
+            } => {
+                if let Some(obs) = &self.observer {
+                    obs.on_resume(len);
+                }
+                self.finish_window(len, completion, timer);
+            }
+            landed => self.window = landed,
         }
     }
 
@@ -477,9 +499,7 @@ impl<'a> ProgressiveExecutor<'a> {
     }
 
     fn debit_remaining(&mut self, importance: f64) {
-        let none_pending =
-            self.heap.is_empty() && self.prefetched.is_empty() && self.pending_fetch.is_none();
-        self.remaining_importance = if none_pending {
+        self.remaining_importance = if self.remaining() == 0 {
             0.0 // avoid leaving rounding residue after the final step
         } else {
             (self.remaining_importance - importance).max(0.0)
@@ -508,7 +528,7 @@ impl<'a> ProgressiveExecutor<'a> {
             obs.on_step(&StepObservation {
                 kind,
                 info,
-                pending: self.heap.len() + self.prefetched.len() + self.pending_len(),
+                pending: self.remaining(),
                 deferred: self.deferred.len(),
                 remaining_importance: self.remaining_importance,
                 deferred_importance: self.deferred_importance,
@@ -521,27 +541,14 @@ impl<'a> ProgressiveExecutor<'a> {
         }
     }
 
-    fn observe_defer(&self, key: &CoeffKey, importance: f64, error: &StorageError, first: bool) {
-        if let Some(obs) = &self.observer {
-            obs.on_defer(
-                key,
-                importance,
-                error,
-                first,
-                self.deferred.len(),
-                &self.fault,
-            );
-        }
-    }
-
     /// Fallible progressive step: like [`ProgressiveExecutor::step`], but
     /// retrieves through [`CoefficientStore::try_get`] with retries under
     /// `policy`, and *defers* instead of failing when a retrieval cannot be
     /// completed.
     ///
-    /// Source order: the importance heap is drained first (the paper's
-    /// progression order is preserved for everything retrievable); once the
-    /// heap is empty, deferred coefficients are re-attempted round-robin.
+    /// Source order: the progression is drained first (the paper's
+    /// importance order is preserved for everything retrievable); once it
+    /// is empty, deferred coefficients are re-attempted round-robin.
     /// A deferred coefficient's importance moves from
     /// `remaining_importance` into the separately tracked deferred mass, so
     /// [`ProgressiveExecutor::degradation_report`] can bound the penalty of
@@ -563,131 +570,109 @@ impl<'a> ProgressiveExecutor<'a> {
         };
         // A parked asynchronous prefetch owns the next entries in
         // progression order: resolve it if it landed, park otherwise.
-        if let Some(pending) = &self.pending_fetch {
-            if !pending.completion.is_ready() {
+        if let Window::InFlight { completion, .. } = &self.window {
+            if !completion.is_ready() {
                 return TryStepOutcome::Pending;
             }
-            let pending = self.pending_fetch.take().expect("readiness just checked");
-            if let Some(obs) = &self.observer {
-                obs.on_resume(pending.entries.len());
-            }
-            self.finish_pending(pending);
-            // Fall through: a successful fetch filled the prefetch buffer;
-            // a failed one restored the heap and set the singleton debt —
-            // either way the paths below behave exactly as after a
-            // synchronous fetch.
+            self.resolve_window();
         }
-        // A previously prefetched value is next in progression order.
-        if let Some((entry, value)) = self.prefetched.pop_front() {
-            return self.apply_prefetched(entry, value);
-        }
-        // Batched prefetch of the top-W heap entries, worthwhile only when
-        // the clamped window exceeds one key (and no recent batch failure
-        // is still being attributed by singleton steps).
-        if self.prefetch_window > 1 && self.singleton_debt == 0 {
+        // Batched prefetch of the next W pending entries, worthwhile only
+        // when nothing read ahead is left to apply, the clamped window
+        // exceeds one key, and no recent batch failure is still being
+        // attributed by singleton steps.
+        if self.prefetch_window > 1 && self.singleton_debt == 0 && !self.has_landed() {
             let w = self
                 .prefetch_window
-                .min(self.heap.len())
+                .min(self.remaining())
                 .min(budget_left.map_or(usize::MAX, |left| left.min(usize::MAX as u64) as usize));
             if w > 1 {
-                let mut entries = Vec::with_capacity(w);
-                for _ in 0..w {
-                    entries.push(self.heap.pop().expect("window clamped to heap length"));
-                }
-                let keys: Vec<CoeffKey> = entries.iter().map(|e| e.key).collect();
+                let keys: Vec<CoeffKey> = self.order[self.cursor..self.cursor + w]
+                    .iter()
+                    .map(|e| e.key)
+                    .collect();
                 let timer = ExecObserver::maybe_timer(&self.observer);
                 let wait = ExecObserver::store_wait_scope(&self.observer);
                 let completion = self.store.submit(&keys);
                 drop(wait);
-                let pending = PendingFetch {
-                    entries,
-                    completion,
-                    timer,
-                };
-                if pending.completion.is_ready() {
+                if completion.is_ready() {
                     // Synchronous store (or an asynchronous one that beat
-                    // us): resolve inline, byte-identical to the blocking
-                    // `try_get_many` path.
-                    self.finish_pending(pending);
-                    if let Some((entry, value)) = self.prefetched.pop_front() {
-                        return self.apply_prefetched(entry, value);
-                    }
-                    // Batch failure: fall through to the singleton path.
+                    // us): resolve inline, byte-identical to a blocking
+                    // `try_get_many`.
+                    self.finish_window(w, completion, timer);
                 } else {
                     if let Some(obs) = &self.observer {
-                        obs.on_park(w, self.heap.len());
+                        obs.on_park(w, self.remaining() - w);
                     }
-                    self.pending_fetch = Some(pending);
+                    self.window = Window::InFlight {
+                        len: w,
+                        completion,
+                        timer,
+                    };
                     return TryStepOutcome::Pending;
                 }
             }
         }
+        // A value read ahead is next in progression order.  Its store
+        // attempt happened (and succeeded) at prefetch time; it is
+        // *recorded* here, one per applied coefficient, so the per-step
+        // [`FaultStats`] progression — and the `total_attempt_budget` it is
+        // reconciled against — is identical to the unbatched path.
+        if let Some((entry, value)) = self.take_landed() {
+            self.fault.attempts += 1;
+            self.fault.successes += 1;
+            return TryStepOutcome::Retrieved(self.fold(entry, value, false, 0));
+        }
         if self.singleton_debt > 0 {
             self.singleton_debt -= 1;
         }
-        if let Some(entry) = self.heap.pop() {
-            let timer = ExecObserver::maybe_timer(&self.observer);
-            let wait = ExecObserver::store_wait_scope(&self.observer);
-            let out = get_with_retry(self.store, &entry.key, policy, attempts_allowed);
-            drop(wait);
-            let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-            out.record(&mut self.fault);
-            match out.result {
-                Ok(value) => {
-                    let info = self.apply_value(&entry, value.unwrap_or(0.0));
-                    self.debit_remaining(entry.importance);
-                    if self.is_exact() {
-                        self.canonicalize_estimates();
-                    }
-                    self.observe_step("retrieved", &info, latency_ns);
-                    TryStepOutcome::Retrieved(info)
+        // Singleton read: the progression first, the deferral queue after.
+        let (entry, recovering) = match self.take_next() {
+            Some(entry) => (entry, false),
+            None => match self.deferred.pop_front() {
+                Some(entry) => (entry, true),
+                None => return TryStepOutcome::Exhausted,
+            },
+        };
+        let (out, latency_ns) =
+            self.timed_read(|store| get_with_retry(store, &entry.key, policy, attempts_allowed));
+        out.record(&mut self.fault);
+        match out.result {
+            Ok(value) => {
+                let value = value.unwrap_or(0.0);
+                if recovering {
+                    self.fault.recoveries += 1;
+                    TryStepOutcome::Recovered(self.fold(entry, value, true, latency_ns))
+                } else {
+                    TryStepOutcome::Retrieved(self.fold(entry, value, false, latency_ns))
                 }
-                Err(error) => {
+            }
+            Err(error) => {
+                if !recovering {
                     // First deferral of this key: move its mass out of the
-                    // heap's importance sum and count it exactly once.
+                    // progression's importance sum and count it exactly
+                    // once.  A re-deferral only returns to the back of the
+                    // queue.
                     self.fault.deferrals += 1;
                     self.debit_remaining(entry.importance);
                     self.deferred_importance += entry.importance;
-                    self.deferred.push_back(entry);
-                    self.observe_defer(&entry.key, entry.importance, &error, true);
-                    TryStepOutcome::Deferred {
-                        key: entry.key,
-                        importance: entry.importance,
-                        error,
-                    }
+                }
+                self.deferred.push_back(entry);
+                if let Some(obs) = &self.observer {
+                    obs.on_defer(
+                        &entry.key,
+                        entry.importance,
+                        &error,
+                        !recovering,
+                        self.deferred.len(),
+                        &self.fault,
+                    );
+                }
+                TryStepOutcome::Deferred {
+                    key: entry.key,
+                    importance: entry.importance,
+                    error,
                 }
             }
-        } else if let Some(entry) = self.deferred.pop_front() {
-            let timer = ExecObserver::maybe_timer(&self.observer);
-            let wait = ExecObserver::store_wait_scope(&self.observer);
-            let out = get_with_retry(self.store, &entry.key, policy, attempts_allowed);
-            drop(wait);
-            let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-            out.record(&mut self.fault);
-            match out.result {
-                Ok(value) => {
-                    self.fault.recoveries += 1;
-                    let info = self.apply_value(&entry, value.unwrap_or(0.0));
-                    self.debit_deferred(entry.importance);
-                    if self.is_exact() {
-                        self.canonicalize_estimates();
-                    }
-                    self.observe_step("recovered", &info, latency_ns);
-                    TryStepOutcome::Recovered(info)
-                }
-                Err(error) => {
-                    // Re-deferral: back of the queue, no new deferral count.
-                    self.deferred.push_back(entry);
-                    self.observe_defer(&entry.key, entry.importance, &error, false);
-                    TryStepOutcome::Deferred {
-                        key: entry.key,
-                        importance: entry.importance,
-                        error,
-                    }
-                }
-            }
-        } else {
-            TryStepOutcome::Exhausted
         }
     }
 
@@ -709,7 +694,7 @@ impl<'a> ProgressiveExecutor<'a> {
                         self.fetch_pending(),
                         "an unbounded drain yields only on a parked fetch"
                     );
-                    self.resolve_pending_blocking();
+                    self.resolve_window();
                 }
             }
         }
@@ -724,8 +709,8 @@ impl<'a> ProgressiveExecutor<'a> {
     /// scheduling primitive the `batchbb-serve` worker pool slices batches
     /// with, so one huge batch cannot starve the others.
     ///
-    /// Fairness caveat: once the heap is drained, concluding `Degraded`
-    /// requires one *full* fruitless pass over the deferral queue, so a
+    /// Fairness caveat: once the progression is drained, concluding
+    /// `Degraded` requires one *full* fruitless pass over the deferral queue, so a
     /// budget smaller than [`ProgressiveExecutor::deferred_count`] cannot
     /// make progress in that phase — pass at least
     /// `max_steps.max(self.deferred_count())`.
@@ -798,7 +783,7 @@ impl<'a> ProgressiveExecutor<'a> {
                     return Some(DrainStatus::BoundReached);
                 }
             }
-            if self.heap.is_empty() && self.prefetched.is_empty() && self.pending_fetch.is_none() {
+            if self.remaining() == 0 {
                 if self.deferred.is_empty() {
                     return Some(DrainStatus::Exact);
                 }
@@ -821,7 +806,7 @@ impl<'a> ProgressiveExecutor<'a> {
                             return Some(DrainStatus::BudgetExhausted)
                         }
                         // Unreachable in the deferral phase (prefetches
-                        // only start from the heap), but yielding is the
+                        // only start from the progression), but yielding is the
                         // safe answer.
                         TryStepOutcome::Pending => return None,
                         TryStepOutcome::Exhausted => return Some(DrainStatus::Exact),
@@ -858,7 +843,7 @@ impl<'a> ProgressiveExecutor<'a> {
         done
     }
 
-    /// Drains the heap, making the estimates exact. Returns total
+    /// Drains the progression, making the estimates exact. Returns total
     /// retrievals performed by this call.
     pub fn run_to_end(&mut self) -> usize {
         let mut done = 0;
@@ -873,7 +858,7 @@ impl<'a> ProgressiveExecutor<'a> {
         done
     }
 
-    /// The current progressive estimates (exact after the heap drains).
+    /// The current progressive estimates (exact once the progression drains).
     pub fn estimates(&self) -> &[f64] {
         &self.estimates
     }
@@ -898,17 +883,11 @@ impl<'a> ProgressiveExecutor<'a> {
         entries
     }
 
-    /// Entries owned by a parked asynchronous prefetch (0 when none).
-    fn pending_len(&self) -> usize {
-        self.pending_fetch.as_ref().map_or(0, |p| p.entries.len())
-    }
-
-    /// Number of coefficients still pending in normal progression order —
-    /// in the heap, prefetched-but-unapplied, or owned by a parked
-    /// asynchronous prefetch (deferred coefficients are counted by
+    /// Number of coefficients still pending in normal progression order,
+    /// read ahead or not (deferred coefficients are counted by
     /// [`ProgressiveExecutor::deferred_count`]).
     pub fn remaining(&self) -> usize {
-        self.heap.len() + self.prefetched.len() + self.pending_len()
+        self.order.len() - self.cursor
     }
 
     /// True while a batched prefetch submitted to an asynchronous store is
@@ -916,16 +895,14 @@ impl<'a> ProgressiveExecutor<'a> {
     /// and this flag set is *parked*, not out of budget: the serve pool
     /// shelves such a batch and advances another instead of busy-waiting.
     pub fn fetch_pending(&self) -> bool {
-        self.pending_fetch.is_some()
+        matches!(self.window, Window::InFlight { .. })
     }
 
     /// True when the parked prefetch (if any) has landed, i.e. the next
     /// `try_step` will make progress without blocking. `None`-like `false`
     /// when nothing is parked.
     pub fn fetch_ready(&self) -> bool {
-        self.pending_fetch
-            .as_ref()
-            .is_some_and(|p| p.completion.is_ready())
+        matches!(&self.window, Window::InFlight { completion, .. } if completion.is_ready())
     }
 
     /// Number of coefficients parked in the deferral queue.
@@ -954,31 +931,25 @@ impl<'a> ProgressiveExecutor<'a> {
         self.fault
     }
 
-    /// True when evaluation is exact: nothing pending (in the heap, the
-    /// prefetch buffer, or a parked asynchronous prefetch) *and* nothing
+    /// True when evaluation is exact: nothing pending *and* nothing
     /// deferred.
     pub fn is_exact(&self) -> bool {
-        self.heap.is_empty()
-            && self.prefetched.is_empty()
-            && self.pending_fetch.is_none()
-            && self.deferred.is_empty()
+        self.remaining() == 0 && self.deferred.is_empty()
     }
 
-    /// The importance of the next coefficient to be applied.  The prefetch
-    /// buffer front — or the first entry of a parked asynchronous prefetch
-    /// — when present, *is* the progression maximum: it was popped from
-    /// the top of the heap, so every remaining heap entry ranks at or
-    /// below it.
+    /// The importance of the next coefficient to be applied — the maximum
+    /// over everything pending.
     pub fn next_importance(&self) -> Option<f64> {
-        self.prefetched
-            .front()
-            .map(|(e, _)| e.importance)
-            .or_else(|| {
-                self.pending_fetch
-                    .as_ref()
-                    .and_then(|p| p.entries.first().map(|e| e.importance))
-            })
-            .or_else(|| self.heap.peek().map(|e| e.importance))
+        self.order.get(self.cursor).map(|e| e.importance)
+    }
+
+    /// The pending progression `order[cursor..]`, most important first:
+    /// entry `t` drives the certified bound after `t` more retrievals, so
+    /// an admission controller reads "steps until `K^α·ι ≤ ε`" straight
+    /// off it.  Deferred coefficients are not part of it (see
+    /// [`ProgressiveExecutor::deferred_keys`]).
+    pub fn progression(&self) -> &[ProgressionEntry] {
+        &self.order[self.cursor..]
     }
 
     /// Repairs this executor across a published version delta — the
@@ -1047,36 +1018,39 @@ impl<'a> ProgressiveExecutor<'a> {
             }
             i = j;
         }
-        // A prefetched-but-unapplied value was read *before* the view
-        // advanced, so it needs the same repair as a seen key — applied to
-        // the buffered value, since it has not reached the estimates yet.
-        // One pass over the buffer, each slot absorbing its key's deltas
-        // in publish order.
-        for (entry, value) in &mut self.prefetched {
-            for (key, d) in delta {
-                if *d != 0.0 && entry.key == *key {
-                    *value += d;
-                    if value.abs() <= STORE_ZERO_TOL {
-                        *value = 0.0;
+        match &mut self.window {
+            // A landed-but-unapplied value was read *before* the view
+            // advanced, so it needs the same repair as a seen key —
+            // applied to the buffered value, since it has not reached the
+            // estimates yet.  One pass over the buffer, each slot
+            // absorbing its key's deltas in publish order.
+            Window::Landed(values) => {
+                for (entry, value) in self.order[self.cursor..].iter().zip(values) {
+                    for (key, d) in delta {
+                        if *d != 0.0 && entry.key == *key {
+                            *value += d;
+                            if value.abs() <= STORE_ZERO_TOL {
+                                *value = 0.0;
+                            }
+                        }
                     }
                 }
             }
-        }
-        // A parked asynchronous prefetch that includes an updated key is
-        // abandoned wholesale: its read raced the advance, so the buffered
-        // verdicts cannot be trusted.  The entries return to the heap (their
-        // importance was never debited) and are re-fetched from the advanced
-        // view; the dropped completion's read finishes harmlessly in the
-        // background.  Fetches not touching any updated key keep flying —
-        // their pre- and post-update values are identical.
-        if self.pending_fetch.as_ref().is_some_and(|p| {
-            p.entries
-                .iter()
-                .any(|e| delta.iter().any(|(k, d)| *d != 0.0 && e.key == *k))
-        }) {
-            let pending = self.pending_fetch.take().expect("presence just checked");
-            for entry in pending.entries {
-                self.heap.push(entry);
+            // A parked asynchronous prefetch that includes an updated key
+            // is abandoned wholesale: its read raced the advance, so the
+            // buffered verdicts cannot be trusted.  The cursor never moved
+            // (nor was any importance debited), so the entries are simply
+            // re-fetched from the advanced view; the dropped completion's
+            // read finishes harmlessly in the background.  Fetches not
+            // touching any updated key keep flying — their pre- and
+            // post-update values are identical.
+            Window::InFlight { len, .. } => {
+                let touched = self.order[self.cursor..self.cursor + *len]
+                    .iter()
+                    .any(|e| delta.iter().any(|(key, d)| *d != 0.0 && e.key == *key));
+                if touched {
+                    self.window = Window::default();
+                }
             }
         }
         // An already-exact executor gets no further steps, so the exactness
@@ -1124,25 +1098,6 @@ impl<'a> ProgressiveExecutor<'a> {
     /// Theorem 1's exponent on `K`.
     pub fn homogeneity(&self) -> f64 {
         self.homogeneity
-    }
-
-    /// The importances `ι_p` of every unresolved coefficient — pending (in
-    /// the heap, the prefetch buffer, or a parked asynchronous prefetch)
-    /// and deferred — in no particular order. Admission controllers sort this descending to price a batch:
-    /// entry `t` of the sorted list is the certified-bound driver after `t`
-    /// retrievals, so "steps until `K^α·ι ≤ ε`" falls out directly.
-    pub fn pending_importances(&self) -> Vec<f64> {
-        self.heap
-            .iter()
-            .map(|e| e.importance)
-            .chain(self.prefetched.iter().map(|(e, _)| e.importance))
-            .chain(
-                self.pending_fetch
-                    .iter()
-                    .flat_map(|p| p.entries.iter().map(|e| e.importance)),
-            )
-            .chain(self.deferred.iter().map(|e| e.importance))
-            .collect()
     }
 
     /// Snapshot of the degraded-result contract: current estimates, the

@@ -11,11 +11,12 @@
 //!    coefficient is retrieved once for the whole batch.
 //! 4. Compute each coefficient's **importance**
 //!    `ι_p(ξ) = p(q̂₀[ξ],…,q̂_{s-1}[ξ])` under the user's penalty function
-//!    and build a max-heap.
-//! 5. Repeatedly extract the most important coefficient, retrieve its data
-//!    value, and advance every query that needs it
-//!    ([`ProgressiveExecutor::step`]). When the heap drains the estimates
-//!    are exact.
+//!    and sort the master list by it once — `ι_p` depends on the queries
+//!    alone, so the paper's max-heap is only ever consumed in this order.
+//! 5. Walk the sorted progression with a cursor: retrieve the most
+//!    important pending coefficient's data value and advance every query
+//!    that needs it ([`ProgressiveExecutor::step`]). When the progression
+//!    drains the estimates are exact.
 //!
 //! Supporting pieces: the [`round_robin`] single-query baseline the paper
 //! compares against, the [`data_approx`] compressed-synopsis baseline it
@@ -84,6 +85,8 @@ pub mod round_robin;
 pub mod stats;
 
 pub use batch::BatchQueries;
-pub use executor::{DegradationReport, DrainStatus, ProgressiveExecutor, StepInfo, TryStepOutcome};
+pub use executor::{
+    DegradationReport, DrainStatus, ProgressionEntry, ProgressiveExecutor, StepInfo, TryStepOutcome,
+};
 pub use master::MasterList;
 pub use observe::{ExecObserver, RewriteObserver};

@@ -31,7 +31,7 @@ use crate::StepInfo;
 /// importance masses) or `None` (for the unresolved maximum); the
 /// corresponding event fields are then omitted rather than fabricated.
 pub(crate) struct StepObservation<'a> {
-    /// `"retrieved"` for heap progress, `"recovered"` for a deferred
+    /// `"retrieved"` for progression progress, `"recovered"` for a deferred
     /// coefficient that finally resolved.
     pub kind: &'static str,
     /// The retrieval itself.

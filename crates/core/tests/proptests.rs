@@ -256,3 +256,125 @@ proptest! {
         }
     }
 }
+
+use batchbb_core::TryStepOutcome;
+use batchbb_storage::CoefficientStore;
+
+/// `(key, importance bits)` — what "the same progression" is compared on.
+type Walk = Vec<(CoeffKey, u64)>;
+
+fn reference_walk(batch: &BatchQueries, penalty: &dyn Penalty) -> Walk {
+    optimality::importance_ranking(batch, penalty)
+        .into_iter()
+        .map(|(key, iota)| (key, iota.to_bits()))
+        .collect()
+}
+
+/// Drives `try_step` at window `w` until the progression is drained
+/// (yielding on `Pending`), checking the executor's books against
+/// `reference` after every call; returns the walk of retrieved steps and
+/// the keys that deferred.
+fn try_walk(
+    batch: &BatchQueries,
+    penalty: &dyn Penalty,
+    store: &dyn CoefficientStore,
+    w: usize,
+    reference: &Walk,
+) -> Result<(Walk, Vec<CoeffKey>), TestCaseError> {
+    let policy = RetryPolicy::default();
+    let mut exec = ProgressiveExecutor::new(batch, penalty, store).with_prefetch_window(w);
+    let (mut walk, mut deferred) = (Vec::new(), Vec::new());
+    while exec.remaining() > 0 {
+        match exec.try_step(&policy) {
+            TryStepOutcome::Retrieved(info) => walk.push((info.key, info.importance.to_bits())),
+            TryStepOutcome::Deferred { key, .. } => deferred.push(key),
+            TryStepOutcome::Pending => std::thread::yield_now(),
+            other => prop_assert!(false, "unexpected outcome {:?}", other),
+        }
+        prop_assert_eq!(
+            exec.retrieved() + exec.remaining() + exec.deferred_count(),
+            reference.len()
+        );
+        let position = reference.len() - exec.remaining();
+        prop_assert_eq!(
+            exec.next_importance().map(f64::to_bits),
+            reference.get(position).map(|&(_, iota)| iota)
+        );
+    }
+    Ok((walk, deferred))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The executor's progression *is* the reference ranking, element for
+    /// element and ties included — through `step`, through `try_step` at
+    /// W = 1 and a random W, and through the asynchronous engine's parked
+    /// windows — under SSE and a random diagonal quadratic (whose zero
+    /// weights make whole runs of importances tie).
+    #[test]
+    fn executor_walks_the_reference_ranking(
+        (data, queries, shape) in arb_instance(),
+        weights in prop::collection::vec(0.0f64..5.0, 12),
+        window in 2usize..64,
+    ) {
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let entries = strategy.transform_data(&data);
+        let store = MemoryStore::from_entries(entries.clone());
+        let engine = AsyncFetchStore::new(MemoryStore::from_entries(entries), 2);
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let penalties: [Box<dyn Penalty>; 2] = [
+            Box::new(Sse),
+            Box::new(DiagonalQuadratic::new(weights.into_iter().chain(std::iter::repeat(1.0))
+                .take(batch.len()).collect())),
+        ];
+        for p in &penalties {
+            let reference = reference_walk(&batch, p.as_ref());
+            let mut exec = ProgressiveExecutor::new(&batch, p.as_ref(), &store);
+            let stepped: Walk = std::iter::from_fn(|| exec.step())
+                .map(|info| (info.key, info.importance.to_bits()))
+                .collect();
+            prop_assert_eq!(&stepped, &reference, "step()");
+            let stores: [(&dyn CoefficientStore, usize); 3] =
+                [(&store, 1), (&store, window), (&engine, window)];
+            for (store, w) in stores {
+                let (walk, deferred) = try_walk(&batch, p.as_ref(), store, w, &reference)?;
+                prop_assert_eq!(&walk, &reference, "try_step at W = {}", w);
+                prop_assert!(deferred.is_empty());
+            }
+        }
+    }
+
+    /// A window that fails as a whole rewinds to its first entry: with one
+    /// permanently failing key inside it, that key alone defers and every
+    /// other key still comes out in reference order, over the blocking
+    /// store and over the engine's parked windows alike.
+    #[test]
+    fn a_failed_window_resumes_in_reference_order(
+        (data, queries, shape) in arb_instance(),
+        window in 2usize..64,
+        pick in 0usize..1000,
+    ) {
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let entries = strategy.transform_data(&data);
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let mut reference = reference_walk(&batch, &Sse);
+        let victim = reference[pick % reference.len()].0;
+        let faulty = || {
+            FaultInjectingStore::new(
+                MemoryStore::from_entries(entries.clone()),
+                FaultPlan::new(0).with_permanent_keys([victim]),
+            )
+        };
+        let (blocking, engine) = (faulty(), AsyncFetchStore::new(faulty(), 2));
+        let walks = [
+            try_walk(&batch, &Sse, &blocking, window, &reference)?,
+            try_walk(&batch, &Sse, &engine, window, &reference)?,
+        ];
+        reference.retain(|&(key, _)| key != victim);
+        for (walk, deferred) in walks {
+            prop_assert_eq!(&walk, &reference);
+            prop_assert_eq!(deferred, vec![victim]);
+        }
+    }
+}

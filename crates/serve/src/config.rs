@@ -126,8 +126,8 @@ impl ServeConfig {
     }
 
     /// Sets the prefetch window W (values below 1 become 1): each worker
-    /// slice fetches up to W coefficients per `try_get_many` batch instead
-    /// of one per step, cutting store lock acquisitions roughly W-fold
+    /// slice fetches up to W coefficients per `submit` call instead of
+    /// one per step, cutting store lock acquisitions roughly W-fold
     /// while leaving results bit-identical (see
     /// `ProgressiveExecutor::with_prefetch_window`).
     pub fn prefetch_window(mut self, w: usize) -> Self {

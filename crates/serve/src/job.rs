@@ -180,7 +180,8 @@ impl<'a> JobCell<'a> {
         pinned: Option<VersionId>,
         lifecycle: Option<Lifecycle>,
     ) -> Self {
-        let snapshot = snapshot_of(&exec, 0, false, config);
+        let report = exec.degradation_report(config.n_total, config.k_abs_sum);
+        let snapshot = snapshot_of(&exec, &report, 0, false);
         JobCell {
             index,
             contract,
@@ -239,7 +240,7 @@ impl<'a> JobCell<'a> {
             recorder.flush();
         }
         let report = exec.degradation_report(config.n_total, config.k_abs_sum);
-        let snapshot = snapshot_of(&exec, 0, true, config);
+        let snapshot = snapshot_of(&exec, &report, 0, true);
         let result = BatchResult {
             status: BatchStatus::Rejected,
             slo: SloOutcome::Rejected {
@@ -271,16 +272,16 @@ impl<'a> JobCell<'a> {
     }
 }
 
-/// Builds a [`BatchSnapshot`] from live executor state.
+/// Builds a [`BatchSnapshot`] from live executor state and the `report`
+/// just taken of it — the one place a snapshot is assembled.
 pub(crate) fn snapshot_of(
     exec: &ProgressiveExecutor<'_>,
+    report: &DegradationReport,
     slices: usize,
     finished: bool,
-    config: &ServeConfig,
 ) -> BatchSnapshot {
-    let report = exec.degradation_report(config.n_total, config.k_abs_sum);
     BatchSnapshot {
-        estimates: report.estimates,
+        estimates: report.estimates.clone(),
         retrieved: exec.retrieved(),
         remaining: exec.remaining(),
         deferred: exec.deferred_count(),

@@ -12,10 +12,10 @@ use batchbb_storage::{
 use batchbb_tensor::CoeffKey;
 use parking_lot::Mutex;
 
-use crate::job::{JobCell, JobState};
+use crate::job::{snapshot_of, JobCell, JobState};
 use crate::sched::SliceQueue;
 use crate::slo::{estimate_cost, SloObserver, SloOutcome};
-use crate::{BatchHandle, BatchRequest, BatchResult, BatchSnapshot, BatchStatus, ServeConfig};
+use crate::{BatchHandle, BatchRequest, BatchResult, BatchStatus, ServeConfig};
 
 /// A thread-pool batch server.
 ///
@@ -309,12 +309,11 @@ fn run_pool<'s, 'a, R>(
         .collect();
     let active = AtomicUsize::new(admitted.len());
     shared.slo.set_queue_depth(admitted.len() as u64);
-    let queue = SliceQueue::new(admitted.iter().map(|cell| {
-        let snapshot = cell.snapshot.lock();
-        let per_step =
-            snapshot.worst_case_bound / (snapshot.remaining + snapshot.deferred).max(1) as f64;
-        (cell.index, cell.contract.priority_weight() * per_step)
-    }));
+    let queue = SliceQueue::new(
+        admitted
+            .iter()
+            .map(|cell| (cell.index, marginal_value(cell))),
+    );
     std::thread::scope(|scope| {
         for _ in 0..config.workers {
             let queue = &queue;
@@ -567,13 +566,8 @@ fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) 
         }
         let index = parked.swap_remove(i);
         cell.enter_phase(Phase::Queued);
-        let snapshot = cell.snapshot.lock();
-        let per_step =
-            snapshot.worst_case_bound / (snapshot.remaining + snapshot.deferred).max(1) as f64;
-        let score = cell.contract.priority_weight() * per_step;
-        let slices = snapshot.slices;
-        drop(snapshot);
-        queue.push(index, score, slices);
+        let slices = cell.snapshot.lock().slices;
+        queue.push(index, marginal_value(cell), slices);
         resumed = true;
     }
     resumed
@@ -707,15 +701,22 @@ fn run_slice(
                 cell.enter_phase(Phase::Parked);
                 return SliceOutcome::Parked;
             }
-            let per_step = report.worst_case_bound
-                / (state.exec.remaining() + state.exec.deferred_count()).max(1) as f64;
             cell.enter_phase(Phase::Queued);
             SliceOutcome::Requeue {
-                score: cell.contract.priority_weight() * per_step,
+                score: marginal_value(cell),
                 slices: state.slices,
             }
         }
     }
+}
+
+/// The pool's marginal-value score of a batch, off its published snapshot:
+/// certified bound shrink per unresolved retrieval × priority weight.
+fn marginal_value(cell: &JobCell<'_>) -> f64 {
+    let snapshot = cell.snapshot.lock();
+    let per_step =
+        snapshot.worst_case_bound / (snapshot.remaining + snapshot.deferred).max(1) as f64;
+    cell.contract.priority_weight() * per_step
 }
 
 fn publish_snapshot(
@@ -724,16 +725,7 @@ fn publish_snapshot(
     report: &DegradationReport,
     finished: bool,
 ) {
-    *cell.snapshot.lock() = BatchSnapshot {
-        estimates: report.estimates.clone(),
-        retrieved: state.exec.retrieved(),
-        remaining: state.exec.remaining(),
-        deferred: state.exec.deferred_count(),
-        worst_case_bound: report.worst_case_bound,
-        expected_penalty: report.expected_penalty,
-        slices: state.slices,
-        finished,
-    };
+    *cell.snapshot.lock() = snapshot_of(&state.exec, report, state.slices, finished);
 }
 
 fn finalize(

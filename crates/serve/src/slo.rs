@@ -126,8 +126,8 @@ pub enum SloOutcome {
 /// Admission-time cost estimate for one batch under its contract.
 ///
 /// Priced from the batch's *initial bound* and its *per-retrieval shrink*:
-/// the executor's pending importances, sorted descending, are exactly the
-/// certified-bound trajectory (`bound after t steps = K^α · ι_(t)`), so
+/// the executor's pending progression — importances, descending — is exactly
+/// the certified-bound trajectory (`bound after t steps = K^α · ι_(t)`), so
 /// steps-to-ε is the first index whose bound meets the target. A deadline
 /// caps the estimate — the batch cannot consume more ticks than that.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,33 +146,27 @@ pub struct AdmissionEstimate {
     pub steps_to_target: u64,
 }
 
-/// Prices `contract` against the executor's initial importance profile.
+/// Prices `contract` against the executor's initial importance profile,
+/// read in place off its progression.
 pub(crate) fn estimate_cost(
     exec: &ProgressiveExecutor<'_>,
     contract: &SloContract,
     k_abs_sum: f64,
 ) -> AdmissionEstimate {
-    let mut iotas = exec.pending_importances();
-    iotas.sort_unstable_by(|a, b| b.total_cmp(a));
+    let iotas = exec.progression();
     let scale = k_abs_sum.powf(exec.homogeneity());
-    let initial_bound = iotas.first().map_or(0.0, |iota| scale * iota);
-    let m = iotas.len() as u64;
+    let bound_at = |t: usize| iotas.get(t).map_or(0.0, |e| scale * e.importance);
+    let initial_bound = bound_at(0);
     let steps = if contract.target_bound.is_finite() {
         // First t with bound-after-t-steps = scale·ι_(t) within target;
-        // retrieving everything (t = m) always reaches bound 0.
-        iotas
-            .iter()
-            .position(|iota| scale * iota <= contract.target_bound)
-            .map_or(m, |t| t as u64)
+        // retrieving everything (t = len) always reaches bound 0.
+        let within = |iota: f64| scale * iota <= contract.target_bound;
+        iotas.partition_point(|e| !within(e.importance)) as u64
     } else {
-        m
+        iotas.len() as u64
     };
     let steps_to_target = contract.deadline_ticks.map_or(steps, |d| steps.min(d));
-    let achieved = if (steps as usize) < iotas.len() {
-        scale * iotas[steps as usize]
-    } else {
-        0.0
-    };
+    let achieved = bound_at(steps as usize);
     let shrink_rate = if steps == 0 || initial_bound <= 0.0 || achieved <= 0.0 {
         0.0
     } else {

@@ -17,7 +17,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use batchbb_tensor::CoeffKey;
-use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::Mutex;
 
 use crate::stats::Counters;
@@ -189,17 +188,16 @@ impl BlockStore {
         let mut sorted: Vec<(CoeffKey, f64)> = map.into_iter().collect();
         sorted.sort_by(|a, b| rank(&a.0).cmp(&rank(&b.0)).then_with(|| a.0.cmp(&b.0)));
 
-        let mut buf = BytesMut::with_capacity(sorted.len() * 8);
+        let mut buf = Vec::with_capacity(sorted.len() * 8);
         let mut index = HashMap::with_capacity(sorted.len());
         for (slot, (k, v)) in sorted.iter().enumerate() {
-            buf.put_f64_le(*v);
+            buf.extend_from_slice(&v.to_le_bytes());
             index.insert(*k, slot as u64);
         }
-        // Pad the final block so block reads are uniform.
+        // Pad the final block so block reads are uniform (0.0 is eight
+        // zero bytes).
         let n_blocks = sorted.len().div_ceil(block_size).max(1) as u64;
-        while buf.len() < (n_blocks as usize) * block_size * 8 {
-            buf.put_f64_le(0.0);
-        }
+        buf.resize((n_blocks as usize) * block_size * 8, 0);
         let mut f = File::create(path)?;
         f.write_all(&buf)?;
         f.sync_all()?;
@@ -228,8 +226,10 @@ impl BlockStore {
         let bytes = self.block_size * 8;
         let mut raw = vec![0u8; bytes];
         self.file.read_exact_at(&mut raw, id * bytes as u64)?;
-        let mut slice = &raw[..];
-        Ok((0..self.block_size).map(|_| slice.get_f64_le()).collect())
+        Ok(raw
+            .chunks_exact(8)
+            .map(|slot| f64::from_le_bytes(slot.try_into().expect("an 8-byte slot")))
+            .collect())
     }
 
     /// Moves the store behind `threads` I/O threads, making

@@ -11,7 +11,6 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use batchbb_tensor::CoeffKey;
-use bytes::{Buf, BufMut, BytesMut};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats, StorageError};
@@ -45,10 +44,10 @@ impl FileStore {
         let mut sorted: Vec<(CoeffKey, f64)> = map.into_iter().collect();
         sorted.sort_by_key(|&(k, _)| k);
 
-        let mut buf = BytesMut::with_capacity(sorted.len() * 8);
+        let mut buf = Vec::with_capacity(sorted.len() * 8);
         let mut index = HashMap::with_capacity(sorted.len());
         for (slot, (k, v)) in sorted.iter().enumerate() {
-            buf.put_f64_le(*v);
+            buf.extend_from_slice(&v.to_le_bytes());
             index.insert(*k, slot as u64);
         }
         let mut f = File::create(path)?;
@@ -66,7 +65,7 @@ impl FileStore {
     fn read_slot(&self, slot: u64) -> io::Result<f64> {
         let mut raw = [0u8; 8];
         self.file.read_exact_at(&mut raw, slot * 8)?;
-        Ok((&raw[..]).get_f64_le())
+        Ok(f64::from_le_bytes(raw))
     }
 
     /// Moves the store behind `threads` I/O threads, making
@@ -136,7 +135,8 @@ impl CoefficientStore for FileStore {
                 })?;
             for &(slot, i) in &wanted[run..end] {
                 let off = ((slot - start) * 8) as usize;
-                out[i] = Some((&raw[off..off + 8]).get_f64_le());
+                let bytes = raw[off..off + 8].try_into().expect("an 8-byte slot");
+                out[i] = Some(f64::from_le_bytes(bytes));
             }
             run = end;
         }

@@ -65,6 +65,16 @@ run() {
     "$@"
 }
 
+# A gate run leaves the tree as it found it. Benches run in test mode
+# overwrite sections of results/BENCH_exec.json with smoke numbers (the
+# --check-bench stages read those), so the file is snapshotted here and
+# put back on exit, however the script ends — together with the gate's
+# temporary files.
+bench_results=results/BENCH_exec.json
+tmpfiles=("$(mktemp)")
+cp "$bench_results" "${tmpfiles[0]}"
+trap 'cp "${tmpfiles[0]}" "$bench_results"; rm -f "${tmpfiles[@]}"' EXIT
+
 # Concurrency matrix: the serve-layer tests must pass both serialized
 # (RUST_TEST_THREADS=1 — each test's own pool threads still run, but
 # tests cannot mask each other's races) and at default test parallelism
@@ -250,7 +260,7 @@ if [ "$quick" -eq 0 ]; then
     # replays its own JSONL trace, and exits nonzero if the penalty-bound
     # column is not monotone or the fault counters fail to reconcile.
     trace="$(mktemp)"
-    trap 'rm -f "$trace"' EXIT
+    tmpfiles+=("$trace")
     run cargo run -q --release -p batchbb-bench --bin progress_report -- --output "$trace" > /dev/null
     run cargo run -q --release -p batchbb-bench --bin progress_report -- --input "$trace" > /dev/null
 
@@ -266,7 +276,7 @@ if [ "$quick" -eq 0 ]; then
     # and each batch's phase intervals exactly partition its
     # admitted-to-finalized wall time (DESIGN.md §14).
     spantrace="$(mktemp)"
-    trap 'rm -f "$trace" "$spantrace"' EXIT
+    tmpfiles+=("$spantrace")
     run cargo run -q --release -p batchbb-bench --bin progress_report -- --serve-trace "$spantrace" > /dev/null
     run cargo run -q --release -p batchbb-bench --bin progress_report -- --attribute "$spantrace" > /dev/null
 

@@ -39,8 +39,13 @@ count() {
 printf '%-16s %8s %8s %8s\n' crate src other total
 total_src=0
 total_other=0
-for dir in . crates/* shims/*; do
-    [ -f "$dir/Cargo.toml" ] || continue
+# With --since, members the change deleted still count (as a negative).
+members=$(
+    ls -d crates/* shims/*
+    [ -z "$since" ] || git ls-tree -d --name-only "$since" crates/ shims/
+)
+for dir in . $(sort -u <<<"$members"); do
+    [ -f "$dir/Cargo.toml" ] || git cat-file -e "$since:$dir/Cargo.toml" 2>/dev/null || continue
     if [ "$dir" = . ]; then name=batchbb; else name="${dir#*/}"; fi
     src=$(count "$dir/src")
     other=$(count "$dir/tests" "$dir/benches" "$dir/examples")

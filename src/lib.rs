@@ -49,7 +49,7 @@
 //! ];
 //! let batch = BatchQueries::rewrite(&strategy, queries, &domain).unwrap();
 //!
-//! // 4. Progressive evaluation under SSE; exact when the heap drains.
+//! // 4. Progressive evaluation under SSE; exact when the progression drains.
 //! let mut exec = ProgressiveExecutor::new(&batch, &Sse, &store);
 //! exec.run_to_end();
 //! assert_eq!(exec.estimates()[0].round(), 1.0); // one tuple with age < 32
@@ -79,7 +79,7 @@ pub mod prelude {
         metrics, optimality,
         round_robin::RoundRobin,
         stats, BatchQueries, DegradationReport, DrainStatus, ExecObserver, MasterList,
-        ProgressiveExecutor, RewriteObserver, StepInfo, TryStepOutcome,
+        ProgressionEntry, ProgressiveExecutor, RewriteObserver, StepInfo, TryStepOutcome,
     };
     pub use batchbb_obs::{
         jsonl, lifecycle, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder,
