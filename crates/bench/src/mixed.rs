@@ -3,7 +3,7 @@
 //! [`MixedFixture`] serves a pool of query batches
 //! (`BatchServer::serve_versioned_with` over a [`VersionedStore`]) while a
 //! driver streams point-update batches into the store: every update is
-//! one `publish` installing a new COW version with zero reader
+//! one `publish` installing a new version with zero reader
 //! coordination, after which each batch opts forward via
 //! `ServeSession::advance_batch`.
 //!

@@ -1018,38 +1018,48 @@ impl<'a> ProgressiveExecutor<'a> {
             }
             i = j;
         }
-        match &mut self.window {
-            // A landed-but-unapplied value was read *before* the view
-            // advanced, so it needs the same repair as a seen key —
-            // applied to the buffered value, since it has not reached the
-            // estimates yet.  One pass over the buffer, each slot
-            // absorbing its key's deltas in publish order.
-            Window::Landed(values) => {
-                for (entry, value) in self.order[self.cursor..].iter().zip(values) {
-                    for (key, d) in delta {
-                        if *d != 0.0 && entry.key == *key {
-                            *value += d;
-                            if value.abs() <= STORE_ZERO_TOL {
-                                *value = 0.0;
-                            }
+        // What was read ahead of the cursor was read *before* the view
+        // advanced.  One pass over the delta against the window's keys
+        // (O(W + |Δ|)): each slot meets its key's deltas in publish order.
+        let ahead = match &self.window {
+            Window::Landed(values) => values.len(),
+            Window::InFlight { len, .. } => *len,
+        };
+        if ahead > 0 {
+            let slots: HashMap<CoeffKey, usize> = self.order[self.cursor..self.cursor + ahead]
+                .iter()
+                .enumerate()
+                .map(|(slot, entry)| (entry.key, slot))
+                .collect();
+            let mut hits = delta
+                .iter()
+                .filter(|(_, d)| *d != 0.0)
+                .filter_map(|(key, d)| Some((*slots.get(key)?, *d)));
+            match &mut self.window {
+                // A landed-but-unapplied value needs the same repair as a
+                // seen key — applied to the buffered value, since it has
+                // not reached the estimates yet.
+                Window::Landed(values) => {
+                    for (slot, d) in hits {
+                        let value = &mut values[slot];
+                        *value += d;
+                        if value.abs() <= STORE_ZERO_TOL {
+                            *value = 0.0;
                         }
                     }
                 }
-            }
-            // A parked asynchronous prefetch that includes an updated key
-            // is abandoned wholesale: its read raced the advance, so the
-            // buffered verdicts cannot be trusted.  The cursor never moved
-            // (nor was any importance debited), so the entries are simply
-            // re-fetched from the advanced view; the dropped completion's
-            // read finishes harmlessly in the background.  Fetches not
-            // touching any updated key keep flying — their pre- and
-            // post-update values are identical.
-            Window::InFlight { len, .. } => {
-                let touched = self.order[self.cursor..self.cursor + *len]
-                    .iter()
-                    .any(|e| delta.iter().any(|(key, d)| *d != 0.0 && e.key == *key));
-                if touched {
-                    self.window = Window::default();
+                // A parked asynchronous prefetch that includes an updated
+                // key is abandoned wholesale: its read raced the advance,
+                // so the buffered verdicts cannot be trusted.  The cursor
+                // never moved (nor was any importance debited), so the
+                // entries are simply re-fetched from the advanced view; the
+                // dropped completion's read finishes harmlessly in the
+                // background.  Fetches not touching any updated key keep
+                // flying — their pre- and post-update values are identical.
+                Window::InFlight { .. } => {
+                    if hits.next().is_some() {
+                        self.window = Window::default();
+                    }
                 }
             }
         }

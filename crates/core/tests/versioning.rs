@@ -290,3 +290,74 @@ fn advance_racing_a_pending_completion(cached: bool) {
     assert_eq!(exec.retrieved_entries(), retrieved);
     asynchronous.quiesce();
 }
+
+/// Publishes point inserts over the whole domain, one version each, until
+/// at least 10k update entries separate `store`'s head from where it
+/// stood — every coefficient of the domain is touched many times over.
+fn publish_a_large_delta(store: &VersionedStore, shape: &Shape, strategy: &WaveletStrategy) {
+    let from = store.current_version();
+    let mut entries = 0;
+    for cell in 0.. {
+        let point = [cell % shape.dim(0), (cell / shape.dim(0)) % shape.dim(1)];
+        let update = cube::point_entries(shape, &point, 1.0 + (cell % 3) as f64, strategy.wavelet);
+        entries += update.len();
+        store.publish(&update);
+        if entries >= 10_000 && cell >= shape.len() {
+            break;
+        }
+    }
+    let delta = store.delta_between(from, store.current_version()).unwrap();
+    assert!(delta.len() >= 10_000);
+}
+
+/// The window repair is one pass over the delta: W > 1 values landed but
+/// not yet applied, a delta of ≥ 10k entries touching all of them, and
+/// the finals still bit-identical to a restart.
+#[test]
+fn advance_through_a_large_delta_repairs_landed_values() {
+    let (store, batch, shape, strategy) = instance(4, 4, 5, Wavelet::Db4);
+    let view = store.pin();
+    let mut exec = ProgressiveExecutor::new(&batch, &Sse, &view).with_prefetch_window(4);
+    // Two windows of four fetched, five values applied: three wait.
+    assert_eq!(
+        exec.drain_with_faults_budgeted(&RetryPolicy::default(), 5),
+        None
+    );
+    assert_eq!(exec.retrieved(), 5);
+    assert_eq!(view.stats().retrievals, 8);
+    publish_a_large_delta(&store, &shape, &strategy);
+    let (_, delta) = view.advance_to_current();
+    exec.advance_version(&delta);
+    let status = exec.drain_with_faults(&RetryPolicy::default());
+    assert_eq!(status, DrainStatus::Exact);
+    let (estimates, retrieved) = restart_finals(&store, &batch, 4);
+    assert_eq!(exec.estimates(), estimates.as_slice());
+    assert_eq!(exec.retrieved_entries(), retrieved);
+}
+
+/// The same large delta against a W > 1 prefetch still in flight: the
+/// one pass finds the intersection and abandons the fetch.
+#[test]
+fn advance_through_a_large_delta_abandons_the_pending_window() {
+    let (store, batch, shape, strategy) = instance(4, 4, 5, Wavelet::Db4);
+    let gated = GatedView::new(store.pin());
+    gated.set_gate(false);
+    let asynchronous = AsyncFetchStore::new(gated, 1);
+    let mut exec = ProgressiveExecutor::new(&batch, &Sse, &asynchronous).with_prefetch_window(4);
+    assert_eq!(
+        exec.drain_with_faults_budgeted(&RetryPolicy::default(), 4),
+        None
+    );
+    assert!(exec.fetch_pending() && !exec.fetch_ready());
+    publish_a_large_delta(&store, &shape, &strategy);
+    let (_, delta) = asynchronous.inner().view().advance_to_current();
+    exec.advance_version(&delta);
+    assert!(!exec.fetch_pending(), "the intersecting fetch is abandoned");
+    asynchronous.inner().set_gate(true);
+    let status = exec.drain_with_faults(&RetryPolicy::default());
+    assert_eq!(status, DrainStatus::Exact);
+    let (estimates, retrieved) = restart_finals(&store, &batch, 1);
+    assert_eq!(exec.estimates(), estimates.as_slice());
+    assert_eq!(exec.retrieved_entries(), retrieved);
+    asynchronous.quiesce();
+}

@@ -359,17 +359,15 @@ struct VersionedCtx<'s, 'a> {
 }
 
 impl VersionedCtx<'_, '_> {
-    /// Compacts the version log to the oldest version any batch's view
-    /// still pins ([`VersionedStore::compact`]). Finished batches freeze
-    /// their view at their final pinned version, so every
-    /// `BatchResult::pinned_version` stays retrievable (`pin_at`) for the
-    /// life of the session — while a long-serving session whose batches
-    /// keep advancing keeps the log bounded instead of accreting one
-    /// delta per publish forever.
+    /// Compacts the version log as far as its live pins allow
+    /// ([`VersionedStore::compact`] stops at the oldest version a view
+    /// still holds). Finished batches freeze their view at their final
+    /// pinned version, so every `BatchResult::pinned_version` stays
+    /// retrievable (`pin_at`) for the life of the session — while a
+    /// long-serving session whose batches keep advancing keeps the log
+    /// bounded instead of accreting one delta per publish forever.
     fn compact(&self) {
-        if let Some(oldest) = self.views.iter().map(|view| view.version()).min() {
-            self.store.compact(oldest);
-        }
+        self.store.compact(self.store.current_version());
     }
 }
 

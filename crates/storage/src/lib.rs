@@ -27,11 +27,12 @@
 //!   scatter-gather over N shards with hedged reads (see [`Completion`]
 //!   and DESIGN.md §12, §15); [`AsyncFetchStore`] is that engine over one
 //!   shard — any blocking store made asynchronous;
-//! * [`VersionedStore`] — MVCC copy-on-write snapshots for live updates
-//!   with zero reader coordination: publishers install immutable versions
-//!   (untouched shards `Arc`-shared), readers pin a [`VersionView`] and
-//!   advance on their own schedule, receiving the exact update delta for
-//!   estimate repair (see DESIGN.md §13).
+//! * [`VersionedStore`] — MVCC snapshots for live updates with zero
+//!   reader coordination: a version is one `Arc`-shared base map plus the
+//!   slots changed since it, so a publish costs the slots it changes and
+//!   never a copy of the store; readers pin a [`VersionView`] and advance
+//!   on their own schedule, receiving the exact update delta for estimate
+//!   repair (see DESIGN.md §13).
 //!
 //! All stores are safe to share across threads (`&self` reads, atomic
 //! counters).

@@ -1,32 +1,39 @@
-//! Versioned copy-on-write coefficient store: MVCC snapshots for live
-//! updates without reader coordination.
+//! Versioned coefficient store: MVCC snapshots for live updates without
+//! reader coordination, at the paper's own update cost.
 //!
-//! [`VersionedStore`] holds an immutable, shard-structured map per
-//! *version*.  [`VersionedStore::publish`] applies a batch of `(key, delta)`
-//! updates in one sorted pass and installs a new version that shares every
-//! untouched shard with its predecessor (`Arc`-shared structure, the
-//! persistent-map idiom), so publishing is `O(batch + touched shards)` and
-//! never blocks readers.  A reader pins a version with
-//! [`VersionedStore::pin`] and reads through the returned [`VersionView`] —
-//! an ordinary [`CoefficientStore`] whose answers are frozen at the pinned
-//! version no matter how many later versions are published.  When the
-//! reader *chooses* to move forward it calls
-//! [`VersionView::advance_to_current`], which re-pins and returns the exact
-//! update entries between the two versions (concatenated in publish order,
-//! never pre-summed) so a progressive executor can repair its estimates
-//! (`ProgressiveExecutor::advance_version`) and stay bit-identical to a
-//! fresh start on the new version.  This publish → advance → repair chain
-//! is the only way data changes under a live reader: no store is ever
-//! mutated in place while anything reads it.
+//! A *version* of a [`VersionedStore`] is `(base, overlay)`: `base` is one
+//! `Arc`-shared hash map that every version since the last fold reads, and
+//! `overlay` holds, for every slot touched since that base, its value at
+//! this version — or a tombstone where the zero-eviction rule removed it.
+//! [`VersionedStore::publish`] copies the previous overlay and applies the
+//! batch to the copy, so a publish costs `O(slots changed since the base)`
+//! and never `O(N)`; a read probes the overlay (skipped while it is empty)
+//! and then the base.  [`VersionedStore::compact`] folds the head's overlay
+//! into the base *in place* whenever no reader holds either, and a publish
+//! that inherits an overlay larger than an eighth of a base readers still
+//! share re-bases by copy, so a pin that never moves costs one `O(N)` copy
+//! per `N/8` changed slots instead of one per publish.
 //!
-//! Bit-identity contract: applying a published batch mutates each touched
-//! slot exactly as the equivalent sequence of [`crate::MutableStore::add`]
-//! calls on a [`crate::MemoryStore`] would — per-key input order is
-//! preserved (stable sort), deltas to distinct keys commute exactly (each
-//! key owns its slot), and the same `1e-13` zero-eviction rule runs after
-//! every single delta.  Version tags ([`CoefficientStore::version_tag`])
-//! let caching and async-fetch wrappers key their tables by
-//! `(version, key)` so entries from different versions never alias.
+//! A reader pins a version with [`VersionedStore::pin`] and reads through
+//! the returned [`VersionView`] — an ordinary [`CoefficientStore`] whose
+//! answers are frozen at the pinned version no matter how many later
+//! versions are published.  When the reader *chooses* to move forward it
+//! calls [`VersionView::advance_to_current`], which re-pins and returns the
+//! exact update entries between the two versions (concatenated in publish
+//! order, never pre-summed) so a progressive executor can repair its
+//! estimates (`ProgressiveExecutor::advance_version`) and stay
+//! bit-identical to a fresh start on the new version.  This publish →
+//! advance → repair chain is the only way data changes under a live
+//! reader: nothing a reader can reach is ever mutated.
+//!
+//! Bit-identity contract: a published batch is applied in input order, and
+//! each key owns one slot, so the publish *is* the equivalent sequence of
+//! [`crate::MutableStore::add`] calls on a [`crate::MemoryStore`] — no
+//! grouping or sort to argue about — with the same `1e-13` zero-eviction
+//! rule after every single delta.  Version tags
+//! ([`CoefficientStore::version_tag`]) let caching and async-fetch wrappers
+//! key their tables by `(version, key)` so entries from different versions
+//! never alias.
 //!
 //! See DESIGN.md §13 for the pin/publish/advance contract.
 
@@ -36,7 +43,6 @@ use std::sync::{Arc, Mutex};
 use batchbb_obs::{span_end_event, span_start_event, EventSink, Tracer};
 use batchbb_tensor::CoeffKey;
 
-use crate::fingerprint::shard_of;
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats};
 
@@ -61,8 +67,12 @@ impl std::fmt::Debug for VersionTracing {
 /// to sequential `add` application.
 const ZERO_TOL: f64 = 1e-13;
 
-/// Default shard count (matches the other sharded stores).
-const DEFAULT_SHARDS: usize = 16;
+/// A publish re-bases by copy once the overlay it inherits holds more than
+/// `1/REBASE_FRACTION` of the base's slots: something still shares that
+/// base (else `compact` would have folded the overlay away), so the `O(N)`
+/// copy is paid once per `N/REBASE_FRACTION` changed slots instead of the
+/// per-publish overlay copy growing without bound.
+const REBASE_FRACTION: usize = 8;
 
 /// Monotone identifier of a published version.  Version 0 is the store's
 /// initial contents; every [`VersionedStore::publish`] increments it by 1.
@@ -82,35 +92,62 @@ impl std::fmt::Display for VersionId {
     }
 }
 
-/// One immutable version: shard maps shared with neighbouring versions.
+/// One immutable version: the base it shares with its neighbours plus the
+/// slots that differ from it.
 #[derive(Debug)]
 struct VersionData {
     id: VersionId,
-    shards: Vec<Arc<HashMap<CoeffKey, f64>>>,
+    /// Shared by every version since the last fold or re-base.
+    base: Arc<HashMap<CoeffKey, f64>>,
+    /// Every slot touched since `base`: its value at this version, `None`
+    /// where the zero-eviction rule removed it.
+    overlay: HashMap<CoeffKey, Option<f64>>,
     nnz: usize,
 }
 
 impl VersionData {
     fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.shards[shard_of(key, self.shards.len())]
-            .get(key)
-            .copied()
+        if !self.overlay.is_empty() {
+            if let Some(slot) = self.overlay.get(key) {
+                return *slot;
+            }
+        }
+        self.base.get(key).copied()
     }
 
     fn abs_sum(&self) -> f64 {
-        self.shards
+        let untouched: f64 = self
+            .base
             .iter()
-            .map(|s| s.values().map(|v| v.abs()).sum::<f64>())
-            .sum()
+            .filter(|(key, _)| !self.overlay.contains_key(key))
+            .map(|(_, v)| v.abs())
+            .sum();
+        let touched: f64 = self.overlay.values().flatten().map(|v| v.abs()).sum();
+        untouched + touched
     }
 }
 
-/// The append-only log: current head, retained snapshots, and the update
+/// Writes `overlay`'s slots through to `base`.  Exact: the overlay holds
+/// values, not deltas.
+fn fold(
+    base: &mut HashMap<CoeffKey, f64>,
+    overlay: impl IntoIterator<Item = (CoeffKey, Option<f64>)>,
+) {
+    for (key, slot) in overlay {
+        match slot {
+            Some(value) => base.insert(key, value),
+            None => base.remove(&key),
+        };
+    }
+}
+
+/// The append-only log: retained snapshots, head last, and the update
 /// batch that produced each version (for delta repair).
 #[derive(Debug)]
 struct VersionLog {
-    current: Arc<VersionData>,
-    /// Retained versions in id order (structural sharing keeps this cheap).
+    /// Retained versions in id order; never empty, the last is the head.
+    /// The log holds one reference to each, so a strong count above one
+    /// means a live [`VersionView`] pins that version.
     history: Vec<Arc<VersionData>>,
     /// `deltas[i]` transformed `history[i]` into `history[i + 1]`, entries
     /// in the exact order the publisher supplied them.
@@ -120,6 +157,10 @@ struct VersionLog {
 }
 
 impl VersionLog {
+    fn head(&self) -> &Arc<VersionData> {
+        self.history.last().expect("the log retains its head")
+    }
+
     fn snapshot_at(&self, id: VersionId) -> Option<Arc<VersionData>> {
         let idx = id.0.checked_sub(self.base.0)? as usize;
         self.history.get(idx).cloned()
@@ -127,7 +168,7 @@ impl VersionLog {
 
     /// Concatenated update entries taking `from` to `to`, publish order.
     fn delta_between(&self, from: VersionId, to: VersionId) -> Option<Vec<(CoeffKey, f64)>> {
-        if from > to || from < self.base || to > self.current.id {
+        if from > to || from < self.base || to > self.head().id {
             return None;
         }
         let lo = (from.0 - self.base.0) as usize;
@@ -140,7 +181,7 @@ impl VersionLog {
     }
 }
 
-/// The versioned copy-on-write store.
+/// The versioned base-plus-overlay store.
 ///
 /// Cheap to share: readers pin views, writers publish batches, and the only
 /// synchronization is a short mutex around the version log — readers never
@@ -153,38 +194,28 @@ pub struct VersionedStore {
 }
 
 impl VersionedStore {
-    /// An empty store at version 0 with the default shard count.
+    /// An empty store at version 0.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS, std::iter::empty())
+        Self::from_entries(std::iter::empty())
     }
 
     /// Bulk-loads version 0 from `(key, value)` pairs (summing duplicates
     /// under the same zero-eviction rule as [`crate::MemoryStore`]).
     pub fn from_entries(entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> Self {
-        Self::with_shards(DEFAULT_SHARDS, entries)
-    }
-
-    /// Bulk-loads version 0 with an explicit shard count.
-    pub fn with_shards(shards: usize, entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let mut maps: Vec<HashMap<CoeffKey, f64>> = (0..shards).map(|_| HashMap::new()).collect();
+        let entries = entries.into_iter();
+        let mut base = HashMap::with_capacity(entries.size_hint().0);
         for (k, v) in entries {
-            let s = shard_of(&k, shards);
-            let slot = maps[s].entry(k).or_insert(0.0);
-            *slot += v;
+            *base.entry(k).or_insert(0.0) += v;
         }
-        for m in &mut maps {
-            m.retain(|_, v| v.abs() > ZERO_TOL);
-        }
-        let nnz = maps.iter().map(HashMap::len).sum();
+        base.retain(|_, v| v.abs() > ZERO_TOL);
         let v0 = Arc::new(VersionData {
             id: VersionId(0),
-            shards: maps.into_iter().map(Arc::new).collect(),
-            nnz,
+            nnz: base.len(),
+            base: Arc::new(base),
+            overlay: HashMap::new(),
         });
         VersionedStore {
             log: Arc::new(Mutex::new(VersionLog {
-                current: v0.clone(),
                 history: vec![v0],
                 deltas: Vec::new(),
                 base: VersionId(0),
@@ -210,44 +241,40 @@ impl VersionedStore {
     /// Publishes a new version applying `entries` (each `(key, delta)`
     /// *adds* `delta` to the key's slot) and returns its id.
     ///
-    /// One sorted pass: entries are grouped per shard and stable-sorted by
-    /// key, so each touched shard is cloned once and each key's run of
-    /// deltas is applied in input order (bit-identical to tuple-at-a-time
-    /// [`crate::MutableStore::add`]).  Untouched shards are `Arc`-shared
-    /// with the predecessor version.  Readers are never blocked: the log
-    /// mutex serializes publishers only.
+    /// The new version shares its predecessor's base and owns a copy of
+    /// its overlay with `entries` applied in input order — each key owns
+    /// one slot, so that is tuple-at-a-time [`crate::MutableStore::add`],
+    /// bit for bit.  The cost is the slots changed since the base, not the
+    /// store, except that a publish inheriting an overlay larger than an
+    /// eighth of the base copies the base once and starts a fresh overlay.
+    /// Readers are never blocked: the log mutex serializes publishers only.
     pub fn publish(&self, entries: &[(CoeffKey, f64)]) -> VersionId {
         let publish_start = self.tracing.as_ref().map(|t| t.tracer.now_ns());
         let mut log = self.log.lock().unwrap();
-        let prev = log.current.clone();
-        let nshards = prev.shards.len();
-        let mut per_shard: Vec<Vec<(CoeffKey, f64)>> = vec![Vec::new(); nshards];
+        let prev = log.head();
+        let (base, mut overlay) = if prev.overlay.len() > prev.base.len() / REBASE_FRACTION {
+            let mut base = HashMap::clone(&prev.base);
+            fold(&mut base, prev.overlay.iter().map(|(k, slot)| (*k, *slot)));
+            (Arc::new(base), HashMap::new())
+        } else {
+            (prev.base.clone(), prev.overlay.clone())
+        };
+        let mut nnz = prev.nnz;
         for (k, d) in entries {
-            per_shard[shard_of(k, nshards)].push((*k, *d));
+            let slot = overlay.entry(*k).or_insert_with(|| base.get(k).copied());
+            let value = slot.unwrap_or(0.0) + d;
+            let next = (value.abs() > ZERO_TOL).then_some(value);
+            nnz = nnz + usize::from(next.is_some()) - usize::from(slot.is_some());
+            *slot = next;
         }
-        let mut shards = prev.shards.clone();
-        for (s, mut ops) in per_shard.into_iter().enumerate() {
-            if ops.is_empty() {
-                continue;
-            }
-            // Stable sort: per-key input order survives, and distinct keys
-            // commute exactly, so this equals input-order application.
-            ops.sort_by_key(|&(k, _)| k);
-            let map = Arc::make_mut(&mut shards[s]);
-            for (k, d) in ops {
-                let slot = map.entry(k).or_insert(0.0);
-                *slot += d;
-                if slot.abs() <= ZERO_TOL {
-                    map.remove(&k);
-                }
-            }
-        }
-        let nnz = shards.iter().map(|m| m.len()).sum();
         let id = VersionId(prev.id.0 + 1);
-        let next = Arc::new(VersionData { id, shards, nnz });
-        log.history.push(next.clone());
+        log.history.push(Arc::new(VersionData {
+            id,
+            base,
+            overlay,
+            nnz,
+        }));
         log.deltas.push(Arc::new(entries.to_vec()));
-        log.current = next;
         drop(log);
         if let Some(tracing) = &self.tracing {
             let ctx = tracing.tracer.root_context();
@@ -265,7 +292,7 @@ impl VersionedStore {
 
     /// The id of the latest published version.
     pub fn current_version(&self) -> VersionId {
-        self.log.lock().unwrap().current.id
+        self.log.lock().unwrap().head().id
     }
 
     /// Pins the current version and returns a view frozen at it.
@@ -273,7 +300,7 @@ impl VersionedStore {
         let log = self.log.lock().unwrap();
         VersionView {
             log: self.log.clone(),
-            pinned: Mutex::new(log.current.clone()),
+            pinned: Mutex::new(log.head().clone()),
             counters: Counters::default(),
             tracing: self.tracing.clone(),
         }
@@ -299,19 +326,37 @@ impl VersionedStore {
         self.log.lock().unwrap().delta_between(from, to)
     }
 
-    /// Drops retained versions and deltas older than `oldest_pinned`.
-    /// After compaction, `pin_at`/`delta_between` on older ids return
-    /// `None`; the current version and everything from `oldest_pinned`
-    /// forward stay available.
+    /// Drops retained versions and deltas older than `oldest_pinned` — or
+    /// older than the oldest version a live [`VersionView`] still pins, if
+    /// that is older: the log sees its own pins, so an over-stated
+    /// argument never strands a view.  After compaction,
+    /// `pin_at`/`delta_between` on dropped ids return `None`; the current
+    /// version and everything from the cut forward stay available.
+    ///
+    /// This is also where the head's overlay is folded into its base, in
+    /// place and off the publish path, whenever no view and no retained
+    /// version holds either.
     pub fn compact(&self, oldest_pinned: VersionId) {
         let mut log = self.log.lock().unwrap();
-        if oldest_pinned <= log.base {
-            return;
-        }
-        let cut = (oldest_pinned.0.min(log.current.id.0) - log.base.0) as usize;
+        let wanted = oldest_pinned
+            .min(log.head().id)
+            .0
+            .saturating_sub(log.base.0) as usize;
+        let cut = log
+            .history
+            .iter()
+            .take(wanted)
+            .position(|version| Arc::strong_count(version) > 1)
+            .unwrap_or(wanted);
         log.history.drain(..cut);
         log.deltas.drain(..cut);
         log.base = log.history[0].id;
+        let head = log.history.last_mut().expect("the log retains its head");
+        if let Some(head) = Arc::get_mut(head) {
+            if let Some(base) = Arc::get_mut(&mut head.base) {
+                fold(base, std::mem::take(&mut head.overlay));
+            }
+        }
     }
 
     /// Number of retained versions (history length).
@@ -322,7 +367,7 @@ impl VersionedStore {
     /// Sum of |value| over the current version — the constant `K` in
     /// Theorem 1's worst-case bound.
     pub fn abs_sum(&self) -> f64 {
-        self.log.lock().unwrap().current.abs_sum()
+        self.log.lock().unwrap().head().abs_sum()
     }
 }
 
@@ -337,12 +382,11 @@ impl CoefficientStore for VersionedStore {
     fn get(&self, key: &CoeffKey) -> Option<f64> {
         self.counters.count_retrieval();
         self.counters.count_physical();
-        let data = self.log.lock().unwrap().current.clone();
-        data.get(key)
+        self.log.lock().unwrap().head().get(key)
     }
 
     fn nnz(&self) -> usize {
-        self.log.lock().unwrap().current.nnz
+        self.log.lock().unwrap().head().nnz
     }
 
     fn stats(&self) -> IoStats {
@@ -401,7 +445,7 @@ impl VersionView {
     pub fn advance_to_current(&self) -> (VersionId, Vec<(CoeffKey, f64)>) {
         let start = self.tracing.as_ref().map(|t| t.tracer.now_ns());
         let log = self.log.lock().unwrap();
-        let target = log.current.clone();
+        let target = log.head().clone();
         let mut pinned = self.pinned.lock().unwrap();
         let from = pinned.id;
         let delta = log
@@ -445,8 +489,7 @@ impl CoefficientStore for VersionView {
     fn get(&self, key: &CoeffKey) -> Option<f64> {
         self.counters.count_retrieval();
         self.counters.count_physical();
-        let data = self.pinned.lock().unwrap().clone();
-        data.get(key)
+        self.pinned.lock().unwrap().get(key)
     }
 
     fn nnz(&self) -> usize {
@@ -521,28 +564,70 @@ mod tests {
         assert_eq!(store.get(&k(5, 5)), Some(3.0));
     }
 
+    /// Where a view's base lives and how many slots its overlay holds —
+    /// read without cloning an `Arc`, so looking pins nothing.
+    fn layout(view: &VersionView) -> (*const HashMap<CoeffKey, f64>, usize) {
+        let data = view.pinned.lock().unwrap();
+        (Arc::as_ptr(&data.base), data.overlay.len())
+    }
+
+    /// The update bound, structurally: a publish never copies the base, the
+    /// overlay is exactly the slots touched since the last fold, and the
+    /// fold happens in place — but only once nothing else reads the base.
     #[test]
-    fn untouched_shards_are_shared_between_versions() {
-        let entries: Vec<_> = (0..256).map(|i| (k(i, i % 7), 1.0 + i as f64)).collect();
-        let store = VersionedStore::from_entries(entries);
+    fn publish_shares_the_base_and_compact_folds_it_in_place() {
+        let store = VersionedStore::from_entries((0..256).map(|i| (k(i, i % 7), 1.0 + i as f64)));
         let before = store.pin();
-        store.publish(&[(k(0, 0), 1.0)]); // touches exactly one shard
+        let (base, _) = layout(&before);
+        store.publish(&[(k(0, 0), 1.0), (k(300, 0), 2.0), (k(0, 0), 0.5)]);
+        store.publish(&[(k(1, 1), -2.0), (k(300, 0), 1.0), (k(301, 0), 1e-14)]);
         let after = store.pin();
-        let (a, b) = (
-            before.pinned.lock().unwrap().clone(),
-            after.pinned.lock().unwrap().clone(),
-        );
-        let shared = a
-            .shards
-            .iter()
-            .zip(&b.shards)
-            .filter(|(x, y)| Arc::ptr_eq(x, y))
-            .count();
+        assert_eq!(layout(&before), (base, 0));
         assert_eq!(
-            shared,
-            a.shards.len() - 1,
-            "a one-key publish must clone exactly one shard"
+            layout(&after),
+            (base, 4),
+            "the same base, one overlay slot per distinct key touched since"
         );
+        assert_eq!(after.nnz(), 256, "one slot evicted, one created");
+        // `before` pins the base, `after` the head: nothing may move.
+        store.compact(store.current_version());
+        assert_eq!(store.retained_versions(), 3);
+        assert_eq!(layout(&after), (base, 4));
+        drop(before);
+        store.compact(store.current_version());
+        assert_eq!(store.retained_versions(), 1);
+        assert_eq!(layout(&after), (base, 4), "a pinned head is never folded");
+        drop(after);
+        store.compact(store.current_version());
+        let folded = store.pin();
+        assert_eq!(layout(&folded), (base, 0), "folded in place");
+        assert_eq!(folded.nnz(), 256);
+        assert_eq!(folded.get(&k(0, 0)), Some(2.5));
+        assert_eq!(folded.get(&k(1, 1)), None);
+        assert_eq!(folded.get(&k(300, 0)), Some(3.0));
+    }
+
+    #[test]
+    fn an_outgrown_overlay_re_bases_by_copy() {
+        let store = VersionedStore::from_entries((0..64).map(|i| (k(i, 0), 1.0)));
+        let pinned = store.pin();
+        let touched = 64 / REBASE_FRACTION + 1;
+        store.publish(&(0..touched).map(|i| (k(i, 0), 1.0)).collect::<Vec<_>>());
+        let grown = store.pin();
+        store.publish(&[(k(70, 0), 4.0)]);
+        let rebased = store.pin();
+        assert_eq!(layout(&grown), (layout(&pinned).0, touched));
+        assert_ne!(layout(&rebased).0, layout(&grown).0);
+        assert_eq!(layout(&rebased).1, 1, "a fresh overlay on the copied base");
+        // Every version still reads its own values.
+        assert_eq!(pinned.get(&k(0, 0)), Some(1.0));
+        assert_eq!(grown.get(&k(0, 0)), Some(2.0));
+        assert_eq!(rebased.get(&k(0, 0)), Some(2.0));
+        assert_eq!(
+            (grown.get(&k(70, 0)), rebased.get(&k(70, 0))),
+            (None, Some(4.0))
+        );
+        assert_eq!((grown.nnz(), rebased.nnz()), (64, 65));
     }
 
     #[test]
@@ -625,6 +710,15 @@ mod tests {
         // Compacting to an already-dropped point is a no-op.
         store.compact(VersionId(1));
         assert_eq!(store.retained_versions(), 3);
+    }
+
+    #[test]
+    fn compact_never_strands_a_live_view() {
+        let store = VersionedStore::new();
+        let view = store.pin();
+        store.publish(&[(k(0, 0), 1.0)]);
+        store.compact(store.current_version());
+        assert_eq!(view.advance_to_current().1, vec![(k(0, 0), 1.0)]);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! account for every retrieval, and the batched retrieval path
 //! (`try_get_many`) is observationally identical to the key-by-key
 //! singleton path — same values, same fault outcomes, same cache fills,
-//! same logical-retrieval counts — across every wrapper and layout.
+//! same logical-retrieval counts — across every wrapper and layout.  The
+//! versioned store is additionally held, version by version, to a model:
+//! one `MemoryStore` per version built by replaying `MutableStore::add`.
 
 use proptest::prelude::*;
 
 use batchbb_storage::{
     ArrayStore, CoefficientStore, FaultInjectingStore, FaultPlan, InstrumentedStore, MemoryStore,
-    ShardedCachingStore, VersionedStore,
+    MutableStore, ShardedCachingStore, VersionId, VersionView, VersionedStore,
 };
 #[cfg(unix)]
 use batchbb_storage::{BlockLayout, BlockStore, FileStore};
@@ -71,6 +73,40 @@ fn query_mix(entries: &[(CoeffKey, f64)], extra: Vec<(usize, usize)>) -> Vec<Coe
     let dups: Vec<CoeffKey> = queries.iter().take(4).copied().collect();
     queries.extend(dups);
     queries
+}
+
+/// Keys the versioned-store model draws from; the first `MODEL_SEEDED`
+/// start populated.  Small on purpose: an overlay of five slots outgrows
+/// an eighth of the base, so schedules cross the re-base-by-copy rule.
+const MODEL_KEYS: usize = 40;
+const MODEL_SEEDED: usize = 32;
+
+fn model_key(i: usize) -> CoeffKey {
+    CoeffKey::new(&[i % 8, i / 8])
+}
+
+fn model_copy(model: &MemoryStore) -> MemoryStore {
+    MemoryStore::from_entries(model.iter().map(|(k, v)| (*k, *v)))
+}
+
+/// Asserts `store` (a view, or the versioned store's head) reads exactly
+/// what `model` does: every key bit for bit — present, absent, evicted,
+/// re-inserted — `nnz` exactly, `abs_sum` to summation order.
+fn assert_reads_like(store: &dyn CoefficientStore, abs_sum: f64, model: &MemoryStore, what: &str) {
+    for i in 0..MODEL_KEYS + 1 {
+        let key = model_key(i);
+        assert_eq!(
+            store.get(&key).map(f64::to_bits),
+            model.get(&key).map(f64::to_bits),
+            "{what}: {key} diverged from the replay"
+        );
+    }
+    assert_eq!(store.nnz(), model.nnz(), "{what}: nnz");
+    let want = model.abs_sum();
+    assert!(
+        (abs_sum - want).abs() <= 1e-9 * (1.0 + want),
+        "{what}: abs_sum {abs_sum} vs {want}"
+    );
 }
 
 proptest! {
@@ -252,5 +288,109 @@ proptest! {
         prop_assert!(st.physical_reads <= store.n_blocks());
         prop_assert_eq!(st.physical_reads + st.cache_hits, st.retrievals);
         std::fs::remove_file(&bpath).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random schedules of publish / pin / advance / drop-a-view / compact
+    /// against one `MemoryStore` + `MutableStore::add` replay per version.
+    /// After every operation the head and every live view read bit-equal
+    /// to the replay of their version, the retained range is what the
+    /// compaction rule says (cut at the argument, the head, or the oldest
+    /// live pin, whichever is oldest), and `delta_between` over it is the
+    /// raw concatenation of what was published.
+    #[test]
+    fn versioned_store_agrees_with_a_replay_model(
+        schedule in prop::collection::vec(
+            (
+                0usize..7,
+                0usize..1000,
+                0usize..1000,
+                prop::collection::vec((0usize..MODEL_KEYS, 0usize..5, -4.0f64..4.0), 0..4),
+            ),
+            1..48,
+        ),
+    ) {
+        let seed = (0..MODEL_SEEDED).map(|i| (model_key(i), 1.0 + i as f64 * 0.37));
+        let store = VersionedStore::from_entries(seed.clone());
+        // models[v] and published[v] describe version v; published[0] is unused.
+        let mut models = vec![MemoryStore::from_entries(seed)];
+        let mut published: Vec<Vec<(CoeffKey, f64)>> = vec![Vec::new()];
+        let mut views: Vec<VersionView> = Vec::new();
+        let mut oldest_retained = 0usize;
+        let concat = |published: &[Vec<(CoeffKey, f64)>], from: usize, to: usize| {
+            published[from + 1..=to].concat()
+        };
+        let at = |view: &VersionView| view.version().as_u64() as usize;
+        let id = |version: usize| VersionId(version as u64);
+        for (op, a, b, draws) in schedule {
+            let head = models.len() - 1;
+            match op {
+                0..=2 => {
+                    let mut model = model_copy(&models[head]);
+                    let mut entries = Vec::new();
+                    for (key, kind, magnitude) in draws {
+                        let key = model_key(key);
+                        let delta = match (kind, model.get(&key)) {
+                            // Cancel the slot exactly: the eviction path.
+                            (0, Some(value)) => -value,
+                            // Below tolerance: an absent slot stays absent.
+                            (0, None) | (1, _) => magnitude * 1e-14,
+                            _ => magnitude,
+                        };
+                        model.add(key, delta);
+                        entries.push((key, delta));
+                    }
+                    prop_assert_eq!(store.publish(&entries), id(head + 1));
+                    models.push(model);
+                    published.push(entries);
+                }
+                3 if views.len() < 6 => {
+                    let version = oldest_retained + a % (head - oldest_retained + 1);
+                    let view = if b % 2 == 0 { Some(store.pin()) } else { store.pin_at(id(version)) };
+                    views.push(view.expect("a retained version pins"));
+                }
+                4 if !views.is_empty() => {
+                    let view = &views[a % views.len()];
+                    let from = at(view);
+                    let to = from + b % (head - from + 1);
+                    let delta = if to == head {
+                        view.advance_to_current().1
+                    } else {
+                        view.advance_to(id(to)).expect("a forward, retained target")
+                    };
+                    prop_assert_eq!(at(view), to);
+                    prop_assert_eq!(delta, concat(&published, from, to));
+                }
+                5 if !views.is_empty() => drop(views.swap_remove(a % views.len())),
+                6 => {
+                    // May over-state both the head and every live pin.
+                    let wanted = a % (head + 3);
+                    store.compact(id(wanted));
+                    let pinned = views.iter().map(at).min().unwrap_or(head);
+                    oldest_retained = oldest_retained.max(wanted.min(head).min(pinned));
+                }
+                _ => {}
+            }
+            let head = models.len() - 1;
+            prop_assert_eq!(store.current_version(), id(head));
+            prop_assert_eq!(store.retained_versions(), head - oldest_retained + 1);
+            assert_reads_like(&store, store.abs_sum(), &models[head], "head");
+            for view in &views {
+                let version = at(view);
+                prop_assert_eq!(view.version_tag(), version as u64);
+                assert_reads_like(view, view.abs_sum(), &models[version], "view");
+            }
+            prop_assert_eq!(
+                store.delta_between(id(oldest_retained), id(head)),
+                Some(concat(&published, oldest_retained, head))
+            );
+            if oldest_retained > 0 {
+                prop_assert!(store.pin_at(id(oldest_retained - 1)).is_none());
+                prop_assert!(store.delta_between(id(oldest_retained - 1), id(head)).is_none());
+            }
+        }
     }
 }

@@ -16,9 +16,12 @@
 #   --mixed      run ONLY the mixed update+query gate — the one update path,
 #                publish -> advance -> repair: the snapshot-isolation and
 #                version-advance test batteries (never-torn reads,
-#                advance-equals-restart bit identity), the versioned serve
-#                tests including the held-locks update check and the
-#                unversioned-update panic, and the bench_mixed smoke
+#                advance-equals-restart bit identity), the versioned
+#                store's model proptest and unit tests (publish is
+#                sequential adds; a publish never copies the base), the
+#                versioned serve tests including the held-locks update
+#                check and the unversioned-update panic, and the
+#                bench_mixed smoke
 #   --sharded    run ONLY the sharded retrieval gate: the scatter-gather
 #                bit-identity proptest and the dead-shard degradation test
 #                (a ShardRouter handed to plain serve), the compaction
@@ -112,16 +115,23 @@ slow_store_gate() {
 # every final is bit-identical to a fresh run on its pinned version;
 # version advance — an executor repaired through k deltas finalizes
 # bit-identically to a restart on the final version (plus the degenerate
-# empty/full/racing-async deltas); the versioned serve tests include the
-# held-locks check proving `update` takes no slice lock, and the
-# unversioned-session check proving `update` refuses (panics) where it
-# could not repair the executors; and the bench_mixed smoke keeps the
-# mixed fixture (and its recorded publish latencies in
-# results/BENCH_exec.json) from rotting.
+# empty/full/racing-async deltas); the store itself against a model —
+# random publish/pin/advance/drop/compact schedules replayed on one
+# MemoryStore per version — and its unit tests, among them the structural
+# statement of the O(|Δ|) publish bound (a publish never copies the base,
+# compact folds the overlay in place once no reader holds it); the
+# versioned serve tests include the held-locks check proving `update`
+# takes no slice lock, and the unversioned-session check proving `update`
+# refuses (panics) where it could not repair the executors; and the
+# bench_mixed smoke keeps the mixed fixture (and its recorded publish
+# latencies in results/BENCH_exec.json) from rotting.
 mixed_gate() {
     run cargo test -q -p batchbb --test concurrency snapshot_isolation
     run cargo test -q -p batchbb --test concurrency live_point_updates
     run cargo test -q -p batchbb-core --test versioning
+    run cargo test -q -p batchbb-storage --test proptests \
+        versioned_store_agrees_with_a_replay_model
+    run cargo test -q -p batchbb-storage --lib versioned
     run cargo test -q -p batchbb-serve versioned
     run cargo test -q -p batchbb-serve advance_batch
     run cargo test -q -p batchbb-relation batched_point_entries_equivalence
