@@ -1,28 +1,20 @@
-//! Criterion benchmarks for the observability pipeline itself: the
-//! events/sec cost of each [`EventSink`] on the emitting thread, and the
-//! end-to-end overhead each sink adds to a concurrent serve-pool run
+//! Criterion benchmark for the observability pipeline itself: the
+//! per-event cost of each [`EventSink`] on the emitting thread
 //! (DESIGN.md §8's "observation must not perturb the observed" budget).
+//! Print-only. What tracing costs a whole serve is the ledger's
+//! `obs.trace_overhead_ratio` and `obs.span_events_per_batch`
+//! (`bench_e2e --trace 1`), measured at the design size.
 //!
-//! Sinks compared: no sink at all, [`NullSink`] (schema cost only),
-//! [`MemorySink`] (serialize + lock), [`JsonlSink`] over a discarding
-//! writer (serialize + write), and [`BoundedSink`] draining to the same
-//! JSONL writer off-thread (queue handoff on the hot path).
+//! Sinks compared: [`NullSink`] (schema cost only), [`MemorySink`]
+//! (serialize + lock), [`JsonlSink`] over a discarding writer (serialize +
+//! write), and [`BoundedSink`] draining to the same JSONL writer
+//! off-thread (queue handoff on the hot path).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use batchbb_bench::report::{results_dir, write_section, Json};
-use batchbb_core::BatchQueries;
-use batchbb_obs::{BoundedSink, Event, EventSink, JsonlSink, MemorySink, NullSink, Tracer};
-use batchbb_penalty::Sse;
-use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
-use batchbb_relation::synth;
-use batchbb_serve::{BatchRequest, BatchServer, ServeConfig};
-use batchbb_storage::MemoryStore;
-use batchbb_tensor::Shape;
-use batchbb_wavelet::Wavelet;
+use batchbb_obs::{BoundedSink, Event, EventSink, JsonlSink, MemorySink, NullSink};
 
 /// The sinks under comparison, in increasing ambition.
 fn sink_variants() -> Vec<(&'static str, Arc<dyn EventSink>)> {
@@ -66,177 +58,5 @@ fn bench_emit_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-struct Fixture {
-    store: MemoryStore,
-    batches: Vec<BatchQueries>,
-    n_total: usize,
-    k: f64,
-}
-
-fn fixture(nbatches: usize, cells: usize) -> Fixture {
-    let dataset = synth::clustered(2, 7, 30_000, 4, 13);
-    let dfd = dataset.to_frequency_distribution();
-    let domain: Shape = dfd.schema().domain();
-    let strategy = WaveletStrategy::new(Wavelet::Haar);
-    let store = MemoryStore::from_entries(strategy.transform_data(dfd.tensor()));
-    let batches = (0..nbatches)
-        .map(|b| {
-            let queries: Vec<RangeSum> = partition::random_partition(&domain, cells, b as u64)
-                .into_iter()
-                .map(RangeSum::count)
-                .collect();
-            BatchQueries::rewrite(&strategy, queries, &domain).unwrap()
-        })
-        .collect();
-    let n_total = domain.len();
-    let k = store.abs_sum();
-    Fixture {
-        store,
-        batches,
-        n_total,
-        k,
-    }
-}
-
-/// End-to-end overhead: the same serve-pool run with each sink attached,
-/// against the untraced baseline.  The delta over `untraced` is the whole
-/// observability bill for a run that emits one event per retrieval.
-fn bench_serve_overhead(c: &mut Criterion) {
-    fn requests(f: &Fixture) -> Vec<BatchRequest<'_>> {
-        f.batches
-            .iter()
-            .map(|batch| BatchRequest::new(batch, &Sse))
-            .collect()
-    }
-
-    let f = fixture(4, 16);
-    let mut g = c.benchmark_group("obs_serve_overhead_4x16q");
-    g.sample_size(10);
-
-    g.bench_function("untraced", |b| {
-        let reqs = requests(&f);
-        let server = BatchServer::new(ServeConfig::new(f.n_total, f.k).workers(2).slice_steps(64));
-        b.iter(|| server.serve(&f.store, &reqs))
-    });
-    for (name, sink) in sink_variants() {
-        g.bench_with_input(BenchmarkId::new("sink", name), &sink, |b, sink| {
-            let reqs = requests(&f);
-            let server = BatchServer::new(
-                ServeConfig::new(f.n_total, f.k)
-                    .workers(2)
-                    .slice_steps(64)
-                    .sink(sink.clone()),
-            );
-            b.iter(|| server.serve(&f.store, &reqs))
-        });
-    }
-    g.finish();
-}
-
-/// Span-tracing overhead: the same *sink-attached* serve-pool run with
-/// and without a causal tracer (per-batch lifecycle recorder, phase
-/// spans flushed at finalize, see DESIGN.md §14).  The baseline carries
-/// the sink so the ratio isolates the **marginal** cost of tracing —
-/// span events plus recorder transitions — from the event-emission bill
-/// `bench_serve_overhead` already measures.  Records the
-/// `bench_obs_span_overhead` section the bench-regression guard gates
-/// on: `overhead_ratio` (traced/sink-only wall, ceiling 3x — trips if
-/// span bookkeeping ever dominates the run) and `span_events` (floor 1 —
-/// the traced run must actually emit lifecycles, or the ratio is
-/// vacuous).
-fn bench_span_overhead(c: &mut Criterion) {
-    fn requests(f: &Fixture) -> Vec<BatchRequest<'_>> {
-        f.batches
-            .iter()
-            .map(|batch| BatchRequest::new(batch, &Sse))
-            .collect()
-    }
-
-    let f = fixture(4, 16);
-    let server = |tracer: Option<Tracer>| {
-        let config = ServeConfig::new(f.n_total, f.k)
-            .workers(2)
-            .slice_steps(64)
-            .sink(Arc::new(JsonlSink::new(std::io::sink())));
-        BatchServer::new(match tracer {
-            Some(tracer) => config.tracing(tracer),
-            None => config,
-        })
-    };
-
-    let mut g = c.benchmark_group("obs_span_overhead_4x16q");
-    g.sample_size(10);
-    g.bench_function("sink_only", |b| {
-        let server = server(None);
-        let reqs = requests(&f);
-        b.iter(|| server.serve(&f.store, &reqs))
-    });
-    g.bench_function("traced", |b| {
-        let server = server(Some(Tracer::new(9)));
-        let reqs = requests(&f);
-        b.iter(|| server.serve(&f.store, &reqs))
-    });
-    g.finish();
-
-    // Best-of-5 wall times for the recorded ratio (min, not mean, so a
-    // scheduler hiccup in either arm cannot invert the comparison).
-    let time = |server: &BatchServer| {
-        let reqs = requests(&f);
-        (0..5)
-            .map(|_| {
-                let t = Instant::now();
-                server.serve(&f.store, &reqs);
-                t.elapsed()
-            })
-            .min()
-            .expect("five samples")
-    };
-    let untraced_s = time(&server(None)).as_secs_f64();
-    let traced_s = time(&server(Some(Tracer::new(9)))).as_secs_f64();
-    let ratio = traced_s / untraced_s.max(1e-12);
-
-    // Span volume from a memory-sink traced run of the same fixture.
-    let memory = Arc::new(MemorySink::new());
-    BatchServer::new(
-        ServeConfig::new(f.n_total, f.k)
-            .workers(2)
-            .slice_steps(64)
-            .sink(memory.clone())
-            .tracing(Tracer::new(9)),
-    )
-    .serve(&f.store, &requests(&f));
-    let span_events = memory
-        .lines()
-        .iter()
-        .filter(|l| l.contains("\"event\":\"span."))
-        .count() as u64;
-    assert!(span_events > 0, "traced serve run must emit spans");
-
-    eprintln!(
-        "span tracing: untraced {:.2}ms vs traced {:.2}ms ({ratio:.2}x), \
-         {span_events} span events across {} batches",
-        untraced_s * 1e3,
-        traced_s * 1e3,
-        f.batches.len(),
-    );
-    write_section(
-        &results_dir().join("BENCH_exec.json"),
-        "bench_obs_span_overhead",
-        &Json::obj([
-            ("batches", Json::U64(f.batches.len() as u64)),
-            ("workers", Json::U64(2)),
-            ("untraced_s", Json::F64(untraced_s)),
-            ("traced_s", Json::F64(traced_s)),
-            ("overhead_ratio", Json::F64(ratio)),
-            ("span_events", Json::U64(span_events)),
-        ]),
-    );
-}
-
-criterion_group!(
-    benches,
-    bench_emit_throughput,
-    bench_serve_overhead,
-    bench_span_overhead
-);
+criterion_group!(benches, bench_emit_throughput);
 criterion_main!(benches);

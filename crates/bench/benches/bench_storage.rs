@@ -8,12 +8,10 @@
 //! batched `try_get_many` windows and reports physical block reads: with
 //! the store laid out in the workload's own importance order, the head of
 //! the progression packs into the fewest blocks (gated by an assert, so
-//! the CI smoke run trips if the layout regresses).
+//! the CI smoke run trips if the layout regresses).  Print-only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-#[cfg(unix)]
-use batchbb_bench::report::{results_dir, write_section, Json};
 use batchbb_storage::{
     ArrayStore, CoefficientStore, FaultInjectingStore, FaultPlan, InstrumentedStore, MemoryStore,
 };
@@ -214,30 +212,6 @@ fn head_scan_block_reads(
         by_name("ImportanceOrder") < by_name("KeyOrder"),
         "ImportanceOrder must do strictly fewer block reads than KeyOrder \
          on the progressive head scan: {reads:?}"
-    );
-    write_section(
-        &results_dir().join("BENCH_exec.json"),
-        "bench_storage_head_scan",
-        &Json::obj([
-            ("head_keys", Json::U64(head.len() as u64)),
-            ("window", Json::U64(64)),
-            ("block_bytes", Json::U64(512)),
-            ("pool_blocks", Json::U64(4)),
-            (
-                "layouts",
-                Json::Arr(
-                    reads
-                        .iter()
-                        .map(|(name, n)| {
-                            Json::obj([
-                                ("layout", Json::Str((*name).into())),
-                                ("block_reads", Json::U64(*n)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
     );
 }
 

@@ -29,7 +29,7 @@ use batchbb_storage::MemoryStore;
 use batchbb_wavelet::Wavelet;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["records", "cells", "seed"]);
     let records = args.usize("records", 1_000_000);
     let cells = args.usize("cells", 256);
     let seed = args.u64("seed", 2002);

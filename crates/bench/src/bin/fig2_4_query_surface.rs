@@ -18,7 +18,7 @@ use batchbb_tensor::{Shape, Tensor};
 use batchbb_wavelet::{idwt_nd, Wavelet};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["csv"]);
     let dump_csv = args.flag("csv", false);
 
     let n = 128usize;

@@ -29,7 +29,9 @@ use batchbb_storage::MemoryStore;
 use batchbb_wavelet::Wavelet;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "records", "cells", "seed", "alt", "dyadic", "gridded", "boost", "hi-count",
+    ]);
     let records = args.usize("records", 2_000_000);
     let cells = args.usize("cells", 512);
     let seed = args.u64("seed", 2002);

@@ -25,7 +25,7 @@ use batchbb_storage::{CoefficientStore, MemoryStore};
 use batchbb_wavelet::Wavelet;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["records", "cells", "seed", "alt", "dyadic", "block-size"]);
     let records = args.usize("records", 2_000_000);
     let cells = args.usize("cells", 512);
     let seed = args.u64("seed", 2002);

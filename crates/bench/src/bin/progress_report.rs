@@ -24,15 +24,6 @@
 //! either exits nonzero; mere differences do not, and identical traces
 //! diff to zero and exit 0.
 //!
-//! With `--check-bench results/BENCH_exec.json`, the binary instead acts
-//! as the ✦ bench-regression guard: it reads the recorded benchmark
-//! sections and fails (nonzero exit) if prefetch round-trip counts,
-//! head-scan block reads, the slow-store overlap speedup, or the
-//! span-tracing overhead regress past the recorded thresholds. Sections
-//! not present in the file are noted and skipped — partial bench runs
-//! stay usable — but a file with *no* recognized section fails, so the
-//! gate cannot pass vacuously.
-//!
 //! With `--attribute trace.jsonl`, the binary replays a *causally traced*
 //! run (a trace carrying `span.*` events, see DESIGN.md §14): it verifies
 //! the span invariants — every span closes, children nest inside their
@@ -49,19 +40,19 @@
 //! trace for `--attribute` to replay — the pair forms the CI tracing
 //! gate.  The trace is validated before it is written.
 //!
-//! Flags: `--input trace.jsonl` (replay instead of demo), `--diff a b`
-//! (compare two traces), `--check-bench report.json` (bench-regression
-//! guard), `--attribute trace.jsonl` (span attribution replay),
-//! `--serve-trace out.jsonl` (generate a traced overload run),
-//! `--output trace.jsonl` (save the demo trace), `--curves true`
-//! (append single-trace ASCII penalty log-curves for both bound families
-//! to the table), `--limit N` (table head/tail rows, default 10),
-//! `--records N`, `--cells N`, `--seed N` (demo workload).
+//! Modes, one per run: the demo (no mode flag), `--input trace.jsonl`
+//! (replay instead of demo), `--diff a b` (compare two traces),
+//! `--attribute trace.jsonl` (span attribution replay), `--serve-trace
+//! out.jsonl` (generate a traced overload run). Options: `--output
+//! trace.jsonl` (save the demo trace), `--curves true` (append
+//! single-trace ASCII penalty log-curves for both bound families to the
+//! table), `--limit N` (table head/tail rows, default 10), `--records N`,
+//! `--cells N`, `--seed N` (demo workload). Any other flag, or a flag
+//! without its value, is rejected with exit status 2.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use batchbb_bench::report::{number_field, read_sections, window_field};
 use batchbb_bench::trace::{
     format_diff_table, format_summary_diff, render_curves, BoundFamily, TraceDiff, TraceSummary,
 };
@@ -90,12 +81,26 @@ fn main() -> ExitCode {
         let rest: Vec<String> = argv.drain(i..i + 3).collect();
         diff_paths = Some((rest[1].clone(), rest[2].clone()));
     }
-    let args = Args::parse_from(argv);
+    let known = [
+        "input",
+        "output",
+        "attribute",
+        "serve-trace",
+        "curves",
+        "limit",
+        "records",
+        "cells",
+        "seed",
+    ];
+    let args = match Args::parse_from(argv, &known) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let limit = args.usize("limit", 10);
 
-    if let Some(path) = args.get("check-bench") {
-        return check_bench(path);
-    }
     if let Some((path_a, path_b)) = diff_paths {
         return diff_mode(&path_a, &path_b, limit);
     }
@@ -167,248 +172,6 @@ fn parse_events(lines: &[String]) -> Vec<ParsedEvent> {
             jsonl::parse_line(l).unwrap_or_else(|e| panic!("line {}: bad JSONL: {e}", i + 1))
         })
         .collect()
-}
-
-/// Looks up `field` inside the layout row `{"layout":"Name",...}` of the
-/// head-scan section body.
-fn layout_field(body: &str, layout: &str, field: &str) -> Option<f64> {
-    let needle = format!("{{\"layout\":\"{layout}\",");
-    let at = body.find(&needle)?;
-    let row = &body[at..];
-    let end = row.find('}').unwrap_or(row.len());
-    number_field(&row[..end], field)
-}
-
-/// The `--check-bench` mode: the bench-regression guard over the recorded
-/// `BENCH_exec.json` sections.  Thresholds are absolute ceilings set well
-/// above the recorded numbers (roughly 1.5×), so ordinary run-to-run noise
-/// passes but losing a prefetch batching path, an importance-ordered
-/// layout, or the latency-hiding overlap trips the gate.
-fn check_bench(path: &str) -> ExitCode {
-    let sections = read_sections(std::path::Path::new(path));
-    let body = |name: &str| {
-        sections
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| b.as_str())
-    };
-    println!("# bench-regression guard over {path}");
-
-    // `Cell`s so the `ceiling`/`floor` helpers and the bespoke arms below
-    // can all bump the tallies without fighting the borrow checker.
-    let checked = std::cell::Cell::new(0usize);
-    let failures = std::cell::Cell::new(0usize);
-    // (section, metric label, measured value, ceiling) — pass when
-    // `value <= ceiling`.
-    let ceiling = |section: &str, label: &str, value: Option<f64>, max: f64| {
-        let Some(value) = value else {
-            println!("  SKIP {section}: {label} not recorded");
-            return;
-        };
-        checked.set(checked.get() + 1);
-        if value <= max {
-            println!("  ok   {section}: {label} = {value} <= {max}");
-        } else {
-            println!("  FAIL {section}: {label} = {value} > {max}");
-            failures.set(failures.get() + 1);
-        }
-    };
-    // The floor twin — pass when `value >= min`.
-    let floor = |section: &str, label: &str, value: Option<f64>, min: f64| {
-        let Some(value) = value else {
-            println!("  SKIP {section}: {label} not recorded");
-            return;
-        };
-        checked.set(checked.get() + 1);
-        if value >= min {
-            println!("  ok   {section}: {label} = {value} >= {min}");
-        } else {
-            println!("  FAIL {section}: {label} = {value} < {min}");
-            failures.set(failures.get() + 1);
-        }
-    };
-
-    match body("bench_executor_prefetch") {
-        Some(b) => {
-            // Recorded: 103 round-trips at W=64, 412 at W=16 (6 590 keys).
-            ceiling(
-                "bench_executor_prefetch",
-                "store_calls at window 64",
-                window_field(b, 64, "store_calls"),
-                150.0,
-            );
-            ceiling(
-                "bench_executor_prefetch",
-                "store_calls at window 16",
-                window_field(b, 16, "store_calls"),
-                600.0,
-            );
-        }
-        None => println!("  SKIP bench_executor_prefetch: section absent"),
-    }
-    match body("bench_serve_prefetch") {
-        // Recorded: 60 round-trips at W=64 across the 8-batch pool, whose
-        // shared cache forwards each window's misses as one call. A cache
-        // that splits windows again (one call per cache shard) lands near
-        // 800.
-        Some(b) => ceiling(
-            "bench_serve_prefetch",
-            "store_calls at window 64",
-            window_field(b, 64, "store_calls"),
-            150.0,
-        ),
-        None => println!("  SKIP bench_serve_prefetch: section absent"),
-    }
-    match body("bench_mixed_update") {
-        // The recorded figures are this section's own
-        // `versioned_update_mean_s` / `versioned_update_max_s` (tens of
-        // microseconds on the reference box — read the file, not a
-        // comment). The ceiling is generous (latency benches on shared
-        // runners are noisy) but still far below a reader-drain
-        // timescale: an update path that waits on slice drains again
-        // blows straight through it. Lock-freedom itself is gated
-        // structurally by the in-crate serve test that holds every slice
-        // lock across `update`.
-        Some(b) => ceiling(
-            "bench_mixed_update",
-            "versioned update max seconds",
-            number_field(b, "versioned_update_max_s"),
-            0.01,
-        ),
-        None => println!("  SKIP bench_mixed_update: section absent"),
-    }
-    match body("bench_async_overlap") {
-        // Recorded: 8.0× on the reference box; the CI smoke itself gates
-        // at 3× too, so the guard and the smoke agree on the floor.
-        Some(b) => {
-            floor(
-                "bench_async_overlap",
-                "speedup",
-                number_field(b, "speedup"),
-                3.0,
-            );
-            // The shared cache above the engine must keep the overlap
-            // (same floor).
-            floor(
-                "bench_async_overlap",
-                "cached_speedup",
-                number_field(b, "cached_speedup"),
-                3.0,
-            );
-            // Neither engine arm may add round-trips to the blocking
-            // count — the one count that is a function of the input (the
-            // engine groups what is queued, so its own counts depend on
-            // timing and are not ordered against each other).
-            for arm in ["overlapped_store_calls", "cached_store_calls"] {
-                ceiling(
-                    "bench_async_overlap",
-                    &format!("{arm} vs blocking_store_calls"),
-                    number_field(b, arm),
-                    number_field(b, "blocking_store_calls").unwrap_or(f64::INFINITY),
-                );
-            }
-        }
-        None => println!("  SKIP bench_async_overlap: section absent"),
-    }
-    match body("bench_shards") {
-        Some(b) => {
-            // Recorded: 3.5× retrieval throughput at 4 shards vs 1 on the
-            // reference box; the floor is the ✦ acceptance gate itself.
-            // Losing per-shard RPC batching (windows degrade to per-key
-            // round-trips) or re-serializing the scatter collapses the
-            // curve toward 1×.
-            floor(
-                "bench_shards",
-                "speedup_4x",
-                number_field(b, "speedup_4x"),
-                3.0,
-            );
-            // Recorded: 1.27× hedged-vs-healthy p99 with one 10x-slow
-            // shard. The 2× ceiling is the acceptance gate: hedge delay
-            // (fleet p99) plus a replica fetch must stay under twice the
-            // healthy tail, which breaks if hedges stop firing or the
-            // delay is derived from the slow shard's own ring.
-            ceiling(
-                "bench_shards",
-                "hedged p99 / healthy p99",
-                number_field(b, "hedged_p99_ratio"),
-                2.0,
-            );
-        }
-        None => println!("  SKIP bench_shards: section absent"),
-    }
-    match body("bench_cache_eviction") {
-        // Recorded: +0.33 hit rate over LRU at the constrained capacity
-        // (the hot-prefix working set resident, a full scan round not).
-        // The floor only asks for a sixth of that: it trips if the
-        // importance-weighted policy stops protecting large-magnitude
-        // entries from cold scans, not on trace-shape noise.
-        Some(b) => floor(
-            "bench_cache_eviction",
-            "importance-vs-LRU hit-rate advantage",
-            number_field(b, "iw_advantage"),
-            0.05,
-        ),
-        None => println!("  SKIP bench_cache_eviction: section absent"),
-    }
-    match body("bench_obs_span_overhead") {
-        Some(b) => {
-            // Recorded: ~1.0x traced-vs-untraced serve wall ratio (the
-            // recorder buffers transitions per batch and flushes once at
-            // finalize). The 3x ceiling is far above noise but trips if
-            // span emission ever lands on the per-step hot path. The
-            // span_events floor keeps the ratio from passing vacuously:
-            // the traced run must actually have emitted lifecycles.
-            ceiling(
-                "bench_obs_span_overhead",
-                "traced/untraced ratio",
-                number_field(b, "overhead_ratio"),
-                3.0,
-            );
-            floor(
-                "bench_obs_span_overhead",
-                "span_events",
-                number_field(b, "span_events"),
-                1.0,
-            );
-        }
-        None => println!("  SKIP bench_obs_span_overhead: section absent"),
-    }
-    match body("bench_storage_head_scan") {
-        Some(b) => {
-            let imp = layout_field(b, "ImportanceOrder", "block_reads");
-            let key = layout_field(b, "KeyOrder", "block_reads");
-            match (imp, key) {
-                (Some(imp), Some(key)) => {
-                    checked.set(checked.get() + 1);
-                    if imp < key {
-                        println!(
-                            "  ok   bench_storage_head_scan: ImportanceOrder {imp} < KeyOrder {key} block reads"
-                        );
-                    } else {
-                        println!(
-                            "  FAIL bench_storage_head_scan: ImportanceOrder {imp} >= KeyOrder {key} block reads"
-                        );
-                        failures.set(failures.get() + 1);
-                    }
-                }
-                _ => println!("  SKIP bench_storage_head_scan: layout rows incomplete"),
-            }
-        }
-        None => println!("  SKIP bench_storage_head_scan: section absent"),
-    }
-
-    let (checked, failures) = (checked.get(), failures.get());
-    if checked == 0 {
-        eprintln!("BENCH GUARD: no recognized section in {path} — nothing was checked");
-        return ExitCode::FAILURE;
-    }
-    if failures > 0 {
-        eprintln!("BENCH GUARD: {failures} of {checked} checks regressed past threshold");
-        return ExitCode::FAILURE;
-    }
-    println!("bench guard OK: {checked} checks within thresholds");
-    ExitCode::SUCCESS
 }
 
 /// The `--diff a b` mode: summary diff, per-step penalty delta tables,

@@ -74,8 +74,8 @@ pub struct CacheReport {
     pub iw_hit_constrained: f64,
     /// LRU hit rate at the constrained capacity.
     pub lru_hit_constrained: f64,
-    /// `iw_hit_constrained - lru_hit_constrained` — the ✦ check-bench
-    /// floor keeps this positive.
+    /// `iw_hit_constrained - lru_hit_constrained` — the unit test below
+    /// holds it to the ✦ 0.05 floor on the default configuration.
     pub iw_advantage: f64,
 }
 
@@ -123,11 +123,6 @@ impl CacheFixture {
     /// The fixture configuration.
     pub fn config(&self) -> &CacheBenchConfig {
         &self.cfg
-    }
-
-    /// Total accesses one trace replay issues.
-    pub fn accesses(&self) -> u64 {
-        (self.cfg.rounds * (self.cfg.hot + self.cfg.scan)) as u64
     }
 
     /// Replays the trace against a fresh cache with the given policy and
@@ -220,6 +215,11 @@ mod tests {
             report.lru_hit_constrained,
             report.constrained_capacity
         );
+        // The ✦ floor, on the configuration `bench_cache` prints: +0.33
+        // when recorded, so 0.05 trips only if the policy stops protecting
+        // large-magnitude entries from cold scans. Counts, not timings.
+        let report = CacheFixture::build(CacheBenchConfig::default()).measure();
+        assert!(report.iw_advantage >= 0.05, "{report:?}");
     }
 
     #[test]

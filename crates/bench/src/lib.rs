@@ -10,8 +10,6 @@ use batchbb_relation::{synth, FrequencyDistribution};
 use batchbb_tensor::Shape;
 
 pub mod cachebench;
-pub mod mixed;
-pub mod report;
 pub mod shardbench;
 pub mod slow;
 pub mod spans;
@@ -19,35 +17,47 @@ pub mod trace;
 
 /// Minimal `--flag value` parser for harness binaries.
 ///
-/// Flags must be `--name value` pairs; unknown flags abort with a message
-/// listing what was seen.
+/// Flags must be `--name value` pairs drawn from the names the binary
+/// declares; anything else is rejected, so a mistyped flag can never run
+/// the default mode and exit 0.
 #[derive(Debug, Clone)]
 pub struct Args {
     values: HashMap<String, String>,
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1).collect())
+    /// Parses `std::env::args()` against the binary's declared flags; on a
+    /// rejected argument prints the reason and exits with status 2.
+    pub fn parse(known: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1).collect(), known).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses an explicit argument vector (no program name), so binaries
-    /// can strip positional/multi-value flags before delegating.
-    pub fn parse_from(argv: Vec<String>) -> Self {
+    /// can strip positional/multi-value flags before delegating. `Err`
+    /// names the offending argument: a bare word, a flag not in `known`,
+    /// or a flag without a value.
+    pub fn parse_from(argv: Vec<String>, known: &[&str]) -> Result<Self, String> {
         let mut values = HashMap::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i]
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            let flag = arg
                 .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --flag, got `{}`", argv[i]));
+                .ok_or_else(|| format!("expected --flag, got `{arg}`"))?;
+            if !known.contains(&flag) {
+                return Err(format!(
+                    "unknown flag --{flag} (known: --{})",
+                    known.join(", --")
+                ));
+            }
             let value = argv
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("flag --{flag} needs a value"));
-            values.insert(flag.to_string(), value.clone());
-            i += 2;
+                .next()
+                .ok_or_else(|| format!("flag --{flag} needs a value"))?;
+            values.insert(flag.to_string(), value);
         }
-        Args { values }
+        Ok(Args { values })
     }
 
     /// Integer flag with default.
@@ -198,6 +208,27 @@ mod tests {
         assert_eq!(w.domain.rank(), 4);
         assert!(is_partition(&w.domain, &w.ranges));
         assert!(w.exact.iter().all(|&x| x > 0.0), "Kelvin sums are positive");
+    }
+
+    #[test]
+    fn args_accept_declared_flags_only() {
+        let parse = |argv: &[&str]| {
+            Args::parse_from(
+                argv.iter().map(|a| a.to_string()).collect(),
+                &["records", "seed"],
+            )
+        };
+        let args = parse(&["--records", "50", "--seed", "9"]).unwrap();
+        assert_eq!((args.usize("records", 1), args.u64("seed", 1)), (50, 9));
+        assert_eq!(parse(&[]).unwrap().usize("records", 7), 7);
+        let unknown = parse(&["--mode", "demo"]).unwrap_err();
+        assert!(unknown.contains("--mode"), "names the flag: {unknown}");
+        let bare = parse(&["--records"]).unwrap_err();
+        assert!(bare.contains("--records"), "names the flag: {bare}");
+        assert!(
+            parse(&["records", "50"]).is_err(),
+            "bare words are rejected"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Fixtures for the ✦ `bench_shards` harness (DESIGN.md §15): shard-count
-//! scaling of scatter-gather retrieval and hedged-read tail latency with
-//! one slow shard.
+//! Fixtures for the ✦ sharded-retrieval smoke (`tests/shards.rs`,
+//! DESIGN.md §15): shard-count scaling of scatter-gather retrieval and
+//! hedged-read tail latency with one slow shard.
 //!
 //! Two separate latency profiles keep the two claims clean:
 //!
@@ -327,17 +327,22 @@ impl ShardFixture {
 
     /// The shard-scaling sweep: sequential windows against each shard
     /// count under the spike-free profile. Returns the curve and the
-    /// headline `throughput(4 shards) / throughput(1 shard)`.
+    /// headline `throughput(4 shards) / throughput(1 shard)`. Each row is
+    /// the fastest of three trials, for the reason [`Self::measure_tail`]
+    /// takes a min: a host that wakes sleeping threads late only ever
+    /// adds time, and at 4 shards a window is under 2 ms of sleep.
     pub fn measure_scaling(&self) -> (Vec<ScalingRow>, f64) {
         let mut rows = Vec::new();
         for &shards in &self.cfg.shard_counts {
             let fleet = self.build_fleet(shards, false, self.cfg.scaling);
-            let latencies = self.run_windows(&fleet.router, 0, self.cfg.scaling_windows);
-            let total: f64 = latencies.iter().sum();
+            let n = self.cfg.scaling_windows;
+            let total = (0..3)
+                .map(|t| self.run_windows(&fleet.router, t * n, n).iter().sum())
+                .fold(f64::INFINITY, f64::min);
             rows.push(ScalingRow {
                 shards,
-                keys_per_sec: (self.cfg.scaling_windows * self.cfg.window) as f64 / total,
-                mean_latency_s: total / latencies.len() as f64,
+                keys_per_sec: (n * self.cfg.window) as f64 / total,
+                mean_latency_s: total / n as f64,
             });
         }
         let tput = |n: usize| {

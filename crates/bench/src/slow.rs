@@ -8,9 +8,9 @@
 //! three ways — workers blocking on every round-trip, the asynchronous
 //! completion engine parking batches over in-flight fetches, and that
 //! engine beneath the pool's shared cache — and reports the throughput
-//! ratios. The CI `--slow-store` gate and `bench_async`
-//! both run this measurement; DESIGN.md §12 and EXPERIMENTS.md describe
-//! the workflow.
+//! ratios. The CI `--slow-store` gate (`tests/slow_store.rs`) runs this
+//! measurement and asserts its floors; DESIGN.md §12 describes the
+//! workflow.
 
 use std::time::{Duration, Instant};
 

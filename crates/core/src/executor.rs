@@ -6,19 +6,12 @@ use std::collections::VecDeque;
 use batchbb_penalty::Penalty;
 use batchbb_storage::{
     retry::get_with_retry, CoefficientStore, Completion, FaultStats, RetryPolicy, StorageError,
+    ZERO_TOL,
 };
 use batchbb_tensor::CoeffKey;
 
 use crate::observe::{ExecObserver, StepObservation};
 use crate::{BatchQueries, MasterList};
-
-/// Mirrors the storage layer's near-zero eviction tolerance
-/// (`MemoryStore::add` / `VersionedStore::publish` drop slots whose
-/// post-delta magnitude is at most this, so subsequent reads return
-/// exactly `0.0`).  The update-repair paths snap to the same value so a
-/// repaired executor stays bit-identical to one restarted on the
-/// updated store.
-const STORE_ZERO_TOL: f64 = 1e-13;
 
 /// One coefficient of the progression: a master-list key and its
 /// importance `ι_p(ξ)`.
@@ -998,7 +991,7 @@ impl<'a> ProgressiveExecutor<'a> {
                         for &(qi, c) in column {
                             self.estimates[qi as usize] += c * d;
                         }
-                        if seen.abs() <= STORE_ZERO_TOL && *seen != 0.0 {
+                        if seen.abs() <= ZERO_TOL && *seen != 0.0 {
                             let residual = *seen;
                             *seen = 0.0;
                             for &(qi, c) in column {
@@ -1043,7 +1036,7 @@ impl<'a> ProgressiveExecutor<'a> {
                     for (slot, d) in hits {
                         let value = &mut values[slot];
                         *value += d;
-                        if value.abs() <= STORE_ZERO_TOL {
+                        if value.abs() <= ZERO_TOL {
                             *value = 0.0;
                         }
                     }

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use batchbb_core::{BatchQueries, DrainStatus, ProgressiveExecutor};
+use batchbb_core::{BatchQueries, DrainStatus, MasterList, ProgressiveExecutor};
 use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::synth;
@@ -16,9 +16,8 @@ use batchbb_storage::{CoefficientStore, IoStats, MemoryStore, RetryPolicy, Stora
 use batchbb_tensor::CoeffKey;
 use batchbb_wavelet::Wavelet;
 
-/// Counts physical round-trips (calls, not keys), like the bench-side
-/// `FetchCounter` — inlined here because `batchbb-core` cannot depend on
-/// `batchbb-bench`.
+/// Counts physical round-trips (calls, not keys), singleton and batched
+/// apart — what [`IoStats`] deliberately does not distinguish.
 struct CallCounter<S> {
     inner: S,
     singleton: AtomicU64,
@@ -103,6 +102,19 @@ fn prefetch_buffer_carries_across_slice_boundaries() {
     let mut unsliced =
         ProgressiveExecutor::new(&batch, &Sse, &unsliced_counter).with_prefetch_window(window);
     assert_eq!(unsliced.drain_with_faults(&policy), DrainStatus::Exact);
+    // The window is the round-trip unit: a drain at window W crosses the
+    // store in exactly ceil(master keys / W) batched calls and never key
+    // by key. Losing the batching path lands at one call per key.
+    let master_keys = MasterList::build(&batch).len() as u64;
+    assert!(
+        master_keys > 10 * window as u64,
+        "the drain spans many windows"
+    );
+    assert_eq!(
+        unsliced_counter.calls(),
+        (0, master_keys.div_ceil(window as u64)),
+        "(singleton, batch) calls for {master_keys} master keys at W={window}"
+    );
 
     // Budget 7 never divides the 16-key window, so every slice boundary
     // lands mid-window with retrieved coefficients still buffered.

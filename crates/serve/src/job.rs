@@ -1,12 +1,12 @@
 //! Per-batch job state, snapshots, and results.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use batchbb_core::{DegradationReport, DrainStatus, ProgressiveExecutor};
 use batchbb_obs::{Lifecycle, MetricsSnapshot, Phase};
 use batchbb_storage::VersionId;
 use batchbb_tensor::CoeffKey;
-use parking_lot::Mutex;
 
 use crate::slo::{AdmissionEstimate, SloContract, SloOutcome};
 use crate::ServeConfig;
@@ -199,6 +199,11 @@ impl<'a> JobCell<'a> {
         }
     }
 
+    /// The latest published snapshot, locked.
+    pub(crate) fn snapshot(&self) -> MutexGuard<'_, BatchSnapshot> {
+        self.snapshot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Enters `phase` on the batch's lifecycle; a no-op on untraced runs
     /// (and after the lifecycle has flushed).
     pub(crate) fn enter_phase(&self, phase: Phase) {
@@ -316,7 +321,7 @@ impl<'s, 'a> BatchHandle<'s, 'a> {
     /// Snapshots refresh after every scheduling slice, so this shows
     /// slice-granular progress without contending on the executor itself.
     pub fn snapshot(&self) -> BatchSnapshot {
-        self.cell.snapshot.lock().clone()
+        self.cell.snapshot().clone()
     }
 
     /// Whether the batch has published its final [`BatchResult`].

@@ -14,8 +14,7 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// One runnable batch in the marginal-value heap.
 #[derive(Debug)]
@@ -69,13 +68,14 @@ impl SliceQueue {
 
     /// Takes the highest-ranked runnable batch.
     pub(crate) fn pop(&self) -> Option<usize> {
-        self.0.lock().pop().map(|rank| rank.index)
+        let mut heap = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        heap.pop().map(|rank| rank.index)
     }
 
     /// Re-enqueues a batch after an inconclusive slice with its refreshed
     /// score.
     pub(crate) fn push(&self, index: usize, score: f64, slices: usize) {
-        self.0.lock().push(Rank {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(Rank {
             score,
             slices,
             index,

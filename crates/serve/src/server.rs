@@ -2,7 +2,7 @@
 //! executors over one coefficient store, under per-batch SLO contracts.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, TryLockError};
 
 use batchbb_core::{DegradationReport, ExecObserver, ProgressiveExecutor};
 use batchbb_obs::{lifecycle, LabeledSink, Lifecycle, LifecycleRecorder, Phase};
@@ -10,7 +10,6 @@ use batchbb_storage::{
     CoefficientStore, FaultStats, ShardedCachingStore, VersionId, VersionView, VersionedStore,
 };
 use batchbb_tensor::CoeffKey;
-use parking_lot::Mutex;
 
 use crate::job::{snapshot_of, JobCell, JobState};
 use crate::sched::SliceQueue;
@@ -343,6 +342,7 @@ fn collect_results(config: &ServeConfig, jobs: Vec<JobCell<'_>>) -> Vec<BatchRes
             let mut result = cell
                 .state
                 .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
                 .result
                 .expect("the pool only exits once every job has published");
             result.metrics = metrics.clone();
@@ -475,7 +475,7 @@ impl<'s, 'a> ServeSession<'s, 'a> {
     pub fn advance_batch(&self, index: usize) -> Option<VersionId> {
         let versioned = self.versioned.as_ref()?;
         let cell = &self.jobs[index];
-        let mut state = cell.state.lock();
+        let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.result.is_some() {
             return None;
         }
@@ -521,7 +521,10 @@ fn worker_loop(
             Some(index) => match run_slice(&jobs[index], config, active, shared) {
                 SliceOutcome::Finished => {}
                 SliceOutcome::Requeue { score, slices } => queue.push(index, score, slices),
-                SliceOutcome::Parked => shared.parked.lock().push(index),
+                SliceOutcome::Parked => {
+                    let mut parked = shared.parked.lock().unwrap_or_else(|e| e.into_inner());
+                    parked.push(index)
+                }
             },
             None if resumed => {}
             // Nothing runnable: give the core away and sweep again. Parked
@@ -545,7 +548,7 @@ fn worker_loop(
 /// now, and the next sweep will catch up; blocking here would stall every
 /// other worker's sweep behind that one slice (this sweep holds the shelf).
 fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) -> bool {
-    let mut parked = shared.parked.lock();
+    let mut parked = shared.parked.lock().unwrap_or_else(|e| e.into_inner());
     if parked.is_empty() {
         return false;
     }
@@ -555,8 +558,9 @@ fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) 
         let cell = &jobs[parked[i]];
         let wake = cell.cancelled.load(Ordering::Acquire)
             || match cell.state.try_lock() {
-                Some(state) => !state.exec.fetch_pending() || state.exec.fetch_ready(),
-                None => false,
+                Ok(state) => !state.exec.fetch_pending() || state.exec.fetch_ready(),
+                // Held: not now. Poisoned: wake it, its next slice recovers the state.
+                Err(e) => matches!(e, TryLockError::Poisoned(_)),
             };
         if !wake {
             i += 1;
@@ -564,7 +568,7 @@ fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) 
         }
         let index = parked.swap_remove(i);
         cell.enter_phase(Phase::Queued);
-        let slices = cell.snapshot.lock().slices;
+        let slices = cell.snapshot().slices;
         queue.push(index, marginal_value(cell), slices);
         resumed = true;
     }
@@ -586,7 +590,7 @@ fn run_slice(
     active: &AtomicUsize,
     shared: &PoolShared,
 ) -> SliceOutcome {
-    let mut state = cell.state.lock();
+    let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
     if state.result.is_some() {
         return SliceOutcome::Finished;
     }
@@ -711,7 +715,7 @@ fn run_slice(
 /// The pool's marginal-value score of a batch, off its published snapshot:
 /// certified bound shrink per unresolved retrieval × priority weight.
 fn marginal_value(cell: &JobCell<'_>) -> f64 {
-    let snapshot = cell.snapshot.lock();
+    let snapshot = cell.snapshot();
     let per_step =
         snapshot.worst_case_bound / (snapshot.remaining + snapshot.deferred).max(1) as f64;
     cell.contract.priority_weight() * per_step
@@ -723,7 +727,7 @@ fn publish_snapshot(
     report: &DegradationReport,
     finished: bool,
 ) {
-    *cell.snapshot.lock() = snapshot_of(&state.exec, report, state.slices, finished);
+    *cell.snapshot() = snapshot_of(&state.exec, report, state.slices, finished);
 }
 
 fn finalize(
@@ -843,7 +847,8 @@ mod tests {
         let key = CoeffKey::new(&[0, 0]);
         for _ in 0..50 {
             let (results, frozen_at) = server.serve_versioned_with(&store, &requests, |session| {
-                let guards: Vec<_> = session.jobs.iter().map(|cell| cell.state.lock()).collect();
+                let cells = session.jobs.iter();
+                let guards: Vec<_> = cells.map(|cell| cell.state.lock().unwrap()).collect();
                 if guards.iter().any(|state| state.result.is_some()) {
                     return None; // worker outran us; retry the whole serve
                 }

@@ -14,10 +14,9 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use batchbb_tensor::CoeffKey;
-use parking_lot::Mutex;
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats, StorageError};
@@ -249,7 +248,7 @@ impl CoefficientStore for BlockStore {
         let slot = *self.index.get(key)?;
         let block_id = slot / self.block_size as u64;
         let in_block = (slot % self.block_size as u64) as usize;
-        let mut pool = self.pool.lock();
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(data) = pool.0.get(block_id) {
             self.counters.count_hit();
             return Some(data[in_block]);
@@ -270,7 +269,7 @@ impl CoefficientStore for BlockStore {
         };
         let block_id = slot / self.block_size as u64;
         let in_block = (slot % self.block_size as u64) as usize;
-        let mut pool = self.pool.lock();
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(data) = pool.0.get(block_id) {
             self.counters.count_hit();
             return Ok(Some(data[in_block]));
@@ -313,7 +312,7 @@ impl CoefficientStore for BlockStore {
             }
         }
         wanted.sort_unstable();
-        let mut pool = self.pool.lock();
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         let mut run = 0;
         while run < wanted.len() {
             let block_id = wanted[run].0;

@@ -14,9 +14,9 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
 use batchbb_tensor::CoeffKey;
-use parking_lot::{Mutex, RwLock};
 
 use crate::fingerprint::{key_fingerprint, mix};
 use crate::{CoefficientStore, FaultStats, IoStats, StorageError};
@@ -161,7 +161,7 @@ impl<S: CoefficientStore> FaultInjectingStore<S> {
     /// and stats are kept, so post-heal retrievals continue the same
     /// deterministic sequence (which now always succeeds).
     pub fn heal(&self) {
-        let mut plan = self.plan.write();
+        let mut plan = self.plan.write().unwrap_or_else(|e| e.into_inner());
         plan.permanent.clear();
         plan.transient_rate = 0.0;
     }
@@ -169,7 +169,10 @@ impl<S: CoefficientStore> FaultInjectingStore<S> {
     /// Clears per-key attempt counters and injection stats, restarting the
     /// deterministic fault sequence from attempt zero for every key.
     pub fn reset_fault_state(&self) {
-        self.attempts_by_key.lock().clear();
+        self.attempts_by_key
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
         self.counters.reset();
     }
 }
@@ -183,14 +186,17 @@ impl<S: CoefficientStore> CoefficientStore for FaultInjectingStore<S> {
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.attempts.fetch_add(1, Ordering::Relaxed);
         let attempt = {
-            let mut by_key = self.attempts_by_key.lock();
+            let mut by_key = self
+                .attempts_by_key
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             let slot = by_key.entry(*key).or_insert(0);
             let attempt = *slot;
             *slot += 1;
             attempt
         };
         let (rate, is_permanent, latency, seed) = {
-            let plan = self.plan.read();
+            let plan = self.plan.read().unwrap_or_else(|e| e.into_inner());
             (
                 plan.transient_rate,
                 plan.permanent.contains(key),

@@ -122,7 +122,7 @@ pub use error::StorageError;
 pub use fault::{FaultInjectingStore, FaultPlan};
 pub use fingerprint::shard_of;
 pub use instrument::InstrumentedStore;
-pub use memory::{ArrayStore, MemoryStore};
+pub use memory::{ArrayStore, MemoryStore, ZERO_TOL};
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use shard::{HedgeConfig, LatencyStore, ShardClient, ShardRouter, ShardStats, ShardTopology};
 pub use sharded::{EvictionPolicy, ShardedCachingStore};

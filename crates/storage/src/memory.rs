@@ -7,8 +7,12 @@ use batchbb_tensor::{CoeffKey, Shape, Tensor};
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats, MutableStore};
 
-/// Magnitude below which an updated coefficient is evicted as zero.
-const ZERO_TOL: f64 = 1e-13;
+/// Magnitude at or below which an updated coefficient is evicted as zero,
+/// so later reads return exactly `0.0`. The one definition:
+/// [`MemoryStore`], [`crate::VersionedStore`] and the executor's update
+/// repair all use it, which is what keeps a repaired executor
+/// bit-identical to one restarted on the updated store.
+pub const ZERO_TOL: f64 = 1e-13;
 
 /// Hash-based in-memory coefficient store.
 ///

@@ -53,10 +53,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use batchbb_tensor::CoeffKey;
-use parking_lot::Mutex;
 
 use crate::fingerprint;
 use crate::stats::Counters;
@@ -171,8 +170,10 @@ struct Memo {
 }
 
 impl Memo {
-    fn shard(&self, key: &CoeffKey) -> &Shard {
-        &self.shards[fingerprint::shard_of(key, self.shards.len())]
+    /// Locks the cache shard `key` hashes to.
+    fn shard(&self, key: &CoeffKey) -> MutexGuard<'_, ShardState> {
+        let shard = &self.shards[fingerprint::shard_of(key, self.shards.len())];
+        shard.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn trim(&self, shard: &mut ShardState, cap: Option<usize>, policy: EvictionPolicy) {
@@ -255,7 +256,11 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
 
     /// Number of memoized keys across all shards.
     pub fn cached(&self) -> usize {
-        self.memo.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.memo
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
+            .sum()
     }
 
     /// Number of entries evicted to respect the capacity cap (zero for an
@@ -264,7 +269,7 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
         self.memo.evictions.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, key: &CoeffKey) -> &Shard {
+    fn shard(&self, key: &CoeffKey) -> MutexGuard<'_, ShardState> {
         self.memo.shard(key)
     }
 
@@ -277,7 +282,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
     fn get(&self, key: &CoeffKey) -> Option<f64> {
         self.counters.count_retrieval();
         let tagged = (self.inner.version_tag(), *key);
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key);
         if let Some(v) = shard.get(&tagged) {
             self.counters.count_hit();
             return v;
@@ -295,7 +300,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.count_retrieval();
         let tagged = (self.inner.version_tag(), *key);
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key);
         if let Some(v) = shard.get(&tagged) {
             self.counters.count_hit();
             return Ok(v);
@@ -343,7 +348,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
             if let Some(&m) = miss_index.get(key) {
                 self.counters.count_hit();
                 fills.push((i, m));
-            } else if let Some(v) = self.shard(key).lock().get(&(tag, *key)) {
+            } else if let Some(v) = self.shard(key).get(&(tag, *key)) {
                 self.counters.count_hit();
                 out[i] = v;
             } else {
@@ -362,7 +367,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
         Completion::wrapped(fetch, move |fetched| {
             let fetched = fetched?;
             for (key, value) in misses.iter().zip(&fetched) {
-                let mut shard = memo.shard(key).lock();
+                let mut shard = memo.shard(key);
                 shard.insert((tag, *key), *value);
                 memo.trim(&mut shard, cap, policy);
             }

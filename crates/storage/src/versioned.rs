@@ -44,7 +44,7 @@ use batchbb_obs::{span_end_event, span_start_event, EventSink, Tracer};
 use batchbb_tensor::CoeffKey;
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats};
+use crate::{CoefficientStore, IoStats, ZERO_TOL};
 
 /// Span emission for the version machinery: `store.publish` spans around
 /// each publish and `store.advance` spans around view repair. Shared by
@@ -61,11 +61,6 @@ impl std::fmt::Debug for VersionTracing {
             .finish_non_exhaustive()
     }
 }
-
-/// Magnitude below which an updated coefficient is evicted as zero —
-/// identical to `MemoryStore`'s rule so versioned state is byte-identical
-/// to sequential `add` application.
-const ZERO_TOL: f64 = 1e-13;
 
 /// A publish re-bases by copy once the overlay it inherits holds more than
 /// `1/REBASE_FRACTION` of the base's slots: something still shares that

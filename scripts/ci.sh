@@ -1,39 +1,33 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, lints, release build, test suite,
-# docs, example smoke-runs, and bench bitrot checks.
-# Runs entirely offline — all dependencies are in-tree (see shims/).
+# docs, example smoke-runs, bench bitrot checks, trace replays and the
+# end-to-end pre-flight. Runs entirely offline — all dependencies are
+# in-tree (see shims/). Every threshold is an `assert!` in the test that
+# computes it; timings live in the end-to-end ledger (results/e2e/), so
+# no stage reads or writes a results file and every run leaves the
+# working tree as it found it (checked by its last step).
 #
 # Usage: scripts/ci.sh [--quick] [--threads] [--slow-store] [--mixed] [--sharded] [--e2e]
-#   --quick      skip the release build, docs gate, example smoke-runs, and
-#                bench bitrot checks (fmt + clippy + tests only)
+#   --quick      skip the release build, docs gate, example smoke-runs,
+#                bench bitrot checks and replays (fmt + clippy + tests only)
 #   --threads    run ONLY the concurrency test matrix (the serve-layer tests
 #                under RUST_TEST_THREADS=1 and at default parallelism)
 #   --slow-store run ONLY the slow-store gate: the latency-hiding smoke
-#                (overlapped pool must beat the blocking baseline 3x over a
-#                2ms-per-round-trip store), the async-vs-sync bit-identity
-#                proptests, and the bench-regression guard over the
-#                recorded results/BENCH_exec.json thresholds
+#                (overlapped pool, bare and under the shared cache, must
+#                beat the blocking baseline 3x over a 2ms-per-round-trip
+#                store with no more round-trips), the async-vs-sync
+#                bit-identity proptest, and the exact ceil(n/W) round-trip
+#                count across slice boundaries
 #   --mixed      run ONLY the mixed update+query gate — the one update path,
-#                publish -> advance -> repair: the snapshot-isolation and
-#                version-advance test batteries (never-torn reads,
-#                advance-equals-restart bit identity), the versioned
-#                store's model proptest and unit tests (publish is
-#                sequential adds; a publish never copies the base), the
-#                versioned serve tests including the held-locks update
-#                check and the unversioned-update panic, and the
-#                bench_mixed smoke
-#   --sharded    run ONLY the sharded retrieval gate: the scatter-gather
-#                bit-identity proptest and the dead-shard degradation test
-#                (a ShardRouter handed to plain serve), the compaction
-#                version-log bound, the one I/O engine's unit tests (the
-#                router's in-flight table, hedging and forwarding; the
-#                queue-drain coalescing rules — one wire call per drain,
-#                per-job split on error, same-version prefix, key cap,
-#                per-job hedges; the same engine as a one-shard
-#                AsyncFetchStore), the
-#                eviction-policy unit tests, the bench_shards/bench_cache
-#                smokes, and the bench-regression guard over the recorded
-#                scaling, hedging, and eviction thresholds
+#                publish -> advance -> repair: snapshot isolation and
+#                version-advance batteries, the versioned store's model
+#                proptest and unit tests, the versioned serve tests
+#                (held-locks update check, unversioned-update panic)
+#   --sharded    run ONLY the sharded retrieval gate: scatter-gather
+#                bit-identity and dead-shard degradation, the compaction
+#                version-log bound, the one I/O engine's unit tests, the
+#                cache's eviction floor, and the shard smoke (4-shard
+#                speedup >= 3x, hedged p99 <= 2x healthy)
 #   --e2e        run ONLY the end-to-end benchmark pre-flight: every
 #                BENCHMARK.json workload for 4 s at the design size, traced
 #                and untraced, failing on any failed answer check or
@@ -42,20 +36,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-quick=0
-threads_only=0
-slow_store_only=0
-mixed_only=0
-sharded_only=0
-e2e_only=0
+mode=full
 for arg in "$@"; do
     case "$arg" in
-        --quick) quick=1 ;;
-        --threads) threads_only=1 ;;
-        --slow-store) slow_store_only=1 ;;
-        --mixed) mixed_only=1 ;;
-        --sharded) sharded_only=1 ;;
-        --e2e) e2e_only=1 ;;
+        --quick | --threads | --slow-store | --mixed | --sharded | --e2e) mode=${arg#--} ;;
         *)
             echo "unknown argument: $arg" >&2
             exit 2
@@ -68,15 +52,16 @@ run() {
     "$@"
 }
 
-# A gate run leaves the tree as it found it. Benches run in test mode
-# overwrite sections of results/BENCH_exec.json with smoke numbers (the
-# --check-bench stages read those), so the file is snapshotted here and
-# put back on exit, however the script ends — together with the gate's
-# temporary files.
-bench_results=results/BENCH_exec.json
-tmpfiles=("$(mktemp)")
-cp "$bench_results" "${tmpfiles[0]}"
-trap 'cp "${tmpfiles[0]}" "$bench_results"; rm -f "${tmpfiles[@]}"' EXIT
+# The gate must leave the working tree as it found it.
+tree_before=$(git status --porcelain)
+green() {
+    if [ "$(git status --porcelain)" != "$tree_before" ]; then
+        echo "ci changed the working tree:" >&2
+        git status --porcelain >&2
+        exit 1
+    fi
+    echo "==> ci green ($mode)"
+}
 
 # Concurrency matrix: the serve-layer tests must pass both serialized
 # (RUST_TEST_THREADS=1 — each test's own pool threads still run, but
@@ -90,41 +75,28 @@ threads_matrix() {
     run cargo test -q -p batchbb-serve
 }
 
-# Slow-store gate: over a store charging 2ms per physical round-trip, the
-# serve pool backed by the asynchronous completion engine must sustain >=
-# 3x the blocking baseline's throughput at equal worker count, with
-# bit-identical finals and no more round-trips than the blocking run —
-# bare and beneath the shared cache (crates/bench/tests/slow_store.rs;
-# the two engine arms' counts depend on queue timing, so each is held to
-# the blocking count, not to the other).  The async-vs-
-# sync proptest holds the executor to the same bit-identity and fault-
-# ledger contract across pool shapes and seeded faults, and the bench-
-# regression guard re-checks the recorded round-trip counts, head-scan
-# block reads, and overlap speedup in results/BENCH_exec.json.
+# Slow-store gate (DESIGN.md §12): crates/bench/tests/slow_store.rs holds
+# both engine arms to >= 3x the blocking baseline, bit-identical finals
+# and no more round-trips than the blocking run (each arm against the
+# blocking count, never against the other — engine counts depend on queue
+# timing). The proptest holds the executor to the same bit-identity and
+# fault-ledger contract across pool shapes and seeded faults; `slicing`
+# pins the round-trip count itself: exactly ceil(master keys / W) batched
+# calls, sliced or not.
 slow_store_gate() {
     run cargo test -q -p batchbb-bench --test slow_store
     run cargo test -q -p batchbb-core --test proptests \
         async_completion_agrees_with_sync_bit_for_bit
     run cargo test -q -p batchbb-core --test slicing
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- \
-        --check-bench results/BENCH_exec.json
 }
 
 # Mixed update+query gate: the MVCC serving contract (DESIGN.md §13).
-# Snapshot isolation — concurrent publishes never tear a pinned batch and
-# every final is bit-identical to a fresh run on its pinned version;
-# version advance — an executor repaired through k deltas finalizes
-# bit-identically to a restart on the final version (plus the degenerate
-# empty/full/racing-async deltas); the store itself against a model —
-# random publish/pin/advance/drop/compact schedules replayed on one
-# MemoryStore per version — and its unit tests, among them the structural
-# statement of the O(|Δ|) publish bound (a publish never copies the base,
-# compact folds the overlay in place once no reader holds it); the
-# versioned serve tests include the held-locks check proving `update`
-# takes no slice lock, and the unversioned-session check proving `update`
-# refuses (panics) where it could not repair the executors; and the
-# bench_mixed smoke keeps the mixed fixture (and its recorded publish
-# latencies in results/BENCH_exec.json) from rotting.
+# Concurrent publishes never tear a pinned batch; an executor repaired
+# through k deltas finalizes bit-identically to a restart on the final
+# version; the store agrees with a replay model and never copies the base
+# on publish (structural, no timing); `update` takes no slice lock and
+# refuses (panics) on an unversioned session. Publish latency under load
+# is the ledger's storage.publish_us_p50/p95 on live_prepared.
 mixed_gate() {
     run cargo test -q -p batchbb --test concurrency snapshot_isolation
     run cargo test -q -p batchbb --test concurrency live_point_updates
@@ -135,91 +107,48 @@ mixed_gate() {
     run cargo test -q -p batchbb-serve versioned
     run cargo test -q -p batchbb-serve advance_batch
     run cargo test -q -p batchbb-relation batched_point_entries_equivalence
-    run cargo test -q -p batchbb-bench --bench bench_mixed
 }
 
-# Sharded retrieval gate (DESIGN.md §12, §15): the scatter-gather
-# proptest — a ShardRouter handed to plain `serve` must be bit-identical
-# to a single-store run across shard counts, replication and pool
-# shapes, with every retrieval accounted for by an RPC or a ride; the
-# dead-shard test — a downed shard yields certified DegradationReports
-# on the batches that needed it and leaves every other batch exact; the
-# version-log bound — long versioned sessions compact off the oldest
-# live pin, so the delta log does not grow without bound; the one I/O
-# engine's unit tests — the router's in-flight table (shared reads,
-# version isolation, refusal fan-out, retire-once under hedging and
-# failover), queue-drain coalescing (jobs queued behind a busy worker
-# cross the wire as one call with wire_calls < rpcs, a failed coalesced
-# call splits so the error stays with its owner, a call never spans a
-# version advance, the key cap splits a long queue, coalesced jobs are
-# still hedged one by one), its forwarding-battery case, and the same
-# engine as a one-shard AsyncFetchStore; the cache-eviction unit tests;
-# and the bench_shards / bench_cache smokes, whose recorded thresholds
-# (4-shard retrieval speedup >= 3x, hedged p99 <= 2x the healthy
-# baseline with one 10x-slow shard, importance-weighted eviction beating
-# LRU under scan pressure) the bench-regression guard then re-checks.
+# Sharded retrieval gate (DESIGN.md §12, §15): a ShardRouter handed to
+# plain `serve` is bit-identical to a single-store run; a dead shard
+# degrades only the batches that needed it; long versioned sessions keep
+# the delta log bounded; the one I/O engine's unit tests (in-flight table,
+# queue-drain coalescing, hedging, forwarding, the one-shard
+# AsyncFetchStore); importance-weighted eviction beats LRU by >= 0.05 hit
+# rate under scan pressure; and the timing smoke over sleep-charged mock
+# shards (crates/bench/tests/shards.rs).
 sharded_gate() {
     run cargo test -q -p batchbb --test sharded
     run cargo test -q -p batchbb-storage shard
     run cargo test -q -p batchbb-storage async_fetch
-    run cargo test -q -p batchbb-bench --bench bench_shards
-    run cargo test -q -p batchbb-bench --bench bench_cache
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- \
-        --check-bench results/BENCH_exec.json
+    run cargo test -q -p batchbb-bench --lib cachebench
+    run cargo test -q -p batchbb-bench --test shards
 }
 
 # End-to-end pre-flight: the driver's benchmark (BENCHMARK.json ->
 # crates/e2e/run.sh) exits non-zero when an answer fails its oracle check
 # or a workload-premise guard is VIOLATED — e.g. a speed-up that pushes
-# dash_mem's store-busy share past its limit. The suite form runs every
-# BENCHMARK.json workload in its own process, untraced and traced (where
-# the per-layer guards are computed); 4 s each catches that here instead
-# of in the driver's 25 s runs. The guard lines are echoed so a failure
-# names its guard.
+# dash_mem's store-busy share past its limit. Every workload runs in its
+# own process, untraced and traced (where the per-layer guards are
+# computed); 4 s each catches that here instead of in the driver's 25 s
+# runs. The guard lines are echoed so a failure names its guard.
 e2e_gate() {
     echo "==> crates/e2e/run.sh --seed 1 --seconds 4"
     crates/e2e/run.sh --seed 1 --seconds 4 | grep -E '^# .*(guard|failed_share)'
 }
 
-if [ "$threads_only" -eq 1 ]; then
+# Everything: --quick stops after the test passes.
+full_gate() {
+    run cargo fmt --all -- --check
+    run cargo clippy --workspace --all-targets -- -D warnings
+    if [ "$mode" = full ]; then
+        run cargo build --release
+    fi
+    run cargo test -q --workspace
     threads_matrix
-    echo "==> ci green (threads matrix)"
-    exit 0
-fi
 
-if [ "$slow_store_only" -eq 1 ]; then
-    slow_store_gate
-    echo "==> ci green (slow-store gate)"
-    exit 0
-fi
+    [ "$mode" = full ] || return 0
 
-if [ "$mixed_only" -eq 1 ]; then
-    mixed_gate
-    echo "==> ci green (mixed gate)"
-    exit 0
-fi
-
-if [ "$sharded_only" -eq 1 ]; then
-    sharded_gate
-    echo "==> ci green (sharded gate)"
-    exit 0
-fi
-
-if [ "$e2e_only" -eq 1 ]; then
-    e2e_gate
-    echo "==> ci green (e2e pre-flight)"
-    exit 0
-fi
-
-run cargo fmt --all -- --check
-run cargo clippy --workspace --all-targets -- -D warnings
-if [ "$quick" -eq 0 ]; then
-    run cargo build --release
-fi
-run cargo test -q --workspace
-threads_matrix
-
-if [ "$quick" -eq 0 ]; then
     # Docs gate: rustdoc warnings (broken intra-doc links, bad code fences)
     # are errors.
     echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
@@ -233,32 +162,19 @@ if [ "$quick" -eq 0 ]; then
         cargo run -q --release --example "$ex" > /dev/null
     done
 
-    # Bench bitrot: the criterion-shim harness runs each bench once in test
-    # mode (no --bench flag), so the harness code cannot silently rot.
+    # Bench bitrot: the criterion-shim harness runs each print-only bench
+    # once in test mode (no --bench flag), so the harness code cannot
+    # silently rot. bench_storage's head-scan fixture asserts
+    # ImportanceOrder needs strictly fewer block reads than KeyOrder.
     run cargo test -q -p batchbb-bench --benches
 
-    # Batched-retrieval gates: the storage bench's head-scan fixture
-    # asserts ImportanceOrder needs strictly fewer block reads than
-    # KeyOrder (the layout claim), and the prefetch-window proptest
-    # asserts executor finals are bit-identical at every W (the W=1
-    # equivalence claim). Both already ran above (--benches and the
-    # workspace tests) — these targeted reruns make the gate explicit
-    # so a selective test filter can never skip them.
-    run cargo test -q -p batchbb-bench --bench bench_storage
+    # Named reruns of gates the workspace pass already ran, so a selective
+    # test filter can never skip them: executor finals are bit-identical
+    # at every prefetch window; every finalized batch's bound history is
+    # monotone, its fault ledger reconciles and its SloOutcome agrees with
+    # the certificate; 2x offered load stays bounded and certified.
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
-
-    # Observability overhead smoke: the sink-comparison bench must run its
-    # fixtures end to end (events/sec numbers come from `cargo bench`).
-    run cargo test -q -p batchbb-bench --bench bench_obs
-
-    # SLO gates: the degradation-certificate proptest (every finalized
-    # batch's bound history is monotone, its fault ledger reconciles, and
-    # its SloOutcome agrees with the certificate under seeded faults and
-    # arbitrary pool shapes) and the overload smoke (2x offered load:
-    # bounded queue, certified completions, explicit rejections). Both
-    # already ran in the workspace pass — the targeted reruns make the
-    # gate explicit so a selective test filter can never skip them.
     run cargo test -q -p batchbb-serve --test proptests \
         degraded_results_carry_reconciling_certificates
     run cargo test -q -p batchbb-serve --test proptests \
@@ -266,29 +182,27 @@ if [ "$quick" -eq 0 ]; then
     run cargo test -q -p batchbb --test serve_slo \
         overload_at_twice_capacity_stays_bounded_and_certified
 
-    # Trace-replay gate: progress_report runs a fault-injected evaluation,
-    # replays its own JSONL trace, and exits nonzero if the penalty-bound
-    # column is not monotone or the fault counters fail to reconcile.
-    trace="$(mktemp)"
-    tmpfiles+=("$trace")
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- --output "$trace" > /dev/null
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- --input "$trace" > /dev/null
-
-    # Trace-diff gate: a trace diffed against itself must report zero delta
-    # on both penalty families and exit 0 (and both copies still pass the
-    # invariant checks above).
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- --diff "$trace" "$trace" > /dev/null
-
-    # Span-attribution gate: a causally traced serve-pool run (seeded
-    # faults, binding deadlines, capacity squeeze) is generated, then
-    # replayed in attribution mode, which exits nonzero unless every span
-    # closes and nests, every dedup rider references a real physical read,
-    # and each batch's phase intervals exactly partition its
-    # admitted-to-finalized wall time (DESIGN.md §14).
-    spantrace="$(mktemp)"
-    tmpfiles+=("$spantrace")
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- --serve-trace "$spantrace" > /dev/null
-    run cargo run -q --release -p batchbb-bench --bin progress_report -- --attribute "$spantrace" > /dev/null
+    # Replay gates. progress_report runs a fault-injected evaluation and
+    # replays its own JSONL trace, exiting nonzero if the penalty-bound
+    # column is not monotone or the fault counters fail to reconcile; a
+    # trace diffed against itself must report zero delta on both penalty
+    # families; and a causally traced serve-pool run (seeded faults,
+    # binding deadlines, capacity squeeze) replayed in attribution mode
+    # must close and nest every span, resolve every dedup rider, and
+    # partition each batch's admitted-to-finalized wall time exactly
+    # (DESIGN.md §14). The traces live in the build directory, which git
+    # ignores.
+    report() {
+        echo "==> progress_report $*"
+        cargo run -q --release -p batchbb-bench --bin progress_report -- "$@" > /dev/null
+    }
+    trace=${CARGO_TARGET_DIR:-target}/ci-trace.jsonl
+    spans=${CARGO_TARGET_DIR:-target}/ci-spans.jsonl
+    report --output "$trace"
+    report --input "$trace"
+    report --diff "$trace" "$trace"
+    report --serve-trace "$spans"
+    report --attribute "$spans"
 
     slow_store_gate
     mixed_gate
@@ -297,6 +211,14 @@ if [ "$quick" -eq 0 ]; then
 
     # Net LOC is tracked per PR (ROADMAP needle 2).
     run scripts/loc.sh
-fi
+}
 
-echo "==> ci green"
+case "$mode" in
+    threads) threads_matrix ;;
+    slow-store) slow_store_gate ;;
+    mixed) mixed_gate ;;
+    sharded) sharded_gate ;;
+    e2e) e2e_gate ;;
+    *) full_gate ;;
+esac
+green

@@ -13,7 +13,8 @@
 //!   inner sink never blocks the workers — wall clock stays bounded and
 //!   the sink's ledger (`emitted == written + dropped`) is exact;
 //! * every [`BatchResult`] carries the run's final [`MetricsSnapshot`],
-//!   and its counters reconcile with the trace events.
+//!   and its counters reconcile with the trace events; traced, the same
+//!   run emits one lifecycle (root `batch` span) per batch.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -274,10 +275,18 @@ fn batch_results_metrics_reconcile_with_the_trace() {
             .workers(2)
             .slice_steps(32)
             .registry(registry.clone())
-            .sink(sink.clone()),
+            .sink(sink.clone())
+            .tracing(Tracer::new(7)),
     );
     let results = server.serve(&fx.store, &requests);
     let events = parse(&sink.lines());
+
+    // A traced serve emits one lifecycle (a root `batch` span) per batch.
+    let lifecycles = events
+        .iter()
+        .filter(|e| e.name() == "span.start" && e.str("name") == Some("batch"))
+        .count();
+    assert_eq!(lifecycles, requests.len());
 
     // Every result of the run carries the same final snapshot.
     let snapshot = &results[0].metrics;
