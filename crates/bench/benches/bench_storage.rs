@@ -3,7 +3,7 @@
 //! under a progressive access pattern).  The layout comparison runs
 //! through an [`InstrumentedStore`], so alongside criterion's wall-clock
 //! numbers it reports the per-layout fetch latency distribution
-//! (p50/p95/p99 from the `store.get_ns` histogram) — the tail is where
+//! (p50/p95/p99 from the `store.try_get_ns` histogram) — the tail is where
 //! the layouts differ.  A separate head-scan pass drives each layout with
 //! batched `try_get_many` windows and reports physical block reads: with
 //! the store laid out in the workload's own importance order, the head of
@@ -144,7 +144,7 @@ fn bench_disk_stores(
         let st = block.stats();
         let snap = block.registry().snapshot();
         let lat = snap
-            .histogram("store.get_ns")
+            .histogram("store.try_get_ns")
             .expect("instrumented benches record latency");
         let (p50, p95, p99) = lat.p50_p95_p99();
         eprintln!(

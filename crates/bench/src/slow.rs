@@ -2,7 +2,7 @@
 //!
 //! The slow store is a [`LatencyStore`] with a base charge and no per-key
 //! term: a fixed wall-clock latency per *physical* store round-trip — one
-//! sleep per `get`/`try_get`/`try_get_many` call, the way a disk seek or
+//! sleep per store call (singleton or window), the way a disk seek or
 //! an object-store GET charges per request, not per key.
 //! [`OverlapFixture`] runs the same serve workload against that store
 //! three ways — workers blocking on every round-trip, the asynchronous
@@ -177,7 +177,7 @@ impl OverlapFixture {
     /// `inner` charging the configured latency per round-trip (per *call*,
     /// not per key — batching round-trips is exactly the saving the
     /// prefetch window buys).  Its `submit` is the trait default, so the
-    /// latency lands in the charged `try_get_many`: to hide it, wrap the
+    /// latency lands in the charged `submit`: to hide it, wrap the
     /// store in `AsyncFetchStore` (the sleep then runs on its I/O threads).
     fn slow<S: CoefficientStore>(&self, inner: S) -> LatencyStore<S> {
         LatencyStore::new(inner, self.cfg.latency.as_nanos() as u64, 0)

@@ -20,8 +20,8 @@ use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_serve::{BatchRequest, BatchServer, ServeConfig, SloContract};
 use batchbb_storage::{
-    AsyncFetchStore, CoefficientStore, FaultInjectingStore, FaultPlan, IoStats, MemoryStore,
-    StorageError,
+    AsyncFetchStore, CoefficientStore, Completion, FaultInjectingStore, FaultPlan, IoStats,
+    MemoryStore, StorageError,
 };
 use batchbb_tensor::{CoeffKey, Shape, Tensor};
 use batchbb_wavelet::Wavelet;
@@ -242,16 +242,16 @@ fn rider_spans_link_to_their_physical_read() {
         gate_cv: Condvar,
     }
     impl CoefficientStore for GatedStore {
-        fn get(&self, key: &CoeffKey) -> Option<f64> {
-            self.inner.get(key)
+        fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+            self.inner.try_get(key)
         }
-        fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+        fn submit(&self, keys: &[CoeffKey]) -> Completion {
             let mut open = self.gate.lock().unwrap();
             while !*open {
                 open = self.gate_cv.wait(open).unwrap();
             }
             drop(open);
-            self.inner.try_get_many(keys)
+            self.inner.submit(keys)
         }
         fn nnz(&self) -> usize {
             self.inner.nnz()

@@ -85,6 +85,12 @@ pub fn evaluate_bounded(
 /// `remaining_importance` tracks the not-yet-retrieved tail of the
 /// selection, so the penalty-bound columns are comparable with the full
 /// executor's over the selected set.
+///
+/// This is [`evaluate_bounded_fallible_observed`] with one attempt a key.
+///
+/// # Panics
+///
+/// If a retrieval fails.
 pub fn evaluate_bounded_observed(
     strategy: &dyn LinearStrategy,
     queries: &[RangeSum],
@@ -94,61 +100,28 @@ pub fn evaluate_bounded_observed(
     budget: usize,
     observer: Option<&ExecObserver>,
 ) -> Result<BoundedResult, StrategyError> {
-    let (ranked, peak) = score_and_select(strategy, queries, domain, penalty, budget)?;
-    if let Some(obs) = observer {
-        obs.on_start(queries.len(), ranked.len());
-    }
-
-    // Retrieve the selected coefficients (most important first).
-    let mut values: HashMap<CoeffKey, f64> = HashMap::with_capacity(ranked.len());
-    let mut remaining: f64 = ranked.iter().map(|&(_, i)| i).sum();
-    let fault = FaultStats::default();
-    for (ix, &(key, importance)) in ranked.iter().enumerate() {
-        let timer = observer.map(|_| SpanTimer::start());
-        let value = store.get(&key).unwrap_or(0.0);
-        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-        values.insert(key, value);
-        remaining = if ix + 1 == ranked.len() {
-            0.0
-        } else {
-            (remaining - importance).max(0.0)
-        };
-        if let Some(obs) = observer {
-            let info = StepInfo {
-                key,
-                importance,
-                value,
-                queries_advanced: 0,
-            };
-            obs.on_step(&StepObservation {
-                kind: "retrieved",
-                info: &info,
-                pending: ranked.len() - ix - 1,
-                deferred: 0,
-                remaining_importance: remaining,
-                deferred_importance: 0.0,
-                max_unresolved: ranked.get(ix + 1).map(|&(_, i)| i),
-                homogeneity: penalty.homogeneity(),
-                retrieved: ix + 1,
-                fault,
-                latency_ns,
-            });
-        }
-    }
-
-    let estimates = apply_selected(strategy, queries, domain, &values)?;
-    if let Some(obs) = observer {
-        obs.on_finish("exact", values.len(), true, &fault);
+    let out = evaluate_bounded_fallible_observed(
+        strategy,
+        queries,
+        domain,
+        store,
+        penalty,
+        budget,
+        &crate::ONE_ATTEMPT,
+        observer,
+    )?;
+    if let Some((key, _)) = out.deferred.first() {
+        panic!("retrieval failed at {key}");
     }
     Ok(BoundedResult {
-        estimates,
-        retrieved: values.len(),
-        peak_workspace: peak,
+        estimates: out.estimates,
+        retrieved: out.retrieved,
+        peak_workspace: out.peak_workspace,
     })
 }
 
-/// Fallible twin of [`evaluate_bounded`]: retrieves the selection through
-/// [`CoefficientStore::try_get`] with retries under `policy`; selected
+/// The bounded evaluation proper ([`evaluate_bounded`] wraps it): retrieves
+/// the selection with retries under `policy`; selected
 /// coefficients that stay unavailable are excluded from the estimates and
 /// reported as deferred, so the caller gets the best evaluation the store's
 /// current health allows instead of a panic or an abort.
@@ -192,22 +165,14 @@ pub fn evaluate_bounded_fallible_observed(
     let mut remaining: f64 = ranked.iter().map(|&(_, i)| i).sum();
     let mut deferred_mass = 0.0;
     for (ix, &(key, importance)) in ranked.iter().enumerate() {
-        let attempts_allowed = match policy.total_attempt_budget {
-            Some(budget) => {
-                let left = budget.saturating_sub(fault.attempts);
-                if left == 0 {
-                    // Out of attempts: everything still unretrieved is
-                    // deferred (and counted — `deferrals = recoveries +
-                    // still-deferred` must hold here too). `ranked` is
-                    // most-important-first, so the deferred list stays
-                    // sorted that way as well.
-                    fault.deferrals += 1;
-                    deferred.push((key, importance));
-                    continue;
-                }
-                left.min(u64::from(policy.max_attempts.max(1))) as u32
-            }
-            None => policy.max_attempts,
+        let Some(attempts_allowed) = policy.attempts_allowed(fault.attempts) else {
+            // Out of attempts: everything still unretrieved is deferred
+            // (and counted — `deferrals = recoveries + still-deferred`
+            // must hold here too). `ranked` is most-important-first, so
+            // the deferred list stays sorted that way as well.
+            fault.deferrals += 1;
+            deferred.push((key, importance));
+            continue;
         };
         let timer = observer.map(|_| SpanTimer::start());
         let out = get_with_retry(store, &key, policy, attempts_allowed);
@@ -215,7 +180,11 @@ pub fn evaluate_bounded_fallible_observed(
         out.record(&mut fault);
         // The processed entry's mass leaves the pending tail either way —
         // into the estimates on success, into the deferred mass on failure.
-        remaining = (remaining - importance).max(0.0);
+        remaining = if ix + 1 == ranked.len() {
+            0.0 // no rounding residue once the selection is walked
+        } else {
+            (remaining - importance).max(0.0)
+        };
         match out.result {
             Ok(value) => {
                 values.insert(key, value.unwrap_or(0.0));
@@ -419,28 +388,6 @@ mod tests {
         let r = evaluate_bounded(&strategy, &queries, &shape, &store, &Sse, 0).unwrap();
         assert!(r.estimates.iter().all(|&e| e == 0.0));
         assert_eq!(r.retrieved, 0);
-    }
-
-    #[test]
-    fn fallible_on_healthy_store_matches_infallible() {
-        let (_, store, shape, strategy, queries) = fixture();
-        let b = 64;
-        let exact = evaluate_bounded(&strategy, &queries, &shape, &store, &Sse, b).unwrap();
-        let fallible = evaluate_bounded_fallible(
-            &strategy,
-            &queries,
-            &shape,
-            &store,
-            &Sse,
-            b,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(fallible.estimates, exact.estimates);
-        assert_eq!(fallible.retrieved, exact.retrieved);
-        assert!(fallible.deferred.is_empty());
-        assert_eq!(fallible.fault.attempts, fallible.fault.successes);
-        assert!(fallible.fault.attempts_reconcile());
     }
 
     #[test]

@@ -75,6 +75,11 @@ impl CompressedView {
     /// truncated coefficient contributes its full error.
     pub fn evaluate(&self, batch: &BatchQueries) -> Vec<f64> {
         use batchbb_storage::CoefficientStore;
+        let read = |k| {
+            self.store
+                .try_get(k)
+                .expect("an in-memory read cannot fail")
+        };
         batch
             .coefficients()
             .iter()
@@ -82,7 +87,7 @@ impl CompressedView {
                 coeffs
                     .entries()
                     .iter()
-                    .filter_map(|(k, v)| self.store.get(k).map(|w| v * w))
+                    .filter_map(|(k, v)| read(k).map(|w| v * w))
                     .sum()
             })
             .collect()

@@ -189,7 +189,7 @@ pub struct ProgressiveExecutor<'a> {
     /// Σ ι_p over the deferral queue, tracked separately from
     /// `remaining_importance` so degraded penalty bounds stay exact.
     deferred_importance: f64,
-    /// Fault-path counters (all zero when only the infallible path runs).
+    /// Fault-path counters: every attempt of every step.
     fault: FaultStats,
     /// Optional instrumentation: metrics and trace events per step. `None`
     /// keeps the hot path free of even a clock read.
@@ -315,24 +315,28 @@ impl<'a> ProgressiveExecutor<'a> {
 
     /// Extracts the most important unretrieved coefficient, fetches its
     /// data value, and advances every query that needs it (Equation 2).
-    /// Returns `None` once the progression is drained — at which point
+    /// Returns `None` once nothing is pending or deferred — at which point
     /// [`ProgressiveExecutor::estimates`] holds the exact results.
+    ///
+    /// This is [`ProgressiveExecutor::try_step`] for callers with nothing
+    /// to do about a failure: one attempt a key, blocking on a parked
+    /// prefetch instead of yielding.
+    ///
+    /// # Panics
+    ///
+    /// If the retrieval fails.
     pub fn step(&mut self) -> Option<StepInfo> {
-        // A parked asynchronous prefetch owns the next entries in
-        // progression order; the infallible path simply blocks on it.
-        self.resolve_window();
-        // A value already read ahead by the fallible path is folded in
-        // without touching the store again; otherwise read through the
-        // infallible `get`, which no fault injector intercepts.
-        let (entry, value, latency_ns) = match self.take_landed() {
-            Some((entry, value)) => (entry, value, 0),
-            None => {
-                let entry = self.take_next()?;
-                let (value, latency_ns) = self.timed_read(|store| store.get(&entry.key));
-                (entry, value.unwrap_or(0.0), latency_ns)
+        loop {
+            match self.try_step(&crate::ONE_ATTEMPT) {
+                TryStepOutcome::Retrieved(info) | TryStepOutcome::Recovered(info) => {
+                    return Some(info)
+                }
+                TryStepOutcome::Exhausted => return None,
+                TryStepOutcome::Pending => self.resolve_window(),
+                TryStepOutcome::Deferred { error, .. } => panic!("retrieval failed: {error}"),
+                TryStepOutcome::BudgetExhausted => unreachable!("ONE_ATTEMPT sets no budget"),
             }
-        };
-        Some(self.fold(entry, value, false, latency_ns))
+        }
     }
 
     /// Takes the next pending entry off the progression.
@@ -360,21 +364,9 @@ impl<'a> ProgressiveExecutor<'a> {
         Some((entry, value))
     }
 
-    /// Runs one store read under the observer's step timer and
-    /// `StoreWait` scope; returns what it read and the latency (0 when
-    /// unobserved).
-    fn timed_read<T>(&self, read: impl FnOnce(&'a dyn CoefficientStore) -> T) -> (T, u64) {
-        let timer = ExecObserver::maybe_timer(&self.observer);
-        let wait = ExecObserver::store_wait_scope(&self.observer);
-        let out = read(self.store);
-        drop(wait);
-        (out, timer.map_or(0, |t| t.elapsed_ns()))
-    }
-
-    /// Folds one retrieved value into the estimates — the one step body
-    /// the infallible and fallible paths share.  `recovered` says the
-    /// entry came off the deferral queue rather than the progression, i.e.
-    /// which importance sum it leaves.
+    /// Folds one retrieved value into the estimates — the one step body.
+    /// `recovered` says the entry came off the deferral queue rather than
+    /// the progression, i.e. which importance sum it leaves.
     fn fold(
         &mut self,
         entry: ProgressionEntry,
@@ -443,8 +435,8 @@ impl<'a> ProgressiveExecutor<'a> {
 
     /// Blocks until a parked asynchronous prefetch resolves and lands it
     /// (no-op when nothing is parked).  `try_step` calls this once the
-    /// completion is ready; the callers that cannot usefully yield — the
-    /// infallible [`ProgressiveExecutor::step`] and the unbounded
+    /// completion is ready; the callers that cannot usefully yield —
+    /// [`ProgressiveExecutor::step`] and the unbounded
     /// [`ProgressiveExecutor::drain_with_faults`] — call it regardless.
     fn resolve_window(&mut self) {
         match std::mem::take(&mut self.window) {
@@ -534,10 +526,10 @@ impl<'a> ProgressiveExecutor<'a> {
         }
     }
 
-    /// Fallible progressive step: like [`ProgressiveExecutor::step`], but
-    /// retrieves through [`CoefficientStore::try_get`] with retries under
-    /// `policy`, and *defers* instead of failing when a retrieval cannot be
-    /// completed.
+    /// The progressive step — the one stepping body; the infallible
+    /// [`ProgressiveExecutor::step`] is a wrapper over it.  Retrieves the
+    /// next coefficient with retries under `policy` and *defers* instead
+    /// of failing when a retrieval cannot be completed.
     ///
     /// Source order: the progression is drained first (the paper's
     /// importance order is preserved for everything retrievable); once it
@@ -547,19 +539,8 @@ impl<'a> ProgressiveExecutor<'a> {
     /// [`ProgressiveExecutor::degradation_report`] can bound the penalty of
     /// the current estimates under partial availability.
     pub fn try_step(&mut self, policy: &RetryPolicy) -> TryStepOutcome {
-        let budget_left = match policy.total_attempt_budget {
-            Some(budget) => {
-                let left = budget.saturating_sub(self.fault.attempts);
-                if left == 0 {
-                    return TryStepOutcome::BudgetExhausted;
-                }
-                Some(left)
-            }
-            None => None,
-        };
-        let attempts_allowed = match budget_left {
-            Some(left) => left.min(u64::from(policy.max_attempts.max(1))) as u32,
-            None => policy.max_attempts,
+        let Some(attempts_allowed) = policy.attempts_allowed(self.fault.attempts) else {
+            return TryStepOutcome::BudgetExhausted;
         };
         // A parked asynchronous prefetch owns the next entries in
         // progression order: resolve it if it landed, park otherwise.
@@ -574,10 +555,12 @@ impl<'a> ProgressiveExecutor<'a> {
         // exceeds one key, and no recent batch failure is still being
         // attributed by singleton steps.
         if self.prefetch_window > 1 && self.singleton_debt == 0 && !self.has_landed() {
-            let w = self
-                .prefetch_window
-                .min(self.remaining())
-                .min(budget_left.map_or(usize::MAX, |left| left.min(usize::MAX as u64) as usize));
+            // Every prefetched key is charged one attempt when applied,
+            // so a window never reaches past the attempt budget.
+            let budget_left = policy.total_attempt_budget.map_or(usize::MAX, |b| {
+                usize::try_from(b - self.fault.attempts).unwrap_or(usize::MAX)
+            });
+            let w = self.prefetch_window.min(self.remaining()).min(budget_left);
             if w > 1 {
                 let keys: Vec<CoeffKey> = self.order[self.cursor..self.cursor + w]
                     .iter()
@@ -626,8 +609,11 @@ impl<'a> ProgressiveExecutor<'a> {
                 None => return TryStepOutcome::Exhausted,
             },
         };
-        let (out, latency_ns) =
-            self.timed_read(|store| get_with_retry(store, &entry.key, policy, attempts_allowed));
+        let timer = ExecObserver::maybe_timer(&self.observer);
+        let wait = ExecObserver::store_wait_scope(&self.observer);
+        let out = get_with_retry(self.store, &entry.key, policy, attempts_allowed);
+        drop(wait);
+        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
         out.record(&mut self.fault);
         match out.result {
             Ok(value) => {
@@ -1430,25 +1416,19 @@ mod tests {
     }
 
     #[test]
-    fn try_step_on_healthy_store_matches_step() {
+    #[should_panic(expected = "retrieval failed: permanent")]
+    fn the_infallible_api_panics_on_a_failed_retrieval() {
+        use batchbb_storage::{FaultInjectingStore, FaultPlan};
+
         let (_, store, shape, strategy) = fixture();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
-        let mut a = ProgressiveExecutor::new(&batch, &Sse, &store);
-        let mut b = ProgressiveExecutor::new(&batch, &Sse, &store);
-        let policy = RetryPolicy::default();
-        loop {
-            let sa = a.step();
-            match (sa, b.try_step(&policy)) {
-                (Some(ia), TryStepOutcome::Retrieved(ib)) => assert_eq!(ia, ib),
-                (None, TryStepOutcome::Exhausted) => break,
-                (sa, sb) => panic!("paths diverged: {sa:?} vs {sb:?}"),
-            }
-        }
-        assert_eq!(a.estimates(), b.estimates());
-        let fs = b.fault_stats();
-        assert_eq!(fs.attempts, fs.successes);
-        assert_eq!(fs.deferrals, 0);
-        assert!(fs.attempts_reconcile());
+        let broken = ProgressiveExecutor::new(&batch, &Sse, &store).progression()[5].key;
+        // No read bypasses the injector: five steps land, the sixth panics.
+        let faulty =
+            FaultInjectingStore::new(&store, FaultPlan::new(1).with_permanent_keys([broken]));
+        let mut exec = ProgressiveExecutor::new(&batch, &Sse, &faulty);
+        assert_eq!(exec.run(5), 5);
+        exec.run_to_end();
     }
 
     #[test]

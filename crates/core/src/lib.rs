@@ -84,6 +84,17 @@ pub mod optimality;
 pub mod round_robin;
 pub mod stats;
 
+/// The policy the infallible entry points (`step`, `run`, `run_to_end`,
+/// `evaluate_bounded`) hand to the fallible core they wrap: one attempt a
+/// key, no retry, no budget.  A retrieval that fails under it panics.
+pub(crate) const ONE_ATTEMPT: batchbb_storage::RetryPolicy = batchbb_storage::RetryPolicy {
+    max_attempts: 1,
+    base_backoff_ticks: 0,
+    max_backoff_ticks: 0,
+    jitter_seed: 0,
+    total_attempt_budget: None,
+};
+
 pub use batch::BatchQueries;
 pub use executor::{
     DegradationReport, DrainStatus, ProgressionEntry, ProgressiveExecutor, StepInfo, TryStepOutcome,

@@ -9,7 +9,9 @@
 
 use std::collections::VecDeque;
 
-use batchbb_storage::{retry::get_with_retry, CoefficientStore, FaultStats, RetryPolicy};
+use batchbb_storage::{
+    retry::get_with_retry, CoefficientStore, FaultStats, RetryPolicy, StorageError,
+};
 use batchbb_tensor::CoeffKey;
 
 use crate::observe::{ExecObserver, StepObservation};
@@ -126,29 +128,17 @@ impl<'a> RoundRobin<'a> {
     }
 
     /// Advances one query by one retrieval, cycling through the batch.
-    /// Returns `false` when every query is exact.
+    /// Returns `false` when every query is exact.  This is
+    /// [`RoundRobin::try_step`] with one attempt a key.
+    ///
+    /// # Panics
+    ///
+    /// If the retrieval fails.
     pub fn step(&mut self) -> bool {
-        let s = self.queries.len();
-        if s == 0 {
-            return false;
+        match self.advance(&crate::ONE_ATTEMPT) {
+            Some(Err(error)) => panic!("retrieval failed: {error}"),
+            advanced => advanced.is_some(),
         }
-        for probe in 0..s {
-            let qi = (self.next + probe) % s;
-            let q = &mut self.queries[qi];
-            if q.cursor < q.plan.len() {
-                let (key, coeff) = q.plan[q.cursor];
-                q.cursor += 1;
-                let timer = ExecObserver::maybe_timer(&self.observer);
-                let value = self.store.get(&key).unwrap_or(0.0);
-                let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-                self.queries[qi].estimate += coeff * value;
-                self.retrievals += 1;
-                self.next = (qi + 1) % s;
-                self.observe_step("retrieved", key, coeff, value, latency_ns);
-                return true;
-            }
-        }
-        false
     }
 
     /// Runs to exact completion, returning total retrievals.
@@ -160,18 +150,23 @@ impl<'a> RoundRobin<'a> {
         self.retrievals
     }
 
-    /// Fallible variant of [`RoundRobin::step`]: retries transient failures
-    /// under `policy` and defers coefficients that keep failing onto the
-    /// owning query's queue, so the baseline degrades the same way the
-    /// batch executor does and comparisons under faults stay fair.
+    /// The baseline's step: retries transient failures under `policy` and
+    /// defers coefficients that keep failing onto the owning query's
+    /// queue, so the baseline degrades the same way the batch executor
+    /// does and comparisons under faults stay fair.
     ///
-    /// Returns `true` while any query still has pending work (fresh plan
-    /// entries or deferred retrievals).
+    /// Returns `false` when nothing was attempted: no query has pending
+    /// work (fresh plan entries or deferred retrievals), or the policy's
+    /// `total_attempt_budget` is spent.
     pub fn try_step(&mut self, policy: &RetryPolicy) -> bool {
+        self.advance(policy).is_some()
+    }
+
+    /// The one stepping body: `None` when nothing was attempted, otherwise
+    /// whether the attempted retrieval landed or was deferred (and why).
+    fn advance(&mut self, policy: &RetryPolicy) -> Option<Result<(), StorageError>> {
+        let attempts_allowed = policy.attempts_allowed(self.fault.attempts)?;
         let s = self.queries.len();
-        if s == 0 {
-            return false;
-        }
         for probe in 0..s {
             let qi = (self.next + probe) % s;
             let q = &mut self.queries[qi];
@@ -188,7 +183,7 @@ impl<'a> RoundRobin<'a> {
             };
             let (key, coeff) = q.plan[plan_ix];
             let timer = ExecObserver::maybe_timer(&self.observer);
-            let outcome = get_with_retry(self.store, &key, policy, policy.max_attempts);
+            let outcome = get_with_retry(self.store, &key, policy, attempts_allowed);
             let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
             outcome.record(&mut self.fault);
             match outcome.result {
@@ -206,6 +201,7 @@ impl<'a> RoundRobin<'a> {
                         "retrieved"
                     };
                     self.observe_step(kind, key, coeff, value, latency_ns);
+                    return Some(Ok(()));
                 }
                 Err(error) => {
                     if !from_deferred {
@@ -223,11 +219,11 @@ impl<'a> RoundRobin<'a> {
                             &self.fault,
                         );
                     }
+                    return Some(Err(error));
                 }
             }
-            return true;
         }
-        false
+        None
     }
 
     /// Drives [`RoundRobin::try_step`] until every query is exact or the
@@ -244,22 +240,25 @@ impl<'a> RoundRobin<'a> {
 
     fn fault_loop(&mut self, policy: &RetryPolicy) -> bool {
         loop {
-            if self.queries.iter().all(|q| q.cursor >= q.plan.len()) {
-                let pending: usize = self.queries.iter().map(|q| q.deferred.len()).sum();
-                if pending == 0 {
-                    return true;
+            if self.pending_count() > 0 {
+                if !self.try_step(policy) {
+                    return false; // attempt budget spent mid-plan
                 }
-                // Only deferred work remains: give every pending retrieval
-                // one more round, and stop if none of them recovered.
-                let before = self.fault.recoveries;
-                for _ in 0..pending {
-                    self.try_step(policy);
-                }
-                if self.fault.recoveries == before {
-                    return false;
-                }
-            } else if !self.try_step(policy) {
-                return self.deferred_count() == 0;
+                continue;
+            }
+            let deferred = self.deferred_count();
+            if deferred == 0 {
+                return true;
+            }
+            // Only deferred work remains: give every pending retrieval
+            // one more round, and stop if none of them recovered (or the
+            // attempt budget ran out first).
+            let before = self.fault.recoveries;
+            for _ in 0..deferred {
+                self.try_step(policy);
+            }
+            if self.fault.recoveries == before {
+                return false;
             }
         }
     }
@@ -363,18 +362,39 @@ mod tests {
     }
 
     #[test]
-    fn fallible_on_healthy_store_matches_infallible() {
+    fn an_attempt_budget_stops_after_exactly_that_many_attempts() {
+        use batchbb_storage::{FaultInjectingStore, FaultPlan};
         let (_, store, shape, strategy) = fixture();
+        let flaky = FaultInjectingStore::new(store, FaultPlan::new(0xb0d).with_transient_rate(0.6));
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
-        let mut plain = RoundRobin::new(&batch, &store);
-        plain.run_to_end();
-        let mut fallible = RoundRobin::new(&batch, &store);
-        assert!(fallible.run_with_faults(&RetryPolicy::default()));
-        assert_eq!(fallible.estimates(), plain.estimates());
-        assert_eq!(fallible.retrievals(), plain.retrievals());
-        let fs = fallible.fault_stats();
-        assert_eq!(fs.attempts, fs.successes);
-        assert!(fs.attempts_reconcile() && fs.deferrals_reconcile(0));
+        let unbudgeted = {
+            let mut rr = RoundRobin::new(&batch, &flaky);
+            rr.run_with_faults(&RetryPolicy::default());
+            rr.fault_stats().attempts
+        };
+        flaky.reset_fault_state();
+        // A budget that is not a multiple of `max_attempts`, so the last
+        // retrieval must be clamped to what is left, not granted three.
+        let n = unbudgeted / 2 + 1;
+        let policy = RetryPolicy {
+            total_attempt_budget: Some(n),
+            ..RetryPolicy::default()
+        };
+        let mut rr = RoundRobin::new(&batch, &flaky);
+        assert!(
+            !rr.run_with_faults(&policy),
+            "half the attempts cannot finish"
+        );
+        assert!(!rr.try_step(&policy), "a spent budget attempts nothing");
+        let fs = rr.fault_stats();
+        assert_eq!(fs.attempts, n);
+        assert_eq!(flaky.injected().attempts, n, "the store saw no more either");
+        assert!(fs.attempts_reconcile());
+        assert!(
+            fs.deferrals > 0,
+            "a 60 % rate defers something in {n} attempts"
+        );
+        assert!(fs.deferrals_reconcile(rr.deferred_count() as u64));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use batchbb_core::{BatchQueries, DrainStatus, MasterList, ProgressiveExecutor};
 use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::synth;
-use batchbb_storage::{CoefficientStore, IoStats, MemoryStore, RetryPolicy, StorageError};
+use batchbb_storage::{
+    CoefficientStore, Completion, IoStats, MemoryStore, RetryPolicy, StorageError,
+};
 use batchbb_tensor::CoeffKey;
 use batchbb_wavelet::Wavelet;
 
@@ -42,19 +44,14 @@ impl<S> CallCounter<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for CallCounter<S> {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.singleton.fetch_add(1, Ordering::Relaxed);
-        self.inner.get(key)
-    }
-
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.singleton.fetch_add(1, Ordering::Relaxed);
         self.inner.try_get(key)
     }
 
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
         self.batch.fetch_add(1, Ordering::Relaxed);
-        self.inner.try_get_many(keys)
+        self.inner.submit(keys)
     }
 
     fn quiesce(&self) {

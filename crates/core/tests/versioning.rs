@@ -191,19 +191,9 @@ impl GatedView {
 }
 
 impl CoefficientStore for GatedView {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.wait_open();
-        self.inner.get(key)
-    }
-
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.wait_open();
         self.inner.try_get(key)
-    }
-
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        self.wait_open();
-        self.inner.try_get_many(keys)
     }
 
     fn submit(&self, keys: &[CoeffKey]) -> Completion {

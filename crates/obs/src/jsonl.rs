@@ -83,12 +83,14 @@ pub fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     p.expect('{')?;
     let mut name = None;
     let mut fields = BTreeMap::new();
+    let mut first = true;
     loop {
         p.skip_ws();
         if p.eat('}') {
             break;
         }
-        if !fields.is_empty() || name.is_some() {
+        // Not "is anything stored yet": a leading null stores nothing.
+        if !std::mem::take(&mut first) {
             p.expect(',')?;
             p.skip_ws();
         }
@@ -265,6 +267,10 @@ mod tests {
         let parsed = parse_line(&line).unwrap();
         assert_eq!(parsed.num("nan"), None);
         assert_eq!(parsed.u64("k"), Some(1));
+        // A null ahead of every stored field still needs its comma.
+        let parsed = parse_line(r#"{"a":null,"event":"t","k":1}"#).unwrap();
+        assert_eq!((parsed.name(), parsed.u64("k")), ("t", Some(1)));
+        assert!(parse_line(r#"{"a":null "event":"t"}"#).is_err());
     }
 
     #[test]

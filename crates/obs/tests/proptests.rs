@@ -2,8 +2,9 @@
 //! snapshots are monotone for counters, histogram samples always land in
 //! the bucket whose bounds contain them, JSONL events survive a
 //! serialize → parse round trip (every field type, the `f64_finite`
-//! omission rule, escaped strings), and the bounded sink's accounting is
-//! exact under arbitrary event streams.
+//! omission rule, escaped strings), no line — arbitrary bytes or a soup of
+//! JSON fragments — makes the reader panic, and the bounded sink's
+//! accounting is exact under arbitrary event streams.
 
 use std::sync::Arc;
 
@@ -242,5 +243,69 @@ proptest! {
             stats
         );
         prop_assert_eq!(mem.len() as u64, stats.written);
+    }
+}
+
+/// Fragments a trace line is made of, plus what breaks one: unbalanced and
+/// nested brackets, half escapes, surrogate and malformed `\u` escapes,
+/// bare words, not-quite numbers and multi-byte characters next to every
+/// delimiter.
+const SOUP: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\"event\"",
+    "\"a\"",
+    "\"x.y\"",
+    "null",
+    "true",
+    "false",
+    "nul",
+    "tru",
+    "0",
+    "-1",
+    "2.5",
+    "1e999",
+    "-",
+    "1e",
+    "NaN",
+    "\\",
+    "\\u",
+    "\\ud800",
+    "\\u12",
+    "\\n",
+    "\\q",
+    " ",
+    "\t",
+    "é",
+    "\u{1F600}",
+    "\0",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any line is answered with `Ok` or `Err`: the trace reader never
+    /// unwinds (a panic here fails the case), and what it accepts has a
+    /// name.
+    #[test]
+    fn no_line_panics_the_reader(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        soup in prop::collection::vec(0..SOUP.len(), 0..40),
+        wrapped in any::<bool>(),
+    ) {
+        let _ = jsonl::parse_line(&String::from_utf8_lossy(&bytes));
+        let mut text: String = soup.into_iter().map(|piece| SOUP[piece]).collect();
+        if wrapped {
+            // Most soups die at the first byte; give half a valid opening.
+            text = format!("{{\"event\":\"e\",{text}");
+        }
+        if let Ok(event) = jsonl::parse_line(&text) {
+            prop_assert!(wrapped || text.contains("event"), "{}", event.name());
+        }
     }
 }

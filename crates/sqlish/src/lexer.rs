@@ -37,6 +37,10 @@ impl fmt::Display for Token {
 }
 
 /// Splits `input` into tokens. Returns the offending byte offset on error.
+///
+/// The grammar is ASCII: the scan is byte by byte, every class test is the
+/// ASCII one, and a non-ASCII byte is an error at its offset — so a token
+/// never ends inside a multi-byte character.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, usize> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
@@ -44,7 +48,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, usize> {
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
-            c if c.is_whitespace() => i += 1,
+            c if c.is_ascii_whitespace() => i += 1,
             '(' => {
                 out.push(Token::LParen);
                 i += 1;
@@ -91,10 +95,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, usize> {
                 let n: f64 = text.parse().map_err(|_| start)?;
                 out.push(Token::Number(n));
             }
-            c if c.is_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < bytes.len() && ((bytes[i] as char).is_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 out.push(Token::Word(input[start..i].to_string()));

@@ -197,14 +197,25 @@ pub fn parse(input: &str) -> Result<QueryAst, ParseError> {
             predicates.push(predicate(&mut c)?);
         }
     }
-    let mut group_by = Vec::new();
+    let mut group_by: Vec<(String, usize)> = Vec::new();
     if c.is_keyword("GROUP") {
         c.next();
         c.keyword("BY")?;
-        group_by.push(group_item(&mut c)?);
-        while c.peek() == Some(&Token::Comma) {
+        loop {
+            let item = group_item(&mut c)?;
+            // Grouping twice by one attribute means nothing, and planning
+            // it would multiply the cell grid once per repeat.
+            if group_by.iter().any(|(attr, _)| *attr == item.0) {
+                return Err(ParseError::Unexpected {
+                    found: Some(item.0),
+                    expected: "each GROUP BY attribute once".to_string(),
+                });
+            }
+            group_by.push(item);
+            if c.peek() != Some(&Token::Comma) {
+                break;
+            }
             c.next();
-            group_by.push(group_item(&mut c)?);
         }
     }
     if let Some(t) = c.peek() {
@@ -377,10 +388,14 @@ mod tests {
     fn rejects_bad_bucket_counts() {
         assert!(parse("SELECT COUNT(*) FROM t GROUP BY a(0)").is_err());
         assert!(parse("SELECT COUNT(*) FROM t GROUP BY a(2.5)").is_err());
+        assert!(parse("SELECT COUNT(*) FROM t GROUP BY a(2), b(2), a(4)").is_err());
     }
 
     #[test]
     fn lex_errors_carry_position() {
         assert_eq!(parse("SELECT #"), Err(ParseError::Lex(7)));
+        // Not ASCII: an error at the character, never a split one.
+        assert_eq!(parse("SELECT é"), Err(ParseError::Lex(7)));
+        assert_eq!(parse("SELECT a\u{a0}b"), Err(ParseError::Lex(8)));
     }
 }

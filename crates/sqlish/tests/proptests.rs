@@ -1,11 +1,13 @@
 //! Property-based tests: random ASTs survive a print → parse round trip,
-//! and random plans always produce consistent batches.
+//! random plans always produce consistent batches, and no input text —
+//! arbitrary bytes or a soup of the grammar's own tokens — makes the
+//! front end panic.
 
 use proptest::prelude::*;
 
 use batchbb_query::partition::is_partition;
 use batchbb_relation::{Attribute, Schema};
-use batchbb_sqlish::{parse, plan_ast, Aggregate, Predicate, QueryAst};
+use batchbb_sqlish::{parse, plan, plan_ast, Aggregate, Predicate, QueryAst};
 
 fn ident() -> impl Strategy<Value = String> {
     prop::sample::select(vec!["lat", "lon", "alt", "t_emp"]).prop_map(str::to_string)
@@ -160,6 +162,91 @@ proptest! {
         prop_assert_eq!(rows.len(), plan.cells().len());
         for row in rows {
             prop_assert_eq!(row.len(), ast.aggregates.len());
+        }
+    }
+}
+
+/// Pieces a statement is made of, plus what breaks one: wrong-case and
+/// reserved words, unknown attributes, numbers that overflow, underflow or
+/// are not numbers, bucket counts past any domain, stray punctuation and
+/// characters outside the ASCII grammar.
+const SOUP: &[&str] = &[
+    "SELECT",
+    "select",
+    "FROM",
+    "WHERE",
+    "AND",
+    "BETWEEN",
+    "GROUP",
+    "BY",
+    "COUNT",
+    "SUM",
+    "AVG",
+    "VARIANCE",
+    "SUMPRODUCT",
+    "MAX",
+    "lat",
+    "lon",
+    "alt",
+    "t_emp",
+    "obs",
+    "_",
+    "(",
+    ")",
+    ",",
+    "*",
+    "=",
+    ">=",
+    ">",
+    "<=",
+    "<",
+    "0",
+    "1",
+    "2",
+    "8",
+    "9",
+    "-1",
+    "2.5",
+    "1e3",
+    "1e999",
+    "-1e999",
+    "1e-999",
+    "18446744073709551616",
+    "1.2.3",
+    "-",
+    ".",
+    "e",
+    "#",
+    ";",
+    "'",
+    "é",
+    "\u{a0}",
+    "\u{1F600}",
+    "\0",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any text is answered with `Ok` or `Err`: the lexer, parser and
+    /// planner never unwind (a panic here fails the case).
+    #[test]
+    fn no_input_panics_the_front_end(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        soup in prop::collection::vec((0..SOUP.len(), any::<bool>()), 0..40),
+    ) {
+        let schema = schema();
+        let _ = plan(&String::from_utf8_lossy(&bytes), &schema);
+        let mut text = String::new();
+        for (piece, spaced) in soup {
+            text.push_str(SOUP[piece]);
+            if spaced {
+                text.push(' ');
+            }
+        }
+        if let Ok(plan) = plan(&text, &schema) {
+            // Whatever planned is a usable plan.
+            prop_assert_eq!(plan.queries().len() % plan.cells().len(), 0);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! [`ShardRouter`], over a single unreplicated shard with `threads`
 //! primary workers — the in-flight table that lets concurrent submits of
 //! one key ride one physical read, the one-job-per-submit batching that
-//! preserves an inner store's `try_get_many` coalescing
+//! preserves an inner store's batched `submit` coalescing
 //! ([`crate::FileStore`]'s contiguous-run preads, [`crate::BlockStore`]'s
 //! per-block grouping), the queue-drain rule that sends the jobs queued
 //! when an I/O thread frees as one inner call, the whole-batch-error
@@ -30,9 +30,9 @@ use crate::{CoefficientStore, IoStats, StorageError};
 
 /// Completion-based asynchronous wrapper over any blocking store.
 ///
-/// Blocking calls (`get`/`try_get`/`try_get_many`) forward straight to the
-/// inner store — only [`CoefficientStore::submit`] takes the asynchronous
-/// path — so accounting on the blocking paths is unchanged.
+/// Every read rides the engine: a singleton is the engine's window of
+/// one, so it joins an outstanding read of its key like any submit and the
+/// inner store is only ever called from the I/O threads.
 ///
 /// Dropping the store drains the queue (every outstanding completion still
 /// resolves) and joins the I/O threads.
@@ -91,16 +91,8 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
 }
 
 impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.inner.get(key)
-    }
-
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.inner.try_get(key)
-    }
-
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        self.inner.try_get_many(keys)
+        self.engine.try_get(key)
     }
 
     /// Enqueues the batch on the engine and returns immediately: keys
@@ -133,15 +125,9 @@ impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
     }
 }
 
-// What the gated stores in the tests below block on (they reach these
-// through `use super::*`).
-#[cfg(test)]
-use std::sync::{atomic::Ordering, Condvar, Mutex};
-
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
-
+    use crate::testing::Gated;
     use crate::{FaultInjectingStore, FaultPlan, MemoryStore};
 
     use super::*;
@@ -166,117 +152,36 @@ mod tests {
 
     #[test]
     fn concurrent_submits_of_one_key_share_a_read() {
-        /// Counts physical batch fetches so sharing is observable.
-        struct CountingStore {
-            inner: MemoryStore,
-            batches: AtomicUsize,
-            /// Holds every fetch until released, so submits pile onto the
-            /// in-flight slot deterministically.
-            gate: Mutex<bool>,
-            gate_cv: Condvar,
-        }
-        impl CoefficientStore for CountingStore {
-            fn get(&self, key: &CoeffKey) -> Option<f64> {
-                self.inner.get(key)
-            }
-            fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                let mut open = self.gate.lock().unwrap();
-                while !*open {
-                    open = self.gate_cv.wait(open).unwrap();
-                }
-                drop(open);
-                self.inner.try_get_many(keys)
-            }
-            fn nnz(&self) -> usize {
-                self.inner.nnz()
-            }
-            fn stats(&self) -> IoStats {
-                self.inner.stats()
-            }
-            fn reset_stats(&self) {
-                self.inner.reset_stats()
-            }
-        }
-
-        let counting = CountingStore {
-            inner: store(4),
-            batches: AtomicUsize::new(0),
-            gate: Mutex::new(false),
-            gate_cv: Condvar::new(),
-        };
-        let asynchronous = AsyncFetchStore::new(counting, 2);
+        let asynchronous = AsyncFetchStore::new(Gated::closed(store(4)), 2);
         let shared_key = keys(1);
         // Two batches submit the same key while the first read is stuck at
         // the gate: the second must join it, not queue a second read.
         let a = asynchronous.submit(&shared_key);
         let b = asynchronous.submit(&shared_key);
         assert_eq!(asynchronous.dedup_hits(), 1);
-        {
-            let mut open = asynchronous.inner().gate.lock().unwrap();
-            *open = true;
-            asynchronous.inner().gate_cv.notify_all();
-        }
+        asynchronous.inner().set_gate(true);
         assert_eq!(a.wait().unwrap(), b.wait().unwrap());
         asynchronous.quiesce();
-        assert_eq!(asynchronous.inner().batches.load(Ordering::Relaxed), 1);
+        assert_eq!(asynchronous.inner().calls().len(), 1);
         // The table holds only outstanding reads: a later submit re-reads.
         let c = asynchronous.submit(&shared_key);
         c.wait().unwrap();
         asynchronous.quiesce();
-        assert_eq!(asynchronous.inner().batches.load(Ordering::Relaxed), 2);
+        assert_eq!(asynchronous.inner().calls().len(), 2);
     }
 
     #[test]
     fn rider_span_references_the_physical_read_span() {
         use batchbb_obs::{jsonl, MemorySink};
 
-        /// Holds fetches at a gate so the second submit provably joins the
-        /// first read while it is outstanding.
-        struct GatedStore {
-            inner: MemoryStore,
-            gate: Mutex<bool>,
-            gate_cv: Condvar,
-        }
-        impl CoefficientStore for GatedStore {
-            fn get(&self, key: &CoeffKey) -> Option<f64> {
-                self.inner.get(key)
-            }
-            fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-                let mut open = self.gate.lock().unwrap();
-                while !*open {
-                    open = self.gate_cv.wait(open).unwrap();
-                }
-                drop(open);
-                self.inner.try_get_many(keys)
-            }
-            fn nnz(&self) -> usize {
-                self.inner.nnz()
-            }
-            fn stats(&self) -> IoStats {
-                self.inner.stats()
-            }
-            fn reset_stats(&self) {
-                self.inner.reset_stats()
-            }
-        }
-
-        let gated = GatedStore {
-            inner: store(4),
-            gate: Mutex::new(false),
-            gate_cv: Condvar::new(),
-        };
+        let gated = Gated::closed(store(4));
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::new(9);
         let asynchronous = AsyncFetchStore::with_tracing(gated, 2, tracer, sink.clone());
         let a = asynchronous.submit(&keys(1));
         let b = asynchronous.submit(&keys(1));
         assert_eq!(asynchronous.dedup_hits(), 1);
-        {
-            let mut open = asynchronous.inner().gate.lock().unwrap();
-            *open = true;
-            asynchronous.inner().gate_cv.notify_all();
-        }
+        asynchronous.inner().set_gate(true);
         a.wait().unwrap();
         b.wait().unwrap();
         asynchronous.quiesce();
@@ -325,60 +230,18 @@ mod tests {
 
     #[test]
     fn fault_on_inflight_dedup_read_reaches_both_riders() {
-        /// Holds every fetch at a gate so the second submit provably joins
-        /// the first read *while it is in flight*, then lets the shared
-        /// read fail.
-        struct GatedStore<S> {
-            inner: S,
-            batches: AtomicUsize,
-            gate: Mutex<bool>,
-            gate_cv: Condvar,
-        }
-        impl<S: CoefficientStore> CoefficientStore for GatedStore<S> {
-            fn get(&self, key: &CoeffKey) -> Option<f64> {
-                self.inner.get(key)
-            }
-            fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                let mut open = self.gate.lock().unwrap();
-                while !*open {
-                    open = self.gate_cv.wait(open).unwrap();
-                }
-                drop(open);
-                self.inner.try_get_many(keys)
-            }
-            fn nnz(&self) -> usize {
-                self.inner.nnz()
-            }
-            fn stats(&self) -> IoStats {
-                self.inner.stats()
-            }
-            fn reset_stats(&self) {
-                self.inner.reset_stats()
-            }
-        }
-
         let broken = keys(1)[0];
-        let gated = GatedStore {
-            inner: FaultInjectingStore::new(
-                store(4),
-                FaultPlan::new(11).with_permanent_keys([broken]),
-            ),
-            batches: AtomicUsize::new(0),
-            gate: Mutex::new(false),
-            gate_cv: Condvar::new(),
-        };
+        let gated = Gated::closed(FaultInjectingStore::new(
+            store(4),
+            FaultPlan::new(11).with_permanent_keys([broken]),
+        ));
         let asynchronous = AsyncFetchStore::new(gated, 2);
         // Both batches want the broken key while its read is stuck at the
         // gate: the second rider joins the outstanding read.
         let a = asynchronous.submit(&keys(1));
         let b = asynchronous.submit(&keys(1));
         assert_eq!(asynchronous.dedup_hits(), 1, "second submit must join");
-        {
-            let mut open = asynchronous.inner().gate.lock().unwrap();
-            *open = true;
-            asynchronous.inner().gate_cv.notify_all();
-        }
+        asynchronous.inner().set_gate(true);
         // The single shared read fails; the fault fans out to both
         // completions with the faulting key intact.
         let ea = a.wait().unwrap_err();
@@ -387,7 +250,7 @@ mod tests {
         assert_eq!(*eb.key(), broken);
         asynchronous.quiesce();
         assert_eq!(
-            asynchronous.inner().batches.load(Ordering::Relaxed),
+            asynchronous.inner().calls().len(),
             1,
             "one physical read serves both riders, even when it faults"
         );
@@ -396,57 +259,17 @@ mod tests {
         asynchronous.inner().inner.heal();
         assert!(asynchronous.submit(&keys(1)).wait().is_ok());
         asynchronous.quiesce();
-        assert_eq!(asynchronous.inner().batches.load(Ordering::Relaxed), 2);
+        assert_eq!(asynchronous.inner().calls().len(), 2);
     }
 
     #[test]
     fn submits_across_a_version_advance_never_share_a_read() {
         use crate::VersionedStore;
 
-        /// Gates fetches and forwards the inner version tag, so a read can
-        /// be provably outstanding across a version advance.
-        struct GatedStore<S> {
-            inner: S,
-            batches: AtomicUsize,
-            gate: Mutex<bool>,
-            gate_cv: Condvar,
-        }
-        impl<S: CoefficientStore> CoefficientStore for GatedStore<S> {
-            fn get(&self, key: &CoeffKey) -> Option<f64> {
-                self.inner.get(key)
-            }
-            fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                let mut open = self.gate.lock().unwrap();
-                while !*open {
-                    open = self.gate_cv.wait(open).unwrap();
-                }
-                drop(open);
-                self.inner.try_get_many(keys)
-            }
-            fn version_tag(&self) -> u64 {
-                self.inner.version_tag()
-            }
-            fn nnz(&self) -> usize {
-                self.inner.nnz()
-            }
-            fn stats(&self) -> IoStats {
-                self.inner.stats()
-            }
-            fn reset_stats(&self) {
-                self.inner.reset_stats()
-            }
-        }
-
         let probe = CoeffKey::new(&[0, 1]);
         let versioned = VersionedStore::from_entries([(probe, 0.5)]);
         let view = versioned.pin(); // v0
-        let gated = GatedStore {
-            inner: view,
-            batches: AtomicUsize::new(0),
-            gate: Mutex::new(false),
-            gate_cv: Condvar::new(),
-        };
+        let gated = Gated::closed(view);
         let asynchronous = AsyncFetchStore::new(gated, 2);
         // Rider A reads `probe` at v0 and is stuck at the gate.
         let a = asynchronous.submit(&[probe]);
@@ -462,30 +285,22 @@ mod tests {
             0,
             "a post-advance submit must not join a pre-advance read"
         );
-        {
-            let mut open = asynchronous.inner().gate.lock().unwrap();
-            *open = true;
-            asynchronous.inner().gate_cv.notify_all();
-        }
+        asynchronous.inner().set_gate(true);
         assert_eq!(a.wait().unwrap(), vec![Some(0.5)]);
         assert_eq!(b.wait().unwrap(), vec![Some(0.5)]);
         asynchronous.quiesce();
         assert_eq!(
-            asynchronous.inner().batches.load(Ordering::Relaxed),
+            asynchronous.inner().calls().len(),
             2,
             "two versions, two physical reads"
         );
         // Same-version dedup still works at the new tag (gate closed again
         // so C's read is provably outstanding when D submits).
-        *asynchronous.inner().gate.lock().unwrap() = false;
+        asynchronous.inner().set_gate(false);
         let c = asynchronous.submit(&[probe]);
         let d = asynchronous.submit(&[probe]);
         assert_eq!(asynchronous.dedup_hits(), 1, "same-tag riders still share");
-        {
-            let mut open = asynchronous.inner().gate.lock().unwrap();
-            *open = true;
-            asynchronous.inner().gate_cv.notify_all();
-        }
+        asynchronous.inner().set_gate(true);
         c.wait().unwrap();
         d.wait().unwrap();
         asynchronous.quiesce();

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use batchbb_tensor::CoeffKey;
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, IoStats, StorageError};
 
 /// How coefficients are ordered before being packed into blocks.
 #[derive(Clone, PartialEq)]
@@ -231,71 +231,14 @@ impl BlockStore {
             .collect())
     }
 
-    /// Moves the store behind `threads` I/O threads, making
-    /// [`CoefficientStore::submit`] genuinely asynchronous: each queued
-    /// batch still runs through this store's block-grouping
-    /// `try_get_many` (each block read at most once per batch), but
-    /// submitters no longer block on the read.  See
-    /// [`crate::AsyncFetchStore`].
-    pub fn into_async(self, threads: usize) -> crate::AsyncFetchStore<Self> {
-        crate::AsyncFetchStore::new(self, threads)
-    }
-}
-
-impl CoefficientStore for BlockStore {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.counters.count_retrieval();
-        let slot = *self.index.get(key)?;
-        let block_id = slot / self.block_size as u64;
-        let in_block = (slot % self.block_size as u64) as usize;
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(data) = pool.0.get(block_id) {
-            self.counters.count_hit();
-            return Some(data[in_block]);
-        }
-        self.counters.count_physical();
-        let data = self.read_block(block_id).expect("block read failed");
-        let v = data[in_block];
-        pool.0.insert(block_id, data);
-        Some(v)
-    }
-
-    /// Like `get`, but a failed block read becomes [`StorageError::Io`]
-    /// instead of a panic; the pool is not populated on failure.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        let Some(&slot) = self.index.get(key) else {
-            return Ok(None);
-        };
-        let block_id = slot / self.block_size as u64;
-        let in_block = (slot % self.block_size as u64) as usize;
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(data) = pool.0.get(block_id) {
-            self.counters.count_hit();
-            return Ok(Some(data[in_block]));
-        }
-        self.counters.count_physical();
-        match self.read_block(block_id) {
-            Ok(data) => {
-                let v = data[in_block];
-                pool.0.insert(block_id, data);
-                Ok(Some(v))
-            }
-            Err(e) => Err(StorageError::Io {
-                key: *key,
-                detail: e.to_string(),
-            }),
-        }
-    }
-
-    /// Batched retrieval that groups keys by block and reads each block at
-    /// most once per batch.  Accounting matches the equivalent singleton
-    /// sequence: one retrieval per key, one physical read per non-resident
-    /// block, a pool hit for every other key served from that block.  A
-    /// failed block read fails the whole batch ([`StorageError::Io`] names
-    /// the first key that wanted the block); the pool is not populated
-    /// from the failed read.
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+    /// The store's one read body: a window grouped by block, each block
+    /// read at most once.  One retrieval per key, one physical read per
+    /// non-resident block, a pool hit for every other key served from that
+    /// block (absent keys touch nothing) — what the key-by-key sequence
+    /// would be charged.  A failed block read becomes [`StorageError::Io`]
+    /// naming the first key that wanted the block and fails the whole
+    /// window; the pool is not populated from the failed read.
+    fn read_window(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
         let mut out = vec![None; keys.len()];
         // Present keys as (block, offset-in-block, output index), sorted so
         // each block's wants are contiguous and slot order gives one
@@ -348,6 +291,27 @@ impl CoefficientStore for BlockStore {
             run = end;
         }
         Ok(out)
+    }
+
+    /// Moves the store behind `threads` I/O threads, making
+    /// [`CoefficientStore::submit`] genuinely asynchronous: each queued
+    /// batch still runs through this store's block-grouping
+    /// `submit` (each block read at most once per batch), but
+    /// submitters no longer block on the read.  See
+    /// [`crate::AsyncFetchStore`].
+    pub fn into_async(self, threads: usize) -> crate::AsyncFetchStore<Self> {
+        crate::AsyncFetchStore::new(self, threads)
+    }
+}
+
+impl CoefficientStore for BlockStore {
+    /// A window of one: a pool hit, or one block read.
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
+    }
+
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::ready(self.read_window(keys))
     }
 
     fn nnz(&self) -> usize {

@@ -3,7 +3,7 @@
 //! [`CoefficientStore::submit`](crate::CoefficientStore::submit) returns a
 //! [`Completion`]: a handle to a batched fetch that may still be in flight.
 //! Synchronous stores answer with [`Completion::ready`] (the default
-//! adapter over `try_get_many`), so callers written against the completion
+//! adapter over a `try_get` loop), so callers written against the completion
 //! API pay nothing extra on in-memory stores; genuinely asynchronous
 //! backends ([`crate::AsyncFetchStore`]) hand back per-key
 //! [`InflightSlot`]s that an I/O thread fills later, and a wrapper that
@@ -14,17 +14,14 @@
 //! behind the same `submit`/`Completion` shape behind a `cfg` without
 //! touching any caller.
 //!
-//! Semantics match the batched blocking path (DESIGN.md §10/§12): a
-//! completion resolves to the same `Result<Vec<Option<f64>>, StorageError>`
-//! a `try_get_many` call would return, with per-key failures collapsed to
+//! Semantics match the key-by-key loop (DESIGN.md §10/§12): a
+//! completion resolves to `Result<Vec<Option<f64>>, StorageError>` — the
+//! values in input order — with per-key failures collapsed to
 //! the earliest-index error so that "`Err` means the whole batch failed and
 //! carries no per-key verdicts" stays true.  Callers that need attribution
 //! fall back to singleton `try_get`, exactly as they do today.
 
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
-
-use batchbb_obs::Histogram;
 
 use crate::StorageError;
 
@@ -91,7 +88,7 @@ impl InflightSlot {
     }
 }
 
-/// What a batch resolves to: the `try_get_many` result for its keys.
+/// What a batch resolves to: its keys' values in input order, or its error.
 type BatchResult = Result<Vec<Option<f64>>, StorageError>;
 
 /// The step a wrapper runs on an inner completion's result when it is
@@ -122,14 +119,6 @@ enum CompletionState {
     },
 }
 
-/// Optional submit→complete latency probe, armed by
-/// [`crate::InstrumentedStore`] and recorded when the completion resolves.
-#[derive(Debug)]
-struct Probe {
-    start: Instant,
-    hist: Histogram,
-}
-
 /// A batched fetch that may still be in flight.
 ///
 /// Obtained from [`CoefficientStore::submit`](crate::CoefficientStore::submit).
@@ -139,7 +128,6 @@ struct Probe {
 #[derive(Debug)]
 pub struct Completion {
     state: CompletionState,
-    probe: Option<Probe>,
 }
 
 impl Completion {
@@ -148,7 +136,6 @@ impl Completion {
     pub fn ready(result: Result<Vec<Option<f64>>, StorageError>) -> Self {
         Completion {
             state: CompletionState::Ready(result),
-            probe: None,
         }
     }
 
@@ -156,7 +143,6 @@ impl Completion {
     pub(crate) fn pending(slots: Vec<std::sync::Arc<InflightSlot>>) -> Self {
         Completion {
             state: CompletionState::Pending(slots),
-            probe: None,
         }
     }
 
@@ -172,15 +158,7 @@ impl Completion {
                 inner: Box::new(inner),
                 finish: Finish(Box::new(finish)),
             },
-            probe: None,
         }
-    }
-
-    /// Arms a submit→complete latency probe recording into `hist` when the
-    /// completion resolves; `start` is the submit entry timestamp.
-    pub(crate) fn with_probe(mut self, start: Instant, hist: Histogram) -> Self {
-        self.probe = Some(Probe { start, hist });
-        self
     }
 
     /// True when [`Completion::wait`] would return without blocking.
@@ -199,12 +177,12 @@ impl Completion {
     /// Resolves the batch, blocking until every in-flight key lands.
     ///
     /// Per-key failures are collapsed to the earliest-index error, so the
-    /// caller-visible contract is identical to `try_get_many`: `Err` means
-    /// the batch as a whole failed and no partial results are returned.
+    /// caller-visible contract is that of a resolved-at-submit batch: `Err`
+    /// means the batch as a whole failed and no partial results are returned.
     /// Deterministic by construction — the collapse depends only on the
     /// per-key verdicts, not on which I/O thread finished first.
     pub fn wait(self) -> Result<Vec<Option<f64>>, StorageError> {
-        let result = match self.state {
+        match self.state {
             CompletionState::Ready(result) => result,
             CompletionState::Wrapped { inner, finish } => (finish.0)(inner.wait()),
             CompletionState::Pending(slots) => {
@@ -223,12 +201,7 @@ impl Completion {
                     None => Ok(values),
                 }
             }
-        };
-        if let Some(probe) = self.probe {
-            let elapsed = probe.start.elapsed().as_nanos();
-            probe.hist.record(elapsed.min(u128::from(u64::MAX)) as u64);
         }
-        result
     }
 }
 

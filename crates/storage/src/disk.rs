@@ -13,12 +13,12 @@ use std::path::Path;
 use batchbb_tensor::CoeffKey;
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, IoStats, StorageError};
 
 /// A read-only coefficient store backed by a values file plus an in-memory
 /// hash index (`key → slot`).
 ///
-/// Each [`CoefficientStore::get`] issues one positioned 8-byte read, so
+/// Each singleton read issues one positioned 8-byte read, so
 /// `physical_reads` equals `retrievals` — the paper's cost model of §1.3,
 /// which deliberately ignores blocking ("we ignore the possibility that
 /// several useful values may be allocated on the same disk block").
@@ -62,52 +62,13 @@ impl FileStore {
         })
     }
 
-    fn read_slot(&self, slot: u64) -> io::Result<f64> {
-        let mut raw = [0u8; 8];
-        self.file.read_exact_at(&mut raw, slot * 8)?;
-        Ok(f64::from_le_bytes(raw))
-    }
-
-    /// Moves the store behind `threads` I/O threads, making
-    /// [`CoefficientStore::submit`] genuinely asynchronous: each queued
-    /// batch still runs through this store's coalescing `try_get_many`
-    /// (sorted contiguous slots become single preads), but submitters no
-    /// longer block on the read.  See [`crate::AsyncFetchStore`].
-    pub fn into_async(self, threads: usize) -> crate::AsyncFetchStore<Self> {
-        crate::AsyncFetchStore::new(self, threads)
-    }
-}
-
-impl CoefficientStore for FileStore {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.counters.count_retrieval();
-        let slot = *self.index.get(key)?;
-        self.counters.count_physical();
-        Some(self.read_slot(slot).expect("store file read failed"))
-    }
-
-    /// Like `get`, but a failed `pread` becomes [`StorageError::Io`]
-    /// instead of a panic, so callers can retry or defer.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        let Some(&slot) = self.index.get(key) else {
-            return Ok(None);
-        };
-        self.counters.count_physical();
-        self.read_slot(slot)
-            .map(Some)
-            .map_err(|e| StorageError::Io {
-                key: *key,
-                detail: e.to_string(),
-            })
-    }
-
-    /// Batched retrieval in one forward pass over the file: present keys
-    /// are sorted by slot and contiguous slot runs are coalesced into a
-    /// single positioned read each, so `physical_reads` counts coalesced
-    /// reads (≤ the singleton sequence's one-per-key).  A failed read
-    /// fails the whole batch, naming the first key of the failing run.
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+    /// The store's one read body: a window in one forward pass over the
+    /// file.  Present keys are sorted by slot and contiguous slot runs are
+    /// coalesced into a single positioned read each, so `physical_reads`
+    /// counts coalesced reads (≤ one per key; absent keys touch nothing).
+    /// A failed `pread` becomes [`StorageError::Io`] naming the first key
+    /// of the failing run and fails the whole window.
+    fn read_window(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
         let mut out = vec![None; keys.len()];
         let mut wanted: Vec<(u64, usize)> = Vec::with_capacity(keys.len());
         for (i, key) in keys.iter().enumerate() {
@@ -141,6 +102,26 @@ impl CoefficientStore for FileStore {
             run = end;
         }
         Ok(out)
+    }
+
+    /// Moves the store behind `threads` I/O threads, making
+    /// [`CoefficientStore::submit`] genuinely asynchronous: each queued
+    /// batch still runs through this store's coalescing `submit`
+    /// (sorted contiguous slots become single preads), but submitters no
+    /// longer block on the read.  See [`crate::AsyncFetchStore`].
+    pub fn into_async(self, threads: usize) -> crate::AsyncFetchStore<Self> {
+        crate::AsyncFetchStore::new(self, threads)
+    }
+}
+
+impl CoefficientStore for FileStore {
+    /// A window of one: one retrieval, one 8-byte `pread` when present.
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
+    }
+
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::ready(self.read_window(keys))
     }
 
     fn nnz(&self) -> usize {

@@ -1,8 +1,9 @@
 //! Deterministic fault injection for exercising the fallible retrieval
 //! path.
 //!
-//! [`FaultInjectingStore`] wraps any [`CoefficientStore`] and makes its
-//! [`CoefficientStore::try_get`] fail according to a seeded [`FaultPlan`]:
+//! [`FaultInjectingStore`] wraps any [`CoefficientStore`] and makes every
+//! read — [`CoefficientStore::try_get`], and each key of a window, which
+//! is the default loop over it — fail according to a seeded [`FaultPlan`]:
 //! per-attempt transient failures at a configurable rate, a set of
 //! persistently failing keys, and simulated latency ticks charged per
 //! injected fault. The fault decision for attempt *i* on key *k* is a pure
@@ -117,12 +118,11 @@ fn fault_roll(seed: u64, key: &CoeffKey, attempt: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A [`CoefficientStore`] wrapper that injects faults into `try_get`
+/// A [`CoefficientStore`] wrapper that injects faults into every read
 /// according to a [`FaultPlan`].
 ///
-/// The infallible [`CoefficientStore::get`] bypasses injection entirely and
-/// delegates to the inner store — it is the "ground truth" channel tests
-/// use to compare degraded estimates against fault-free ones. Fault
+/// No read bypasses injection; the fault-free ground truth tests compare
+/// degraded estimates against is [`FaultInjectingStore::inner`]. Fault
 /// decisions use a private per-key attempt counter, so the injected
 /// sequence seen by each key depends only on the plan, never on how
 /// retrievals of different keys interleave.
@@ -178,11 +178,16 @@ impl<S: CoefficientStore> FaultInjectingStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for FaultInjectingStore<S> {
-    /// The fault-free channel: delegates to the inner store unconditionally.
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.inner.get(key)
-    }
-
+    /// The wrapper's one read body.  `submit` deliberately keeps the
+    /// trait's key-by-key loop over it rather than forwarding to the inner
+    /// store's batched path: every key passes through its own
+    /// deterministic per-`(key, attempt)` fault decision, so the injected
+    /// sequence each key sees is identical whether callers batch or not,
+    /// and the loop stops at the first injected (or real) failure — keys
+    /// after it keep their attempt counters untouched, exactly like a
+    /// singleton caller that aborted at the same point.  To exercise
+    /// faults on genuinely in-flight reads, stack
+    /// `AsyncFetchStore<FaultInjectingStore<S>>`.
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.attempts.fetch_add(1, Ordering::Relaxed);
         let attempt = {
@@ -243,22 +248,6 @@ impl<S: CoefficientStore> CoefficientStore for FaultInjectingStore<S> {
         }
     }
 
-    /// Deliberately a key-by-key loop over [`Self::try_get`], *not* a
-    /// forward to the inner store's batched path: every key must pass
-    /// through its own deterministic per-`(key, attempt)` fault decision,
-    /// so the injected sequence each key sees is identical whether callers
-    /// batch or not.  Stops at the first injected (or real) failure, as
-    /// the trait's batch contract allows — keys after the failure keep
-    /// their attempt counters untouched, exactly like a singleton caller
-    /// that aborted its loop at the same point.
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        keys.iter().map(|k| self.try_get(k)).collect()
-    }
-
-    // `submit` keeps the trait default so injected faults stay on the
-    // completion path (the adapter routes through this wrapper's
-    // `try_get_many`); to exercise faults on genuinely in-flight reads,
-    // stack `AsyncFetchStore<FaultInjectingStore<S>>`.
     fn quiesce(&self) {
         self.inner.quiesce()
     }
@@ -312,8 +301,8 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(fs.try_get(&key), Err(StorageError::Permanent { key }));
         }
-        // The fault-free channel still works.
-        assert_eq!(fs.get(&key), Some(4.0));
+        // The ground truth is the inner store.
+        assert_eq!(fs.inner().get(&key), Some(4.0));
         fs.heal();
         assert_eq!(fs.try_get(&key).unwrap(), Some(4.0));
         let stats = fs.injected();

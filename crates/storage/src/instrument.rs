@@ -1,9 +1,9 @@
 //! A metrics-and-tracing wrapper for any [`CoefficientStore`].
 //!
 //! [`InstrumentedStore`] sits between an evaluation engine and the real
-//! store: every `get`/`try_get` is timed into `store.*` latency histograms
-//! and counted as a hit (the key held a value) or a miss (absent ⇒ zero).
-//! Failures are classified per [`StorageError::class`] into
+//! store: every key read is timed into the `store.try_get_ns` latency
+//! histogram and counted as a hit (the key held a value) or a miss
+//! (absent ⇒ zero).  Failures are classified per [`StorageError::class`] into
 //! `store.fault.{transient,permanent,io}` counters, and — when an event
 //! sink is attached — emit one `store.fault` trace event each.  Successful
 //! retrievals emit *no* events: at one event per retrieval the trace would
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use batchbb_obs::{Counter, Event, EventSink, Histogram, MetricsRegistry, NullSink, SpanTimer};
 use batchbb_tensor::CoeffKey;
 
-use crate::{CoefficientStore, Completion, IoStats, StorageError};
+use crate::{CoefficientStore, IoStats, StorageError};
 
 /// Wraps a [`CoefficientStore`] with latency histograms, hit/miss/fault
 /// counters, and optional `store.fault` trace events.
@@ -26,9 +26,7 @@ pub struct InstrumentedStore<S> {
     inner: S,
     sink: Arc<dyn EventSink>,
     registry: Arc<MetricsRegistry>,
-    get_ns: Histogram,
     try_get_ns: Histogram,
-    submit_ns: Histogram,
     hits: Counter,
     misses: Counter,
     transient: Counter,
@@ -44,9 +42,7 @@ impl<S: CoefficientStore> InstrumentedStore<S> {
 
     fn build(inner: S, sink: Arc<dyn EventSink>, registry: Arc<MetricsRegistry>) -> Self {
         InstrumentedStore {
-            get_ns: registry.histogram("store.get_ns"),
             try_get_ns: registry.histogram("store.try_get_ns"),
-            submit_ns: registry.histogram("store.submit_ns"),
             hits: registry.counter("store.hits"),
             misses: registry.counter("store.misses"),
             transient: registry.counter("store.fault.transient"),
@@ -105,14 +101,14 @@ impl<S: CoefficientStore> InstrumentedStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for InstrumentedStore<S> {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        let timer = SpanTimer::start();
-        let value = self.inner.get(key);
-        timer.finish(&self.get_ns);
-        self.count_value(&value);
-        value
-    }
-
+    /// The wrapper's one read body.  `submit` deliberately keeps the
+    /// trait's key-by-key loop over it rather than forwarding to the inner
+    /// store's batched path: each key gets its own `store.try_get_ns`
+    /// sample and hit/miss/fault classification, so the histograms and
+    /// counters are byte-identical however callers batch.
+    /// Instrumentation trades away inner batching (and asynchrony) for
+    /// per-key observability — wrap the instrumented store *inside* a
+    /// batching wrapper or an engine if both are wanted.
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         let timer = SpanTimer::start();
         let result = self.inner.try_get(key);
@@ -122,32 +118,6 @@ impl<S: CoefficientStore> CoefficientStore for InstrumentedStore<S> {
             Err(error) => self.count_error(key, error),
         }
         result
-    }
-
-    /// Deliberately a key-by-key loop over [`Self::try_get`], *not* a
-    /// forward to the inner store's batched path: each key gets its own
-    /// `store.try_get_ns` sample and hit/miss/fault classification, so the
-    /// histograms and counters are byte-identical to the singleton
-    /// sequence.  Instrumentation trades away inner batching for
-    /// per-key observability — wrap the instrumented store *inside* a
-    /// batching wrapper if both are wanted.  Stops at the first error,
-    /// as the trait's batch contract allows.
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        keys.iter().map(|k| self.try_get(k)).collect()
-    }
-
-    /// Forwards to the inner store (preserving a genuinely asynchronous
-    /// backend's pending completion) and arms a probe that records the
-    /// *submit→complete* latency into the `store.submit_ns` histogram when
-    /// the completion resolves — a separate distribution from the blocking
-    /// `store.get_ns`/`store.try_get_ns` call latencies, so overlap is
-    /// visible: with latency hiding working, `submit_ns` stays at physical
-    /// I/O scale while the worker's blocking histograms stay flat.
-    fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        let start = std::time::Instant::now();
-        self.inner
-            .submit(keys)
-            .with_probe(start, self.submit_ns.clone())
     }
 
     fn quiesce(&self) {
@@ -193,8 +163,7 @@ mod tests {
         let snap = store.registry().snapshot();
         assert_eq!(snap.counter("store.hits"), Some(2));
         assert_eq!(snap.counter("store.misses"), Some(1));
-        assert_eq!(snap.histogram("store.get_ns").unwrap().count, 2);
-        assert_eq!(snap.histogram("store.try_get_ns").unwrap().count, 1);
+        assert_eq!(snap.histogram("store.try_get_ns").unwrap().count, 3);
         // Inner accounting passes through: 3 logical retrievals.
         assert_eq!(store.stats().retrievals, 3);
         assert_eq!(store.nnz(), 2);

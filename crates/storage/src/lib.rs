@@ -6,11 +6,13 @@
 //! is reported in *number of retrievals*.  This crate provides that storage
 //! abstraction:
 //!
-//! * [`CoefficientStore`] — read access plus built-in retrieval counters;
+//! * [`CoefficientStore`] — read access plus built-in retrieval counters:
+//!   two read primitives (`try_get` for one key, `submit` for a window),
+//!   with `get` and `try_get_many` derived from them;
 //! * [`MemoryStore`] — hash-based in-memory store;
 //! * [`ArrayStore`] — dense array-based store for small domains;
-//! * [`FileStore`] — a file-backed store doing one `pread` per retrieval
-//!   (unix only);
+//! * [`FileStore`] — a file-backed store doing one `pread` per run of
+//!   adjacent slots, so one per singleton retrieval (unix only);
 //! * [`BlockStore`] — coefficients packed into fixed-size blocks behind an
 //!   LRU buffer pool, quantifying the paper's future-work remark on disk
 //!   layout and smart buffer management (§7) (unix only);
@@ -37,20 +39,24 @@
 //! All stores are safe to share across threads (`&self` reads, atomic
 //! counters).
 //!
-//! # Fallible retrieval
+//! # Every read is fallible
 //!
 //! Real backends fail, and a progressive evaluator is exactly the kind of
 //! system that can degrade gracefully when they do: a missing coefficient
-//! only widens the error bound, it does not block the answer.  The fallible
-//! path mirrors the infallible one:
+//! only widens the error bound, it does not block the answer — provided
+//! the failure is seen and accounted.  So there is no infallible read
+//! path to forget about:
 //!
-//! * [`CoefficientStore::try_get`] — `Result`-returning retrieval; the
-//!   default implementation delegates to `get` so in-memory stores never
-//!   fail, while physical stores map backend errors to [`StorageError`];
-//! * [`FaultInjectingStore`] — wraps any store and injects faults from a
-//!   deterministic seeded [`FaultPlan`] (per-attempt transient failures,
-//!   persistently failing keys, simulated latency), for tests and
-//!   robustness experiments;
+//! * [`CoefficientStore::try_get`] and [`CoefficientStore::submit`] are
+//!   the only reads a store implements; in-memory stores never fail,
+//!   physical stores map backend errors to [`StorageError`].
+//!   [`CoefficientStore::get`] is `try_get` that panics on an error, for
+//!   tests and callers with nothing to degrade to;
+//! * [`FaultInjectingStore`] — wraps any store and injects faults into
+//!   every read from a deterministic seeded [`FaultPlan`] (per-attempt
+//!   transient failures, persistently failing keys, simulated latency),
+//!   for tests and robustness experiments; its `inner()` is the
+//!   fault-free ground truth;
 //! * [`RetryPolicy`] / [`retry::get_with_retry`] — bounded retries with
 //!   deterministic exponential backoff in simulated ticks;
 //! * [`FaultStats`] — fault-path counters reported alongside [`IoStats`],
@@ -110,6 +116,8 @@ mod shard;
 mod sharded;
 mod stats;
 mod store;
+#[cfg(test)]
+mod testing;
 mod versioned;
 
 pub use async_fetch::AsyncFetchStore;

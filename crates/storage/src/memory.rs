@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use batchbb_tensor::{CoeffKey, Shape, Tensor};
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, MutableStore};
+use crate::{CoefficientStore, IoStats, MutableStore, StorageError};
 
 /// Magnitude at or below which an updated coefficient is evicted as zero,
 /// so later reads return exactly `0.0`. The one definition:
@@ -57,10 +57,10 @@ impl MemoryStore {
 }
 
 impl CoefficientStore for MemoryStore {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.count_retrieval();
         self.counters.count_physical();
-        self.map.get(key).copied()
+        Ok(self.map.get(key).copied())
     }
 
     fn nnz(&self) -> usize {
@@ -115,11 +115,11 @@ impl ArrayStore {
 }
 
 impl CoefficientStore for ArrayStore {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.count_retrieval();
         self.counters.count_physical();
         let v = self.data.data()[key.offset_in(self.data.shape())];
-        Some(v)
+        Ok(Some(v))
     }
 
     fn nnz(&self) -> usize {

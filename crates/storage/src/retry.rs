@@ -25,8 +25,9 @@ pub struct RetryPolicy {
     pub jitter_seed: u64,
     /// Optional cap on total attempts across a whole evaluation. Enforced
     /// by the caller (e.g. `ProgressiveExecutor::try_step`) against its
-    /// aggregate [`FaultStats::attempts`]; `get_with_retry` only bounds
-    /// the attempts of one retrieval.
+    /// aggregate [`FaultStats::attempts`] through
+    /// [`RetryPolicy::attempts_allowed`]; `get_with_retry` only bounds the
+    /// attempts of one retrieval.
     pub total_attempt_budget: Option<u64>,
 }
 
@@ -43,6 +44,22 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// How many attempts the next retrieval may make once an evaluation
+    /// has `spent` attempts in total: `max_attempts`, or what is left of
+    /// `total_attempt_budget` if that is less; `None` once the budget is
+    /// spent.  The one place the budget is priced — the batch executor,
+    /// the bounded variant and the round-robin baseline all ask here, so
+    /// a budgeted comparison between them is like for like.
+    pub fn attempts_allowed(&self, spent: u64) -> Option<u32> {
+        let Some(budget) = self.total_attempt_budget else {
+            return Some(self.max_attempts);
+        };
+        match budget.saturating_sub(spent) {
+            0 => None,
+            left => Some(left.min(u64::from(self.max_attempts.max(1))) as u32),
+        }
+    }
+
     /// Clamps the policy to a remaining simulated-tick budget: attempts
     /// and every backoff interval are capped so one retrieval can never
     /// charge more than `ticks` (each attempt costs at least one tick, so

@@ -27,12 +27,11 @@
 //!   **one** `try_get_many`, and answers each job from its slice of the
 //!   result — so N batches served side by side pay a shard's fixed
 //!   round-trip charge once per drain, not once each, and an inner
-//!   store's batched `try_get_many` coalescing sees the larger group.
+//!   store's batched `submit` coalescing sees the larger group.
 //!   Nothing waits for company: a lone job is a drain of one.
 //! * A job's batch error is published to each of its slots;
 //!   [`Completion::wait`] collapses per-key verdicts to the earliest-index
-//!   error, keeping the `try_get_many` whole-batch-failure contract
-//!   intact.  A failed call that carried several jobs has no owner yet:
+//!   error, keeping the whole-batch-failure contract intact.  A failed call that carried several jobs has no owner yet:
 //!   the worker re-reads each job on its own, so the error stays with the
 //!   job that owns the failing key and the others resolve `Ok`.
 //! * [`LatencyStore`] is the mock-network boundary: each call charges
@@ -149,7 +148,7 @@ impl<S: CoefficientStore> LatencyStore<S> {
         &self.inner
     }
 
-    /// Calls charged so far (each `get`/`try_get`/`try_get_many` is one).
+    /// Calls charged so far (one per window, singleton reads included).
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
@@ -186,19 +185,16 @@ impl<S: CoefficientStore> LatencyStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for LatencyStore<S> {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.charge(1);
-        self.inner.get(key)
-    }
-
+    /// A window of one.
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.charge(1);
-        self.inner.try_get(key)
+        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
     }
 
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
+    /// Charges the call (the caller sleeps through it: the wire is
+    /// blocking), then hands the window to the inner store.
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
         self.charge(keys.len() as u64);
-        self.inner.try_get_many(keys)
+        self.inner.submit(keys)
     }
 
     fn quiesce(&self) {
@@ -245,10 +241,9 @@ impl Default for HedgeConfig {
 /// One shard's endpoint: a primary store behind the mock-network boundary,
 /// an optional replica, and a liveness flag.
 ///
-/// `get` (the infallible ground-truth channel) always goes to the primary
-/// and ignores the dead flag; the fallible paths honor it — a dead primary
-/// fails over to the replica when one exists and surfaces
-/// [`StorageError::Permanent`] otherwise.
+/// Every read honors the liveness flag — a dead primary fails over to the
+/// replica when one exists and surfaces [`StorageError::Permanent`]
+/// otherwise.
 pub struct ShardClient {
     primary: Arc<dyn CoefficientStore>,
     replica: Option<Arc<dyn CoefficientStore>>,
@@ -285,9 +280,9 @@ impl ShardClient {
 /// Per-shard counter snapshot, from [`ShardRouter::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Per-shard legs submitted: one per submit per shard it touched
-    /// (plus one per singleton read), however the legs were grouped on
-    /// the wire. A leg that sent nothing because all its keys were
+    /// Per-shard legs submitted: one per submit per shard it touched (a
+    /// singleton read is a submit of one key), however the legs were
+    /// grouped on the wire. A leg that sent nothing because all its keys were
     /// already in flight counts too, as a leg of zero keys — so this
     /// count depends only on what was submitted, not on how submits
     /// interleaved. (A leg a dead primary never served is not counted
@@ -444,13 +439,12 @@ impl ShardRuntime {
     }
 
     /// Counts one leg of `keys` keys against this shard. Besides the
-    /// jobs the primary answers there are two special sizes. A singleton
-    /// (`get`/`try_get`) call is a one-key leg, so the per-shard account
-    /// covers the window-1 path too. And a submit's leg that sent nothing
-    /// because every one of its keys was already in flight is a leg of
-    /// zero keys: the per-shard count then depends only on what was
-    /// submitted, never on how submits interleaved or how the worker
-    /// grouped them on the wire, so it repeats exactly from run to run.
+    /// jobs the primary answers there is one special size: a submit's leg
+    /// that sent nothing because every one of its keys was already in
+    /// flight is a leg of zero keys, so the per-shard count depends only
+    /// on what was submitted, never on how submits interleaved or how the
+    /// worker grouped them on the wire, and repeats exactly from run to
+    /// run. (A singleton read is a submit of one key: a one-key leg.)
     fn count_rpc(&self, keys: u64) {
         self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
         self.counters.keys.fetch_add(keys, Ordering::Relaxed);
@@ -606,9 +600,9 @@ impl RouterShared {
 
 /// Scatter-gather store over N shard clients (see the module docs).
 ///
-/// Implements [`CoefficientStore`]: singleton reads route to the owning
-/// shard, batched submits join outstanding reads and fan the rest out as
-/// one job per shard (jobs queued together share a wire call), and
+/// Implements [`CoefficientStore`]: a submit joins outstanding reads and
+/// fans the rest out as one job per shard (jobs queued together share a
+/// wire call), a singleton read is a submit of one key, and
 /// [`CoefficientStore::quiesce`] drains every queue and in-flight hedge.
 /// Dropping the router drains outstanding work (every published completion
 /// still resolves) and joins the workers.
@@ -762,38 +756,10 @@ impl ShardRouter {
 }
 
 impl CoefficientStore for ShardRouter {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.shared.counters.count_retrieval();
-        self.shared.counters.count_physical();
-        let rt = &self.shared.shards[shard_of(key, self.shared.shards.len())];
-        rt.count_rpc(1);
-        rt.count_wire_call();
-        rt.client.primary.get(key)
-    }
-
+    /// A window of one: a singleton read joins an outstanding read of its
+    /// key, is hedged, failed over and coalesced exactly like any other.
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.shared.counters.count_retrieval();
-        self.shared.counters.count_physical();
-        let rt = &self.shared.shards[shard_of(key, self.shared.shards.len())];
-        rt.count_rpc(1);
-        if rt.client.is_dead() {
-            return match &rt.client.replica {
-                Some(replica) => {
-                    rt.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    replica.try_get(key)
-                }
-                None => {
-                    rt.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Err(StorageError::Permanent { key: *key })
-                }
-            };
-        }
-        rt.count_wire_call();
-        rt.client.primary.try_get(key)
-    }
-
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        self.submit(keys).wait()
+        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
     }
 
     /// Joins the keys already in flight *at the same version* (one dedup
@@ -1271,6 +1237,7 @@ impl ShardTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Gated;
 
     fn keys(n: usize) -> Vec<CoeffKey> {
         (0..n).map(|i| CoeffKey::new(&[i, i + 1])).collect()
@@ -1415,53 +1382,6 @@ mod tests {
         assert_eq!(router.pending_depth(), 0, "a raced job retires once");
     }
 
-    /// Logs every batched fetch's keys, then holds it while the test holds
-    /// `gate` — so a read is provably outstanding while later submits
-    /// arrive.
-    struct Gated<S> {
-        inner: S,
-        gate: Mutex<()>,
-        log: Mutex<Vec<Vec<CoeffKey>>>,
-    }
-
-    impl<S: CoefficientStore> Gated<S> {
-        fn new(inner: S) -> Arc<Self> {
-            Arc::new(Gated {
-                inner,
-                gate: Mutex::new(()),
-                log: Mutex::new(Vec::new()),
-            })
-        }
-
-        /// The key lists of the batched fetches seen so far.
-        fn batches(&self) -> Vec<Vec<CoeffKey>> {
-            self.log.lock().unwrap().clone()
-        }
-    }
-
-    impl<S: CoefficientStore> CoefficientStore for Gated<S> {
-        fn get(&self, key: &CoeffKey) -> Option<f64> {
-            self.inner.get(key)
-        }
-        fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-            self.log.lock().unwrap().push(keys.to_vec());
-            drop(self.gate.lock().unwrap());
-            self.inner.try_get_many(keys)
-        }
-        fn version_tag(&self) -> u64 {
-            self.inner.version_tag()
-        }
-        fn nnz(&self) -> usize {
-            self.inner.nnz()
-        }
-        fn stats(&self) -> IoStats {
-            self.inner.stats()
-        }
-        fn reset_stats(&self) {
-            self.inner.reset_stats()
-        }
-    }
-
     /// An unreplicated router over `entries(n)` split across `shards`
     /// gated stores, plus the gates.
     fn gated_router(shards: usize, n: usize) -> (ShardRouter, Vec<Arc<Gated<MemoryStore>>>) {
@@ -1470,7 +1390,7 @@ mod tests {
                 let part = entries(n)
                     .into_iter()
                     .filter(|(k, _)| shard_of(k, shards) == i);
-                Gated::new(MemoryStore::from_entries(part))
+                Arc::new(Gated::new(MemoryStore::from_entries(part)))
             })
             .collect();
         let clients = gates
@@ -1481,6 +1401,30 @@ mod tests {
     }
 
     #[test]
+    fn a_singleton_read_joins_the_outstanding_read_of_its_key() {
+        let (router, gates) = gated_router(1, 8);
+        let all = keys(8);
+        // A window is stuck at the gate; a singleton read of one of its
+        // keys, issued meanwhile, must ride it rather than read again.
+        gates[0].set_gate(false);
+        let window = router.submit(&all[..4]);
+        std::thread::scope(|scope| {
+            let rider = scope.spawn(|| router.try_get(&all[2]));
+            while router.dedup_hits() == 0 {
+                std::thread::yield_now();
+            }
+            gates[0].set_gate(true);
+            assert_eq!(rider.join().unwrap(), Ok(Some(2.5)));
+        });
+        assert!(window.wait().is_ok());
+        router.quiesce();
+        assert_eq!(router.dedup_hits(), 1, "the singleton joined once");
+        assert_eq!(gates[0].calls(), vec![all[..4].to_vec()], "one read");
+        let stats = router.shard_stats()[0];
+        assert_eq!((stats.wire_calls, stats.rpcs), (1, 2), "a rider is a leg");
+    }
+
+    #[test]
     fn windows_sharing_keys_read_each_key_once_per_shard() {
         let (router, gates) = gated_router(2, 24);
         let single = MemoryStore::from_entries(entries(24));
@@ -1488,19 +1432,19 @@ mod tests {
         // Two windows overlapping on keys 8..16, both submitted while every
         // shard's first RPC is stuck at its gate: the second window's
         // shared keys must join the first's reads.
-        let closed: Vec<_> = gates.iter().map(|g| g.gate.lock().unwrap()).collect();
+        gates.iter().for_each(|g| g.set_gate(false));
         let a = router.submit(&all[..16]);
         let b = router.submit(&all[8..]);
         assert_eq!(router.dedup_hits(), 8, "each shared key joins once");
         assert_eq!(router.pending_depth(), 24, "riders add nothing to read");
-        drop(closed);
+        gates.iter().for_each(|g| g.set_gate(true));
         assert_eq!(a.wait(), single.try_get_many(&all[..16]));
         assert_eq!(b.wait(), single.try_get_many(&all[8..]));
         router.quiesce();
         assert_eq!(router.pending_depth(), 0);
         let mut read: Vec<CoeffKey> = Vec::new();
         for (i, gate) in gates.iter().enumerate() {
-            for key in gate.batches().into_iter().flatten() {
+            for key in gate.calls().into_iter().flatten() {
                 assert_eq!(shard_of(&key, 2), i, "key read on the wrong shard");
                 read.push(key);
             }
@@ -1511,7 +1455,7 @@ mod tests {
         assert_eq!(read, want, "every key crossed the wire exactly once");
         // The table holds only outstanding reads: a later submit re-reads.
         router.submit(&all[8..16]).wait().unwrap();
-        let reread: usize = gates.iter().map(|g| g.batches().concat().len()).sum();
+        let reread: usize = gates.iter().map(|g| g.calls().concat().len()).sum();
         assert_eq!(reread, 24 + 8);
     }
 
@@ -1519,10 +1463,10 @@ mod tests {
     fn a_submit_after_a_version_advance_never_joins_an_older_read() {
         let probe = CoeffKey::new(&[0, 1]);
         let versioned = crate::VersionedStore::from_entries([(probe, 0.5)]);
-        let gate = Gated::new(versioned.pin()); // v0
+        let gate = Arc::new(Gated::new(versioned.pin())); // v0
         let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
         let router = ShardRouter::new(vec![client], HedgeConfig::default());
-        let closed = gate.gate.lock().unwrap();
+        gate.set_gate(false);
         // Rider A reads `probe` at v0 and is stuck at the gate.
         let a = router.submit(&[probe]);
         // Publish a version touching a *different* key and advance the
@@ -1538,12 +1482,12 @@ mod tests {
         // Same-version riders still share.
         let c = router.submit(&[probe]);
         assert_eq!(router.dedup_hits(), 1);
-        drop(closed);
+        gate.set_gate(true);
         for completion in [a, b, c] {
             assert_eq!(completion.wait().unwrap(), vec![Some(0.5)]);
         }
         router.quiesce();
-        assert_eq!(gate.batches().len(), 2, "two versions, two physical reads");
+        assert_eq!(gate.calls().len(), 2, "two versions, two physical reads");
         assert_eq!(router.pending_depth(), 0);
         // C's leg sent nothing; it still counts, as an RPC of zero keys.
         let stats = router.shard_stats()[0];
@@ -1556,16 +1500,16 @@ mod tests {
         let all = keys(8);
         // Park the shard's one worker inside a gated read, so the next job
         // stays queued — and joinable — until the gate opens.
-        let closed = gates[0].gate.lock().unwrap();
+        gates[0].set_gate(false);
         let blocker = router.submit(&all[..1]);
-        while gates[0].batches().is_empty() {
+        while gates[0].calls().is_empty() {
             std::thread::yield_now();
         }
         router.fail_shard(0);
         let a = router.submit(&all[1..3]);
         let b = router.submit(&all[1..3]);
         assert_eq!(router.dedup_hits(), 2, "the second submit rides the first");
-        drop(closed);
+        gates[0].set_gate(true);
         blocker.wait().unwrap();
         // The queued job meets the dead flag: one refusal, both riders see
         // `Permanent` with the earliest key.
@@ -1574,12 +1518,12 @@ mod tests {
         assert_eq!(b.wait(), refused);
         router.quiesce();
         assert_eq!(router.pending_depth(), 0, "the refusal retired its entries");
-        assert_eq!(gates[0].batches().len(), 1, "a refusal reads nothing");
+        assert_eq!(gates[0].calls().len(), 1, "a refusal reads nothing");
         // A stale entry would hand the resubmit the old refusal: after the
         // heal it must read again and succeed.
         router.heal_shard(0);
         assert!(router.submit(&all[1..3]).wait().is_ok());
-        assert_eq!(gates[0].batches().len(), 2);
+        assert_eq!(gates[0].calls().len(), 2);
     }
 
     /// Submits `window` and returns once the shard's one worker is inside
@@ -1590,9 +1534,9 @@ mod tests {
         gate: &Gated<S>,
         window: &[CoeffKey],
     ) -> Completion {
-        let calls = gate.batches().len();
+        let calls = gate.calls().len();
         let blocker = router.submit(window);
-        while gate.batches().len() == calls {
+        while gate.calls().len() == calls {
             std::thread::yield_now();
         }
         blocker
@@ -1602,7 +1546,7 @@ mod tests {
     fn jobs_queued_behind_a_busy_worker_cross_the_wire_as_one_call() {
         use batchbb_obs::{jsonl, MemorySink};
 
-        let gate = Gated::new(MemoryStore::from_entries(entries(32)));
+        let gate = Arc::new(Gated::new(MemoryStore::from_entries(entries(32))));
         let registry = MetricsRegistry::new();
         let sink = Arc::new(MemorySink::new());
         let router = ShardRouter::with_instrumentation(
@@ -1618,12 +1562,12 @@ mod tests {
         // B runs backwards, so a job answered from the wrong slice of the
         // shared result cannot pass for right.
         let b_keys: Vec<CoeffKey> = all[4..12].iter().rev().copied().collect();
-        let closed = gate.gate.lock().unwrap();
+        gate.set_gate(false);
         let a = park_worker(&router, &gate, &all[..4]);
         let b = router.submit(&b_keys);
         let c = router.submit(&all[12..20]);
         let d = router.submit(&all[20..]);
-        drop(closed);
+        gate.set_gate(true);
         assert_eq!(a.wait(), single.try_get_many(&all[..4]));
         assert_eq!(b.wait(), single.try_get_many(&b_keys));
         assert_eq!(c.wait(), single.try_get_many(&all[12..20]));
@@ -1631,7 +1575,7 @@ mod tests {
         router.quiesce();
         let bcd = [&b_keys[..], &all[12..]].concat();
         assert_eq!(
-            gate.batches(),
+            gate.calls(),
             vec![all[..4].to_vec(), bcd],
             "what queued behind A is one call, in queue order"
         );
@@ -1659,21 +1603,21 @@ mod tests {
 
         let all = keys(16);
         let broken = all[5];
-        let gate = Gated::new(FaultInjectingStore::new(
+        let gate = Arc::new(Gated::new(FaultInjectingStore::new(
             MemoryStore::from_entries(entries(16)),
             FaultPlan::new(5).with_permanent_keys([broken]),
-        ));
+        )));
         let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
         let router = ShardRouter::new(vec![client], HedgeConfig::default());
         let single = MemoryStore::from_entries(entries(16));
-        let closed = gate.gate.lock().unwrap();
+        gate.set_gate(false);
         let a = park_worker(&router, &gate, &all[..4]);
         let b = router.submit(&all[4..8]); // owns the failing key
         let rider = router.submit(&[broken]);
         assert_eq!(router.dedup_hits(), 1, "the rider joined B's read");
         let c = router.submit(&all[8..12]);
         let d = router.submit(&all[12..]);
-        drop(closed);
+        gate.set_gate(true);
         a.wait().unwrap();
         let failed = Err(StorageError::Permanent { key: broken });
         assert_eq!(b.wait(), failed);
@@ -1682,7 +1626,7 @@ mod tests {
         assert_eq!(d.wait(), single.try_get_many(&all[12..]));
         router.quiesce();
         assert_eq!(
-            gate.batches(),
+            gate.calls(),
             vec![
                 all[..4].to_vec(),
                 all[4..].to_vec(), // B‖C‖D: fails as a whole
@@ -1702,17 +1646,17 @@ mod tests {
             router.submit(&healthy).wait(),
             single.try_get_many(&healthy)
         );
-        assert_eq!(gate.batches().len(), 6);
+        assert_eq!(gate.calls().len(), 6);
     }
 
     #[test]
     fn a_coalesced_call_never_spans_a_version_advance() {
         let all = keys(4);
         let versioned = crate::VersionedStore::from_entries(entries(4));
-        let gate = Gated::new(versioned.pin()); // v0
+        let gate = Arc::new(Gated::new(versioned.pin())); // v0
         let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
         let router = ShardRouter::new(vec![client], HedgeConfig::default());
-        let closed = gate.gate.lock().unwrap();
+        gate.set_gate(false);
         let blocker = park_worker(&router, &gate, &all[..1]);
         let a = router.submit(&all[1..2]);
         let b = router.submit(&all[2..3]);
@@ -1723,13 +1667,13 @@ mod tests {
         let c = router.submit(&all[3..]);
         let d = router.submit(&all[1..2]); // A's key again, at v1: a new read
         assert_eq!(router.dedup_hits(), 0);
-        drop(closed);
+        gate.set_gate(true);
         for (completion, key) in [(blocker, 0), (a, 1), (b, 2), (c, 3), (d, 1)] {
             assert_eq!(completion.wait().unwrap(), vec![Some(key as f64 + 0.5)]);
         }
         router.quiesce();
         assert_eq!(
-            gate.batches(),
+            gate.calls(),
             vec![
                 vec![all[0]],
                 vec![all[1], all[2]], // A‖B at v0
@@ -1754,18 +1698,18 @@ mod tests {
             1 + 2 * w..1 + 3 * w,
             1 + 3 * w..n,
         );
-        let closed = gates[0].gate.lock().unwrap();
+        gates[0].set_gate(false);
         let mut completions = vec![park_worker(&router, &gates[0], &all[..1])];
         for window in [&b, &c, &d, &e] {
             completions.push(router.submit(&all[window.clone()]));
         }
-        drop(closed);
+        gates[0].set_gate(true);
         for completion in completions {
             completion.wait().unwrap();
         }
         router.quiesce();
         assert_eq!(
-            gates[0].batches(),
+            gates[0].calls(),
             vec![
                 all[..1].to_vec(),
                 all[b.start..c.end].to_vec(), // B‖C; D would pass the cap
@@ -1782,7 +1726,7 @@ mod tests {
         // One replicated shard whose primary is stuck at its gate: the
         // replica answers every job through its own 1 ms hedge while the
         // primary holds A and has B, C, D queued as one call to come.
-        let gate = Gated::new(MemoryStore::from_entries(entries(16)));
+        let gate = Arc::new(Gated::new(MemoryStore::from_entries(entries(16))));
         let replica: Arc<dyn CoefficientStore> = Arc::new(MemoryStore::from_entries(entries(16)));
         let client =
             ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>).with_replica(replica);
@@ -1793,7 +1737,7 @@ mod tests {
         let router = ShardRouter::new(vec![client], hedge);
         let single = MemoryStore::from_entries(entries(16));
         let all = keys(16);
-        let closed = gate.gate.lock().unwrap();
+        gate.set_gate(false);
         let a = park_worker(&router, &gate, &all[..4]);
         let b = router.submit(&all[4..8]);
         let c = router.submit(&all[8..12]);
@@ -1803,10 +1747,10 @@ mod tests {
         assert_eq!(b.wait(), single.try_get_many(&all[4..8]));
         assert_eq!(c.wait(), single.try_get_many(&all[8..12]));
         assert_eq!(d.wait(), single.try_get_many(&all[12..]));
-        drop(closed);
+        gate.set_gate(true);
         router.quiesce();
         assert_eq!(
-            gate.batches(),
+            gate.calls(),
             vec![all[..4].to_vec(), all[4..].to_vec()],
             "the primary still reads B‖C‖D as one call — and loses all three"
         );

@@ -7,16 +7,23 @@
 //! hit on *different* coefficients in parallel, and a coefficient fetched
 //! for one batch is served from memory to every other in-flight batch.
 //!
-//! # Two read paths, two fetch guarantees
+//! # The one store with two read bodies
 //!
-//! *Singleton* reads (`get`/`try_get`) hold the key's shard lock across
-//! the inner fetch, so a resident coefficient is physically fetched
-//! **exactly once** no matter how many readers race on it.
+//! Every other store decides a value in one body; the cache keeps two,
+//! because deriving its singleton read from `submit` was measured and is
+//! not free: routed through `submit(&[key]).wait()` (two `Vec`s, a
+//! `HashMap` and a boxed completion per miss), `dash_mem` — window 1, one
+//! cache miss per step — read `wave_exact_p50_ms` 112.2 → 120.8 (+7.7 %,
+//! slower in 7 of 8 interleaved pairs) and `batches_per_s` 35.4 → 32.3
+//! (ROADMAP item 5).  So `try_get` stays an allocation-free primitive: it
+//! holds the key's shard lock across the inner fetch, which also means a
+//! resident coefficient is physically fetched **exactly once** no matter
+//! how many singleton readers race on it.
 //!
-//! *Batched* reads (`submit`, and `try_get_many` = `submit(..).wait()`)
-//! never fetch under a lock and never block: the window is probed for
-//! hits, its misses cross to the inner store as **one** `submit`, and the
-//! fetched values are memoized when the returned [`Completion`] is taken.
+//! A window (`submit`) never fetches under a lock and never blocks: it is
+//! probed for hits, its misses cross to the inner store as **one**
+//! `submit`, and the fetched values are memoized when the returned
+//! [`Completion`] is taken.
 //! A coefficient is then fetched *at most once while resident, and once
 //! while outstanding when the inner store shares in-flight reads* — which
 //! the crate's one asynchronous engine does ([`crate::ShardRouter`], and
@@ -279,24 +286,10 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.counters.count_retrieval();
-        let tagged = (self.inner.version_tag(), *key);
-        let mut shard = self.shard(key);
-        if let Some(v) = shard.get(&tagged) {
-            self.counters.count_hit();
-            return v;
-        }
-        self.counters.count_physical();
-        let v = self.inner.get(key);
-        shard.insert(tagged, v);
-        self.trim(&mut shard);
-        v
-    }
-
-    /// Forwards to the inner store's fallible path. Only successful results
-    /// are memoized, so a key whose retrieval failed is re-attempted (and
-    /// can recover) on later calls — from *any* batch.
+    /// The singleton body (see the module docs for why it is not derived
+    /// from `submit`): the shard lock is held across the inner fetch. Only
+    /// successful results are memoized, so a key whose retrieval failed is
+    /// re-attempted (and can recover) on later calls — from *any* batch.
     fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.count_retrieval();
         let tagged = (self.inner.version_tag(), *key);
@@ -310,12 +303,6 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
         shard.insert(tagged, v);
         self.trim(&mut shard);
         Ok(v)
-    }
-
-    /// The blocking batched read *is* the non-blocking one, waited on: one
-    /// code path decides what a window costs.
-    fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        self.submit(keys).wait()
     }
 
     /// Batched retrieval that never blocks and never fetches under a lock.
@@ -401,9 +388,8 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Condvar, Mutex as StdMutex};
-
     use super::*;
+    use crate::testing::Gated;
     use crate::{AsyncFetchStore, FaultInjectingStore, FaultPlan, MemoryStore, VersionedStore};
 
     fn store(n: usize) -> MemoryStore {
@@ -417,81 +403,6 @@ mod tests {
     /// What `store(n)` answers for `window(keys)`.
     fn values(keys: std::ops::Range<usize>) -> Vec<Option<f64>> {
         keys.map(|i| Some(i as f64 + 1.0)).collect()
-    }
-
-    /// An inner store that records every call reaching it (one entry per
-    /// call, holding that call's keys) and holds each call at a gate, so a
-    /// read can be pinned in flight. The gate starts open.
-    struct Recording<S> {
-        inner: S,
-        calls: StdMutex<Vec<Vec<CoeffKey>>>,
-        open: StdMutex<bool>,
-        cv: Condvar,
-    }
-
-    impl<S> Recording<S> {
-        fn new(inner: S) -> Self {
-            Recording {
-                inner,
-                calls: StdMutex::new(Vec::new()),
-                open: StdMutex::new(true),
-                cv: Condvar::new(),
-            }
-        }
-
-        fn set_gate(&self, open: bool) {
-            *self.open.lock().unwrap() = open;
-            self.cv.notify_all();
-        }
-
-        fn enter(&self, keys: &[CoeffKey]) {
-            self.calls.lock().unwrap().push(keys.to_vec());
-            let open = self.open.lock().unwrap();
-            drop(self.cv.wait_while(open, |open| !*open).unwrap());
-        }
-
-        fn calls(&self) -> usize {
-            self.calls.lock().unwrap().len()
-        }
-
-        /// How many times `key` was read, over all calls.
-        fn reads_of(&self, key: &CoeffKey) -> usize {
-            let calls = self.calls.lock().unwrap();
-            calls.iter().flatten().filter(|k| *k == key).count()
-        }
-    }
-
-    impl<S: CoefficientStore> CoefficientStore for Recording<S> {
-        fn get(&self, key: &CoeffKey) -> Option<f64> {
-            self.enter(&[*key]);
-            self.inner.get(key)
-        }
-
-        fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-            self.enter(&[*key]);
-            self.inner.try_get(key)
-        }
-
-        fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-            self.enter(keys);
-            self.inner.try_get_many(keys)
-        }
-
-        fn version_tag(&self) -> u64 {
-            self.inner.version_tag()
-        }
-
-        fn nnz(&self) -> usize {
-            self.inner.nnz()
-        }
-
-        fn stats(&self) -> IoStats {
-            self.inner.stats()
-        }
-
-        fn reset_stats(&self) {
-            self.inner.reset_stats()
-        }
     }
 
     #[test]
@@ -679,22 +590,22 @@ mod tests {
 
     #[test]
     fn a_window_reaches_the_inner_store_as_one_call() {
-        let s = ShardedCachingStore::new(Recording::new(store(16)));
+        let s = ShardedCachingStore::new(Gated::new(store(16)));
         let keys = window(0..16);
         assert_eq!(s.try_get_many(&keys), Ok(values(0..16)));
         // The keys spread over most of the 16 cache shards; the window
         // still crosses the cache as one batch.
-        assert_eq!(s.inner().calls(), 1, "one window, one inner call");
+        assert_eq!(s.inner().calls().len(), 1, "one window, one inner call");
         assert_eq!(s.cached(), 16);
         // A warm window never reaches the inner store at all.
         assert_eq!(s.submit(&keys).wait(), Ok(values(0..16)));
-        assert_eq!(s.inner().calls(), 1);
+        assert_eq!(s.inner().calls().len(), 1);
         assert_eq!(s.stats().cache_hits, 16);
     }
 
     #[test]
     fn in_batch_duplicates_cost_one_physical_read_plus_hits() {
-        let s = ShardedCachingStore::new(Recording::new(store(4)));
+        let s = ShardedCachingStore::new(Gated::new(store(4)));
         let keys = window([2, 1, 2, 2, 1]);
         let values = s.try_get_many(&keys).unwrap();
         assert_eq!(
@@ -707,7 +618,7 @@ mod tests {
             (5, 2, 3),
             "repeats of a miss count as hits, as in the singleton sequence"
         );
-        assert_eq!(s.inner().calls(), 1);
+        assert_eq!(s.inner().calls().len(), 1);
         assert_eq!(s.inner().reads_of(&CoeffKey::one(2)), 1);
         assert_eq!(s.inner().reads_of(&CoeffKey::one(1)), 1);
     }
@@ -740,7 +651,7 @@ mod tests {
 
     #[test]
     fn windows_over_an_async_engine_park_and_share_reads_in_flight() {
-        let engine = AsyncFetchStore::new(Recording::new(store(32)), 2);
+        let engine = AsyncFetchStore::new(Gated::new(store(32)), 2);
         engine.inner().set_gate(false);
         let s = ShardedCachingStore::new(engine);
         // Two windows overlapping on keys 8..16, both submitted while the
@@ -761,7 +672,7 @@ mod tests {
         let recorded = s.inner().inner();
         // The engine's two workers may each take a window, or the first to
         // wake may find both queued and read them as one call.
-        let calls = recorded.calls();
+        let calls = recorded.calls().len();
         assert!(
             (1..=2).contains(&calls),
             "at most one inner call per window"
@@ -772,7 +683,7 @@ mod tests {
         assert_eq!(s.cached(), 24);
         // Both windows are now resident: no further inner traffic.
         assert_eq!(s.try_get_many(&a_keys), Ok(values(0..16)));
-        assert_eq!(recorded.calls(), calls);
+        assert_eq!(recorded.calls().len(), calls);
     }
 
     #[test]
@@ -796,7 +707,7 @@ mod tests {
 
     #[test]
     fn a_dropped_pending_completion_leaves_no_trace() {
-        let engine = AsyncFetchStore::new(Recording::new(store(8)), 1);
+        let engine = AsyncFetchStore::new(Gated::new(store(8)), 1);
         engine.inner().set_gate(false);
         let s = ShardedCachingStore::new(engine);
         let keys = window(0..8);

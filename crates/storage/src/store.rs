@@ -6,74 +6,70 @@ use crate::{Completion, IoStats, StorageError};
 
 /// Read access to a materialized view of transform coefficients.
 ///
-/// Every call to [`CoefficientStore::get`] is counted as one logical
-/// retrieval — the cost unit of the paper's experiments.  Implementations
-/// must be usable through `&self` from multiple threads.
+/// A store implements **two** retrieval primitives and decides a value —
+/// and what it costs — in one of them: [`CoefficientStore::try_get`] (one
+/// key, required) and [`CoefficientStore::submit`] (a window, possibly
+/// asynchronous; by default a key-by-key `try_get` loop).  A store with
+/// real batching implements `submit` and derives `try_get` from it as a
+/// window of one.  [`CoefficientStore::get`] and
+/// [`CoefficientStore::try_get_many`] are conveniences provided on top
+/// and never overridden in this workspace (`scripts/ci.sh` checks), so
+/// `try_get` ≡ `submit` (DESIGN.md §10) is the whole contract.
+///
+/// Every requested key counts as one logical retrieval — the cost unit of
+/// the paper's experiments — whether or not the attempt succeeds.
+/// Implementations must be usable through `&self` from multiple threads.
 pub trait CoefficientStore: Send + Sync {
+    /// [`CoefficientStore::try_get`] for callers with nothing to do about
+    /// a failure: panics on one.
+    fn get(&self, key: &CoeffKey) -> Option<f64> {
+        self.try_get(key)
+            .unwrap_or_else(|e| panic!("retrieval failed: {e}"))
+    }
+
     /// Retrieves the coefficient at `key`, counting one retrieval.
     ///
-    /// Returns `None` when the coefficient is absent, which callers must
-    /// treat as exactly zero (sparse stores only hold nonzeros). The
+    /// `Ok(None)` means the coefficient is absent, which callers must
+    /// treat as exactly zero (sparse stores only hold nonzeros); the
     /// retrieval is still counted: the paper's cost model charges for the
-    /// lookup, not for the value.
-    fn get(&self, key: &CoeffKey) -> Option<f64>;
+    /// lookup, not for the value.  Purely in-memory stores never fail;
+    /// stores backed by physical I/O map backend errors to
+    /// [`StorageError::Io`], and [`crate::FaultInjectingStore`] injects
+    /// faults from a deterministic plan.
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError>;
 
-    /// Fallible retrieval: like [`CoefficientStore::get`], but surfaces
-    /// retrieval failures instead of panicking or silently absorbing them.
-    ///
-    /// The default implementation delegates to `get` and never fails, so
-    /// purely in-memory stores get a correct fallible path for free.
-    /// Implementations backed by physical I/O ([`crate::FileStore`],
-    /// [`crate::BlockStore`]) override this to map backend errors to
-    /// [`StorageError::Io`]; [`crate::FaultInjectingStore`] overrides it to
-    /// inject faults from a deterministic plan. As with `get`, the attempt
-    /// is counted as one logical retrieval whether or not it succeeds.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        Ok(self.get(key))
-    }
-
-    /// Batched fallible retrieval: the value (or absence) of every key in
-    /// `keys`, in input order.
-    ///
-    /// The default implementation is a loop over
-    /// [`CoefficientStore::try_get`], so every store has a correct batched
-    /// path with byte-identical accounting to the singleton path.  Stores
-    /// with real batching opportunities override it: [`crate::BlockStore`]
-    /// groups keys by block and reads each block at most once,
-    /// [`crate::FileStore`] coalesces sorted slots into single-pass reads,
-    /// and [`crate::ShardedCachingStore`] forwards a batch's misses to its
-    /// inner store as one call.
-    ///
-    /// Contract (see DESIGN.md §10): each key still counts as one logical
-    /// retrieval; `Err` means the batch as a whole failed and *no* result
-    /// ordering is implied beyond "nothing was returned" — callers that
-    /// need per-key failure attribution fall back to key-by-key `try_get`.
-    /// Overrides may perform *fewer* physical reads than the equivalent
-    /// singleton sequence (that is the point) but must never return
-    /// different values or absence verdicts.
+    /// [`CoefficientStore::submit`], waited on: the value (or absence) of
+    /// every key in `keys`, in input order, or the batch's error.
     fn try_get_many(&self, keys: &[CoeffKey]) -> Result<Vec<Option<f64>>, StorageError> {
-        keys.iter().map(|k| self.try_get(k)).collect()
+        self.submit(keys).wait()
     }
 
-    /// Submits a batched fetch and returns a [`Completion`] that resolves
-    /// to the same `Result` [`CoefficientStore::try_get_many`] would return
-    /// for `keys`.
+    /// Submits a batched fetch of `keys` and returns a [`Completion`]
+    /// resolving to their values in input order.
     ///
-    /// The default implementation fetches synchronously and returns an
-    /// already-resolved completion, so every blocking store supports the
-    /// completion API with byte-identical values and accounting.  Genuinely
-    /// asynchronous backends ([`crate::AsyncFetchStore`]) return a pending
-    /// completion instead: the caller may poll [`Completion::is_ready`],
+    /// The default is a loop over [`CoefficientStore::try_get`] resolved
+    /// at submit time, so every store has a batched path with
+    /// byte-identical values and accounting to the singleton path, and
+    /// wrappers that account per key (fault injection, instrumentation)
+    /// keep it.  Stores with real batching implement it instead:
+    /// [`crate::BlockStore`] reads each block at most once per window,
+    /// [`crate::FileStore`] coalesces sorted slots into single-pass reads,
+    /// [`crate::ShardedCachingStore`] forwards a window's misses to its
+    /// inner store as one `submit` and memoizes when the completion is
+    /// taken.  The asynchronous engine ([`crate::ShardRouter`]) returns a
+    /// pending completion: the caller may poll [`Completion::is_ready`],
     /// park the work that needs the values, and [`Completion::wait`] later
-    /// — the latency-hiding primitive of DESIGN.md §12.  Wrappers that
-    /// account per call (fault injection, instrumentation) keep this
-    /// default so the adapter routes through *their* `try_get_many`;
-    /// pass-through wrappers forward it to preserve asynchrony, and
-    /// [`crate::ShardedCachingStore`] forwards a window's misses as one
-    /// inner `submit` and memoizes when the completion is taken, so a
-    /// cache above an asynchronous engine keeps the engine's overlap.
+    /// — the latency-hiding primitive of DESIGN.md §12.
+    ///
+    /// Contract (DESIGN.md §10): each key counts as one logical
+    /// retrieval; `Err` means the batch as a whole failed, with the error
+    /// the key-by-key loop would hit first and no per-key verdicts —
+    /// callers that need attribution fall back to `try_get`.  An
+    /// implementation may perform *fewer* physical reads than that loop
+    /// (that is the point) but never returns different values or absence
+    /// verdicts.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        Completion::ready(self.try_get_many(keys))
+        Completion::ready(keys.iter().map(|k| self.try_get(k)).collect())
     }
 
     /// Blocks until every asynchronous fetch submitted to this store has

@@ -44,7 +44,7 @@ use batchbb_obs::{span_end_event, span_start_event, EventSink, Tracer};
 use batchbb_tensor::CoeffKey;
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, ZERO_TOL};
+use crate::{CoefficientStore, IoStats, StorageError, ZERO_TOL};
 
 /// Span emission for the version machinery: `store.publish` spans around
 /// each publish and `store.advance` spans around view repair. Shared by
@@ -374,10 +374,10 @@ impl Default for VersionedStore {
 
 impl CoefficientStore for VersionedStore {
     /// Reads the *current* version (pin a [`VersionView`] for stability).
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.count_retrieval();
         self.counters.count_physical();
-        self.log.lock().unwrap().head().get(key)
+        Ok(self.log.lock().unwrap().head().get(key))
     }
 
     fn nnz(&self) -> usize {
@@ -481,10 +481,10 @@ impl VersionView {
 }
 
 impl CoefficientStore for VersionView {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
         self.counters.count_retrieval();
         self.counters.count_physical();
-        self.pinned.lock().unwrap().get(key)
+        Ok(self.pinned.lock().unwrap().get(key))
     }
 
     fn nnz(&self) -> usize {

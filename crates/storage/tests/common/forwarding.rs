@@ -1,18 +1,26 @@
-//! The pass-through forwarding check, shared (via `#[path]`) by every
-//! crate that ships a `CoefficientStore` wrapper.
+//! The store-contract check, shared (via `#[path]`) by every crate that
+//! ships a `CoefficientStore`.
 //!
-//! A wrapper that forgets to forward `version_tag` tags every version `0`,
-//! so a version-keyed cache or in-flight table above it can hand one
-//! version's value to a reader of another — silently voiding the
-//! certificate. One that forgets `quiesce` leaves an asynchronous engine
-//! beneath it undrained. And whatever a wrapper does with `submit` —
-//! keep the default, forward it, batch it — the completion must resolve
-//! to exactly what `try_get_many` returns, at the same accounting cost.
+//! A store has two read primitives, `try_get` and `submit`, and they must
+//! agree: a window resolves to what the key-by-key loop returns — values
+//! in input order, one logical retrieval per key, and on failure the
+//! error the loop would hit first ([`reads_agree`], [`faults_agree`]).
+//! (`get` and `try_get_many` are provided on top of the two and never
+//! overridden, so they have nothing of their own to check.)
+//!
+//! A wrapper must also forward what is not a read. One that forgets
+//! `version_tag` tags every version `0`, so a version-keyed cache or
+//! in-flight table above it can hand one version's value to a reader of
+//! another — silently voiding the certificate. One that forgets `quiesce`
+//! leaves an asynchronous engine beneath it undrained.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use batchbb_storage::{CoefficientStore, IoStats, VersionView, VersionedStore};
+use batchbb_storage::{
+    CoefficientStore, FaultInjectingStore, FaultPlan, IoStats, StorageError, VersionView,
+    VersionedStore,
+};
 use batchbb_tensor::CoeffKey;
 
 /// The innermost store of a conformance stack: a pinned [`VersionView`]
@@ -23,8 +31,8 @@ pub(crate) struct Probe {
 }
 
 impl CoefficientStore for Probe {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.view.get(key)
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+        self.view.try_get(key)
     }
 
     fn quiesce(&self) {
@@ -80,8 +88,8 @@ impl Harness {
 
     /// Asserts `wrapped` (a wrapper stack over [`Harness::probe`]) reports
     /// the view's version before and after a publish + advance, reads the
-    /// advanced version's value, answers `submit` like `try_get_many`, and
-    /// forwards `quiesce` to the probe.
+    /// advanced version's value, answers `submit` like the `try_get` loop,
+    /// and forwards `quiesce` to the probe.
     pub(crate) fn check(&self, wrapped: &dyn CoefficientStore, name: &str) {
         let key = CoeffKey::one(1);
         assert_eq!(self.view.version().as_u64(), 1);
@@ -102,37 +110,13 @@ impl Harness {
             "{name}: a read after the advance must see the new version"
         );
 
-        // Present, absent and repeated keys, out of key order: same
-        // values in the same order on both paths.
         let absent = [CoeffKey::one(9), CoeffKey::one(5)];
         let window = [absent[0], key, absent[1], key, absent[0]];
-        let want = Ok(vec![None, Some(7.0), None, Some(7.0), None]);
-        assert_eq!(wrapped.try_get_many(&window), want, "{name}: try_get_many");
+        reads_agree(wrapped, &window, name);
         assert_eq!(
             wrapped.submit(&window).wait(),
-            want,
-            "{name}: submit(keys).wait() must equal try_get_many(keys)"
-        );
-        // Same accounting cost too. Measured on distinct keys (an engine
-        // that shares in-flight reads charges a repeated key once) and on
-        // a stack the calls above already warmed, so both start equal.
-        let distinct = &window[..3];
-        let s0 = wrapped.stats();
-        wrapped.try_get_many(distinct).unwrap();
-        let s1 = wrapped.stats();
-        wrapped.submit(distinct).wait().unwrap();
-        let s2 = wrapped.stats();
-        let delta = |a: IoStats, b: IoStats| {
-            (
-                b.retrievals - a.retrievals,
-                b.physical_reads - a.physical_reads,
-                b.cache_hits - a.cache_hits,
-            )
-        };
-        assert_eq!(
-            delta(s0, s1),
-            delta(s1, s2),
-            "{name}: submit must cost what try_get_many costs"
+            Ok(vec![None, Some(7.0), None, Some(7.0), None]),
+            "{name}: submit"
         );
 
         let before = self.quiesces.load(Ordering::SeqCst);
@@ -141,5 +125,66 @@ impl Harness {
             self.quiesces.load(Ordering::SeqCst) > before,
             "{name}: quiesce must reach the inner store"
         );
+    }
+}
+
+/// Asserts `try_get` ≡ `submit` on `store`: the window resolves to the
+/// key-by-key loop's values in input order — present, absent and repeated
+/// keys, in any order — and its distinct keys cost the same logical
+/// retrievals either way, one each.  (Counted on distinct keys: an engine
+/// that shares in-flight reads charges a key repeated within one window
+/// once.)
+pub(crate) fn reads_agree(store: &dyn CoefficientStore, window: &[CoeffKey], name: &str) {
+    let looped: Result<Vec<_>, _> = window.iter().map(|k| store.try_get(k)).collect();
+    assert_eq!(
+        store.submit(window).wait(),
+        looped,
+        "{name}: submit(keys).wait() must equal the try_get loop"
+    );
+    let mut distinct = window.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let r0 = store.stats().retrievals;
+    for key in &distinct {
+        store.try_get(key).unwrap();
+    }
+    let r1 = store.stats().retrievals;
+    store.submit(&distinct).wait().unwrap();
+    let r2 = store.stats().retrievals;
+    assert_eq!(
+        (r1 - r0, r2 - r1),
+        (distinct.len() as u64, distinct.len() as u64),
+        "{name}: one logical retrieval a key, looped or submitted"
+    );
+}
+
+/// Asserts first-error identity: over two identical stacks built by
+/// `wrap` on a seeded fault injector (one permanently failing key, the
+/// rest failing transiently at even odds), a window of distinct keys
+/// fails — or succeeds — on `submit` exactly as the `try_get` loop does,
+/// with the same error.  Distinct keys, because an engine that shares
+/// in-flight reads rolls a repeated key once where the loop rolls twice.
+pub(crate) fn faults_agree<W: CoefficientStore>(
+    wrap: impl Fn(FaultInjectingStore<Probe>) -> W,
+    name: &str,
+) {
+    let h = Harness::new();
+    let window: Vec<CoeffKey> = (0..12).map(CoeffKey::one).collect();
+    for seed in 0..16 {
+        let stack = || {
+            let plan = FaultPlan::new(seed)
+                .with_transient_rate(0.5)
+                .with_permanent_keys([window[7]]);
+            wrap(FaultInjectingStore::new(h.probe(), plan))
+        };
+        for len in [1, 7, 8, 12] {
+            let (looped, submitted) = (stack(), stack());
+            let want: Result<Vec<_>, _> = window[..len].iter().map(|k| looped.try_get(k)).collect();
+            assert_eq!(
+                submitted.submit(&window[..len]).wait(),
+                want,
+                "{name}: seed {seed}, {len} keys: submit must fail as the loop does"
+            );
+        }
     }
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# The full local CI gate: formatting, lints, release build, test suite,
-# docs, example smoke-runs, bench bitrot checks, trace replays and the
-# end-to-end pre-flight. Runs entirely offline — all dependencies are
-# in-tree (see shims/). Every threshold is an `assert!` in the test that
-# computes it; timings live in the end-to-end ledger (results/e2e/), so
-# no stage reads or writes a results file and every run leaves the
-# working tree as it found it (checked by its last step).
+# The full local CI gate: formatting, the store-trait rule, lints, release
+# build, test suite, docs, example smoke-runs, bench bitrot checks, trace
+# replays and the end-to-end pre-flight. Runs entirely offline — all
+# dependencies are in-tree (see shims/). Every threshold is an `assert!`
+# in the test that computes it; timings live in the end-to-end ledger
+# (results/e2e/), so no stage reads or writes a results file and every run
+# leaves the working tree as it found it (checked by its last step).
 #
 # Usage: scripts/ci.sh [--quick] [--threads] [--slow-store] [--mixed] [--sharded] [--e2e]
 #   --quick      skip the release build, docs gate, example smoke-runs,
@@ -137,9 +137,38 @@ e2e_gate() {
     crates/e2e/run.sh --seed 1 --seconds 4 | grep -E '^# .*(guard|failed_share)'
 }
 
+# Store-trait gate (DESIGN.md §10): a store decides a value in `try_get`
+# or `submit` and nowhere else. `get` and `try_get_many` are provided on
+# top of those two, and Rust cannot make a provided method final, so this
+# fails on any `impl … CoefficientStore for` that defines either — test
+# doubles included. Exempt: the `&S` forwarder in store.rs and the
+# harness's TimedStore (crates/e2e), which spell out all nine methods.
+store_trait_gate() {
+    echo "==> no CoefficientStore impl overrides get / try_get_many"
+    git ls-files '*.rs' | grep -v '^crates/e2e/' | xargs awk '
+        FNR == 1 { inside = 0 }
+        /^ *impl.* CoefficientStore for / && !/ for &S / {
+            inside = 1
+            close_at = $0
+            sub(/[^ ].*/, "}", close_at)
+            next
+        }
+        inside && $0 == close_at { inside = 0 }
+        inside && /fn (get|try_get_many)\(/ {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+            bad = 1
+        }
+        END { exit bad }
+    ' || {
+        echo "derive it: implement try_get (and submit, if the store batches)" >&2
+        exit 1
+    }
+}
+
 # Everything: --quick stops after the test passes.
 full_gate() {
     run cargo fmt --all -- --check
+    store_trait_gate
     run cargo clippy --workspace --all-targets -- -D warnings
     if [ "$mode" = full ]; then
         run cargo build --release
@@ -209,8 +238,15 @@ full_gate() {
     sharded_gate
     e2e_gate
 
-    # Net LOC is tracked per PR (ROADMAP needle 2).
+    # Net LOC is tracked per PR (ROADMAP needle 2): the totals, then the
+    # net change of this commit — of the working tree, while it differs
+    # from HEAD.
     run scripts/loc.sh
+    since=HEAD
+    if git diff --quiet HEAD; then since=HEAD~1; fi
+    if git rev-parse --verify --quiet "$since^{commit}" > /dev/null; then
+        run scripts/loc.sh --since "$since"
+    fi
 }
 
 case "$mode" in

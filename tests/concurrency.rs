@@ -47,8 +47,8 @@ struct ReplayStore {
 }
 
 impl CoefficientStore for ReplayStore {
-    fn get(&self, key: &CoeffKey) -> Option<f64> {
-        self.entries.get(key).copied().filter(|v| *v != 0.0)
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+        Ok(self.entries.get(key).copied().filter(|v| *v != 0.0))
     }
 
     fn nnz(&self) -> usize {
