@@ -11,7 +11,9 @@
 //!   the delay is derived from the slow shard's own ring.
 //!
 //! Hedging has no end-to-end workload, so its gate lives here; both
-//! floors are ratios of runs on the same host, minutes apart at most.
+//! floors are ratios of runs on the same host, the hedged one of the two
+//! sides of one ~1 s trial (best of three), so a slow spell of the host
+//! lands on both sides of it.
 
 use batchbb_bench::shardbench::{ShardBenchConfig, ShardFixture};
 

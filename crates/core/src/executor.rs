@@ -1,4 +1,13 @@
 //! The progressive executor (steps 4–5 of Batch-Biggest-B).
+//!
+//! The paper fixes the retrieval *order* (`ι_p` descending) and nothing
+//! else, so how the next retrievals cross the store boundary is free: with
+//! a prefetch window `W > 1` they cross `W` at a time, and over an
+//! asynchronous store two such windows are kept submitted per batch
+//! (DESIGN.md §12).  What has been read ahead — `landed` values plus a
+//! FIFO of `in_flight` windows — is not *applied*: every value is folded,
+//! bounded and charged to the fault ledger by its own step, so step
+//! traces, certificates and counts are those of the blocking run.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -23,30 +32,24 @@ pub struct ProgressionEntry {
     pub key: CoeffKey,
 }
 
-/// What has been read ahead of the cursor.  Either way the covered entries
-/// are still *pending*: their importance stays in `remaining_importance`
-/// and each is folded into the estimates by its own step.
-enum Window {
-    /// Values read for `order[cursor..]` but not yet applied, front = next
-    /// (empty: nothing read ahead).
-    Landed(VecDeque<f64>),
-    /// One batched prefetch covering the next `len` entries, submitted to
-    /// an asynchronous store and not yet resolved.  Never seen over a
-    /// synchronous store.
-    InFlight {
-        len: usize,
-        completion: Completion,
-        /// Armed when an observer is attached: measures submit→resolve
-        /// latency for the `exec.prefetch` record, mirroring the blocking
-        /// fetch timer.
-        timer: Option<batchbb_obs::SpanTimer>,
-    },
-}
+/// How many prefetch windows one batch keeps submitted at once.  Two, so
+/// that a landed window never leaves the store idle until somebody
+/// notices: the one behind it is already being read, and taking the
+/// landed one submits the next.
+const WINDOWS_IN_FLIGHT: usize = 2;
 
-impl Default for Window {
-    fn default() -> Self {
-        Window::Landed(VecDeque::new())
-    }
+/// One batched prefetch submitted to an asynchronous store and not yet
+/// taken.  The entries it covers are still *pending*: their importance
+/// stays in `remaining_importance`, and each is folded into the estimates
+/// — and charged to [`FaultStats`] — by its own step when its turn comes.
+/// Never seen over a synchronous store.
+struct InFlight {
+    len: usize,
+    completion: Completion,
+    /// Armed when an observer is attached: measures submit→resolve
+    /// latency for the `exec.prefetch` record, mirroring the blocking
+    /// fetch timer.
+    timer: Option<batchbb_obs::SpanTimer>,
 }
 
 /// What one [`ProgressiveExecutor::step`] did.
@@ -176,12 +179,19 @@ pub struct ProgressiveExecutor<'a> {
     /// fetch through a single [`CoefficientStore::submit`] call.
     /// 1 (the default) takes exactly the singleton retrieval path.
     prefetch_window: usize,
-    /// What has been read ahead of the cursor, if anything.
-    window: Window,
+    /// Values read for `order[cursor..]` but not yet applied, front = next
+    /// (empty: nothing landed).
+    landed: VecDeque<f64>,
+    /// Submitted windows not yet taken, oldest first: consecutive runs of
+    /// `order` starting at `cursor + singleton_debt + landed.len()`, at
+    /// most [`WINDOWS_IN_FLIGHT`] of them.
+    in_flight: VecDeque<InFlight>,
     /// After a whole-batch prefetch failure, how many singleton steps to
     /// run before re-attempting a batched fetch.  The singleton fallback
     /// is what attributes the failure: only the keys that individually
-    /// fail get deferred, the rest retrieve normally.
+    /// fail get deferred, the rest retrieve normally.  It covers the
+    /// failed window's own keys only — windows in flight behind it hold
+    /// disjoint keys and stay.
     singleton_debt: usize,
     /// Coefficients whose retrieval exhausted its retry budget, awaiting
     /// re-attempts (FIFO so every deferred key gets its turn).
@@ -264,7 +274,8 @@ impl<'a> ProgressiveExecutor<'a> {
             seen: HashMap::new(),
             remaining_importance,
             prefetch_window: 1,
-            window: Window::default(),
+            landed: VecDeque::new(),
+            in_flight: VecDeque::new(),
             singleton_debt: 0,
             deferred: VecDeque::new(),
             deferred_importance: 0.0,
@@ -301,7 +312,9 @@ impl<'a> ProgressiveExecutor<'a> {
     /// `w = 1` takes exactly the unbatched code path.  On a whole-batch
     /// fetch failure the cursor simply has not moved, and the next `w`
     /// steps retrieve singleton-style, deferring only the keys that
-    /// individually fail.
+    /// individually fail.  Over an asynchronous store up to two windows
+    /// are outstanding at once (DESIGN.md §12); their boundaries are the
+    /// ones a blocking run draws.
     pub fn with_prefetch_window(mut self, w: usize) -> Self {
         assert!(w >= 1, "prefetch window must be at least 1");
         self.prefetch_window = w;
@@ -332,7 +345,7 @@ impl<'a> ProgressiveExecutor<'a> {
                     return Some(info)
                 }
                 TryStepOutcome::Exhausted => return None,
-                TryStepOutcome::Pending => self.resolve_window(),
+                TryStepOutcome::Pending => self.resolve_window(&crate::ONE_ATTEMPT, usize::MAX),
                 TryStepOutcome::Deferred { error, .. } => panic!("retrieval failed: {error}"),
                 TryStepOutcome::BudgetExhausted => unreachable!("ONE_ATTEMPT sets no budget"),
             }
@@ -346,22 +359,24 @@ impl<'a> ProgressiveExecutor<'a> {
         Some(entry)
     }
 
-    /// Whether a read-ahead value is waiting to be applied.
-    fn has_landed(&self) -> bool {
-        matches!(&self.window, Window::Landed(values) if !values.is_empty())
-    }
-
     /// Takes the next pending entry together with its read-ahead value, if
     /// one has landed.
     fn take_landed(&mut self) -> Option<(ProgressionEntry, f64)> {
-        let Window::Landed(values) = &mut self.window else {
-            return None;
-        };
-        let value = values.pop_front()?;
+        let value = self.landed.pop_front()?;
         let entry = self
             .take_next()
             .expect("landed values cover pending entries");
         Some((entry, value))
+    }
+
+    /// The in-flight window the next step waits on: the oldest one, once
+    /// nothing landed — or owed singleton-style — stands before it.
+    fn front_window(&self) -> Option<&InFlight> {
+        if self.landed.is_empty() && self.singleton_debt == 0 {
+            self.in_flight.front()
+        } else {
+            None
+        }
     }
 
     /// Folds one retrieved value into the estimates — the one step body.
@@ -409,49 +424,96 @@ impl<'a> ProgressiveExecutor<'a> {
     /// failed one lands nothing — the cursor never moved — and arms the
     /// singleton-fallback debt, so only the keys that individually fail
     /// get deferred.
-    fn finish_window(
-        &mut self,
-        len: usize,
-        completion: Completion,
-        timer: Option<batchbb_obs::SpanTimer>,
-    ) {
+    fn finish_window(&mut self, window: InFlight) {
         let wait = ExecObserver::store_wait_scope(&self.observer);
-        let fetched = completion.wait();
+        let fetched = window.completion.wait();
         drop(wait);
-        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
+        let latency_ns = window.timer.map_or(0, |t| t.elapsed_ns());
         if let Some(obs) = &self.observer {
-            obs.on_prefetch(len, fetched.is_ok(), latency_ns);
+            obs.on_prefetch(window.len, fetched.is_ok(), latency_ns);
         }
-        self.window = Window::Landed(match fetched {
-            Ok(values) => values.into_iter().map(|v| v.unwrap_or(0.0)).collect(),
+        match fetched {
+            Ok(values) => self
+                .landed
+                .extend(values.into_iter().map(|v| v.unwrap_or(0.0))),
             // Whole-batch failure carries no per-key verdicts: let the
             // next `len` steps retrieve singleton-style.
-            Err(_) => {
-                self.singleton_debt = len;
-                VecDeque::new()
-            }
-        });
+            Err(_) => self.singleton_debt = window.len,
+        }
     }
 
-    /// Blocks until a parked asynchronous prefetch resolves and lands it
-    /// (no-op when nothing is parked).  `try_step` calls this once the
-    /// completion is ready; the callers that cannot usefully yield —
-    /// [`ProgressiveExecutor::step`] and the unbounded
-    /// [`ProgressiveExecutor::drain_with_faults`] — call it regardless.
-    fn resolve_window(&mut self) {
-        match std::mem::take(&mut self.window) {
-            Window::InFlight {
+    /// Submits prefetch windows until [`WINDOWS_IN_FLIGHT`] are
+    /// outstanding.  Window boundaries are the blocking run's: each is
+    /// sized against what will be pending, and what the attempt budget
+    /// will allow, once everything already ahead has been folded (every
+    /// prefetched key is charged one attempt when applied, so read-ahead
+    /// never reaches past the budget).  A window ready at submit with
+    /// nothing before it lands inline and ends the round — a synchronous
+    /// store sees one window at a time, byte-identical to a blocking
+    /// `try_get_many`; only a fetch still outstanding gets company.
+    /// Speculative windows stop at `horizon`, the first index a
+    /// bound-targeted drain may never reach.
+    fn read_ahead(&mut self, policy: &RetryPolicy, horizon: usize) {
+        if self.prefetch_window == 1 {
+            return;
+        }
+        // No batched fetch while a failed one is still being attributed
+        // by singleton steps.
+        while self.singleton_debt == 0 && self.in_flight.len() < WINDOWS_IN_FLIGHT {
+            let ahead = self.landed.len() + self.in_flight.iter().map(|w| w.len).sum::<usize>();
+            let start = self.cursor + ahead;
+            if ahead > 0 && start >= horizon {
+                break;
+            }
+            let budget_left = policy.total_attempt_budget.map_or(usize::MAX, |b| {
+                usize::try_from(b - self.fault.attempts).unwrap_or(usize::MAX)
+            });
+            let len = self
+                .prefetch_window
+                .min(self.order.len() - start)
+                .min(budget_left.saturating_sub(ahead));
+            if len <= 1 {
+                break;
+            }
+            let keys: Vec<CoeffKey> = self.order[start..start + len]
+                .iter()
+                .map(|e| e.key)
+                .collect();
+            let timer = ExecObserver::maybe_timer(&self.observer);
+            let wait = ExecObserver::store_wait_scope(&self.observer);
+            let completion = self.store.submit(&keys);
+            drop(wait);
+            let window = InFlight {
                 len,
                 completion,
                 timer,
-            } => {
-                if let Some(obs) = &self.observer {
-                    obs.on_resume(len);
-                }
-                self.finish_window(len, completion, timer);
+            };
+            if ahead == 0 && window.completion.is_ready() {
+                self.finish_window(window);
+                break;
             }
-            landed => self.window = landed,
+            if let Some(obs) = &self.observer {
+                obs.on_park(len, self.order.len() - start - len);
+            }
+            self.in_flight.push_back(window);
         }
+    }
+
+    /// Blocks until the oldest in-flight window resolves, lands it, and
+    /// submits the window that may now follow (no-op when nothing is in
+    /// flight).  `try_step` calls this once the completion is ready; the
+    /// callers that cannot usefully yield — [`ProgressiveExecutor::step`]
+    /// and the unbounded [`ProgressiveExecutor::drain_with_faults`] — call
+    /// it regardless.
+    fn resolve_window(&mut self, policy: &RetryPolicy, horizon: usize) {
+        let Some(window) = self.in_flight.pop_front() else {
+            return;
+        };
+        if let Some(obs) = &self.observer {
+            obs.on_resume(window.len);
+        }
+        self.finish_window(window);
+        self.read_ahead(policy, horizon);
     }
 
     /// Recomputes the estimates from `seen` in sorted key order.
@@ -539,54 +601,26 @@ impl<'a> ProgressiveExecutor<'a> {
     /// [`ProgressiveExecutor::degradation_report`] can bound the penalty of
     /// the current estimates under partial availability.
     pub fn try_step(&mut self, policy: &RetryPolicy) -> TryStepOutcome {
+        self.try_step_within(policy, usize::MAX)
+    }
+
+    /// [`ProgressiveExecutor::try_step`] that submits no speculative
+    /// window starting at or past `horizon` (an index into `order`).
+    fn try_step_within(&mut self, policy: &RetryPolicy, horizon: usize) -> TryStepOutcome {
         let Some(attempts_allowed) = policy.attempts_allowed(self.fault.attempts) else {
             return TryStepOutcome::BudgetExhausted;
         };
-        // A parked asynchronous prefetch owns the next entries in
-        // progression order: resolve it if it landed, park otherwise.
-        if let Window::InFlight { completion, .. } = &self.window {
-            if !completion.is_ready() {
+        // Nothing read ahead: submit (a no-op while singleton steps are
+        // owed).  Then the oldest window in flight owns the next entries
+        // in progression order: take it if it landed, park otherwise.
+        if self.landed.is_empty() && self.in_flight.is_empty() {
+            self.read_ahead(policy, horizon);
+        }
+        if let Some(front) = self.front_window() {
+            if !front.completion.is_ready() {
                 return TryStepOutcome::Pending;
             }
-            self.resolve_window();
-        }
-        // Batched prefetch of the next W pending entries, worthwhile only
-        // when nothing read ahead is left to apply, the clamped window
-        // exceeds one key, and no recent batch failure is still being
-        // attributed by singleton steps.
-        if self.prefetch_window > 1 && self.singleton_debt == 0 && !self.has_landed() {
-            // Every prefetched key is charged one attempt when applied,
-            // so a window never reaches past the attempt budget.
-            let budget_left = policy.total_attempt_budget.map_or(usize::MAX, |b| {
-                usize::try_from(b - self.fault.attempts).unwrap_or(usize::MAX)
-            });
-            let w = self.prefetch_window.min(self.remaining()).min(budget_left);
-            if w > 1 {
-                let keys: Vec<CoeffKey> = self.order[self.cursor..self.cursor + w]
-                    .iter()
-                    .map(|e| e.key)
-                    .collect();
-                let timer = ExecObserver::maybe_timer(&self.observer);
-                let wait = ExecObserver::store_wait_scope(&self.observer);
-                let completion = self.store.submit(&keys);
-                drop(wait);
-                if completion.is_ready() {
-                    // Synchronous store (or an asynchronous one that beat
-                    // us): resolve inline, byte-identical to a blocking
-                    // `try_get_many`.
-                    self.finish_window(w, completion, timer);
-                } else {
-                    if let Some(obs) = &self.observer {
-                        obs.on_park(w, self.remaining() - w);
-                    }
-                    self.window = Window::InFlight {
-                        len: w,
-                        completion,
-                        timer,
-                    };
-                    return TryStepOutcome::Pending;
-                }
-            }
+            self.resolve_window(policy, horizon);
         }
         // A value read ahead is next in progression order.  Its store
         // attempt happened (and succeeded) at prefetch time; it is
@@ -673,7 +707,7 @@ impl<'a> ProgressiveExecutor<'a> {
                         self.fetch_pending(),
                         "an unbounded drain yields only on a parked fetch"
                     );
-                    self.resolve_window();
+                    self.resolve_window(policy, usize::MAX);
                 }
             }
         }
@@ -752,6 +786,15 @@ impl<'a> ProgressiveExecutor<'a> {
         max_steps: usize,
         target: Option<(f64, f64)>,
     ) -> Option<DrainStatus> {
+        // A bound-targeted drain stops before the first entry whose
+        // `K^α·ι` already meets ε, so it never reads ahead past it (the
+        // deferred mass can only keep it going longer, and then each
+        // window is submitted when its turn comes).
+        let horizon = target.map_or(usize::MAX, |(epsilon, k_abs_sum)| {
+            let scale = k_abs_sum.powf(self.homogeneity);
+            self.order
+                .partition_point(|e| scale * e.importance > epsilon)
+        });
         let mut remaining = max_steps;
         loop {
             if let Some((epsilon, k_abs_sum)) = target {
@@ -799,7 +842,7 @@ impl<'a> ProgressiveExecutor<'a> {
                     return None;
                 }
                 remaining -= 1;
-                match self.try_step(policy) {
+                match self.try_step_within(policy, horizon) {
                     TryStepOutcome::BudgetExhausted => return Some(DrainStatus::BudgetExhausted),
                     TryStepOutcome::Exhausted => return Some(DrainStatus::Exact),
                     // The fetch is in flight: yield instead of spinning.
@@ -869,19 +912,20 @@ impl<'a> ProgressiveExecutor<'a> {
         self.order.len() - self.cursor
     }
 
-    /// True while a batched prefetch submitted to an asynchronous store is
-    /// outstanding.  A budgeted drain that yielded with work still pending
-    /// and this flag set is *parked*, not out of budget: the serve pool
-    /// shelves such a batch and advances another instead of busy-waiting.
+    /// True while the next step waits on a batched prefetch submitted to
+    /// an asynchronous store: nothing landed and a window is in flight.
+    /// A budgeted drain that yielded with work still pending and this flag
+    /// set is *parked*, not out of budget: the serve pool shelves such a
+    /// batch and advances another instead of busy-waiting.
     pub fn fetch_pending(&self) -> bool {
-        matches!(self.window, Window::InFlight { .. })
+        self.front_window().is_some()
     }
 
-    /// True when the parked prefetch (if any) has landed, i.e. the next
-    /// `try_step` will make progress without blocking. `None`-like `false`
-    /// when nothing is parked.
+    /// True when the window the next step waits on has landed, i.e. the
+    /// next `try_step` will make progress without blocking. `None`-like
+    /// `false` when [`ProgressiveExecutor::fetch_pending`] is.
     pub fn fetch_ready(&self) -> bool {
-        matches!(&self.window, Window::InFlight { completion, .. } if completion.is_ready())
+        self.front_window().is_some_and(|w| w.completion.is_ready())
     }
 
     /// Number of coefficients parked in the deferral queue.
@@ -998,49 +1042,49 @@ impl<'a> ProgressiveExecutor<'a> {
             i = j;
         }
         // What was read ahead of the cursor was read *before* the view
-        // advanced.  One pass over the delta against the window's keys
+        // advanced.  One pass over the delta against the keys ahead
         // (O(W + |Δ|)): each slot meets its key's deltas in publish order.
-        let ahead = match &self.window {
-            Window::Landed(values) => values.len(),
-            Window::InFlight { len, .. } => *len,
-        };
-        if ahead > 0 {
-            let slots: HashMap<CoeffKey, usize> = self.order[self.cursor..self.cursor + ahead]
-                .iter()
-                .enumerate()
-                .map(|(slot, entry)| (entry.key, slot))
+        let landed_end = self.cursor + self.landed.len();
+        let flying_from = landed_end + self.singleton_debt;
+        let flying: usize = self.in_flight.iter().map(|w| w.len).sum();
+        if !(self.landed.is_empty() && self.in_flight.is_empty()) {
+            let slots: HashMap<CoeffKey, usize> = (self.cursor..flying_from + flying)
+                .map(|at| (self.order[at].key, at))
                 .collect();
-            let mut hits = delta
-                .iter()
-                .filter(|(_, d)| *d != 0.0)
-                .filter_map(|(key, d)| Some((*slots.get(key)?, *d)));
-            match &mut self.window {
-                // A landed-but-unapplied value needs the same repair as a
-                // seen key — applied to the buffered value, since it has
-                // not reached the estimates yet.
-                Window::Landed(values) => {
-                    for (slot, d) in hits {
-                        let value = &mut values[slot];
+            // The first in-flight entry whose key was updated, if any.
+            let mut stale = usize::MAX;
+            for (key, d) in delta.iter().filter(|(_, d)| *d != 0.0) {
+                match slots.get(key) {
+                    // A landed-but-unapplied value needs the same repair
+                    // as a seen key — applied to the buffered value, since
+                    // it has not reached the estimates yet.
+                    Some(&at) if at < landed_end => {
+                        let value = &mut self.landed[at - self.cursor];
                         *value += d;
                         if value.abs() <= ZERO_TOL {
                             *value = 0.0;
                         }
                     }
-                }
-                // A parked asynchronous prefetch that includes an updated
-                // key is abandoned wholesale: its read raced the advance,
-                // so the buffered verdicts cannot be trusted.  The cursor
-                // never moved (nor was any importance debited), so the
-                // entries are simply re-fetched from the advanced view; the
-                // dropped completion's read finishes harmlessly in the
-                // background.  Fetches not touching any updated key keep
-                // flying — their pre- and post-update values are identical.
-                Window::InFlight { .. } => {
-                    if hits.next().is_some() {
-                        self.window = Window::default();
-                    }
+                    Some(&at) if at >= flying_from => stale = stale.min(at),
+                    _ => {}
                 }
             }
+            // An in-flight window that includes an updated key is
+            // abandoned wholesale, together with every window behind it
+            // (windows are consecutive, and the re-fetch draws the blocking
+            // run's boundaries): its read raced the advance, so the buffered
+            // verdicts cannot be trusted.  The cursor never moved (nor was
+            // any importance debited), so the entries are simply
+            // re-fetched from the advanced view; the dropped completions'
+            // reads finish harmlessly in the background.  Windows before
+            // it keep flying — their pre- and post-update values are
+            // identical.
+            let mut end = flying_from;
+            let fresh = self.in_flight.iter().take_while(|w| {
+                end += w.len;
+                end <= stale
+            });
+            self.in_flight.truncate(fresh.count());
         }
         // An already-exact executor gets no further steps, so the exactness
         // invariant — estimates are the canonical fold of `seen` — must be

@@ -260,6 +260,84 @@ proptest! {
 use batchbb_core::TryStepOutcome;
 use batchbb_storage::CoefficientStore;
 
+/// Window *k* fails while window *k+1* is in flight — and, the engine's
+/// one worker being busy when both were submitted, the two cross the wire
+/// as one call.  The failed window arms singleton steps for its own keys
+/// only, the one behind it stays and lands, and nothing below the engine
+/// can tell: finals, witness and fault ledger equal the blocking run's,
+/// and every key was read as often as the blocking run read it (outside
+/// the failed window: once).
+#[test]
+fn a_window_failing_ahead_of_one_in_flight_agrees_with_the_blocking_run() {
+    use batchbb_storage::testing::Gated;
+
+    const W: usize = 4;
+    let shape = Shape::new(vec![16, 16]).unwrap();
+    let values = (0..shape.len()).map(|i| ((i * 7) % 5) as f64).collect();
+    let data = Tensor::from_vec(shape.clone(), values).unwrap();
+    let strategy = WaveletStrategy::new(Wavelet::Haar);
+    let queries = partition::random_partition(&shape, 4, 11)
+        .into_iter()
+        .map(RangeSum::count)
+        .collect();
+    let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+    let order: Vec<CoeffKey> = reference_walk(&batch, &Sse)
+        .iter()
+        .map(|&(key, _)| key)
+        .collect();
+    assert!(
+        order.len() >= 3 * W,
+        "the case needs windows behind the two"
+    );
+    // Inside window 0 with a key ahead of it: the failed call has a prefix.
+    let victim = order[1];
+    let faulty = |gate_open: bool| {
+        let gated = Gated::new(MemoryStore::from_entries(strategy.transform_data(&data)));
+        gated.set_gate(gate_open);
+        FaultInjectingStore::new(gated, FaultPlan::new(3).with_permanent_keys([victim]))
+    };
+    let policy = RetryPolicy::default();
+
+    let blocking = faulty(true);
+    let mut sync_exec = ProgressiveExecutor::new(&batch, &Sse, &blocking).with_prefetch_window(W);
+    assert_eq!(sync_exec.drain_with_faults(&policy), DrainStatus::Degraded);
+
+    let engine = AsyncFetchStore::new(faulty(false), 1);
+    let gate = engine.inner().inner();
+    // Park the worker on a read of no interest, so windows 0 and 1 queue
+    // up behind it and cross as one call.
+    let blocker = engine.submit(&[CoeffKey::new(&[999, 999])]);
+    while gate.calls().is_empty() {
+        std::thread::yield_now();
+    }
+    let mut async_exec = ProgressiveExecutor::new(&batch, &Sse, &engine).with_prefetch_window(W);
+    assert_eq!(async_exec.drain_with_faults_budgeted(&policy, 2 * W), None);
+    assert!(async_exec.fetch_pending() && !async_exec.fetch_ready());
+    gate.set_gate(true);
+    blocker.wait().unwrap();
+    assert_eq!(async_exec.drain_with_faults(&policy), DrainStatus::Degraded);
+
+    assert_eq!(async_exec.estimates(), sync_exec.estimates());
+    assert_eq!(
+        async_exec.retrieved_entries(),
+        sync_exec.retrieved_entries()
+    );
+    assert_eq!(async_exec.fault_stats(), sync_exec.fault_stats());
+    assert_eq!(async_exec.deferred_keys(), vec![victim]);
+    engine.quiesce();
+    for (at, key) in order.iter().enumerate() {
+        let reads = gate.reads_of(key);
+        assert_eq!(reads, blocking.inner().reads_of(key), "key {at}");
+        // Past the failed window nothing is read twice; inside it the key
+        // ahead of the victim is read by the window and by its singleton.
+        assert_eq!(
+            reads,
+            [2, 0, 1, 1].get(at).copied().unwrap_or(1),
+            "key {at}"
+        );
+    }
+}
+
 /// `(key, importance bits)` — what "the same progression" is compared on.
 type Walk = Vec<(CoeffKey, u64)>;
 
@@ -270,26 +348,41 @@ fn reference_walk(batch: &BatchQueries, penalty: &dyn Penalty) -> Walk {
         .collect()
 }
 
-/// Drives `try_step` at window `w` until the progression is drained
-/// (yielding on `Pending`), checking the executor's books against
-/// `reference` after every call; returns the walk of retrieved steps and
-/// the keys that deferred.
+/// Drives `try_step` at window `w` under `policy` until the progression
+/// is drained or the attempt budget spent (yielding on `Pending`),
+/// checking the executor's books against `reference` after every call;
+/// returns the walk of retrieved steps, the keys that deferred, and how
+/// many keys the store was asked for, in-flight reads settled.  With a
+/// `target` of `(ε, K)` it drives the ε-targeted drain instead, one step a
+/// call, until it reports a status — the entry point that knows where
+/// read-ahead must stop.
 fn try_walk(
     batch: &BatchQueries,
     penalty: &dyn Penalty,
     store: &dyn CoefficientStore,
     w: usize,
     reference: &Walk,
-) -> Result<(Walk, Vec<CoeffKey>), TestCaseError> {
-    let policy = RetryPolicy::default();
+    policy: &RetryPolicy,
+    target: Option<(f64, f64)>,
+) -> Result<(Walk, Vec<CoeffKey>, u64), TestCaseError> {
     let mut exec = ProgressiveExecutor::new(batch, penalty, store).with_prefetch_window(w);
     let (mut walk, mut deferred) = (Vec::new(), Vec::new());
     while exec.remaining() > 0 {
-        match exec.try_step(&policy) {
-            TryStepOutcome::Retrieved(info) => walk.push((info.key, info.importance.to_bits())),
-            TryStepOutcome::Deferred { key, .. } => deferred.push(key),
-            TryStepOutcome::Pending => std::thread::yield_now(),
-            other => prop_assert!(false, "unexpected outcome {:?}", other),
+        if let Some((epsilon, k_abs_sum)) = target {
+            let before = exec.remaining();
+            match exec.drain_with_faults_budgeted_to_bound(policy, 1, epsilon, k_abs_sum) {
+                Some(_) => break,
+                None if exec.remaining() < before => walk.push(reference[reference.len() - before]),
+                None => std::thread::yield_now(),
+            }
+        } else {
+            match exec.try_step(policy) {
+                TryStepOutcome::Retrieved(info) => walk.push((info.key, info.importance.to_bits())),
+                TryStepOutcome::Deferred { key, .. } => deferred.push(key),
+                TryStepOutcome::Pending => std::thread::yield_now(),
+                TryStepOutcome::BudgetExhausted => break,
+                other => prop_assert!(false, "unexpected outcome {:?}", other),
+            }
         }
         prop_assert_eq!(
             exec.retrieved() + exec.remaining() + exec.deferred_count(),
@@ -301,7 +394,9 @@ fn try_walk(
             reference.get(position).map(|&(_, iota)| iota)
         );
     }
-    Ok((walk, deferred))
+    drop(exec);
+    store.quiesce();
+    Ok((walk, deferred, store.stats().retrievals))
 }
 
 proptest! {
@@ -337,8 +432,10 @@ proptest! {
             prop_assert_eq!(&stepped, &reference, "step()");
             let stores: [(&dyn CoefficientStore, usize); 3] =
                 [(&store, 1), (&store, window), (&engine, window)];
+            let policy = RetryPolicy::default();
             for (store, w) in stores {
-                let (walk, deferred) = try_walk(&batch, p.as_ref(), store, w, &reference)?;
+                let (walk, deferred, _) =
+                    try_walk(&batch, p.as_ref(), store, w, &reference, &policy, None)?;
                 prop_assert_eq!(&walk, &reference, "try_step at W = {}", w);
                 prop_assert!(deferred.is_empty());
             }
@@ -367,14 +464,54 @@ proptest! {
             )
         };
         let (blocking, engine) = (faulty(), AsyncFetchStore::new(faulty(), 2));
+        let policy = RetryPolicy::default();
         let walks = [
-            try_walk(&batch, &Sse, &blocking, window, &reference)?,
-            try_walk(&batch, &Sse, &engine, window, &reference)?,
+            try_walk(&batch, &Sse, &blocking, window, &reference, &policy, None)?,
+            try_walk(&batch, &Sse, &engine, window, &reference, &policy, None)?,
         ];
         reference.retain(|&(key, _)| key != victim);
-        for (walk, deferred) in walks {
+        for (walk, deferred, _) in walks {
             prop_assert_eq!(&walk, &reference);
             prop_assert_eq!(deferred, vec![victim]);
+        }
+    }
+
+    /// Read-ahead is invisible to counts: over the engine, an ε-targeted
+    /// drain asks the store for exactly the keys the blocking drain asks
+    /// for — no window is submitted that the blocking run never reaches —
+    /// and under `total_attempt_budget = n` no more than `n` keys are ever
+    /// requested, the same ones.
+    #[test]
+    fn read_ahead_is_invisible_to_counts(
+        (data, queries, shape) in arb_instance(),
+        window in 2usize..64,
+        pick in 0usize..1000,
+        budget in 1u64..200,
+    ) {
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let entries = strategy.transform_data(&data);
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let reference = reference_walk(&batch, &Sse);
+        let k_abs_sum = MemoryStore::from_entries(entries.clone()).abs_sum();
+        // The bound of a random entry, so whole runs of ties sit on ε.
+        let iota = f64::from_bits(reference[pick % reference.len()].1);
+        let epsilon = k_abs_sum.powf(Sse.homogeneity()) * iota;
+        let capped = RetryPolicy { total_attempt_budget: Some(budget), ..RetryPolicy::default() };
+        for (policy, target) in [
+            (RetryPolicy::default(), Some((epsilon, k_abs_sum))),
+            (capped, None),
+        ] {
+            let blocking = MemoryStore::from_entries(entries.clone());
+            let engine = AsyncFetchStore::new(MemoryStore::from_entries(entries.clone()), 2);
+            let (walk, _, asked) =
+                try_walk(&batch, &Sse, &blocking, window, &reference, &policy, target)?;
+            let (engine_walk, _, engine_asked) =
+                try_walk(&batch, &Sse, &engine, window, &reference, &policy, target)?;
+            prop_assert_eq!(engine_walk, walk);
+            prop_assert_eq!(engine_asked, asked, "target {:?}", target);
+            if target.is_none() {
+                prop_assert!(asked <= budget);
+            }
         }
     }
 }

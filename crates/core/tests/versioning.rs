@@ -16,8 +16,8 @@ use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::{cube, Attribute, FrequencyDistribution, Schema};
 use batchbb_storage::{
-    AsyncFetchStore, CoefficientStore, Completion, IoStats, RetryPolicy, ShardedCachingStore,
-    StorageError, VersionedStore,
+    testing::Gated, AsyncFetchStore, CoefficientStore, RetryPolicy, ShardedCachingStore,
+    VersionedStore,
 };
 use batchbb_tensor::{CoeffKey, Shape};
 use batchbb_wavelet::Wavelet;
@@ -158,66 +158,6 @@ fn advance_through_a_delta_touching_every_pinned_key() {
     assert_eq!(exec.retrieved_entries(), retrieved);
 }
 
-/// A store whose reads block while the gate is closed — pins an
-/// `AsyncFetchStore` completion in flight deterministically.
-struct GatedView {
-    inner: batchbb_storage::VersionView,
-    gate: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl GatedView {
-    fn new(inner: batchbb_storage::VersionView) -> Self {
-        GatedView {
-            inner,
-            gate: std::sync::Mutex::new(true),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn set_gate(&self, open: bool) {
-        *self.gate.lock().unwrap() = open;
-        self.cv.notify_all();
-    }
-
-    fn wait_open(&self) {
-        let guard = self.gate.lock().unwrap();
-        drop(self.cv.wait_while(guard, |open| !*open).unwrap());
-    }
-
-    fn view(&self) -> &batchbb_storage::VersionView {
-        &self.inner
-    }
-}
-
-impl CoefficientStore for GatedView {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.wait_open();
-        self.inner.try_get(key)
-    }
-
-    fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        self.wait_open();
-        self.inner.submit(keys)
-    }
-
-    fn version_tag(&self) -> u64 {
-        self.inner.version_tag()
-    }
-
-    fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-}
-
 /// Degenerate case: a version delta lands while an asynchronous prefetch
 /// is still in flight. The advance abandons the pending fetch (its keys
 /// intersect the delta), so the executor re-fetches them from the *new*
@@ -237,8 +177,9 @@ fn advance_racing_a_pending_cached_async_completion() {
 
 fn advance_racing_a_pending_completion(cached: bool) {
     let (store, batch, _, _) = instance(4, 4, 3, Wavelet::Haar);
-    let gated = GatedView::new(store.pin());
-    gated.set_gate(false);
+    // Reads block while the gate is shut: pins the engine's completions in
+    // flight deterministically.
+    let gated = Gated::closed(store.pin());
     let asynchronous = AsyncFetchStore::new(gated, 1);
     let cache = cached.then(|| ShardedCachingStore::new(&asynchronous));
     let reads: &dyn CoefficientStore = match &cache {
@@ -264,7 +205,7 @@ fn advance_racing_a_pending_completion(cached: bool) {
         .map(|(key, value)| (*key, 1.0 + value.abs()))
         .collect();
     store.publish(&delta);
-    let (_, advance) = asynchronous.inner().view().advance_to_current();
+    let (_, advance) = asynchronous.inner().inner.advance_to_current();
     exec.advance_version(&advance);
     assert!(
         !exec.fetch_pending(),
@@ -330,8 +271,7 @@ fn advance_through_a_large_delta_repairs_landed_values() {
 #[test]
 fn advance_through_a_large_delta_abandons_the_pending_window() {
     let (store, batch, shape, strategy) = instance(4, 4, 5, Wavelet::Db4);
-    let gated = GatedView::new(store.pin());
-    gated.set_gate(false);
+    let gated = Gated::closed(store.pin());
     let asynchronous = AsyncFetchStore::new(gated, 1);
     let mut exec = ProgressiveExecutor::new(&batch, &Sse, &asynchronous).with_prefetch_window(4);
     assert_eq!(
@@ -340,7 +280,7 @@ fn advance_through_a_large_delta_abandons_the_pending_window() {
     );
     assert!(exec.fetch_pending() && !exec.fetch_ready());
     publish_a_large_delta(&store, &shape, &strategy);
-    let (_, delta) = asynchronous.inner().view().advance_to_current();
+    let (_, delta) = asynchronous.inner().inner.advance_to_current();
     exec.advance_version(&delta);
     assert!(!exec.fetch_pending(), "the intersecting fetch is abandoned");
     asynchronous.inner().set_gate(true);
@@ -350,4 +290,41 @@ fn advance_through_a_large_delta_abandons_the_pending_window() {
     assert_eq!(exec.estimates(), estimates.as_slice());
     assert_eq!(exec.retrieved_entries(), retrieved);
     asynchronous.quiesce();
+}
+
+/// Two windows in flight and a delta touching only the second: the first
+/// keeps flying (its pre- and post-advance values are identical), the
+/// second is abandoned and re-fetched from the advanced view.
+#[test]
+fn advance_touching_only_the_second_window_keeps_the_first_flying() {
+    let (store, batch, _, _) = instance(4, 4, 5, Wavelet::Db4);
+    let asynchronous = AsyncFetchStore::new(Gated::closed(store.pin()), 1);
+    let mut exec = ProgressiveExecutor::new(&batch, &Sse, &asynchronous).with_prefetch_window(4);
+    assert_eq!(
+        exec.drain_with_faults_budgeted(&RetryPolicy::default(), 4),
+        None
+    );
+    assert!(exec.fetch_pending() && !exec.fetch_ready());
+    let (kept, updated) = (exec.progression()[1].key, exec.progression()[5].key);
+    store.publish(&[(updated, 2.5)]);
+    let (_, delta) = asynchronous.inner().inner.advance_to_current();
+    exec.advance_version(&delta);
+    assert!(
+        exec.fetch_pending() && !exec.fetch_ready(),
+        "the window the delta does not touch keeps flying"
+    );
+    asynchronous.inner().set_gate(true);
+    let status = exec.drain_with_faults(&RetryPolicy::default());
+    assert_eq!(status, DrainStatus::Exact);
+    let (estimates, retrieved) = restart_finals(&store, &batch, 4);
+    assert_eq!(exec.estimates(), estimates.as_slice());
+    assert_eq!(exec.retrieved_entries(), retrieved);
+    asynchronous.quiesce();
+    let gate = asynchronous.inner();
+    assert_eq!(gate.reads_of(&kept), 1, "the first window was read once");
+    assert_eq!(
+        gate.reads_of(&updated),
+        2,
+        "the second was read again at the new version (the stale read finished unobserved)"
+    );
 }

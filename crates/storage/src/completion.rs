@@ -20,6 +20,13 @@
 //! the earliest-index error so that "`Err` means the whole batch failed and
 //! carries no per-key verdicts" stays true.  Callers that need attribution
 //! fall back to singleton `try_get`, exactly as they do today.
+//!
+//! A failed batch keeps what it read: the key-by-key loop stops *at* the
+//! failing key, and the values ahead of it travel with the error.
+//! [`Completion::wait`] drops them (the contract above);
+//! [`Completion::wait_prefix`] hands them to the one caller that must not
+//! read a key twice — the engine splitting a coalesced wire call
+//! (`shard.rs`).
 
 use std::sync::{Condvar, Mutex};
 
@@ -104,8 +111,13 @@ impl std::fmt::Debug for Finish {
 /// How the batch is (or will be) answered.
 #[derive(Debug)]
 enum CompletionState {
-    /// Resolved at submit time (the synchronous adapter path).
-    Ready(BatchResult),
+    /// Resolved at submit time (the synchronous adapter path): the values
+    /// read, in input order, and the error that stopped the batch, if one
+    /// did — `read` then holds what was read ahead of the failing key.
+    Ready {
+        read: Vec<Option<f64>>,
+        error: Option<StorageError>,
+    },
     /// One in-flight slot per requested key, in key order. Slots may be
     /// shared with other completions that asked for the same key.
     Pending(Vec<std::sync::Arc<InflightSlot>>),
@@ -134,8 +146,22 @@ impl Completion {
     /// A completion resolved at submit time — the synchronous adapter every
     /// blocking store gets for free.
     pub fn ready(result: Result<Vec<Option<f64>>, StorageError>) -> Self {
+        match result {
+            Ok(read) => Completion {
+                state: CompletionState::Ready { read, error: None },
+            },
+            Err(error) => Completion::failed_after(Vec::new(), error),
+        }
+    }
+
+    /// A batch that stopped at `error` after reading `read`, the values of
+    /// the keys ahead of the failing one.
+    pub(crate) fn failed_after(read: Vec<Option<f64>>, error: StorageError) -> Self {
         Completion {
-            state: CompletionState::Ready(result),
+            state: CompletionState::Ready {
+                read,
+                error: Some(error),
+            },
         }
     }
 
@@ -168,7 +194,7 @@ impl Completion {
     /// one is ready when the completion it wraps is.
     pub fn is_ready(&self) -> bool {
         match &self.state {
-            CompletionState::Ready(_) => true,
+            CompletionState::Ready { .. } => true,
             CompletionState::Pending(slots) => slots.iter().all(|s| s.is_done()),
             CompletionState::Wrapped { inner, .. } => inner.is_ready(),
         }
@@ -182,24 +208,34 @@ impl Completion {
     /// Deterministic by construction — the collapse depends only on the
     /// per-key verdicts, not on which I/O thread finished first.
     pub fn wait(self) -> Result<Vec<Option<f64>>, StorageError> {
+        let (read, error) = self.wait_prefix();
+        error.map_or(Ok(read), Err)
+    }
+
+    /// [`Completion::wait`] that keeps what a failed batch read: the
+    /// values of the keys ahead of the earliest failing one (all of them
+    /// when nothing failed) and the error that stopped it.  A wrapper's
+    /// completion keeps no prefix — its finish step sees batch results.
+    pub fn wait_prefix(self) -> (Vec<Option<f64>>, Option<StorageError>) {
         match self.state {
-            CompletionState::Ready(result) => result,
-            CompletionState::Wrapped { inner, finish } => (finish.0)(inner.wait()),
+            CompletionState::Ready { read, error } => (read, error),
+            CompletionState::Wrapped { inner, finish } => match (finish.0)(inner.wait()) {
+                Ok(read) => (read, None),
+                Err(error) => (Vec::new(), Some(error)),
+            },
             CompletionState::Pending(slots) => {
-                let mut values = Vec::with_capacity(slots.len());
-                let mut first_err: Option<StorageError> = None;
+                let mut read = Vec::with_capacity(slots.len());
+                let mut error = None;
                 for slot in &slots {
                     match slot.wait_done() {
-                        Ok(v) => values.push(v),
+                        Ok(value) if error.is_none() => read.push(value),
+                        Ok(_) => {}
                         Err(e) => {
-                            first_err.get_or_insert(e);
+                            error.get_or_insert(e);
                         }
                     }
                 }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(values),
-                }
+                (read, error)
             }
         }
     }
@@ -252,6 +288,34 @@ mod tests {
                 attempt: 0
             })
         );
+    }
+
+    #[test]
+    fn a_failed_batch_keeps_what_it_read_ahead_of_the_failing_key() {
+        use crate::{CoefficientStore, FaultInjectingStore, FaultPlan, MemoryStore};
+
+        let keys: Vec<CoeffKey> = (0..4).map(CoeffKey::one).collect();
+        let failed = StorageError::Permanent { key: keys[2] };
+        // The default `submit` loop stops at the failing key.
+        let store = FaultInjectingStore::new(
+            MemoryStore::from_entries(keys.iter().map(|k| (*k, 1.5))),
+            FaultPlan::new(0).with_permanent_keys([keys[2]]),
+        );
+        let read = vec![Some(1.5), Some(1.5)];
+        assert_eq!(
+            store.submit(&keys).wait_prefix(),
+            (read.clone(), Some(failed.clone()))
+        );
+        assert_eq!(store.injected().attempts, 3, "nothing behind it was read");
+        // `wait` keeps the batch contract: an error, no partial results.
+        assert_eq!(store.submit(&keys).wait(), Err(failed.clone()));
+        // In-flight slots: the prefix ends at the earliest failing index.
+        let slots: Vec<Arc<InflightSlot>> = (0..3).map(|_| Arc::new(InflightSlot::new())).collect();
+        let c = Completion::pending(slots.clone());
+        slots[2].try_complete(Ok(Some(3.0)));
+        slots[1].try_complete(Err(failed.clone()));
+        slots[0].try_complete(Ok(Some(1.0)));
+        assert_eq!(c.wait_prefix(), (vec![Some(1.0)], Some(failed)));
     }
 
     #[test]

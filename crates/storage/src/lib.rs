@@ -116,8 +116,7 @@ mod shard;
 mod sharded;
 mod stats;
 mod store;
-#[cfg(test)]
-mod testing;
+pub mod testing;
 mod versioned;
 
 pub use async_fetch::AsyncFetchStore;

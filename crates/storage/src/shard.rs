@@ -31,9 +31,13 @@
 //!   Nothing waits for company: a lone job is a drain of one.
 //! * A job's batch error is published to each of its slots;
 //!   [`Completion::wait`] collapses per-key verdicts to the earliest-index
-//!   error, keeping the whole-batch-failure contract intact.  A failed call that carried several jobs has no owner yet:
-//!   the worker re-reads each job on its own, so the error stays with the
-//!   job that owns the failing key and the others resolve `Ok`.
+//!   error, keeping the whole-batch-failure contract intact.  A failed
+//!   call keeps what it read ahead of the failing key, and the worker has
+//!   one rule for it: jobs wholly inside what was read are answered from
+//!   it, the job that owns the failing key gets the error, and the rest go
+//!   out again as one call.  No key is read twice, so whatever counts
+//!   reads below the engine (a fault plan's per-key attempts, a block
+//!   cache) cannot tell a coalesced call from each job crossing alone.
 //! * [`LatencyStore`] is the mock-network boundary: each call charges
 //!   `base + per_key × keys` (a service-rate model, so sharding genuinely
 //!   parallelizes per-key service time) plus seeded jitter and a seeded
@@ -291,8 +295,9 @@ pub struct ShardStats {
     /// Keys fetched through the primary, summed per leg.
     pub keys: u64,
     /// Physical calls to the primary (`<= rpcs`): legs queued together
-    /// cross the wire as one call. A coalesced call that failed and was
-    /// split counts once, and each per-job re-read once more.
+    /// cross the wire as one call. A coalesced call that failed counts
+    /// once, and the legs behind the failing one — sent out again
+    /// together — as one more.
     pub wire_calls: u64,
     /// Legs answered with an error (including dead-shard refusals).
     pub errors: u64,
@@ -997,8 +1002,15 @@ fn take_call(queue: &mut VecDeque<Arc<ShardJob>>) -> Vec<Arc<ShardJob>> {
 }
 
 /// Executes one primary wire call for `jobs` (or the dead-shard path, job
-/// by job): their keys in queue order as one `try_get_many`, each job
-/// answered from its slice of the result.
+/// by job): their keys in queue order as one `submit`, each job answered
+/// from its slice of the result.
+///
+/// A failed call has one rule (DESIGN.md §10, §15). The read stopped at
+/// the failing key and kept the values ahead of it, so: every job wholly
+/// inside what was read is answered from it; the error goes to the job
+/// that owns the failing key; the rest go out again as one call. No key is
+/// read twice, so below the engine a coalesced call is indistinguishable
+/// — in any per-read accounting — from each job crossing the wire alone.
 fn run_primary(shared: &RouterShared, i: usize, jobs: &[Arc<ShardJob>]) {
     let rt = &shared.shards[i];
     if rt.client.is_dead() {
@@ -1023,31 +1035,38 @@ fn run_primary(shared: &RouterShared, i: usize, jobs: &[Arc<ShardJob>]) {
     }
     let keys: Vec<CoeffKey> = jobs.iter().flat_map(|job| &job.keys).copied().collect();
     let started = Instant::now();
-    let fetched = rt.client.primary.try_get_many(&keys);
+    let (read, error) = rt.client.primary.submit(&keys).wait_prefix();
     let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     rt.record_latency(elapsed);
     shared.counters.count_physical();
     rt.count_wire_call();
-    if fetched.is_err() && jobs.len() > 1 {
-        // The error names one key but fails the whole call, and only one
-        // of these jobs owns that key: re-read each job on its own, so the
-        // failure (and its fault accounting upstream) stays with its owner
-        // and the others resolve from their own reads.
-        for job in jobs {
-            run_primary(shared, i, std::slice::from_ref(job));
-        }
-        return;
-    }
     let mut offset = 0;
-    for job in jobs {
+    let mut unanswered = jobs;
+    while let Some((job, behind)) = unanswered.split_first() {
         let n = job.keys.len();
+        let Some(values) = read.get(offset..offset + n) else {
+            break;
+        };
         rt.count_rpc(n as u64);
-        if fetched.is_err() {
-            rt.count_error();
-        }
-        let verdicts = fetched.as_ref().map(|values| &values[offset..offset + n]);
-        shared.answer(job, verdicts, jobs.len());
+        shared.answer(job, Ok(values), jobs.len());
         offset += n;
+        unanswered = behind;
+    }
+    if let Some(error) = error {
+        // The owner holds the key the read stopped at; a store whose
+        // batched read keeps no prefix names it in the error instead.
+        let owner = unanswered
+            .iter()
+            .position(|job| job.keys.contains(error.key()))
+            .unwrap_or(0);
+        let mut rest = unanswered.to_vec();
+        let job = rest.remove(owner);
+        rt.count_rpc(job.keys.len() as u64);
+        rt.count_error();
+        shared.answer(&job, Err(&error), jobs.len());
+        if !rest.is_empty() {
+            run_primary(shared, i, &rest);
+        }
     }
     if rt.client.is_replicated() {
         // Wake the hedge worker so not-yet-fired hedges cancel now.
@@ -1603,10 +1622,13 @@ mod tests {
 
         let all = keys(16);
         let broken = all[5];
-        let gate = Arc::new(Gated::new(FaultInjectingStore::new(
-            MemoryStore::from_entries(entries(16)),
-            FaultPlan::new(5).with_permanent_keys([broken]),
-        )));
+        let faulty = || {
+            FaultInjectingStore::new(
+                MemoryStore::from_entries(entries(16)),
+                FaultPlan::new(5).with_permanent_keys([broken]),
+            )
+        };
+        let gate = Arc::new(Gated::new(faulty()));
         let client = ShardClient::new(Arc::clone(&gate) as Arc<dyn CoefficientStore>);
         let router = ShardRouter::new(vec![client], HedgeConfig::default());
         let single = MemoryStore::from_entries(entries(16));
@@ -1629,16 +1651,22 @@ mod tests {
             gate.calls(),
             vec![
                 all[..4].to_vec(),
-                all[4..].to_vec(), // B‖C‖D: fails as a whole
-                all[4..8].to_vec(),
-                all[8..12].to_vec(),
-                all[12..].to_vec(),
+                all[4..].to_vec(), // B‖C‖D: stops at B's failing key
+                all[8..].to_vec(), // C‖D: what was behind the owner
             ],
-            "the failed call is re-read job by job"
+            "the legs behind the failing one go out again as one call"
         );
+        // No key was read twice: the store under the engine counted what
+        // four solo calls count.
+        let solo = faulty();
+        for window in [&all[..4], &all[4..8], &all[8..12], &all[12..]] {
+            let _ = solo.try_get_many(window);
+        }
+        assert_eq!(gate.inner.injected(), solo.injected());
+        assert_eq!(gate.inner.injected().attempts, 14);
         let stats = router.shard_stats()[0];
         // Legs: A, B, the rider's zero-key leg, C, D. Only B's failed.
-        assert_eq!((stats.rpcs, stats.wire_calls, stats.errors), (5, 5, 1));
+        assert_eq!((stats.rpcs, stats.wire_calls, stats.errors), (5, 3, 1));
         assert_eq!(router.pending_depth(), 0);
         // B's entries retired with its error: its healthy keys read afresh.
         let healthy = [all[4], all[6], all[7]];
@@ -1646,7 +1674,7 @@ mod tests {
             router.submit(&healthy).wait(),
             single.try_get_many(&healthy)
         );
-        assert_eq!(gate.calls().len(), 6);
+        assert_eq!(gate.calls().len(), 4);
     }
 
     #[test]

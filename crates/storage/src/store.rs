@@ -51,7 +51,10 @@ pub trait CoefficientStore: Send + Sync {
     /// at submit time, so every store has a batched path with
     /// byte-identical values and accounting to the singleton path, and
     /// wrappers that account per key (fault injection, instrumentation)
-    /// keep it.  Stores with real batching implement it instead:
+    /// keep it.  The loop stops at the first failing key and the
+    /// completion keeps the values read ahead of it
+    /// ([`Completion::wait_prefix`]), so nobody has to read them again.
+    /// Stores with real batching implement it instead:
     /// [`crate::BlockStore`] reads each block at most once per window,
     /// [`crate::FileStore`] coalesces sorted slots into single-pass reads,
     /// [`crate::ShardedCachingStore`] forwards a window's misses to its
@@ -69,7 +72,14 @@ pub trait CoefficientStore: Send + Sync {
     /// (that is the point) but never returns different values or absence
     /// verdicts.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        Completion::ready(keys.iter().map(|k| self.try_get(k)).collect())
+        let mut read = Vec::with_capacity(keys.len());
+        for key in keys {
+            match self.try_get(key) {
+                Ok(value) => read.push(value),
+                Err(error) => return Completion::failed_after(read, error),
+            }
+        }
+        Completion::ready(Ok(read))
     }
 
     /// Blocks until every asynchronous fetch submitted to this store has

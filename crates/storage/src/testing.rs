@@ -1,4 +1,5 @@
-//! The one test double this crate's unit tests share.
+//! The one test double the engine's tests share, here and in the crates
+//! above (`batchbb_core`'s executor tests pin windows in flight with it).
 
 use std::sync::{Condvar, Mutex};
 
@@ -10,15 +11,17 @@ use crate::{CoefficientStore, Completion, IoStats, StorageError};
 /// per call, holding that call's keys) and holds each call at a gate, so
 /// a read can be pinned in flight while a test arranges what arrives
 /// meanwhile. The gate starts open.
-pub(crate) struct Gated<S> {
-    pub(crate) inner: S,
+pub struct Gated<S> {
+    /// The wrapped store.
+    pub inner: S,
     calls: Mutex<Vec<Vec<CoeffKey>>>,
     open: Mutex<bool>,
     cv: Condvar,
 }
 
 impl<S> Gated<S> {
-    pub(crate) fn new(inner: S) -> Self {
+    /// Wraps `inner`, gate open.
+    pub fn new(inner: S) -> Self {
         Gated {
             inner,
             calls: Mutex::new(Vec::new()),
@@ -28,13 +31,14 @@ impl<S> Gated<S> {
     }
 
     /// [`Gated::new`] with the gate closed.
-    pub(crate) fn closed(inner: S) -> Self {
+    pub fn closed(inner: S) -> Self {
         let gated = Gated::new(inner);
         gated.set_gate(false);
         gated
     }
 
-    pub(crate) fn set_gate(&self, open: bool) {
+    /// Opens or shuts the gate; opening releases every held call.
+    pub fn set_gate(&self, open: bool) {
         *self.open.lock().unwrap() = open;
         self.cv.notify_all();
     }
@@ -47,12 +51,12 @@ impl<S> Gated<S> {
 
     /// The key lists of the reads seen so far (entered, not necessarily
     /// let through), in arrival order.
-    pub(crate) fn calls(&self) -> Vec<Vec<CoeffKey>> {
+    pub fn calls(&self) -> Vec<Vec<CoeffKey>> {
         self.calls.lock().unwrap().clone()
     }
 
     /// How many times `key` was read, over all calls.
-    pub(crate) fn reads_of(&self, key: &CoeffKey) -> usize {
+    pub fn reads_of(&self, key: &CoeffKey) -> usize {
         let calls = self.calls.lock().unwrap();
         calls.iter().flatten().filter(|k| *k == key).count()
     }

@@ -80,13 +80,20 @@ threads_matrix() {
 # and no more round-trips than the blocking run (each arm against the
 # blocking count, never against the other — engine counts depend on queue
 # timing). The proptest holds the executor to the same bit-identity and
-# fault-ledger contract across pool shapes and seeded faults; `slicing`
-# pins the round-trip count itself: exactly ceil(master keys / W) batched
-# calls, sliced or not.
+# fault-ledger contract across pool shapes and seeded faults, and the two
+# deterministic cases pin the two-windows-in-flight pipeline where it can
+# go wrong: window k failing while k+1 is in flight (coalesced into one
+# wire call), and a version delta touching only the second window;
+# `slicing` pins the round-trip count itself: exactly ceil(master keys /
+# W) batched calls, sliced or not.
 slow_store_gate() {
     run cargo test -q -p batchbb-bench --test slow_store
     run cargo test -q -p batchbb-core --test proptests \
         async_completion_agrees_with_sync_bit_for_bit
+    run cargo test -q -p batchbb-core --test proptests \
+        a_window_failing_ahead_of_one_in_flight_agrees_with_the_blocking_run
+    run cargo test -q -p batchbb-core --test versioning \
+        advance_touching_only_the_second_window_keeps_the_first_flying
     run cargo test -q -p batchbb-core --test slicing
 }
 
