@@ -95,7 +95,7 @@ fn bench_get_throughput(c: &mut Criterion) {
 #[cfg(unix)]
 fn layouts(pattern: &[CoeffKey]) -> Vec<(&'static str, BlockLayout)> {
     let n = pattern.len();
-    let ranking: std::collections::HashMap<CoeffKey, f64> = pattern
+    let ranking: batchbb_tensor::KeyMap<f64> = pattern
         .iter()
         .enumerate()
         .map(|(i, k)| (*k, (n - i) as f64))

@@ -124,7 +124,7 @@ fn main() {
         }
         // §7 made concrete: lay coefficients out by this workload's own
         // importance ranking — the progressive scan becomes sequential.
-        let ranking: std::collections::HashMap<_, _> =
+        let ranking: batchbb_tensor::KeyMap<usize> =
             batchbb_core::optimality::importance_ranking(&batch, &Sse)
                 .into_iter()
                 .enumerate()

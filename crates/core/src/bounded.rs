@@ -18,13 +18,11 @@
 //! The price is doing the query rewrite twice; the reward is that the
 //! master list is never materialized.
 
-use std::collections::HashMap;
-
 use batchbb_obs::SpanTimer;
 use batchbb_penalty::Penalty;
 use batchbb_query::{LinearStrategy, RangeSum, StrategyError};
 use batchbb_storage::{retry::get_with_retry, CoefficientStore, FaultStats, RetryPolicy};
-use batchbb_tensor::{CoeffKey, Shape};
+use batchbb_tensor::{CoeffKey, KeyMap, Shape};
 
 use crate::observe::{ExecObserver, StepObservation};
 use crate::StepInfo;
@@ -159,7 +157,8 @@ pub fn evaluate_bounded_fallible_observed(
         obs.on_start(queries.len(), ranked.len());
     }
 
-    let mut values: HashMap<CoeffKey, f64> = HashMap::with_capacity(ranked.len());
+    let mut values: KeyMap<f64> =
+        KeyMap::with_capacity_and_hasher(ranked.len(), Default::default());
     let mut deferred: Vec<(CoeffKey, f64)> = Vec::new();
     let mut fault = FaultStats::default();
     let mut remaining: f64 = ranked.iter().map(|&(_, i)| i).sum();
@@ -274,7 +273,8 @@ fn score_and_select(
     // can no longer reach the running top-`budget` cut, and a slack factor
     // keeps the amortized cost low while staying O(budget).
     let cap = budget.saturating_mul(4).max(16);
-    let mut scores: HashMap<CoeffKey, f64> = HashMap::with_capacity(cap.min(1 << 20));
+    let mut scores: KeyMap<f64> =
+        KeyMap::with_capacity_and_hasher(cap.min(1 << 20), Default::default());
     let mut peak = 0usize;
     for (qi, q) in queries.iter().enumerate() {
         let coeffs = strategy.query_coefficients(q, domain)?;
@@ -305,7 +305,7 @@ fn apply_selected(
     strategy: &dyn LinearStrategy,
     queries: &[RangeSum],
     domain: &Shape,
-    values: &HashMap<CoeffKey, f64>,
+    values: &KeyMap<f64>,
 ) -> Result<Vec<f64>, StrategyError> {
     let mut estimates = vec![0.0; queries.len()];
     for (qi, q) in queries.iter().enumerate() {

@@ -9,7 +9,6 @@
 //! bounded and charged to the fault ledger by its own step, so step
 //! traces, certificates and counts are those of the blocking run.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use batchbb_penalty::Penalty;
@@ -17,7 +16,7 @@ use batchbb_storage::{
     retry::get_with_retry, CoefficientStore, Completion, FaultStats, RetryPolicy, StorageError,
     ZERO_TOL,
 };
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::observe::{ExecObserver, StepObservation};
 use crate::{BatchQueries, MasterList};
@@ -156,7 +155,7 @@ pub struct DegradationReport {
 /// approximation of the query batch leads to a much more flexible scheme").
 pub struct ProgressiveExecutor<'a> {
     store: &'a dyn CoefficientStore,
-    columns: HashMap<CoeffKey, Vec<(u32, f64)>>,
+    columns: KeyMap<Vec<(u32, f64)>>,
     /// Every master-list coefficient in progression order.  `ι_p` is a
     /// function of the query coefficients alone, so the order is fixed
     /// when the batch is scored and never changes afterwards.
@@ -170,7 +169,7 @@ pub struct ProgressiveExecutor<'a> {
     retrieved: usize,
     /// Keys already pulled from the store, with the value observed — needed
     /// to repair estimates when the view is updated mid-progression.
-    seen: HashMap<CoeffKey, f64>,
+    seen: KeyMap<f64>,
     /// Σ ι_p over `order[cursor..]` — Theorem 2's expected-penalty
     /// numerator, summed in progression order and maintained
     /// incrementally.
@@ -237,9 +236,12 @@ impl<'a> ProgressiveExecutor<'a> {
     ) -> Self {
         let columns = master.into_columns();
         let mut order = Vec::with_capacity(columns.len());
+        // `Penalty::importance` takes `usize` query indices; one scratch
+        // column widens every key's `u32`s.
+        let mut column_usize: Vec<(usize, f64)> = Vec::new();
         for (key, column) in &columns {
-            let column_usize: Vec<(usize, f64)> =
-                column.iter().map(|&(i, v)| (i as usize, v)).collect();
+            column_usize.clear();
+            column_usize.extend(column.iter().map(|&(i, v)| (i as usize, v)));
             let importance = penalty.importance(&column_usize, batch_size);
             // A pathological penalty can emit NaN, which would sort to the
             // front of the progression (total_cmp orders NaN above +inf)
@@ -261,7 +263,7 @@ impl<'a> ProgressiveExecutor<'a> {
                 .then_with(|| a.key.cmp(&b.key))
         });
         // Summed over the sorted order, not the map's: the expected
-        // penalty is then a function of the batch, not of the hash seed.
+        // penalty is then a function of the batch, not of map layout.
         let remaining_importance = order.iter().fold(0.0, |sum, e| sum + e.importance);
         ProgressiveExecutor {
             store,
@@ -271,7 +273,7 @@ impl<'a> ProgressiveExecutor<'a> {
             estimates: vec![0.0; batch_size],
             homogeneity: penalty.homogeneity(),
             retrieved: 0,
-            seen: HashMap::new(),
+            seen: KeyMap::default(),
             remaining_importance,
             prefetch_window: 1,
             landed: VecDeque::new(),
@@ -1048,7 +1050,7 @@ impl<'a> ProgressiveExecutor<'a> {
         let flying_from = landed_end + self.singleton_debt;
         let flying: usize = self.in_flight.iter().map(|w| w.len).sum();
         if !(self.landed.is_empty() && self.in_flight.is_empty()) {
-            let slots: HashMap<CoeffKey, usize> = (self.cursor..flying_from + flying)
+            let slots: KeyMap<usize> = (self.cursor..flying_from + flying)
                 .map(|at| (self.order[at].key, at))
                 .collect();
             // The first in-flight entry whose key was updated, if any.
@@ -1381,7 +1383,7 @@ mod tests {
         let n_total = shape.len();
         // Compare the incremental tracker against the reference recompute
         // from the optimality module at several prefixes.
-        let mut kept = std::collections::HashSet::new();
+        let mut kept = batchbb_tensor::KeySet::default();
         loop {
             let fast = exec.expected_penalty(n_total);
             let slow = crate::optimality::expected_penalty(&batch, &Sse, &kept, n_total);

@@ -16,10 +16,8 @@
 //! robust default for ad hoc queries.  §7's conjecture holds strongest
 //! exactly where workload information is real.
 
-use std::collections::HashMap;
-
 use batchbb_penalty::Penalty;
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::{BatchQueries, MasterList};
 
@@ -27,10 +25,8 @@ use crate::{BatchQueries, MasterList};
 /// returns `key → rank` (0 = layout first).  Coefficients never seen by
 /// the workload are absent; layouts should place them after all ranked
 /// keys (e.g. `rank.get(k).copied().unwrap_or(usize::MAX)`).
-pub fn aggregate_importance_ranking(
-    workload: &[(&BatchQueries, &dyn Penalty)],
-) -> HashMap<CoeffKey, usize> {
-    let mut scores: HashMap<CoeffKey, f64> = HashMap::new();
+pub fn aggregate_importance_ranking(workload: &[(&BatchQueries, &dyn Penalty)]) -> KeyMap<usize> {
+    let mut scores: KeyMap<f64> = KeyMap::default();
     for (batch, penalty) in workload {
         let master = MasterList::build(batch);
         for (key, column) in master.iter() {

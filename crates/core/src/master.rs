@@ -1,8 +1,6 @@
 //! The master list (step 3 of Batch-Biggest-B).
 
-use std::collections::HashMap;
-
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::BatchQueries;
 
@@ -14,13 +12,13 @@ use crate::BatchQueries;
 /// needs 57,456 shared retrievals instead of 923,076 unshared ones.
 #[derive(Debug, Clone, Default)]
 pub struct MasterList {
-    columns: HashMap<CoeffKey, Vec<(u32, f64)>>,
+    columns: KeyMap<Vec<(u32, f64)>>,
 }
 
 impl MasterList {
     /// Merges the per-query lists of a rewritten batch.
     pub fn build(batch: &BatchQueries) -> Self {
-        let mut columns: HashMap<CoeffKey, Vec<(u32, f64)>> = HashMap::new();
+        let mut columns: KeyMap<Vec<(u32, f64)>> = KeyMap::default();
         for (qi, coeffs) in batch.coefficients().iter().enumerate() {
             for &(key, value) in coeffs.entries() {
                 columns.entry(key).or_default().push((qi as u32, value));
@@ -51,7 +49,7 @@ impl MasterList {
     }
 
     /// Consumes the list into its underlying map (used by the executor).
-    pub(crate) fn into_columns(self) -> HashMap<CoeffKey, Vec<(u32, f64)>> {
+    pub(crate) fn into_columns(self) -> KeyMap<Vec<(u32, f64)>> {
         self.columns
     }
 }
@@ -107,5 +105,49 @@ mod tests {
         let (_, ml) = master(vec![]);
         assert!(ml.is_empty());
         assert_eq!(ml.len(), 0);
+    }
+
+    /// The keys the hot maps actually hold are not a grid but the support
+    /// of a wavelet rewrite (dyadic, clustered at coarse levels).  On a
+    /// `dash_mem`-shaped statement — `COUNT(*), SUM(a1) … GROUP BY a0(8),
+    /// a1(4)` over a 35 % window of a 2^10 × 2^10 domain under Db4, 10.6k
+    /// master keys here (the workload averages 9.4k) — `KeyHasher`'s low
+    /// 14 bits (the bucket index of a map that size) take at least 0.9×
+    /// the distinct values an ideal random function would.
+    #[test]
+    fn a_rewritten_batchs_keys_spread_like_random_ones() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+
+        let domain = Shape::new(vec![1024, 1024]).unwrap();
+        let (lo0, w0, lo1, w1) = (137, 45, 201, 90);
+        let mut queries = Vec::new();
+        for i in 0..8 {
+            for j in 0..4 {
+                let cell = HyperRect::new(
+                    vec![lo0 + i * w0, lo1 + j * w1],
+                    vec![lo0 + (i + 1) * w0 - 1, lo1 + (j + 1) * w1 - 1],
+                );
+                queries.push(RangeSum::count(cell.clone()));
+                queries.push(RangeSum::sum(cell, 1));
+            }
+        }
+        let strategy = WaveletStrategy::new(Wavelet::Db4);
+        let batch = BatchQueries::rewrite(&strategy, queries, &domain).unwrap();
+        let master = MasterList::build(&batch);
+        let n = master.len();
+        assert!((8_000..=11_000).contains(&n), "{n} master keys");
+
+        const BUCKETS: usize = 1 << 14;
+        let hasher = BuildHasherDefault::<batchbb_tensor::KeyHasher>::default();
+        let mut hit = vec![false; BUCKETS];
+        for (key, _) in master.iter() {
+            hit[hasher.hash_one(key) as usize % BUCKETS] = true;
+        }
+        let distinct = hit.iter().filter(|&&b| b).count() as f64;
+        let ideal = BUCKETS as f64 * (1.0 - (1.0 - 1.0 / BUCKETS as f64).powi(n as i32));
+        assert!(
+            distinct >= 0.9 * ideal,
+            "{distinct} distinct buckets for {n} keys, ideal {ideal:.0}"
+        );
     }
 }

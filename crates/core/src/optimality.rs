@@ -12,10 +12,8 @@
 //! set `Ξ`, so tests and harnesses can check the implementation *is* the
 //! optimum (see `tests/optimality.rs` in this crate).
 
-use std::collections::HashSet;
-
 use batchbb_penalty::Penalty;
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeySet};
 
 use crate::{BatchQueries, MasterList};
 
@@ -35,7 +33,7 @@ pub fn importance_ranking(batch: &BatchQueries, penalty: &dyn Penalty) -> Vec<(C
 }
 
 /// The biggest-B retained set: the `b` most important coefficients.
-pub fn biggest_b_set(batch: &BatchQueries, penalty: &dyn Penalty, b: usize) -> HashSet<CoeffKey> {
+pub fn biggest_b_set(batch: &BatchQueries, penalty: &dyn Penalty, b: usize) -> KeySet {
     importance_ranking(batch, penalty)
         .into_iter()
         .take(b)
@@ -48,7 +46,7 @@ pub fn biggest_b_set(batch: &BatchQueries, penalty: &dyn Penalty, b: usize) -> H
 pub fn worst_case_penalty(
     batch: &BatchQueries,
     penalty: &dyn Penalty,
-    kept: &HashSet<CoeffKey>,
+    kept: &KeySet,
     k_abs_sum: f64,
 ) -> f64 {
     let worst = importance_ranking(batch, penalty)
@@ -67,7 +65,7 @@ pub fn worst_case_penalty(
 pub fn expected_penalty(
     batch: &BatchQueries,
     penalty: &dyn Penalty,
-    kept: &HashSet<CoeffKey>,
+    kept: &KeySet,
     n_total: usize,
 ) -> f64 {
     assert_eq!(
@@ -135,7 +133,7 @@ mod tests {
                 let j = rng.gen_range(i..other.len());
                 other.swap(i, j);
             }
-            let set: HashSet<CoeffKey> = other[..b].iter().copied().collect();
+            let set: KeySet = other[..b].iter().copied().collect();
             let wc = worst_case_penalty(&batch, &Sse, &set, 1.0);
             assert!(
                 best_wc <= wc + 1e-12,
@@ -161,7 +159,7 @@ mod tests {
                 let j = rng.gen_range(i..other.len());
                 other.swap(i, j);
             }
-            let set: HashSet<CoeffKey> = other[..b].iter().copied().collect();
+            let set: KeySet = other[..b].iter().copied().collect();
             let e = expected_penalty(&batch, &Sse, &set, shape.len());
             assert!(
                 best_e <= e + 1e-12,
@@ -173,7 +171,7 @@ mod tests {
     #[test]
     fn keeping_everything_zeroes_both_bounds() {
         let (batch, shape) = small_batch();
-        let all: HashSet<CoeffKey> = importance_ranking(&batch, &Sse)
+        let all: KeySet = importance_ranking(&batch, &Sse)
             .into_iter()
             .map(|(k, _)| k)
             .collect();

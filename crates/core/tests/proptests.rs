@@ -3,8 +3,6 @@
 //! round-robin baseline, and Theorem 1/2 optimality against random
 //! alternative retained sets.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 
 use batchbb_core::{
@@ -14,7 +12,7 @@ use batchbb_core::{
 use batchbb_penalty::{DiagonalQuadratic, Penalty, Sse};
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_storage::{AsyncFetchStore, FaultInjectingStore, FaultPlan, MemoryStore, RetryPolicy};
-use batchbb_tensor::{CoeffKey, Shape, Tensor};
+use batchbb_tensor::{CoeffKey, KeySet, Shape, Tensor};
 use batchbb_wavelet::Wavelet;
 
 /// A random instance: data tensor, store, and a partition-count batch.
@@ -137,7 +135,7 @@ proptest! {
                 let j = i + ((subset_seed as usize).wrapping_mul(31).wrapping_add(i * 17)) % (n - i);
                 alt.swap(i, j);
             }
-            let alt: HashSet<CoeffKey> = alt[..b].iter().copied().collect();
+            let alt: KeySet = alt[..b].iter().copied().collect();
             prop_assert!(best_wc <= optimality::worst_case_penalty(&batch, p.as_ref(), &alt, 1.0) + 1e-12);
             prop_assert!(best_e <= optimality::expected_penalty(&batch, p.as_ref(), &alt, shape.len()) + 1e-12);
         }

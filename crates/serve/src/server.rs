@@ -188,9 +188,16 @@ impl BatchServer {
     }
 
     /// Builds one [`JobCell`] per request — executors constructed, and
-    /// contracts priced, serially on the caller thread: importance scoring
-    /// sees a quiescent store, admission sees requests in submission
-    /// order, and no `Penalty` crosses a thread boundary. `store_for`
+    /// contracts priced, serially on the caller thread.  Only the pricing
+    /// needs that: each request is priced against what the requests
+    /// *before it* committed of `capacity`, so verdicts depend on
+    /// submission order.  Construction does not — it reads no store (`ι_p`
+    /// is a function of the queries alone) and `Penalty: Send + Sync` —
+    /// and stays here because the two ways of moving it were measured and
+    /// lose: built on worker threads the executors' memory comes from
+    /// per-thread malloc arenas (`peak_rss_mb` +12…+25 %), and published
+    /// as priced they make a one-worker run's interleaving
+    /// timing-dependent (ROADMAP item 4).  `store_for`
     /// hands each job its read store (the shared effective store, or the
     /// job's own pinned [`VersionView`]) plus the version it pins, if any.
     fn admit_jobs<'a>(

@@ -16,7 +16,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, Completion, IoStats, StorageError};
@@ -37,7 +37,7 @@ pub enum BlockLayout {
     /// progressive retrieval order of the batch, the head of the
     /// progression becomes one sequential scan — the "importance functions
     /// for disk blocks" layout §7 of the paper proposes.
-    ImportanceOrder(Arc<HashMap<CoeffKey, f64>>),
+    ImportanceOrder(Arc<KeyMap<f64>>),
 }
 
 impl std::fmt::Debug for BlockLayout {
@@ -127,7 +127,7 @@ impl Pool {
 #[derive(Debug)]
 pub struct BlockStore {
     file: File,
-    index: HashMap<CoeffKey, u64>,
+    index: KeyMap<u64>,
     block_size: usize,
     n_blocks: u64,
     pool: Mutex<PoolCell>,
@@ -180,7 +180,7 @@ impl BlockStore {
     ) -> io::Result<Self> {
         assert!(block_size > 0, "block size must be positive");
         assert!(pool_blocks > 0, "pool must hold at least one block");
-        let mut map: HashMap<CoeffKey, f64> = HashMap::new();
+        let mut map: KeyMap<f64> = KeyMap::default();
         for (k, v) in entries {
             *map.entry(k).or_insert(0.0) += v;
         }
@@ -188,7 +188,7 @@ impl BlockStore {
         sorted.sort_by(|a, b| rank(&a.0).cmp(&rank(&b.0)).then_with(|| a.0.cmp(&b.0)));
 
         let mut buf = Vec::with_capacity(sorted.len() * 8);
-        let mut index = HashMap::with_capacity(sorted.len());
+        let mut index = KeyMap::with_capacity_and_hasher(sorted.len(), Default::default());
         for (slot, (k, v)) in sorted.iter().enumerate() {
             buf.extend_from_slice(&v.to_le_bytes());
             index.insert(*k, slot as u64);
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn values_roundtrip_both_layouts() {
-        let hot: HashMap<CoeffKey, f64> = (0..50).map(|i| (CoeffKey::one(i), i as f64)).collect();
+        let hot: KeyMap<f64> = (0..50).map(|i| (CoeffKey::one(i), i as f64)).collect();
         for (name, layout) in [
             ("key", BlockLayout::KeyOrder),
             ("level", BlockLayout::LevelMajor),
@@ -440,8 +440,7 @@ mod tests {
         // Importance descends with the key index reversed, so the "head"
         // of the progression is keys 99, 98, ... 90 — scattered across
         // blocks under KeyOrder, but one block here.
-        let ranking: HashMap<CoeffKey, f64> =
-            (0..100).map(|i| (CoeffKey::one(i), i as f64)).collect();
+        let ranking: KeyMap<f64> = (0..100).map(|i| (CoeffKey::one(i), i as f64)).collect();
         let store = BlockStore::create(
             &path,
             entries(100),

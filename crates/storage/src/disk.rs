@@ -4,13 +4,12 @@
 //! `std::os::unix::fs::FileExt::read_exact_at` for lock-free positioned
 //! reads through a shared `&File`.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, Completion, IoStats, StorageError};
@@ -26,7 +25,7 @@ use crate::{CoefficientStore, Completion, IoStats, StorageError};
 #[derive(Debug)]
 pub struct FileStore {
     file: File,
-    index: HashMap<CoeffKey, u64>,
+    index: KeyMap<u64>,
     counters: Counters,
 }
 
@@ -37,7 +36,7 @@ impl FileStore {
         path: &Path,
         entries: impl IntoIterator<Item = (CoeffKey, f64)>,
     ) -> io::Result<Self> {
-        let mut map: HashMap<CoeffKey, f64> = HashMap::new();
+        let mut map: KeyMap<f64> = KeyMap::default();
         for (k, v) in entries {
             *map.entry(k).or_insert(0.0) += v;
         }
@@ -45,7 +44,7 @@ impl FileStore {
         sorted.sort_by_key(|&(k, _)| k);
 
         let mut buf = Vec::with_capacity(sorted.len() * 8);
-        let mut index = HashMap::with_capacity(sorted.len());
+        let mut index = KeyMap::with_capacity_and_hasher(sorted.len(), Default::default());
         for (slot, (k, v)) in sorted.iter().enumerate() {
             buf.extend_from_slice(&v.to_le_bytes());
             index.insert(*k, slot as u64);

@@ -12,12 +12,10 @@
 //! keys interleave — the property the reproducibility proptests in
 //! `tests/fault_proptests.rs` pin down.
 
-use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap, KeySet};
 
 use crate::fingerprint::{key_fingerprint, mix};
 use crate::{CoefficientStore, FaultStats, IoStats, StorageError};
@@ -27,7 +25,7 @@ use crate::{CoefficientStore, FaultStats, IoStats, StorageError};
 pub struct FaultPlan {
     seed: u64,
     transient_rate: f64,
-    permanent: HashSet<CoeffKey>,
+    permanent: KeySet,
     latency_ticks_per_fault: u64,
 }
 
@@ -38,7 +36,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             transient_rate: 0.0,
-            permanent: HashSet::new(),
+            permanent: KeySet::default(),
             latency_ticks_per_fault: 0,
         }
     }
@@ -112,7 +110,7 @@ impl FaultCounters {
 }
 
 /// Uniform draw in `[0, 1)` for attempt `attempt` on `key` under `seed`.
-fn fault_roll(seed: u64, key: &CoeffKey, attempt: u64) -> f64 {
+pub(crate) fn fault_roll(seed: u64, key: &CoeffKey, attempt: u64) -> f64 {
     let h =
         mix(seed ^ mix(key_fingerprint(key)) ^ mix(attempt.wrapping_mul(0x2545_f491_4f6c_dd1d)));
     (h >> 11) as f64 / (1u64 << 53) as f64
@@ -129,7 +127,7 @@ fn fault_roll(seed: u64, key: &CoeffKey, attempt: u64) -> f64 {
 pub struct FaultInjectingStore<S> {
     inner: S,
     plan: RwLock<FaultPlan>,
-    attempts_by_key: Mutex<HashMap<CoeffKey, u64>>,
+    attempts_by_key: Mutex<KeyMap<u64>>,
     counters: FaultCounters,
 }
 
@@ -139,7 +137,7 @@ impl<S: CoefficientStore> FaultInjectingStore<S> {
         FaultInjectingStore {
             inner,
             plan: RwLock::new(plan),
-            attempts_by_key: Mutex::new(HashMap::new()),
+            attempts_by_key: Mutex::new(KeyMap::default()),
             counters: FaultCounters::default(),
         }
     }

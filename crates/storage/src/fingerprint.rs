@@ -1,30 +1,13 @@
 //! Key hashing shared by the fault injector and the sharded stores.
 //!
-//! One fingerprint function means the deterministic fault sequences
-//! ([`crate::FaultInjectingStore`]) and the shard routing
-//! ([`crate::VersionedStore`], [`crate::ShardedCachingStore`]) agree on what
-//! "the same key" hashes to, and the mixing quality is tested in one place.
+//! One fingerprint function — `batchbb_tensor`'s `KeyHasher`, which also
+//! sits under every key-indexed map — means the deterministic fault
+//! sequences ([`crate::FaultInjectingStore`]) and the shard routing
+//! ([`crate::ShardRouter`], [`crate::ShardedCachingStore`]) agree with the
+//! maps on what "the same key" hashes to.
 
 use batchbb_tensor::CoeffKey;
-
-/// Mixes a `CoeffKey` into a single word (FNV-1a over coords and rank).
-pub(crate) fn key_fingerprint(key: &CoeffKey) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in key.coords() {
-        h ^= u64::from(*c);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= key.rank() as u64;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// splitmix64 finalizer: a well-mixed pure function of its input.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+pub(crate) use batchbb_tensor::{key_fingerprint, mix};
 
 /// The shard a key routes to among `shards` shards (well-mixed, so nearby
 /// keys spread across shards instead of piling onto one).
@@ -43,15 +26,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_distinguishes_rank_and_coords() {
-        let a = key_fingerprint(&CoeffKey::new(&[1, 2]));
-        let b = key_fingerprint(&CoeffKey::new(&[2, 1]));
-        let c = key_fingerprint(&CoeffKey::one(1));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
     fn shards_are_used_roughly_evenly() {
         let shards = 8;
         let mut counts = vec![0usize; shards];
@@ -65,6 +39,44 @@ mod tests {
             // 4096 keys over 8 shards: expect ~512 per shard; allow wide
             // slack, we only need "not all on one shard".
             assert!(n < 2048, "shard {s} absorbed {n} of 4096 keys");
+        }
+    }
+
+    /// Routing and the seeded fault draws are contracts with recorded
+    /// runs (`storage.shard_rpcs` is compared as an exact count; the fault
+    /// contract battery replays seeded sequences), so the hash under them
+    /// may move house but not value.  Recorded at `dd06e88`, before the
+    /// fingerprint moved to `batchbb_tensor`: `(coords, shard_of(·, 4),
+    /// shard_of(·, 8), fault_roll(42, ·, 0), fault_roll(0xdead_beef, ·, 3))`,
+    /// the draws as `f64` bits.
+    #[test]
+    fn routing_and_fault_draws_are_pinned() {
+        use crate::fault::fault_roll;
+        #[rustfmt::skip]
+        let pins: [(&[usize], usize, usize, u64, u64); 12] = [
+            (&[0], 2, 6, 0x3fea87c73a9ffae9, 0x3feef129da02e3f4),
+            (&[7], 3, 3, 0x3fce122f24567ebc, 0x3fdeaa3dc84870cc),
+            (&[1023], 3, 7, 0x3fc3a268b3993b20, 0x3f8f7c400b3d02c0),
+            (&[0, 0], 3, 7, 0x3fd397d7e50610b0, 0x3fd6bba50dbcb16e),
+            (&[1, 2], 3, 7, 0x3fef8d69908fc097, 0x3fda047b5b1e7a8e),
+            (&[2, 1], 1, 5, 0x3fe3765f55e59d92, 0x3fb709a956239588),
+            (&[513, 64], 0, 4, 0x3fdc7332864ec6c2, 0x3fdbc3a07bec74cc),
+            (&[1023, 1023], 3, 7, 0x3fb42eacabae8698, 0x3fef156f3c9cff62),
+            (&[1, 2, 3], 2, 2, 0x3fecb8c65ce8dca5, 0x3fe8f9d05d2d13f7),
+            (&[0, 0, 0], 3, 3, 0x3fda41e355ff9762, 0x3fdce0a94398a106),
+            (&[31, 17, 255], 1, 5, 0x3fc54a6c5cf2e630, 0x3fe70fa70d6b0d20),
+            (&[4_000_000_000, 1, 9], 1, 1, 0x3feb4d03c67b0e38, 0x3fe2296a4c355b2b),
+        ];
+        for (coords, of4, of8, roll_a, roll_b) in pins {
+            let key = CoeffKey::new(coords);
+            assert_eq!(shard_of(&key, 4), of4, "shard_of({key}, 4)");
+            assert_eq!(shard_of(&key, 8), of8, "shard_of({key}, 8)");
+            assert_eq!(fault_roll(42, &key, 0).to_bits(), roll_a, "draw 0 on {key}");
+            assert_eq!(
+                fault_roll(0xdead_beef, &key, 3).to_bits(),
+                roll_b,
+                "draw 3 on {key}"
+            );
         }
     }
 }

@@ -1,8 +1,6 @@
 //! In-memory stores: hash-based and array-based (§1.3's two options).
 
-use std::collections::HashMap;
-
-use batchbb_tensor::{CoeffKey, Shape, Tensor};
+use batchbb_tensor::{CoeffKey, KeyMap, Shape, Tensor};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats, MutableStore, StorageError};
@@ -20,7 +18,7 @@ pub const ZERO_TOL: f64 = 1e-13;
 /// updatable via [`MutableStore::add`].
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    map: HashMap<CoeffKey, f64>,
+    map: KeyMap<f64>,
     counters: Counters,
 }
 
@@ -32,7 +30,7 @@ impl MemoryStore {
 
     /// Bulk-loads from `(key, value)` pairs, summing duplicates.
     pub fn from_entries(entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> Self {
-        let mut map: HashMap<CoeffKey, f64> = HashMap::new();
+        let mut map: KeyMap<f64> = KeyMap::default();
         for (k, v) in entries {
             *map.entry(k).or_insert(0.0) += v;
         }

@@ -61,7 +61,7 @@
 //!
 //! [`crate::AsyncFetchStore`] is this engine over one unreplicated shard.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 use batchbb_obs::{
     span_end_event, span_start_event, Counter, EventSink, MetricsRegistry, TraceContext, Tracer,
 };
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::completion::{Completion, InflightSlot};
 use crate::fingerprint::{mix, shard_of};
@@ -486,7 +486,7 @@ struct RouterShared {
     /// the table degenerates to the plain per-key one). Holds only
     /// unanswered jobs' slots — an answered job's entries are removed
     /// immediately.
-    inflight: Mutex<HashMap<(u64, CoeffKey), InflightEntry>>,
+    inflight: Mutex<KeyMap<InflightEntry, (u64, CoeffKey)>>,
     /// Keys currently outstanding (queued or running).
     pending_keys: AtomicU64,
     /// Submitted keys that joined an already-outstanding read instead of
@@ -686,7 +686,7 @@ impl ShardRouter {
         let shared = Arc::new(RouterShared {
             shards,
             hedge_cfg: hedge,
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(KeyMap::default()),
             pending_keys: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             obligations: Mutex::new(0),

@@ -58,11 +58,10 @@
 //! survive — publishing never blows away another reader's warm cache, and
 //! nothing ever has to be invalidated.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::fingerprint;
 use crate::stats::Counters;
@@ -117,7 +116,7 @@ pub enum EvictionPolicy {
 /// One cache shard: the memo map plus a logical clock for LRU stamps.
 #[derive(Debug, Default)]
 struct ShardState {
-    map: HashMap<VersionedKey, CacheEntry>,
+    map: KeyMap<CacheEntry, VersionedKey>,
     clock: u64,
 }
 
@@ -327,7 +326,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
         let tag = self.inner.version_tag();
         let mut out = vec![None; keys.len()];
         let mut misses: Vec<CoeffKey> = Vec::new();
-        let mut miss_index: HashMap<CoeffKey, usize> = HashMap::new();
+        let mut miss_index: KeyMap<usize> = KeyMap::default();
         // (position in `out`, index in `misses`) for every unanswered key.
         let mut fills: Vec<(usize, usize)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {

@@ -37,11 +37,10 @@
 //!
 //! See DESIGN.md §13 for the pin/publish/advance contract.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use batchbb_obs::{span_end_event, span_start_event, EventSink, Tracer};
-use batchbb_tensor::CoeffKey;
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, IoStats, StorageError, ZERO_TOL};
@@ -93,10 +92,10 @@ impl std::fmt::Display for VersionId {
 struct VersionData {
     id: VersionId,
     /// Shared by every version since the last fold or re-base.
-    base: Arc<HashMap<CoeffKey, f64>>,
+    base: Arc<KeyMap<f64>>,
     /// Every slot touched since `base`: its value at this version, `None`
     /// where the zero-eviction rule removed it.
-    overlay: HashMap<CoeffKey, Option<f64>>,
+    overlay: KeyMap<Option<f64>>,
     nnz: usize,
 }
 
@@ -124,10 +123,7 @@ impl VersionData {
 
 /// Writes `overlay`'s slots through to `base`.  Exact: the overlay holds
 /// values, not deltas.
-fn fold(
-    base: &mut HashMap<CoeffKey, f64>,
-    overlay: impl IntoIterator<Item = (CoeffKey, Option<f64>)>,
-) {
+fn fold(base: &mut KeyMap<f64>, overlay: impl IntoIterator<Item = (CoeffKey, Option<f64>)>) {
     for (key, slot) in overlay {
         match slot {
             Some(value) => base.insert(key, value),
@@ -198,7 +194,7 @@ impl VersionedStore {
     /// under the same zero-eviction rule as [`crate::MemoryStore`]).
     pub fn from_entries(entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> Self {
         let entries = entries.into_iter();
-        let mut base = HashMap::with_capacity(entries.size_hint().0);
+        let mut base = KeyMap::with_capacity_and_hasher(entries.size_hint().0, Default::default());
         for (k, v) in entries {
             *base.entry(k).or_insert(0.0) += v;
         }
@@ -207,7 +203,7 @@ impl VersionedStore {
             id: VersionId(0),
             nnz: base.len(),
             base: Arc::new(base),
-            overlay: HashMap::new(),
+            overlay: KeyMap::default(),
         });
         VersionedStore {
             log: Arc::new(Mutex::new(VersionLog {
@@ -248,9 +244,9 @@ impl VersionedStore {
         let mut log = self.log.lock().unwrap();
         let prev = log.head();
         let (base, mut overlay) = if prev.overlay.len() > prev.base.len() / REBASE_FRACTION {
-            let mut base = HashMap::clone(&prev.base);
+            let mut base = KeyMap::clone(&prev.base);
             fold(&mut base, prev.overlay.iter().map(|(k, slot)| (*k, *slot)));
-            (Arc::new(base), HashMap::new())
+            (Arc::new(base), KeyMap::default())
         } else {
             (prev.base.clone(), prev.overlay.clone())
         };
@@ -561,7 +557,7 @@ mod tests {
 
     /// Where a view's base lives and how many slots its overlay holds —
     /// read without cloning an `Arc`, so looking pins nothing.
-    fn layout(view: &VersionView) -> (*const HashMap<CoeffKey, f64>, usize) {
+    fn layout(view: &VersionView) -> (*const KeyMap<f64>, usize) {
         let data = view.pinned.lock().unwrap();
         (Arc::as_ptr(&data.base), data.overlay.len())
     }

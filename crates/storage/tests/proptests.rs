@@ -208,7 +208,7 @@ proptest! {
             std::fs::remove_file(&fa).unwrap();
             std::fs::remove_file(&fb).unwrap();
 
-            let ranking: std::collections::HashMap<CoeffKey, f64> =
+            let ranking: batchbb_tensor::KeyMap<f64> =
                 entries.iter().map(|&(k, v)| (k, v.abs())).collect();
             let layouts = [
                 BlockLayout::KeyOrder,

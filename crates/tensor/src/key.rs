@@ -5,7 +5,8 @@
 //! stores that tuple inline in a fixed `[u32; MAX_DIMS]` so it can be used
 //! as an allocation-free hash-map key in the master list and in coefficient
 //! stores — the master list in Batch-Biggest-B touches one key per retrieved
-//! coefficient, so key hashing is on the hot path.
+//! coefficient, so key hashing is on the hot path (`Hash` is hand-written
+//! in `hash.rs`: the live coordinates and the rank, nothing else).
 
 use std::fmt;
 
@@ -15,7 +16,7 @@ use crate::{Shape, MAX_DIMS};
 ///
 /// Ordering is lexicographic, which gives deterministic iteration orders in
 /// tests and harnesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CoeffKey {
     idx: [u32; MAX_DIMS],
     rank: u8,

@@ -25,12 +25,14 @@
 #![warn(missing_docs)]
 
 mod axis;
+mod hash;
 mod index;
 mod key;
 mod shape;
 mod tensor;
 
 pub use axis::{Lane, LaneIterMut};
+pub use hash::{key_fingerprint, mix, KeyHasher, KeyMap, KeySet};
 pub use index::IndexIter;
 pub use key::CoeffKey;
 pub use shape::{Shape, ShapeError, MAX_DIMS};

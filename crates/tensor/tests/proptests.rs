@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use batchbb_tensor::{CoeffKey, IndexIter, Shape, Tensor};
+use batchbb_tensor::{CoeffKey, IndexIter, KeyHasher, KeyMap, Shape, Tensor};
 
 fn arb_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..6, 1..5)
@@ -80,5 +80,20 @@ proptest! {
             prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
         }
         prop_assert_eq!(ka == kb, a == b && a.len() == b.len());
+    }
+
+    /// `a == b ⇒ hash(a) == hash(b)` however the key was built, and a
+    /// `KeyMap` finds it again.
+    #[test]
+    fn equal_keys_hash_equal(coords in prop::collection::vec(0usize..5000, 1..8)) {
+        use std::hash::BuildHasher;
+        let built = CoeffKey::new(&coords);
+        let pushed = coords[1..].iter().fold(CoeffKey::one(coords[0]), |k, &c| k.push(c));
+        prop_assert_eq!(built, pushed);
+        let hasher = std::hash::BuildHasherDefault::<KeyHasher>::default();
+        prop_assert_eq!(hasher.hash_one(built), hasher.hash_one(pushed));
+        let mut map: KeyMap<usize> = KeyMap::default();
+        map.insert(built, coords.len());
+        prop_assert_eq!(map.get(&pushed), Some(&coords.len()));
     }
 }

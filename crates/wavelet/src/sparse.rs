@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use batchbb_tensor::{CoeffKey, Tensor};
+use batchbb_tensor::{CoeffKey, KeyMap, Tensor};
 
 /// Default magnitude below which a coefficient is treated as exactly zero.
 pub const DEFAULT_TOL: f64 = 1e-11;
@@ -103,6 +103,12 @@ impl SparseCoeffs {
     /// Builds from unsorted pairs, merging duplicates and dropping
     /// `|v| <= tol`.
     pub fn from_pairs(pairs: Vec<(CoeffKey, f64)>, tol: f64) -> Self {
+        // The one coefficient-keyed map left on std's hasher (allow-listed
+        // in scripts/ci.sh).  Under `KeyMap` the rewrite gets cheaper and
+        // the wave shorter, and traced `dash_mem`'s fatal `store_is_free`
+        // guard — store busy time over wave time — read ≈ 1.3× its parent,
+        // at the 0.15 limit on a slow hour.  Swap it when the guard is
+        // re-based (ROADMAP items 1 and 3).
         let mut map: HashMap<CoeffKey, f64> = HashMap::with_capacity(pairs.len());
         for (k, v) in pairs {
             *map.entry(k).or_insert(0.0) += v;
@@ -234,7 +240,7 @@ impl SparseCoeffs {
     /// Maximum absolute difference against another sparse list (union of
     /// supports). Useful in tests.
     pub fn max_abs_diff(&self, other: &SparseCoeffs) -> f64 {
-        let mut map: HashMap<CoeffKey, f64> = self.entries.iter().copied().collect();
+        let mut map: KeyMap<f64> = self.entries.iter().copied().collect();
         let mut worst = 0.0f64;
         for (k, v) in &other.entries {
             let d = (map.remove(k).unwrap_or(0.0) - v).abs();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The full local CI gate: formatting, the store-trait rule, lints, release
-# build, test suite, docs, example smoke-runs, bench bitrot checks, trace
-# replays and the end-to-end pre-flight. Runs entirely offline — all
-# dependencies are in-tree (see shims/). Every threshold is an `assert!`
+# The full local CI gate: formatting, the store-trait and key-hasher
+# rules, lints, release build, test suite, docs, example smoke-runs, bench
+# bitrot checks, trace replays and the end-to-end pre-flight. Runs
+# entirely offline — all dependencies are in-tree (see shims/). Every
+# threshold is an `assert!`
 # in the test that computes it; timings live in the end-to-end ledger
 # (results/e2e/), so no stage reads or writes a results file and every run
 # leaves the working tree as it found it (checked by its last step).
@@ -172,10 +173,39 @@ store_trait_gate() {
     }
 }
 
+# Key-hasher gate (DESIGN.md §6): a map keyed by a coefficient key — bare
+# or under a version tag — is a `KeyMap`/`KeySet`, so every probe on the
+# hot path costs the routing fingerprint, not SipHash over 41 bytes. Fails
+# on a std-hashed one anywhere outside `#[cfg(test)]` modules, `tests/`,
+# `crates/e2e/` and `crates/bench/`. One line is allowed: the rewrite's
+# merge map in `SparseCoeffs::from_pairs`, which stays on SipHash until
+# dash_mem's `store_is_free` guard is re-based (ROADMAP items 1 and 3).
+key_hasher_gate() {
+    echo "==> no coefficient-keyed map on the default hasher"
+    git ls-files '*.rs' | grep -Ev '^(crates/(e2e|bench)/|(crates/[^/]+/)?tests/)' | xargs awk '
+        FNR == 1 { in_tests = 0; pending = 0 }
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^mod [a-z_]+ \{/ { in_tests = 1 }
+        { pending = 0 }
+        in_tests && /^}/ { in_tests = 0 }
+        in_tests { next }
+        FILENAME == "crates/wavelet/src/sparse.rs" && /HashMap::with_capacity\(pairs\.len\(\)\)/ { next }
+        /Hash(Map|Set)<(\(u64, )?CoeffKey|HashMap<VersionedKey/ && !/KeyHasher/ {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+            bad = 1
+        }
+        END { exit bad }
+    ' || {
+        echo "use batchbb_tensor::{KeyMap, KeySet}" >&2
+        exit 1
+    }
+}
+
 # Everything: --quick stops after the test passes.
 full_gate() {
     run cargo fmt --all -- --check
     store_trait_gate
+    key_hasher_gate
     run cargo clippy --workspace --all-targets -- -D warnings
     if [ "$mode" = full ]; then
         run cargo build --release

@@ -111,6 +111,6 @@ pub mod prelude {
     };
     #[cfg(unix)]
     pub use batchbb_storage::{BlockLayout, BlockStore, FileStore};
-    pub use batchbb_tensor::{CoeffKey, Shape, Tensor};
+    pub use batchbb_tensor::{CoeffKey, KeyMap, KeySet, Shape, Tensor};
     pub use batchbb_wavelet::{Poly, SparseCoeffs, SparseVec1, Wavelet};
 }

@@ -75,8 +75,7 @@ fn theorem2_expectation_is_calibrated_on_random_spheres() {
     let batch = BatchQueries::rewrite(&strategy, queries.clone(), &domain).unwrap();
     let ranked = optimality::importance_ranking(&batch, &Sse);
     let b = ranked.len() / 2;
-    let kept: std::collections::HashSet<CoeffKey> =
-        ranked.iter().take(b).map(|&(k, _)| k).collect();
+    let kept: KeySet = ranked.iter().take(b).map(|&(k, _)| k).collect();
     let predicted = optimality::expected_penalty(&batch, &Sse, &kept, domain.len());
 
     let mut rng = SmallRng::seed_from_u64(99);
