@@ -1,4 +1,4 @@
-//! Fixture for the ✦ `bench_cache_eviction` sweep: hit-rate vs memory
+//! Fixture for the ✦ cache-eviction sweep: hit-rate vs memory
 //! curves for [`ShardedCachingStore`] under the importance-weighted
 //! eviction policy vs the pure-LRU baseline.
 //!
@@ -120,11 +120,6 @@ impl CacheFixture {
         }
     }
 
-    /// The fixture configuration.
-    pub fn config(&self) -> &CacheBenchConfig {
-        &self.cfg
-    }
-
     /// Replays the trace against a fresh cache with the given policy and
     /// capacity, returning the measured point.
     pub fn replay(&self, policy: EvictionPolicy, capacity: usize) -> CachePoint {
@@ -215,8 +210,8 @@ mod tests {
             report.lru_hit_constrained,
             report.constrained_capacity
         );
-        // The ✦ floor, on the configuration `bench_cache` prints: +0.33
-        // when recorded, so 0.05 trips only if the policy stops protecting
+        // The ✦ floor, on the default sweep configuration: +0.33 when
+        // recorded, so 0.05 trips only if the policy stops protecting
         // large-magnitude entries from cold scans. Counts, not timings.
         let report = CacheFixture::build(CacheBenchConfig::default()).measure();
         assert!(report.iw_advantage >= 0.05, "{report:?}");

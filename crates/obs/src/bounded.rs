@@ -7,26 +7,17 @@
 //! in-memory queue under a short-held lock and returns immediately, while
 //! a dedicated flusher thread drains the queue into the inner sink.
 //!
-//! The default overflow policy is **drop-newest and count** — production
-//! telemetry discipline: when the queue is full the incoming event is
-//! discarded and `obs.dropped_events` is incremented, so the emitting
-//! thread never waits for I/O and every missing trace line is accounted
-//! for (`emitted = written + dropped + sampled` holds exactly once the
-//! sink is closed).  [`OverflowPolicy::DropOldest`] keeps the *newest*
-//! events instead: a full queue evicts its head to admit the incoming
-//! event, so the tail of the stream — usually the interesting part of an
-//! incident trace — survives, under the same exact ledger (the evicted
-//! event is the one counted dropped).  Optional 1-in-N sampling per event name thins
-//! high-frequency streams (e.g. keep every 8th `exec.step`) before they
-//! reach the queue; sampled-out events are counted separately under
-//! `obs.sampled_events`, never silently lost.
+//! Overflow is **drop-newest and count** — production telemetry
+//! discipline: when the queue is full the incoming event is discarded and
+//! `obs.dropped_events` is incremented, so the emitting thread never waits
+//! for I/O and every missing trace line is accounted for
+//! (`emitted = written + dropped` holds exactly once the sink is closed).
 //!
 //! [`BoundedSink::close`] (also invoked on drop) marks the queue closed,
 //! joins the flusher, and guarantees every queued event has reached the
 //! inner sink — conclusive shutdown, no tail loss.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -40,7 +31,7 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
 /// Cumulative accounting of one [`BoundedSink`]'s lifetime.
 ///
 /// After [`BoundedSink::close`] the identity
-/// `emitted == written + dropped + sampled` holds exactly; while the
+/// `emitted == written + dropped` holds exactly; while the
 /// flusher is still running, `written` lags `emitted` by the queue depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedSinkStats {
@@ -50,118 +41,28 @@ pub struct BoundedSinkStats {
     pub written: u64,
     /// Events discarded because the queue was full (or the sink closed).
     pub dropped: u64,
-    /// Events thinned out by per-name 1-in-N sampling.
-    pub sampled: u64,
-}
-
-/// What [`BoundedSink::emit`] does when the queue is at capacity.  Either
-/// way exactly one event is discarded and counted dropped, so the ledger
-/// `emitted == written + dropped + sampled` stays exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Discard the incoming event (the default): the queued prefix of the
-    /// stream is preserved intact.
-    #[default]
-    DropNewest,
-    /// Evict the oldest queued event to admit the incoming one: the tail
-    /// of the stream is preserved — what you want when the trace exists
-    /// to explain how a run *ended*.
-    DropOldest,
-}
-
-/// Adaptive-sampling factors are capped so even a pathological overload
-/// keeps at least one in 256 events of every name.
-pub const MAX_ADAPTIVE_FACTOR: u64 = 256;
-
-/// Feedback state for adaptive sampling. Lives *inside* the queue mutex —
-/// the emit path already takes that lock for every admitted event, so
-/// adapting adds no locks to the hot path.
-struct Adaptive {
-    /// Events considered per adaptation window.
-    window: u64,
-    /// Events considered so far in the current window.
-    seen: u64,
-    /// `obs.dropped_events` reading at the window start; growth across a
-    /// window is the overload signal.
-    dropped_at_start: u64,
-    /// Per-name event counts this window (to find the heavy hitters).
-    counts: BTreeMap<&'static str, u64>,
-    /// Per-name dynamic `(factor, tick)`: keep one in `factor`,
-    /// admission-ordered by `tick`. Absent name = factor 1 = keep all.
-    factors: BTreeMap<&'static str, (u64, u64)>,
-}
-
-impl Adaptive {
-    /// Considers one event named `name`; returns `true` when the current
-    /// dynamic factor thins it out. Runs the window-boundary adaptation:
-    /// if `obs.dropped_events` grew over the window, the window's heavy
-    /// hitters double their factor (capped); a drop-free window halves
-    /// every factor back toward 1.
-    fn consider(&mut self, name: &'static str, dropped_now: u64) -> bool {
-        self.seen += 1;
-        *self.counts.entry(name).or_insert(0) += 1;
-        let thinned = match self.factors.get_mut(name) {
-            Some((factor, tick)) => {
-                let t = *tick;
-                *tick += 1;
-                t % *factor != 0
-            }
-            None => false,
-        };
-        if self.seen >= self.window {
-            if dropped_now > self.dropped_at_start {
-                // Overloaded: raise sampling on the names that filled the
-                // window (at least a quarter of it), sparing rare events.
-                let threshold = (self.window / 4).max(1);
-                for (&name, &count) in self.counts.iter() {
-                    if count >= threshold {
-                        let (factor, _) = self.factors.entry(name).or_insert((1, 0));
-                        *factor = (*factor * 2).min(MAX_ADAPTIVE_FACTOR);
-                    }
-                }
-            } else {
-                // Pressure is off: decay every factor toward keep-all.
-                for (factor, _) in self.factors.values_mut() {
-                    *factor /= 2;
-                }
-                self.factors.retain(|_, (factor, _)| *factor > 1);
-            }
-            self.seen = 0;
-            self.counts.clear();
-            self.dropped_at_start = dropped_now;
-        }
-        thinned
-    }
 }
 
 struct Queue {
     events: VecDeque<Event>,
     closed: bool,
-    adaptive: Option<Adaptive>,
 }
 
 struct Shared {
     queue: Mutex<Queue>,
     ready: Condvar,
     capacity: usize,
-    overflow: OverflowPolicy,
     emitted: Counter,
     written: Counter,
     dropped: Counter,
-    sampled: Counter,
-    /// Per-name sampling: keep one event in `n`, admission-ordered.
-    sampling: BTreeMap<&'static str, (u64, AtomicU64)>,
 }
 
 /// Configures and builds a [`BoundedSink`] (the flusher thread starts at
-/// [`build`](BoundedSinkBuilder::build), so all knobs must be set first).
+/// [`build`](BoundedSinkBuilder::build), so both knobs must be set first).
 #[derive(Default)]
 pub struct BoundedSinkBuilder {
     capacity: Option<usize>,
-    overflow: OverflowPolicy,
     registry: Option<Arc<MetricsRegistry>>,
-    sampling: BTreeMap<&'static str, u64>,
-    adaptive_window: Option<u64>,
 }
 
 impl BoundedSinkBuilder {
@@ -172,45 +73,10 @@ impl BoundedSinkBuilder {
         self
     }
 
-    /// Sets the overflow policy (default [`OverflowPolicy::DropNewest`]).
-    pub fn overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
-        self
-    }
-
     /// Counts `obs.*` accounting into `registry` (shared with other
     /// components) instead of a private one.
     pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.registry = Some(registry);
-        self
-    }
-
-    /// Keeps only one in `n` events named `name` (admission order; `n = 0`
-    /// or `1` keeps all). Thinned events count as `sampled`, not
-    /// `dropped`.
-    pub fn sample_one_in(mut self, name: &'static str, n: u64) -> Self {
-        if n > 1 {
-            self.sampling.insert(name, n);
-        } else {
-            self.sampling.remove(name);
-        }
-        self
-    }
-
-    /// Enables feedback-driven sampling: every `window` admitted events
-    /// the sink compares `obs.dropped_events` against the window start —
-    /// if drops grew, the window's high-frequency event names double
-    /// their 1-in-N sampling factor (capped at [`MAX_ADAPTIVE_FACTOR`]);
-    /// a drop-free window halves every factor back toward keep-all.
-    /// Thinned events count under `obs.sampled_events`, so the exact
-    /// ledger `emitted == written + dropped + sampled` is unchanged.
-    /// Values below 16 are clamped to 16 (sub-window feedback would
-    /// chase noise). Composes with [`sample_one_in`]
-    /// (static factors apply first).
-    ///
-    /// [`sample_one_in`]: BoundedSinkBuilder::sample_one_in
-    pub fn adaptive_sampling(mut self, window: u64) -> Self {
-        self.adaptive_window = Some(window.max(16));
         self
     }
 
@@ -223,26 +89,12 @@ impl BoundedSinkBuilder {
             queue: Mutex::new(Queue {
                 events: VecDeque::new(),
                 closed: false,
-                adaptive: self.adaptive_window.map(|window| Adaptive {
-                    window,
-                    seen: 0,
-                    dropped_at_start: 0,
-                    counts: BTreeMap::new(),
-                    factors: BTreeMap::new(),
-                }),
             }),
             ready: Condvar::new(),
             capacity: self.capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY),
-            overflow: self.overflow,
             emitted: registry.counter("obs.emitted_events"),
             written: registry.counter("obs.written_events"),
             dropped: registry.counter("obs.dropped_events"),
-            sampled: registry.counter("obs.sampled_events"),
-            sampling: self
-                .sampling
-                .into_iter()
-                .map(|(name, n)| (name, (n, AtomicU64::new(0))))
-                .collect(),
         });
         let flusher = {
             let shared = Arc::clone(&shared);
@@ -288,7 +140,7 @@ fn flusher_loop(shared: &Shared, inner: &dyn EventSink) {
 /// the newest event and counts it (`obs.dropped_events`).
 ///
 /// See DESIGN.md §8 for the full overflow and shutdown contract, and
-/// [`BoundedSinkBuilder`] for capacity/sampling/registry knobs.
+/// [`BoundedSinkBuilder`] for the capacity and registry knobs.
 pub struct BoundedSink {
     shared: Arc<Shared>,
     inner: Arc<dyn EventSink>,
@@ -297,13 +149,13 @@ pub struct BoundedSink {
 }
 
 impl BoundedSink {
-    /// Wraps `inner` with default capacity, no sampling, and a private
-    /// accounting registry.
+    /// Wraps `inner` with default capacity and a private accounting
+    /// registry.
     pub fn new(inner: Arc<dyn EventSink>) -> Self {
         Self::builder().build(inner)
     }
 
-    /// A builder for capacity / sampling / shared-registry configuration.
+    /// A builder for capacity / shared-registry configuration.
     pub fn builder() -> BoundedSinkBuilder {
         BoundedSinkBuilder::default()
     }
@@ -313,31 +165,9 @@ impl BoundedSink {
         self.shared.capacity
     }
 
-    /// The policy applied when the queue is at capacity.
-    pub fn overflow(&self) -> OverflowPolicy {
-        self.shared.overflow
-    }
-
     /// The registry holding the `obs.*` accounting counters.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// The current adaptive 1-in-N factor for events named `name`
-    /// (`1` = keep all). Always `1` unless
-    /// [`BoundedSinkBuilder::adaptive_sampling`] is enabled and drop
-    /// pressure has raised the name's factor.
-    pub fn adaptive_factor(&self, name: &str) -> u64 {
-        let queue = self
-            .shared
-            .queue
-            .lock()
-            .expect("bounded sink lock poisoned");
-        queue
-            .adaptive
-            .as_ref()
-            .and_then(|a| a.factors.get(name).map(|(factor, _)| *factor))
-            .unwrap_or(1)
     }
 
     /// Current cumulative accounting (see [`BoundedSinkStats`]).
@@ -346,7 +176,6 @@ impl BoundedSink {
             emitted: self.shared.emitted.get(),
             written: self.shared.written.get(),
             dropped: self.shared.dropped.get(),
-            sampled: self.shared.sampled.get(),
         }
     }
 
@@ -377,48 +206,15 @@ impl BoundedSink {
 impl EventSink for BoundedSink {
     fn emit(&self, event: &Event) {
         self.shared.emitted.inc();
-        if let Some((n, seen)) = self.shared.sampling.get(event.name()) {
-            if seen.fetch_add(1, Ordering::Relaxed) % n != 0 {
-                self.shared.sampled.inc();
-                return;
-            }
-        }
         let mut queue = self
             .shared
             .queue
             .lock()
             .expect("bounded sink lock poisoned");
-        if queue.closed {
+        if queue.closed || queue.events.len() >= self.shared.capacity {
             drop(queue);
             self.shared.dropped.inc();
             return;
-        }
-        if let Some(adaptive) = queue.adaptive.as_mut() {
-            let dropped_now = self.shared.dropped.get();
-            if adaptive.consider(event.name(), dropped_now) {
-                drop(queue);
-                self.shared.sampled.inc();
-                return;
-            }
-        }
-        if queue.events.len() >= self.shared.capacity {
-            match self.shared.overflow {
-                OverflowPolicy::DropNewest => {
-                    drop(queue);
-                    self.shared.dropped.inc();
-                    return;
-                }
-                OverflowPolicy::DropOldest => {
-                    // Evict the head to admit the incoming event; the
-                    // eviction is the counted drop.
-                    queue.events.pop_front();
-                    queue.events.push_back(event.clone());
-                    drop(queue);
-                    self.shared.dropped.inc();
-                    self.shared.ready.notify_one();
-                    return;
-                }
-            }
         }
         queue.events.push_back(event.clone());
         drop(queue);
@@ -467,7 +263,6 @@ mod tests {
         sink.close();
         let stats = sink.stats();
         assert_eq!(stats.emitted, 100);
-        assert_eq!(stats.sampled, 0);
         assert_eq!(
             stats.emitted,
             stats.written + stats.dropped,
@@ -523,58 +318,6 @@ mod tests {
             let parsed = crate::jsonl::parse_line(line).unwrap();
             assert_eq!(parsed.u64("i"), Some(i as u64));
         }
-    }
-
-    #[test]
-    fn sampling_thins_named_events_and_is_counted() {
-        let mem = Arc::new(MemorySink::new());
-        let sink = BoundedSink::builder()
-            .sample_one_in("exec.step", 4)
-            .build(mem.clone());
-        for i in 0..8u64 {
-            sink.emit(&Event::new("exec.step").u64("i", i));
-        }
-        for _ in 0..3 {
-            sink.emit(&Event::new("exec.finish"));
-        }
-        sink.close();
-        let stats = sink.stats();
-        assert_eq!(stats.emitted, 11);
-        assert_eq!(stats.sampled, 6, "6 of 8 exec.step thinned out");
-        assert_eq!(stats.written, 5, "2 sampled-in steps + 3 finishes");
-        assert_eq!(stats.emitted, stats.written + stats.dropped + stats.sampled);
-        let steps = mem
-            .lines()
-            .iter()
-            .filter(|l| l.contains("exec.step"))
-            .count();
-        assert_eq!(steps, 2, "events 0 and 4 survive 1-in-4 sampling");
-    }
-
-    #[test]
-    fn drop_oldest_keeps_the_tail() {
-        let slow = Arc::new(SlowSink {
-            inner: MemorySink::new(),
-            delay: Duration::from_millis(5),
-        });
-        let sink = BoundedSink::builder()
-            .capacity(4)
-            .overflow(OverflowPolicy::DropOldest)
-            .build(slow.clone());
-        assert_eq!(sink.overflow(), OverflowPolicy::DropOldest);
-        for i in 0..500u64 {
-            sink.emit(&Event::new("t").u64("i", i));
-        }
-        sink.close();
-        let stats = sink.stats();
-        assert!(stats.dropped > 0, "a 4-slot queue must overflow");
-        assert_eq!(stats.emitted, stats.written + stats.dropped);
-        assert_eq!(slow.inner.len() as u64, stats.written);
-        // Eviction preserves the tail: the final emit is never the drop,
-        // so the last written line is always the last emitted event.
-        let last = slow.inner.lines().pop().unwrap();
-        let parsed = crate::jsonl::parse_line(&last).unwrap();
-        assert_eq!(parsed.u64("i"), Some(499));
     }
 
     #[test]
@@ -645,96 +388,6 @@ mod tests {
         assert_eq!(stats.emitted, 1000);
         assert_eq!(stats.emitted, stats.written + stats.dropped);
         assert_eq!(mem.len() as u64, stats.written);
-    }
-
-    #[test]
-    fn adaptive_raises_heavy_hitters_on_drop_growth_and_decays() {
-        let mut adaptive = Adaptive {
-            window: 16,
-            seen: 0,
-            dropped_at_start: 0,
-            counts: BTreeMap::new(),
-            factors: BTreeMap::new(),
-        };
-        // Window 1: no drops — nothing raised.
-        for _ in 0..16 {
-            assert!(!adaptive.consider("hot", 0));
-        }
-        assert!(adaptive.factors.is_empty());
-        // Window 2: drops grew; "hot" fills the window, "rare" does not.
-        for _ in 0..15 {
-            adaptive.consider("hot", 4);
-        }
-        adaptive.consider("rare", 4);
-        assert_eq!(adaptive.factors.get("hot").map(|(f, _)| *f), Some(2));
-        assert_eq!(adaptive.factors.get("rare"), None, "rare names spared");
-        // Window 3 with factor 2: every other "hot" event is thinned.
-        let thinned = (0..16).filter(|_| adaptive.consider("hot", 4)).count();
-        assert_eq!(thinned, 8);
-        // Drops stopped growing across window 3, so the factor decayed.
-        assert!(adaptive.factors.is_empty(), "drop-free window decays to 1");
-        // Sustained growth compounds but saturates at the cap.
-        for round in 0..20u64 {
-            for _ in 0..16 {
-                adaptive.consider("hot", 5 + round);
-            }
-        }
-        assert_eq!(
-            adaptive.factors.get("hot").map(|(f, _)| *f),
-            Some(MAX_ADAPTIVE_FACTOR)
-        );
-    }
-
-    #[test]
-    fn adaptive_sampling_reacts_to_overflow_with_exact_ledger() {
-        let slow = Arc::new(SlowSink {
-            inner: MemorySink::new(),
-            delay: Duration::from_millis(2),
-        });
-        let sink = BoundedSink::builder()
-            .capacity(1)
-            .adaptive_sampling(16)
-            .build(slow.clone());
-        for i in 0..600u64 {
-            sink.emit(&Event::new("exec.step").u64("i", i));
-        }
-        assert!(
-            sink.adaptive_factor("exec.step") > 1,
-            "sustained drops must raise the exec.step factor"
-        );
-        assert_eq!(sink.adaptive_factor("exec.finish"), 1);
-        sink.close();
-        let stats = sink.stats();
-        assert_eq!(stats.emitted, 600);
-        assert!(stats.dropped > 0);
-        assert!(stats.sampled > 0, "adaptive thinning must engage");
-        assert_eq!(
-            stats.emitted,
-            stats.written + stats.dropped + stats.sampled,
-            "the ledger stays exact under adaptive sampling"
-        );
-        assert_eq!(slow.inner.len() as u64, stats.written);
-    }
-
-    #[test]
-    fn adaptive_sampling_is_inert_without_drops() {
-        let mem = Arc::new(MemorySink::new());
-        let sink = BoundedSink::builder()
-            .capacity(4096)
-            .adaptive_sampling(32)
-            .build(mem.clone());
-        for i in 0..200u64 {
-            sink.emit(&Event::new("t").u64("i", i));
-            if i % 16 == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        sink.close();
-        let stats = sink.stats();
-        assert_eq!(stats.dropped, 0);
-        assert_eq!(stats.sampled, 0, "no drops, no thinning");
-        assert_eq!(stats.written, 200);
-        assert_eq!(sink.adaptive_factor("t"), 1);
     }
 
     #[test]

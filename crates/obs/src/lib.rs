@@ -68,10 +68,7 @@ mod metrics;
 mod span;
 mod trace;
 
-pub use bounded::{
-    BoundedSink, BoundedSinkBuilder, BoundedSinkStats, OverflowPolicy, DEFAULT_QUEUE_CAPACITY,
-    MAX_ADAPTIVE_FACTOR,
-};
+pub use bounded::{BoundedSink, BoundedSinkBuilder, BoundedSinkStats, DEFAULT_QUEUE_CAPACITY};
 pub use event::{Event, EventSink, FieldValue, JsonlSink, MemorySink, NullSink};
 pub use label::LabeledSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};

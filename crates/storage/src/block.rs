@@ -5,9 +5,9 @@
 //! store makes the question concrete: coefficients are packed into
 //! fixed-size blocks under a configurable layout, a retrieval fetches the
 //! whole block, and a small LRU pool absorbs re-reads.  Comparing
-//! `physical_reads` across layouts (✦ ablation `bench_storage` /
-//! `obs1_io_sharing --block-size`) shows how much the paper's
-//! one-retrieval-per-coefficient model overstates physical I/O.
+//! `physical_reads` across layouts (✦ ablation `obs1_io_sharing
+//! --block-size`, and the head-scan unit test below) shows how much the
+//! paper's one-retrieval-per-coefficient model overstates physical I/O.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -480,5 +480,47 @@ mod tests {
         assert_eq!(st.physical_reads, 2, "two blocks, one read each");
         assert_eq!(st.cache_hits, 14);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The progressive head scan: the first 4 096 coefficients of a
+    /// coarse-to-fine progression over a 2-D store, fetched as 64-key
+    /// `try_get_many` windows (the executor's prefetch path) through a
+    /// 4-block pool, so every working-set miss is a real block read.  With
+    /// the store laid out in the scan's own importance order the head packs
+    /// into strictly fewer blocks than under key order.
+    #[test]
+    fn importance_layout_beats_key_order_on_a_windowed_head_scan() {
+        let n = 1 << 14;
+        let es: Vec<(CoeffKey, f64)> = (0..n)
+            .map(|i| (CoeffKey::new(&[i % 128, i / 128]), (i % 97) as f64 + 0.5))
+            .collect();
+        let mut pattern: Vec<CoeffKey> = es.iter().map(|(k, _)| *k).collect();
+        pattern.sort_by_key(|k| {
+            k.coords()
+                .iter()
+                .map(|&c| if c == 0 { 0 } else { c.ilog2() + 1 })
+                .sum::<u32>()
+        });
+        let ranking: KeyMap<f64> = pattern
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (*k, (n - i) as f64))
+            .collect();
+        let head = &pattern[..4096];
+        let reads = |name: &str, layout: BlockLayout| {
+            let path = tmpfile(&format!("head-{name}"));
+            let store = BlockStore::create(&path, es.clone(), 512, 4, layout).unwrap();
+            for window in head.chunks(64) {
+                store.try_get_many(window).unwrap();
+            }
+            std::fs::remove_file(&path).unwrap();
+            store.stats().physical_reads
+        };
+        let key_order = reads("key", BlockLayout::KeyOrder);
+        let importance = reads("imp", BlockLayout::ImportanceOrder(Arc::new(ranking)));
+        assert!(
+            importance < key_order,
+            "ImportanceOrder read {importance} blocks, KeyOrder {key_order}"
+        );
     }
 }

@@ -4,13 +4,12 @@
 //! [`FaultInjectingStore`] wraps any [`CoefficientStore`] and makes every
 //! read — [`CoefficientStore::try_get`], and each key of a window, which
 //! is the default loop over it — fail according to a seeded [`FaultPlan`]:
-//! per-attempt transient failures at a configurable rate, a set of
-//! persistently failing keys, and simulated latency ticks charged per
-//! injected fault. The fault decision for attempt *i* on key *k* is a pure
-//! hash of `(seed, k, i)`, so two stores built from the same plan produce
-//! identical fault sequences regardless of how retrievals from different
-//! keys interleave — the property the reproducibility proptests in
-//! `tests/fault_proptests.rs` pin down.
+//! per-attempt transient failures at a configurable rate and a set of
+//! persistently failing keys. The fault decision for attempt *i* on key
+//! *k* is a pure hash of `(seed, k, i)`, so two stores built from the
+//! same plan produce identical fault sequences regardless of how
+//! retrievals from different keys interleave — the property the
+//! reproducibility proptests in `tests/fault_proptests.rs` pin down.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -26,7 +25,6 @@ pub struct FaultPlan {
     seed: u64,
     transient_rate: f64,
     permanent: KeySet,
-    latency_ticks_per_fault: u64,
 }
 
 impl FaultPlan {
@@ -37,7 +35,6 @@ impl FaultPlan {
             seed,
             transient_rate: 0.0,
             permanent: KeySet::default(),
-            latency_ticks_per_fault: 0,
         }
     }
 
@@ -61,13 +58,6 @@ impl FaultPlan {
         self
     }
 
-    /// Simulated-time ticks charged to [`FaultStats::latency_ticks`] per
-    /// injected fault (modelling slow-path timeouts).
-    pub fn with_latency_ticks(mut self, ticks: u64) -> Self {
-        self.latency_ticks_per_fault = ticks;
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -85,7 +75,6 @@ struct FaultCounters {
     successes: AtomicU64,
     transient_failures: AtomicU64,
     permanent_failures: AtomicU64,
-    latency_ticks: AtomicU64,
 }
 
 impl FaultCounters {
@@ -95,7 +84,6 @@ impl FaultCounters {
             successes: self.successes.load(Ordering::Relaxed),
             transient_failures: self.transient_failures.load(Ordering::Relaxed),
             permanent_failures: self.permanent_failures.load(Ordering::Relaxed),
-            latency_ticks: self.latency_ticks.load(Ordering::Relaxed),
             ..FaultStats::default()
         }
     }
@@ -105,7 +93,6 @@ impl FaultCounters {
         self.successes.store(0, Ordering::Relaxed);
         self.transient_failures.store(0, Ordering::Relaxed);
         self.permanent_failures.store(0, Ordering::Relaxed);
-        self.latency_ticks.store(0, Ordering::Relaxed);
     }
 }
 
@@ -198,31 +185,20 @@ impl<S: CoefficientStore> CoefficientStore for FaultInjectingStore<S> {
             *slot += 1;
             attempt
         };
-        let (rate, is_permanent, latency, seed) = {
+        let (rate, is_permanent, seed) = {
             let plan = self.plan.read().unwrap_or_else(|e| e.into_inner());
-            (
-                plan.transient_rate,
-                plan.permanent.contains(key),
-                plan.latency_ticks_per_fault,
-                plan.seed,
-            )
+            (plan.transient_rate, plan.permanent.contains(key), plan.seed)
         };
         if is_permanent {
             self.counters
                 .permanent_failures
                 .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .latency_ticks
-                .fetch_add(latency, Ordering::Relaxed);
             return Err(StorageError::Permanent { key: *key });
         }
         if rate > 0.0 && fault_roll(seed, key, attempt) < rate {
             self.counters
                 .transient_failures
                 .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .latency_ticks
-                .fetch_add(latency, Ordering::Relaxed);
             return Err(StorageError::Transient { key: *key, attempt });
         }
         match self.inner.try_get(key) {
@@ -292,9 +268,7 @@ mod tests {
     #[test]
     fn permanent_keys_fail_until_healed() {
         let key = CoeffKey::one(3);
-        let plan = FaultPlan::new(1)
-            .with_permanent_keys([key])
-            .with_latency_ticks(5);
+        let plan = FaultPlan::new(1).with_permanent_keys([key]);
         let fs = FaultInjectingStore::new(store_with_keys(16), plan);
         for _ in 0..3 {
             assert_eq!(fs.try_get(&key), Err(StorageError::Permanent { key }));
@@ -305,7 +279,6 @@ mod tests {
         assert_eq!(fs.try_get(&key).unwrap(), Some(4.0));
         let stats = fs.injected();
         assert_eq!(stats.permanent_failures, 3);
-        assert_eq!(stats.latency_ticks, 15);
         assert!(stats.attempts_reconcile());
     }
 

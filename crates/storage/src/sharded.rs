@@ -102,8 +102,8 @@ type VersionedKey = (u64, CoeffKey);
 /// *every* batch sharing the cache — small coefficients are both the
 /// cheapest to re-fetch (they barely move any bound) and the least likely
 /// to sit on another batch's hot prefix.  [`EvictionPolicy::LruOnly`] is
-/// the classic recency-only baseline; the `bench_cache_eviction` sweep in
-/// `batchbb-bench` measures the hit-rate-vs-memory curves of both.
+/// the classic recency-only baseline; `batchbb-bench`'s `cachebench`
+/// sweep measures the hit-rate-vs-memory curves of both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Evict the smallest-|value| entry, ties broken least-recently-used.

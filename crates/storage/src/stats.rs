@@ -50,8 +50,6 @@ pub struct FaultStats {
     pub recoveries: u64,
     /// Simulated-time ticks spent in retry backoff.
     pub backoff_ticks: u64,
-    /// Simulated-time ticks of injected fault latency.
-    pub latency_ticks: u64,
 }
 
 impl FaultStats {
@@ -66,7 +64,6 @@ impl FaultStats {
         self.deferrals += other.deferrals;
         self.recoveries += other.recoveries;
         self.backoff_ticks += other.backoff_ticks;
-        self.latency_ticks += other.latency_ticks;
     }
 
     /// `attempts = successes + transient_failures + permanent_failures`.
@@ -147,7 +144,6 @@ mod tests {
             deferrals: 1,
             recoveries: 0,
             backoff_ticks: 3,
-            latency_ticks: 4,
         };
         assert!(a.attempts_reconcile());
         assert!(a.deferrals_reconcile(1));

@@ -84,7 +84,7 @@ fn main() {
     let stats = sink.stats();
     assert_eq!(
         stats.emitted,
-        stats.written + stats.dropped + stats.sampled,
+        stats.written + stats.dropped,
         "bounded-sink ledger out of balance: {stats:?}"
     );
     println!(

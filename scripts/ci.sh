@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, the store-trait and key-hasher
-# rules, lints, release build, test suite, docs, example smoke-runs, bench
-# bitrot checks, trace replays and the end-to-end pre-flight. Runs
+# rules, the shim inventory, lints, release build, test suite, docs,
+# example smoke-runs, trace replays and the end-to-end pre-flight. Runs
 # entirely offline — all dependencies are in-tree (see shims/). Every
 # threshold is an `assert!`
 # in the test that computes it; timings live in the end-to-end ledger
@@ -9,8 +9,8 @@
 # leaves the working tree as it found it (checked by its last step).
 #
 # Usage: scripts/ci.sh [--quick] [--threads] [--slow-store] [--mixed] [--sharded] [--e2e]
-#   --quick      skip the release build, docs gate, example smoke-runs,
-#                bench bitrot checks and replays (fmt + clippy + tests only)
+#   --quick      skip the release build, docs gate, example smoke-runs and
+#                replays (fmt + source gates + clippy + tests only)
 #   --threads    run ONLY the concurrency test matrix (the serve-layer tests
 #                under RUST_TEST_THREADS=1 and at default parallelism)
 #   --slow-store run ONLY the slow-store gate: the latency-hiding smoke
@@ -201,11 +201,26 @@ key_hasher_gate() {
     }
 }
 
+# Shim inventory gate: every directory under shims/ has a row in the
+# shims/README.md table and every row names a directory that exists, so
+# the list of in-tree stand-ins for registry crates stays honest.
+shim_inventory_gate() {
+    echo "==> shims/README.md lists exactly the shims under shims/"
+    listed=$(sed -n 's/^| `\([^`]*\)` |.*/\1/p' shims/README.md | sort)
+    present=$(for dir in shims/*/; do basename "$dir"; done | sort)
+    if [ "$listed" != "$present" ]; then
+        echo "shims/README.md table: $(echo $listed)" >&2
+        echo "shims/ directories:    $(echo $present)" >&2
+        exit 1
+    fi
+}
+
 # Everything: --quick stops after the test passes.
 full_gate() {
     run cargo fmt --all -- --check
     store_trait_gate
     key_hasher_gate
+    shim_inventory_gate
     run cargo clippy --workspace --all-targets -- -D warnings
     if [ "$mode" = full ]; then
         run cargo build --release
@@ -227,12 +242,6 @@ full_gate() {
         echo "==> cargo run --release --example $ex"
         cargo run -q --release --example "$ex" > /dev/null
     done
-
-    # Bench bitrot: the criterion-shim harness runs each print-only bench
-    # once in test mode (no --bench flag), so the harness code cannot
-    # silently rot. bench_storage's head-scan fixture asserts
-    # ImportanceOrder needs strictly fewer block reads than KeyOrder.
-    run cargo test -q -p batchbb-bench --benches
 
     # Named reruns of gates the workspace pass already ran, so a selective
     # test filter can never skip them: executor finals are bit-identical

@@ -84,8 +84,8 @@ pub mod prelude {
     pub use batchbb_obs::{
         jsonl, lifecycle, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder,
         BoundedSinkStats, Event, EventSink, JsonlSink, LabeledSink, Lifecycle, LifecycleRecorder,
-        MemorySink, MetricsRegistry, MetricsSnapshot, NullSink, OverflowPolicy, Phase, PhaseGuard,
-        SpanTimer, TraceContext, Tracer,
+        MemorySink, MetricsRegistry, MetricsSnapshot, NullSink, Phase, PhaseGuard, SpanTimer,
+        TraceContext, Tracer,
     };
     pub use batchbb_penalty::{
         Combination, CursorKernel, CursorPenalty, DiagonalQuadratic, LaplacianPenalty, LpPenalty,

@@ -140,7 +140,7 @@ fn live_point_updates_interleaved_with_serving() {
     }
 }
 
-/// ISSUE acceptance criterion: a 4-worker pool serving 8 identical
+/// Acceptance bar: a 4-worker pool serving 8 identical
 /// batches performs strictly fewer physical fetches than 8 independent
 /// executors, while every batch's finals stay bit-identical to its
 /// serial run.

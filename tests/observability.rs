@@ -254,7 +254,6 @@ fn bounded_sink_never_blocks_the_serve_pool() {
     );
     // The overflow ledger is exact: nothing vanishes silently.
     assert_eq!(stats.emitted, stats.written + stats.dropped, "{stats:?}");
-    assert_eq!(stats.sampled, 0, "no sampling configured");
     assert_eq!(slow.inner.len() as u64, stats.written);
     assert!(
         stats.dropped > 0,
