@@ -21,7 +21,7 @@ use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_serve::{BatchRequest, BatchServer, ServeConfig, SloContract};
 use batchbb_storage::{
     AsyncFetchStore, CoefficientStore, Completion, FaultInjectingStore, FaultPlan, IoStats,
-    MemoryStore, StorageError,
+    MemoryStore,
 };
 use batchbb_tensor::{CoeffKey, Shape, Tensor};
 use batchbb_wavelet::Wavelet;
@@ -242,9 +242,6 @@ fn rider_spans_link_to_their_physical_read() {
         gate_cv: Condvar,
     }
     impl CoefficientStore for GatedStore {
-        fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-            self.inner.try_get(key)
-        }
         fn submit(&self, keys: &[CoeffKey]) -> Completion {
             let mut open = self.gate.lock().unwrap();
             while !*open {

@@ -12,9 +12,7 @@ use batchbb_core::{BatchQueries, DrainStatus, MasterList, ProgressiveExecutor};
 use batchbb_penalty::Sse;
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::synth;
-use batchbb_storage::{
-    CoefficientStore, Completion, IoStats, MemoryStore, RetryPolicy, StorageError,
-};
+use batchbb_storage::{CoefficientStore, Completion, IoStats, MemoryStore, RetryPolicy};
 use batchbb_tensor::CoeffKey;
 use batchbb_wavelet::Wavelet;
 
@@ -44,13 +42,15 @@ impl<S> CallCounter<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for CallCounter<S> {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.singleton.fetch_add(1, Ordering::Relaxed);
-        self.inner.try_get(key)
-    }
-
+    /// A window of one is a singleton call (`try_get` is one); the executor
+    /// never submits one as a prefetch window.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        self.batch.fetch_add(1, Ordering::Relaxed);
+        let calls = if keys.len() == 1 {
+            &self.singleton
+        } else {
+            &self.batch
+        };
+        calls.fetch_add(1, Ordering::Relaxed);
         self.inner.submit(keys)
     }
 

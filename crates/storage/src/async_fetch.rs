@@ -26,7 +26,7 @@ use batchbb_tensor::CoeffKey;
 
 use crate::completion::Completion;
 use crate::shard::{HedgeConfig, ShardClient, ShardRouter};
-use crate::{CoefficientStore, IoStats, StorageError};
+use crate::{CoefficientStore, IoStats};
 
 /// Completion-based asynchronous wrapper over any blocking store.
 ///
@@ -91,10 +91,6 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
 }
 
 impl<S: CoefficientStore + 'static> CoefficientStore for AsyncFetchStore<S> {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.engine.try_get(key)
-    }
-
     /// Enqueues the batch on the engine and returns immediately: keys
     /// already in flight at the same inner version join the outstanding
     /// read, the rest form one queue job ([`ShardRouter`]'s `submit`).

@@ -305,11 +305,7 @@ impl BlockStore {
 }
 
 impl CoefficientStore for BlockStore {
-    /// A window of one: a pool hit, or one block read.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
-    }
-
+    /// A window of one is a pool hit, or one block read.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         Completion::ready(self.read_window(keys))
     }

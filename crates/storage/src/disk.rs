@@ -114,11 +114,8 @@ impl FileStore {
 }
 
 impl CoefficientStore for FileStore {
-    /// A window of one: one retrieval, one 8-byte `pread` when present.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
-    }
-
+    /// A window of one is one retrieval and one 8-byte `pread` when
+    /// present.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         Completion::ready(self.read_window(keys))
     }

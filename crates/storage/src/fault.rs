@@ -2,8 +2,8 @@
 //! path.
 //!
 //! [`FaultInjectingStore`] wraps any [`CoefficientStore`] and makes every
-//! read — [`CoefficientStore::try_get`], and each key of a window, which
-//! is the default loop over it — fail according to a seeded [`FaultPlan`]:
+//! read — each key of a window, a singleton being a window of one — fail
+//! according to a seeded [`FaultPlan`]:
 //! per-attempt transient failures at a configurable rate and a set of
 //! persistently failing keys. The fault decision for attempt *i* on key
 //! *k* is a pure hash of `(seed, k, i)`, so two stores built from the
@@ -17,7 +17,7 @@ use std::sync::{Mutex, RwLock};
 use batchbb_tensor::{CoeffKey, KeyMap, KeySet};
 
 use crate::fingerprint::{key_fingerprint, mix};
-use crate::{CoefficientStore, FaultStats, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, FaultStats, IoStats, StorageError};
 
 /// A deterministic description of which retrievals fail and how.
 #[derive(Debug, Clone)]
@@ -163,63 +163,64 @@ impl<S: CoefficientStore> FaultInjectingStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for FaultInjectingStore<S> {
-    /// The wrapper's one read body.  `submit` deliberately keeps the
-    /// trait's key-by-key loop over it rather than forwarding to the inner
-    /// store's batched path: every key passes through its own
-    /// deterministic per-`(key, attempt)` fault decision, so the injected
-    /// sequence each key sees is identical whether callers batch or not,
-    /// and the loop stops at the first injected (or real) failure — keys
-    /// after it keep their attempt counters untouched, exactly like a
-    /// singleton caller that aborted at the same point.  To exercise
-    /// faults on genuinely in-flight reads, stack
-    /// `AsyncFetchStore<FaultInjectingStore<S>>`.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.attempts.fetch_add(1, Ordering::Relaxed);
-        let attempt = {
-            let mut by_key = self
-                .attempts_by_key
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let slot = by_key.entry(*key).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            attempt
-        };
-        let (rate, is_permanent, seed) = {
-            let plan = self.plan.read().unwrap_or_else(|e| e.into_inner());
-            (plan.transient_rate, plan.permanent.contains(key), plan.seed)
-        };
-        if is_permanent {
-            self.counters
-                .permanent_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::Permanent { key: *key });
-        }
-        if rate > 0.0 && fault_roll(seed, key, attempt) < rate {
-            self.counters
-                .transient_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::Transient { key: *key, attempt });
-        }
-        match self.inner.try_get(key) {
-            Ok(value) => {
-                self.counters.successes.fetch_add(1, Ordering::Relaxed);
-                Ok(value)
+    /// The wrapper's one read body, key by key ([`Completion::per_key`])
+    /// rather than forwarded to the inner store's batched path: every key
+    /// passes through its own deterministic per-`(key, attempt)` fault
+    /// decision, so the injected sequence each key sees is identical
+    /// whether callers batch or not, and the loop stops at the first
+    /// injected (or real) failure — keys after it keep their attempt
+    /// counters untouched, exactly like a singleton caller that aborted at
+    /// the same point.  To exercise faults on genuinely in-flight reads,
+    /// stack `AsyncFetchStore<FaultInjectingStore<S>>`.
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::per_key(keys, |key| {
+            self.counters.attempts.fetch_add(1, Ordering::Relaxed);
+            let attempt = {
+                let mut by_key = self
+                    .attempts_by_key
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                let slot = by_key.entry(*key).or_insert(0);
+                let attempt = *slot;
+                *slot += 1;
+                attempt
+            };
+            let (rate, is_permanent, seed) = {
+                let plan = self.plan.read().unwrap_or_else(|e| e.into_inner());
+                (plan.transient_rate, plan.permanent.contains(key), plan.seed)
+            };
+            if is_permanent {
+                self.counters
+                    .permanent_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(StorageError::Permanent { key: *key });
             }
-            Err(e) => {
-                // Count a real backend failure as transient iff retryable.
-                if e.is_retryable() {
-                    self.counters
-                        .transient_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.counters
-                        .permanent_failures
-                        .fetch_add(1, Ordering::Relaxed);
+            if rate > 0.0 && fault_roll(seed, key, attempt) < rate {
+                self.counters
+                    .transient_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(StorageError::Transient { key: *key, attempt });
+            }
+            match self.inner.try_get(key) {
+                Ok(value) => {
+                    self.counters.successes.fetch_add(1, Ordering::Relaxed);
+                    Ok(value)
                 }
-                Err(e)
+                Err(e) => {
+                    // Count a real backend failure as transient iff retryable.
+                    if e.is_retryable() {
+                        self.counters
+                            .transient_failures
+                            .fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        self.counters
+                            .permanent_failures
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e)
+                }
             }
-        }
+        })
     }
 
     fn quiesce(&self) {

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use batchbb_obs::{Counter, Event, EventSink, Histogram, MetricsRegistry, NullSink, SpanTimer};
 use batchbb_tensor::CoeffKey;
 
-use crate::{CoefficientStore, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, IoStats, StorageError};
 
 /// Wraps a [`CoefficientStore`] with latency histograms, hit/miss/fault
 /// counters, and optional `store.fault` trace events.
@@ -101,23 +101,24 @@ impl<S: CoefficientStore> InstrumentedStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for InstrumentedStore<S> {
-    /// The wrapper's one read body.  `submit` deliberately keeps the
-    /// trait's key-by-key loop over it rather than forwarding to the inner
-    /// store's batched path: each key gets its own `store.try_get_ns`
-    /// sample and hit/miss/fault classification, so the histograms and
-    /// counters are byte-identical however callers batch.
-    /// Instrumentation trades away inner batching (and asynchrony) for
-    /// per-key observability — wrap the instrumented store *inside* a
-    /// batching wrapper or an engine if both are wanted.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        let timer = SpanTimer::start();
-        let result = self.inner.try_get(key);
-        timer.finish(&self.try_get_ns);
-        match &result {
-            Ok(value) => self.count_value(value),
-            Err(error) => self.count_error(key, error),
-        }
-        result
+    /// The wrapper's one read body, key by key ([`Completion::per_key`])
+    /// rather than forwarded to the inner store's batched path: each key
+    /// gets its own `store.try_get_ns` sample and hit/miss/fault
+    /// classification, so the histograms and counters are byte-identical
+    /// however callers batch.  Instrumentation trades away inner batching
+    /// (and asynchrony) for per-key observability — wrap the instrumented
+    /// store *inside* a batching wrapper or an engine if both are wanted.
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::per_key(keys, |key| {
+            let timer = SpanTimer::start();
+            let result = self.inner.try_get(key);
+            timer.finish(&self.try_get_ns);
+            match &result {
+                Ok(value) => self.count_value(value),
+                Err(error) => self.count_error(key, error),
+            }
+            result
+        })
     }
 
     fn quiesce(&self) {

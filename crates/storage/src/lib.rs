@@ -7,8 +7,9 @@
 //! abstraction:
 //!
 //! * [`CoefficientStore`] — read access plus built-in retrieval counters:
-//!   two read primitives (`try_get` for one key, `submit` for a window),
-//!   with `get` and `try_get_many` derived from them;
+//!   one read primitive, `submit` for a window, with `try_get` (its
+//!   allocation-free window of one), `get` and `try_get_many` derived
+//!   from it;
 //! * [`MemoryStore`] — hash-based in-memory store;
 //! * [`ArrayStore`] — dense array-based store for small domains;
 //! * [`FileStore`] — a file-backed store doing one `pread` per run of
@@ -47,9 +48,10 @@
 //! the failure is seen and accounted.  So there is no infallible read
 //! path to forget about:
 //!
-//! * [`CoefficientStore::try_get`] and [`CoefficientStore::submit`] are
-//!   the only reads a store implements; in-memory stores never fail,
-//!   physical stores map backend errors to [`StorageError`].
+//! * [`CoefficientStore::submit`] is the only read a store implements
+//!   ([`Completion::per_key`] for one that decides key by key), and
+//!   [`CoefficientStore::try_get`] is its window of one; in-memory stores
+//!   never fail, physical stores map backend errors to [`StorageError`].
 //!   [`CoefficientStore::get`] is `try_get` that panics on an error, for
 //!   tests and callers with nothing to degrade to;
 //! * [`FaultInjectingStore`] — wraps any store and injects faults into

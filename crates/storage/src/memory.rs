@@ -3,7 +3,7 @@
 use batchbb_tensor::{CoeffKey, KeyMap, Shape, Tensor};
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, MutableStore, StorageError};
+use crate::{CoefficientStore, Completion, IoStats, MutableStore};
 
 /// Magnitude at or below which an updated coefficient is evicted as zero,
 /// so later reads return exactly `0.0`. The one definition:
@@ -55,10 +55,13 @@ impl MemoryStore {
 }
 
 impl CoefficientStore for MemoryStore {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        self.counters.count_physical();
-        Ok(self.map.get(key).copied())
+    #[inline]
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::per_key(keys, |key| {
+            self.counters.count_retrieval();
+            self.counters.count_physical();
+            Ok(self.map.get(key).copied())
+        })
     }
 
     fn nnz(&self) -> usize {
@@ -113,11 +116,17 @@ impl ArrayStore {
 }
 
 impl CoefficientStore for ArrayStore {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        self.counters.count_physical();
-        let v = self.data.data()[key.offset_in(self.data.shape())];
-        Ok(Some(v))
+    /// A key outside the shape (wrong rank, or a coordinate past its
+    /// axis) holds no coefficient: absent, like in every sparse store.
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        let shape = self.data.shape();
+        Completion::per_key(keys, |key| {
+            self.counters.count_retrieval();
+            self.counters.count_physical();
+            let inside = key.rank() == shape.rank()
+                && std::iter::zip(key.coords(), shape.dims()).all(|(&c, &d)| (c as usize) < d);
+            Ok(inside.then(|| self.data.data()[key.offset_in(shape)]))
+        })
     }
 
     fn nnz(&self) -> usize {
@@ -204,6 +213,18 @@ mod tests {
             "dense store returns stored zeros"
         );
         assert_eq!(s.stats().retrievals, 2);
+    }
+
+    #[test]
+    fn array_store_answers_absent_outside_its_shape() {
+        let s = ArrayStore::from_tensor(Tensor::zeros(Shape::new(vec![4, 4]).unwrap()));
+        let (wrong_rank, past_axis) = (CoeffKey::new(&[3, 3, 0]), CoeffKey::new(&[1, 4]));
+        assert_eq!(s.try_get(&wrong_rank), Ok(None));
+        assert_eq!(
+            s.try_get_many(&[past_axis, CoeffKey::new(&[3, 3]), wrong_rank]),
+            Ok(vec![None, Some(0.0), None])
+        );
+        assert_eq!(s.stats().retrievals, 4, "an absent key is still charged");
     }
 
     #[test]

@@ -189,11 +189,6 @@ impl<S: CoefficientStore> LatencyStore<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for LatencyStore<S> {
-    /// A window of one.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
-    }
-
     /// Charges the call (the caller sleeps through it: the wire is
     /// blocking), then hands the window to the inner store.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
@@ -761,17 +756,13 @@ impl ShardRouter {
 }
 
 impl CoefficientStore for ShardRouter {
-    /// A window of one: a singleton read joins an outstanding read of its
-    /// key, is hedged, failed over and coalesced exactly like any other.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.submit(std::slice::from_ref(key)).wait().map(|v| v[0])
-    }
-
     /// Joins the keys already in flight *at the same version* (one dedup
     /// hit each), scatters the rest into one job per owning shard, and
     /// returns a completion aggregating every per-key verdict (slots in
     /// input order, so [`Completion::wait`]'s earliest-index error
-    /// collapse and value ordering match the single-store contract). The
+    /// collapse and value ordering match the single-store contract). A
+    /// singleton read is a window of one: it joins an outstanding read of
+    /// its key, is hedged, failed over and coalesced like any other. The
     /// version tag is sampled once per submit: a submit issued after a
     /// version advance never joins a read issued before it (see DESIGN.md
     /// §13 for the advance protocol that makes the remaining fetch/advance

@@ -7,21 +7,26 @@
 //! hit on *different* coefficients in parallel, and a coefficient fetched
 //! for one batch is served from memory to every other in-flight batch.
 //!
-//! # The one store with two read bodies
+//! # A window of one
 //!
-//! Every other store decides a value in one body; the cache keeps two,
-//! because deriving its singleton read from `submit` was measured and is
-//! not free: routed through `submit(&[key]).wait()` (two `Vec`s, a
-//! `HashMap` and a boxed completion per miss), `dash_mem` — window 1, one
-//! cache miss per step — read `wave_exact_p50_ms` 112.2 → 120.8 (+7.7 %,
-//! slower in 7 of 8 interleaved pairs) and `batches_per_s` 35.4 → 32.3
-//! (ROADMAP item 5).  So `try_get` stays an allocation-free primitive: it
-//! holds the key's shard lock across the inner fetch, which also means a
-//! resident coefficient is physically fetched **exactly once** no matter
-//! how many singleton readers race on it.
+//! The cache's one read body, `submit`, branches on the window's length,
+//! because a singleton read must cost what a point lookup costs: routed
+//! through the general window body below (two `Vec`s, a `HashMap` and a
+//! boxed completion per miss), `dash_mem` — window 1, one cache read per
+//! step — read `wave_exact_p50_ms` 112.2 → 120.8 (+7.7 %, slower in 7 of 8
+//! interleaved pairs) and `batches_per_s` 35.4 → 32.3.  A window of one is
+//! probed under its key's shard lock; on a miss the inner store's
+//! `submit(&[key])` is called with the lock still held.  When that
+//! completion is ready at submit — any blocking store — the value is
+//! memoized under the lock and answered in the completion's one-value
+//! state, allocating nothing, and a resident coefficient is physically
+//! fetched **exactly once** however many singleton readers race on it.
+//! When it is still pending — the asynchronous engine — the lock is
+//! released and the value memoized when the completion is taken, as for a
+//! wider window: no shard lock is ever held across a pending fetch.
 //!
-//! A window (`submit`) never fetches under a lock and never blocks: it is
-//! probed for hits, its misses cross to the inner store as **one**
+//! A window of two or more never fetches under a lock and never blocks: it
+//! is probed for hits, its misses cross to the inner store as **one**
 //! `submit`, and the fetched values are memoized when the returned
 //! [`Completion`] is taken.
 //! A coefficient is then fetched *at most once while resident, and once
@@ -29,9 +34,9 @@
 //! the crate's one asynchronous engine does ([`crate::ShardRouter`], and
 //! [`crate::AsyncFetchStore`], which is that engine over one shard;
 //! DESIGN.md §12), so the cache composes with it beneath: the batch parks
-//! on the inner completion and racing windows ride one physical read. Over
-//! a plain blocking store two windows racing on a cold key may each read
-//! it.
+//! on the inner completion and racing reads — windows or singletons — ride
+//! one physical read. Over a plain blocking store two windows racing on a
+//! cold key may each read it.
 //! The memo never holds a pending marker, so a completion dropped
 //! unresolved leaves no trace and cannot strand a reader.
 //!
@@ -65,7 +70,7 @@ use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::fingerprint;
 use crate::stats::Counters;
-use crate::{CoefficientStore, Completion, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, IoStats};
 
 /// Default shard count, matching [`crate::VersionedStore`].
 const DEFAULT_SHARDS: usize = 16;
@@ -275,36 +280,42 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
         self.memo.evictions.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, key: &CoeffKey) -> MutexGuard<'_, ShardState> {
-        self.memo.shard(key)
-    }
-
-    fn trim(&self, shard: &mut ShardState) {
-        self.memo.trim(shard, self.shard_capacity, self.policy);
+    /// A window of one (module docs). Only successful results are
+    /// memoized, so a key whose retrieval failed is re-attempted (and can
+    /// recover) on later calls — from *any* batch.
+    fn submit_one(&self, key: CoeffKey) -> Completion {
+        self.counters.count_retrieval();
+        let (tag, cap, policy) = (self.inner.version_tag(), self.shard_capacity, self.policy);
+        let mut shard = self.memo.shard(&key);
+        if let Some(v) = shard.get(&(tag, key)) {
+            self.counters.count_hit();
+            return Completion::one(Ok(v));
+        }
+        self.counters.count_physical();
+        let fetch = self.inner.submit(&[key]);
+        if fetch.is_ready() {
+            let fetched = fetch.wait_one();
+            if let Ok(v) = fetched {
+                shard.insert((tag, key), v);
+                self.memo.trim(&mut shard, cap, policy);
+            }
+            return Completion::one(fetched);
+        }
+        drop(shard);
+        let memo = Arc::clone(&self.memo);
+        Completion::wrapped(fetch, move |fetched| {
+            let fetched = fetched?;
+            let mut shard = memo.shard(&key);
+            shard.insert((tag, key), fetched[0]);
+            memo.trim(&mut shard, cap, policy);
+            Ok(fetched)
+        })
     }
 }
 
 impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
-    /// The singleton body (see the module docs for why it is not derived
-    /// from `submit`): the shard lock is held across the inner fetch. Only
-    /// successful results are memoized, so a key whose retrieval failed is
-    /// re-attempted (and can recover) on later calls — from *any* batch.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        let tagged = (self.inner.version_tag(), *key);
-        let mut shard = self.shard(key);
-        if let Some(v) = shard.get(&tagged) {
-            self.counters.count_hit();
-            return Ok(v);
-        }
-        self.counters.count_physical();
-        let v = self.inner.try_get(key)?;
-        shard.insert(tagged, v);
-        self.trim(&mut shard);
-        Ok(v)
-    }
-
-    /// Batched retrieval that never blocks and never fetches under a lock.
+    /// A window of one takes the branch above; a wider one is retrieved
+    /// without ever blocking or fetching under a lock.
     ///
     /// Every key is probed for a hit (one shard lock at a time); the
     /// distinct misses, in first-occurrence order, cross to the inner
@@ -323,6 +334,9 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
     /// returned as is: it is the error the singleton loop would hit first,
     /// because hits cannot fail and the misses keep their input order.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        if let [key] = keys {
+            return self.submit_one(*key);
+        }
         let tag = self.inner.version_tag();
         let mut out = vec![None; keys.len()];
         let mut misses: Vec<CoeffKey> = Vec::new();
@@ -334,7 +348,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
             if let Some(&m) = miss_index.get(key) {
                 self.counters.count_hit();
                 fills.push((i, m));
-            } else if let Some(v) = self.shard(key).get(&(tag, *key)) {
+            } else if let Some(v) = self.memo.shard(key).get(&(tag, *key)) {
                 self.counters.count_hit();
                 out[i] = v;
             } else {
@@ -683,6 +697,44 @@ mod tests {
         // Both windows are now resident: no further inner traffic.
         assert_eq!(s.try_get_many(&a_keys), Ok(values(0..16)));
         assert_eq!(recorded.calls().len(), calls);
+    }
+
+    #[test]
+    fn singletons_over_an_async_engine_ride_one_read_and_hold_no_lock_across_it() {
+        use std::time::{Duration, Instant};
+
+        // One cache shard: the warm key and the cold key share its lock.
+        let s = ShardedCachingStore::with_shards(AsyncFetchStore::new(Gated::new(store(8)), 2), 1);
+        let (warm, cold) = (CoeffKey::one(1), CoeffKey::one(5));
+        assert_eq!(s.try_get(&warm), Ok(Some(2.0)));
+        let gated = s.inner().inner();
+        gated.set_gate(false);
+        // Nothing may panic while the gate is shut: the readers would
+        // never return and the scope would never end.
+        let (cold_reads, warm_read) = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2).map(|_| scope.spawn(|| s.try_get(&cold))).collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while s.inner().dedup_hits() < 1 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            // Both cold readers wait on one read held at the gate; a reader
+            // of the warm key must still get through their shard meanwhile.
+            let warm_reader = scope.spawn(|| s.try_get(&warm));
+            while !warm_reader.is_finished() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let warm_read = warm_reader
+                .is_finished()
+                .then(|| warm_reader.join().unwrap());
+            gated.set_gate(true);
+            let cold_reads: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            (cold_reads, warm_read)
+        });
+        assert_eq!(warm_read, Some(Ok(Some(2.0))), "lock held across a fetch");
+        assert_eq!(cold_reads, vec![Ok(Some(6.0)); 2]);
+        assert_eq!(s.inner().dedup_hits(), 1, "the second reader rode along");
+        assert_eq!(gated.reads_of(&cold), 1, "one physical read");
+        assert_eq!(s.cached(), 2, "memoized once");
     }
 
     #[test]

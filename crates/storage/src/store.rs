@@ -6,15 +6,12 @@ use crate::{Completion, IoStats, StorageError};
 
 /// Read access to a materialized view of transform coefficients.
 ///
-/// A store implements **two** retrieval primitives and decides a value —
-/// and what it costs — in one of them: [`CoefficientStore::try_get`] (one
-/// key, required) and [`CoefficientStore::submit`] (a window, possibly
-/// asynchronous; by default a key-by-key `try_get` loop).  A store with
-/// real batching implements `submit` and derives `try_get` from it as a
-/// window of one.  [`CoefficientStore::get`] and
-/// [`CoefficientStore::try_get_many`] are conveniences provided on top
-/// and never overridden in this workspace (`scripts/ci.sh` checks), so
-/// `try_get` ≡ `submit` (DESIGN.md §10) is the whole contract.
+/// A store implements **one** retrieval primitive,
+/// [`CoefficientStore::submit`], and decides a value — and what it costs —
+/// there.  The reads above it (`try_get`, its window of one, `get` and
+/// `try_get_many`) are provided and never overridden in this workspace
+/// (`scripts/ci.sh` checks), so they agree with it by construction
+/// (DESIGN.md §10).
 ///
 /// Every requested key counts as one logical retrieval — the cost unit of
 /// the paper's experiments — whether or not the attempt succeeds.
@@ -27,7 +24,8 @@ pub trait CoefficientStore: Send + Sync {
             .unwrap_or_else(|e| panic!("retrieval failed: {e}"))
     }
 
-    /// Retrieves the coefficient at `key`, counting one retrieval.
+    /// Retrieves the coefficient at `key`, counting one retrieval: the
+    /// window of one, `submit(&[key]).wait_one()`.
     ///
     /// `Ok(None)` means the coefficient is absent, which callers must
     /// treat as exactly zero (sparse stores only hold nonzeros); the
@@ -36,7 +34,9 @@ pub trait CoefficientStore: Send + Sync {
     /// stores backed by physical I/O map backend errors to
     /// [`StorageError::Io`], and [`crate::FaultInjectingStore`] injects
     /// faults from a deterministic plan.
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError>;
+    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
+        self.submit(std::slice::from_ref(key)).wait_one()
+    }
 
     /// [`CoefficientStore::submit`], waited on: the value (or absence) of
     /// every key in `keys`, in input order, or the batch's error.
@@ -47,14 +47,10 @@ pub trait CoefficientStore: Send + Sync {
     /// Submits a batched fetch of `keys` and returns a [`Completion`]
     /// resolving to their values in input order.
     ///
-    /// The default is a loop over [`CoefficientStore::try_get`] resolved
-    /// at submit time, so every store has a batched path with
-    /// byte-identical values and accounting to the singleton path, and
-    /// wrappers that account per key (fault injection, instrumentation)
-    /// keep it.  The loop stops at the first failing key and the
-    /// completion keeps the values read ahead of it
-    /// ([`Completion::wait_prefix`]), so nobody has to read them again.
-    /// Stores with real batching implement it instead:
+    /// A store that decides key by key — a point store, or a wrapper that
+    /// accounts per key (fault injection, instrumentation) — answers with
+    /// [`Completion::per_key`], resolved at submit time and allocation-free
+    /// for a window of one.  Stores with real batching do better:
     /// [`crate::BlockStore`] reads each block at most once per window,
     /// [`crate::FileStore`] coalesces sorted slots into single-pass reads,
     /// [`crate::ShardedCachingStore`] forwards a window's misses to its
@@ -71,16 +67,7 @@ pub trait CoefficientStore: Send + Sync {
     /// implementation may perform *fewer* physical reads than that loop
     /// (that is the point) but never returns different values or absence
     /// verdicts.
-    fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        let mut read = Vec::with_capacity(keys.len());
-        for key in keys {
-            match self.try_get(key) {
-                Ok(value) => read.push(value),
-                Err(error) => return Completion::failed_after(read, error),
-            }
-        }
-        Completion::ready(Ok(read))
-    }
+    fn submit(&self, keys: &[CoeffKey]) -> Completion;
 
     /// Blocks until every asynchronous fetch submitted to this store has
     /// completed and its in-flight bookkeeping is retired.

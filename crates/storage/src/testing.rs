@@ -5,7 +5,7 @@ use std::sync::{Condvar, Mutex};
 
 use batchbb_tensor::CoeffKey;
 
-use crate::{CoefficientStore, Completion, IoStats, StorageError};
+use crate::{CoefficientStore, Completion, IoStats};
 
 /// A pass-through store that records every read reaching it (one entry
 /// per call, holding that call's keys) and holds each call at a gate, so
@@ -63,11 +63,6 @@ impl<S> Gated<S> {
 }
 
 impl<S: CoefficientStore> CoefficientStore for Gated<S> {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.enter(&[*key]);
-        self.inner.try_get(key)
-    }
-
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         self.enter(keys);
         self.inner.submit(keys)

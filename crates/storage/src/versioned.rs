@@ -43,7 +43,7 @@ use batchbb_obs::{span_end_event, span_start_event, EventSink, Tracer};
 use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::stats::Counters;
-use crate::{CoefficientStore, IoStats, StorageError, ZERO_TOL};
+use crate::{CoefficientStore, Completion, IoStats, ZERO_TOL};
 
 /// Span emission for the version machinery: `store.publish` spans around
 /// each publish and `store.advance` spans around view repair. Shared by
@@ -369,11 +369,15 @@ impl Default for VersionedStore {
 }
 
 impl CoefficientStore for VersionedStore {
-    /// Reads the *current* version (pin a [`VersionView`] for stability).
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        self.counters.count_physical();
-        Ok(self.log.lock().unwrap().head().get(key))
+    /// Reads the *current* version (pin a [`VersionView`] for stability);
+    /// a window reads one version, under one lock.
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        let log = self.log.lock().unwrap();
+        Completion::per_key(keys, |key| {
+            self.counters.count_retrieval();
+            self.counters.count_physical();
+            Ok(log.head().get(key))
+        })
     }
 
     fn nnz(&self) -> usize {
@@ -477,10 +481,14 @@ impl VersionView {
 }
 
 impl CoefficientStore for VersionView {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.counters.count_retrieval();
-        self.counters.count_physical();
-        Ok(self.pinned.lock().unwrap().get(key))
+    #[inline]
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        let pinned = self.pinned.lock().unwrap();
+        Completion::per_key(keys, |key| {
+            self.counters.count_retrieval();
+            self.counters.count_physical();
+            Ok(pinned.get(key))
+        })
     }
 
     fn nnz(&self) -> usize {

@@ -1,11 +1,13 @@
 //! The store-contract check, shared (via `#[path]`) by every crate that
 //! ships a `CoefficientStore`.
 //!
-//! A store has two read primitives, `try_get` and `submit`, and they must
-//! agree: a window resolves to what the key-by-key loop returns — values
-//! in input order, one logical retrieval per key, and on failure the
-//! error the loop would hit first ([`reads_agree`], [`faults_agree`]).
-//! (`get` and `try_get_many` are provided on top of the two and never
+//! A store has one read primitive, `submit`, and `try_get` is its window
+//! of one; a wider window must resolve to what the key-by-key loop of
+//! windows of one returns — values in input order, one logical retrieval
+//! per key, and on failure the error the loop would hit first
+//! ([`reads_agree`], [`faults_agree`]).  That is what a store batching
+//! for real (or the cache, which branches on a window's length) could get
+//! wrong.  (`get` and `try_get_many` are provided on top and never
 //! overridden, so they have nothing of their own to check.)
 //!
 //! A wrapper must also forward what is not a read. One that forgets
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use batchbb_storage::{
-    CoefficientStore, FaultInjectingStore, FaultPlan, IoStats, StorageError, VersionView,
+    CoefficientStore, Completion, FaultInjectingStore, FaultPlan, IoStats, VersionView,
     VersionedStore,
 };
 use batchbb_tensor::CoeffKey;
@@ -31,8 +33,8 @@ pub(crate) struct Probe {
 }
 
 impl CoefficientStore for Probe {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        self.view.try_get(key)
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::per_key(keys, |key| self.view.try_get(key))
     }
 
     fn quiesce(&self) {

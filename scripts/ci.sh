@@ -145,14 +145,14 @@ e2e_gate() {
     crates/e2e/run.sh --seed 1 --seconds 4 | grep -E '^# .*(guard|failed_share)'
 }
 
-# Store-trait gate (DESIGN.md §10): a store decides a value in `try_get`
-# or `submit` and nowhere else. `get` and `try_get_many` are provided on
-# top of those two, and Rust cannot make a provided method final, so this
-# fails on any `impl … CoefficientStore for` that defines either — test
-# doubles included. Exempt: the `&S` forwarder in store.rs and the
-# harness's TimedStore (crates/e2e), which spell out all nine methods.
+# Store-trait gate (DESIGN.md §10): a store decides a value in `submit`
+# and nowhere else. `try_get` (a window of one), `get` and `try_get_many`
+# are provided on top of it, and Rust cannot make a provided method final,
+# so this fails on any `impl … CoefficientStore for` that defines one of
+# them — test doubles included. Exempt: the `&S` forwarder in store.rs and
+# the harness's TimedStore (crates/e2e), which spell out all nine methods.
 store_trait_gate() {
-    echo "==> no CoefficientStore impl overrides get / try_get_many"
+    echo "==> no CoefficientStore impl overrides get / try_get / try_get_many"
     git ls-files '*.rs' | grep -v '^crates/e2e/' | xargs awk '
         FNR == 1 { inside = 0 }
         /^ *impl.* CoefficientStore for / && !/ for &S / {
@@ -162,13 +162,13 @@ store_trait_gate() {
             next
         }
         inside && $0 == close_at { inside = 0 }
-        inside && /fn (get|try_get_many)\(/ {
+        inside && /fn (get|try_get|try_get_many)\(/ {
             printf "%s:%d: %s\n", FILENAME, FNR, $0
             bad = 1
         }
         END { exit bad }
     ' || {
-        echo "derive it: implement try_get (and submit, if the store batches)" >&2
+        echo "implement submit (Completion::per_key for a key-by-key store)" >&2
         exit 1
     }
 }

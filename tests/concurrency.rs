@@ -47,8 +47,10 @@ struct ReplayStore {
 }
 
 impl CoefficientStore for ReplayStore {
-    fn try_get(&self, key: &CoeffKey) -> Result<Option<f64>, StorageError> {
-        Ok(self.entries.get(key).copied().filter(|v| *v != 0.0))
+    fn submit(&self, keys: &[CoeffKey]) -> Completion {
+        Completion::per_key(keys, |key| {
+            Ok(self.entries.get(key).copied().filter(|v| *v != 0.0))
+        })
     }
 
     fn nnz(&self) -> usize {
