@@ -26,7 +26,7 @@ use batchbb_obs::Phase;
 /// One closed span reconstructed from a `span.start`/`span.end` pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// The span's name (`batch`, `phase`, `prefetch`, `store.read`, ...).
+    /// The span's name (`batch`, `phase`, `store.read`, ...).
     pub name: String,
     /// The span id, unique within the trace.
     pub id: u64,
@@ -36,7 +36,7 @@ pub struct Span {
     pub start: u64,
     /// End timestamp (tracer nanoseconds, `>= start`).
     pub end: u64,
-    /// The batch index, for `batch`/`phase`/`prefetch` spans.
+    /// The batch index, for `batch`/`phase` spans.
     pub batch: Option<u64>,
     /// The lifecycle phase, for `phase` spans.
     pub phase: Option<Phase>,
@@ -279,11 +279,20 @@ impl BatchLifecycle {
     /// for a zero-length lifecycle.
     pub fn dominant_phase(&self) -> Option<(Phase, u64)> {
         let totals = self.phase_totals();
-        Phase::ALL
-            .into_iter()
-            .filter_map(|p| totals.get(&p).map(|&ns| (p, ns)))
-            .max_by_key(|&(_, ns)| ns)
+        heaviest(Phase::ALL.map(|p| totals.get(&p).copied().unwrap_or(0)))
     }
+}
+
+/// The phase with the largest of `totals` (indexed in [`Phase::ALL`]
+/// order), ties going to the earlier phase; `None` when every total is 0.
+fn heaviest(totals: [u64; Phase::ALL.len()]) -> Option<(Phase, u64)> {
+    // `max_by_key` keeps the *last* maximum, so walk the phases backwards.
+    Phase::ALL
+        .into_iter()
+        .zip(totals)
+        .rev()
+        .filter(|&(_, ns)| ns > 0)
+        .max_by_key(|&(_, ns)| ns)
 }
 
 /// Time-in-phase totals for one priority class.
@@ -415,19 +424,17 @@ pub fn render_waterfall(lifecycles: &[BatchLifecycle]) -> String {
     for lifecycle in lifecycles {
         let mut row = vec!['.'; WATERFALL_COLS];
         // Each column is one time bin; the glyph is the phase with the
-        // largest overlap in the bin, so brief phases cannot erase long
-        // ones at coarse resolution.
+        // largest summed overlap in the bin, so brief phases cannot erase
+        // long ones at coarse resolution.
         for (i, cell) in row.iter_mut().enumerate() {
             let bin_start = t0 + (window * i as u64) / WATERFALL_COLS as u64;
             let bin_end = t0 + (window * (i as u64 + 1)) / WATERFALL_COLS as u64;
-            let mut best: Option<(u64, Phase)> = None;
+            let mut overlap = [0; Phase::ALL.len()];
             for &(phase, start, end) in &lifecycle.intervals {
-                let overlap = end.min(bin_end).saturating_sub(start.max(bin_start));
-                if overlap > 0 && best.map(|(o, _)| overlap > o).unwrap_or(true) {
-                    best = Some((overlap, phase));
-                }
+                // `Phase::ALL` lists the phases in declaration order.
+                overlap[phase as usize] += end.min(bin_end).saturating_sub(start.max(bin_start));
             }
-            if let Some((_, phase)) = best {
+            if let Some((phase, _)) = heaviest(overlap) {
                 *cell = phase.letter();
             }
         }
@@ -529,11 +536,13 @@ pub fn format_attribution(events: &[ParsedEvent]) -> Result<String, String> {
     out.push('\n');
     let riders = set.named("store.rider").count();
     let reads = set.named("store.read").count();
+    let phases = set.named("phase").count();
     out.push_str(&format!(
-        "span integrity OK: {} spans, {} batches partition their wall time exactly, \
-         {riders} dedup riders over {reads} physical reads\n",
+        "span integrity OK: {} spans, {} batches partition their wall time exactly \
+         ({:.1} phase spans per batch), {riders} dedup riders over {reads} physical reads\n",
         set.spans.len(),
         lifecycles.len(),
+        phases as f64 / lifecycles.len() as f64,
     ));
     Ok(out)
 }
@@ -733,6 +742,39 @@ mod tests {
         let lifecycles = SpanSet::from_events(&events).unwrap().lifecycles().unwrap();
         let err = slo_misses(&events, &lifecycles).unwrap_err();
         assert!(err.contains("no lifecycle spans"), "got: {err}");
+    }
+
+    #[test]
+    fn dominant_phase_ties_go_to_the_earlier_phase() {
+        let lifecycle = BatchLifecycle {
+            batch: 0,
+            root: 1,
+            start: 0,
+            end: 100,
+            intervals: vec![(Phase::Queued, 0, 50), (Phase::Executing, 50, 100)],
+        };
+        assert_eq!(lifecycle.dominant_phase(), Some((Phase::Queued, 50)));
+    }
+
+    #[test]
+    fn waterfall_column_sums_overlap_per_phase() {
+        // 640 ns over 64 columns: the first column is [0, 10), holding
+        // executing 3 + 3 ns around one 4 ns store wait.
+        let lifecycle = BatchLifecycle {
+            batch: 0,
+            root: 1,
+            start: 0,
+            end: 640,
+            intervals: vec![
+                (Phase::Executing, 0, 3),
+                (Phase::StoreWait, 3, 7),
+                (Phase::Executing, 7, 640),
+            ],
+        };
+        let chart = render_waterfall(&[lifecycle]);
+        let row = chart.lines().find(|l| l.starts_with("batch")).unwrap();
+        let first = row.split('|').nth(1).unwrap().chars().next();
+        assert_eq!(first, Some('E'), "row: {row}");
     }
 
     #[test]

@@ -95,10 +95,6 @@ const WINDOWS_IN_FLIGHT: usize = 2;
 struct InFlight {
     len: usize,
     completion: Completion,
-    /// Armed when an observer is attached: measures submit→resolve
-    /// latency for the `exec.prefetch` record, mirroring the blocking
-    /// fetch timer.
-    timer: Option<batchbb_obs::SpanTimer>,
 }
 
 /// What one [`ProgressiveExecutor::step`] did.
@@ -256,6 +252,9 @@ pub struct ProgressiveExecutor<'a> {
     /// Optional instrumentation: metrics and trace events per step. `None`
     /// keeps the hot path free of even a clock read.
     observer: Option<ExecObserver>,
+    /// Nanoseconds spent inside store calls, counted only while an
+    /// observer is attached.
+    store_wait_ns: u64,
 }
 
 /// Compile-time `Send` audit: executors migrate between `batchbb-serve`
@@ -320,6 +319,7 @@ impl<'a> ProgressiveExecutor<'a> {
             deferred_importance: 0.0,
             fault: FaultStats::default(),
             observer: None,
+            store_wait_ns: 0,
         }
     }
 
@@ -338,6 +338,26 @@ impl<'a> ProgressiveExecutor<'a> {
     /// The attached observer, if any.
     pub fn observer(&self) -> Option<&ExecObserver> {
         self.observer.as_ref()
+    }
+
+    /// Wall-clock nanoseconds spent inside store calls so far — singleton
+    /// reads, window submits and completion waits — counted only while an
+    /// observer is attached (0 otherwise: an unobserved executor reads no
+    /// clock).  The serve pool records its growth over a slice as the
+    /// slice's `store_wait` phase (DESIGN.md §14).
+    pub fn store_wait_ns(&self) -> u64 {
+        self.store_wait_ns
+    }
+
+    /// Runs one store call, timing it into `store_wait_ns` when an observer
+    /// is attached; returns the call's result and its duration (0 when
+    /// unobserved).
+    fn store_call<T>(&mut self, call: impl FnOnce() -> T) -> (T, u64) {
+        let timer = ExecObserver::maybe_timer(&self.observer);
+        let out = call();
+        let ns = timer.map_or(0, |t| t.elapsed_ns());
+        self.store_wait_ns += ns;
+        (out, ns)
     }
 
     /// Sets the prefetch window `w >= 1`: each fallible step may read the
@@ -461,13 +481,7 @@ impl<'a> ProgressiveExecutor<'a> {
     /// singleton-fallback debt, so only the keys that individually fail
     /// get deferred.
     fn finish_window(&mut self, window: InFlight) {
-        let wait = ExecObserver::store_wait_scope(&self.observer);
-        let fetched = window.completion.wait();
-        drop(wait);
-        let latency_ns = window.timer.map_or(0, |t| t.elapsed_ns());
-        if let Some(obs) = &self.observer {
-            obs.on_prefetch(window.len, fetched.is_ok(), latency_ns);
-        }
+        let (fetched, _) = self.store_call(|| window.completion.wait());
         match fetched {
             Ok(values) => self
                 .landed
@@ -515,21 +529,12 @@ impl<'a> ProgressiveExecutor<'a> {
                 .iter()
                 .map(|e| e.key)
                 .collect();
-            let timer = ExecObserver::maybe_timer(&self.observer);
-            let wait = ExecObserver::store_wait_scope(&self.observer);
-            let completion = self.store.submit(&keys);
-            drop(wait);
-            let window = InFlight {
-                len,
-                completion,
-                timer,
-            };
+            let store = self.store;
+            let (completion, _) = self.store_call(|| store.submit(&keys));
+            let window = InFlight { len, completion };
             if ahead == 0 && window.completion.is_ready() {
                 self.finish_window(window);
                 break;
-            }
-            if let Some(obs) = &self.observer {
-                obs.on_park(len, self.order.len() - start - len);
             }
             self.in_flight.push_back(window);
         }
@@ -545,9 +550,6 @@ impl<'a> ProgressiveExecutor<'a> {
         let Some(window) = self.in_flight.pop_front() else {
             return;
         };
-        if let Some(obs) = &self.observer {
-            obs.on_resume(window.len);
-        }
         self.finish_window(window);
         self.read_ahead(policy, horizon);
     }
@@ -674,11 +676,9 @@ impl<'a> ProgressiveExecutor<'a> {
                 None => return TryStepOutcome::Exhausted,
             },
         };
-        let timer = ExecObserver::maybe_timer(&self.observer);
-        let wait = ExecObserver::store_wait_scope(&self.observer);
-        let out = get_with_retry(self.store, &entry.key, policy, attempts_allowed);
-        drop(wait);
-        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
+        let store = self.store;
+        let (out, latency_ns) =
+            self.store_call(|| get_with_retry(store, &entry.key, policy, attempts_allowed));
         out.record(&mut self.fault);
         match out.result {
             Ok(value) => {

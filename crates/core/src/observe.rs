@@ -16,8 +16,7 @@
 use std::sync::Arc;
 
 use batchbb_obs::{
-    span_end_event, span_start_event, Counter, Event, EventSink, Gauge, Histogram, Lifecycle,
-    MetricsRegistry, NullSink, Phase, PhaseGuard, SpanTimer,
+    Counter, Event, EventSink, Gauge, Histogram, MetricsRegistry, NullSink, SpanTimer,
 };
 use batchbb_storage::{FaultStats, StorageError};
 use batchbb_tensor::CoeffKey;
@@ -71,17 +70,12 @@ pub struct ExecObserver {
     engine: &'static str,
     n_total: Option<usize>,
     k_abs_sum: Option<f64>,
-    lifecycle: Option<Lifecycle>,
     steps: Counter,
     deferrals: Counter,
     recoveries: Counter,
-    prefetch_batches: Counter,
-    prefetch_keys: Counter,
-    parks: Counter,
     pending_depth: Gauge,
     deferred_depth: Gauge,
     step_ns: Histogram,
-    prefetch_ns: Histogram,
 }
 
 impl ExecObserver {
@@ -106,19 +100,14 @@ impl ExecObserver {
             steps: registry.counter(&metric("steps")),
             deferrals: registry.counter(&metric("deferrals")),
             recoveries: registry.counter(&metric("recoveries")),
-            prefetch_batches: registry.counter(&metric("prefetch.batches")),
-            prefetch_keys: registry.counter(&metric("prefetch.keys")),
-            parks: registry.counter(&metric("parks")),
             pending_depth: registry.gauge(&metric("pending")),
             deferred_depth: registry.gauge(&metric("deferred")),
             step_ns: registry.histogram(&metric("step_ns")),
-            prefetch_ns: registry.histogram(&metric("prefetch_ns")),
             sink,
             registry,
             engine,
             n_total: None,
             k_abs_sum: None,
-            lifecycle: None,
         }
     }
 
@@ -128,7 +117,6 @@ impl ExecObserver {
         let mut built = Self::build(self.sink, registry, self.engine);
         built.n_total = self.n_total;
         built.k_abs_sum = self.k_abs_sum;
-        built.lifecycle = self.lifecycle;
         built
     }
 
@@ -138,18 +126,7 @@ impl ExecObserver {
         let mut built = Self::build(self.sink, self.registry, engine);
         built.n_total = self.n_total;
         built.k_abs_sum = self.k_abs_sum;
-        built.lifecycle = self.lifecycle;
         built
-    }
-
-    /// Attaches the batch's lifecycle recorder (causal tracing, DESIGN.md
-    /// §14). The executor then carves [`Phase::StoreWait`] out of the
-    /// batch's executing time around every store call and emits a
-    /// `prefetch` span per prefetch window under the batch's root span.
-    /// Without this the tracing sites stay `None`-guarded no-ops.
-    pub fn with_lifecycle(mut self, lifecycle: Lifecycle) -> Self {
-        self.lifecycle = Some(lifecycle);
-        self
     }
 
     /// Enables the per-step penalty-bound fields: `n_total` is the domain
@@ -176,17 +153,6 @@ impl ExecObserver {
     /// reading, so unobserved paths never touch the clock.
     pub(crate) fn maybe_timer(observer: &Option<ExecObserver>) -> Option<SpanTimer> {
         observer.as_ref().map(|_| SpanTimer::start())
-    }
-
-    /// Brackets a store call as [`Phase::StoreWait`] in the batch's
-    /// lifecycle: the guard enters the phase now and restores the previous
-    /// phase (normally `Executing`) when dropped. `None` — a free no-op —
-    /// unless a lifecycle recorder is attached.
-    pub(crate) fn store_wait_scope(observer: &Option<ExecObserver>) -> Option<PhaseGuard> {
-        observer
-            .as_ref()
-            .and_then(|o| o.lifecycle.as_ref())
-            .map(|lifecycle| PhaseGuard::enter(lifecycle, Phase::StoreWait))
     }
 
     pub(crate) fn on_start(&self, batch_size: usize, coefficients: usize) {
@@ -249,75 +215,6 @@ impl ExecObserver {
                 .u64("retries", o.fault.retries)
                 .u64("backoff_ticks", o.fault.backoff_ticks)
                 .u64("latency_ns", o.latency_ns),
-        );
-    }
-
-    /// One batched prefetch of `batch` coefficients (`ok = false` when the
-    /// fetch failed as a whole and the executor fell back to singleton
-    /// retrievals).
-    pub(crate) fn on_prefetch(&self, batch: usize, ok: bool, latency_ns: u64) {
-        self.prefetch_batches.inc();
-        self.prefetch_keys.add(batch as u64);
-        self.prefetch_ns.record(latency_ns);
-        if !self.sink.enabled() {
-            return;
-        }
-        self.sink.emit(
-            &Event::new("exec.prefetch")
-                .str("engine", self.engine)
-                .u64("batch", batch as u64)
-                .bool("ok", ok)
-                .u64("latency_ns", latency_ns),
-        );
-        // With a lifecycle attached, the prefetch window also lands as a
-        // causal span under the batch's root: the window resolved *now*
-        // and covered `latency_ns` (the overlap latency for parked async
-        // fetches), so its start is reconstructed backwards.
-        if let Some(lifecycle) = &self.lifecycle {
-            if let Ok(recorder) = lifecycle.lock() {
-                let tracer = recorder.tracer();
-                let ctx = tracer.child_context(recorder.root_span());
-                let end = tracer.now_ns();
-                let start = end.saturating_sub(latency_ns);
-                self.sink.emit(
-                    &span_start_event("prefetch", ctx, start)
-                        .u64("keys", batch as u64)
-                        .bool("ok", ok),
-                );
-                self.sink.emit(&span_end_event(ctx, end));
-            }
-        }
-    }
-
-    /// A batched prefetch of `batch` coefficients was submitted to an
-    /// asynchronous store and is still in flight: the executor parked
-    /// instead of blocking.  `heap` is what remains in normal progression
-    /// order behind the parked entries.  Only genuinely asynchronous
-    /// stores produce these — synchronous runs emit no `exec.park`.
-    pub(crate) fn on_park(&self, batch: usize, heap: usize) {
-        self.parks.inc();
-        if !self.sink.enabled() {
-            return;
-        }
-        self.sink.emit(
-            &Event::new("exec.park")
-                .str("engine", self.engine)
-                .u64("batch", batch as u64)
-                .u64("heap", heap as u64),
-        );
-    }
-
-    /// The parked prefetch of `batch` coefficients landed and the executor
-    /// resumed; the matching `exec.prefetch` record (with the overlap
-    /// latency and the batch verdict) follows immediately.
-    pub(crate) fn on_resume(&self, batch: usize) {
-        if !self.sink.enabled() {
-            return;
-        }
-        self.sink.emit(
-            &Event::new("exec.resume")
-                .str("engine", self.engine)
-                .u64("batch", batch as u64),
         );
     }
 

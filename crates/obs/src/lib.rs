@@ -73,7 +73,4 @@ pub use event::{Event, EventSink, FieldValue, JsonlSink, MemorySink, NullSink};
 pub use label::LabeledSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::SpanTimer;
-pub use trace::{
-    lifecycle, span_end_event, span_start_event, Lifecycle, LifecycleRecorder, Phase, PhaseGuard,
-    TraceContext, Tracer,
-};
+pub use trace::{span_end_event, span_start_event, LifecycleRecorder, Phase, TraceContext, Tracer};

@@ -26,14 +26,12 @@
 //!
 //! Tracing is strictly opt-in and adds **no locks to the untraced hot
 //! path**: every instrumented site guards on an `Option` that is `None`
-//! unless a tracer was configured, exactly like `ExecObserver`. When
-//! tracing is on, a recorder is shared behind a mutex, but ownership of a
-//! batch already passes serially (admission thread → at most one worker
-//! holding the slice lock at a time), so the mutex is uncontended — it
-//! exists to satisfy `Sync`, not to coordinate.
+//! unless a tracer was configured, exactly like `ExecObserver`. A
+//! recorder has one writer and no lock of its own: the serve pool keeps
+//! it beside the batch's executor, under the batch's slice lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::event::{Event, EventSink};
@@ -62,7 +60,9 @@ pub enum Phase {
     /// A worker is advancing the executor inside a slice.
     Executing,
     /// Blocked on the coefficient store: a synchronous retrieval, a
-    /// prefetch submit, or an async completion wait.
+    /// prefetch submit, or an async completion wait. Recorded as the
+    /// trailing interval of each slice (see
+    /// [`LifecycleRecorder::transition_after`]).
     StoreWait,
     /// Shelved on an outstanding async prefetch; the pool is advancing
     /// other batches.
@@ -264,22 +264,6 @@ impl LifecycleRecorder {
         self.batch
     }
 
-    /// The batch's root span id (the parent of every phase span and of
-    /// per-batch executor spans such as prefetch windows).
-    pub fn root_span(&self) -> u64 {
-        self.root
-    }
-
-    /// The run's tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The sink the lifecycle flushes into.
-    pub fn sink(&self) -> &Arc<dyn EventSink> {
-        &self.sink
-    }
-
     /// The phase the batch is in right now.
     pub fn phase(&self) -> Phase {
         self.transitions
@@ -297,6 +281,28 @@ impl LifecycleRecorder {
         }
         let now = self.tracer.now_ns();
         self.transitions.push((phase, now));
+    }
+
+    /// Enters `phase` now, like [`transition`](LifecycleRecorder::transition),
+    /// after handing the last `trailing_ns` of the open interval to
+    /// `trailing`: the open phase ends `trailing_ns` before now and
+    /// `trailing` runs until now. A `trailing_ns` longer than the open
+    /// interval is clamped to it, and 0 ns records no trailing interval.
+    /// The serve pool records each slice's store wait this way, so its
+    /// total is exact while its position inside the slice means nothing.
+    pub fn transition_after(&mut self, trailing: Phase, trailing_ns: u64, phase: Phase) {
+        if self.flushed {
+            return;
+        }
+        let now = self.tracer.now_ns();
+        if trailing_ns > 0 && self.phase() != trailing {
+            let open = self.transitions.last().map_or(now, |&(_, t)| t);
+            let start = now.saturating_sub(trailing_ns).max(open);
+            self.transitions.push((trailing, start));
+        }
+        if self.phase() != phase {
+            self.transitions.push((phase, now));
+        }
     }
 
     /// Ends the lifecycle now and emits the batch root span plus one
@@ -337,48 +343,6 @@ impl LifecycleRecorder {
         }
         self.sink
             .emit(&span_end_event(root_ctx, end).u64("batch", self.batch));
-    }
-}
-
-/// A shared handle to one batch's [`LifecycleRecorder`]: the serve pool
-/// and the batch's executor both write phase transitions through it. See
-/// the module docs for why the mutex is uncontended by construction.
-pub type Lifecycle = Arc<Mutex<LifecycleRecorder>>;
-
-/// Wraps a recorder into the shared [`Lifecycle`] handle.
-pub fn lifecycle(recorder: LifecycleRecorder) -> Lifecycle {
-    Arc::new(Mutex::new(recorder))
-}
-
-/// RAII phase bracket: enters `phase` on construction and restores the
-/// previous phase on drop. Used by the executor to carve
-/// [`Phase::StoreWait`] out of [`Phase::Executing`] around store calls.
-pub struct PhaseGuard {
-    lifecycle: Lifecycle,
-    prev: Phase,
-}
-
-impl PhaseGuard {
-    /// Enters `phase`, remembering the current phase for restore-on-drop.
-    pub fn enter(lifecycle: &Lifecycle, phase: Phase) -> PhaseGuard {
-        let prev = {
-            let mut recorder = lifecycle.lock().expect("lifecycle poisoned");
-            let prev = recorder.phase();
-            recorder.transition(phase);
-            prev
-        };
-        PhaseGuard {
-            lifecycle: Arc::clone(lifecycle),
-            prev,
-        }
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Ok(mut recorder) = self.lifecycle.lock() {
-            recorder.transition(self.prev);
-        }
     }
 }
 
@@ -481,18 +445,79 @@ mod tests {
         assert_eq!(total, root_t1 - root_t0);
     }
 
-    #[test]
-    fn phase_guard_restores_previous_phase() {
-        let sink = std::sync::Arc::new(MemorySink::new());
-        let tracer = Tracer::new(2);
-        let recorder = LifecycleRecorder::begin(tracer, sink, 0);
-        let handle = lifecycle(recorder);
-        handle.lock().unwrap().transition(Phase::Executing);
-        {
-            let _guard = PhaseGuard::enter(&handle, Phase::StoreWait);
-            assert_eq!(handle.lock().unwrap().phase(), Phase::StoreWait);
+    /// The flushed lifecycle's non-empty `(phase, start, end)` intervals
+    /// in time order, after checking that they partition the root span.
+    fn partitioned_intervals(sink: &MemorySink) -> Vec<(String, u64, u64)> {
+        let events = parsed(sink);
+        let root_start = events
+            .iter()
+            .find(|e| e.name() == "span.start" && e.str("name") == Some("batch"))
+            .unwrap();
+        let root_id = root_start.u64("span").unwrap();
+        let root_t0 = root_start.u64("ts_ns").unwrap();
+        let end_of = |id: u64| {
+            events
+                .iter()
+                .find(|e| e.name() == "span.end" && e.u64("span") == Some(id))
+                .unwrap()
+                .u64("ts_ns")
+                .unwrap()
+        };
+        let root_t1 = end_of(root_id);
+        // Collect phase intervals in emission order.
+        let mut intervals = Vec::new();
+        for event in &events {
+            if event.name() == "span.start" && event.str("name") == Some("phase") {
+                assert_eq!(event.u64("parent"), Some(root_id));
+                let t0 = event.u64("ts_ns").unwrap();
+                let t1 = end_of(event.u64("span").unwrap());
+                intervals.push((event.str("phase").unwrap().to_string(), t0, t1));
+            }
         }
-        assert_eq!(handle.lock().unwrap().phase(), Phase::Executing);
+        assert!(!intervals.is_empty());
+        // Exact telescoping partition of the root interval.
+        assert_eq!(intervals.first().unwrap().1, root_t0);
+        assert_eq!(intervals.last().unwrap().2, root_t1);
+        for w in intervals.windows(2) {
+            assert_eq!(w[0].2, w[1].1, "intervals must share boundaries");
+        }
+        let total: u64 = intervals.iter().map(|(_, a, b)| b - a).sum();
+        assert_eq!(total, root_t1 - root_t0);
+        intervals
+    }
+
+    #[test]
+    fn trailing_intervals_partition_clamp_and_skip_zero() {
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(2));
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let mut recorder = LifecycleRecorder::begin(Tracer::new(6), sink.clone(), 0);
+        recorder.transition(Phase::Executing);
+        pause();
+        recorder.transition_after(Phase::StoreWait, 1_000_000, Phase::Queued);
+        pause();
+        recorder.transition(Phase::Executing);
+        pause();
+        // Longer than the open interval: the whole slice is store wait.
+        recorder.transition_after(Phase::StoreWait, u64::MAX, Phase::Parked);
+        pause();
+        // 0 ns: a plain transition.
+        recorder.transition_after(Phase::StoreWait, 0, Phase::Finalize);
+        recorder.flush();
+        let intervals = partitioned_intervals(&sink);
+        let labels: Vec<&str> = intervals
+            .iter()
+            .map(|(phase, _, _)| phase.as_str())
+            .filter(|&phase| phase != "admitted" && phase != "finalize")
+            .collect();
+        assert_eq!(
+            labels,
+            ["executing", "store_wait", "queued", "store_wait", "parked"]
+        );
+        let first_wait = intervals
+            .iter()
+            .find(|(p, _, _)| p == "store_wait")
+            .unwrap();
+        assert_eq!(first_wait.2 - first_wait.1, 1_000_000, "the total is exact");
     }
 
     #[test]

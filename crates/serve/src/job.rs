@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use batchbb_core::{DegradationReport, DrainStatus, ProgressiveExecutor};
-use batchbb_obs::{Lifecycle, MetricsSnapshot, Phase};
+use batchbb_obs::{LifecycleRecorder, MetricsSnapshot, Phase};
 use batchbb_storage::VersionId;
 use batchbb_tensor::CoeffKey;
 
@@ -153,11 +153,45 @@ pub(crate) struct JobState<'a> {
     pub(crate) result: Option<BatchResult>,
     /// The store version this job currently reads (versioned mode only).
     pub(crate) pinned_version: Option<VersionId>,
+    /// The batch's phase recorder, `None` on untraced runs. Only the pool
+    /// writes it, and only under this lock, so no transition can land
+    /// inside another holder's bracket (an `advance_batch` repair, say).
+    lifecycle: Option<LifecycleRecorder>,
+    /// `exec.store_wait_ns()` at the last phase transition.
+    store_wait_mark: u64,
 }
 
-/// One submitted batch: its executor (behind the slice lock), its
-/// published snapshot, its contract, the cancellation flag, and — when
-/// the run is traced — its phase lifecycle.
+impl JobState<'_> {
+    /// Enters `phase` on the batch's lifecycle (a no-op on untraced runs
+    /// and after the flush). The store wait the executor measured since
+    /// the last transition — a slice's, since only slices read the store —
+    /// is recorded first, as the trailing `store_wait` interval of the
+    /// phase being left.
+    pub(crate) fn enter_phase(&mut self, phase: Phase) {
+        let Some(lifecycle) = &mut self.lifecycle else {
+            return;
+        };
+        let waited = self.exec.store_wait_ns() - self.store_wait_mark;
+        self.store_wait_mark = self.exec.store_wait_ns();
+        lifecycle.transition_after(Phase::StoreWait, waited, phase);
+    }
+
+    /// The phase the batch is in, `None` on untraced runs.
+    pub(crate) fn phase(&self) -> Option<Phase> {
+        self.lifecycle.as_ref().map(LifecycleRecorder::phase)
+    }
+
+    /// Flushes the batch's lifecycle spans into the trace (idempotent).
+    pub(crate) fn flush_lifecycle(&mut self) {
+        if let Some(lifecycle) = &mut self.lifecycle {
+            lifecycle.flush();
+        }
+    }
+}
+
+/// One submitted batch: its executor and phase lifecycle (behind the
+/// slice lock), its published snapshot, its contract, and the
+/// cancellation flag.
 pub(crate) struct JobCell<'a> {
     pub(crate) index: usize,
     pub(crate) contract: SloContract,
@@ -165,61 +199,43 @@ pub(crate) struct JobCell<'a> {
     pub(crate) snapshot: Mutex<BatchSnapshot>,
     pub(crate) cancelled: AtomicBool,
     pub(crate) finished: AtomicBool,
-    /// The batch's phase recorder, `None` on untraced runs. Shared with
-    /// the executor's observer (which carves out `StoreWait`); the pool
-    /// writes the remaining transitions and flushes at finalize.
-    pub(crate) lifecycle: Option<Lifecycle>,
 }
 
 impl<'a> JobCell<'a> {
+    /// An admitted batch, entering the slice queue.
     pub(crate) fn new(
         index: usize,
         exec: ProgressiveExecutor<'a>,
         config: &ServeConfig,
         contract: SloContract,
         pinned: Option<VersionId>,
-        lifecycle: Option<Lifecycle>,
+        lifecycle: Option<LifecycleRecorder>,
     ) -> Self {
         let report = exec.degradation_report(config.n_total, config.k_abs_sum);
         let snapshot = snapshot_of(&exec, &report, 0, false);
+        let mut state = JobState {
+            exec,
+            slices: 0,
+            bound_history: Vec::new(),
+            result: None,
+            pinned_version: pinned,
+            lifecycle,
+            store_wait_mark: 0,
+        };
+        state.enter_phase(Phase::Queued);
         JobCell {
             index,
             contract,
-            state: Mutex::new(JobState {
-                exec,
-                slices: 0,
-                bound_history: Vec::new(),
-                result: None,
-                pinned_version: pinned,
-            }),
+            state: Mutex::new(state),
             snapshot: Mutex::new(snapshot),
             cancelled: AtomicBool::new(false),
             finished: AtomicBool::new(false),
-            lifecycle,
         }
     }
 
     /// The latest published snapshot, locked.
     pub(crate) fn snapshot(&self) -> MutexGuard<'_, BatchSnapshot> {
         self.snapshot.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Enters `phase` on the batch's lifecycle; a no-op on untraced runs
-    /// (and after the lifecycle has flushed).
-    pub(crate) fn enter_phase(&self, phase: Phase) {
-        if let Some(lifecycle) = &self.lifecycle {
-            lifecycle
-                .lock()
-                .expect("lifecycle poisoned")
-                .transition(phase);
-        }
-    }
-
-    /// Flushes the batch's lifecycle spans into the trace (idempotent).
-    pub(crate) fn flush_lifecycle(&self) {
-        if let Some(lifecycle) = &self.lifecycle {
-            lifecycle.lock().expect("lifecycle poisoned").flush();
-        }
     }
 
     /// A cell for a batch admission refused: born finished, zero
@@ -235,15 +251,8 @@ impl<'a> JobCell<'a> {
         estimate: &AdmissionEstimate,
         capacity: u64,
         pinned: Option<VersionId>,
-        lifecycle: Option<Lifecycle>,
+        lifecycle: Option<LifecycleRecorder>,
     ) -> Self {
-        // A rejected batch's lifecycle is admission → finalize, flushed on
-        // the spot: it never runs, so its trace is complete at birth.
-        if let Some(lifecycle) = &lifecycle {
-            let mut recorder = lifecycle.lock().expect("lifecycle poisoned");
-            recorder.transition(Phase::Finalize);
-            recorder.flush();
-        }
         let report = exec.degradation_report(config.n_total, config.k_abs_sum);
         let snapshot = snapshot_of(&exec, &report, 0, true);
         let result = BatchResult {
@@ -259,20 +268,26 @@ impl<'a> JobCell<'a> {
             metrics: Default::default(),
             pinned_version: pinned,
         };
+        let mut state = JobState {
+            exec,
+            slices: 0,
+            bound_history: Vec::new(),
+            result: Some(result),
+            pinned_version: pinned,
+            lifecycle,
+            store_wait_mark: 0,
+        };
+        // A rejected batch's lifecycle is admission → finalize, flushed on
+        // the spot: it never runs, so its trace is complete at birth.
+        state.enter_phase(Phase::Finalize);
+        state.flush_lifecycle();
         JobCell {
             index,
             contract,
-            state: Mutex::new(JobState {
-                exec,
-                slices: 0,
-                bound_history: Vec::new(),
-                result: Some(result),
-                pinned_version: pinned,
-            }),
+            state: Mutex::new(state),
             snapshot: Mutex::new(snapshot),
             cancelled: AtomicBool::new(false),
             finished: AtomicBool::new(true),
-            lifecycle,
         }
     }
 }

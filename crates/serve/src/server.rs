@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 
 use batchbb_core::{DegradationReport, ExecObserver, ProgressiveExecutor};
-use batchbb_obs::{lifecycle, LabeledSink, Lifecycle, LifecycleRecorder, Phase};
+use batchbb_obs::{LabeledSink, LifecycleRecorder, Phase};
 use batchbb_storage::{
     CoefficientStore, FaultStats, ShardedCachingStore, VersionId, VersionView, VersionedStore,
 };
@@ -238,15 +238,10 @@ impl BatchServer {
                 shared
                     .slo
                     .on_admitted(i, &req.slo, &estimate, config.capacity);
-                if let Some(mut observer) = self.observer_for(i) {
-                    if let Some(batch_lifecycle) = &batch_lifecycle {
-                        observer = observer.with_lifecycle(batch_lifecycle.clone());
-                    }
+                if let Some(observer) = self.observer_for(i) {
                     exec = exec.with_observer(observer);
                 }
-                let cell = JobCell::new(i, exec, config, req.slo, pinned, batch_lifecycle);
-                cell.enter_phase(Phase::Queued);
-                cell
+                JobCell::new(i, exec, config, req.slo, pinned, batch_lifecycle)
             })
             .collect()
     }
@@ -254,16 +249,16 @@ impl BatchServer {
     /// Builds batch `index`'s phase lifecycle, or `None` unless both a
     /// tracer and a sink are configured. The recorder flushes into the
     /// raw (unlabelled) sink — its spans carry an explicit `batch` field.
-    fn lifecycle_for(&self, index: usize) -> Option<Lifecycle> {
+    fn lifecycle_for(&self, index: usize) -> Option<LifecycleRecorder> {
         let (tracer, sink) = match (&self.config.tracer, &self.config.sink) {
             (Some(tracer), Some(sink)) => (tracer, sink),
             _ => return None,
         };
-        Some(lifecycle(LifecycleRecorder::begin(
+        Some(LifecycleRecorder::begin(
             tracer.clone(),
             sink.clone(),
             index as u64,
-        )))
+        ))
     }
 
     /// Builds batch `index`'s observer from the configured sink/registry,
@@ -486,12 +481,8 @@ impl<'s, 'a> ServeSession<'s, 'a> {
         if state.result.is_some() {
             return None;
         }
-        let interrupted = cell.lifecycle.as_ref().map(|lifecycle| {
-            let mut recorder = lifecycle.lock().expect("lifecycle poisoned");
-            let prev = recorder.phase();
-            recorder.transition(Phase::Repair);
-            prev
-        });
+        let interrupted = state.phase();
+        state.enter_phase(Phase::Repair);
         let (id, delta) = versioned.views[index].advance_to_current();
         state.exec.advance_version(&delta);
         state.pinned_version = Some(id);
@@ -500,7 +491,7 @@ impl<'s, 'a> ServeSession<'s, 'a> {
             .degradation_report(self.config.n_total, self.config.k_abs_sum);
         publish_snapshot(cell, &state, &report, false);
         if let Some(prev) = interrupted {
-            cell.enter_phase(prev);
+            state.enter_phase(prev);
         }
         drop(state);
         versioned.compact();
@@ -552,8 +543,11 @@ fn worker_loop(
 ///
 /// Lock discipline: slice locks are only `try_lock`ed — a held lock means
 /// another worker or [`ServeSession::advance_batch`] owns the batch right
-/// now, and the next sweep will catch up; blocking here would stall every
-/// other worker's sweep behind that one slice (this sweep holds the shelf).
+/// now, and the next sweep will catch up (a cancelled batch too); blocking
+/// here would stall every other worker's sweep behind that one slice
+/// (this sweep holds the shelf). The `Queued` transition is made under
+/// the slice lock, like every other, so a concurrent `advance_batch`
+/// cannot restore `Parked` over it.
 fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) -> bool {
     let mut parked = shared.parked.lock().unwrap_or_else(|e| e.into_inner());
     if parked.is_empty() {
@@ -563,18 +557,25 @@ fn resume_parked(jobs: &[JobCell<'_>], queue: &SliceQueue, shared: &PoolShared) 
     let mut i = 0;
     while i < parked.len() {
         let cell = &jobs[parked[i]];
+        let mut state = match cell.state.try_lock() {
+            Ok(state) => state,
+            // Poisoned: recover the guard, as every slice-lock site does.
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                i += 1;
+                continue;
+            }
+        };
         let wake = cell.cancelled.load(Ordering::Acquire)
-            || match cell.state.try_lock() {
-                Ok(state) => !state.exec.fetch_pending() || state.exec.fetch_ready(),
-                // Held: not now. Poisoned: wake it, its next slice recovers the state.
-                Err(e) => matches!(e, TryLockError::Poisoned(_)),
-            };
+            || !state.exec.fetch_pending()
+            || state.exec.fetch_ready();
         if !wake {
             i += 1;
             continue;
         }
+        state.enter_phase(Phase::Queued);
+        drop(state);
         let index = parked.swap_remove(i);
-        cell.enter_phase(Phase::Queued);
         let slices = cell.snapshot().slices;
         queue.push(index, marginal_value(cell), slices);
         resumed = true;
@@ -601,9 +602,7 @@ fn run_slice(
     if state.result.is_some() {
         return SliceOutcome::Finished;
     }
-    // Phase transitions happen while the slice lock is held, so while
-    // `advance_batch` holds it a batch's phase is never Executing.
-    cell.enter_phase(Phase::Executing);
+    state.enter_phase(Phase::Executing);
     if cell.cancelled.load(Ordering::Acquire) {
         let report = state
             .exec
@@ -707,10 +706,10 @@ fn run_slice(
             // the fetch landed while we were reporting, in which case it
             // is runnable right now).
             if state.exec.fetch_pending() && !state.exec.fetch_ready() {
-                cell.enter_phase(Phase::Parked);
+                state.enter_phase(Phase::Parked);
                 return SliceOutcome::Parked;
             }
-            cell.enter_phase(Phase::Queued);
+            state.enter_phase(Phase::Queued);
             SliceOutcome::Requeue {
                 score: marginal_value(cell),
                 slices: state.slices,
@@ -745,7 +744,7 @@ fn finalize(
     active: &AtomicUsize,
     shared: &PoolShared,
 ) {
-    cell.enter_phase(Phase::Finalize);
+    state.enter_phase(Phase::Finalize);
     publish_snapshot(cell, state, &report, true);
     // The outcome is the certificate's verdict, not the status's: any
     // terminal state whose final certified bound meets the target — exact
@@ -776,7 +775,7 @@ fn finalize(
         pinned_version: state.pinned_version,
     });
     cell.finished.store(true, Ordering::Release);
-    cell.flush_lifecycle();
+    state.flush_lifecycle();
     let left = active.fetch_sub(1, Ordering::AcqRel) - 1;
     shared.slo.set_queue_depth(left as u64);
 }

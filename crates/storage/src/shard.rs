@@ -1320,7 +1320,16 @@ mod tests {
     #[test]
     fn dead_primary_fails_over_to_the_replica() {
         let single = MemoryStore::from_entries(entries(64));
-        let router = ShardTopology::new(4).with_replication().build(entries(64));
+        // No timed hedge fires within the test, so every replica read is a
+        // failover however slowly the primary's worker gets to the job.
+        let hedge = HedgeConfig {
+            initial_delay_ns: 10_000_000_000,
+            min_samples: usize::MAX,
+        };
+        let router = ShardTopology::new(4)
+            .with_replication()
+            .with_hedge(hedge)
+            .build(entries(64));
         router.fail_shard(0);
         let probe = key_on_shard(0, 4);
         assert_eq!(router.try_get(&probe).unwrap(), single.get(&probe));

@@ -272,7 +272,9 @@ full_gate() {
     # the certificate; 2x offered load stays bounded and certified; the
     # flat master list is the hashed merge, built once per batch and
     # shared; admission allocates the same whatever the master-list size;
-    # the Haar walk of the rewrite is the generic walk bit for bit.
+    # the Haar walk of the rewrite is the generic walk bit for bit; a
+    # traced batch records its phases per slice, not per retrieval, and
+    # its store_wait phase still holds its time in the store.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -285,6 +287,10 @@ full_gate() {
         rejection_never_loses_or_tears_admitted_batches
     run cargo test -q -p batchbb --test serve_slo \
         overload_at_twice_capacity_stays_bounded_and_certified
+    run cargo test -q -p batchbb --test observability \
+        traced_serve_records_phases_per_slice
+    run cargo test -q -p batchbb --test observability \
+        store_wait_phase_holds_the_store_time
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound

@@ -82,10 +82,9 @@ pub mod prelude {
         ProgressionEntry, ProgressiveExecutor, RewriteObserver, StepInfo, TryStepOutcome,
     };
     pub use batchbb_obs::{
-        jsonl, lifecycle, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder,
-        BoundedSinkStats, Event, EventSink, JsonlSink, LabeledSink, Lifecycle, LifecycleRecorder,
-        MemorySink, MetricsRegistry, MetricsSnapshot, NullSink, Phase, PhaseGuard, SpanTimer,
-        TraceContext, Tracer,
+        jsonl, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder, BoundedSinkStats,
+        Event, EventSink, JsonlSink, LabeledSink, LifecycleRecorder, MemorySink, MetricsRegistry,
+        MetricsSnapshot, NullSink, Phase, SpanTimer, TraceContext, Tracer,
     };
     pub use batchbb_penalty::{
         Combination, CursorKernel, CursorPenalty, DiagonalQuadratic, LaplacianPenalty, LpPenalty,

@@ -14,8 +14,11 @@
 //!   the sink's ledger (`emitted == written + dropped`) is exact;
 //! * every [`BatchResult`] carries the run's final [`MetricsSnapshot`],
 //!   and its counters reconcile with the trace events; traced, the same
-//!   run emits one lifecycle (root `batch` span) per batch.
+//!   run emits one lifecycle (root `batch` span) per batch;
+//! * a traced batch records its phases once per slice, not per retrieval,
+//!   and its `store_wait` phase still holds the time spent in the store.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -359,4 +362,108 @@ fn registry_aggregates_all_components() {
         .map(|(_, h)| h)
         .expect("step latency histogram registered");
     assert_eq!(hist.count, steps);
+}
+
+/// One traced batch, read back from its spans.
+#[derive(Default)]
+struct TracedBatch {
+    /// The root `batch` span's duration.
+    wall_ns: u64,
+    /// Each `phase` span as `(phase, duration)`.
+    phases: Vec<(String, u64)>,
+}
+
+/// Every traced batch of a serve run, by batch index.
+fn traced_batches(events: &[jsonl::ParsedEvent]) -> BTreeMap<u64, TracedBatch> {
+    let ends: BTreeMap<u64, u64> = events
+        .iter()
+        .filter(|e| e.name() == "span.end")
+        .map(|e| (e.u64("span").unwrap(), e.u64("ts_ns").unwrap()))
+        .collect();
+    let mut out: BTreeMap<u64, TracedBatch> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.name() == "span.start") {
+        let (Some(batch), Some(start)) = (e.u64("batch"), e.u64("ts_ns")) else {
+            continue;
+        };
+        let ns = ends[&e.u64("span").unwrap()] - start;
+        let traced = out.entry(batch).or_default();
+        match e.str("name") {
+            Some("batch") => traced.wall_ns = ns,
+            Some("phase") => traced
+                .phases
+                .push((e.str("phase").unwrap().to_string(), ns)),
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn traced_serve_records_phases_per_slice() {
+    let fx = fixture();
+    let requests: Vec<BatchRequest<'_>> =
+        (0..3).map(|_| BatchRequest::new(&fx.batch, &Sse)).collect();
+    let sink = Arc::new(MemorySink::new());
+    let server = BatchServer::new(
+        ServeConfig::new(fx.n_total, fx.k_abs_sum)
+            .workers(1)
+            .slice_steps(8)
+            .prefetch_window(1)
+            .sink(sink.clone())
+            .tracing(Tracer::new(3)),
+    );
+    let results = server.serve(&fx.store, &requests);
+    let traced = traced_batches(&parse(&sink.lines()));
+    assert_eq!(traced.len(), requests.len());
+    for (i, result) in results.iter().enumerate() {
+        assert_eq!(result.status, BatchStatus::Exact);
+        let phases = traced[&(i as u64)].phases.len();
+        assert!(
+            phases <= 3 * result.slices + 3,
+            "batch {i}: {phases} phase spans over {} slices and {} retrievals",
+            result.slices,
+            result.retrieved_entries.len()
+        );
+    }
+}
+
+#[test]
+fn store_wait_phase_holds_the_store_time() {
+    const CALL_NS: u64 = 200_000;
+    let fx = fixture();
+    let slow = LatencyStore::new(&fx.store, CALL_NS, 0);
+    let requests: Vec<BatchRequest<'_>> =
+        (0..2).map(|_| BatchRequest::new(&fx.batch, &Sse)).collect();
+    let sink = Arc::new(MemorySink::new());
+    let server = BatchServer::new(
+        ServeConfig::new(fx.n_total, fx.k_abs_sum)
+            .workers(1)
+            .slice_steps(16)
+            .prefetch_window(1)
+            .share_cache(false)
+            .sink(sink.clone())
+            .tracing(Tracer::new(4)),
+    );
+    let results = server.serve(&slow, &requests);
+    let traced = traced_batches(&parse(&sink.lines()));
+    for (i, result) in results.iter().enumerate() {
+        let batch = &traced[&(i as u64)];
+        let store_wait: u64 = batch
+            .phases
+            .iter()
+            .filter(|(phase, _)| phase == "store_wait")
+            .map(|(_, ns)| ns)
+            .sum();
+        // Uncached, every retrieval at W = 1 is one store call charged
+        // CALL_NS.
+        let floor = result.retrieved_entries.len() as u64 * CALL_NS;
+        assert!(
+            store_wait >= floor,
+            "batch {i}: store_wait {store_wait} ns < {floor} ns"
+        );
+        assert!(
+            store_wait <= batch.wall_ns,
+            "batch {i}: more than its wall time"
+        );
+    }
 }
