@@ -18,14 +18,10 @@
 //! The price is doing the query rewrite twice; the reward is that the
 //! master list is never materialized.
 
-use batchbb_obs::SpanTimer;
 use batchbb_penalty::Penalty;
 use batchbb_query::{LinearStrategy, RangeSum, StrategyError};
 use batchbb_storage::{retry::get_with_retry, CoefficientStore, FaultStats, RetryPolicy};
 use batchbb_tensor::{CoeffKey, KeyMap, Shape};
-
-use crate::observe::{ExecObserver, StepObservation};
-use crate::StepInfo;
 
 /// Result of a bounded-workspace evaluation.
 #[derive(Debug, Clone)]
@@ -66,6 +62,12 @@ pub struct BoundedFallibleResult {
 /// `ι_p(ξ) = Σ_i contribution(q̂ᵢ[ξ])` — which holds for every *diagonal*
 /// quadratic penalty (SSE, cursored SSE).  Cross-query quadratic forms need
 /// the full master list; use [`crate::ProgressiveExecutor`] for those.
+///
+/// This is [`evaluate_bounded_fallible`] with one attempt a key.
+///
+/// # Panics
+///
+/// If a retrieval fails.
 pub fn evaluate_bounded(
     strategy: &dyn LinearStrategy,
     queries: &[RangeSum],
@@ -74,31 +76,7 @@ pub fn evaluate_bounded(
     penalty: &dyn Penalty,
     budget: usize,
 ) -> Result<BoundedResult, StrategyError> {
-    evaluate_bounded_observed(strategy, queries, domain, store, penalty, budget, None)
-}
-
-/// [`evaluate_bounded`] with an optional [`ExecObserver`] emitting one
-/// `exec.step` event per retrieval in the shared schema (label the observer
-/// with `with_engine("bounded")` so the events are tagged truthfully).
-/// `remaining_importance` tracks the not-yet-retrieved tail of the
-/// selection, so the penalty-bound columns are comparable with the full
-/// executor's over the selected set.
-///
-/// This is [`evaluate_bounded_fallible_observed`] with one attempt a key.
-///
-/// # Panics
-///
-/// If a retrieval fails.
-pub fn evaluate_bounded_observed(
-    strategy: &dyn LinearStrategy,
-    queries: &[RangeSum],
-    domain: &Shape,
-    store: &dyn CoefficientStore,
-    penalty: &dyn Penalty,
-    budget: usize,
-    observer: Option<&ExecObserver>,
-) -> Result<BoundedResult, StrategyError> {
-    let out = evaluate_bounded_fallible_observed(
+    let out = evaluate_bounded_fallible(
         strategy,
         queries,
         domain,
@@ -106,7 +84,6 @@ pub fn evaluate_bounded_observed(
         penalty,
         budget,
         &crate::ONE_ATTEMPT,
-        observer,
     )?;
     if let Some((key, _)) = out.deferred.first() {
         panic!("retrieval failed at {key}");
@@ -132,38 +109,12 @@ pub fn evaluate_bounded_fallible(
     budget: usize,
     policy: &RetryPolicy,
 ) -> Result<BoundedFallibleResult, StrategyError> {
-    evaluate_bounded_fallible_observed(
-        strategy, queries, domain, store, penalty, budget, policy, None,
-    )
-}
-
-/// [`evaluate_bounded_fallible`] with an optional [`ExecObserver`] (see
-/// [`evaluate_bounded_observed`]). A deferral caused by a failed retrieval
-/// emits `exec.defer`; deferrals caused by an exhausted attempt budget are
-/// counted in [`FaultStats`] but attempt nothing, so they emit no event.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_bounded_fallible_observed(
-    strategy: &dyn LinearStrategy,
-    queries: &[RangeSum],
-    domain: &Shape,
-    store: &dyn CoefficientStore,
-    penalty: &dyn Penalty,
-    budget: usize,
-    policy: &RetryPolicy,
-    observer: Option<&ExecObserver>,
-) -> Result<BoundedFallibleResult, StrategyError> {
     let (ranked, peak) = score_and_select(strategy, queries, domain, penalty, budget)?;
-    if let Some(obs) = observer {
-        obs.on_start(queries.len(), ranked.len());
-    }
-
     let mut values: KeyMap<f64> =
         KeyMap::with_capacity_and_hasher(ranked.len(), Default::default());
     let mut deferred: Vec<(CoeffKey, f64)> = Vec::new();
     let mut fault = FaultStats::default();
-    let mut remaining: f64 = ranked.iter().map(|&(_, i)| i).sum();
-    let mut deferred_mass = 0.0;
-    for (ix, &(key, importance)) in ranked.iter().enumerate() {
+    for &(key, importance) in &ranked {
         let Some(attempts_allowed) = policy.attempts_allowed(fault.attempts) else {
             // Out of attempts: everything still unretrieved is deferred
             // (and counted — `deferrals = recoveries + still-deferred`
@@ -173,73 +124,21 @@ pub fn evaluate_bounded_fallible_observed(
             deferred.push((key, importance));
             continue;
         };
-        let timer = observer.map(|_| SpanTimer::start());
         let out = get_with_retry(store, &key, policy, attempts_allowed);
-        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
         out.record(&mut fault);
-        // The processed entry's mass leaves the pending tail either way —
-        // into the estimates on success, into the deferred mass on failure.
-        remaining = if ix + 1 == ranked.len() {
-            0.0 // no rounding residue once the selection is walked
-        } else {
-            (remaining - importance).max(0.0)
-        };
         match out.result {
             Ok(value) => {
                 values.insert(key, value.unwrap_or(0.0));
-                if let Some(obs) = observer {
-                    let info = StepInfo {
-                        key,
-                        importance,
-                        value: value.unwrap_or(0.0),
-                        queries_advanced: 0,
-                    };
-                    // The bounded variant never recovers deferrals, so the
-                    // most important unresolved coefficient is whichever is
-                    // larger of the deferred head (sorted descending) and
-                    // the next ranked entry.
-                    let max_unresolved = deferred
-                        .first()
-                        .map(|&(_, i)| i)
-                        .into_iter()
-                        .chain(ranked.get(ix + 1).map(|&(_, i)| i))
-                        .fold(None::<f64>, |acc, i| Some(acc.map_or(i, |a| a.max(i))));
-                    obs.on_step(&StepObservation {
-                        kind: "retrieved",
-                        info: &info,
-                        pending: ranked.len() - ix - 1,
-                        deferred: deferred.len(),
-                        remaining_importance: remaining,
-                        deferred_importance: deferred_mass,
-                        max_unresolved,
-                        homogeneity: penalty.homogeneity(),
-                        retrieved: values.len(),
-                        fault,
-                        latency_ns,
-                    });
-                }
             }
-            Err(error) => {
+            Err(_) => {
                 fault.deferrals += 1;
                 deferred.push((key, importance));
-                deferred_mass += importance;
-                if let Some(obs) = observer {
-                    obs.on_defer(&key, importance, &error, true, deferred.len(), &fault);
-                }
             }
         }
     }
 
     let estimates = apply_selected(strategy, queries, domain, &values)?;
     let deferred_importance = deferred.iter().map(|&(_, i)| i).sum();
-    if let Some(obs) = observer {
-        let status = if deferred.is_empty() {
-            "exact"
-        } else {
-            "degraded"
-        };
-        obs.on_finish(status, values.len(), deferred.is_empty(), &fault);
-    }
     Ok(BoundedFallibleResult {
         estimates,
         retrieved: values.len(),

@@ -20,6 +20,7 @@ use batchbb_storage::{
 use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::observe::{ExecObserver, StepObservation};
+use crate::optimality::{theorem1_bound, theorem2_penalty};
 use crate::{BatchQueries, MasterList};
 
 /// One coefficient of the progression: a master-list key and its
@@ -822,9 +823,7 @@ impl<'a> ProgressiveExecutor<'a> {
         // deferred mass can only keep it going longer, and then each
         // window is submitted when its turn comes).
         let horizon = target.map_or(usize::MAX, |(epsilon, k_abs_sum)| {
-            let scale = k_abs_sum.powf(self.homogeneity);
-            self.order
-                .partition_point(|e| scale * e.importance > epsilon)
+            self.cursor + self.steps_to_bound(epsilon, k_abs_sum)
         });
         let mut remaining = max_steps;
         loop {
@@ -832,7 +831,7 @@ impl<'a> ProgressiveExecutor<'a> {
                 if self.is_exact() {
                     return Some(DrainStatus::Exact);
                 }
-                if self.certified_worst_case_bound(k_abs_sum) <= epsilon {
+                if self.worst_case_bound(k_abs_sum) <= epsilon {
                     return Some(DrainStatus::BoundReached);
                 }
             }
@@ -1000,12 +999,28 @@ impl<'a> ProgressiveExecutor<'a> {
     }
 
     /// The pending progression `order[cursor..]`, most important first:
-    /// entry `t` drives the certified bound after `t` more retrievals, so
-    /// an admission controller reads "steps until `K^α·ι ≤ ε`" straight
-    /// off it.  Deferred coefficients are not part of it (see
+    /// entry `t` drives the certified bound after `t` more retrievals
+    /// (see [`ProgressiveExecutor::steps_to_bound`]).  Deferred
+    /// coefficients are not part of it (see
     /// [`ProgressiveExecutor::deferred_keys`]).
     pub fn progression(&self) -> &[ProgressionEntry] {
         &self.order[self.cursor..]
+    }
+
+    /// How many more retrievals, counted from the cursor, until Theorem
+    /// 1's certificate `K^α·ι` of the next pending coefficient is
+    /// `<= epsilon` — the one steps-to-ε search: a bound-targeted drain
+    /// reads ahead no further, and admission prices a contract by it.
+    /// The progression is sorted descending, so this is a partition
+    /// point; [`ProgressiveExecutor::remaining`] when no pending entry
+    /// meets `epsilon` (a negative or `NaN` target never does).  It is
+    /// exactly the retrieval count of a fault-free
+    /// [`ProgressiveExecutor::drain_with_faults_budgeted_to_bound`];
+    /// deferred mass can only keep a faulty drain going longer.
+    pub fn steps_to_bound(&self, epsilon: f64, k_abs_sum: f64) -> usize {
+        // The drain's own stop test, so a `NaN` bound or target never meets.
+        let meets = |iota| theorem1_bound(k_abs_sum, self.homogeneity, iota) <= epsilon;
+        self.progression().partition_point(|e| !meets(e.importance))
     }
 
     /// Repairs this executor across a published version delta — the
@@ -1130,36 +1145,30 @@ impl<'a> ProgressiveExecutor<'a> {
     }
 
     /// Theorem 2's estimate of the penalty expected on a random unit-norm
-    /// database: `(n_total − 1)^{-1} · Σ_{unretrieved ξ} ι_p(ξ)`, where
-    /// `n_total` is the domain size `N^d`.  The paper: "the proof of
-    /// Theorem 2 provides an estimate of the average penalty."  Maintained
-    /// incrementally, so each call is O(1).  Meaningful for quadratic
-    /// penalties (homogeneity 2); scale by the data's squared norm for
-    /// non-unit databases.
+    /// database: `(n_total − 1)^{-1} · Σ ι_p(ξ)` over unretrieved ∪
+    /// deferred coefficients, where `n_total` is the domain size `N^d` —
+    /// the value [`ProgressiveExecutor::degradation_report`] publishes as
+    /// `expected_penalty`.  The paper: "the proof of Theorem 2 provides
+    /// an estimate of the average penalty."  Maintained incrementally, so
+    /// each call is O(1).  Meaningful for quadratic penalties
+    /// (homogeneity 2); scale by the data's squared norm for non-unit
+    /// databases.
     pub fn expected_penalty(&self, n_total: usize) -> f64 {
-        assert!(n_total > 1, "need a non-trivial domain");
-        self.remaining_importance / (n_total as f64 - 1.0)
+        theorem2_penalty(
+            self.remaining_importance + self.deferred_importance,
+            n_total,
+        )
     }
 
     /// Theorem 1's guaranteed worst-case penalty bound for the *current*
-    /// progressive estimate: `K^α · ι_p(ξ′)`, where `K = Σ_ξ |Δ̂[ξ]|` and
-    /// `ξ′` is the most important unretrieved coefficient. Zero once exact.
-    pub fn worst_case_bound(&self, k_abs_sum: f64) -> f64 {
-        match self.next_importance() {
-            Some(iota) => k_abs_sum.powf(self.homogeneity) * iota,
-            None => 0.0,
-        }
-    }
-
-    /// Theorem 1's bound extended to the fault-tolerant setting:
-    /// `K^α · max ι_p` over pending ∪ deferred coefficients — the same
-    /// value [`ProgressiveExecutor::degradation_report`] publishes as
+    /// progressive estimate: `K^α · max ι_p` over unretrieved ∪ deferred
+    /// coefficients, where `K = Σ_ξ |Δ̂[ξ]|` — the value
+    /// [`ProgressiveExecutor::degradation_report`] publishes as
     /// `worst_case_bound`, without cloning the estimates. Zero once exact.
-    pub fn certified_worst_case_bound(&self, k_abs_sum: f64) -> f64 {
-        match self.max_unresolved_importance() {
-            Some(iota) => k_abs_sum.powf(self.homogeneity) * iota,
-            None => 0.0,
-        }
+    pub fn worst_case_bound(&self, k_abs_sum: f64) -> f64 {
+        self.max_unresolved_importance().map_or(0.0, |iota| {
+            theorem1_bound(k_abs_sum, self.homogeneity, iota)
+        })
     }
 
     /// The penalty's homogeneity degree α (`ι_p(c·ξ) = c^α · ι_p(ξ)`),
@@ -1176,8 +1185,6 @@ impl<'a> ProgressiveExecutor<'a> {
     /// data's coefficient ℓ¹-norm `K` (Theorem 1). Both bounds shrink
     /// monotonically as `try_step` retrieves or recovers coefficients.
     pub fn degradation_report(&self, n_total: usize, k_abs_sum: f64) -> DegradationReport {
-        assert!(n_total > 1, "need a non-trivial domain");
-        let max_unresolved = self.max_unresolved_importance();
         DegradationReport {
             estimates: self.estimates.clone(),
             deferred: self
@@ -1186,12 +1193,8 @@ impl<'a> ProgressiveExecutor<'a> {
                 .map(|e| (e.key, e.importance))
                 .collect(),
             deferred_importance: self.deferred_importance,
-            expected_penalty: (self.remaining_importance + self.deferred_importance)
-                / (n_total as f64 - 1.0),
-            worst_case_bound: match max_unresolved {
-                Some(iota) => k_abs_sum.powf(self.homogeneity) * iota,
-                None => 0.0,
-            },
+            expected_penalty: self.expected_penalty(n_total),
+            worst_case_bound: self.worst_case_bound(k_abs_sum),
             fault: self.fault,
             is_exact: self.is_exact(),
         }

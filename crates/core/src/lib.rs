@@ -23,10 +23,10 @@
 //! Supporting pieces: the [`round_robin`] single-query baseline the paper
 //! compares against, the [`data_approx`] compressed-synopsis baseline it
 //! argues against (§1.1), the [`bounded`] workspace-limited variant
-//! (§2.2's "reduce workspace requirements"), progressive summary
-//! statistics in [`stats`] (§3), Theorem 1/2 diagnostics in
+//! (§2.2's "reduce workspace requirements"), Theorem 1/2 diagnostics in
 //! [`optimality`], and error metrics for the experiment harnesses in
-//! [`metrics`].
+//! [`metrics`].  §3's derived statistics (AVERAGE, VARIANCE, COVARIANCE)
+//! are planned by `batchbb_sqlish` and decoded by `batchbb_query::derived`.
 //!
 //! When the store can fail, the fallible path
 //! ([`ProgressiveExecutor::try_step`] /
@@ -84,7 +84,6 @@ pub mod metrics;
 mod observe;
 pub mod optimality;
 pub mod round_robin;
-pub mod stats;
 
 /// The policy the infallible entry points (`step`, `run`, `run_to_end`,
 /// `evaluate_bounded`) hand to the fallible core they wrap: one attempt a

@@ -1,10 +1,9 @@
 //! Observability hooks for the progressive pipeline.
 //!
-//! Every evaluation engine in this crate — [`crate::ProgressiveExecutor`],
-//! the [`crate::round_robin::RoundRobin`] baseline, and the bounded
-//! two-pass variant in [`crate::bounded`] — can carry an [`ExecObserver`]
-//! that emits one uniform event schema per retrieval, so trajectories from
-//! different engines are directly comparable (and replayable by the
+//! Both stepping engines in this crate — [`crate::ProgressiveExecutor`]
+//! and the [`crate::round_robin::RoundRobin`] baseline — can carry an
+//! [`ExecObserver`] that emits one uniform event schema per retrieval, so
+//! trajectories from the two are directly comparable (and replayable by the
 //! `progress_report` harness in `batchbb-bench`).  Query rewriting is
 //! observed separately through [`RewriteObserver`].
 //!
@@ -21,6 +20,7 @@ use batchbb_obs::{
 use batchbb_storage::{FaultStats, StorageError};
 use batchbb_tensor::CoeffKey;
 
+use crate::optimality::{theorem1_bound, theorem2_penalty};
 use crate::StepInfo;
 
 /// What one observed retrieval step looked like, as reported by an engine
@@ -120,7 +120,7 @@ impl ExecObserver {
         built
     }
 
-    /// Relabels the engine (`"progressive"`, `"round_robin"`, `"bounded"`,
+    /// Relabels the engine (`"progressive"`, `"round_robin"`, `"serve"`,
     /// …); the label prefixes metric names and tags every event.
     pub fn with_engine(self, engine: &'static str) -> Self {
         let mut built = Self::build(self.sink, self.registry, engine);
@@ -184,15 +184,14 @@ impl ExecObserver {
             return;
         }
         let unresolved_mass = o.remaining_importance + o.deferred_importance;
-        let expected_penalty = match self.n_total {
-            Some(n) => unresolved_mass / (n as f64 - 1.0),
-            None => f64::NAN,
-        };
+        let expected_penalty = self
+            .n_total
+            .map_or(f64::NAN, |n| theorem2_penalty(unresolved_mass, n));
         // Theorem 1's bound: K^α · max ι_p over everything unresolved.
         // `max_unresolved = None` means either "exact" (finite masses → the
         // bound is a genuine 0) or "not tracked" (NaN masses → omit).
         let worst_case_bound = match (self.k_abs_sum, o.max_unresolved) {
-            (Some(k), Some(iota)) => k.powf(o.homogeneity) * iota,
+            (Some(k), Some(iota)) => theorem1_bound(k, o.homogeneity, iota),
             (Some(_), None) if unresolved_mass == 0.0 => 0.0,
             _ => f64::NAN,
         };

@@ -50,7 +50,7 @@ pub fn worst_case_penalty(
         .filter(|(k, _)| !kept.contains(k))
         .map(|(_, iota)| iota)
         .fold(0.0f64, f64::max);
-    k_abs_sum.powf(penalty.homogeneity()) * worst
+    theorem1_bound(k_abs_sum, penalty.homogeneity(), worst)
 }
 
 /// Theorem 2's expected penalty over the unit sphere of data vectors:
@@ -69,13 +69,29 @@ pub fn expected_penalty(
         2.0,
         "Theorem 2 applies to quadratic penalties"
     );
-    assert!(n_total > 1, "need a non-trivial domain");
     let tail: f64 = importance_ranking(batch, penalty)
         .into_iter()
         .filter(|(k, _)| !kept.contains(k))
         .map(|(_, iota)| iota)
         .sum();
-    tail / (n_total as f64 - 1.0)
+    theorem2_penalty(tail, n_total)
+}
+
+/// Theorem 1's certificate `K^α · ι` for a most important unresolved
+/// importance `ι` — the one place `K^α` is raised: the executor's bounds
+/// and steps-to-ε search, the `exec.step` events and
+/// [`worst_case_penalty`] all read it.
+pub(crate) fn theorem1_bound(k_abs_sum: f64, homogeneity: f64, iota: f64) -> f64 {
+    k_abs_sum.powf(homogeneity) * iota
+}
+
+/// Theorem 2's quotient `mass / (n_total − 1)` for an unresolved
+/// importance mass over a domain of `n_total = N^d` cells — the one
+/// place it is computed: the executor's expected penalty, the
+/// `exec.step` events and [`expected_penalty`] all read it.
+pub(crate) fn theorem2_penalty(mass: f64, n_total: usize) -> f64 {
+    assert!(n_total > 1, "need a non-trivial domain");
+    mass / (n_total as f64 - 1.0)
 }
 
 #[cfg(test)]

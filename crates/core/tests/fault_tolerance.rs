@@ -208,6 +208,30 @@ fn permanent_faults_degrade_then_heal_to_exact() {
     assert_eq!(exec.estimates(), truth.as_slice());
 }
 
+/// The public bound accessors are the certificate: once the top key is
+/// deferred they still count its mass, exactly as `degradation_report`.
+#[test]
+fn bound_accessors_count_deferred_mass() {
+    let fx = fixture();
+    let top = ProgressiveExecutor::new(&fx.batch, &Sse, &fx.store).progression()[0].key;
+    let broken = FaultInjectingStore::new(&fx.store, FaultPlan::new(5).with_permanent_keys([top]));
+    let mut exec = ProgressiveExecutor::new(&fx.batch, &Sse, &broken);
+    let outcome = exec.try_step(&RetryPolicy::default());
+    assert!(
+        matches!(outcome, TryStepOutcome::Deferred { key, .. } if key == top),
+        "the broken top key defers: {outcome:?}"
+    );
+    let report = exec.degradation_report(fx.n_total, fx.k_abs_sum);
+    assert_eq!(
+        exec.worst_case_bound(fx.k_abs_sum).to_bits(),
+        report.worst_case_bound.to_bits()
+    );
+    assert_eq!(
+        exec.expected_penalty(fx.n_total).to_bits(),
+        report.expected_penalty.to_bits()
+    );
+}
+
 #[test]
 fn attempt_budget_is_a_hard_ceiling() {
     let fx = fixture();

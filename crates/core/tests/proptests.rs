@@ -103,6 +103,48 @@ proptest! {
         }
     }
 
+    /// The one steps-to-ε search is the drain's own stopping point: from a
+    /// fresh executor — and from one part-way down its progression —
+    /// `steps_to_bound(ε, K)` is exactly how many retrievals a fault-free
+    /// bound-targeted drain makes, for ε at zero, inside the trajectory,
+    /// and at or above the initial bound.
+    #[test]
+    fn steps_to_bound_is_what_the_targeted_drain_retrieves(
+        (data, queries, shape) in arb_instance(),
+        weights in prop::collection::vec(0.0f64..5.0, 12),
+        frac in prop_oneof![Just(0.0), 0.0f64..1.0, Just(1.0), 1.0f64..4.0],
+        head in 0usize..8,
+    ) {
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let store = MemoryStore::from_entries(strategy.transform_data(&data));
+        let k = store.abs_sum();
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let s = batch.len();
+        let penalties: [Box<dyn Penalty>; 2] = [
+            Box::new(Sse),
+            Box::new(DiagonalQuadratic::new(weights.iter().copied()
+                .chain(std::iter::repeat(1.0)).take(s).collect())),
+        ];
+        for p in &penalties {
+            let initial = ProgressiveExecutor::new(&batch, p.as_ref(), &store).worst_case_bound(k);
+            let epsilon = frac * initial;
+            for skip in [0, head] {
+                let mut exec = ProgressiveExecutor::new(&batch, p.as_ref(), &store);
+                exec.run(skip);
+                let predicted = exec.steps_to_bound(epsilon, k);
+                let before = exec.retrieved();
+                let status = exec.drain_with_faults_budgeted_to_bound(
+                    &RetryPolicy::default(), usize::MAX, epsilon, k);
+                prop_assert!(matches!(
+                    status,
+                    Some(DrainStatus::BoundReached | DrainStatus::Exact)
+                ), "{:?}", status);
+                prop_assert_eq!(exec.retrieved() - before, predicted,
+                    "ε = {} after {} steps", epsilon, skip);
+            }
+        }
+    }
+
     /// Theorem 1/2: the biggest-B retained set is never beaten by a random
     /// B-subset on the worst-case or expected penalty, under SSE and a
     /// random diagonal quadratic.

@@ -8,7 +8,7 @@ use batchbb_obs::{LifecycleRecorder, MetricsSnapshot, Phase};
 use batchbb_storage::VersionId;
 use batchbb_tensor::CoeffKey;
 
-use crate::slo::{AdmissionEstimate, SloContract, SloOutcome};
+use crate::slo::{SloContract, SloOutcome};
 use crate::ServeConfig;
 
 /// How a served batch ended.
@@ -92,8 +92,11 @@ pub struct BatchResult {
     pub retrieved_entries: Vec<(CoeffKey, f64)>,
     /// How many scheduling slices the batch consumed.
     pub slices: usize,
-    /// Theorem 1's worst-case bound sampled after every slice; monotone
-    /// non-increasing regardless of scheduling interleaving.
+    /// Theorem 1's worst-case bound sampled at the end of every slice;
+    /// monotone non-increasing regardless of scheduling interleaving.
+    /// Every terminal status ends it at `report.worst_case_bound`, so a
+    /// batch cancelled before its first slice, or rejected at admission,
+    /// has exactly `[initial bound]`.
     pub bound_history: Vec<f64>,
     /// The final state of the server's shared
     /// [`batchbb_obs::MetricsRegistry`], stamped onto every result once
@@ -202,7 +205,11 @@ pub(crate) struct JobCell<'a> {
 }
 
 impl<'a> JobCell<'a> {
-    /// An admitted batch, entering the slice queue.
+    /// A batch's cell, entering the slice queue — or, when admission
+    /// `refused` it (`Some(SloOutcome::Rejected { .. })`), born finished:
+    /// zero retrievals, with the full *initial* Theorem-1/2 certificate as
+    /// its published contract. A rejection neither runs nor tears — the
+    /// result is as valid (and as wide) as an estimate can be.
     pub(crate) fn new(
         index: usize,
         exec: ProgressiveExecutor<'a>,
@@ -210,85 +217,52 @@ impl<'a> JobCell<'a> {
         contract: SloContract,
         pinned: Option<VersionId>,
         lifecycle: Option<LifecycleRecorder>,
+        refused: Option<SloOutcome>,
     ) -> Self {
         let report = exec.degradation_report(config.n_total, config.k_abs_sum);
-        let snapshot = snapshot_of(&exec, &report, 0, false);
-        let mut state = JobState {
-            exec,
-            slices: 0,
-            bound_history: Vec::new(),
-            result: None,
-            pinned_version: pinned,
-            lifecycle,
-            store_wait_mark: 0,
-        };
-        state.enter_phase(Phase::Queued);
-        JobCell {
-            index,
-            contract,
-            state: Mutex::new(state),
-            snapshot: Mutex::new(snapshot),
-            cancelled: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-        }
-    }
-
-    /// The latest published snapshot, locked.
-    pub(crate) fn snapshot(&self) -> MutexGuard<'_, BatchSnapshot> {
-        self.snapshot.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A cell for a batch admission refused: born finished, zero
-    /// retrievals, with the full *initial* Theorem-1/2 certificate as its
-    /// published contract. The rejection neither runs nor tears — the
-    /// result is as valid (and as wide) as an estimate can be.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rejected(
-        index: usize,
-        exec: ProgressiveExecutor<'a>,
-        config: &ServeConfig,
-        contract: SloContract,
-        estimate: &AdmissionEstimate,
-        capacity: u64,
-        pinned: Option<VersionId>,
-        lifecycle: Option<LifecycleRecorder>,
-    ) -> Self {
-        let report = exec.degradation_report(config.n_total, config.k_abs_sum);
-        let snapshot = snapshot_of(&exec, &report, 0, true);
-        let result = BatchResult {
+        let finished = refused.is_some();
+        let snapshot = snapshot_of(&exec, &report, 0, finished);
+        let result = refused.map(|slo| BatchResult {
             status: BatchStatus::Rejected,
-            slo: SloOutcome::Rejected {
-                estimated_cost: estimate.steps_to_target,
-                capacity,
-            },
+            slo,
             bound_history: vec![report.worst_case_bound],
             report,
             retrieved_entries: Vec::new(),
             slices: 0,
             metrics: Default::default(),
             pinned_version: pinned,
-        };
+        });
         let mut state = JobState {
             exec,
             slices: 0,
             bound_history: Vec::new(),
-            result: Some(result),
+            result,
             pinned_version: pinned,
             lifecycle,
             store_wait_mark: 0,
         };
-        // A rejected batch's lifecycle is admission → finalize, flushed on
-        // the spot: it never runs, so its trace is complete at birth.
-        state.enter_phase(Phase::Finalize);
-        state.flush_lifecycle();
+        if finished {
+            // A rejected batch's lifecycle is admission → finalize,
+            // flushed on the spot: it never runs, so its trace is complete
+            // at birth.
+            state.enter_phase(Phase::Finalize);
+            state.flush_lifecycle();
+        } else {
+            state.enter_phase(Phase::Queued);
+        }
         JobCell {
             index,
             contract,
             state: Mutex::new(state),
             snapshot: Mutex::new(snapshot),
             cancelled: AtomicBool::new(false),
-            finished: AtomicBool::new(true),
+            finished: AtomicBool::new(finished),
         }
+    }
+
+    /// The latest published snapshot, locked.
+    pub(crate) fn snapshot(&self) -> MutexGuard<'_, BatchSnapshot> {
+        self.snapshot.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

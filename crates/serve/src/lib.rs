@@ -126,7 +126,7 @@ mod tests {
     use batchbb_penalty::{DiagonalQuadratic, Sse};
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
     use batchbb_relation::{Attribute, FrequencyDistribution, Schema};
-    use batchbb_storage::{MemoryStore, RetryPolicy};
+    use batchbb_storage::{MemoryStore, RetryPolicy, VersionedStore};
     use batchbb_wavelet::Wavelet;
 
     use super::*;
@@ -302,6 +302,46 @@ mod tests {
         serial1.run_to_end();
         assert_eq!(results[0].estimates(), serial0.estimates());
         assert_eq!(results[1].estimates(), serial1.estimates());
+    }
+
+    /// Plain and versioned serving are one body: over a versioned store
+    /// nobody publishes to, every result equals the plain store's field
+    /// for field, except that it names the version it pinned.
+    #[test]
+    fn unpublished_versioned_serving_is_plain_serving() {
+        let (store, batches, n_total, k) = fixture();
+        let entries: Vec<_> = store.iter().map(|(key, v)| (*key, *v)).collect();
+        let plain_store = MemoryStore::from_entries(entries.clone());
+        let versioned_store = VersionedStore::from_entries(entries);
+        let v0 = versioned_store.current_version();
+        let diag = DiagonalQuadratic::new(vec![3.0, 1.0]);
+        let requests = vec![
+            BatchRequest::new(&batches[0], &diag),
+            BatchRequest::new(&batches[1], &Sse)
+                .with_slo(SloContract::new().with_target_bound(k * 1e-3)),
+            BatchRequest::new(&batches[2], &Sse)
+                .with_slo(SloContract::new().with_deadline_ticks(9)),
+        ];
+        let server = BatchServer::new(
+            ServeConfig::new(n_total, k)
+                .workers(1)
+                .share_cache(false)
+                .slice_steps(3),
+        );
+        let plain = server.serve(&plain_store, &requests);
+        let versioned = server.serve_versioned(&versioned_store, &requests);
+        assert_eq!(plain.len(), versioned.len());
+        for (want, got) in plain.iter().zip(&versioned) {
+            assert_eq!(got.status, want.status);
+            assert_eq!(got.slo, want.slo);
+            assert_eq!(got.report, want.report);
+            assert_eq!(got.retrieved_entries, want.retrieved_entries);
+            assert_eq!(got.slices, want.slices);
+            assert_eq!(got.bound_history, want.bound_history);
+            assert_eq!(got.metrics, want.metrics);
+            assert_eq!(want.pinned_version, None);
+            assert_eq!(got.pinned_version, Some(v0));
+        }
     }
 
     #[test]

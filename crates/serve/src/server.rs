@@ -50,7 +50,6 @@ pub struct BatchServer {
 /// (for shedding), the `slo.*` observer, and the parked-batch shelf.
 struct PoolShared {
     consumed: AtomicU64,
-    capacity: Option<u64>,
     slo: SloObserver,
     /// Batches shelved on a still-in-flight asynchronous prefetch. They
     /// are in neither the runnable queue nor any worker's hands; every
@@ -119,18 +118,7 @@ impl BatchServer {
             Some(cache) => cache,
             None => store,
         };
-
-        let shared = pool_shared(config);
-        let jobs = self.admit_jobs(&shared, requests, |_| (eff, None));
-        let driver_out = {
-            let session = ServeSession {
-                jobs: &jobs,
-                config,
-                versioned: None,
-            };
-            run_pool(config, &shared, &jobs, &session, driver)
-        };
-        (collect_results(config, jobs), driver_out)
+        self.serve_body(requests, |_| (eff, None), None, driver)
     }
 
     /// Serves every request against a [`VersionedStore`] snapshot per
@@ -167,23 +155,58 @@ impl BatchServer {
         requests: &[BatchRequest<'_>],
         driver: impl FnOnce(&ServeSession<'_, '_>) -> R,
     ) -> (Vec<BatchResult>, R) {
-        let config = &self.config;
-        let shared = pool_shared(config);
         let views: Vec<VersionView> = requests.iter().map(|_| store.pin()).collect();
-        let jobs = self.admit_jobs(&shared, requests, |i| {
-            (&views[i] as &dyn CoefficientStore, Some(views[i].version()))
-        });
-        let driver_out = {
-            let session = ServeSession {
-                jobs: &jobs,
-                config,
-                versioned: Some(VersionedCtx {
-                    store,
-                    views: &views,
-                }),
-            };
-            run_pool(config, &shared, &jobs, &session, driver)
+        let versioned = VersionedCtx {
+            store,
+            views: &views,
         };
+        let read = |i: usize| (&views[i] as &dyn CoefficientStore, Some(views[i].version()));
+        self.serve_body(requests, read, Some(versioned), driver)
+    }
+
+    /// The one serving body behind [`BatchServer::serve_with`] and
+    /// [`BatchServer::serve_versioned_with`]: admit, run the worker pool
+    /// while `driver` runs on the calling thread, and collect once the
+    /// driver has returned *and* every job has published its final
+    /// result. The two differ only in `store_for` — each job's read store
+    /// and the version it pins — and in the session's versioned half.
+    fn serve_body<'a, R>(
+        &self,
+        requests: &[BatchRequest<'a>],
+        store_for: impl FnMut(usize) -> (&'a dyn CoefficientStore, Option<VersionId>),
+        versioned: Option<VersionedCtx<'_, 'a>>,
+        driver: impl FnOnce(&ServeSession<'_, '_>) -> R,
+    ) -> (Vec<BatchResult>, R) {
+        let config = &self.config;
+        let shared = PoolShared {
+            consumed: AtomicU64::new(0),
+            slo: SloObserver::new(config.sink.clone(), config.registry.clone()),
+            parked: Mutex::new(Vec::new()),
+        };
+        let jobs = self.admit_jobs(&shared, requests, store_for);
+        let session = ServeSession {
+            jobs: &jobs,
+            config,
+            versioned,
+        };
+        let admitted: Vec<&JobCell<'_>> = jobs
+            .iter()
+            .filter(|cell| !cell.finished.load(Ordering::Acquire))
+            .collect();
+        let active = AtomicUsize::new(admitted.len());
+        shared.slo.set_queue_depth(admitted.len() as u64);
+        let queue = SliceQueue::new(
+            admitted
+                .iter()
+                .map(|cell| (cell.index, marginal_value(cell))),
+        );
+        let driver_out = std::thread::scope(|scope| {
+            for _ in 0..config.workers {
+                let (jobs, queue, active, shared) = (&jobs, &queue, &active, &shared);
+                scope.spawn(move || worker_loop(jobs, queue, active, config, shared));
+            }
+            driver(&session)
+        });
         (collect_results(config, jobs), driver_out)
     }
 
@@ -219,29 +242,28 @@ impl BatchServer {
                 let mut exec = ProgressiveExecutor::new(req.batch, req.penalty, store)
                     .with_prefetch_window(config.prefetch_window);
                 let estimate = estimate_cost(&exec, &req.slo, config.k_abs_sum);
-                if let Some(capacity) = config.capacity {
-                    if committed.saturating_add(estimate.steps_to_target) > capacity {
+                let refused = match config.capacity {
+                    Some(capacity)
+                        if committed.saturating_add(estimate.steps_to_target) > capacity =>
+                    {
                         shared.slo.on_rejected(i, &req.slo, &estimate, capacity);
-                        return JobCell::rejected(
-                            i,
-                            exec,
-                            config,
-                            req.slo,
-                            &estimate,
+                        Some(SloOutcome::Rejected {
+                            estimated_cost: estimate.steps_to_target,
                             capacity,
-                            pinned,
-                            batch_lifecycle,
-                        );
+                        })
                     }
-                }
-                committed += estimate.steps_to_target;
-                shared
-                    .slo
-                    .on_admitted(i, &req.slo, &estimate, config.capacity);
-                if let Some(observer) = self.observer_for(i) {
-                    exec = exec.with_observer(observer);
-                }
-                JobCell::new(i, exec, config, req.slo, pinned, batch_lifecycle)
+                    _ => {
+                        committed += estimate.steps_to_target;
+                        shared
+                            .slo
+                            .on_admitted(i, &req.slo, &estimate, config.capacity);
+                        if let Some(observer) = self.observer_for(i) {
+                            exec = exec.with_observer(observer);
+                        }
+                        None
+                    }
+                };
+                JobCell::new(i, exec, config, req.slo, pinned, batch_lifecycle, refused)
             })
             .collect()
     }
@@ -282,47 +304,6 @@ impl BatchServer {
         }
         Some(observer)
     }
-}
-
-/// Fresh run-wide shared state for one serve call.
-fn pool_shared(config: &ServeConfig) -> PoolShared {
-    PoolShared {
-        consumed: AtomicU64::new(0),
-        capacity: config.capacity,
-        slo: SloObserver::new(config.sink.clone(), config.registry.clone()),
-        parked: Mutex::new(Vec::new()),
-    }
-}
-
-/// Runs the worker pool over `jobs` while `driver` runs on the calling
-/// thread; returns once the driver has returned *and* every job has
-/// published its final result.
-fn run_pool<'s, 'a, R>(
-    config: &ServeConfig,
-    shared: &PoolShared,
-    jobs: &'s [JobCell<'a>],
-    session: &ServeSession<'s, 'a>,
-    driver: impl FnOnce(&ServeSession<'s, 'a>) -> R,
-) -> R {
-    let admitted: Vec<&JobCell<'_>> = jobs
-        .iter()
-        .filter(|cell| !cell.finished.load(Ordering::Acquire))
-        .collect();
-    let active = AtomicUsize::new(admitted.len());
-    shared.slo.set_queue_depth(admitted.len() as u64);
-    let queue = SliceQueue::new(
-        admitted
-            .iter()
-            .map(|cell| (cell.index, marginal_value(cell))),
-    );
-    std::thread::scope(|scope| {
-        for _ in 0..config.workers {
-            let queue = &queue;
-            let active = &active;
-            scope.spawn(move || worker_loop(jobs, queue, active, config, shared));
-        }
-        driver(session)
-    })
 }
 
 /// Extracts the final results in request order, stamping every one with a
@@ -592,6 +573,10 @@ fn elapsed_ticks(fault: &FaultStats) -> u64 {
 /// Advances one batch by one scheduling slice and says what to do with it
 /// next: drop it (final result published), re-queue it, or shelve it on a
 /// still-in-flight asynchronous prefetch.
+///
+/// Every exit — cancelled, deadline, shed, drained — shares one epilogue:
+/// the slice's one `degradation_report`, its bound recorded, then the
+/// snapshot published or the batch finalized.
 fn run_slice(
     cell: &JobCell<'_>,
     config: &ServeConfig,
@@ -603,55 +588,64 @@ fn run_slice(
         return SliceOutcome::Finished;
     }
     state.enter_phase(Phase::Executing);
-    if cell.cancelled.load(Ordering::Acquire) {
-        let report = state
-            .exec
-            .degradation_report(config.n_total, config.k_abs_sum);
-        finalize(
-            cell,
-            &mut state,
-            BatchStatus::Cancelled,
-            report,
-            active,
-            shared,
-        );
+    let status = drain_slice(cell, &mut state, config, shared);
+    let report = state
+        .exec
+        .degradation_report(config.n_total, config.k_abs_sum);
+    state.bound_history.push(report.worst_case_bound);
+    if let Some(status) = status {
+        finalize(cell, &mut state, status, report, active, shared);
         return SliceOutcome::Finished;
+    }
+    publish_snapshot(cell, &state, &report, false);
+    // An inconclusive drain either ran out of slice budget (re-queue and
+    // compete on marginal value) or parked on an asynchronous prefetch
+    // still in flight (shelve it — unless the fetch landed while we were
+    // reporting, in which case it is runnable right now).
+    if state.exec.fetch_pending() && !state.exec.fetch_ready() {
+        state.enter_phase(Phase::Parked);
+        return SliceOutcome::Parked;
+    }
+    state.enter_phase(Phase::Queued);
+    SliceOutcome::Requeue {
+        score: marginal_value(cell),
+        slices: state.slices,
+    }
+}
+
+/// The body of one slice: the contract checks, then a budgeted drain.
+/// Returns the batch's terminal status, or `None` when the slice was
+/// inconclusive.
+fn drain_slice(
+    cell: &JobCell<'_>,
+    state: &mut JobState<'_>,
+    config: &ServeConfig,
+    shared: &PoolShared,
+) -> Option<BatchStatus> {
+    if cell.cancelled.load(Ordering::Acquire) {
+        return Some(BatchStatus::Cancelled);
     }
     let fault = state.exec.fault_stats();
     let elapsed = elapsed_ticks(&fault);
     // Contract checks come before the drain so an expired or shed batch
     // never spends another attempt; both paths finalize with the current
     // certified bounds.
-    if let Some(deadline) = cell.contract.deadline_ticks {
-        if elapsed >= deadline {
-            let report = state
-                .exec
-                .degradation_report(config.n_total, config.k_abs_sum);
-            state.bound_history.push(report.worst_case_bound);
-            finalize(
-                cell,
-                &mut state,
-                BatchStatus::DeadlineExpired,
-                report,
-                active,
-                shared,
-            );
-            return SliceOutcome::Finished;
-        }
+    if cell
+        .contract
+        .deadline_ticks
+        .is_some_and(|deadline| elapsed >= deadline)
+    {
+        return Some(BatchStatus::DeadlineExpired);
     }
-    if let Some(capacity) = shared.capacity {
-        // Strict ">": with fault-free stores actual consumption equals
-        // the admitted estimates, which fit the capacity by construction,
-        // so healthy runs never shed — shedding is the backstop for
-        // fault-inflated costs only.
-        if shared.consumed.load(Ordering::Relaxed) > capacity {
-            let report = state
-                .exec
-                .degradation_report(config.n_total, config.k_abs_sum);
-            state.bound_history.push(report.worst_case_bound);
-            finalize(cell, &mut state, BatchStatus::Shed, report, active, shared);
-            return SliceOutcome::Finished;
-        }
+    // Strict ">": with fault-free stores actual consumption equals the
+    // admitted estimates, which fit the capacity by construction, so
+    // healthy runs never shed — shedding is the backstop for
+    // fault-inflated costs only.
+    if config
+        .capacity
+        .is_some_and(|capacity| shared.consumed.load(Ordering::Relaxed) > capacity)
+    {
+        return Some(BatchStatus::Shed);
     }
     // The budget never drops below the deferral queue length, so a slice
     // that reaches the queue can always run one conclusive full pass —
@@ -689,33 +683,7 @@ fn run_slice(
     shared
         .consumed
         .fetch_add(after.attempts - fault.attempts, Ordering::Relaxed);
-    let report = state
-        .exec
-        .degradation_report(config.n_total, config.k_abs_sum);
-    state.bound_history.push(report.worst_case_bound);
-    match status {
-        Some(status) => {
-            finalize(cell, &mut state, status.into(), report, active, shared);
-            SliceOutcome::Finished
-        }
-        None => {
-            publish_snapshot(cell, &state, &report, false);
-            // An inconclusive drain either ran out of slice budget
-            // (re-queue and compete on marginal value) or parked on an
-            // asynchronous prefetch still in flight (shelve it — unless
-            // the fetch landed while we were reporting, in which case it
-            // is runnable right now).
-            if state.exec.fetch_pending() && !state.exec.fetch_ready() {
-                state.enter_phase(Phase::Parked);
-                return SliceOutcome::Parked;
-            }
-            state.enter_phase(Phase::Queued);
-            SliceOutcome::Requeue {
-                score: marginal_value(cell),
-                slices: state.slices,
-            }
-        }
-    }
+    status.map(BatchStatus::from)
 }
 
 /// The pool's marginal-value score of a batch, off its published snapshot:
@@ -876,6 +844,37 @@ mod tests {
             }
         }
         panic!("the pool never froze mid-drain in 50 attempts");
+    }
+
+    /// A batch cancelled before its first slice still ends its bound
+    /// history at its report's bound: `[initial bound]`. The driver locks
+    /// a batch no slice has reached, cancels it and lets go; a worker that
+    /// got there first makes the serve retry, as above.
+    #[test]
+    fn a_batch_cancelled_before_its_first_slice_records_its_initial_bound() {
+        let (store, batches, n_total, k) = fixture(8);
+        let requests: Vec<BatchRequest<'_>> =
+            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(1));
+        for _ in 0..50 {
+            let (results, cancelled) = server.serve_versioned_with(&store, &requests, |session| {
+                let (index, cell) = session.jobs.iter().enumerate().last().unwrap();
+                let state = cell.state.lock().unwrap();
+                if state.slices > 0 || state.result.is_some() {
+                    return None; // a worker reached it first; retry the serve
+                }
+                session.handle(index).cancel();
+                Some((index, state.exec.worst_case_bound(k)))
+            });
+            if let Some((index, initial)) = cancelled {
+                let result = &results[index];
+                assert_eq!(result.status, BatchStatus::Cancelled);
+                assert_eq!(result.bound_history, vec![initial]);
+                assert_eq!(result.report.worst_case_bound, initial);
+                return;
+            }
+        }
+        panic!("a worker reached the last batch first in 50 attempts");
     }
 
     /// Opting a batch forward mid-drain finalizes it bit-identically to a

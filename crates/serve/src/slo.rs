@@ -125,57 +125,35 @@ pub enum SloOutcome {
 
 /// Admission-time cost estimate for one batch under its contract.
 ///
-/// Priced from the batch's *initial bound* and its *per-retrieval shrink*:
-/// the executor's pending progression — importances, descending — is exactly
-/// the certified-bound trajectory (`bound after t steps = K^α · ι_(t)`), so
-/// steps-to-ε is the first index whose bound meets the target. A deadline
-/// caps the estimate — the batch cannot consume more ticks than that.
+/// Priced off the batch's certified-bound trajectory: the executor's
+/// pending progression — importances, descending — is exactly that
+/// trajectory (`bound after t steps = K^α · ι_(t)`), so steps-to-ε is
+/// [`ProgressiveExecutor::steps_to_bound`]. A deadline caps the estimate —
+/// the batch cannot consume more ticks than that.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionEstimate {
     /// The certified worst-case bound before any retrieval.
     pub initial_bound: f64,
-    /// Fitted geometric per-retrieval shrink ratio of the certified bound
-    /// over the priced prefix (`(bound_ε / bound_0)^(1/steps)`; `0.0`
-    /// when the prefix ends exact or the estimate is degenerate). Purely
-    /// informational — the steps estimate below is computed from the
-    /// exact importance quantiles, not from this fit.
-    pub shrink_rate: f64,
     /// Estimated retrieval steps to honor the contract: steps until the
     /// certified bound reaches ε (the full master list under an infinite
     /// target), capped by the deadline budget.
     pub steps_to_target: u64,
 }
 
-/// Prices `contract` against the executor's initial importance profile,
-/// read in place off its progression.
+/// Prices `contract` against the executor's initial importance profile.
 pub(crate) fn estimate_cost(
     exec: &ProgressiveExecutor<'_>,
     contract: &SloContract,
     k_abs_sum: f64,
 ) -> AdmissionEstimate {
-    let iotas = exec.progression();
-    let scale = k_abs_sum.powf(exec.homogeneity());
-    let bound_at = |t: usize| iotas.get(t).map_or(0.0, |e| scale * e.importance);
-    let initial_bound = bound_at(0);
     let steps = if contract.target_bound.is_finite() {
-        // First t with bound-after-t-steps = scale·ι_(t) within target;
-        // retrieving everything (t = len) always reaches bound 0.
-        let within = |iota: f64| scale * iota <= contract.target_bound;
-        iotas.partition_point(|e| !within(e.importance)) as u64
+        exec.steps_to_bound(contract.target_bound, k_abs_sum)
     } else {
-        iotas.len() as u64
-    };
-    let steps_to_target = contract.deadline_ticks.map_or(steps, |d| steps.min(d));
-    let achieved = bound_at(steps as usize);
-    let shrink_rate = if steps == 0 || initial_bound <= 0.0 || achieved <= 0.0 {
-        0.0
-    } else {
-        (achieved / initial_bound).powf(1.0 / steps as f64)
-    };
+        exec.remaining()
+    } as u64;
     AdmissionEstimate {
-        initial_bound,
-        shrink_rate,
-        steps_to_target,
+        initial_bound: exec.worst_case_bound(k_abs_sum),
+        steps_to_target: contract.deadline_ticks.map_or(steps, |d| steps.min(d)),
     }
 }
 

@@ -69,7 +69,7 @@ impl<S: CoefficientStore + 'static> AsyncFetchStore<S> {
         let inner = Arc::new(inner);
         let client = ShardClient::new(Arc::clone(&inner) as Arc<dyn CoefficientStore>);
         let engine =
-            ShardRouter::with_workers(vec![client], HedgeConfig::default(), threads, None, tracing);
+            ShardRouter::with_workers(vec![client], HedgeConfig::default(), threads, tracing);
         AsyncFetchStore { inner, engine }
     }
 

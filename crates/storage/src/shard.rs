@@ -67,9 +67,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use batchbb_obs::{
-    span_end_event, span_start_event, Counter, EventSink, MetricsRegistry, TraceContext, Tracer,
-};
+use batchbb_obs::{span_end_event, span_start_event, EventSink, TraceContext, Tracer};
 use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::completion::{Completion, InflightSlot};
@@ -390,15 +388,6 @@ struct HedgeQueue {
     shutdown: bool,
 }
 
-/// Per-shard registry handles (`store.shard.{i}.*`).
-struct ShardMetrics {
-    rpcs: Counter,
-    wire_calls: Counter,
-    errors: Counter,
-    hedges: Counter,
-    hedge_wins: Counter,
-}
-
 /// Span emission for the engine: the run-wide tracer plus the sink the
 /// `store.read`/`store.rider`/`store.shard.hedge` spans land in.
 struct Tracing {
@@ -426,7 +415,6 @@ struct ShardRuntime {
     counters: ShardCounters,
     /// Recent primary RPC latencies (ns), feeding the fleet p99.
     latencies: Mutex<VecDeque<u64>>,
-    metrics: Option<ShardMetrics>,
 }
 
 impl ShardRuntime {
@@ -448,25 +436,16 @@ impl ShardRuntime {
     fn count_rpc(&self, keys: u64) {
         self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
         self.counters.keys.fetch_add(keys, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.rpcs.inc();
-        }
     }
 
     /// Counts one physical call to the primary.
     fn count_wire_call(&self) {
         self.counters.wire_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.wire_calls.inc();
-        }
     }
 
     /// Counts one leg answered with an error.
     fn count_error(&self) {
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.errors.inc();
-        }
     }
 }
 
@@ -614,14 +593,11 @@ pub struct ShardRouter {
 impl ShardRouter {
     /// A router over `clients` with hedging configured by `hedge`.
     pub fn new(clients: Vec<ShardClient>, hedge: HedgeConfig) -> Self {
-        Self::with_instrumentation(clients, hedge, None, None)
+        Self::with_workers(clients, hedge, 1, None)
     }
 
-    /// [`ShardRouter::new`] with instrumentation. With a `registry`,
-    /// per-shard counters (`store.shard.{i}.rpcs` / `.wire_calls` /
-    /// `.errors` / `.hedges` / `.hedge_wins`) are wired into it; with
-    /// `tracing`, the router emits causal spans into the sink on the
-    /// tracer's clock: one `store.read` span per leg that reads (submit →
+    /// Like [`ShardRouter::new`], but emits causal spans into `sink` on
+    /// `tracer`'s clock: one `store.read` span per leg that reads (submit →
     /// answer, so the span measures queueing plus the shard's I/O; fields
     /// `shard`, `keys`, `tag`, and on the end `ok` and `coalesced` — how
     /// many legs shared the wire call that answered it), one
@@ -630,13 +606,13 @@ impl ShardRouter {
     /// `store.shard.hedge` span per replica fetch. Wire the **same**
     /// [`Tracer`] the serve pool uses so store spans are time-comparable
     /// with batch lifecycles.
-    pub fn with_instrumentation(
+    pub fn with_tracing(
         clients: Vec<ShardClient>,
         hedge: HedgeConfig,
-        registry: Option<&MetricsRegistry>,
-        tracing: Option<(Tracer, Arc<dyn EventSink>)>,
+        tracer: Tracer,
+        sink: Arc<dyn EventSink>,
     ) -> Self {
-        Self::with_workers(clients, hedge, 1, registry, tracing)
+        Self::with_workers(clients, hedge, 1, Some((tracer, sink)))
     }
 
     /// The general constructor: `workers >= 1` primary I/O workers per
@@ -647,15 +623,13 @@ impl ShardRouter {
         clients: Vec<ShardClient>,
         hedge: HedgeConfig,
         workers: usize,
-        registry: Option<&MetricsRegistry>,
         tracing: Option<(Tracer, Arc<dyn EventSink>)>,
     ) -> Self {
         assert!(!clients.is_empty(), "need at least one shard");
         assert!(workers >= 1, "need at least one I/O thread");
         let shards = clients
             .into_iter()
-            .enumerate()
-            .map(|(i, client)| ShardRuntime {
+            .map(|client| ShardRuntime {
                 client,
                 work: Mutex::new(WorkQueue {
                     queue: VecDeque::new(),
@@ -669,13 +643,6 @@ impl ShardRouter {
                 hedge_cv: Condvar::new(),
                 counters: ShardCounters::default(),
                 latencies: Mutex::new(VecDeque::new()),
-                metrics: registry.map(|r| ShardMetrics {
-                    rpcs: r.counter(&format!("store.shard.{i}.rpcs")),
-                    wire_calls: r.counter(&format!("store.shard.{i}.wire_calls")),
-                    errors: r.counter(&format!("store.shard.{i}.errors")),
-                    hedges: r.counter(&format!("store.shard.{i}.hedges")),
-                    hedge_wins: r.counter(&format!("store.shard.{i}.hedge_wins")),
-                }),
             })
             .collect();
         let shared = Arc::new(RouterShared {
@@ -1150,9 +1117,6 @@ fn run_hedge(
     } else {
         rt.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
     }
-    if let Some(m) = &rt.metrics {
-        m.hedges.inc();
-    }
     let span = shared.tracing.as_ref().map(|t| {
         let ctx = t.root(t.tracer.next_span_id());
         t.sink.emit(
@@ -1168,9 +1132,6 @@ fn run_hedge(
     let replica_won = shared.answer(job, fetched.as_deref(), 1);
     if replica_won && !failover {
         rt.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &rt.metrics {
-            m.hedge_wins.inc();
-        }
     }
     if let (Some(t), Some(ctx)) = (&shared.tracing, span) {
         t.sink.emit(
@@ -1566,15 +1527,14 @@ mod tests {
         use batchbb_obs::{jsonl, MemorySink};
 
         let gate = Arc::new(Gated::new(MemoryStore::from_entries(entries(32))));
-        let registry = MetricsRegistry::new();
         let sink = Arc::new(MemorySink::new());
-        let router = ShardRouter::with_instrumentation(
+        let router = ShardRouter::with_tracing(
             vec![ShardClient::new(
                 Arc::clone(&gate) as Arc<dyn CoefficientStore>
             )],
             HedgeConfig::default(),
-            Some(&registry),
-            Some((Tracer::new(3), sink.clone())),
+            Tracer::new(3),
+            sink.clone(),
         );
         let single = MemoryStore::from_entries(entries(32));
         let all = keys(32);
@@ -1601,9 +1561,6 @@ mod tests {
         assert_eq!(router.pending_depth(), 0);
         let stats = router.shard_stats()[0];
         assert_eq!((stats.rpcs, stats.keys, stats.wire_calls), (4, 32, 2));
-        let counters = registry.snapshot();
-        assert_eq!(counters.counter("store.shard.0.rpcs"), Some(4));
-        assert_eq!(counters.counter("store.shard.0.wire_calls"), Some(2));
         // Every job's read span says how many jobs its call carried.
         let mut coalesced: Vec<u64> = sink
             .lines()

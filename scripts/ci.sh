@@ -274,7 +274,11 @@ full_gate() {
     # shared; admission allocates the same whatever the master-list size;
     # the Haar walk of the rewrite is the generic walk bit for bit; a
     # traced batch records its phases per slice, not per retrieval, and
-    # its store_wait phase still holds its time in the store.
+    # its store_wait phase still holds its time in the store;
+    # steps_to_bound is the retrieval count of a fault-free targeted drain;
+    # the public bound accessors count deferred mass like the report;
+    # a batch cancelled before its first slice records its initial bound;
+    # unpublished versioned serving is plain serving, result for result.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -291,6 +295,14 @@ full_gate() {
         traced_serve_records_phases_per_slice
     run cargo test -q -p batchbb --test observability \
         store_wait_phase_holds_the_store_time
+    run cargo test -q -p batchbb-core --test proptests \
+        steps_to_bound_is_what_the_targeted_drain_retrieves
+    run cargo test -q -p batchbb-core --test fault_tolerance \
+        bound_accessors_count_deferred_mass
+    run cargo test -q -p batchbb-serve --lib \
+        a_batch_cancelled_before_its_first_slice_records_its_initial_bound
+    run cargo test -q -p batchbb-serve --lib \
+        unpublished_versioned_serving_is_plain_serving
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound

@@ -71,15 +71,12 @@ pub use batchbb_wavelet as wavelet;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use batchbb_core::{
-        bounded::{
-            evaluate_bounded, evaluate_bounded_fallible, evaluate_bounded_fallible_observed,
-            evaluate_bounded_observed,
-        },
+        bounded::{evaluate_bounded, evaluate_bounded_fallible},
         data_approx::CompressedView,
         metrics, optimality,
         round_robin::RoundRobin,
-        stats, BatchQueries, DegradationReport, DrainStatus, ExecObserver, MasterList,
-        ProgressionEntry, ProgressiveExecutor, RewriteObserver, StepInfo, TryStepOutcome,
+        BatchQueries, DegradationReport, DrainStatus, ExecObserver, MasterList, ProgressionEntry,
+        ProgressiveExecutor, RewriteObserver, StepInfo, TryStepOutcome,
     };
     pub use batchbb_obs::{
         jsonl, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder, BoundedSinkStats,
