@@ -1,24 +1,41 @@
 //! A batch of queries rewritten into the transform domain.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use batchbb_obs::SpanTimer;
+use batchbb_penalty::Penalty;
 use batchbb_query::{LinearStrategy, RangeSum, StrategyError};
 use batchbb_tensor::Shape;
 use batchbb_wavelet::SparseCoeffs;
 
+use crate::executor::{progression_order, Progression};
 use crate::observe::RewriteObserver;
 use crate::MasterList;
 
 /// A query batch after step 2 of Batch-Biggest-B: every query's sparse
 /// coefficient list in the strategy's transform domain.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BatchQueries {
     queries: Vec<RangeSum>,
     coeffs: Vec<SparseCoeffs>,
     /// Step 3, built on first use and shared by every executor (and every
     /// clone) of this batch: it depends on the coefficients alone.
     master: OnceLock<Arc<MasterList>>,
+    /// The last progression sorted for this batch, shared by every
+    /// executor whose scores match it ([`BatchQueries::progression`]).
+    progression: Mutex<Option<Progression>>,
+}
+
+impl Clone for BatchQueries {
+    /// A clone shares the master list and the last progression.
+    fn clone(&self) -> Self {
+        BatchQueries {
+            queries: self.queries.clone(),
+            coeffs: self.coeffs.clone(),
+            master: self.master.clone(),
+            progression: Mutex::new(self.memo().clone()),
+        }
+    }
 }
 
 impl BatchQueries {
@@ -27,6 +44,7 @@ impl BatchQueries {
             queries,
             coeffs,
             master: OnceLock::new(),
+            progression: Mutex::new(None),
         }
     }
 
@@ -179,6 +197,32 @@ impl BatchQueries {
         self.master
             .get_or_init(|| Arc::new(MasterList::build(self)))
             .clone()
+    }
+
+    /// The batch's progression under `penalty` — steps 4–5's retrieval
+    /// order, sorted once per distinct score vector.  `ι_p` is a function
+    /// of the batch and the penalty alone, so a re-serve (or a serve after
+    /// a live update) scores every key again and, when each score matches
+    /// the last progression bit for bit, shares it: the order is a pure
+    /// function of the scores, so that is exactly what a fresh sort would
+    /// return.  Otherwise the fresh sort replaces the memo.  Concurrent
+    /// admissions under different penalties stay correct either way: each
+    /// gets a progression its own scores were checked or sorted against.
+    pub(crate) fn progression(&self, penalty: &dyn Penalty) -> Progression {
+        let master = self.master();
+        let cached = self.memo().clone();
+        if let Some(cached) = cached.filter(|p| p.scores_match(&master, penalty, self.len())) {
+            return cached;
+        }
+        let fresh = progression_order(&master, penalty, self.len());
+        *self.memo() = Some(fresh.clone());
+        fresh
+    }
+
+    /// The memo, locked.  It is only ever replaced whole, so a lock
+    /// poisoned by a panicking admission still holds a valid one.
+    fn memo(&self) -> MutexGuard<'_, Option<Progression>> {
+        self.progression.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

@@ -36,7 +36,8 @@ pub struct ProgressionEntry {
 }
 
 /// Every master-list coefficient with its `ι_p`, in slot (key) order — the
-/// one scoring body: the executor's progression,
+/// one scoring body: the executor's progression and its cache check
+/// ([`Progression::scores_match`]),
 /// [`crate::optimality::importance_ranking`] and
 /// [`crate::layout::aggregate_importance_ranking`] all score through it.
 /// A pathological penalty can emit NaN, which would sort to the front of
@@ -62,24 +63,78 @@ pub(crate) fn scored<'m>(
     })
 }
 
+/// A batch's progression under one score vector: every master-list
+/// coefficient, most important first, and the sum of their importances.
+/// Immutable once sorted; a batch keeps the last one it sorted
+/// ([`BatchQueries::progression`]) and hands out clones.  A clone shares
+/// both buffers, and each is one allocation sized by the master list —
+/// deliberately no small handle around them: a handle that lives as long
+/// as the batch, taken by the caller thread from glibc's per-thread cache,
+/// can be a chunk a pool worker freed into it, and then pins a hole in
+/// that worker's arena under every later serve (DESIGN.md §6).
+#[derive(Debug, Clone)]
+pub(crate) struct Progression {
+    entries: Arc<[ProgressionEntry]>,
+    /// Σ ι_p over `entries`, summed in progression order: Theorem 2's
+    /// expected penalty is then a function of the batch alone.
+    total_importance: f64,
+    /// The scores in slot order — the cache key.  The check walks them
+    /// beside the master list's columns, both in memory order; walking
+    /// the columns in progression order instead costs a cache miss per
+    /// key once the list has left the cache.
+    scores: Arc<[f64]>,
+}
+
+impl Progression {
+    /// True when `penalty` scores every key of `master` bit for bit as this
+    /// progression records it.  The order is a pure function of the
+    /// scores (importance descending by `total_cmp`, ties by slot), so a
+    /// match means a fresh [`progression_order`] would return exactly
+    /// these entries.  Sorts nothing and allocates one scratch column.
+    pub(crate) fn scores_match(
+        &self,
+        master: &MasterList,
+        penalty: &dyn Penalty,
+        batch_size: usize,
+    ) -> bool {
+        self.scores.len() == master.len()
+            && scored(master, penalty, batch_size)
+                .zip(self.scores.iter())
+                .all(|(e, score)| e.importance.to_bits() == score.to_bits())
+    }
+
+    /// The entries, most important first.
+    pub(crate) fn entries(&self) -> &[ProgressionEntry] {
+        &self.entries
+    }
+}
+
 /// The progression order: every master-list coefficient, most important
 /// first, ties toward the smaller slot — the smaller key, since slots are
 /// in key order — so every component (executor, bounded variant,
 /// optimality ranking) agrees on one deterministic order.  Slots are
-/// unique, so the order is strict and an unstable sort is exact.
+/// unique, so the order is strict and an unstable sort is exact.  The one
+/// sort: called by the batch's memo ([`BatchQueries::progression`]) and by
+/// [`ProgressiveExecutor::from_master`].
 pub(crate) fn progression_order(
     master: &MasterList,
     penalty: &dyn Penalty,
     batch_size: usize,
-) -> Vec<ProgressionEntry> {
-    let mut order = Vec::with_capacity(master.len());
-    order.extend(scored(master, penalty, batch_size));
-    order.sort_unstable_by(|a, b| {
+) -> Progression {
+    let mut entries = Vec::with_capacity(master.len());
+    entries.extend(scored(master, penalty, batch_size));
+    let scores = entries.iter().map(|e| e.importance).collect();
+    entries.sort_unstable_by(|a, b| {
         b.importance
             .total_cmp(&a.importance)
             .then_with(|| a.slot.cmp(&b.slot))
     });
-    order
+    let total_importance = entries.iter().fold(0.0, |sum, e| sum + e.importance);
+    Progression {
+        entries: entries.into(),
+        total_importance,
+        scores,
+    }
 }
 
 /// How many prefetch windows one batch keeps submitted at once.  Two, so
@@ -205,10 +260,11 @@ pub struct ProgressiveExecutor<'a> {
     /// The batch's master list, shared with every other executor of the
     /// batch; progression and deferred entries index it by slot.
     master: Arc<MasterList>,
-    /// Every master-list coefficient in progression order.  `ι_p` is a
+    /// Every master-list coefficient in progression order, shared with
+    /// every executor of the batch whose scores match.  `ι_p` is a
     /// function of the query coefficients alone, so the order is fixed
     /// when the batch is scored and never changes afterwards.
-    order: Vec<ProgressionEntry>,
+    order: Arc<[ProgressionEntry]>,
     /// `order[..cursor]` has been taken (applied or moved to the deferral
     /// queue); `order[cursor..]` is pending.  The cursor only advances, so
     /// a failed or abandoned read-ahead needs no undo.
@@ -270,48 +326,50 @@ fn assert_executor_is_send(exec: ProgressiveExecutor<'_>) -> impl Send + '_ {
 impl<'a> ProgressiveExecutor<'a> {
     /// Builds the executor over the batch's master list
     /// ([`BatchQueries::master`], merged on the batch's first use and shared
-    /// after it), scores every coefficient with `ι_p`, and sorts them into
-    /// progression order.
+    /// after it) and scores every coefficient with `ι_p`.  When the scores
+    /// match the batch's last progression bit for bit, the executor shares
+    /// it; otherwise it sorts them into progression order, and that order
+    /// becomes the batch's.
     pub fn new(
         batch: &BatchQueries,
         penalty: &dyn Penalty,
         store: &'a dyn CoefficientStore,
     ) -> Self {
-        ProgressiveExecutor::over(batch.len(), batch.master(), penalty, store)
+        let order = batch.progression(penalty);
+        ProgressiveExecutor::over(batch.len(), batch.master(), order, penalty, store)
     }
 
     /// Builds from a master list the caller merged ([`MasterList::build`])
     /// for a batch of `batch_size` queries; the executor takes ownership of
-    /// it.  [`ProgressiveExecutor::new`] shares the batch's own list instead.
+    /// it and sorts its own progression.  [`ProgressiveExecutor::new`]
+    /// shares the batch's own list and progression instead.
     pub fn from_master(
         batch_size: usize,
         master: MasterList,
         penalty: &dyn Penalty,
         store: &'a dyn CoefficientStore,
     ) -> Self {
-        ProgressiveExecutor::over(batch_size, Arc::new(master), penalty, store)
+        let order = progression_order(&master, penalty, batch_size);
+        ProgressiveExecutor::over(batch_size, Arc::new(master), order, penalty, store)
     }
 
     fn over(
         batch_size: usize,
         master: Arc<MasterList>,
+        order: Progression,
         penalty: &dyn Penalty,
         store: &'a dyn CoefficientStore,
     ) -> Self {
-        let order = progression_order(&master, penalty, batch_size);
-        // Summed in progression order: the expected penalty is then a
-        // function of the batch alone.
-        let remaining_importance = order.iter().fold(0.0, |sum, e| sum + e.importance);
         ProgressiveExecutor {
             store,
             seen: vec![None; master.len()],
             master,
-            order,
+            remaining_importance: order.total_importance,
+            order: order.entries,
             cursor: 0,
             estimates: vec![0.0; batch_size],
             homogeneity: penalty.homogeneity(),
             retrieved: 0,
-            remaining_importance,
             prefetch_window: 1,
             landed: VecDeque::new(),
             in_flight: VecDeque::new(),
@@ -930,11 +988,16 @@ impl<'a> ProgressiveExecutor<'a> {
     /// these values reproduces the final estimates bit for bit — the
     /// determinism check the concurrent-serving tests rest on.
     pub fn retrieved_entries(&self) -> Vec<(CoeffKey, f64)> {
-        self.seen
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, value)| value.map(|v| (*self.master.key(slot), v)))
-            .collect()
+        // Sized up front: every retrieval fills one slot, and a list grown
+        // by doubling would leave a chain of freed buffers behind it.
+        let mut entries = Vec::with_capacity(self.retrieved);
+        entries.extend(
+            self.seen
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, value)| value.map(|v| (*self.master.key(slot), v))),
+        );
+        entries
     }
 
     /// Number of coefficients still pending in normal progression order,

@@ -15,15 +15,18 @@
 use batchbb_penalty::Penalty;
 use batchbb_tensor::{CoeffKey, KeySet};
 
-use crate::executor::progression_order;
+use crate::executor::scored;
 use crate::BatchQueries;
 
 /// `(key, ι_p(key))` for every coefficient the batch touches, sorted by
 /// decreasing importance (ties broken by key) — the executor's scoring
-/// and order, NaN importances included.
+/// and order, read from the batch's memoized progression, with a NaN
+/// importance scored as 0.
 pub fn importance_ranking(batch: &BatchQueries, penalty: &dyn Penalty) -> Vec<(CoeffKey, f64)> {
-    progression_order(&batch.master(), penalty, batch.len())
-        .into_iter()
+    batch
+        .progression(penalty)
+        .entries()
+        .iter()
         .map(|e| (e.key, e.importance))
         .collect()
 }
@@ -45,10 +48,10 @@ pub fn worst_case_penalty(
     kept: &KeySet,
     k_abs_sum: f64,
 ) -> f64 {
-    let worst = importance_ranking(batch, penalty)
-        .into_iter()
-        .filter(|(k, _)| !kept.contains(k))
-        .map(|(_, iota)| iota)
+    // A max is order-free, so it needs the scores but not the sort.
+    let worst = scored(&batch.master(), penalty, batch.len())
+        .filter(|e| !kept.contains(&e.key))
+        .map(|e| e.importance)
         .fold(0.0f64, f64::max);
     theorem1_bound(k_abs_sum, penalty.homogeneity(), worst)
 }

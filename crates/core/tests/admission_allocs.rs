@@ -1,9 +1,14 @@
 //! Admission allocates a fixed handful of buffers, not one per master key.
-//! A batch's master list is flat and built once (`BatchQueries::master`);
-//! an executor over it allocates its progression, its per-slot `seen`
-//! values, its estimates and one scratch column — however many keys the
-//! batch touches — and a warm step allocates nothing.  Counted, not timed:
-//! the global allocator below counts the allocations of the calling thread.
+//! A batch's master list is flat and built once (`BatchQueries::master`),
+//! and so is its progression, once per distinct score vector.  The first
+//! executor over a batch allocates the progression (a buffer to sort its
+//! entries in, then the shared entries and the shared scores), its
+//! per-slot `seen` values, its estimates and one scratch column — however
+//! many keys the batch touches; a later one under the same penalty
+//! re-scores into a scratch column and shares the progression, and a warm
+//! step allocates nothing.
+//! Counted, not timed: the global allocator below counts the allocations
+//! of the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,6 +58,62 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn admission_allocations_do_not_grow_with_the_master_list() {
+    let (small, large, store) = fixture();
+    let keys = |b: &BatchQueries| b.master().len();
+    let (small_allocs, _) = allocations(|| ProgressiveExecutor::new(&small, &Sse, &store));
+    let (large_allocs, mut exec) = allocations(|| ProgressiveExecutor::new(&large, &Sse, &store));
+    assert_eq!(
+        small_allocs,
+        large_allocs,
+        "construction over {} and {} master keys",
+        keys(&small),
+        keys(&large)
+    );
+
+    // Warm steps over an in-memory store: the fold, the `seen` record and
+    // the final canonical re-sum all reuse admission's buffers.
+    assert_eq!(exec.run(16), 16);
+    let (step_allocs, steps) = allocations(|| exec.run_to_end());
+    assert_eq!(steps, keys(&large) - 16);
+    assert!(exec.is_exact());
+    assert_eq!(step_allocs, 0, "{steps} warm steps");
+}
+
+#[test]
+fn a_warm_admission_allocates_no_progression() {
+    let (small, large, store) = fixture();
+    let admit =
+        |batch: &BatchQueries| allocations(|| ProgressiveExecutor::new(batch, &Sse, &store));
+    let (small_cold, _) = admit(&small);
+    let (large_cold, first) = admit(&large);
+    let (small_warm, _) = admit(&small);
+    let (large_warm, second) = admit(&large);
+    assert!(
+        std::ptr::eq(first.progression(), second.progression()),
+        "the second admission sorted again"
+    );
+    assert_eq!(
+        small_warm,
+        large_warm,
+        "warm admissions over {} and {} master keys",
+        small.master().len(),
+        large.master().len()
+    );
+    // What the warm admission skips is the progression: the sort buffer,
+    // then the shared entries and the shared scores.
+    assert_eq!(small_warm + 3, small_cold);
+    assert_eq!(large_warm + 3, large_cold);
+
+    // The batch keeps its progression: an admission after every executor
+    // of the batch is gone is as warm.
+    drop((first, second));
+    let (alone, _) = admit(&large);
+    assert_eq!(alone, large_warm);
+}
+
+/// A store and two Db4 partition batches over a 64×64 domain, their
+/// master lists built and the larger at least four times the smaller.
+fn fixture() -> (BatchQueries, BatchQueries, MemoryStore) {
     let shape = Shape::new(vec![64, 64]).unwrap();
     let values = (0..shape.len()).map(|i| ((i * 7) % 5) as f64).collect();
     let data = Tensor::from_vec(shape.clone(), values).unwrap();
@@ -75,22 +136,5 @@ fn admission_allocations_do_not_grow_with_the_master_list() {
         keys(&large),
         keys(&small)
     );
-
-    let (small_allocs, _) = allocations(|| ProgressiveExecutor::new(&small, &Sse, &store));
-    let (large_allocs, mut exec) = allocations(|| ProgressiveExecutor::new(&large, &Sse, &store));
-    assert_eq!(
-        small_allocs,
-        large_allocs,
-        "construction over {} and {} master keys",
-        keys(&small),
-        keys(&large)
-    );
-
-    // Warm steps over an in-memory store: the fold, the `seen` record and
-    // the final canonical re-sum all reuse admission's buffers.
-    assert_eq!(exec.run(16), 16);
-    let (step_allocs, steps) = allocations(|| exec.run_to_end());
-    assert_eq!(steps, keys(&large) - 16);
-    assert!(exec.is_exact());
-    assert_eq!(step_allocs, 0, "{steps} warm steps");
+    (small, large, store)
 }

@@ -1,8 +1,8 @@
 //! Reproducibility from the batch alone: nothing a caller can observe may
 //! depend on a `HashMap`'s per-instance iteration order.
 
-use batchbb_core::{bounded::evaluate_bounded, BatchQueries, ProgressiveExecutor};
-use batchbb_penalty::Sse;
+use batchbb_core::{bounded::evaluate_bounded, BatchQueries, MasterList, ProgressiveExecutor};
+use batchbb_penalty::{DiagonalQuadratic, Penalty, Sse};
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_storage::MemoryStore;
 use batchbb_tensor::{Shape, Tensor};
@@ -62,4 +62,66 @@ fn bounded_selection_is_reproducible_under_ties() {
     for call in 1..64 {
         assert_eq!(estimates(), first, "call {call} differs");
     }
+}
+
+/// A batch keeps one progression and replaces it whenever an admission's
+/// scores differ, so admissions racing under two penalties keep swapping
+/// it.  Each executor must still run exactly as one that sorted its own
+/// progression: same certificate at admission, same steps, same finals.
+#[test]
+fn concurrent_admissions_under_two_penalties_match_their_serial_twins() {
+    let (shape, queries) = partition_batch(11);
+    let strategy = WaveletStrategy::new(Wavelet::Db4);
+    let data = Tensor::from_fn(shape.clone(), |ix| ((ix[0] * 3 + ix[1]) % 5) as f64);
+    let store = MemoryStore::from_entries(strategy.transform_data(&data));
+    let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+    let weights = (0..batch.len()).map(|i| 1.0 + (i % 3) as f64).collect();
+    let penalties: [&dyn Penalty; 2] = [&Sse, &DiagonalQuadratic::new(weights)];
+    let n = shape.len();
+    // Certificate at admission, every step, then the finals — all as bits.
+    let run = |mut exec: ProgressiveExecutor| -> Vec<u64> {
+        let mut bits = vec![
+            exec.worst_case_bound(2.0).to_bits(),
+            exec.expected_penalty(n).to_bits(),
+        ];
+        while let Some(step) = exec.step() {
+            bits.extend([step.importance.to_bits(), step.value.to_bits()]);
+        }
+        bits.extend(exec.estimates().iter().map(|e| e.to_bits()));
+        bits
+    };
+    let twins: Vec<Vec<u64>> = penalties
+        .iter()
+        .map(|&p| {
+            run(ProgressiveExecutor::from_master(
+                batch.len(),
+                MasterList::build(&batch),
+                p,
+                &store,
+            ))
+        })
+        .collect();
+    assert_ne!(twins[0], twins[1], "the two penalties must order apart");
+
+    const THREADS: usize = 4;
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (batch, store, penalties, twins, start) =
+                (&batch, &store, &penalties, &twins, &start);
+            let run = &run;
+            scope.spawn(move || {
+                start.wait();
+                for admission in 0..8 {
+                    let which = (t + admission) % 2;
+                    let exec = ProgressiveExecutor::new(batch, penalties[which], store);
+                    assert!(
+                        run(exec) == twins[which],
+                        "thread {t}, admission {admission}: {} differs from its twin",
+                        penalties[which].name()
+                    );
+                }
+            });
+        }
+    });
 }

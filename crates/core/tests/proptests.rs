@@ -9,7 +9,7 @@ use batchbb_core::{
     bounded::evaluate_bounded, optimality, round_robin::RoundRobin, BatchQueries, DrainStatus,
     MasterList, ProgressiveExecutor,
 };
-use batchbb_penalty::{DiagonalQuadratic, Penalty, Sse};
+use batchbb_penalty::{DiagonalQuadratic, LpPenalty, Penalty, Sse};
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_storage::{AsyncFetchStore, FaultInjectingStore, FaultPlan, MemoryStore, RetryPolicy};
 use batchbb_tensor::{CoeffKey, KeyMap, KeySet, Shape, Tensor};
@@ -622,6 +622,103 @@ proptest! {
             prop_assert_eq!(&owned_trace, &shared_trace, "{}", p.name());
             prop_assert_eq!(bits(over_owned.estimates()), bits(over_shared.estimates()));
             prop_assert_eq!(over_owned.retrieved_entries(), over_shared.retrieved_entries());
+        }
+    }
+}
+
+/// `Sse`, except that a column whose first query index is even scores
+/// `gate`.  With `gate` NaN those keys score 0 (the executor's NaN rule),
+/// exactly as under a `0.0` gate — a different penalty with bit-equal
+/// scores — while a `-0.0` gate differs from the `0.0` one only in the
+/// sign of those zeros, which `total_cmp` orders apart.
+struct Gated {
+    gate: f64,
+}
+
+impl Penalty for Gated {
+    fn name(&self) -> String {
+        format!("gated({:?})", self.gate)
+    }
+
+    fn evaluate(&self, errors: &[f64]) -> f64 {
+        Sse.evaluate(errors)
+    }
+
+    fn importance(&self, column: &[(usize, f64)], batch_size: usize) -> f64 {
+        match column.first() {
+            Some(&(qi, _)) if qi % 2 == 0 => self.gate,
+            _ => Sse.importance(column, batch_size),
+        }
+    }
+
+    fn homogeneity(&self) -> f64 {
+        2.0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A batch sorts its progression once per distinct score vector and
+    /// shares it: serving one batch under a run of penalties, each
+    /// executor's progression, certificate and expected penalty — at
+    /// admission and after some steps — are bit for bit those of an
+    /// executor that sorted its own (`from_master`), and two executors
+    /// share the progression's storage exactly when their scores agree.
+    #[test]
+    fn a_progression_cache_hit_is_a_fresh_sort(
+        (data, queries, shape) in arb_instance(),
+        weights in prop::collection::vec(0.0f64..5.0, 12),
+        p in 1.0f64..4.0,
+        run in prop::collection::vec(0usize..6, 1..12),
+        steps in 0usize..8,
+    ) {
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let store = MemoryStore::from_entries(strategy.transform_data(&data));
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let weights = weights.into_iter().chain(std::iter::repeat(1.0)).take(batch.len());
+        let penalties: [Box<dyn Penalty>; 6] = [
+            Box::new(Sse),
+            Box::new(DiagonalQuadratic::new(weights.collect())),
+            Box::new(LpPenalty::new(p)),
+            Box::new(Gated { gate: f64::NAN }),
+            Box::new(Gated { gate: 0.0 }),
+            Box::new(Gated { gate: -0.0 }),
+        ];
+        let (k_abs_sum, n_total) = (3.0, shape.len());
+        let walk = |exec: &ProgressiveExecutor| -> Walk {
+            exec.progression().iter().map(|e| (e.key, e.importance.to_bits())).collect()
+        };
+        let books = |exec: &ProgressiveExecutor| {
+            (
+                walk(exec),
+                exec.worst_case_bound(k_abs_sum).to_bits(),
+                exec.expected_penalty(n_total).to_bits(),
+            )
+        };
+        let mut last: Option<(Walk, ProgressiveExecutor)> = None;
+        for &at in &run {
+            let penalty = penalties[at].as_ref();
+            let mut cached = ProgressiveExecutor::new(&batch, penalty, &store);
+            let mut fresh = ProgressiveExecutor::from_master(
+                batch.len(), MasterList::build(&batch), penalty, &store);
+            prop_assert_eq!(books(&cached), books(&fresh), "{}", penalty.name());
+
+            let scores = walk(&fresh);
+            let twin = ProgressiveExecutor::new(&batch, penalty, &store);
+            prop_assert_eq!(twin.progression().as_ptr(), cached.progression().as_ptr(),
+                "{}: equal scores sorted twice", penalty.name());
+            if let Some((last_scores, last_exec)) = &last {
+                prop_assert_eq!(
+                    last_exec.progression().as_ptr() == cached.progression().as_ptr(),
+                    *last_scores == scores,
+                    "{} after a switch", penalty.name()
+                );
+            }
+
+            prop_assert_eq!(cached.run(steps), fresh.run(steps));
+            prop_assert_eq!(books(&cached), books(&fresh), "{} after {} steps", penalty.name(), steps);
+            last = Some((scores, twin));
         }
     }
 }

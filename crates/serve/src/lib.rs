@@ -119,6 +119,7 @@ pub use slo::{AdmissionEstimate, SloContract, SloOutcome};
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     use batchbb_core::{BatchQueries, DrainStatus, ProgressiveExecutor};
@@ -126,7 +127,9 @@ mod tests {
     use batchbb_penalty::{DiagonalQuadratic, Sse};
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
     use batchbb_relation::{Attribute, FrequencyDistribution, Schema};
-    use batchbb_storage::{MemoryStore, RetryPolicy, VersionedStore};
+    use batchbb_storage::{
+        CoefficientStore, Completion, IoStats, MemoryStore, RetryPolicy, VersionedStore,
+    };
     use batchbb_wavelet::Wavelet;
 
     use super::*;
@@ -584,6 +587,78 @@ mod tests {
         assert!(names.iter().any(|n| n == "slo.admitted"));
         assert!(names.iter().any(|n| n == "slo.rejected"));
         assert!(names.iter().any(|n| n == "slo.outcome"));
+    }
+
+    /// Threads that read through [`ExitWatch`], and how many of them have
+    /// finished exiting.
+    static MARKED: AtomicUsize = AtomicUsize::new(0);
+    static EXITED: AtomicUsize = AtomicUsize::new(0);
+
+    /// Set on a thread's first read through [`ExitWatch`]; dropped as the
+    /// thread exits, slowly, so an exit still under way is easy to catch.
+    struct ExitMark;
+
+    impl Drop for ExitMark {
+        fn drop(&mut self) {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            EXITED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_MARK: ExitMark = {
+            MARKED.fetch_add(1, Ordering::SeqCst);
+            ExitMark
+        };
+    }
+
+    /// A store that marks every thread reading through it, except the
+    /// serve's caller.
+    struct ExitWatch<'s> {
+        inner: &'s MemoryStore,
+        caller: std::thread::ThreadId,
+    }
+
+    impl CoefficientStore for ExitWatch<'_> {
+        fn submit(&self, keys: &[batchbb_tensor::CoeffKey]) -> Completion {
+            if std::thread::current().id() != self.caller {
+                EXIT_MARK.with(|_| ());
+            }
+            self.inner.submit(keys)
+        }
+
+        fn nnz(&self) -> usize {
+            self.inner.nnz()
+        }
+
+        fn stats(&self) -> IoStats {
+            self.inner.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+    }
+
+    /// A serve returns only once its workers have exited, thread-local
+    /// destructors and all — not merely once their loops have returned —
+    /// so the next serve's workers never start beside exiting ones.
+    #[test]
+    fn serve_returns_after_its_workers_have_exited() {
+        let (store, batches, n_total, k) = fixture();
+        let watch = ExitWatch {
+            inner: &store,
+            caller: std::thread::current().id(),
+        };
+        let requests: Vec<BatchRequest<'_>> =
+            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(3).slice_steps(5));
+        for result in server.serve(&watch, &requests) {
+            assert_eq!(result.status, BatchStatus::Exact);
+        }
+        let marked = MARKED.load(Ordering::SeqCst);
+        assert!(marked > 0, "the workers read through the store");
+        assert_eq!(EXITED.load(Ordering::SeqCst), marked);
     }
 
     /// The mutate-in-place update path is gone: a session with no

@@ -201,11 +201,25 @@ impl BatchServer {
                 .map(|cell| (cell.index, marginal_value(cell))),
         );
         let driver_out = std::thread::scope(|scope| {
-            for _ in 0..config.workers {
-                let (jobs, queue, active, shared) = (&jobs, &queue, &active, &shared);
-                scope.spawn(move || worker_loop(jobs, queue, active, config, shared));
+            let workers: Vec<_> = (0..config.workers)
+                .map(|_| {
+                    let (jobs, queue, active, shared) = (&jobs, &queue, &active, &shared);
+                    scope.spawn(move || worker_loop(jobs, queue, active, config, shared))
+                })
+                .collect();
+            let out = driver(&session);
+            // Joined here, not left to the scope: the scope returns once
+            // each worker's closure has, while its OS thread may still be
+            // exiting.  A serve that follows at once would then start its
+            // workers before the old ones hand their malloc arenas back,
+            // and the allocator opens fresh arenas — resident memory that
+            // grows with how the exits happen to be timed.
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
-            driver(&session)
+            out
         });
         (collect_results(config, jobs), driver_out)
     }
@@ -216,11 +230,12 @@ impl BatchServer {
     /// *before it* committed of `capacity`, so verdicts depend on
     /// submission order.  Construction does not — it reads no store (`ι_p`
     /// is a function of the queries alone) and `Penalty: Send + Sync` —
-    /// and stays here because the two ways of moving it were measured and
-    /// lose: built on worker threads the executors' memory comes from
-    /// per-thread malloc arenas (`peak_rss_mb` +12…+25 %), and published
-    /// as priced they make a one-worker run's interleaving
-    /// timing-dependent (ROADMAP item 4).  `store_for`
+    /// and is cheap enough to stay: a batch's master list and its sorted
+    /// progression are memoized on the batch, so a batch served again
+    /// under the same penalty (a prepared statement, the exact pass after
+    /// an ε pass) costs one scoring pass and a bit-for-bit compare, and
+    /// sorts only when its scores change.  Moving construction to a
+    /// helper thread raised `peak_rss_mb` (ROADMAP item 4).  `store_for`
     /// hands each job its read store (the shared effective store, or the
     /// job's own pinned [`VersionView`]) plus the version it pins, if any.
     fn admit_jobs<'a>(

@@ -278,13 +278,18 @@ full_gate() {
     # steps_to_bound is the retrieval count of a fault-free targeted drain;
     # the public bound accessors count deferred mass like the report;
     # a batch cancelled before its first slice records its initial bound;
-    # unpublished versioned serving is plain serving, result for result.
+    # unpublished versioned serving is plain serving, result for result;
+    # a memoized progression is bit for bit a fresh sort, shared on equal scores;
+    # a warm admission allocates no progression, whatever the master-list size;
+    # admissions racing under two penalties run as their serial twins;
+    # a serve returns only once its workers have exited.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
     run cargo test -q -p batchbb-core --test proptests \
         the_flat_master_list_is_the_hashed_merge_built_once_per_batch
-    run cargo test -q -p batchbb-core --test admission_allocs
+    run cargo test -q -p batchbb-core --test admission_allocs \
+        admission_allocations_do_not_grow_with_the_master_list
     run cargo test -q -p batchbb-serve --test proptests \
         degraded_results_carry_reconciling_certificates
     run cargo test -q -p batchbb-serve --test proptests \
@@ -303,6 +308,14 @@ full_gate() {
         a_batch_cancelled_before_its_first_slice_records_its_initial_bound
     run cargo test -q -p batchbb-serve --lib \
         unpublished_versioned_serving_is_plain_serving
+    run cargo test -q -p batchbb-core --test proptests \
+        a_progression_cache_hit_is_a_fresh_sort
+    run cargo test -q -p batchbb-core --test admission_allocs \
+        a_warm_admission_allocates_no_progression
+    run cargo test -q -p batchbb-core --test determinism \
+        concurrent_admissions_under_two_penalties_match_their_serial_twins
+    run cargo test -q -p batchbb-serve --lib \
+        serve_returns_after_its_workers_have_exited
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound
