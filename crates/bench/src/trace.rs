@@ -525,7 +525,7 @@ mod tests {
 
     fn synthetic_trace(bounds: &[f64], engine: &str) -> Vec<String> {
         let mut lines = vec![format!(
-            r#"{{"event":"exec.start","engine":"{engine}","batch":1,"coefficients":{}}}"#,
+            r#"{{"event":"exec.start","engine":"{engine}","queries":1,"coefficients":{}}}"#,
             bounds.len()
         )];
         for (i, b) in bounds.iter().enumerate() {

@@ -190,6 +190,12 @@ impl BatchQueries {
         self.coeffs.iter().map(SparseCoeffs::nnz).sum()
     }
 
+    /// Query `i` alone, as a batch of one — the unit the round-robin
+    /// baseline runs one executor over.
+    pub(crate) fn single(&self, i: usize) -> BatchQueries {
+        BatchQueries::new(vec![self.queries[i].clone()], vec![self.coeffs[i].clone()])
+    }
+
     /// The batch's master list, merged on the first call and shared after
     /// it: every [`crate::ProgressiveExecutor::new`] over this batch — each
     /// serve of a prepared batch, each penalty — indexes the same list.

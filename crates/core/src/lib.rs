@@ -22,11 +22,12 @@
 //!    drains the estimates are exact.
 //!
 //! Supporting pieces: the [`round_robin`] single-query baseline the paper
-//! compares against, the [`data_approx`] compressed-synopsis baseline it
-//! argues against (§1.1), the [`bounded`] workspace-limited variant
-//! (§2.2's "reduce workspace requirements"), Theorem 1/2 diagnostics in
-//! [`optimality`], and error metrics for the experiment harnesses in
-//! [`metrics`].  §3's derived statistics (AVERAGE, VARIANCE, COVARIANCE)
+//! compares against and the [`data_approx`] compressed-synopsis baseline it
+//! argues against (§1.1) — both drive [`ProgressiveExecutor`]s, the first
+//! one per query, the second over a truncated store — the [`bounded`]
+//! workspace-limited variant (§2.2's "reduce workspace requirements"),
+//! Theorem 1/2 diagnostics in [`optimality`], and error metrics for the
+//! experiment harnesses in [`metrics`].  §3's derived statistics (AVERAGE, VARIANCE, COVARIANCE)
 //! are planned by `batchbb_sqlish` and decoded by `batchbb_query::derived`.
 //!
 //! When the store can fail, the fallible path

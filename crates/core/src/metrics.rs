@@ -1,4 +1,6 @@
-//! Error metrics used throughout the paper's experiments (§6).
+//! Error metrics used throughout the paper's experiments (§6).  Each is a
+//! pure function of one estimate vector; a harness that plots a progression
+//! samples them at the retrieval counts it wants.
 
 use batchbb_penalty::Penalty;
 
@@ -61,48 +63,6 @@ pub fn normalized_penalty(penalty: &dyn Penalty, estimates: &[f64], exact: &[f64
     penalty.evaluate(&errors) / scale
 }
 
-/// One sample of a progressive run, as captured by [`trace_progression`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TracePoint {
-    /// Coefficients retrieved so far.
-    pub retrieved: usize,
-    /// Mean relative error against the exact answers.
-    pub mean_relative_error: f64,
-    /// Normalized SSE against the exact answers.
-    pub normalized_sse: f64,
-    /// Normalized penalty (under the traced penalty) against the exact
-    /// answers.
-    pub normalized_penalty: f64,
-    /// Theorem 1's worst-case bound `K^α·ι(next)` at this point.
-    pub worst_case_bound: f64,
-}
-
-/// Runs the executor through `budgets` (ascending retrieval counts),
-/// sampling the error metrics at each — the series behind every figure in
-/// §6.  `k_abs_sum` is `Σ|Δ̂|` for the bound column (pass 0.0 to skip).
-pub fn trace_progression(
-    exec: &mut crate::ProgressiveExecutor<'_>,
-    penalty: &dyn Penalty,
-    exact: &[f64],
-    budgets: &[usize],
-    k_abs_sum: f64,
-) -> Vec<TracePoint> {
-    let mut out = Vec::with_capacity(budgets.len());
-    for &b in budgets {
-        if b > exec.retrieved() {
-            exec.run(b - exec.retrieved());
-        }
-        out.push(TracePoint {
-            retrieved: exec.retrieved(),
-            mean_relative_error: mean_relative_error(exec.estimates(), exact),
-            normalized_sse: normalized_sse(exec.estimates(), exact),
-            normalized_penalty: normalized_penalty(penalty, exec.estimates(), exact),
-            worst_case_bound: exec.worst_case_bound(k_abs_sum),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,36 +114,5 @@ mod tests {
     #[should_panic(expected = "batch size mismatch")]
     fn size_mismatch_panics() {
         let _ = normalized_sse(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn trace_progression_samples_budgets() {
-        use crate::{BatchQueries, ProgressiveExecutor};
-        use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
-        use batchbb_storage::MemoryStore;
-        use batchbb_tensor::{Shape, Tensor};
-        use batchbb_wavelet::Wavelet;
-
-        let shape = Shape::new(vec![16, 16]).unwrap();
-        let data = Tensor::from_fn(shape.clone(), |ix| ((ix[0] + ix[1]) % 3) as f64 + 1.0);
-        let strategy = WaveletStrategy::new(Wavelet::Haar);
-        let store = MemoryStore::from_entries(strategy.transform_data(&data));
-        let queries = vec![
-            RangeSum::count(HyperRect::new(vec![0, 0], vec![7, 15])),
-            RangeSum::count(HyperRect::new(vec![8, 0], vec![15, 15])),
-        ];
-        let exact: Vec<f64> = queries.iter().map(|q| q.eval_direct(&data)).collect();
-        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
-        let mut exec = ProgressiveExecutor::new(&batch, &Sse, &store);
-        let k = store.abs_sum();
-        let trace = trace_progression(&mut exec, &Sse, &exact, &[1, 2, 1000], k);
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].retrieved, 1);
-        assert!(trace.last().unwrap().normalized_sse < 1e-20, "exact at end");
-        assert_eq!(trace.last().unwrap().worst_case_bound, 0.0);
-        // the bound is non-increasing along the trace
-        assert!(trace
-            .windows(2)
-            .all(|w| w[1].worst_case_bound <= w[0].worst_case_bound));
     }
 }

@@ -1,7 +1,8 @@
 //! Observability hooks for the progressive pipeline.
 //!
-//! Both stepping engines in this crate — [`crate::ProgressiveExecutor`]
-//! and the [`crate::round_robin::RoundRobin`] baseline — can carry an
+//! Both engines in this crate — [`crate::ProgressiveExecutor`] and the
+//! [`crate::round_robin::RoundRobin`] baseline, which drives one executor
+//! per query — can carry an
 //! [`ExecObserver`] that emits one uniform event schema per retrieval, so
 //! trajectories from the two are directly comparable (and replayable by the
 //! `progress_report` harness in `batchbb-bench`).  Query rewriting is
@@ -155,14 +156,14 @@ impl ExecObserver {
         observer.as_ref().map(|_| SpanTimer::start())
     }
 
-    pub(crate) fn on_start(&self, batch_size: usize, coefficients: usize) {
+    pub(crate) fn on_start(&self, queries: usize, coefficients: usize) {
         if !self.sink.enabled() {
             return;
         }
         self.sink.emit(
             &Event::new("exec.start")
                 .str("engine", self.engine)
-                .u64("batch", batch_size as u64)
+                .u64("queries", queries as u64)
                 .u64("coefficients", coefficients as u64)
                 .f64_finite(
                     "n_total",

@@ -2,84 +2,50 @@
 //!
 //! "One simple solution is to use s instances of the single query
 //! evaluation technique, and advance them in a round-robin fashion. This
-//! turns out to waste a tremendous amount of I/O."  Each query runs its own
-//! biggest-B progression (ordered by its own `|q̂ᵢ[ξ]|²`), retrieving its
-//! coefficients independently — shared coefficients are fetched once *per
-//! query* instead of once per batch.
+//! turns out to waste a tremendous amount of I/O."  This module is exactly
+//! that: one [`ProgressiveExecutor`] per query under [`Sse`], whose
+//! single-query progression is `|q̂ᵢ[ξ]|²` descending with ties by key —
+//! ProPolyne's order.  Each instance retrieves its own coefficients, so
+//! shared coefficients are fetched once *per query* instead of once per
+//! batch.  Retries, deferral and the attempt budget are the executor's;
+//! this module only picks the next instance and sums what they report.
 
-use std::collections::VecDeque;
-
-use batchbb_storage::{
-    retry::get_with_retry, CoefficientStore, FaultStats, RetryPolicy, StorageError,
-};
-use batchbb_tensor::CoeffKey;
+use batchbb_penalty::Sse;
+use batchbb_storage::{CoefficientStore, FaultStats, RetryPolicy};
 
 use crate::observe::{ExecObserver, StepObservation};
-use crate::{BatchQueries, StepInfo};
-
-/// One query's private progression state.
-struct SingleQuery {
-    /// Coefficients sorted by decreasing |value| (single-query biggest-B,
-    /// i.e. ProPolyne's progression order).
-    plan: Vec<(CoeffKey, f64)>,
-    cursor: usize,
-    estimate: f64,
-    /// This query's coefficients whose retrieval exhausted its retries, as
-    /// indices into `plan` (per-query queue keeps the baseline fair: a
-    /// broken coefficient stalls only the query that needs it).
-    deferred: VecDeque<usize>,
-}
+use crate::{BatchQueries, ProgressiveExecutor, StepInfo, TryStepOutcome};
 
 /// Round-robin evaluation of a batch using independent single-query
 /// instances.
 pub struct RoundRobin<'a> {
-    store: &'a dyn CoefficientStore,
-    queries: Vec<SingleQuery>,
-    retrievals: u64,
+    /// One single-query executor per query, in batch order.
+    instances: Vec<ProgressiveExecutor<'a>>,
+    /// The instance the next step tries first.
     next: usize,
-    fault: FaultStats,
     observer: Option<ExecObserver>,
 }
 
 impl<'a> RoundRobin<'a> {
-    /// Builds per-query plans from a rewritten batch.
+    /// Builds one single-query executor per query of a rewritten batch.
     pub fn new(batch: &BatchQueries, store: &'a dyn CoefficientStore) -> Self {
-        let queries = batch
-            .coefficients()
-            .iter()
-            .map(|coeffs| {
-                let mut plan: Vec<(CoeffKey, f64)> = coeffs.entries().to_vec();
-                plan.sort_by(|a, b| {
-                    (b.1 * b.1)
-                        .total_cmp(&(a.1 * a.1))
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                SingleQuery {
-                    plan,
-                    cursor: 0,
-                    estimate: 0.0,
-                    deferred: VecDeque::new(),
-                }
-            })
+        let instances = (0..batch.len())
+            .map(|i| ProgressiveExecutor::new(&batch.single(i), &Sse, store))
             .collect();
         RoundRobin {
-            store,
-            queries,
-            retrievals: 0,
+            instances,
             next: 0,
-            fault: FaultStats::default(),
             observer: None,
         }
     }
 
     /// Attaches an observer (relabelled to the `"round_robin"` engine) so
     /// baseline runs emit the same `exec.*` schema as the batch executor.
-    /// The baseline does not track importance masses, so the penalty-bound
-    /// fields are omitted from its step events.
+    /// The baseline does not track batch-wide importance masses, so the
+    /// penalty-bound fields are omitted from its step events.
     pub fn with_observer(mut self, observer: ExecObserver) -> Self {
         let observer = observer.with_engine("round_robin");
-        let total: usize = self.queries.iter().map(|q| q.plan.len()).sum();
-        observer.on_start(self.queries.len(), total);
+        observer.on_start(self.instances.len(), self.pending_count());
         self.observer = Some(observer);
         self
     }
@@ -89,39 +55,28 @@ impl<'a> RoundRobin<'a> {
         self.observer.as_ref()
     }
 
-    /// Plan entries not yet attempted, across all queries.
+    /// Coefficients not yet attempted, across all queries.
     fn pending_count(&self) -> usize {
-        self.queries.iter().map(|q| q.plan.len() - q.cursor).sum()
+        self.instances
+            .iter()
+            .map(ProgressiveExecutor::remaining)
+            .sum()
     }
 
-    fn observe_step(
-        &self,
-        kind: &'static str,
-        key: CoeffKey,
-        coeff: f64,
-        value: f64,
-        latency_ns: u64,
-    ) {
+    fn observe_step(&self, kind: &'static str, info: &StepInfo, latency_ns: u64) {
         if let Some(obs) = &self.observer {
-            // Single-query biggest-B importance is |q̂ᵢ[ξ]|²; batch-wide
-            // masses are untracked (NaN ⇒ bound fields omitted).
-            let info = StepInfo {
-                key,
-                importance: coeff * coeff,
-                value,
-                queries_advanced: 1,
-            };
+            // Batch-wide masses are untracked (NaN ⇒ bound fields omitted).
             obs.on_step(&StepObservation {
                 kind,
-                info: &info,
+                info,
                 pending: self.pending_count(),
                 deferred: self.deferred_count(),
                 remaining_importance: f64::NAN,
                 deferred_importance: f64::NAN,
                 max_unresolved: None,
                 homogeneity: 2.0,
-                retrieved: self.retrievals as usize,
-                fault: self.fault,
+                retrieved: self.retrievals() as usize,
+                fault: self.fault_stats(),
                 latency_ns,
             });
         }
@@ -136,7 +91,7 @@ impl<'a> RoundRobin<'a> {
     /// If the retrieval fails.
     pub fn step(&mut self) -> bool {
         match self.advance(&crate::ONE_ATTEMPT) {
-            Some(Err(error)) => panic!("retrieval failed: {error}"),
+            Some(TryStepOutcome::Deferred { error, .. }) => panic!("retrieval failed: {error}"),
             advanced => advanced.is_some(),
         }
     }
@@ -144,86 +99,65 @@ impl<'a> RoundRobin<'a> {
     /// Runs to exact completion, returning total retrievals.
     pub fn run_to_end(&mut self) -> u64 {
         while self.step() {}
-        if let Some(obs) = &self.observer {
-            obs.on_finish("exact", self.retrievals as usize, true, &self.fault);
-        }
-        self.retrievals
+        self.finish(true);
+        self.retrievals()
     }
 
-    /// The baseline's step: retries transient failures under `policy` and
-    /// defers coefficients that keep failing onto the owning query's
-    /// queue, so the baseline degrades the same way the batch executor
-    /// does and comparisons under faults stay fair.
+    /// The baseline's step: the next query in rotation with work left runs
+    /// its executor's [`ProgressiveExecutor::try_step`], which retries
+    /// transient failures under `policy` and defers coefficients that keep
+    /// failing onto that query's own queue — so the baseline degrades the
+    /// same way the batch executor does and comparisons under faults stay
+    /// fair.
     ///
     /// Returns `false` when nothing was attempted: no query has pending
-    /// work (fresh plan entries or deferred retrievals), or the policy's
-    /// `total_attempt_budget` is spent.
+    /// work (fresh progression entries or deferred retrievals), or the
+    /// policy's `total_attempt_budget` — batch-wide, shared by every query
+    /// — is spent.
     pub fn try_step(&mut self, policy: &RetryPolicy) -> bool {
         self.advance(policy).is_some()
     }
 
     /// The one stepping body: `None` when nothing was attempted, otherwise
-    /// whether the attempted retrieval landed or was deferred (and why).
-    fn advance(&mut self, policy: &RetryPolicy) -> Option<Result<(), StorageError>> {
-        let attempts_allowed = policy.attempts_allowed(self.fault.attempts)?;
-        let s = self.queries.len();
-        for probe in 0..s {
-            let qi = (self.next + probe) % s;
-            let q = &mut self.queries[qi];
-            // Fresh plan entries first; fall back to this query's deferral
-            // queue once its cursor is exhausted.
-            let (plan_ix, from_deferred) = if q.cursor < q.plan.len() {
-                let ix = q.cursor;
-                q.cursor += 1;
-                (ix, false)
-            } else if let Some(ix) = q.deferred.pop_front() {
-                (ix, true)
-            } else {
-                continue;
-            };
-            let (key, coeff) = q.plan[plan_ix];
-            let timer = ExecObserver::maybe_timer(&self.observer);
-            let outcome = get_with_retry(self.store, &key, policy, attempts_allowed);
-            let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
-            outcome.record(&mut self.fault);
-            match outcome.result {
-                Ok(value) => {
-                    if from_deferred {
-                        self.fault.recoveries += 1;
-                    }
-                    let value = value.unwrap_or(0.0);
-                    self.queries[qi].estimate += coeff * value;
-                    self.retrievals += 1;
-                    self.next = (qi + 1) % s;
-                    let kind = if from_deferred {
-                        "recovered"
-                    } else {
-                        "retrieved"
-                    };
-                    self.observe_step(kind, key, coeff, value, latency_ns);
-                    return Some(Ok(()));
-                }
-                Err(error) => {
-                    if !from_deferred {
-                        self.fault.deferrals += 1;
-                    }
-                    self.queries[qi].deferred.push_back(plan_ix);
-                    self.next = (qi + 1) % s;
-                    if let Some(obs) = &self.observer {
-                        obs.on_defer(
-                            &key,
-                            coeff * coeff,
-                            &error,
-                            !from_deferred,
-                            self.deferred_count(),
-                            &self.fault,
-                        );
-                    }
-                    return Some(Err(error));
+    /// the outcome of the instance that stepped.
+    fn advance(&mut self, policy: &RetryPolicy) -> Option<TryStepOutcome> {
+        let s = self.instances.len();
+        let qi = (0..s)
+            .map(|probe| (self.next + probe) % s)
+            .find(|&qi| !self.instances[qi].is_exact())?;
+        let before = self.instances[qi].fault_stats();
+        // The batch-wide budget, less what the other instances spent.
+        let policy = RetryPolicy {
+            total_attempt_budget: policy.total_attempt_budget.map(|budget| {
+                let others = self.fault_stats().attempts - before.attempts;
+                budget.saturating_sub(others)
+            }),
+            ..*policy
+        };
+        let timer = ExecObserver::maybe_timer(&self.observer);
+        let outcome = self.instances[qi].try_step(&policy);
+        let latency_ns = timer.map_or(0, |t| t.elapsed_ns());
+        match &outcome {
+            TryStepOutcome::Retrieved(info) => self.observe_step("retrieved", info, latency_ns),
+            TryStepOutcome::Recovered(info) => self.observe_step("recovered", info, latency_ns),
+            TryStepOutcome::Deferred {
+                key,
+                importance,
+                error,
+            } => {
+                if let Some(obs) = &self.observer {
+                    let first = self.instances[qi].fault_stats().deferrals > before.deferrals;
+                    let (deferred, fault) = (self.deferred_count(), self.fault_stats());
+                    obs.on_defer(key, *importance, error, first, deferred, &fault);
                 }
             }
+            TryStepOutcome::BudgetExhausted => return None,
+            TryStepOutcome::Pending | TryStepOutcome::Exhausted => {
+                unreachable!("a window-1 instance with work left attempts it")
+            }
         }
-        None
+        self.next = (qi + 1) % s;
+        Some(outcome)
     }
 
     /// Drives [`RoundRobin::try_step`] until every query is exact or the
@@ -231,11 +165,17 @@ impl<'a> RoundRobin<'a> {
     /// recovers nothing). Returns `true` when all queries finished exact.
     pub fn run_with_faults(&mut self, policy: &RetryPolicy) -> bool {
         let exact = self.fault_loop(policy);
+        self.finish(exact);
+        exact
+    }
+
+    /// Emits `exec.finish` for a run that ended exact or degraded.
+    fn finish(&self, exact: bool) {
         if let Some(obs) = &self.observer {
             let status = if exact { "exact" } else { "degraded" };
-            obs.on_finish(status, self.retrievals as usize, exact, &self.fault);
+            let retrieved = self.retrievals() as usize;
+            obs.on_finish(status, retrieved, exact, &self.fault_stats());
         }
-        exact
     }
 
     fn fault_loop(&mut self, policy: &RetryPolicy) -> bool {
@@ -253,11 +193,11 @@ impl<'a> RoundRobin<'a> {
             // Only deferred work remains: give every pending retrieval
             // one more round, and stop if none of them recovered (or the
             // attempt budget ran out first).
-            let before = self.fault.recoveries;
+            let before = self.fault_stats().recoveries;
             for _ in 0..deferred {
                 self.try_step(policy);
             }
-            if self.fault.recoveries == before {
+            if self.fault_stats().recoveries == before {
                 return false;
             }
         }
@@ -265,33 +205,39 @@ impl<'a> RoundRobin<'a> {
 
     /// Coefficients currently parked on deferral queues, across all queries.
     pub fn deferred_count(&self) -> usize {
-        self.queries.iter().map(|q| q.deferred.len()).sum()
+        self.instances
+            .iter()
+            .map(ProgressiveExecutor::deferred_count)
+            .sum()
     }
 
-    /// Accumulated fault/retry counters for the fallible path.
+    /// Accumulated fault/retry counters for the fallible path, merged over
+    /// the instances.
     pub fn fault_stats(&self) -> FaultStats {
-        self.fault
+        let mut total = FaultStats::default();
+        for instance in &self.instances {
+            total.merge(&instance.fault_stats());
+        }
+        total
     }
 
     /// Current progressive estimates.
     pub fn estimates(&self) -> Vec<f64> {
-        self.queries.iter().map(|q| q.estimate).collect()
+        self.instances.iter().map(|e| e.estimates()[0]).collect()
     }
 
     /// Retrievals so far.
     pub fn retrievals(&self) -> u64 {
-        self.retrievals
+        self.instances.iter().map(|e| e.retrieved() as u64).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProgressiveExecutor;
-    use batchbb_penalty::Sse;
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
     use batchbb_storage::MemoryStore;
-    use batchbb_tensor::{Shape, Tensor};
+    use batchbb_tensor::{CoeffKey, Shape, Tensor};
     use batchbb_wavelet::Wavelet;
 
     fn fixture() -> (Tensor, MemoryStore, Shape, WaveletStrategy) {
@@ -348,8 +294,8 @@ mod tests {
             assert!(rr.step());
         }
         // After s steps every query should have advanced exactly once.
-        for q in &rr.queries {
-            assert_eq!(q.cursor, 1);
+        for instance in &rr.instances {
+            assert_eq!(instance.retrieved(), 1);
         }
     }
 
@@ -421,11 +367,13 @@ mod tests {
         use batchbb_storage::{FaultInjectingStore, FaultPlan};
         let (data, store, shape, strategy) = fixture();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
-        // Break the most important coefficient of query 0's plan.
-        let broken = {
-            let rr = RoundRobin::new(&batch, &store);
-            rr.queries[0].plan[0].0
-        };
+        // Break the most important coefficient of query 0's progression.
+        let plans: Vec<Vec<CoeffKey>> = RoundRobin::new(&batch, &store)
+            .instances
+            .iter()
+            .map(|e| e.progression().iter().map(|p| p.key).collect())
+            .collect();
+        let broken = plans[0][0];
         let flaky =
             FaultInjectingStore::new(store, FaultPlan::new(7).with_permanent_keys([broken]));
         let mut rr = RoundRobin::new(&batch, &flaky);
@@ -436,7 +384,7 @@ mod tests {
         assert!(fs.deferrals_reconcile(rr.deferred_count() as u64));
         // Queries that never touch the broken key are already exact.
         for (qi, (q, est)) in batch.queries().iter().zip(rr.estimates()).enumerate() {
-            let touches = rr.queries[qi].plan.iter().any(|&(k, _)| k == broken);
+            let touches = plans[qi].contains(&broken);
             if !touches {
                 let truth = q.eval_direct(&data);
                 assert!((est - truth).abs() < 1e-6, "query {qi}: {est} vs {truth}");

@@ -722,3 +722,92 @@ proptest! {
         }
     }
 }
+
+/// Query `i`'s coefficient keys in §2.2's single-query order — ProPolyne's
+/// progression: `|q̂ᵢ[ξ]|²` descending, ties toward the smaller key —
+/// straight from the rewritten lists, with no executor involved.
+fn single_query_orders(batch: &BatchQueries) -> Vec<Vec<CoeffKey>> {
+    batch
+        .coefficients()
+        .iter()
+        .map(|coeffs| {
+            let mut entries = coeffs.entries().to_vec();
+            entries.sort_by(|a, b| {
+                (b.1 * b.1)
+                    .total_cmp(&(a.1 * a.1))
+                    .then_with(|| a.0.cmp(&b.0))
+            });
+            entries.into_iter().map(|(key, _)| key).collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The round-robin baseline is §2.2's "s instances of the single query
+    /// evaluation technique, advanced in a round-robin fashion": with no
+    /// faults the store sees, round by round, each still-pending query's
+    /// next coefficient in that query's own order — one read per key and
+    /// query, `total_coefficients` reads in all.
+    #[test]
+    fn round_robin_reads_each_query_in_its_own_order_round_by_round(
+        (data, queries, shape) in arb_instance(),
+        db4 in any::<bool>(),
+    ) {
+        use batchbb_storage::testing::Gated;
+        let strategy = WaveletStrategy::new(if db4 { Wavelet::Db4 } else { Wavelet::Haar });
+        let store = Gated::new(MemoryStore::from_entries(strategy.transform_data(&data)));
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let orders = single_query_orders(&batch);
+        let rounds = orders.iter().map(Vec::len).max().unwrap_or(0);
+        let expected: Vec<CoeffKey> = (0..rounds)
+            .flat_map(|r| orders.iter().filter_map(move |order| order.get(r).copied()))
+            .collect();
+
+        let mut rr = RoundRobin::new(&batch, &store);
+        let retrievals = rr.run_to_end();
+        let calls = store.calls();
+        prop_assert!(calls.iter().all(|call| call.len() == 1), "one key a read");
+        let seen: Vec<CoeffKey> = calls.into_iter().flatten().collect();
+        prop_assert_eq!(&seen, &expected);
+        prop_assert_eq!(seen.len(), batch.total_coefficients());
+        prop_assert_eq!(retrievals as usize, batch.total_coefficients());
+    }
+
+    /// `total_attempt_budget` is batch-wide, not per query: however the
+    /// attempts fall across the single-query instances, a budgeted run
+    /// spends exactly `min(budget, what the unbudgeted run spends)`, the
+    /// store sees no more than that, and both fault-ledger identities
+    /// reconcile.
+    #[test]
+    fn round_robin_spends_exactly_the_batch_wide_attempt_budget(
+        (data, queries, shape) in arb_instance(),
+        seed in 0u64..1000,
+        rate in prop_oneof![Just(0.0), 0.0f64..0.7],
+        budget_frac in 0.0f64..1.5,
+    ) {
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let store = MemoryStore::from_entries(strategy.transform_data(&data));
+        let flaky = FaultInjectingStore::new(store, FaultPlan::new(seed).with_transient_rate(rate));
+        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
+        let unbudgeted = {
+            let mut rr = RoundRobin::new(&batch, &flaky);
+            rr.run_with_faults(&RetryPolicy::default());
+            rr.fault_stats().attempts
+        };
+        flaky.reset_fault_state();
+        let budget = (unbudgeted as f64 * budget_frac) as u64;
+        let policy = RetryPolicy {
+            total_attempt_budget: Some(budget),
+            ..RetryPolicy::default()
+        };
+        let mut rr = RoundRobin::new(&batch, &flaky);
+        rr.run_with_faults(&policy);
+        let fs = rr.fault_stats();
+        prop_assert_eq!(fs.attempts, budget.min(unbudgeted));
+        prop_assert_eq!(flaky.injected().attempts, fs.attempts, "the store saw the same");
+        prop_assert!(fs.attempts_reconcile());
+        prop_assert!(fs.deferrals_reconcile(rr.deferred_count() as u64));
+    }
+}

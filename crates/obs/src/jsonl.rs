@@ -9,7 +9,7 @@
 //! field).  Nested objects and arrays are rejected: nothing in the schema
 //! produces them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One parsed trace line.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +73,10 @@ impl ParsedEvent {
 
 /// Parses one trace line into a [`ParsedEvent`].
 ///
-/// Returns a human-readable error description on malformed input.
+/// Returns a human-readable error description on malformed input,
+/// including a key that appears twice (even if one of its values is
+/// `null`): a writer that stamps a field the event already carries loses
+/// one of the two values, and a replay must not pick one silently.
 pub fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     let line = line.trim();
     let mut p = Parser {
@@ -83,6 +86,7 @@ pub fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     p.expect('{')?;
     let mut name = None;
     let mut fields = BTreeMap::new();
+    let mut keys = BTreeSet::new();
     let mut first = true;
     loop {
         p.skip_ws();
@@ -95,6 +99,9 @@ pub fn parse_line(line: &str) -> Result<ParsedEvent, String> {
             p.skip_ws();
         }
         let key = p.string()?;
+        if !keys.insert(key.clone()) {
+            return Err(format!("repeated key \"{key}\""));
+        }
         p.skip_ws();
         p.expect(':')?;
         p.skip_ws();
@@ -290,6 +297,14 @@ mod tests {
         assert!(parse_line(r#"{"event":"x","a":{"b":1}}"#).is_err());
         assert!(parse_line(r#"{"event":"x","a":bogus}"#).is_err());
         assert!(parse_line(r#"{"event":"x"} trailing"#).is_err());
+    }
+
+    #[test]
+    fn rejects_a_repeated_key() {
+        assert!(parse_line(r#"{"event":"x","batch":4,"batch":0}"#).is_err());
+        assert!(parse_line(r#"{"event":"x","a":null,"a":1}"#).is_err());
+        assert!(parse_line(r#"{"event":"x","event":"y"}"#).is_err());
+        assert!(parse_line(r#"{"event":"x","a":1,"b":1}"#).is_ok());
     }
 
     #[test]

@@ -389,6 +389,30 @@ mod tests {
     }
 
     #[test]
+    fn exec_start_keeps_the_batch_size_apart_from_the_batch_label() {
+        let (store, batches, n_total, k) = fixture();
+        // Sizes 2 and 3 served as batches 0 and 1: no size equals its index.
+        let served = [&batches[0], &batches[2]];
+        let sink = Arc::new(MemorySink::new());
+        let requests: Vec<BatchRequest<'_>> =
+            served.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(2).sink(sink.clone()));
+        server.serve(&store, &requests);
+        let events: Vec<_> = sink
+            .lines()
+            .iter()
+            .map(|l| jsonl::parse_line(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+            .collect();
+        let mut started = [false; 2];
+        for start in events.iter().filter(|e| e.name() == "exec.start") {
+            let index = start.u64("batch").expect("labelled with its batch") as usize;
+            assert_eq!(start.u64("queries"), Some(served[index].len() as u64));
+            started[index] = true;
+        }
+        assert_eq!(started, [true; 2], "one exec.start per batch");
+    }
+
+    #[test]
     fn results_carry_the_final_metrics_snapshot_and_trace_gets_a_dump() {
         let (store, batches, n_total, k) = fixture();
         let sink = Arc::new(MemorySink::new());

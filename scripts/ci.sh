@@ -282,6 +282,9 @@ full_gate() {
     # a memoized progression is bit for bit a fresh sort, shared on equal scores;
     # a warm admission allocates no progression, whatever the master-list size;
     # admissions racing under two penalties run as their serial twins;
+    # the round-robin baseline reads each query in its own order, round by round;
+    # its attempt budget is batch-wide across the single-query instances;
+    # exec.start keeps the batch size apart from the serve pool's batch label;
     # a serve returns only once its workers have exited.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
@@ -314,6 +317,12 @@ full_gate() {
         a_warm_admission_allocates_no_progression
     run cargo test -q -p batchbb-core --test determinism \
         concurrent_admissions_under_two_penalties_match_their_serial_twins
+    run cargo test -q -p batchbb-core --test proptests \
+        round_robin_reads_each_query_in_its_own_order_round_by_round
+    run cargo test -q -p batchbb-core --test proptests \
+        round_robin_spends_exactly_the_batch_wide_attempt_budget
+    run cargo test -q -p batchbb-serve --lib \
+        exec_start_keeps_the_batch_size_apart_from_the_batch_label
     run cargo test -q -p batchbb-serve --lib \
         serve_returns_after_its_workers_have_exited
 
