@@ -1,6 +1,6 @@
 //! Span-model analysis for causal batch-lifecycle traces: reconstruction
 //! of the `span.start`/`span.end` forest, the structural checks behind
-//! `progress_report --attribute`, and the per-phase attribution reports.
+//! `progress_report attribute`, and the per-phase attribution reports.
 //!
 //! A traced serve run (see `batchbb_obs::trace`) emits one root `batch`
 //! span per admitted batch, child `phase` spans that must **partition**
@@ -146,8 +146,9 @@ impl SpanSet {
     /// 2. every `store.rider` span names the physical `store.read` span
     ///    it joined (dedup attribution is never dangling);
     /// 3. every batch's phase intervals partition its root span exactly
-    ///    (the accounting identity — delegated to [`SpanSet::lifecycles`]).
-    pub fn verify(&self) -> Result<(), String> {
+    ///    (the accounting identity — delegated to [`SpanSet::lifecycles`],
+    ///    whose lifecycles it returns).
+    pub fn verify(&self) -> Result<Vec<BatchLifecycle>, String> {
         for span in &self.spans {
             if let Some(parent) = span.parent {
                 let p = self.get(parent).ok_or(format!(
@@ -178,7 +179,7 @@ impl SpanSet {
                 }
             }
         }
-        self.lifecycles().map(|_| ())
+        self.lifecycles()
     }
 
     /// Extracts one [`BatchLifecycle`] per root `batch` span, verifying
@@ -508,7 +509,7 @@ pub fn format_miss_table(misses: &[SloMiss]) -> String {
     out
 }
 
-/// The whole `--attribute` report: verifies the span invariants, then
+/// The whole `attribute` report: verifies the span invariants, then
 /// renders the waterfall, the per-priority breakdown, and the miss table.
 /// Errors (exit-nonzero in the binary) on any structural violation or on
 /// a trace with no spans at all — the mode is a gate, not a best-effort
@@ -518,8 +519,7 @@ pub fn format_attribution(events: &[ParsedEvent]) -> Result<String, String> {
     if set.spans.is_empty() {
         return Err("trace holds no span.* events — was the run traced?".to_string());
     }
-    set.verify()?;
-    let lifecycles = set.lifecycles()?;
+    let lifecycles = set.verify()?;
     if lifecycles.is_empty() {
         return Err("trace holds spans but no batch lifecycles".to_string());
     }

@@ -1,28 +1,36 @@
-//! Trace analysis for `progress_report`: per-trace summaries, A/B diffs,
-//! and ASCII penalty-bound curves.
+//! Trace analysis for `progress_report`: the per-batch reduction of a
+//! trace and its invariant check, A/B diffs, and the text renderers.
 //!
 //! A trace is the `exec.*` JSONL stream of DESIGN.md §8 — the paper's
 //! deliverable rendered as data: one `exec.step` per retrieval carrying
 //! the Theorem-1 (`worst_case_bound`) and Theorem-2 (`expected_penalty`)
-//! penalty families.  This module reduces a trace to a [`TraceSummary`]
-//! (step series, totals, steps-to-bound milestones), computes the
-//! per-step [`TraceDiff`] between two traces (engine-vs-engine or
-//! layout-vs-layout A/B — the comparison the paper's Figures 5–7 are
-//! built from), and renders the bound curves as log-scale ASCII charts so
-//! the replay tool needs no plotting dependency.
+//! penalty families.  This module reduces a trace to a [`TraceSummary`]:
+//! the step series in trace order, and the event counts of each `batch`
+//! label (a serve trace interleaves its batches; a trace with no label
+//! is one batch), which [`TraceSummary::check`] reconciles against that
+//! batch's own `exec.finish`.  It computes the per-step [`TraceDiff`]
+//! between two traces (engine-vs-engine or layout-vs-layout A/B — the
+//! comparison the paper's Figures 5–7 are built from), and renders the
+//! step table, the SLO summary, the diff tables and log-scale ASCII bound
+//! curves, so the replay tool needs no plotting dependency.
 //!
 //! Everything here is pure data → data; the `progress_report` binary is a
-//! thin shell over it, which keeps the diff semantics unit-testable.
+//! thin shell over it, which keeps the replay semantics unit-testable.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use batchbb_obs::jsonl::ParsedEvent;
+use batchbb_storage::FaultStats;
+
+use crate::spans::SpanSet;
 
 /// One retrieval step of a trace, as far as penalty tracking goes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepSample {
     /// Cumulative retrieval count at this step (the `step` field).
     pub step: u64,
+    /// The batch label, for a serve trace.
+    batch: Option<u64>,
     /// Theorem 1's worst-case bound, if the engine tracks importance.
     pub worst_case_bound: Option<f64>,
     /// Theorem 2's expected penalty, if tracked.
@@ -66,65 +74,86 @@ impl BoundFamily {
     }
 }
 
-/// Count and total duration of one span name's occurrences in a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanAggregate {
-    /// Closed spans with this name.
-    pub count: u64,
-    /// Summed span duration in nanoseconds.
-    pub total_ns: u64,
+/// One batch's `exec.*` events, counted.
+#[derive(Debug, Clone, Copy, Default)]
+struct BatchTrace {
+    /// `exec.step` events.
+    steps: u64,
+    /// Of those, the ones with `kind = "recovered"`.
+    recovered: u64,
+    /// First-deferral events (`exec.defer` with `first = true`).
+    deferrals: u64,
+    /// `(retrieved, counters)` of the batch's last `exec.finish` — the
+    /// counters are cumulative, so the last one wins.  `None` for a
+    /// batch finalized mid-flight (deadline expiry, shed), which emits
+    /// none.
+    finish: Option<(u64, FaultStats)>,
 }
 
-/// Everything `progress_report` needs from one trace, in step order.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Everything `progress_report` needs from one trace.
+#[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
-    /// The engine label of the first `exec.*` event carrying one.
+    /// The engine label of the first event carrying one.
     pub engine: Option<String>,
     /// One sample per `exec.step`, in trace order.
     pub steps: Vec<StepSample>,
-    /// `exec.step` events with `kind = "recovered"`.
-    pub recovered: u64,
-    /// First-deferral events (`exec.defer` with `first = true`).
-    pub deferrals: u64,
+    /// The `exec.*` events grouped by their `batch` label (`None` for
+    /// unlabelled events).
+    batches: BTreeMap<Option<u64>, BatchTrace>,
     /// `store.fault` events.
     pub store_faults: u64,
-    /// Cumulative attempts from the last `exec.finish` (0 if none).
-    pub attempts: u64,
     /// `metrics.*` dump values keyed by `"<kind> <name>"` (counters and
     /// gauges verbatim; histograms expanded to `count`/`mean`/`p99`).
     /// When a trace holds several dumps the last one wins, matching the
     /// registry's cumulative semantics.
     pub metrics: BTreeMap<String, f64>,
-    /// Per-name aggregates over the causal `span.start`/`span.end`
-    /// stream (empty for untraced runs).  Counts diff exactly across
-    /// runs of the same workload; durations are wall-clock and noisy,
-    /// so the diff reports them without gating on them.
-    pub spans: BTreeMap<String, SpanAggregate>,
+    /// The causal `span.start`/`span.end` forest (empty for untraced
+    /// runs).
+    pub spans: SpanSet,
 }
 
 impl TraceSummary {
-    /// Reduces parsed events to a summary.
-    pub fn from_events(events: &[ParsedEvent]) -> Self {
-        let mut summary = TraceSummary::default();
-        // Tolerant span pairing: id -> (name, start). The diff only
-        // aggregates; the strict structural checks live in
-        // [`crate::spans::SpanSet`].
-        let mut open_spans: BTreeMap<u64, (String, u64)> = BTreeMap::new();
+    /// Reduces parsed events to a summary.  Errors when the span stream
+    /// is torn (see [`SpanSet::from_events`]).
+    pub fn from_events(events: &[ParsedEvent]) -> Result<Self, String> {
+        let mut summary = TraceSummary {
+            spans: SpanSet::from_events(events)?,
+            ..TraceSummary::default()
+        };
         for event in events {
+            let batch = event.u64("batch");
             match event.name() {
                 "exec.step" => {
+                    let group = summary.batches.entry(batch).or_default();
+                    group.steps += 1;
+                    group.recovered += u64::from(event.str("kind") == Some("recovered"));
                     summary.steps.push(StepSample {
-                        step: event.u64("step").unwrap_or(summary.steps.len() as u64 + 1),
+                        step: event.u64("step").unwrap_or(group.steps),
+                        batch,
                         worst_case_bound: event.num("worst_case_bound"),
                         expected_penalty: event.num("expected_penalty"),
                     });
-                    if event.str("kind") == Some("recovered") {
-                        summary.recovered += 1;
-                    }
                 }
-                "exec.defer" if event.bool("first") == Some(true) => summary.deferrals += 1,
+                "exec.defer" => {
+                    summary.batches.entry(batch).or_default().deferrals +=
+                        u64::from(event.bool("first") == Some(true));
+                }
+                "exec.finish" => {
+                    let c = |key: &str| event.u64(key).unwrap_or(0);
+                    let fault = FaultStats {
+                        attempts: c("attempts"),
+                        successes: c("successes"),
+                        transient_failures: c("transient_failures"),
+                        permanent_failures: c("permanent_failures"),
+                        retries: c("retries"),
+                        deferrals: c("deferrals"),
+                        recoveries: c("recoveries"),
+                        backoff_ticks: c("backoff_ticks"),
+                    };
+                    summary.batches.entry(batch).or_default().finish =
+                        Some((c("retrieved"), fault));
+                }
                 "store.fault" => summary.store_faults += 1,
-                "exec.finish" => summary.attempts = event.u64("attempts").unwrap_or(0),
                 "metrics.counter" | "metrics.gauge" => {
                     if let (Some(name), Some(value)) = (event.str("name"), event.num("value")) {
                         let kind = event.name().trim_start_matches("metrics.");
@@ -142,22 +171,6 @@ impl TraceSummary {
                         }
                     }
                 }
-                "span.start" => {
-                    if let (Some(name), Some(id), Some(ts)) =
-                        (event.str("name"), event.u64("span"), event.u64("ts_ns"))
-                    {
-                        open_spans.insert(id, (name.to_string(), ts));
-                    }
-                }
-                "span.end" => {
-                    if let (Some(id), Some(ts)) = (event.u64("span"), event.u64("ts_ns")) {
-                        if let Some((name, start)) = open_spans.remove(&id) {
-                            let agg = summary.spans.entry(name).or_default();
-                            agg.count += 1;
-                            agg.total_ns += ts.saturating_sub(start);
-                        }
-                    }
-                }
                 _ => {}
             }
             if summary.engine.is_none() {
@@ -166,12 +179,122 @@ impl TraceSummary {
                 }
             }
         }
-        summary
+        Ok(summary)
     }
 
     /// Total retrievals (= `exec.step` events).
     pub fn retrievals(&self) -> u64 {
         self.steps.len() as u64
+    }
+
+    /// Recovered steps, over every batch.
+    pub fn recovered(&self) -> u64 {
+        self.batches.values().map(|b| b.recovered).sum()
+    }
+
+    /// First deferrals, over every batch.
+    pub fn deferrals(&self) -> u64 {
+        self.batches.values().map(|b| b.deferrals).sum()
+    }
+
+    /// Attempts, summed over each batch's last `exec.finish`.
+    pub fn attempts(&self) -> u64 {
+        self.batches
+            .values()
+            .filter_map(|b| b.finish)
+            .map(|(_, fault)| fault.attempts)
+            .sum()
+    }
+
+    /// Checks the trace invariants batch by batch; returns a one-line
+    /// summary, or the first violation:
+    ///
+    /// * `worst_case_bound` never rises along a batch's progression (the
+    ///   degradation contract of Theorems 1/2, extended to deferrals);
+    /// * a batch's last `exec.finish` reconciles with its own events:
+    ///   `attempts = successes + transient + permanent`, `recoveries ≤
+    ///   deferrals`, its first-deferral events are its deferrals, its
+    ///   recovered steps its recoveries, and its `retrieved` its step
+    ///   events (a batch without `exec.finish` has nothing to reconcile);
+    /// * when the trace holds spans, every span closes inside its
+    ///   parent, dedup riders resolve, and each batch's phase intervals
+    ///   partition its wall time ([`SpanSet::verify`]).
+    pub fn check(&self) -> Result<String, String> {
+        if self.steps.is_empty() {
+            return Err("trace holds no exec.step events".to_string());
+        }
+        let mut last: BTreeMap<Option<u64>, f64> = BTreeMap::new();
+        for (i, sample) in self.steps.iter().enumerate() {
+            let Some(bound) = sample.worst_case_bound else {
+                continue; // engines without importance tracking omit the field
+            };
+            if let Some(&prev) = last.get(&sample.batch) {
+                if bound > prev * (1.0 + 1e-12) + 1e-12 {
+                    return Err(format!(
+                        "worst_case_bound rose from {prev} to {bound} at step event {i}"
+                    ));
+                }
+            }
+            last.insert(sample.batch, bound);
+        }
+        if self.batches.values().all(|b| b.finish.is_none()) {
+            return Err("trace holds no exec.finish event".to_string());
+        }
+        for (batch, group) in &self.batches {
+            let Some((retrieved, f)) = group.finish else {
+                continue;
+            };
+            let violation = if !f.attempts_reconcile() {
+                format!(
+                    "attempts {} != successes {} + transient {} + permanent {}",
+                    f.attempts, f.successes, f.transient_failures, f.permanent_failures
+                )
+            } else if f.deferrals < f.recoveries {
+                format!(
+                    "recoveries {} exceed deferrals {}",
+                    f.recoveries, f.deferrals
+                )
+            } else if group.deferrals != f.deferrals {
+                format!(
+                    "{} first-deferral events vs {} counted deferrals",
+                    group.deferrals, f.deferrals
+                )
+            } else if group.recovered != f.recoveries {
+                format!(
+                    "{} recovered steps vs {} counted recoveries",
+                    group.recovered, f.recoveries
+                )
+            } else if retrieved != group.steps {
+                format!(
+                    "finish reports {retrieved} retrievals but the trace holds {} step events",
+                    group.steps
+                )
+            } else {
+                continue;
+            };
+            let tag = batch.map(|b| format!("batch {b}: ")).unwrap_or_default();
+            return Err(format!("{tag}{violation}"));
+        }
+        let span_note = if self.spans.spans.is_empty() {
+            String::new()
+        } else {
+            format!(
+                ", {} spans ({} batch lifecycles partitioned)",
+                self.spans.spans.len(),
+                self.spans.verify()?.len()
+            )
+        };
+        // The headline bound: the worst final bound across batches.
+        let final_bound = last.values().copied().reduce(f64::max);
+        Ok(format!(
+            "OK: {} steps ({} recovered), {} deferrals, {} store faults, {} attempts, final worst-case bound {}{span_note}",
+            self.retrievals(),
+            self.recovered(),
+            self.deferrals(),
+            self.store_faults,
+            self.attempts(),
+            fmt_opt(final_bound),
+        ))
     }
 
     /// The family's series, skipping steps where it is untracked.
@@ -308,10 +431,10 @@ pub fn format_summary_diff(a: &TraceSummary, b: &TraceSummary) -> String {
         ));
     };
     counter("retrievals", a.retrievals(), b.retrievals());
-    counter("recovered", a.recovered, b.recovered);
-    counter("deferrals", a.deferrals, b.deferrals);
+    counter("recovered", a.recovered(), b.recovered());
+    counter("deferrals", a.deferrals(), b.deferrals());
     counter("store faults", a.store_faults, b.store_faults);
-    counter("attempts", a.attempts, b.attempts);
+    counter("attempts", a.attempts(), b.attempts());
     for family in BoundFamily::ALL {
         for fraction in [0.5, 0.1, 0.01, 0.001] {
             let label = format!("steps to {fraction}x {}", family.short());
@@ -341,12 +464,7 @@ pub fn format_summary_diff(a: &TraceSummary, b: &TraceSummary) -> String {
     }
     // `metrics.*` dumps and `span.*` aggregates, over the union of keys
     // so a measurement present on one side only still shows up (as `-`).
-    let keys: Vec<&String> = {
-        let mut keys: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        keys
-    };
+    let keys: BTreeSet<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
     for key in keys {
         let (av, bv) = (a.metrics.get(key).copied(), b.metrics.get(key).copied());
         let delta = match (av, bv) {
@@ -361,29 +479,37 @@ pub fn format_summary_diff(a: &TraceSummary, b: &TraceSummary) -> String {
             fmt_opt(bv),
         ));
     }
-    let span_names: Vec<&String> = {
-        let mut names: Vec<&String> = a.spans.keys().chain(b.spans.keys()).collect();
-        names.sort();
-        names.dedup();
-        names
+    // Per span name, `(count, total ns)`. Counts diff exactly across
+    // runs of the same workload; durations are wall-clock and noisy, so
+    // they are reported without gating on them.
+    let aggregate = |s: &TraceSummary| {
+        let mut out: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        for span in &s.spans.spans {
+            let (count, total_ns) = out.entry(span.name.clone()).or_default();
+            *count += 1;
+            *total_ns += span.duration_ns();
+        }
+        out
     };
+    let (a_spans, b_spans) = (aggregate(a), aggregate(b));
+    let span_names: BTreeSet<&String> = a_spans.keys().chain(b_spans.keys()).collect();
     for name in span_names {
-        let (av, bv) = (a.spans.get(name), b.spans.get(name));
+        let (av, bv) = (a_spans.get(name), b_spans.get(name));
         let label = format!("spans {name}");
         out.push_str(&format!(
             "{label:<34} {:>14} {:>14} {:>10}\n",
-            fmt_opt_u64(av.map(|s| s.count)),
-            fmt_opt_u64(bv.map(|s| s.count)),
+            fmt_opt_u64(av.map(|s| s.0)),
+            fmt_opt_u64(bv.map(|s| s.0)),
             match (av, bv) {
-                (Some(av), Some(bv)) => fmt_i64_delta(av.count, bv.count),
+                (Some(av), Some(bv)) => fmt_i64_delta(av.0, bv.0),
                 _ => "-".to_string(),
             },
         ));
         let label = format!("spans {name} total ms");
         out.push_str(&format!(
             "{label:<34} {:>14} {:>14} {:>10}\n",
-            fmt_opt(av.map(|s| s.total_ns as f64 / 1e6)),
-            fmt_opt(bv.map(|s| s.total_ns as f64 / 1e6)),
+            fmt_opt(av.map(|s| s.1 as f64 / 1e6)),
+            fmt_opt(bv.map(|s| s.1 as f64 / 1e6)),
             "wallclock",
         ));
     }
@@ -399,7 +525,25 @@ pub fn format_diff_table(diff: &TraceDiff, family: BoundFamily, limit: usize) ->
         "{:>6} {:>14} {:>14} {:>12}\n",
         "step", "A", "B", "A-B"
     ));
-    let rows = &diff.rows;
+    push_elided(&mut out, &diff.rows, limit, |row| {
+        let delta = match row.delta() {
+            Some(d) if d != 0.0 => format!("{d:+.2e}"),
+            Some(_) => "0".to_string(),
+            None => "-".to_string(),
+        };
+        format!(
+            "{:>6} {:>14} {:>14} {delta:>12}",
+            row.step,
+            fmt_opt(row.a),
+            fmt_opt(row.b),
+        )
+    });
+    out
+}
+
+/// Appends one line per row, keeping the first and last `limit` rows and
+/// one elision line between them.
+fn push_elided<T>(out: &mut String, rows: &[T], limit: usize, line: impl Fn(&T) -> String) {
     let elide = rows.len() > 2 * limit;
     for (i, row) in rows.iter().enumerate() {
         if elide && i == limit {
@@ -409,19 +553,99 @@ pub fn format_diff_table(diff: &TraceDiff, family: BoundFamily, limit: usize) ->
                 rows.len() - 2 * limit
             ));
         }
-        if elide && (limit..rows.len() - limit).contains(&i) {
-            continue;
+        if !(elide && (limit..rows.len() - limit).contains(&i)) {
+            out.push_str(&line(row));
+            out.push('\n');
         }
-        let delta = match row.delta() {
-            Some(d) if d != 0.0 => format!("{d:+.2e}"),
-            Some(_) => "0".to_string(),
-            None => "-".to_string(),
+    }
+}
+
+/// The per-step table of a trace: one row per `exec.step` and
+/// `exec.defer`, head/tail-elided to `limit` rows each.
+pub fn format_step_table(events: &[ParsedEvent], limit: usize) -> String {
+    let rows: Vec<&ParsedEvent> = events
+        .iter()
+        .filter(|e| matches!(e.name(), "exec.step" | "exec.defer"))
+        .collect();
+    let mut out = format!(
+        "{:>6}  {:<10} {:<18} {:>11} {:>8} {:>8} {:>12} {:>12} {:>9} {:>8}\n",
+        "step",
+        "kind",
+        "key",
+        "importance",
+        "pending",
+        "deferred",
+        "E[penalty]",
+        "worst-case",
+        "attempts",
+        "retries"
+    );
+    push_elided(&mut out, &rows, limit, |e| {
+        let kind = match e.name() {
+            "exec.defer" if e.bool("first") == Some(false) => "re-defer",
+            "exec.defer" => "defer",
+            _ => e.str("kind").unwrap_or("?"),
         };
+        format!(
+            "{:>6}  {:<10} {:<18} {:>11} {:>8} {:>8} {:>12} {:>12} {:>9} {:>8}",
+            e.u64("step").map(|s| s.to_string()).unwrap_or_default(),
+            kind,
+            e.str("key").unwrap_or("?"),
+            fmt_opt(e.num("importance")),
+            e.u64("pending").unwrap_or(0),
+            e.u64("deferred").unwrap_or(0),
+            fmt_opt(e.num("expected_penalty")),
+            fmt_opt(e.num("worst_case_bound")),
+            e.u64("attempts").unwrap_or(0),
+            e.u64("retries").unwrap_or(0),
+        )
+    });
+    out
+}
+
+/// The `slo.*` events per priority class: admissions, rejections,
+/// outcomes, and the certified-bound range of finalized batches.  Empty
+/// for a trace without an SLO layer.
+pub fn format_slo_summary(events: &[ParsedEvent]) -> String {
+    let slo: Vec<&ParsedEvent> = events
+        .iter()
+        .filter(|e| e.name().starts_with("slo."))
+        .collect();
+    if slo.is_empty() {
+        return String::new();
+    }
+    // Priority classes actually present, in ascending order.
+    let priorities: BTreeSet<u64> = slo.iter().filter_map(|e| e.u64("priority")).collect();
+    let mut out = format!(
+        "# slo summary (per priority class)\n{:>8} {:>9} {:>9} {:>6} {:>9} {:>9} {:>5} {:>13} {:>13}\n",
+        "priority",
+        "admitted",
+        "rejected",
+        "met",
+        "degraded",
+        "deadline",
+        "shed",
+        "bound min",
+        "bound max"
+    );
+    for p in priorities {
+        let class = || slo.iter().filter(move |e| e.u64("priority") == Some(p));
+        let of = |name: &str| class().filter(|e| e.name() == name).count();
+        let outcomes = || class().filter(|e| e.name() == "slo.outcome");
+        let count =
+            |field: &str, label: &str| outcomes().filter(|e| e.str(field) == Some(label)).count();
+        let bounds: Vec<f64> = outcomes().filter_map(|e| e.num("bound")).collect();
         out.push_str(&format!(
-            "{:>6} {:>14} {:>14} {delta:>12}\n",
-            row.step,
-            fmt_opt(row.a),
-            fmt_opt(row.b),
+            "{:>8} {:>9} {:>9} {:>6} {:>9} {:>9} {:>5} {:>13} {:>13}\n",
+            p,
+            of("slo.admitted"),
+            of("slo.rejected"),
+            count("outcome", "met"),
+            count("outcome", "degraded_at_bound"),
+            count("cause", "deadline_expired"),
+            count("cause", "shed"),
+            fmt_opt(bounds.iter().copied().reduce(f64::min)),
+            fmt_opt(bounds.iter().copied().reduce(f64::max)),
         ));
     }
     out
@@ -523,6 +747,10 @@ mod tests {
             .collect()
     }
 
+    fn summarize(lines: &[String]) -> TraceSummary {
+        TraceSummary::from_events(&events(lines)).unwrap()
+    }
+
     fn synthetic_trace(bounds: &[f64], engine: &str) -> Vec<String> {
         let mut lines = vec![format!(
             r#"{{"event":"exec.start","engine":"{engine}","queries":1,"coefficients":{}}}"#,
@@ -546,10 +774,10 @@ mod tests {
     #[test]
     fn summary_reduces_steps_and_milestones() {
         let lines = synthetic_trace(&[8.0, 4.0, 2.0, 1.0, 0.5, 0.0], "progressive");
-        let s = TraceSummary::from_events(&events(&lines));
+        let s = summarize(&lines);
         assert_eq!(s.engine.as_deref(), Some("progressive"));
         assert_eq!(s.retrievals(), 6);
-        assert_eq!(s.attempts, 6);
+        assert_eq!(s.attempts(), 6);
         assert_eq!(s.initial_bound(BoundFamily::WorstCase), Some(8.0));
         assert_eq!(s.final_bound(BoundFamily::WorstCase), Some(0.0));
         // 0.5× of 8.0 = 4.0, first reached at step 2.
@@ -560,10 +788,55 @@ mod tests {
         assert_eq!(s.steps_to_bound(BoundFamily::Expected, 0.5), Some(2));
     }
 
+    /// Two batches interleaved in one trace, each reconciled against its
+    /// own `exec.finish`: batch 1's bound starts above batch 0's last one
+    /// without that being a rise, and the totals sum the batches.
+    #[test]
+    fn check_reconciles_each_batch_against_its_own_finish() {
+        let step = |batch: u64, step: u64, bound: f64| {
+            format!(
+                r#"{{"event":"exec.step","kind":"retrieved","step":{step},"worst_case_bound":{bound},"batch":{batch}}}"#
+            )
+        };
+        let finish = |batch: u64, retrieved: u64, attempts: u64| {
+            format!(
+                r#"{{"event":"exec.finish","retrieved":{retrieved},"attempts":{attempts},"successes":{retrieved},"transient_failures":{},"batch":{batch}}}"#,
+                attempts - retrieved
+            )
+        };
+        let mut lines = vec![
+            step(0, 1, 4.0),
+            step(1, 1, 9.0),
+            step(0, 2, 1.0),
+            step(1, 2, 3.0),
+            step(1, 3, 0.0),
+            finish(0, 2, 3),
+            finish(1, 3, 5),
+        ];
+        let s = summarize(&lines);
+        assert_eq!(s.batches.len(), 2);
+        assert_eq!(s.batches[&Some(1)].steps, 3);
+        assert_eq!(s.attempts(), 8, "3 + 5, not the last finish alone");
+        let ok = s.check().unwrap();
+        assert!(ok.contains("5 steps") && ok.contains("8 attempts"), "{ok}");
+
+        lines[6] = finish(1, 2, 5);
+        let err = summarize(&lines).check().unwrap_err();
+        assert!(err.starts_with("batch 1: finish reports 2"), "{err}");
+        lines[6] = finish(1, 3, 5);
+        lines[4] = step(1, 3, 3.5);
+        let err = summarize(&lines).check().unwrap_err();
+        assert!(err.contains("rose from 3 to 3.5"), "{err}");
+
+        // A torn span stream fails the reduction itself.
+        lines.push(r#"{"event":"span.start","name":"batch","span":1,"ts_ns":5}"#.to_string());
+        assert!(TraceSummary::from_events(&events(&lines)).is_err());
+    }
+
     #[test]
     fn self_diff_is_zero() {
         let lines = synthetic_trace(&[8.0, 4.0, 1.0, 0.0], "progressive");
-        let s = TraceSummary::from_events(&events(&lines));
+        let s = summarize(&lines);
         for family in BoundFamily::ALL {
             let diff = TraceDiff::compute(&s, &s, family);
             assert!(diff.is_zero(), "{family:?} self-diff must be zero");
@@ -573,8 +846,8 @@ mod tests {
 
     #[test]
     fn diff_reports_max_delta_and_length_mismatch() {
-        let a = TraceSummary::from_events(&events(&synthetic_trace(&[8.0, 4.0, 1.0], "a")));
-        let b = TraceSummary::from_events(&events(&synthetic_trace(&[8.0, 3.0], "b")));
+        let a = summarize(&synthetic_trace(&[8.0, 4.0, 1.0], "a"));
+        let b = summarize(&synthetic_trace(&[8.0, 3.0], "b"));
         let diff = TraceDiff::compute(&a, &b, BoundFamily::WorstCase);
         assert!(!diff.is_zero());
         assert_eq!(diff.rows.len(), 3);
@@ -592,11 +865,11 @@ mod tests {
                 r#"{{"event":"exec.step","engine":"round_robin","kind":"retrieved","step":{i}}}"#
             ));
         }
-        let rr = TraceSummary::from_events(&events(&lines));
+        let rr = summarize(&lines);
         assert_eq!(rr.retrievals(), 3);
         assert_eq!(rr.initial_bound(BoundFamily::WorstCase), None);
         assert_eq!(rr.steps_to_bound(BoundFamily::WorstCase, 0.5), None);
-        let prog = TraceSummary::from_events(&events(&synthetic_trace(&[8.0, 4.0, 1.0], "p")));
+        let prog = summarize(&synthetic_trace(&[8.0, 4.0, 1.0], "p"));
         let diff = TraceDiff::compute(&prog, &rr, BoundFamily::WorstCase);
         assert_eq!(diff.one_sided, 3, "every step is one-sided");
         assert_eq!(diff.max_abs_delta, 0.0);
@@ -608,8 +881,8 @@ mod tests {
 
     #[test]
     fn summary_diff_formats_all_milestones() {
-        let a = TraceSummary::from_events(&events(&synthetic_trace(&[8.0, 4.0, 0.5, 0.0], "pe")));
-        let b = TraceSummary::from_events(&events(&synthetic_trace(&[8.0, 6.0, 4.0, 2.0], "rr")));
+        let a = summarize(&synthetic_trace(&[8.0, 4.0, 0.5, 0.0], "pe"));
+        let b = summarize(&synthetic_trace(&[8.0, 6.0, 4.0, 2.0], "rr"));
         let text = format_summary_diff(&a, &b);
         assert!(text.contains("retrievals"));
         assert!(text.contains("steps to 0.5x Thm1 bound"));
@@ -630,14 +903,14 @@ mod tests {
                 .to_string(),
         );
         lines.push(r#"{"event":"span.end","trace":1,"span":1,"ts_ns":400}"#.to_string());
-        let a = TraceSummary::from_events(&events(&lines));
+        let a = summarize(&lines);
         assert_eq!(a.metrics.get("counter slo.admitted"), Some(&5.0));
         assert_eq!(a.metrics.get("hist exec.latency.p99"), Some(&7.0));
-        let agg = a.spans.get("batch").unwrap();
-        assert_eq!((agg.count, agg.total_ns), (1, 300));
+        let span = a.spans.named("batch").next().unwrap();
+        assert_eq!(span.duration_ns(), 300);
 
         // B carries neither metrics nor spans: rows are one-sided, not 0.
-        let b = TraceSummary::from_events(&events(&synthetic_trace(&[8.0, 4.0], "b")));
+        let b = summarize(&synthetic_trace(&[8.0, 4.0], "b"));
         let text = format_summary_diff(&a, &b);
         assert!(text.contains("metric counter slo.admitted"));
         assert!(text.contains("metric hist exec.latency.count"));
@@ -662,14 +935,11 @@ mod tests {
 
     #[test]
     fn curves_render_both_traces_with_log_axis() {
-        let a = TraceSummary::from_events(&events(&synthetic_trace(
-            &[1000.0, 100.0, 10.0, 1.0, 0.1, 0.0],
-            "a",
-        )));
-        let b = TraceSummary::from_events(&events(&synthetic_trace(
+        let a = summarize(&synthetic_trace(&[1000.0, 100.0, 10.0, 1.0, 0.1, 0.0], "a"));
+        let b = summarize(&synthetic_trace(
             &[1000.0, 500.0, 250.0, 125.0, 60.0, 30.0],
             "b",
-        )));
+        ));
         let chart = render_curves(&[("A", &a), ("B", &b)], BoundFamily::WorstCase).unwrap();
         assert!(chart.contains("worst-case bound"));
         assert!(chart.contains('A') && chart.contains('B'));

@@ -3,7 +3,8 @@
 //! same observer schema, and the diff machinery of `batchbb_bench::trace`
 //! must separate them the way the paper's §2.2 comparison does —
 //! round-robin retrieves more, tracks no penalty bounds, and the
-//! progressive trace self-diffs to zero.
+//! progressive trace self-diffs to zero.  A serve trace interleaving
+//! several faulty batches must sum to what the batches report.
 
 use std::sync::Arc;
 
@@ -14,8 +15,9 @@ use batchbb_core::{BatchQueries, ExecObserver, ProgressiveExecutor};
 use batchbb_obs::jsonl::{self, ParsedEvent};
 use batchbb_obs::MemorySink;
 use batchbb_penalty::Sse;
-use batchbb_query::{LinearStrategy, WaveletStrategy};
-use batchbb_storage::MemoryStore;
+use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
+use batchbb_serve::{BatchRequest, BatchServer, ServeConfig};
+use batchbb_storage::{FaultInjectingStore, FaultPlan, FaultStats, MemoryStore};
 use batchbb_wavelet::Wavelet;
 
 fn parse(lines: Vec<String>) -> Vec<ParsedEvent> {
@@ -50,8 +52,8 @@ fn engine_traces() -> (Vec<ParsedEvent>, Vec<ParsedEvent>) {
 #[test]
 fn progressive_vs_round_robin_diff_separates_the_engines() {
     let (prog_events, rr_events) = engine_traces();
-    let prog = TraceSummary::from_events(&prog_events);
-    let rr = TraceSummary::from_events(&rr_events);
+    let prog = TraceSummary::from_events(&prog_events).unwrap();
+    let rr = TraceSummary::from_events(&rr_events).unwrap();
 
     assert_eq!(prog.engine.as_deref(), Some("progressive"));
     assert_eq!(rr.engine.as_deref(), Some("round_robin"));
@@ -87,7 +89,7 @@ fn progressive_vs_round_robin_diff_separates_the_engines() {
 #[test]
 fn identical_engine_traces_diff_to_zero() {
     let (prog_events, _) = engine_traces();
-    let prog = TraceSummary::from_events(&prog_events);
+    let prog = TraceSummary::from_events(&prog_events).unwrap();
     for family in BoundFamily::ALL {
         assert!(TraceDiff::compute(&prog, &prog, family).is_zero());
     }
@@ -96,7 +98,7 @@ fn identical_engine_traces_diff_to_zero() {
 #[test]
 fn exact_convergence_reaches_every_milestone() {
     let (prog_events, _) = engine_traces();
-    let prog = TraceSummary::from_events(&prog_events);
+    let prog = TraceSummary::from_events(&prog_events).unwrap();
     // The run converged to exact, so the bound hits 0 and every fractional
     // milestone is reached, in non-decreasing step order.
     for family in BoundFamily::ALL {
@@ -110,4 +112,50 @@ fn exact_convergence_reaches_every_milestone() {
             last = step;
         }
     }
+}
+
+/// Three batches served through one faulty store into one sink: the
+/// summary's totals are the sums of what each batch reports, not the
+/// last batch's `exec.finish`, and every batch checks out.
+#[test]
+fn a_serve_trace_sums_every_batch() {
+    let w = temperature_workload(8_000, 8, false, true, 5);
+    let strategy = WaveletStrategy::new(Wavelet::Haar);
+    let store = MemoryStore::from_entries(strategy.transform_data(w.cube.tensor()));
+    let batches: Vec<BatchQueries> = (0..3)
+        .map(|b| {
+            let queries: Vec<RangeSum> = partition::random_partition(&w.domain, 3, 40 + b)
+                .into_iter()
+                .map(RangeSum::count)
+                .collect();
+            BatchQueries::rewrite(&strategy, queries, &w.domain).unwrap()
+        })
+        .collect();
+    let faulty = FaultInjectingStore::new(&store, FaultPlan::new(5).with_transient_rate(0.2));
+    let sink = Arc::new(MemorySink::new());
+    let server = BatchServer::new(
+        ServeConfig::new(w.domain.len(), store.abs_sum())
+            .workers(2)
+            .slice_steps(4)
+            .sink(sink.clone()),
+    );
+    let requests: Vec<BatchRequest<'_>> =
+        batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+    let results = server.serve(&faulty, &requests);
+
+    let mut total = FaultStats::default();
+    for result in &results {
+        total.merge(&result.report.fault);
+    }
+    let summary = TraceSummary::from_events(&parse(sink.lines())).unwrap();
+    assert!(
+        results
+            .iter()
+            .all(|r| r.report.fault.attempts < total.attempts),
+        "every batch reads: {total:?}"
+    );
+    assert_eq!(summary.attempts(), total.attempts);
+    assert_eq!(summary.deferrals(), total.deferrals);
+    assert_eq!(summary.recovered(), total.recoveries);
+    summary.check().unwrap();
 }

@@ -66,29 +66,7 @@ impl BatchQueries {
         domain: &Shape,
         observer: Option<&RewriteObserver>,
     ) -> Result<Self, StrategyError> {
-        let batch_timer = observer.map(|_| SpanTimer::start());
-        let coeffs = queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                let timer = observer.map(|_| SpanTimer::start());
-                let coeffs = strategy.query_coefficients(q, domain)?;
-                if let Some(obs) = observer {
-                    obs.on_query(qi, coeffs.nnz(), timer.map_or(0, |t| t.elapsed_ns()));
-                }
-                Ok(coeffs)
-            })
-            .collect::<Result<Vec<_>, StrategyError>>()?;
-        if let Some(obs) = observer {
-            let total = coeffs.iter().map(SparseCoeffs::nnz).sum();
-            obs.on_batch(
-                queries.len(),
-                total,
-                1,
-                batch_timer.map_or(0, |t| t.elapsed_ns()),
-            );
-        }
-        Ok(BatchQueries::new(queries, coeffs))
+        BatchQueries::rewrite_parallel_observed(strategy, queries, domain, 1, observer)
     }
 
     /// Rewrites the batch on `threads` scoped worker threads.
@@ -97,7 +75,7 @@ impl BatchQueries {
     /// coefficient list is independent — and dominates preprocessing time
     /// for large batches.
     pub fn rewrite_parallel(
-        strategy: &(dyn LinearStrategy + Sync),
+        strategy: &dyn LinearStrategy,
         queries: Vec<RangeSum>,
         domain: &Shape,
         threads: usize,
@@ -108,49 +86,58 @@ impl BatchQueries {
     /// [`BatchQueries::rewrite_parallel`] with an optional
     /// [`RewriteObserver`]. Workers emit `rewrite.query` events concurrently
     /// (the sink serializes); the `rewrite.batch` summary carries the
-    /// wall-clock time of the whole scoped fan-out.
+    /// wall-clock time of the whole scoped fan-out. One thread, or one
+    /// query, rewrites on the caller.
     pub fn rewrite_parallel_observed(
-        strategy: &(dyn LinearStrategy + Sync),
+        strategy: &dyn LinearStrategy,
         queries: Vec<RangeSum>,
         domain: &Shape,
         threads: usize,
         observer: Option<&RewriteObserver>,
     ) -> Result<Self, StrategyError> {
         assert!(threads >= 1, "need at least one thread");
-        if threads == 1 || queries.len() < 2 {
-            return BatchQueries::rewrite_observed(strategy, queries, domain, observer);
-        }
+        let threads = if queries.len() < 2 { 1 } else { threads };
         let batch_timer = observer.map(|_| SpanTimer::start());
-        let mut slots: Vec<Option<Result<SparseCoeffs, StrategyError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let chunk = queries.len().div_ceil(threads);
-        // A panicking worker propagates its panic when the scope exits.
-        std::thread::scope(|scope| {
-            for (ci, (qs, outs)) in queries
-                .chunks(chunk)
-                .zip(slots.chunks_mut(chunk))
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    for (i, (q, out)) in qs.iter().zip(outs.iter_mut()).enumerate() {
-                        let timer = observer.map(|_| SpanTimer::start());
-                        let result = strategy.query_coefficients(q, domain);
-                        if let (Some(obs), Ok(coeffs)) = (observer, &result) {
-                            obs.on_query(
-                                ci * chunk + i,
-                                coeffs.nnz(),
-                                timer.map_or(0, |t| t.elapsed_ns()),
-                            );
-                        }
-                        *out = Some(result);
-                    }
-                });
+        let rewrite = |qi: usize, q: &RangeSum| {
+            let timer = observer.map(|_| SpanTimer::start());
+            let coeffs = strategy.query_coefficients(q, domain)?;
+            if let Some(obs) = observer {
+                obs.on_query(qi, coeffs.nnz(), timer.map_or(0, |t| t.elapsed_ns()));
             }
-        });
-        let coeffs = slots
-            .into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect::<Result<Vec<_>, _>>()?;
+            Ok(coeffs)
+        };
+        let coeffs = if threads == 1 {
+            queries
+                .iter()
+                .enumerate()
+                .map(|(qi, q)| rewrite(qi, q))
+                .collect::<Result<Vec<_>, StrategyError>>()?
+        } else {
+            let chunk = queries.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                let rewrite = &rewrite;
+                let workers: Vec<_> = queries
+                    .chunks(chunk)
+                    .enumerate()
+                    .map(|(ci, qs)| {
+                        scope.spawn(move || {
+                            qs.iter()
+                                .enumerate()
+                                .map(|(i, q)| rewrite(ci * chunk + i, q))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                // Joined here, not left to the scope: the scope returns once
+                // each worker's closure has, while its OS thread may still be
+                // exiting (the serve pool joins its workers for the same
+                // reason). A panicking worker propagates its panic.
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect::<Result<Vec<_>, StrategyError>>()
+            })?
+        };
         if let Some(obs) = observer {
             let total = coeffs.iter().map(SparseCoeffs::nnz).sum();
             obs.on_batch(
@@ -236,7 +223,9 @@ impl BatchQueries {
 mod tests {
     use super::*;
     use batchbb_query::{HyperRect, WaveletStrategy};
+    use batchbb_tensor::CoeffKey;
     use batchbb_wavelet::Wavelet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn batch(n_queries: usize) -> Vec<RangeSum> {
         (0..n_queries)
@@ -267,6 +256,64 @@ mod tests {
         queries.push(RangeSum::count(HyperRect::new(vec![0, 0], vec![16, 7]))); // out of domain
         assert!(BatchQueries::rewrite(&strategy, queries.clone(), &domain).is_err());
         assert!(BatchQueries::rewrite_parallel(&strategy, queries, &domain, 4).is_err());
+    }
+
+    /// Threads that rewrote through [`ExitWatch`], and how many of them
+    /// have finished exiting.
+    static MARKED: AtomicUsize = AtomicUsize::new(0);
+    static EXITED: AtomicUsize = AtomicUsize::new(0);
+
+    /// Set on a thread's first rewrite through [`ExitWatch`]; dropped as
+    /// the thread exits, slowly, so an exit still under way is easy to
+    /// catch.
+    struct ExitMark;
+
+    impl Drop for ExitMark {
+        fn drop(&mut self) {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            EXITED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_MARK: ExitMark = {
+            MARKED.fetch_add(1, Ordering::SeqCst);
+            ExitMark
+        };
+    }
+
+    /// A strategy that marks every thread rewriting through it.
+    struct ExitWatch(WaveletStrategy);
+
+    impl LinearStrategy for ExitWatch {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn transform_data(&self, data: &batchbb_tensor::Tensor) -> Vec<(CoeffKey, f64)> {
+            self.0.transform_data(data)
+        }
+
+        fn query_coefficients(
+            &self,
+            query: &RangeSum,
+            domain: &Shape,
+        ) -> Result<SparseCoeffs, StrategyError> {
+            EXIT_MARK.with(|_| ());
+            self.0.query_coefficients(query, domain)
+        }
+    }
+
+    /// A parallel rewrite returns only once its workers have exited,
+    /// thread-local destructors and all.
+    #[test]
+    fn rewrite_parallel_returns_after_its_workers_have_exited() {
+        let domain = Shape::new(vec![16, 16]).unwrap();
+        let strategy = ExitWatch(WaveletStrategy::new(Wavelet::Haar));
+        BatchQueries::rewrite_parallel(&strategy, batch(8), &domain, 4).unwrap();
+        let marked = MARKED.load(Ordering::SeqCst);
+        assert_eq!(marked, 4, "the four workers, and not the caller, rewrote");
+        assert_eq!(EXITED.load(Ordering::SeqCst), marked);
     }
 
     #[test]

@@ -23,6 +23,8 @@ use batchbb_query::{LinearStrategy, RangeSum, StrategyError};
 use batchbb_storage::{retry::get_with_retry, CoefficientStore, FaultStats, RetryPolicy};
 use batchbb_tensor::{CoeffKey, KeyMap, Shape};
 
+use crate::executor::importance_or_zero;
+
 /// Result of a bounded-workspace evaluation.
 #[derive(Debug, Clone)]
 pub struct BoundedResult {
@@ -178,7 +180,7 @@ fn score_and_select(
     for (qi, q) in queries.iter().enumerate() {
         let coeffs = strategy.query_coefficients(q, domain)?;
         for &(key, v) in coeffs.entries() {
-            let contribution = penalty.importance(&[(qi, v)], s);
+            let contribution = importance_or_zero(penalty.importance(&[(qi, v)], s));
             *scores.entry(key).or_insert(0.0) += contribution;
         }
         peak = peak.max(scores.len());
@@ -221,6 +223,7 @@ fn apply_selected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::tests::PathologicalPenalty;
     use crate::{BatchQueries, ProgressiveExecutor};
     use batchbb_penalty::Sse;
     use batchbb_query::{HyperRect, WaveletStrategy};
@@ -330,6 +333,36 @@ mod tests {
             .filter(|(a, e)| (**a - **e).abs() > 1e-12)
             .count();
         assert!(differing > 0, "breaking the top key must move something");
+    }
+
+    /// A NaN contribution counts as zero, as in the executor's ranking:
+    /// it must not rank its key ahead of every finite score. Query 0 is
+    /// not dyadically aligned, so it touches fine keys the other queries
+    /// do not.
+    #[test]
+    fn a_nan_contribution_selects_like_a_zero_one() {
+        let shape = Shape::new(vec![16, 16]).unwrap();
+        let data = Tensor::from_fn(shape.clone(), |ix| ((ix[0] * 7 + ix[1] * 3) % 11) as f64);
+        let strategy = WaveletStrategy::new(Wavelet::Haar);
+        let store = MemoryStore::from_entries(strategy.transform_data(&data));
+        let queries = vec![
+            RangeSum::count(HyperRect::new(vec![3, 5], vec![10, 12])),
+            RangeSum::count(HyperRect::new(vec![0, 0], vec![7, 15])),
+            RangeSum::count(HyperRect::new(vec![8, 0], vec![15, 7])),
+        ];
+        // Query 0's contributions score NaN, or 0.0.
+        let bits = |query_zero: f64, budget: usize| -> Vec<u64> {
+            let penalty = PathologicalPenalty(query_zero);
+            evaluate_bounded(&strategy, &queries, &shape, &store, &penalty, budget)
+                .unwrap()
+                .estimates
+                .iter()
+                .map(|e| e.to_bits())
+                .collect()
+        };
+        for budget in 1..=20 {
+            assert_eq!(bits(f64::NAN, budget), bits(0.0, budget), "budget {budget}");
+        }
     }
 
     #[test]

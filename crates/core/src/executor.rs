@@ -40,9 +40,7 @@ pub struct ProgressionEntry {
 /// ([`Progression::scores_match`]),
 /// [`crate::optimality::importance_ranking`] and
 /// [`crate::layout::aggregate_importance_ranking`] all score through it.
-/// A pathological penalty can emit NaN, which would sort to the front of
-/// the progression (`total_cmp` orders NaN above +∞) and poison every
-/// importance sum from there on; it scores as "no importance" instead.
+/// A NaN importance scores as zero ([`importance_or_zero`]).
 pub(crate) fn scored<'m>(
     master: &'m MasterList,
     penalty: &'m dyn Penalty,
@@ -56,11 +54,23 @@ pub(crate) fn scored<'m>(
         column.extend(leaves.iter().map(|&(i, v)| (i as usize, v)));
         let importance = penalty.importance(&column, batch_size);
         ProgressionEntry {
-            importance: if importance.is_nan() { 0.0 } else { importance },
+            importance: importance_or_zero(importance),
             key: *key,
             slot: slot as u32,
         }
     })
+}
+
+/// The one NaN rule of every ranking by `ι_p`: a pathological penalty can
+/// emit NaN, which would sort to the front (`total_cmp` orders NaN above
+/// +∞) and poison every importance sum from there on, so it counts as "no
+/// importance" instead.
+pub(crate) fn importance_or_zero(importance: f64) -> f64 {
+    if importance.is_nan() {
+        0.0
+    } else {
+        importance
+    }
 }
 
 /// A batch's progression under one score vector: every master-list
@@ -1265,7 +1275,7 @@ impl<'a> ProgressiveExecutor<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use batchbb_penalty::{DiagonalQuadratic, Sse};
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
@@ -1515,7 +1525,9 @@ mod tests {
         assert_eq!(exec.run(usize::MAX), total - 3);
     }
 
-    struct PathologicalPenalty;
+    /// SSE, except that a column query 0 takes part in scores `self.0`
+    /// (NaN, or a stand-in for it).
+    pub(crate) struct PathologicalPenalty(pub(crate) f64);
     impl batchbb_penalty::Penalty for PathologicalPenalty {
         fn name(&self) -> String {
             "pathological".into()
@@ -1524,9 +1536,8 @@ mod tests {
             errors.iter().map(|e| e * e).sum()
         }
         fn importance(&self, column: &[(usize, f64)], _batch_size: usize) -> f64 {
-            // NaN whenever query 0 participates; finite otherwise.
             if column.iter().any(|&(qi, _)| qi == 0) {
-                f64::NAN
+                self.0
             } else {
                 column.iter().map(|&(_, c)| c * c).sum()
             }
@@ -1543,7 +1554,7 @@ mod tests {
         // `remaining_importance` (hence every penalty bound) into NaN.
         let (dfd, store, shape, strategy) = fixture();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
-        let mut exec = ProgressiveExecutor::new(&batch, &PathologicalPenalty, &store);
+        let mut exec = ProgressiveExecutor::new(&batch, &PathologicalPenalty(f64::NAN), &store);
         // Every derived quantity stays finite...
         assert!(exec.expected_penalty(shape.len()).is_finite());
         let mut last = f64::INFINITY;
@@ -1567,19 +1578,22 @@ mod tests {
     fn reference_rankings_score_nan_like_the_executor() {
         let (_, store, shape, strategy) = fixture();
         let batch = BatchQueries::rewrite(&strategy, queries(), &shape).unwrap();
-        let exec = ProgressiveExecutor::new(&batch, &PathologicalPenalty, &store);
+        let exec = ProgressiveExecutor::new(&batch, &PathologicalPenalty(f64::NAN), &store);
         let walk: Vec<(CoeffKey, u64)> = exec
             .progression()
             .iter()
             .map(|e| (e.key, e.importance.to_bits()))
             .collect();
         let ranked: Vec<(CoeffKey, u64)> =
-            crate::optimality::importance_ranking(&batch, &PathologicalPenalty)
+            crate::optimality::importance_ranking(&batch, &PathologicalPenalty(f64::NAN))
                 .into_iter()
                 .map(|(key, iota)| (key, iota.to_bits()))
                 .collect();
         assert_eq!(ranked, walk);
-        let layout = crate::layout::aggregate_importance_ranking(&[(&batch, &PathologicalPenalty)]);
+        let layout = crate::layout::aggregate_importance_ranking(&[(
+            &batch,
+            &PathologicalPenalty(f64::NAN),
+        )]);
         assert_eq!(
             layout[&walk[0].0], 0,
             "the layout puts the executor's first key first"

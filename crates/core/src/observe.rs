@@ -71,6 +71,7 @@ pub struct ExecObserver {
     engine: &'static str,
     n_total: Option<usize>,
     k_abs_sum: Option<f64>,
+    batch: Option<u64>,
     steps: Counter,
     deferrals: Counter,
     recoveries: Counter,
@@ -109,25 +110,41 @@ impl ExecObserver {
             engine,
             n_total: None,
             k_abs_sum: None,
+            batch: None,
+        }
+    }
+
+    /// Re-registers the metric handles under `registry` and `engine`,
+    /// keeping every other setting.
+    fn rebuild(self, registry: Arc<MetricsRegistry>, engine: &'static str) -> Self {
+        ExecObserver {
+            n_total: self.n_total,
+            k_abs_sum: self.k_abs_sum,
+            batch: self.batch,
+            ..Self::build(self.sink, registry, engine)
         }
     }
 
     /// Uses `registry` (shared with other components) instead of a private
     /// one. Metric names are re-registered under the current engine label.
     pub fn with_registry(self, registry: Arc<MetricsRegistry>) -> Self {
-        let mut built = Self::build(self.sink, registry, self.engine);
-        built.n_total = self.n_total;
-        built.k_abs_sum = self.k_abs_sum;
-        built
+        let engine = self.engine;
+        self.rebuild(registry, engine)
     }
 
     /// Relabels the engine (`"progressive"`, `"round_robin"`, `"serve"`,
     /// …); the label prefixes metric names and tags every event.
     pub fn with_engine(self, engine: &'static str) -> Self {
-        let mut built = Self::build(self.sink, self.registry, engine);
-        built.n_total = self.n_total;
-        built.k_abs_sum = self.k_abs_sum;
-        built
+        let registry = Arc::clone(&self.registry);
+        self.rebuild(registry, engine)
+    }
+
+    /// Labels every event with `batch = index`, as its last field, so
+    /// several engines sharing one sink (a serve pool's batches) stay
+    /// separable in the trace.
+    pub fn with_batch(mut self, index: u64) -> Self {
+        self.batch = Some(index);
+        self
     }
 
     /// Enables the per-step penalty-bound fields: `n_total` is the domain
@@ -156,12 +173,22 @@ impl ExecObserver {
         observer.as_ref().map(|_| SpanTimer::start())
     }
 
+    /// Sends one `exec.*` event, with the batch label appended last when
+    /// one is set.
+    fn emit(&self, event: Event) {
+        let event = match self.batch {
+            Some(index) => event.u64("batch", index),
+            None => event,
+        };
+        self.sink.emit(&event);
+    }
+
     pub(crate) fn on_start(&self, queries: usize, coefficients: usize) {
         if !self.sink.enabled() {
             return;
         }
-        self.sink.emit(
-            &Event::new("exec.start")
+        self.emit(
+            Event::new("exec.start")
                 .str("engine", self.engine)
                 .u64("queries", queries as u64)
                 .u64("coefficients", coefficients as u64)
@@ -196,8 +223,8 @@ impl ExecObserver {
             (Some(_), None) if unresolved_mass == 0.0 => 0.0,
             _ => f64::NAN,
         };
-        self.sink.emit(
-            &Event::new("exec.step")
+        self.emit(
+            Event::new("exec.step")
                 .str("engine", self.engine)
                 .str("kind", o.kind)
                 .u64("step", o.retrieved as u64)
@@ -235,8 +262,8 @@ impl ExecObserver {
         if !self.sink.enabled() {
             return;
         }
-        self.sink.emit(
-            &Event::new("exec.defer")
+        self.emit(
+            Event::new("exec.defer")
                 .str("engine", self.engine)
                 .str("key", key.to_string())
                 .f64("importance", importance)
@@ -258,8 +285,8 @@ impl ExecObserver {
         if !self.sink.enabled() {
             return;
         }
-        self.sink.emit(
-            &Event::new("exec.finish")
+        self.emit(
+            Event::new("exec.finish")
                 .str("engine", self.engine)
                 .str("status", status)
                 .u64("retrieved", retrieved as u64)

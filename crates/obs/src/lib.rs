@@ -15,10 +15,8 @@
 //! * [`Event`] / [`EventSink`] — structured trace events with a JSONL sink
 //!   ([`JsonlSink`]), an in-memory sink for tests and replay
 //!   ([`MemorySink`]), a no-op default ([`NullSink`]) that keeps the
-//!   instrumented paths bit-for-bit identical to uninstrumented ones, a
-//!   labelling adapter ([`LabeledSink`]) that stamps a fixed field (e.g.
-//!   `batch = 3`) onto every event so concurrent engines can share one
-//!   sink, and a non-blocking bounded-queue adapter ([`BoundedSink`])
+//!   instrumented paths bit-for-bit identical to uninstrumented ones, and
+//!   a non-blocking bounded-queue adapter ([`BoundedSink`])
 //!   whose background flusher keeps slow trace I/O off the hot path
 //!   (overflow drops-and-counts, never blocks);
 //! * [`Tracer`] / [`LifecycleRecorder`] — causal spans (`span.start` /
@@ -63,14 +61,12 @@
 mod bounded;
 mod event;
 pub mod jsonl;
-mod label;
 mod metrics;
 mod span;
 mod trace;
 
 pub use bounded::{BoundedSink, BoundedSinkBuilder, BoundedSinkStats, DEFAULT_QUEUE_CAPACITY};
 pub use event::{Event, EventSink, FieldValue, JsonlSink, MemorySink, NullSink};
-pub use label::LabeledSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::SpanTimer;
 pub use trace::{span_end_event, span_start_event, LifecycleRecorder, Phase, TraceContext, Tracer};

@@ -19,7 +19,7 @@
 //! time by construction — consecutive intervals share their boundary
 //! timestamp (u64 equality, no float slack), the first starts at the
 //! batch's root-span start and the last ends at its root-span end. The
-//! `progress_report --attribute` replay verifies this identity on every
+//! `progress_report attribute` replay verifies this identity on every
 //! trace and exits nonzero if any batch's phases fail to telescope.
 //!
 //! # Cost contract

@@ -44,8 +44,8 @@
 //!   the asynchronous engine (which shares in-flight reads), in which
 //!   case the batch parks and the pool advances another;
 //! * observability — with a sink/registry configured, each batch's
-//!   `exec.*` events carry a `batch = <id>` label
-//!   ([`batchbb_obs::LabeledSink`]), all metrics land in one shared
+//!   `exec.*` events carry a `batch = <id>` label, written by its
+//!   observer as the last field, all metrics land in one shared
 //!   `MetricsRegistry`, every [`BatchResult`] carries the run's final
 //!   [`batchbb_obs::MetricsSnapshot`], and that snapshot is appended to
 //!   the trace as `metrics.*` events so metrics and events share one
@@ -398,18 +398,31 @@ mod tests {
             served.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
         let server = BatchServer::new(ServeConfig::new(n_total, k).workers(2).sink(sink.clone()));
         server.serve(&store, &requests);
-        let events: Vec<_> = sink
-            .lines()
-            .iter()
-            .map(|l| jsonl::parse_line(l).unwrap_or_else(|e| panic!("{e}: {l}")))
-            .collect();
         let mut started = [false; 2];
-        for start in events.iter().filter(|e| e.name() == "exec.start") {
-            let index = start.u64("batch").expect("labelled with its batch") as usize;
-            assert_eq!(start.u64("queries"), Some(served[index].len() as u64));
-            started[index] = true;
+        let mut steps = [0u64; 2];
+        let mut finished = [None; 2];
+        for line in sink.lines() {
+            let event = jsonl::parse_line(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            if !event.name().starts_with("exec.") {
+                continue;
+            }
+            // The observer writes the label itself, as the last field.
+            let index = event.u64("batch").expect("labelled with its batch") as usize;
+            assert!(index < served.len(), "{line}");
+            assert!(line.ends_with(&format!(",\"batch\":{index}}}")), "{line}");
+            match event.name() {
+                "exec.start" => {
+                    assert_eq!(event.u64("queries"), Some(served[index].len() as u64));
+                    started[index] = true;
+                }
+                "exec.step" => steps[index] += 1,
+                "exec.finish" => finished[index] = event.u64("retrieved"),
+                _ => {}
+            }
         }
         assert_eq!(started, [true; 2], "one exec.start per batch");
+        // Every step landed under its own batch's label.
+        assert_eq!(finished, steps.map(Some));
     }
 
     #[test]

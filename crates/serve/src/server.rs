@@ -2,10 +2,10 @@
 //! executors over one coefficient store, under per-batch SLO contracts.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Mutex, TryLockError};
 
 use batchbb_core::{DegradationReport, ExecObserver, ProgressiveExecutor};
-use batchbb_obs::{LabeledSink, LifecycleRecorder, Phase};
+use batchbb_obs::{LifecycleRecorder, Phase};
 use batchbb_storage::{
     CoefficientStore, FaultStats, ShardedCachingStore, VersionId, VersionView, VersionedStore,
 };
@@ -284,8 +284,8 @@ impl BatchServer {
     }
 
     /// Builds batch `index`'s phase lifecycle, or `None` unless both a
-    /// tracer and a sink are configured. The recorder flushes into the
-    /// raw (unlabelled) sink — its spans carry an explicit `batch` field.
+    /// tracer and a sink are configured. Its spans carry their own `batch`
+    /// field.
     fn lifecycle_for(&self, index: usize) -> Option<LifecycleRecorder> {
         let (tracer, sink) = match (&self.config.tracer, &self.config.sink) {
             (Some(tracer), Some(sink)) => (tracer, sink),
@@ -299,19 +299,16 @@ impl BatchServer {
     }
 
     /// Builds batch `index`'s observer from the configured sink/registry,
-    /// stamping a `batch = index` label so shared traces stay separable.
+    /// labelled `batch = index` so shared traces stay separable.
     fn observer_for(&self, index: usize) -> Option<ExecObserver> {
         let config = &self.config;
         let observer = match (&config.sink, &config.registry) {
             (None, None) => return None,
-            (Some(sink), _) => ExecObserver::new(Arc::new(LabeledSink::new(
-                sink.clone(),
-                "batch",
-                index as u64,
-            ))),
+            (Some(sink), _) => ExecObserver::new(sink.clone()),
             (None, Some(_)) => ExecObserver::metrics_only(),
         };
         let mut observer = observer
+            .with_batch(index as u64)
             .with_engine("serve")
             .with_bounds(config.n_total, config.k_abs_sum);
         if let Some(registry) = &config.registry {

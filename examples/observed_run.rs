@@ -109,7 +109,7 @@ fn main() {
     }
 
     // The snapshot itself exports as JSONL, so metrics and events land in
-    // one trace file (`progress_report --diff` compares such files).
+    // one trace file (`progress_report diff` compares such files).
     let mut lines = inner.lines();
     lines.extend(snap.to_jsonl_lines());
     for line in &lines {

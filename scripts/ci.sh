@@ -284,8 +284,12 @@ full_gate() {
     # admissions racing under two penalties run as their serial twins;
     # the round-robin baseline reads each query in its own order, round by round;
     # its attempt budget is batch-wide across the single-query instances;
-    # exec.start keeps the batch size apart from the serve pool's batch label;
-    # a serve returns only once its workers have exited.
+    # exec.start keeps the batch size apart from the batch label, written last on every exec.* line;
+    # a serve returns only once its workers have exited;
+    # so does a parallel rewrite;
+    # a NaN importance contribution selects like a zero one in the bounded evaluation;
+    # a trace reconciles each batch against its own exec.finish;
+    # a faulty three-batch serve trace sums to what its batches report.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -325,28 +329,37 @@ full_gate() {
         exec_start_keeps_the_batch_size_apart_from_the_batch_label
     run cargo test -q -p batchbb-serve --lib \
         serve_returns_after_its_workers_have_exited
+    run cargo test -q -p batchbb-core --lib \
+        rewrite_parallel_returns_after_its_workers_have_exited
+    run cargo test -q -p batchbb-core --lib \
+        a_nan_contribution_selects_like_a_zero_one
+    run cargo test -q -p batchbb-bench --lib \
+        check_reconciles_each_batch_against_its_own_finish
+    run cargo test -q -p batchbb-bench --test trace_diff \
+        a_serve_trace_sums_every_batch
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound
     # column is not monotone or the fault counters fail to reconcile; a
     # trace diffed against itself must report zero delta on both penalty
-    # families; and a causally traced serve-pool run (seeded faults,
-    # binding deadlines, capacity squeeze) replayed in attribution mode
-    # must close and nest every span, resolve every dedup rider, and
-    # partition each batch's admitted-to-finalized wall time exactly
-    # (DESIGN.md §14). The traces live in the build directory, which git
-    # ignores.
+    # families; a causally traced serve-pool run (seeded faults, binding
+    # deadlines, capacity squeeze) replayed in attribution mode must close
+    # and nest every span, resolve every dedup rider, and partition each
+    # batch's admitted-to-finalized wall time exactly (DESIGN.md §14); and
+    # that multi-batch trace diffed against itself must reconcile batch
+    # by batch. The traces live in the build directory, which git ignores.
     report() {
         echo "==> progress_report $*"
         cargo run -q --release -p batchbb-bench --bin progress_report -- "$@" > /dev/null
     }
     trace=${CARGO_TARGET_DIR:-target}/ci-trace.jsonl
     spans=${CARGO_TARGET_DIR:-target}/ci-spans.jsonl
-    report --output "$trace"
-    report --input "$trace"
-    report --diff "$trace" "$trace"
-    report --serve-trace "$spans"
-    report --attribute "$spans"
+    report demo --output "$trace"
+    report replay "$trace"
+    report diff "$trace" "$trace"
+    report serve-trace "$spans"
+    report attribute "$spans"
+    report diff "$spans" "$spans"
 
     slow_store_gate
     mixed_gate

@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use batchbb_obs::{
         jsonl, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder, BoundedSinkStats,
-        Event, EventSink, JsonlSink, LabeledSink, LifecycleRecorder, MemorySink, MetricsRegistry,
+        Event, EventSink, JsonlSink, LifecycleRecorder, MemorySink, MetricsRegistry,
         MetricsSnapshot, NullSink, Phase, SpanTimer, TraceContext, Tracer,
     };
     pub use batchbb_penalty::{
