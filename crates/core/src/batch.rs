@@ -3,7 +3,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use batchbb_obs::SpanTimer;
-use batchbb_penalty::Penalty;
+use batchbb_penalty::{Penalty, PenaltyKey};
 use batchbb_query::{LinearStrategy, RangeSum, StrategyError};
 use batchbb_tensor::Shape;
 use batchbb_wavelet::SparseCoeffs;
@@ -21,9 +21,10 @@ pub struct BatchQueries {
     /// Step 3, built on first use and shared by every executor (and every
     /// clone) of this batch: it depends on the coefficients alone.
     master: OnceLock<Arc<MasterList>>,
-    /// The last progression sorted for this batch, shared by every
-    /// executor whose scores match it ([`BatchQueries::progression`]).
-    progression: Mutex<Option<Progression>>,
+    /// The last progression sorted for this batch under a keyed penalty,
+    /// with that penalty's key; shared by every executor whose penalty has
+    /// an equal one ([`BatchQueries::progression`]).
+    progression: Mutex<Option<(PenaltyKey, Progression)>>,
 }
 
 impl Clone for BatchQueries {
@@ -193,28 +194,30 @@ impl BatchQueries {
     }
 
     /// The batch's progression under `penalty` — steps 4–5's retrieval
-    /// order, sorted once per distinct score vector.  `ι_p` is a function
-    /// of the batch and the penalty alone, so a re-serve (or a serve after
-    /// a live update) scores every key again and, when each score matches
-    /// the last progression bit for bit, shares it: the order is a pure
-    /// function of the scores, so that is exactly what a fresh sort would
-    /// return.  Otherwise the fresh sort replaces the memo.  Concurrent
-    /// admissions under different penalties stay correct either way: each
-    /// gets a progression its own scores were checked or sorted against.
+    /// order, sorted once per penalty key.  Equal [`Penalty::scoring_key`]s
+    /// score every column bit-identically, so a re-serve (or a serve after
+    /// a live update) under the memo's key shares the memo, scoring and
+    /// sorting nothing: it is exactly what a fresh sort would return.
+    /// Otherwise the batch is scored and sorted afresh, and the sort
+    /// replaces the memo — unless the penalty is keyless: then it is the
+    /// executor's alone, and the memo stays.  Concurrent admissions under
+    /// different penalties each get a progression sorted under their key.
     pub(crate) fn progression(&self, penalty: &dyn Penalty) -> Progression {
         let master = self.master();
-        let cached = self.memo().clone();
-        if let Some(cached) = cached.filter(|p| p.scores_match(&master, penalty, self.len())) {
-            return cached;
+        let Some(key) = penalty.scoring_key() else {
+            return progression_order(&master, penalty, self.len());
+        };
+        if let Some((_, cached)) = self.memo().as_ref().filter(|(memo, _)| *memo == key) {
+            return cached.clone();
         }
         let fresh = progression_order(&master, penalty, self.len());
-        *self.memo() = Some(fresh.clone());
+        *self.memo() = Some((key, fresh.clone()));
         fresh
     }
 
     /// The memo, locked.  It is only ever replaced whole, so a lock
     /// poisoned by a panicking admission still holds a valid one.
-    fn memo(&self) -> MutexGuard<'_, Option<Progression>> {
+    fn memo(&self) -> MutexGuard<'_, Option<(PenaltyKey, Progression)>> {
         self.progression.lock().unwrap_or_else(|e| e.into_inner())
     }
 }

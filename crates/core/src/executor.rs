@@ -36,8 +36,7 @@ pub struct ProgressionEntry {
 }
 
 /// Every master-list coefficient with its `ι_p`, in slot (key) order — the
-/// one scoring body: the executor's progression and its cache check
-/// ([`Progression::scores_match`]),
+/// one scoring body: the executor's progression ([`progression_order`]),
 /// [`crate::optimality::importance_ranking`] and
 /// [`crate::layout::aggregate_importance_ranking`] all score through it.
 /// A NaN importance scores as zero ([`importance_or_zero`]).
@@ -73,12 +72,12 @@ pub(crate) fn importance_or_zero(importance: f64) -> f64 {
     }
 }
 
-/// A batch's progression under one score vector: every master-list
+/// A batch's progression under one penalty: every master-list
 /// coefficient, most important first, and the sum of their importances.
-/// Immutable once sorted; a batch keeps the last one it sorted
-/// ([`BatchQueries::progression`]) and hands out clones.  A clone shares
-/// both buffers, and each is one allocation sized by the master list —
-/// deliberately no small handle around them: a handle that lives as long
+/// Immutable once sorted; a batch keeps the last one it sorted under a
+/// keyed penalty ([`BatchQueries::progression`]) and hands out clones.  A
+/// clone shares the entries, one allocation sized by the master list —
+/// deliberately no small handle around it: a handle that lives as long
 /// as the batch, taken by the caller thread from glibc's per-thread cache,
 /// can be a chunk a pool worker freed into it, and then pins a hole in
 /// that worker's arena under every later serve (DESIGN.md §6).
@@ -88,31 +87,9 @@ pub(crate) struct Progression {
     /// Σ ι_p over `entries`, summed in progression order: Theorem 2's
     /// expected penalty is then a function of the batch alone.
     total_importance: f64,
-    /// The scores in slot order — the cache key.  The check walks them
-    /// beside the master list's columns, both in memory order; walking
-    /// the columns in progression order instead costs a cache miss per
-    /// key once the list has left the cache.
-    scores: Arc<[f64]>,
 }
 
 impl Progression {
-    /// True when `penalty` scores every key of `master` bit for bit as this
-    /// progression records it.  The order is a pure function of the
-    /// scores (importance descending by `total_cmp`, ties by slot), so a
-    /// match means a fresh [`progression_order`] would return exactly
-    /// these entries.  Sorts nothing and allocates one scratch column.
-    pub(crate) fn scores_match(
-        &self,
-        master: &MasterList,
-        penalty: &dyn Penalty,
-        batch_size: usize,
-    ) -> bool {
-        self.scores.len() == master.len()
-            && scored(master, penalty, batch_size)
-                .zip(self.scores.iter())
-                .all(|(e, score)| e.importance.to_bits() == score.to_bits())
-    }
-
     /// The entries, most important first.
     pub(crate) fn entries(&self) -> &[ProgressionEntry] {
         &self.entries
@@ -133,7 +110,6 @@ pub(crate) fn progression_order(
 ) -> Progression {
     let mut entries = Vec::with_capacity(master.len());
     entries.extend(scored(master, penalty, batch_size));
-    let scores = entries.iter().map(|e| e.importance).collect();
     entries.sort_unstable_by(|a, b| {
         b.importance
             .total_cmp(&a.importance)
@@ -143,7 +119,6 @@ pub(crate) fn progression_order(
     Progression {
         entries: entries.into(),
         total_importance,
-        scores,
     }
 }
 
@@ -271,7 +246,7 @@ pub struct ProgressiveExecutor<'a> {
     /// batch; progression and deferred entries index it by slot.
     master: Arc<MasterList>,
     /// Every master-list coefficient in progression order, shared with
-    /// every executor of the batch whose scores match.  `ι_p` is a
+    /// every executor of the batch under an equal penalty key.  `ι_p` is a
     /// function of the query coefficients alone, so the order is fixed
     /// when the batch is scored and never changes afterwards.
     order: Arc<[ProgressionEntry]>,
@@ -336,10 +311,10 @@ fn assert_executor_is_send(exec: ProgressiveExecutor<'_>) -> impl Send + '_ {
 impl<'a> ProgressiveExecutor<'a> {
     /// Builds the executor over the batch's master list
     /// ([`BatchQueries::master`], merged on the batch's first use and shared
-    /// after it) and scores every coefficient with `ι_p`.  When the scores
-    /// match the batch's last progression bit for bit, the executor shares
-    /// it; otherwise it sorts them into progression order, and that order
-    /// becomes the batch's.
+    /// after it) and the batch's progression under `penalty`: shared,
+    /// unscored, when the batch last sorted under an equal
+    /// [`Penalty::scoring_key`]; otherwise every coefficient is scored
+    /// with `ι_p` and sorted afresh.
     pub fn new(
         batch: &BatchQueries,
         penalty: &dyn Penalty,
@@ -1121,48 +1096,36 @@ impl<'a> ProgressiveExecutor<'a> {
     /// repaired executor would carry the tiny residual while a restarted
     /// one reads zero, and the two could never be bit-identical.
     pub fn advance_version(&mut self, delta: &[(CoeffKey, f64)]) {
-        // Seen/estimate repairs, one key-run at a time: runs of equal keys
-        // (the natural shape of support-grouped streaming updates) share
-        // one slot search.  Per-key deltas are applied in publish order,
-        // and deltas to distinct keys touch disjoint `seen` slots, so this
-        // equals observing each entry individually, bit for bit.
-        let mut i = 0;
-        while i < delta.len() {
-            let key = &delta[i].0;
-            let mut j = i;
-            let retrieved = self
-                .master
-                .slot_of(key)
-                .and_then(|slot| Some((slot, self.seen[slot]?)));
-            if let Some((slot, mut seen)) = retrieved {
-                let column = self.master.column_at(slot);
-                while j < delta.len() && delta[j].0 == *key {
-                    let d = delta[j].1;
-                    if d != 0.0 {
-                        seen += d;
-                        for &(qi, c) in column {
-                            self.estimates[qi as usize] += c * d;
-                        }
-                        if seen.abs() <= ZERO_TOL && seen != 0.0 {
-                            let residual = seen;
-                            seen = 0.0;
-                            for &(qi, c) in column {
-                                self.estimates[qi as usize] -= c * residual;
-                            }
-                        }
-                    }
-                    j += 1;
+        // Seen/estimate repairs, one run of equal keys at a time, in publish
+        // order: distinct keys touch disjoint `seen` slots, so this equals
+        // observing each entry individually, bit for bit.  Each run's slot
+        // search gallops on from the last run's slot along a publish's
+        // ascending keys (`cube::batch_point_entries` sorts them).
+        // Unretrieved keys need no repair: their importance is query-side
+        // only, and their value will be read from the advanced view.
+        let mut hint = 0;
+        for run in delta.chunk_by(|a, b| a.0 == b.0) {
+            let found = self.master.search_from(hint, &run[0].0);
+            hint = found.unwrap_or_else(|slot| slot);
+            let Ok(slot) = found else { continue };
+            let Some(mut seen) = self.seen[slot] else {
+                continue;
+            };
+            let column = self.master.column_at(slot);
+            for &(_, d) in run.iter().filter(|(_, d)| *d != 0.0) {
+                seen += d;
+                for &(qi, c) in column {
+                    self.estimates[qi as usize] += c * d;
                 }
-                self.seen[slot] = Some(seen);
-            } else {
-                // Unretrieved keys need no repair: their importance is
-                // query-side only, and their value will be read from the
-                // advanced view.
-                while j < delta.len() && delta[j].0 == *key {
-                    j += 1;
+                if seen.abs() <= ZERO_TOL && seen != 0.0 {
+                    let residual = seen;
+                    seen = 0.0;
+                    for &(qi, c) in column {
+                        self.estimates[qi as usize] -= c * residual;
+                    }
                 }
             }
-            i = j;
+            self.seen[slot] = Some(seen);
         }
         // What was read ahead of the cursor was read *before* the view
         // advanced.  One pass over the delta against the keys ahead

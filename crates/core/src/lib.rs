@@ -15,7 +15,8 @@
 //!    `ι_p(ξ) = p(q̂₀[ξ],…,q̂_{s-1}[ξ])` under the user's penalty function
 //!    and sort the master list by it once — `ι_p` depends on the queries
 //!    alone, so the paper's max-heap is only ever consumed in this order,
-//!    and a later serve of the batch whose scores match reuses the sort.
+//!    and a later serve of the batch under an equal penalty key
+//!    ([`batchbb_penalty::Penalty::scoring_key`]) reuses the sort.
 //! 5. Walk the sorted progression with a cursor: retrieve the most
 //!    important pending coefficient's data value and advance every query
 //!    that needs it ([`ProgressiveExecutor::step`]). When the progression

@@ -76,7 +76,10 @@ impl MasterList {
 
     /// The column for one key, if any query touches it.
     pub fn column(&self, key: &CoeffKey) -> Option<&[(u32, f64)]> {
-        self.slot_of(key).map(|slot| self.column_at(slot))
+        self.keys
+            .binary_search(key)
+            .ok()
+            .map(|slot| self.column_at(slot))
     }
 
     /// Iterates over `(key, column)` pairs in ascending key order.
@@ -97,9 +100,24 @@ impl MasterList {
         &self.leaves[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
-    /// The slot of `key`, if any query touches it.
-    pub(crate) fn slot_of(&self, key: &CoeffKey) -> Option<usize> {
-        self.keys.binary_search(key).ok()
+    /// Where `key` is — `Ok(slot)` — or would go — `Err(slot)`, as a binary
+    /// search answers — galloping forward from slot `hint` when every key
+    /// before it is smaller, and from slot 0 otherwise.  A walk over
+    /// ascending keys, each search hinted with the last answer, costs
+    /// `O(log gap)` per key instead of `O(log len)`.
+    pub(crate) fn search_from(&self, hint: usize, key: &CoeffKey) -> Result<usize, usize> {
+        let past = self.keys[..hint].last().is_some_and(|last| last >= key);
+        let from = if past { 0 } else { hint };
+        let rest = &self.keys[from..];
+        let mut end = 1;
+        while end < rest.len() && rest[end - 1] < *key {
+            end *= 2;
+        }
+        let start = end / 2;
+        rest[start..end.min(rest.len())]
+            .binary_search(key)
+            .map(|at| from + start + at)
+            .map_err(|at| from + start + at)
     }
 }
 
@@ -125,6 +143,19 @@ mod tests {
         assert_eq!(ml.len() * 3, batch.total_coefficients());
         for (_, col) in ml.iter() {
             assert_eq!(col.len(), 3, "every column lists all three queries");
+        }
+    }
+
+    /// From any hint, the galloping search lands where the binary search
+    /// does, for present and absent keys.
+    #[test]
+    fn search_from_is_the_binary_search_from_any_hint() {
+        let q = RangeSum::count(HyperRect::new(vec![2, 3], vec![9, 12]));
+        let (_, ml) = master(vec![q]);
+        for key in (0..256).map(|i| CoeffKey::new(&[i / 16, i % 16])) {
+            for hint in 0..=ml.len() {
+                assert_eq!(ml.search_from(hint, &key), ml.keys.binary_search(&key));
+            }
         }
     }
 

@@ -1,20 +1,21 @@
-//! Admission allocates a fixed handful of buffers, not one per master key.
-//! A batch's master list is flat and built once (`BatchQueries::master`),
-//! and so is its progression, once per distinct score vector.  The first
-//! executor over a batch allocates the progression (a buffer to sort its
-//! entries in, then the shared entries and the shared scores), its
-//! per-slot `seen` values, its estimates and one scratch column — however
-//! many keys the batch touches; a later one under the same penalty
-//! re-scores into a scratch column and shares the progression, and a warm
-//! step allocates nothing.
+//! Admission allocates a fixed handful of buffers, not one per master key,
+//! and a warm one scores nothing.  A batch's master list is flat and built
+//! once (`BatchQueries::master`), and so is its progression, once per
+//! penalty key (`Penalty::scoring_key`).  The first executor over a batch
+//! allocates the progression (one scratch column to score through, a
+//! buffer to sort the entries in, then the shared entries), its per-slot
+//! `seen` values and its estimates — however many keys the batch touches;
+//! a later one under an equal key compares the keys and shares the
+//! progression, scoring no key, and a warm step allocates nothing.
 //! Counted, not timed: the global allocator below counts the allocations
-//! of the calling thread.
+//! of the calling thread, and a counting penalty its `importance` calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use batchbb_core::{BatchQueries, ProgressiveExecutor};
-use batchbb_penalty::Sse;
+use batchbb_penalty::{LpPenalty, Penalty, PenaltyKey, Sse};
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_storage::MemoryStore;
 use batchbb_tensor::{Shape, Tensor};
@@ -99,8 +100,8 @@ fn a_warm_admission_allocates_no_progression() {
         small.master().len(),
         large.master().len()
     );
-    // What the warm admission skips is the progression: the sort buffer,
-    // then the shared entries and the shared scores.
+    // What the warm admission skips is the progression: the scratch
+    // column, the sort buffer, then the shared entries.
     assert_eq!(small_warm + 3, small_cold);
     assert_eq!(large_warm + 3, large_cold);
 
@@ -109,6 +110,92 @@ fn a_warm_admission_allocates_no_progression() {
     drop((first, second));
     let (alone, _) = admit(&large);
     assert_eq!(alone, large_warm);
+}
+
+/// `Sse`, counting its `importance` calls; under `Sse`'s key when `keyed`,
+/// under none otherwise.
+struct Counted {
+    keyed: bool,
+    calls: AtomicUsize,
+}
+
+impl Counted {
+    fn new(keyed: bool) -> Self {
+        Counted {
+            keyed,
+            calls: AtomicUsize::new(0),
+        }
+    }
+
+    /// The calls since the last `take`.
+    fn take(&self) -> usize {
+        self.calls.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl Penalty for Counted {
+    fn name(&self) -> String {
+        "counted-SSE".to_string()
+    }
+
+    fn evaluate(&self, errors: &[f64]) -> f64 {
+        Sse.evaluate(errors)
+    }
+
+    fn importance(&self, column: &[(usize, f64)], batch_size: usize) -> f64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Sse.importance(column, batch_size)
+    }
+
+    fn homogeneity(&self) -> f64 {
+        Sse.homogeneity()
+    }
+
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        self.keyed.then(|| Sse.scoring_key()).flatten()
+    }
+}
+
+#[test]
+fn a_warm_admission_scores_nothing() {
+    let (_, batch, store) = fixture();
+    let counted = Counted::new(true);
+    let first = ProgressiveExecutor::new(&batch, &counted, &store);
+    assert_eq!(counted.take(), batch.master().len(), "cold admission");
+    for _ in 0..3 {
+        let warm = ProgressiveExecutor::new(&batch, &counted, &store);
+        assert_eq!(counted.take(), 0, "warm admission");
+        assert!(std::ptr::eq(first.progression(), warm.progression()));
+    }
+}
+
+#[test]
+fn a_keyless_admission_scores_every_key_every_time() {
+    let (_, batch, store) = fixture();
+    let keyless = Counted::new(false);
+    for _ in 0..3 {
+        ProgressiveExecutor::new(&batch, &keyless, &store);
+        assert_eq!(keyless.take(), batch.master().len());
+    }
+}
+
+#[test]
+fn an_admission_under_another_key_sorts_the_first_again() {
+    let (_, batch, store) = fixture();
+    let (counted, keyless) = (Counted::new(true), Counted::new(false));
+    let admit = |penalty: &dyn Penalty| drop(ProgressiveExecutor::new(&batch, penalty, &store));
+    admit(&counted);
+    assert_eq!(counted.take(), batch.master().len());
+    // A keyless admission leaves the batch's progression as it was.
+    admit(&keyless);
+    admit(&counted);
+    assert_eq!(counted.take(), 0);
+    // Another key replaces it.
+    admit(&LpPenalty::l1());
+    admit(&counted);
+    assert_eq!(counted.take(), batch.master().len());
+    admit(&counted);
+    assert_eq!(counted.take(), 0);
 }
 
 /// A store and two Db4 partition batches over a 64×64 domain, their

@@ -9,7 +9,7 @@ use batchbb_core::{
     bounded::evaluate_bounded, optimality, round_robin::RoundRobin, BatchQueries, DrainStatus,
     MasterList, ProgressiveExecutor,
 };
-use batchbb_penalty::{DiagonalQuadratic, LpPenalty, Penalty, Sse};
+use batchbb_penalty::{DiagonalQuadratic, LpPenalty, Penalty, PenaltyKey, Sse};
 use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_storage::{AsyncFetchStore, FaultInjectingStore, FaultPlan, MemoryStore, RetryPolicy};
 use batchbb_tensor::{CoeffKey, KeyMap, KeySet, Shape, Tensor};
@@ -628,11 +628,32 @@ proptest! {
 
 /// `Sse`, except that a column whose first query index is even scores
 /// `gate`.  With `gate` NaN those keys score 0 (the executor's NaN rule),
-/// exactly as under a `0.0` gate — a different penalty with bit-equal
-/// scores — while a `-0.0` gate differs from the `0.0` one only in the
-/// sign of those zeros, which `total_cmp` orders apart.
+/// exactly as under a `0.0` gate — a different key with bit-equal scores —
+/// while a `-0.0` gate differs from the `0.0` one only in the sign of
+/// those zeros, which `total_cmp` orders apart.
 struct Gated {
     gate: f64,
+}
+
+/// `Sse` under no scoring key: its progressions are never shared.
+struct Keyless;
+
+impl Penalty for Keyless {
+    fn name(&self) -> String {
+        "keyless-SSE".to_string()
+    }
+
+    fn evaluate(&self, errors: &[f64]) -> f64 {
+        Sse.evaluate(errors)
+    }
+
+    fn importance(&self, column: &[(usize, f64)], batch_size: usize) -> f64 {
+        Sse.importance(column, batch_size)
+    }
+
+    fn homogeneity(&self) -> f64 {
+        2.0
+    }
 }
 
 impl Penalty for Gated {
@@ -654,36 +675,43 @@ impl Penalty for Gated {
     fn homogeneity(&self) -> f64 {
         2.0
     }
+
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        Some(PenaltyKey::of_f64s::<Self>(&[self.gate]))
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A batch sorts its progression once per distinct score vector and
-    /// shares it: serving one batch under a run of penalties, each
-    /// executor's progression, certificate and expected penalty — at
-    /// admission and after some steps — are bit for bit those of an
-    /// executor that sorted its own (`from_master`), and two executors
-    /// share the progression's storage exactly when their scores agree.
+    /// A batch sorts its progression once per penalty key and shares it:
+    /// serving one batch under a run of penalties, each executor's
+    /// progression, certificate and expected penalty — at admission and
+    /// after some steps — are bit for bit those of an executor that sorted
+    /// its own (`from_master`).  An executor shares the storage of the
+    /// batch's last keyed progression exactly when its penalty's key is
+    /// equal; a keyless penalty shares with nobody and leaves the batch's
+    /// progression as it was.
     #[test]
     fn a_progression_cache_hit_is_a_fresh_sort(
         (data, queries, shape) in arb_instance(),
         weights in prop::collection::vec(0.0f64..5.0, 12),
         p in 1.0f64..4.0,
-        run in prop::collection::vec(0usize..6, 1..12),
+        run in prop::collection::vec(0usize..7, 1..12),
         steps in 0usize..8,
     ) {
         let strategy = WaveletStrategy::new(Wavelet::Haar);
         let store = MemoryStore::from_entries(strategy.transform_data(&data));
         let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
         let weights = weights.into_iter().chain(std::iter::repeat(1.0)).take(batch.len());
-        let penalties: [Box<dyn Penalty>; 6] = [
+        let penalties: [Box<dyn Penalty>; 7] = [
             Box::new(Sse),
             Box::new(DiagonalQuadratic::new(weights.collect())),
             Box::new(LpPenalty::new(p)),
             Box::new(Gated { gate: f64::NAN }),
             Box::new(Gated { gate: 0.0 }),
             Box::new(Gated { gate: -0.0 }),
+            Box::new(Keyless),
         ];
         let (k_abs_sum, n_total) = (3.0, shape.len());
         let walk = |exec: &ProgressiveExecutor| -> Walk {
@@ -696,29 +724,36 @@ proptest! {
                 exec.expected_penalty(n_total).to_bits(),
             )
         };
-        let mut last: Option<(Walk, ProgressiveExecutor)> = None;
+        // The last keyed admission: its key, and an executor holding its
+        // progression.
+        let mut memo: Option<(PenaltyKey, ProgressiveExecutor)> = None;
         for &at in &run {
             let penalty = penalties[at].as_ref();
+            let key = penalty.scoring_key();
             let mut cached = ProgressiveExecutor::new(&batch, penalty, &store);
             let mut fresh = ProgressiveExecutor::from_master(
                 batch.len(), MasterList::build(&batch), penalty, &store);
             prop_assert_eq!(books(&cached), books(&fresh), "{}", penalty.name());
 
-            let scores = walk(&fresh);
             let twin = ProgressiveExecutor::new(&batch, penalty, &store);
-            prop_assert_eq!(twin.progression().as_ptr(), cached.progression().as_ptr(),
-                "{}: equal scores sorted twice", penalty.name());
-            if let Some((last_scores, last_exec)) = &last {
+            prop_assert_eq!(
+                twin.progression().as_ptr() == cached.progression().as_ptr(),
+                key.is_some(),
+                "{}: shared exactly when keyed", penalty.name()
+            );
+            if let Some((memo_key, memo_exec)) = &memo {
                 prop_assert_eq!(
-                    last_exec.progression().as_ptr() == cached.progression().as_ptr(),
-                    *last_scores == scores,
+                    memo_exec.progression().as_ptr() == cached.progression().as_ptr(),
+                    key.as_ref() == Some(memo_key),
                     "{} after a switch", penalty.name()
                 );
             }
 
             prop_assert_eq!(cached.run(steps), fresh.run(steps));
             prop_assert_eq!(books(&cached), books(&fresh), "{} after {} steps", penalty.name(), steps);
-            last = Some((scores, twin));
+            if let Some(key) = key {
+                memo = Some((key, twin));
+            }
         }
     }
 }

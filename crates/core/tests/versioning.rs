@@ -103,6 +103,68 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// One `advance_version` over the concatenated delta of several
+    /// publishes — key-sorted runs of point updates, plus one unsorted run
+    /// that repeats the batch's keys — repairs exactly as one call
+    /// per publish: the slot search gallops along each sorted run and
+    /// starts over at every smaller key.  Seen values and estimates agree
+    /// bit for bit at the advance, at a random cursor, and so do the
+    /// finals after running to the end.
+    #[test]
+    fn one_advance_over_many_publishes_is_one_advance_per_publish(
+        seed in 0u64..500,
+        points in prop::collection::vec(
+            prop::collection::vec((0usize..16, 0usize..16, -3.0f64..3.0), 1..4), 1..5),
+        unsorted in prop::collection::vec((0usize..64, -2.0f64..2.0), 1..24),
+        unsorted_at in 0usize..5,
+        steps in 0usize..48,
+        window in 1usize..4,
+    ) {
+        let wavelet = if seed % 2 == 0 { Wavelet::Haar } else { Wavelet::Db4 };
+        let (store, batch, shape, strategy) = instance(4, 4, seed, wavelet);
+        let view = store.pin();
+        let admit = || ProgressiveExecutor::new(&batch, &Sse, &view).with_prefetch_window(window);
+        let (mut whole, mut split) = (admit(), admit());
+        whole.run(steps);
+        split.run(steps);
+
+        let mut publishes: Vec<Vec<(CoeffKey, f64)>> = points
+            .iter()
+            .map(|run| {
+                let run: Vec<(Vec<usize>, f64)> =
+                    run.iter().map(|&(x, y, w)| (vec![x, y], w)).collect();
+                cube::batch_point_entries(&shape, &run, strategy.wavelet)
+            })
+            .collect();
+        // The retrieved keys, then every master key: what the run repeats.
+        let keys: Vec<CoeffKey> = whole
+            .retrieved_entries()
+            .into_iter()
+            .map(|(key, _)| key)
+            .chain(batch.master().iter().map(|(key, _)| *key))
+            .collect();
+        let unsorted = unsorted.iter().map(|&(at, d)| (keys[at % keys.len()], d)).collect();
+        publishes.insert(unsorted_at.min(publishes.len()), unsorted);
+
+        let bits = |exec: &ProgressiveExecutor| {
+            let seen: Vec<(CoeffKey, u64)> =
+                exec.retrieved_entries().into_iter().map(|(k, v)| (k, v.to_bits())).collect();
+            let estimates: Vec<u64> = exec.estimates().iter().map(|e| e.to_bits()).collect();
+            (seen, estimates)
+        };
+        whole.advance_version(&publishes.concat());
+        for publish in &publishes {
+            split.advance_version(publish);
+        }
+        prop_assert_eq!(bits(&whole), bits(&split));
+        whole.run_to_end();
+        split.run_to_end();
+        prop_assert_eq!(bits(&whole), bits(&split));
+    }
+}
+
 /// Degenerate case: publishing an empty delta still creates a version;
 /// advancing through it must change nothing at all.
 #[test]

@@ -8,7 +8,7 @@
 //! UI can rebuild the executor (same store, same master list) whenever the
 //! viewport scrolls.
 
-use crate::{DiagonalQuadratic, Penalty};
+use crate::{DiagonalQuadratic, Penalty, PenaltyKey};
 
 /// Weight kernels for [`CursorPenalty`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,6 +88,12 @@ impl Penalty for CursorPenalty {
 
     fn homogeneity(&self) -> f64 {
         2.0
+    }
+
+    /// The cursor plus the weights' key.
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        let weights = self.inner.scoring_key()?;
+        Some(PenaltyKey::new::<Self>([self.cursor as u64]).with_parts(vec![weights]))
     }
 }
 

@@ -1,7 +1,7 @@
 //! The discrete-Laplacian penalty: "minimize the sum of square errors in
 //! the discrete Laplacian to penalize any false local extrema" (P3, §4).
 
-use crate::Penalty;
+use crate::{Penalty, PenaltyKey};
 
 /// `p(e) = Σ_i ((L e)_i)²` where `L` is the graph Laplacian of a neighbour
 /// graph over the query ranges: `(L e)_i = deg(i)·e_i − Σ_{j ∈ N(i)} e_j`.
@@ -100,6 +100,16 @@ impl Penalty for LaplacianPenalty {
 
     fn homogeneity(&self) -> f64 {
         2.0
+    }
+
+    /// Each row's degree, then its neighbours in order (the order the
+    /// importance sums them in).
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        let rows = self
+            .neighbors
+            .iter()
+            .flat_map(|ns| std::iter::once(ns.len() as u64).chain(ns.iter().map(|&j| j as u64)));
+        Some(PenaltyKey::new::<Self>(rows))
     }
 }
 

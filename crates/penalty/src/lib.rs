@@ -23,6 +23,10 @@
 //! * [`CursorPenalty`] — weights decaying with distance from a cursor
 //!   ("near the cursor", §4), with triangular/Gaussian/box kernels.
 //!
+//! Each of them names its exact scoring identity ([`Penalty::scoring_key`],
+//! a [`PenaltyKey`]), so a batch sorts its progression once per penalty
+//! and shares it with every later serve under an equal one.
+//!
 //! # Example
 //!
 //! ```
@@ -54,4 +58,4 @@ pub use cursor::{CursorKernel, CursorPenalty};
 pub use laplacian::LaplacianPenalty;
 pub use lp::LpPenalty;
 pub use quadratic::{Combination, DiagonalQuadratic, QuadraticForm, Sse};
-pub use traits::Penalty;
+pub use traits::{Penalty, PenaltyKey};

@@ -1,6 +1,6 @@
 //! `L^p`-norm penalties, `1 ≤ p ≤ ∞` (Corollary 1).
 
-use crate::Penalty;
+use crate::{Penalty, PenaltyKey};
 
 /// The `L^p` norm of the error vector: `p(e) = (Σ|e_i|^p)^{1/p}`, with
 /// `p = ∞` giving `max|e_i|`.  Norms are homogeneous of degree 1, so
@@ -69,6 +69,10 @@ impl Penalty for LpPenalty {
 
     fn homogeneity(&self) -> f64 {
         1.0
+    }
+
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        Some(PenaltyKey::of_f64s::<Self>(&[self.p]))
     }
 }
 

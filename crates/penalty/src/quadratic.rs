@@ -1,7 +1,7 @@
 //! Quadratic penalty functions: SSE, weighted/cursored SSE, and general
 //! positive semi-definite forms.
 
-use crate::Penalty;
+use crate::{Penalty, PenaltyKey};
 
 /// Sum of squared errors — `p(e) = Σ e_i²` (scenario P1).
 ///
@@ -25,6 +25,10 @@ impl Penalty for Sse {
 
     fn homogeneity(&self) -> f64 {
         2.0
+    }
+
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        Some(PenaltyKey::new::<Self>([]))
     }
 }
 
@@ -86,6 +90,10 @@ impl Penalty for DiagonalQuadratic {
 
     fn homogeneity(&self) -> f64 {
         2.0
+    }
+
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        Some(PenaltyKey::of_f64s::<Self>(&self.weights))
     }
 }
 
@@ -165,6 +173,13 @@ impl Penalty for QuadraticForm {
     fn homogeneity(&self) -> f64 {
         2.0
     }
+
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        let matrix = self.a.iter().map(|v| v.to_bits());
+        Some(PenaltyKey::new::<Self>(
+            std::iter::once(self.s as u64).chain(matrix),
+        ))
+    }
 }
 
 /// A non-negative linear combination of penalties with equal homogeneity.
@@ -217,6 +232,17 @@ impl Penalty for Combination {
 
     fn homogeneity(&self) -> f64 {
         self.terms[0].1.homogeneity()
+    }
+
+    /// The weights plus every term's key; `None` if any term has none.
+    fn scoring_key(&self) -> Option<PenaltyKey> {
+        let parts = self
+            .terms
+            .iter()
+            .map(|(_, p)| p.scoring_key())
+            .collect::<Option<Vec<_>>>()?;
+        let weights = self.terms.iter().map(|(w, _)| w.to_bits());
+        Some(PenaltyKey::new::<Self>(weights).with_parts(parts))
     }
 }
 

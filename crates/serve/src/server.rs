@@ -232,9 +232,10 @@ impl BatchServer {
     /// is a function of the queries alone) and `Penalty: Send + Sync` —
     /// and is cheap enough to stay: a batch's master list and its sorted
     /// progression are memoized on the batch, so a batch served again
-    /// under the same penalty (a prepared statement, the exact pass after
-    /// an ε pass) costs one scoring pass and a bit-for-bit compare, and
-    /// sorts only when its scores change.  Moving construction to a
+    /// under a penalty with an equal scoring key (a prepared statement,
+    /// the exact pass after an ε pass) costs a key compare, scoring and
+    /// sorting nothing; it scores and sorts only under a new key, or
+    /// every time under a keyless penalty.  Moving construction to a
     /// helper thread raised `peak_rss_mb` (ROADMAP item 4).  `store_for`
     /// hands each job its read store (the shared effective store, or the
     /// job's own pinned [`VersionView`]) plus the version it pins, if any.

@@ -279,7 +279,7 @@ full_gate() {
     # the public bound accessors count deferred mass like the report;
     # a batch cancelled before its first slice records its initial bound;
     # unpublished versioned serving is plain serving, result for result;
-    # a memoized progression is bit for bit a fresh sort, shared on equal scores;
+    # a memoized progression is bit for bit a fresh sort, shared on equal penalty keys;
     # a warm admission allocates no progression, whatever the master-list size;
     # admissions racing under two penalties run as their serial twins;
     # the round-robin baseline reads each query in its own order, round by round;
@@ -289,7 +289,15 @@ full_gate() {
     # so does a parallel rewrite;
     # a NaN importance contribution selects like a zero one in the bounded evaluation;
     # a trace reconciles each batch against its own exec.finish;
-    # a faulty three-batch serve trace sums to what its batches report.
+    # a faulty three-batch serve trace sums to what its batches report;
+    # one version repair over many publishes is one repair per publish, bit for bit;
+    # the galloping slot search lands where the binary search does, from any hint;
+    # equal penalty parameters give equal keys and bit-identical scores;
+    # one changed penalty parameter changes the key;
+    # a combination with a keyless part has no key;
+    # a warm admission scores no key;
+    # a keyless admission scores every key every time;
+    # an admission under another key makes the first key sort again.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -337,6 +345,22 @@ full_gate() {
         check_reconciles_each_batch_against_its_own_finish
     run cargo test -q -p batchbb-bench --test trace_diff \
         a_serve_trace_sums_every_batch
+    run cargo test -q -p batchbb-core --test versioning \
+        one_advance_over_many_publishes_is_one_advance_per_publish
+    run cargo test -q -p batchbb-core --lib \
+        search_from_is_the_binary_search_from_any_hint
+    run cargo test -q -p batchbb-penalty --test scoring_key \
+        equal_parameters_give_equal_keys_and_scores
+    run cargo test -q -p batchbb-penalty --test scoring_key \
+        one_changed_parameter_changes_the_key
+    run cargo test -q -p batchbb-penalty --test scoring_key \
+        a_combination_with_a_keyless_part_has_no_key
+    run cargo test -q -p batchbb-core --test admission_allocs \
+        a_warm_admission_scores_nothing
+    run cargo test -q -p batchbb-core --test admission_allocs \
+        a_keyless_admission_scores_every_key_every_time
+    run cargo test -q -p batchbb-core --test admission_allocs \
+        an_admission_under_another_key_sorts_the_first_again
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound
