@@ -5,10 +5,9 @@
 //! A traced serve run (see `batchbb_obs::trace`) emits one root `batch`
 //! span per admitted batch, child `phase` spans that must **partition**
 //! the root's wall time exactly (u64 boundary equality, no slack), plus
-//! root-level store spans (`store.read`, `store.rider`, `store.publish`,
-//! `store.advance`) linked causally through the `physical` field rather
-//! than through parentage — a physical read outlives the batches riding
-//! it.  This module rebuilds that forest from parsed JSONL, verifies the
+//! root-level store spans (`store.read`, `store.rider`) linked causally
+//! through the `physical` field rather than through parentage — a
+//! physical read outlives the batches riding it.  This module rebuilds that forest from parsed JSONL, verifies the
 //! structural invariants (every span closes, children nest inside their
 //! parents, riders reference a real physical read, phase intervals
 //! telescope), and reduces it to the three attribution views the replay

@@ -69,8 +69,7 @@ pub struct ExecObserver {
     sink: Arc<dyn EventSink>,
     registry: Arc<MetricsRegistry>,
     engine: &'static str,
-    n_total: Option<usize>,
-    k_abs_sum: Option<f64>,
+    bounds: Option<(usize, f64)>,
     batch: Option<u64>,
     steps: Counter,
     deferrals: Counter,
@@ -108,8 +107,7 @@ impl ExecObserver {
             sink,
             registry,
             engine,
-            n_total: None,
-            k_abs_sum: None,
+            bounds: None,
             batch: None,
         }
     }
@@ -118,8 +116,7 @@ impl ExecObserver {
     /// keeping every other setting.
     fn rebuild(self, registry: Arc<MetricsRegistry>, engine: &'static str) -> Self {
         ExecObserver {
-            n_total: self.n_total,
-            k_abs_sum: self.k_abs_sum,
+            bounds: self.bounds,
             batch: self.batch,
             ..Self::build(self.sink, registry, engine)
         }
@@ -152,8 +149,11 @@ impl ExecObserver {
     /// coefficient ℓ¹-norm `K` (Theorem 1's scale factor).
     pub fn with_bounds(mut self, n_total: usize, k_abs_sum: f64) -> Self {
         assert!(n_total > 1, "need a non-trivial domain");
-        self.n_total = Some(n_total);
-        self.k_abs_sum = Some(k_abs_sum);
+        assert!(
+            k_abs_sum >= 0.0 && k_abs_sum.is_finite(),
+            "K must be finite and non-negative"
+        );
+        self.bounds = Some((n_total, k_abs_sum));
         self
     }
 
@@ -192,11 +192,8 @@ impl ExecObserver {
                 .str("engine", self.engine)
                 .u64("queries", queries as u64)
                 .u64("coefficients", coefficients as u64)
-                .f64_finite(
-                    "n_total",
-                    self.n_total.map(|n| n as f64).unwrap_or(f64::NAN),
-                )
-                .f64_finite("k_abs_sum", self.k_abs_sum.unwrap_or(f64::NAN)),
+                .f64_finite("n_total", self.bounds.map_or(f64::NAN, |b| b.0 as f64))
+                .f64_finite("k_abs_sum", self.bounds.map_or(f64::NAN, |b| b.1)),
         );
     }
 
@@ -213,13 +210,13 @@ impl ExecObserver {
         }
         let unresolved_mass = o.remaining_importance + o.deferred_importance;
         let expected_penalty = self
-            .n_total
-            .map_or(f64::NAN, |n| theorem2_penalty(unresolved_mass, n));
+            .bounds
+            .map_or(f64::NAN, |(n, _)| theorem2_penalty(unresolved_mass, n));
         // Theorem 1's bound: K^α · max ι_p over everything unresolved.
         // `max_unresolved = None` means either "exact" (finite masses → the
         // bound is a genuine 0) or "not tracked" (NaN masses → omit).
-        let worst_case_bound = match (self.k_abs_sum, o.max_unresolved) {
-            (Some(k), Some(iota)) => theorem1_bound(k, o.homogeneity, iota),
+        let worst_case_bound = match (self.bounds, o.max_unresolved) {
+            (Some((_, k)), Some(iota)) => theorem1_bound(k, o.homogeneity, iota),
             (Some(_), None) if unresolved_mass == 0.0 => 0.0,
             _ => f64::NAN,
         };
@@ -391,8 +388,7 @@ mod tests {
         obs.steps.inc();
         assert_eq!(registry.snapshot().counter("round_robin.steps"), Some(1));
         // Bounds survive the builder chain.
-        assert_eq!(obs.n_total, Some(1024));
-        assert_eq!(obs.k_abs_sum, Some(2.0));
+        assert_eq!(obs.bounds, Some((1024, 2.0)));
     }
 
     #[test]

@@ -83,8 +83,12 @@ pub fn expected_penalty(
 /// Theorem 1's certificate `K^α · ι` for a most important unresolved
 /// importance `ι` — the one place `K^α` is raised: the executor's bounds
 /// and steps-to-ε search, the `exec.step` events and
-/// [`worst_case_penalty`] all read it.
+/// [`worst_case_penalty`] all read it. Panics on a negative or non-finite `K`.
 pub(crate) fn theorem1_bound(k_abs_sum: f64, homogeneity: f64, iota: f64) -> f64 {
+    assert!(
+        k_abs_sum >= 0.0 && k_abs_sum.is_finite(),
+        "K must be finite and non-negative"
+    );
     k_abs_sum.powf(homogeneity) * iota
 }
 

@@ -8,9 +8,9 @@
 //! UI can rebuild the executor (same store, same master list) whenever the
 //! viewport scrolls.
 
-use crate::{DiagonalQuadratic, Penalty, PenaltyKey};
+use crate::DiagonalQuadratic;
 
-/// Weight kernels for [`CursorPenalty`].
+/// Weight kernels for [`DiagonalQuadratic::near_cursor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CursorKernel {
     /// `w = 1 + (boost−1)·max(0, 1 − d/radius)` — linear falloff.
@@ -22,19 +22,19 @@ pub enum CursorKernel {
     Box,
 }
 
-/// A diagonal quadratic penalty whose weights decay with distance from a
-/// cursor index.
-#[derive(Debug, Clone)]
-pub struct CursorPenalty {
-    inner: DiagonalQuadratic,
-    cursor: usize,
-}
-
-impl CursorPenalty {
-    /// Builds the penalty for a batch of `s` queries with the cursor at
-    /// index `cursor`, peak weight `boost ≥ 1`, falloff `radius > 0`, and
-    /// the given kernel.
-    pub fn new(s: usize, cursor: usize, boost: f64, radius: f64, kernel: CursorKernel) -> Self {
+impl DiagonalQuadratic {
+    /// Weights decaying with distance from a cursor: a batch of `s`
+    /// queries with the cursor at index `cursor`, peak weight
+    /// `boost ≥ 1`, falloff `radius > 0`, and the given kernel.  The
+    /// cursor itself is not part of the penalty: two cursors whose weights
+    /// are equal score, and share, one progression.
+    pub fn near_cursor(
+        s: usize,
+        cursor: usize,
+        boost: f64,
+        radius: f64,
+        kernel: CursorKernel,
+    ) -> Self {
         assert!(cursor < s, "cursor index out of batch");
         assert!(boost >= 1.0, "boost must be at least 1");
         assert!(radius > 0.0, "radius must be positive");
@@ -56,50 +56,14 @@ impl CursorPenalty {
                 }
             })
             .collect();
-        CursorPenalty {
-            inner: DiagonalQuadratic::new(weights),
-            cursor,
-        }
-    }
-
-    /// The cursor position.
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// The effective per-query weights.
-    pub fn weights(&self) -> &[f64] {
-        self.inner.weights()
-    }
-}
-
-impl Penalty for CursorPenalty {
-    fn name(&self) -> String {
-        format!("cursor@{}", self.cursor)
-    }
-
-    fn evaluate(&self, errors: &[f64]) -> f64 {
-        self.inner.evaluate(errors)
-    }
-
-    fn importance(&self, column: &[(usize, f64)], batch_size: usize) -> f64 {
-        self.inner.importance(column, batch_size)
-    }
-
-    fn homogeneity(&self) -> f64 {
-        2.0
-    }
-
-    /// The cursor plus the weights' key.
-    fn scoring_key(&self) -> Option<PenaltyKey> {
-        let weights = self.inner.scoring_key()?;
-        Some(PenaltyKey::new::<Self>([self.cursor as u64]).with_parts(vec![weights]))
+        DiagonalQuadratic::new(weights)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Penalty;
 
     #[test]
     fn weights_peak_at_cursor() {
@@ -108,7 +72,7 @@ mod tests {
             CursorKernel::Gaussian,
             CursorKernel::Box,
         ] {
-            let p = CursorPenalty::new(11, 5, 10.0, 3.0, kernel);
+            let p = DiagonalQuadratic::near_cursor(11, 5, 10.0, 3.0, kernel);
             let w = p.weights();
             let peak = w[5];
             assert!((peak - 10.0).abs() < 1e-9, "{kernel:?}: peak {peak}");
@@ -122,21 +86,21 @@ mod tests {
 
     #[test]
     fn box_kernel_matches_hard_cursored() {
-        let p = CursorPenalty::new(8, 3, 10.0, 1.0, CursorKernel::Box);
+        let p = DiagonalQuadratic::near_cursor(8, 3, 10.0, 1.0, CursorKernel::Box);
         assert_eq!(p.weights(), &[1.0, 1.0, 10.0, 10.0, 10.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn far_weights_approach_one() {
-        let p = CursorPenalty::new(101, 0, 50.0, 2.0, CursorKernel::Gaussian);
+        let p = DiagonalQuadratic::near_cursor(101, 0, 50.0, 2.0, CursorKernel::Gaussian);
         assert!((p.weights()[100] - 1.0).abs() < 1e-9);
-        let t = CursorPenalty::new(101, 0, 50.0, 2.0, CursorKernel::Triangular);
+        let t = DiagonalQuadratic::near_cursor(101, 0, 50.0, 2.0, CursorKernel::Triangular);
         assert_eq!(t.weights()[100], 1.0);
     }
 
     #[test]
     fn is_a_valid_quadratic_penalty() {
-        let p = CursorPenalty::new(5, 2, 10.0, 2.0, CursorKernel::Triangular);
+        let p = DiagonalQuadratic::near_cursor(5, 2, 10.0, 2.0, CursorKernel::Triangular);
         assert_eq!(p.homogeneity(), 2.0);
         assert_eq!(p.evaluate(&[0.0; 5]), 0.0);
         let e = [1.0, -1.0, 2.0, 0.0, 0.5];
@@ -149,6 +113,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cursor index out of batch")]
     fn cursor_bounds_checked() {
-        let _ = CursorPenalty::new(4, 4, 2.0, 1.0, CursorKernel::Box);
+        let _ = DiagonalQuadratic::near_cursor(4, 4, 2.0, 1.0, CursorKernel::Box);
     }
 }

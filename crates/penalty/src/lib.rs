@@ -13,15 +13,16 @@
 //! * [`Sse`] — sum of squared errors (the P1 scenario);
 //! * [`DiagonalQuadratic`] / [`DiagonalQuadratic::cursored`] — weighted
 //!   SSE, e.g. high-priority cells 10× more important (P2);
+//!   [`DiagonalQuadratic::near_cursor`] — weights decaying with distance
+//!   from a cursor ("near the cursor", §4), with triangular/Gaussian/box
+//!   kernels ([`CursorKernel`]);
 //! * [`LaplacianPenalty`] — squared discrete Laplacian over a neighbour
 //!   graph of the ranges, penalizing false local extrema (P3);
 //! * [`QuadraticForm`] — an arbitrary positive semi-definite quadratic
 //!   form `p(e) = eᵀAe`;
 //! * [`LpPenalty`] — `L^p` norms for `1 ≤ p ≤ ∞` (Corollary 1);
 //! * [`Combination`] — non-negative linear combinations ("allowing them to
-//!   be mixed arbitrarily", §4);
-//! * [`CursorPenalty`] — weights decaying with distance from a cursor
-//!   ("near the cursor", §4), with triangular/Gaussian/box kernels.
+//!   be mixed arbitrarily", §4).
 //!
 //! Each of them names its exact scoring identity ([`Penalty::scoring_key`],
 //! a [`PenaltyKey`]), so a batch sorts its progression once per penalty
@@ -54,7 +55,7 @@ mod lp;
 mod quadratic;
 mod traits;
 
-pub use cursor::{CursorKernel, CursorPenalty};
+pub use cursor::CursorKernel;
 pub use laplacian::LaplacianPenalty;
 pub use lp::LpPenalty;
 pub use quadratic::{Combination, DiagonalQuadratic, QuadraticForm, Sse};

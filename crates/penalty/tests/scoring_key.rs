@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use batchbb_penalty::{
-    Combination, CursorKernel, CursorPenalty, DiagonalQuadratic, LaplacianPenalty, LpPenalty,
-    Penalty, QuadraticForm, Sse,
+    Combination, CursorKernel, DiagonalQuadratic, LaplacianPenalty, LpPenalty, Penalty,
+    QuadraticForm, Sse,
 };
 
 const S: usize = 6;
@@ -39,7 +39,7 @@ impl Params {
             Box::new(QuadraticForm::new(S, self.matrix.clone())),
             Box::new(LaplacianPenalty::new(neighbors)),
             Box::new(LpPenalty::new(self.p)),
-            Box::new(CursorPenalty::new(
+            Box::new(DiagonalQuadratic::near_cursor(
                 S,
                 self.cursor,
                 4.0,
@@ -105,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Equal parameters, built twice: equal keys, bit-identical scores —
-    /// and no two penalty types share a key.
+    /// and no two of the penalties share a key.
     #[test]
     fn equal_parameters_give_equal_keys_and_scores(
         params in arb_params(),
@@ -131,8 +131,9 @@ proptest! {
         }
     }
 
-    /// Changing one parameter — a weight, `p`, a matrix entry, the cursor,
-    /// an edge or a combination weight — changes that penalty's key.
+    /// Changing one parameter — a weight, `p`, a matrix entry, an edge, a
+    /// combination weight, or a cursor move that changes a weight (here
+    /// every move does) — changes that penalty's key.
     #[test]
     fn one_changed_parameter_changes_the_key(
         params in arb_params(),

@@ -91,29 +91,6 @@ pub fn dyadic_partition(shape: &Shape, cells: usize, seed: u64) -> Vec<HyperRect
     parts
 }
 
-/// Dyadic variant of [`random_partition_with_measure`]: aligned splits over
-/// the non-measure axes, full span on the measure axis.
-pub fn dyadic_partition_with_measure(
-    shape: &Shape,
-    measure_axis: usize,
-    cells: usize,
-    seed: u64,
-) -> Vec<HyperRect> {
-    assert!(measure_axis < shape.rank(), "measure axis out of range");
-    let sub_dims: Vec<usize> = shape
-        .dims()
-        .iter()
-        .enumerate()
-        .filter(|&(a, _)| a != measure_axis)
-        .map(|(_, &d)| d)
-        .collect();
-    let sub = Shape::new(sub_dims).expect("sub-domain valid");
-    dyadic_partition(&sub, cells, seed)
-        .into_iter()
-        .map(|r| embed_with_measure(shape, measure_axis, &r))
-        .collect()
-}
-
 fn embed_with_measure(shape: &Shape, measure_axis: usize, r: &HyperRect) -> HyperRect {
     let mut lo = Vec::with_capacity(shape.rank());
     let mut hi = Vec::with_capacity(shape.rank());
@@ -304,16 +281,6 @@ mod tests {
                 assert!(len.is_power_of_two(), "{r}: extent {len} not dyadic");
                 assert_eq!(r.lo()[a] % len, 0, "{r}: start not aligned");
             }
-        }
-    }
-
-    #[test]
-    fn dyadic_measure_partition() {
-        let shape = Shape::new(vec![16, 16, 8]).unwrap();
-        let parts = dyadic_partition_with_measure(&shape, 1, 10, 4);
-        assert!(is_partition(&shape, &parts));
-        for r in &parts {
-            assert_eq!((r.lo()[1], r.hi()[1]), (0, 15));
         }
     }
 

@@ -53,9 +53,15 @@ impl ServeConfig {
     /// # Panics
     ///
     /// Panics if `n_total < 2` (the expected-penalty denominator
-    /// `n_total - 1` must be positive).
+    /// `n_total - 1` must be positive), or if `k_abs_sum` is negative,
+    /// NaN or infinite (Theorem 1's certificate `K^α · ι` would be
+    /// negative or meaningless).
     pub fn new(n_total: usize, k_abs_sum: f64) -> Self {
         assert!(n_total > 1, "need a non-trivial domain");
+        assert!(
+            k_abs_sum >= 0.0 && k_abs_sum.is_finite(),
+            "K must be finite and non-negative"
+        );
         ServeConfig {
             n_total,
             k_abs_sum,
@@ -169,7 +175,7 @@ impl ServeConfig {
     /// trace as `span.start`/`span.end` events at finalize. Wire the
     /// **same** tracer into any traced store wrappers
     /// ([`batchbb_storage::AsyncFetchStore::with_tracing`],
-    /// [`batchbb_storage::VersionedStore::with_tracing`]) so store spans
+    /// [`batchbb_storage::ShardRouter::with_tracing`]) so store spans
     /// share the lifecycle clock. Without a sink this is inert; tracing
     /// never changes batch results (the serve proptests assert
     /// bit-identity with tracing on and off).

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use batchbb_core::{DegradationReport, DrainStatus, ProgressiveExecutor};
-use batchbb_obs::{LifecycleRecorder, MetricsSnapshot, Phase};
+use batchbb_obs::{LifecycleRecorder, Phase};
 use batchbb_storage::VersionId;
 use batchbb_tensor::CoeffKey;
 
@@ -72,7 +72,10 @@ impl From<DrainStatus> for BatchStatus {
     }
 }
 
-/// Final outcome of one served batch.
+/// Final outcome of one served batch. The run-wide metrics are not
+/// copied onto it: read the registry passed to
+/// [`ServeConfig::registry`](crate::ServeConfig::registry) once the serve
+/// has returned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
     /// Terminal state of the batch.
@@ -98,13 +101,6 @@ pub struct BatchResult {
     /// batch cancelled before its first slice, or rejected at admission,
     /// has exactly `[initial bound]`.
     pub bound_history: Vec<f64>,
-    /// The final state of the server's shared
-    /// [`batchbb_obs::MetricsRegistry`], stamped onto every result once
-    /// the whole run has finished (so all results of one run carry the
-    /// *same* snapshot and its counters cover the *entire* run — taking
-    /// per-batch snapshots mid-flight would capture racy prefixes).
-    /// Empty when the run had no registry configured.
-    pub metrics: MetricsSnapshot,
     /// The coefficient-store version this batch's answer is certified
     /// against: in versioned serving
     /// ([`BatchServer::serve_versioned`](crate::BatchServer::serve_versioned))
@@ -229,7 +225,6 @@ impl<'a> JobCell<'a> {
             report,
             retrieved_entries: Vec::new(),
             slices: 0,
-            metrics: Default::default(),
             pinned_version: pinned,
         });
         let mut state = JobState {

@@ -46,12 +46,13 @@
 //! * observability — with a sink/registry configured, each batch's
 //!   `exec.*` events carry a `batch = <id>` label, written by its
 //!   observer as the last field, all metrics land in one shared
-//!   `MetricsRegistry`, every [`BatchResult`] carries the run's final
-//!   [`batchbb_obs::MetricsSnapshot`], and that snapshot is appended to
-//!   the trace as `metrics.*` events so metrics and events share one
-//!   file. For high-throughput serving, wrap the sink in a
-//!   [`batchbb_obs::BoundedSink`] so slow trace I/O can never block the
-//!   worker pool (overflow drops-and-counts instead).
+//!   `MetricsRegistry` (the caller's, read with
+//!   [`batchbb_obs::MetricsRegistry::snapshot`] after the serve), and
+//!   the run's final snapshot is appended to the trace as `metrics.*`
+//!   events so metrics and events share one file. For high-throughput
+//!   serving, wrap the sink in a [`batchbb_obs::BoundedSink`] so slow
+//!   trace I/O can never block the worker pool (overflow drops-and-counts
+//!   instead).
 //!
 //! # Determinism contract
 //!
@@ -341,7 +342,6 @@ mod tests {
             assert_eq!(got.retrieved_entries, want.retrieved_entries);
             assert_eq!(got.slices, want.slices);
             assert_eq!(got.bound_history, want.bound_history);
-            assert_eq!(got.metrics, want.metrics);
             assert_eq!(want.pinned_version, None);
             assert_eq!(got.pinned_version, Some(v0));
         }
@@ -426,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn results_carry_the_final_metrics_snapshot_and_trace_gets_a_dump() {
+    fn the_registry_covers_the_run_and_the_trace_gets_its_final_snapshot() {
         let (store, batches, n_total, k) = fixture();
         let sink = Arc::new(MemorySink::new());
         let registry = Arc::new(MetricsRegistry::new());
@@ -439,20 +439,20 @@ mod tests {
                 .sink(sink.clone())
                 .registry(registry.clone()),
         );
-        let results = server.serve(&store, &requests);
-        // Every result of one run carries the SAME final snapshot, and its
-        // step counter covers the whole run: one exec.step event per step.
+        server.serve(&store, &requests);
+        // The registry's step counter covers the whole run: one exec.step
+        // event per step.
         let steps_in_trace = sink
             .lines()
             .iter()
             .filter(|l| jsonl::parse_line(l).unwrap().name() == "exec.step")
             .count() as u64;
-        for result in &results {
-            assert_eq!(result.metrics, results[0].metrics);
-            assert_eq!(result.metrics.counter("serve.steps"), Some(steps_in_trace));
-        }
-        // The snapshot is also dumped into the trace as metrics.* events,
-        // after every exec.* event, and reconciles with the carried copy.
+        assert_eq!(
+            registry.snapshot().counter("serve.steps"),
+            Some(steps_in_trace)
+        );
+        // The final snapshot is dumped into the trace as metrics.* events,
+        // after every exec.* event, and reconciles with the registry.
         let metric_lines: Vec<_> = sink
             .lines()
             .iter()
@@ -465,15 +465,6 @@ mod tests {
             .find(|e| e.name() == "metrics.counter" && e.str("name") == Some("serve.steps"))
             .expect("serve.steps counter dumped");
         assert_eq!(dumped_steps.u64("value"), Some(steps_in_trace));
-    }
-
-    #[test]
-    fn results_without_a_registry_carry_an_empty_snapshot() {
-        let (store, batches, n_total, k) = fixture();
-        let requests = vec![BatchRequest::new(&batches[0], &Sse)];
-        let server = BatchServer::new(ServeConfig::new(n_total, k));
-        let results = server.serve(&store, &requests);
-        assert!(results[0].metrics.counters.is_empty());
     }
 
     #[test]

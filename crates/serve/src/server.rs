@@ -319,30 +319,26 @@ impl BatchServer {
     }
 }
 
-/// Extracts the final results in request order, stamping every one with a
-/// single run-wide metrics snapshot: a per-batch snapshot at finalize time
-/// would capture a racy prefix of the shared registry. When a trace sink
-/// is configured the snapshot is also appended to the trace as `metrics.*`
-/// events, so metrics and events land in one replayable file.
+/// Extracts the final results in request order. When a trace sink is
+/// configured, the registry's run-wide snapshot — taken once the pool has
+/// exited, so it covers the whole run — is appended to the trace as
+/// `metrics.*` events, so metrics and events land in one replayable file.
 fn collect_results(config: &ServeConfig, jobs: Vec<JobCell<'_>>) -> Vec<BatchResult> {
-    let metrics = config
-        .registry
-        .as_ref()
-        .map(|registry| registry.snapshot())
-        .unwrap_or_default();
     if let Some(sink) = &config.sink {
+        let metrics = config
+            .registry
+            .as_ref()
+            .map(|registry| registry.snapshot())
+            .unwrap_or_default();
         metrics.emit(&**sink);
     }
     jobs.into_iter()
         .map(|cell| {
-            let mut result = cell
-                .state
+            cell.state
                 .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
                 .result
-                .expect("the pool only exits once every job has published");
-            result.metrics = metrics.clone();
-            result
+                .expect("the pool only exits once every job has published")
         })
         .collect()
 }
@@ -750,9 +746,6 @@ fn finalize(
         slices: state.slices,
         bound_history: std::mem::take(&mut state.bound_history),
         report,
-        // Stamped with the run-wide final metrics snapshot once the pool
-        // exits.
-        metrics: Default::default(),
         pinned_version: state.pinned_version,
     });
     cell.finished.store(true, Ordering::Release);

@@ -85,13 +85,6 @@ impl SloContract {
         self
     }
 
-    /// Whether any term of this contract can alter execution (a finite
-    /// target bound or a deadline). Non-binding contracts keep serving
-    /// bit-identical to the uncontracted pool.
-    pub fn binds(&self) -> bool {
-        self.target_bound.is_finite() || self.deadline_ticks.is_some()
-    }
-
     /// The scheduler weight: `priority + 1`, so priority 0 still has
     /// positive marginal value.
     pub(crate) fn priority_weight(&self) -> f64 {
@@ -301,13 +294,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_contract_does_not_bind() {
-        let c = SloContract::default();
-        assert!(!c.binds());
-        assert_eq!(c.priority_weight(), 1.0);
-        assert!(SloContract::new().with_target_bound(1.0).binds());
-        assert!(SloContract::new().with_deadline_ticks(10).binds());
-        assert!(!SloContract::new().with_priority(7).binds());
+    fn default_contract_weighs_one() {
+        assert_eq!(SloContract::default().priority_weight(), 1.0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!   allocation-free window of one), `get` and `try_get_many` derived
 //!   from it;
 //! * [`MemoryStore`] — hash-based in-memory store;
-//! * [`ArrayStore`] — dense array-based store for small domains;
 //! * [`FileStore`] — a file-backed store doing one `pread` per run of
 //!   adjacent slots, so one per singleton retrieval (unix only);
 //! * [`BlockStore`] — coefficients packed into fixed-size blocks behind an
@@ -131,7 +130,7 @@ pub use error::StorageError;
 pub use fault::{FaultInjectingStore, FaultPlan};
 pub use fingerprint::shard_of;
 pub use instrument::InstrumentedStore;
-pub use memory::{ArrayStore, MemoryStore, ZERO_TOL};
+pub use memory::{MemoryStore, ZERO_TOL};
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use shard::{HedgeConfig, LatencyStore, ShardClient, ShardRouter, ShardStats, ShardTopology};
 pub use sharded::{EvictionPolicy, ShardedCachingStore};

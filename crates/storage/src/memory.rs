@@ -1,6 +1,6 @@
-//! In-memory stores: hash-based and array-based (§1.3's two options).
+//! The hash-based in-memory store (§1.3's constant-time access).
 
-use batchbb_tensor::{CoeffKey, KeyMap, Shape, Tensor};
+use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, Completion, IoStats, MutableStore};
@@ -87,75 +87,6 @@ impl MutableStore for MemoryStore {
     }
 }
 
-/// Dense array-based store over a fixed (dyadic) coefficient domain.
-///
-/// Appropriate for small domains where `N^d` values fit in memory; lookups
-/// never miss (absent coefficients are stored zeros).
-#[derive(Debug)]
-pub struct ArrayStore {
-    data: Tensor,
-    nnz: usize,
-    counters: Counters,
-}
-
-impl ArrayStore {
-    /// Wraps a fully transformed coefficient tensor.
-    pub fn from_tensor(data: Tensor) -> Self {
-        let nnz = data.count_nonzero(ZERO_TOL);
-        ArrayStore {
-            data,
-            nnz,
-            counters: Counters::default(),
-        }
-    }
-
-    /// The coefficient domain shape.
-    pub fn shape(&self) -> &Shape {
-        self.data.shape()
-    }
-}
-
-impl CoefficientStore for ArrayStore {
-    /// A key outside the shape (wrong rank, or a coordinate past its
-    /// axis) holds no coefficient: absent, like in every sparse store.
-    fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        let shape = self.data.shape();
-        Completion::per_key(keys, |key| {
-            self.counters.count_retrieval();
-            self.counters.count_physical();
-            let inside = key.rank() == shape.rank()
-                && std::iter::zip(key.coords(), shape.dims()).all(|(&c, &d)| (c as usize) < d);
-            Ok(inside.then(|| self.data.data()[key.offset_in(shape)]))
-        })
-    }
-
-    fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    fn stats(&self) -> IoStats {
-        self.counters.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.counters.reset();
-    }
-}
-
-impl MutableStore for ArrayStore {
-    fn add(&mut self, key: CoeffKey, delta: f64) {
-        let off = key.offset_in(self.data.shape());
-        let before = self.data.data()[off];
-        let after = before + delta;
-        self.data.data_mut()[off] = after;
-        match (before.abs() > ZERO_TOL, after.abs() > ZERO_TOL) {
-            (false, true) => self.nnz += 1,
-            (true, false) => self.nnz -= 1,
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,43 +128,5 @@ mod tests {
     fn abs_sum_is_l1_norm() {
         let s = MemoryStore::from_entries([(CoeffKey::one(0), -2.0), (CoeffKey::one(1), 3.0)]);
         assert_eq!(s.abs_sum(), 5.0);
-    }
-
-    #[test]
-    fn array_store_roundtrip() {
-        let shape = Shape::new(vec![4, 4]).unwrap();
-        let mut t = Tensor::zeros(shape);
-        t[&[1, 2]] = 7.0;
-        let s = ArrayStore::from_tensor(t);
-        assert_eq!(s.nnz(), 1);
-        assert_eq!(s.get(&CoeffKey::new(&[1, 2])), Some(7.0));
-        assert_eq!(
-            s.get(&CoeffKey::new(&[0, 0])),
-            Some(0.0),
-            "dense store returns stored zeros"
-        );
-        assert_eq!(s.stats().retrievals, 2);
-    }
-
-    #[test]
-    fn array_store_answers_absent_outside_its_shape() {
-        let s = ArrayStore::from_tensor(Tensor::zeros(Shape::new(vec![4, 4]).unwrap()));
-        let (wrong_rank, past_axis) = (CoeffKey::new(&[3, 3, 0]), CoeffKey::new(&[1, 4]));
-        assert_eq!(s.try_get(&wrong_rank), Ok(None));
-        assert_eq!(
-            s.try_get_many(&[past_axis, CoeffKey::new(&[3, 3]), wrong_rank]),
-            Ok(vec![None, Some(0.0), None])
-        );
-        assert_eq!(s.stats().retrievals, 4, "an absent key is still charged");
-    }
-
-    #[test]
-    fn array_store_nnz_tracking() {
-        let shape = Shape::new(vec![2, 2]).unwrap();
-        let mut s = ArrayStore::from_tensor(Tensor::zeros(shape));
-        s.add(CoeffKey::new(&[0, 1]), 1.0);
-        assert_eq!(s.nnz(), 1);
-        s.add(CoeffKey::new(&[0, 1]), -1.0);
-        assert_eq!(s.nnz(), 0);
     }
 }

@@ -389,7 +389,7 @@ struct HedgeQueue {
 }
 
 /// Span emission for the engine: the run-wide tracer plus the sink the
-/// `store.read`/`store.rider`/`store.shard.hedge` spans land in.
+/// `store.read`/`store.rider` spans land in.
 struct Tracing {
     tracer: Tracer,
     sink: Arc<dyn EventSink>,
@@ -602,10 +602,9 @@ impl ShardRouter {
     /// `shard`, `keys`, `tag`, and on the end `ok` and `coalesced` — how
     /// many legs shared the wire call that answered it), one
     /// `store.rider` span per submit that joined an outstanding read,
-    /// carrying the joined read's span id in its `physical` field, and one
-    /// `store.shard.hedge` span per replica fetch. Wire the **same**
-    /// [`Tracer`] the serve pool uses so store spans are time-comparable
-    /// with batch lifecycles.
+    /// carrying the joined read's span id in its `physical` field. Wire
+    /// the **same** [`Tracer`] the serve pool uses so store spans are
+    /// time-comparable with batch lifecycles.
     pub fn with_tracing(
         clients: Vec<ShardClient>,
         hedge: HedgeConfig,
@@ -1117,28 +1116,11 @@ fn run_hedge(
     } else {
         rt.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
     }
-    let span = shared.tracing.as_ref().map(|t| {
-        let ctx = t.root(t.tracer.next_span_id());
-        t.sink.emit(
-            &span_start_event("store.shard.hedge", ctx, t.tracer.now_ns())
-                .u64("shard", i as u64)
-                .u64("keys", job.keys.len() as u64)
-                .bool("failover", failover),
-        );
-        ctx
-    });
     let fetched = replica.try_get_many(&job.keys);
     shared.counters.count_physical();
     let replica_won = shared.answer(job, fetched.as_deref(), 1);
     if replica_won && !failover {
         rt.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-    }
-    if let (Some(t), Some(ctx)) = (&shared.tracing, span) {
-        t.sink.emit(
-            &span_end_event(ctx, t.tracer.now_ns())
-                .bool("ok", fetched.is_ok())
-                .bool("won", replica_won),
-        );
     }
 }
 

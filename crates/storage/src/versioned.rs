@@ -39,27 +39,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use batchbb_obs::{span_end_event, span_start_event, EventSink, Tracer};
 use batchbb_tensor::{CoeffKey, KeyMap};
 
 use crate::stats::Counters;
 use crate::{CoefficientStore, Completion, IoStats, ZERO_TOL};
-
-/// Span emission for the version machinery: `store.publish` spans around
-/// each publish and `store.advance` spans around view repair. Shared by
-/// the store and every view pinned from it so all spans ride one clock.
-struct VersionTracing {
-    tracer: Tracer,
-    sink: Arc<dyn EventSink>,
-}
-
-impl std::fmt::Debug for VersionTracing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VersionTracing")
-            .field("tracer", &self.tracer)
-            .finish_non_exhaustive()
-    }
-}
 
 /// A publish re-bases by copy once the overlay it inherits holds more than
 /// `1/REBASE_FRACTION` of the base's slots: something still shares that
@@ -181,7 +164,6 @@ impl VersionLog {
 pub struct VersionedStore {
     log: Arc<Mutex<VersionLog>>,
     counters: Counters,
-    tracing: Option<Arc<VersionTracing>>,
 }
 
 impl VersionedStore {
@@ -212,21 +194,7 @@ impl VersionedStore {
                 base: VersionId(0),
             })),
             counters: Counters::default(),
-            tracing: None,
         }
-    }
-
-    /// Attaches causal span emission: every [`VersionedStore::publish`]
-    /// emits a `store.publish` span (fields: the new `version`, the
-    /// update `entries` count) and every view pinned *after* this call
-    /// emits a `store.advance` span around
-    /// [`VersionView::advance_to_current`] / [`VersionView::advance_to`]
-    /// (fields: `from`, `to`, delta `entries`). Wire the same [`Tracer`]
-    /// the serve pool uses so repair spans are time-comparable with
-    /// batch lifecycles.
-    pub fn with_tracing(mut self, tracer: Tracer, sink: Arc<dyn EventSink>) -> Self {
-        self.tracing = Some(Arc::new(VersionTracing { tracer, sink }));
-        self
     }
 
     /// Publishes a new version applying `entries` (each `(key, delta)`
@@ -240,7 +208,6 @@ impl VersionedStore {
     /// eighth of the base copies the base once and starts a fresh overlay.
     /// Readers are never blocked: the log mutex serializes publishers only.
     pub fn publish(&self, entries: &[(CoeffKey, f64)]) -> VersionId {
-        let publish_start = self.tracing.as_ref().map(|t| t.tracer.now_ns());
         let mut log = self.log.lock().unwrap();
         let prev = log.head();
         let (base, mut overlay) = if prev.overlay.len() > prev.base.len() / REBASE_FRACTION {
@@ -266,18 +233,6 @@ impl VersionedStore {
             nnz,
         }));
         log.deltas.push(Arc::new(entries.to_vec()));
-        drop(log);
-        if let Some(tracing) = &self.tracing {
-            let ctx = tracing.tracer.root_context();
-            tracing.sink.emit(
-                &span_start_event("store.publish", ctx, publish_start.unwrap_or(0))
-                    .u64("version", id.0)
-                    .u64("entries", entries.len() as u64),
-            );
-            tracing
-                .sink
-                .emit(&span_end_event(ctx, tracing.tracer.now_ns()));
-        }
         id
     }
 
@@ -293,7 +248,6 @@ impl VersionedStore {
             log: self.log.clone(),
             pinned: Mutex::new(log.head().clone()),
             counters: Counters::default(),
-            tracing: self.tracing.clone(),
         }
     }
 
@@ -305,7 +259,6 @@ impl VersionedStore {
             pinned: Mutex::new(log.snapshot_at(id)?),
             log: self.log.clone(),
             counters: Counters::default(),
-            tracing: self.tracing.clone(),
         })
     }
 
@@ -409,7 +362,6 @@ pub struct VersionView {
     log: Arc<Mutex<VersionLog>>,
     pinned: Mutex<Arc<VersionData>>,
     counters: Counters,
-    tracing: Option<Arc<VersionTracing>>,
 }
 
 impl VersionView {
@@ -418,59 +370,28 @@ impl VersionView {
         self.pinned.lock().unwrap().id
     }
 
-    /// Emits the `store.advance` span for a repin, `from` → `to`.
-    fn trace_advance(&self, start: Option<u64>, from: VersionId, to: VersionId, entries: usize) {
-        if let Some(tracing) = &self.tracing {
-            let ctx = tracing.tracer.root_context();
-            tracing.sink.emit(
-                &span_start_event("store.advance", ctx, start.unwrap_or(0))
-                    .u64("from", from.0)
-                    .u64("to", to.0)
-                    .u64("entries", entries as u64),
-            );
-            tracing
-                .sink
-                .emit(&span_end_event(ctx, tracing.tracer.now_ns()));
-        }
-    }
-
     /// Re-pins to the latest published version and returns `(new id,
     /// update entries between old and new pin, publish order)`.  A no-op
     /// (empty delta) when already current.
     pub fn advance_to_current(&self) -> (VersionId, Vec<(CoeffKey, f64)>) {
-        let start = self.tracing.as_ref().map(|t| t.tracer.now_ns());
         let log = self.log.lock().unwrap();
         let target = log.head().clone();
         let mut pinned = self.pinned.lock().unwrap();
-        let from = pinned.id;
         let delta = log
             .delta_between(pinned.id, target.id)
             .expect("pinned version still retained");
         *pinned = target;
-        let to = pinned.id;
-        drop(pinned);
-        drop(log);
-        if from != to {
-            self.trace_advance(start, from, to, delta.len());
-        }
-        (to, delta)
+        (pinned.id, delta)
     }
 
     /// Re-pins to `target` (which must be `>=` the current pin and still
     /// retained) and returns the update entries between the two pins.
     pub fn advance_to(&self, target: VersionId) -> Option<Vec<(CoeffKey, f64)>> {
-        let start = self.tracing.as_ref().map(|t| t.tracer.now_ns());
         let log = self.log.lock().unwrap();
         let snapshot = log.snapshot_at(target)?;
         let mut pinned = self.pinned.lock().unwrap();
-        let from = pinned.id;
         let delta = log.delta_between(pinned.id, target)?;
         *pinned = snapshot;
-        drop(pinned);
-        drop(log);
-        if from != target {
-            self.trace_advance(start, from, target, delta.len());
-        }
         Some(delta)
     }
 
@@ -718,49 +639,6 @@ mod tests {
         store.publish(&[(k(0, 0), 1.0)]);
         store.compact(store.current_version());
         assert_eq!(view.advance_to_current().1, vec![(k(0, 0), 1.0)]);
-    }
-
-    #[test]
-    fn publish_and_advance_emit_causal_spans() {
-        use batchbb_obs::{jsonl, MemorySink};
-
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(3);
-        let store = VersionedStore::from_entries([(k(0, 0), 1.0)])
-            .with_tracing(tracer.clone(), sink.clone());
-        let view = store.pin();
-        store.publish(&[(k(0, 0), 2.0), (k(1, 1), 4.0)]);
-        let (_, delta) = view.advance_to_current();
-        assert_eq!(delta.len(), 2);
-        view.advance_to_current(); // already current → no span
-        let events: Vec<_> = sink
-            .lines()
-            .iter()
-            .map(|l| jsonl::parse_line(l).unwrap())
-            .collect();
-        let publish = events
-            .iter()
-            .find(|e| e.name() == "span.start" && e.str("name") == Some("store.publish"))
-            .expect("publish span");
-        assert_eq!(publish.u64("version"), Some(1));
-        assert_eq!(publish.u64("entries"), Some(2));
-        let advances: Vec<_> = events
-            .iter()
-            .filter(|e| e.name() == "span.start" && e.str("name") == Some("store.advance"))
-            .collect();
-        assert_eq!(advances.len(), 1, "a no-op advance must not emit a span");
-        assert_eq!(advances[0].u64("from"), Some(0));
-        assert_eq!(advances[0].u64("to"), Some(1));
-        assert_eq!(advances[0].u64("entries"), Some(2));
-        // Every start has a matching end at a timestamp >= its start.
-        for start in [publish, advances[0]] {
-            let id = start.u64("span").unwrap();
-            let end = events
-                .iter()
-                .find(|e| e.name() == "span.end" && e.u64("span") == Some(id))
-                .expect("span end");
-            assert!(end.u64("ts_ns").unwrap() >= start.u64("ts_ns").unwrap());
-        }
     }
 
     #[test]

@@ -9,12 +9,12 @@ mod forwarding;
 use std::sync::Arc;
 
 use batchbb_storage::{
-    ArrayStore, AsyncFetchStore, FaultInjectingStore, FaultPlan, HedgeConfig, InstrumentedStore,
-    LatencyStore, MemoryStore, ShardClient, ShardRouter, ShardedCachingStore, VersionedStore,
+    AsyncFetchStore, FaultInjectingStore, FaultPlan, HedgeConfig, InstrumentedStore, LatencyStore,
+    MemoryStore, ShardClient, ShardRouter, ShardedCachingStore, VersionedStore,
 };
 #[cfg(unix)]
 use batchbb_storage::{BlockLayout, BlockStore, FileStore};
-use batchbb_tensor::{CoeffKey, Shape, Tensor};
+use batchbb_tensor::CoeffKey;
 use forwarding::{faults_agree, reads_agree, Harness};
 
 /// The loaded entries of the leaf stores below, and a window over them:
@@ -25,15 +25,13 @@ fn leaf_entries() -> Vec<(CoeffKey, f64)> {
         .collect()
 }
 
-fn leaf_window(with_absent: bool) -> Vec<CoeffKey> {
+fn leaf_window() -> Vec<CoeffKey> {
     let mut window: Vec<CoeffKey> = [17, 3, 3, 20, 0, 11, 17]
         .iter()
         .map(|&i| leaf_entries()[i].0)
         .collect();
-    if with_absent {
-        window.insert(2, CoeffKey::new(&[7, 7]));
-        window.push(CoeffKey::new(&[5, 6]));
-    }
+    window.insert(2, CoeffKey::new(&[7, 7]));
+    window.push(CoeffKey::new(&[5, 6]));
     window
 }
 
@@ -42,22 +40,12 @@ fn leaf_stores_read_alike_singly_and_by_window() {
     let entries = leaf_entries;
     reads_agree(
         &MemoryStore::from_entries(entries()),
-        &leaf_window(true),
+        &leaf_window(),
         "MemoryStore",
     );
     let versioned = VersionedStore::from_entries(entries());
-    reads_agree(&versioned, &leaf_window(true), "VersionedStore");
-    reads_agree(&versioned.pin(), &leaf_window(true), "VersionView");
-    let mut tensor = Tensor::zeros(Shape::new(vec![8, 8]).unwrap());
-    for (key, value) in entries() {
-        tensor[&[key.coord(0), key.coord(1)]] = value;
-    }
-    // Dense: every in-domain key is present.
-    reads_agree(
-        &ArrayStore::from_tensor(tensor),
-        &leaf_window(false),
-        "ArrayStore",
-    );
+    reads_agree(&versioned, &leaf_window(), "VersionedStore");
+    reads_agree(&versioned.pin(), &leaf_window(), "VersionView");
     #[cfg(unix)]
     {
         let path = |what: &str| {
@@ -66,14 +54,14 @@ fn leaf_stores_read_alike_singly_and_by_window() {
         let file = path("file");
         reads_agree(
             &FileStore::create(&file, entries()).unwrap(),
-            &leaf_window(true),
+            &leaf_window(),
             "FileStore",
         );
         std::fs::remove_file(&file).unwrap();
         let block = path("block");
         // Pool of two five-slot blocks: the window evicts as it goes.
         let store = BlockStore::create(&block, entries(), 5, 2, BlockLayout::KeyOrder).unwrap();
-        reads_agree(&store, &leaf_window(true), "BlockStore");
+        reads_agree(&store, &leaf_window(), "BlockStore");
         std::fs::remove_file(&block).unwrap();
     }
 }

@@ -9,13 +9,13 @@
 
 use proptest::prelude::*;
 
-use batchbb_storage::{
-    ArrayStore, CoefficientStore, FaultInjectingStore, FaultPlan, InstrumentedStore, MemoryStore,
-    MutableStore, ShardedCachingStore, VersionId, VersionView, VersionedStore,
-};
 #[cfg(unix)]
 use batchbb_storage::{BlockLayout, BlockStore, FileStore};
-use batchbb_tensor::{CoeffKey, Shape, Tensor};
+use batchbb_storage::{
+    CoefficientStore, FaultInjectingStore, FaultPlan, InstrumentedStore, MemoryStore, MutableStore,
+    ShardedCachingStore, VersionId, VersionView, VersionedStore,
+};
+use batchbb_tensor::CoeffKey;
 
 fn arb_entries() -> impl Strategy<Value = Vec<(CoeffKey, f64)>> {
     prop::collection::btree_map((0usize..32, 0usize..32), -100.0f64..100.0, 0..64).prop_map(|m| {
@@ -26,21 +26,16 @@ fn arb_entries() -> impl Strategy<Value = Vec<(CoeffKey, f64)>> {
     })
 }
 
-fn check_store(store: &dyn CoefficientStore, entries: &[(CoeffKey, f64)], dense: bool) {
+fn check_store(store: &dyn CoefficientStore, entries: &[(CoeffKey, f64)]) {
     store.reset_stats();
     for (k, v) in entries {
         let got = store.get(k);
         assert_eq!(got, Some(*v), "{k}");
     }
-    if !dense {
-        // array stores hold the whole domain; out-of-domain keys panic and
-        // are not probed
-        let absent = CoeffKey::new(&[999, 999]);
-        assert_eq!(store.get(&absent), None);
-    }
+    let absent = CoeffKey::new(&[999, 999]);
+    assert_eq!(store.get(&absent), None);
     let st = store.stats();
-    let expected = entries.len() as u64 + if dense { 0 } else { 1 };
-    assert_eq!(st.retrievals, expected);
+    assert_eq!(st.retrievals, entries.len() as u64 + 1);
 }
 
 /// Asserts `a.try_get_many(queries)` on one store instance equals the
@@ -115,23 +110,16 @@ proptest! {
     #[test]
     fn all_stores_roundtrip(entries in arb_entries()) {
         // memory
-        check_store(&MemoryStore::from_entries(entries.clone()), &entries, false);
+        check_store(&MemoryStore::from_entries(entries.clone()), &entries);
         // versioned: the store itself (reads the current version) and a
         // pinned view
         let versioned = VersionedStore::from_entries(entries.clone());
-        check_store(&versioned, &entries, false);
-        check_store(&versioned.pin(), &entries, false);
+        check_store(&versioned, &entries);
+        check_store(&versioned.pin(), &entries);
         // caching over memory — twice, to cover the memoized path
         let caching = ShardedCachingStore::new(MemoryStore::from_entries(entries.clone()));
-        check_store(&caching, &entries, false);
-        check_store(&caching, &entries, false);
-        // array
-        let shape = Shape::new(vec![32, 32]).unwrap();
-        let mut t = Tensor::zeros(shape);
-        for (k, v) in &entries {
-            t[&[k.coord(0), k.coord(1)]] = *v;
-        }
-        check_store(&ArrayStore::from_tensor(t), &entries, true);
+        check_store(&caching, &entries);
+        check_store(&caching, &entries);
         #[cfg(unix)]
         {
             // file
@@ -140,7 +128,7 @@ proptest! {
                 std::process::id(),
                 entries.len()
             ));
-            check_store(&FileStore::create(&fpath, entries.clone()).unwrap(), &entries, false);
+            check_store(&FileStore::create(&fpath, entries.clone()).unwrap(), &entries);
             std::fs::remove_file(&fpath).unwrap();
             // block, both layouts, block size not dividing entry count
             for layout in [BlockLayout::KeyOrder, BlockLayout::LevelMajor] {
@@ -152,7 +140,6 @@ proptest! {
                 check_store(
                     &BlockStore::create(&bpath, entries.clone(), 7, 3, layout).unwrap(),
                     &entries,
-                    false,
                 );
                 std::fs::remove_file(&bpath).unwrap();
             }

@@ -3,8 +3,9 @@
 //! This crate is a small, dependency-free replacement for the pieces of
 //! `ndarray` that the rest of the workspace needs: a row-major dense tensor
 //! of `f64` values, shape/stride bookkeeping, multi-index iteration, and
-//! mutable *lane* access along an arbitrary axis (the primitive on which the
-//! separable multi-dimensional wavelet transform is built).
+//! mutable *lane* access along an arbitrary axis
+//! ([`Tensor::for_each_lane_mut`], the primitive on which the separable
+//! multi-dimensional wavelet transform is built).
 //!
 //! The paper models a database instance as a *data frequency distribution*
 //! `Δ`, a `d`-dimensional array of reals indexed by the domain of the schema
@@ -24,14 +25,12 @@
 
 #![warn(missing_docs)]
 
-mod axis;
 mod hash;
 mod index;
 mod key;
 mod shape;
 mod tensor;
 
-pub use axis::{Lane, LaneIterMut};
 pub use hash::{key_fingerprint, mix, KeyHasher, KeyMap, KeySet};
 pub use index::IndexIter;
 pub use key::CoeffKey;

@@ -170,19 +170,6 @@ impl Shape {
         Ok(off)
     }
 
-    /// Converts a multi-index to a linear offset without bounds checks.
-    ///
-    /// The result is garbage (but memory-safe at the `Shape` level) if any
-    /// coordinate is out of range; callers must validate.
-    #[inline]
-    pub fn offset_unchecked(&self, index: &[usize]) -> usize {
-        index
-            .iter()
-            .zip(self.strides.iter())
-            .map(|(&i, &s)| i * s)
-            .sum()
-    }
-
     /// Converts a linear row-major offset back into a multi-index.
     pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
         debug_assert!(offset < self.len);
@@ -254,7 +241,6 @@ mod tests {
         for off in 0..s.len() {
             let idx = s.unravel(off);
             assert_eq!(s.offset(&idx).unwrap(), off);
-            assert_eq!(s.offset_unchecked(&idx), off);
         }
     }
 

@@ -69,11 +69,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Checked element access.
     pub fn get(&self, index: &[usize]) -> Result<f64, ShapeError> {
         Ok(self.data[self.shape.offset(index)?])

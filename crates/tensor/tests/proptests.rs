@@ -31,7 +31,7 @@ proptest! {
         prop_assert_eq!(IndexIter::new(&shape).count(), shape.len());
     }
 
-    /// Lane visiting covers every element exactly once per axis.
+    /// Visiting every lane along one axis covers every element exactly once.
     #[test]
     fn lanes_partition_elements(dims in arb_dims(), axis_sel in 0usize..4) {
         let shape = Shape::new(dims).unwrap();

@@ -199,15 +199,6 @@ impl SparseCoeffs {
         self.entries.is_empty()
     }
 
-    /// Inner product with a dense tensor of matching rank.
-    pub fn dot_tensor(&self, t: &Tensor) -> f64 {
-        let shape = t.shape();
-        self.entries
-            .iter()
-            .map(|(k, v)| v * t.data()[k.offset_in(shape)])
-            .sum()
-    }
-
     /// Sum of squared values.
     pub fn norm_sq(&self) -> f64 {
         self.entries.iter().map(|&(_, v)| v * v).sum()
@@ -346,15 +337,5 @@ mod tests {
         let t = sc.to_tensor(&shape);
         assert_eq!(t[&[1, 0]], 7.0);
         assert_eq!(t.sum(), 7.0);
-    }
-
-    #[test]
-    fn dot_tensor_matches_dense_dot() {
-        let t = Tensor::from_fn(Shape::new(vec![4, 4]).unwrap(), |ix| {
-            (ix[0] * 4 + ix[1]) as f64
-        });
-        let sc = SparseCoeffs::from_tensor(&t, 0.5);
-        // full self inner product minus the zero entry (0,0)
-        assert_eq!(sc.dot_tensor(&t), t.norm_sq());
     }
 }

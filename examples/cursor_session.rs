@@ -3,10 +3,11 @@
 //!
 //! One batch of 64 time-window aggregates is preprocessed **once** (query
 //! rewrite + master-list merge).  As the user scrolls, each viewport
-//! position gets its own [`CursorPenalty`] and a fresh progression order —
-//! rebuilt from the *same* master list in milliseconds, because penalties
-//! are applied at query time (§5: "an online approximation of the query
-//! batch leads to a much more flexible scheme").
+//! position gets its own [`DiagonalQuadratic::near_cursor`] penalty and a
+//! fresh progression order — rebuilt from the *same* master list in
+//! milliseconds, because penalties are applied at query time (§5: "an
+//! online approximation of the query batch leads to a much more flexible
+//! scheme").
 //!
 //! Run with `cargo run --release --example cursor_session`.
 
@@ -45,7 +46,8 @@ fn main() {
         "cursor", "viewport rel err", "off-screen rel err"
     );
     for cursor in [4usize, 20, 40, 59] {
-        let penalty = CursorPenalty::new(windows, cursor, 25.0, 4.0, CursorKernel::Gaussian);
+        let penalty =
+            DiagonalQuadratic::near_cursor(windows, cursor, 25.0, 4.0, CursorKernel::Gaussian);
         // Rebuild the progression for this cursor over the batch's shared
         // master list.
         let mut exec = ProgressiveExecutor::new(&batch, &penalty, &store);

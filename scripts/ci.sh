@@ -297,7 +297,14 @@ full_gate() {
     # a combination with a keyless part has no key;
     # a warm admission scores no key;
     # a keyless admission scores every key every time;
-    # an admission under another key makes the first key sort again.
+    # an admission under another key makes the first key sort again;
+    # near_cursor builds each kernel's weights bit for bit as before;
+    # two cursors with equal weights share one scoring key;
+    # a serve refuses a negative K before it certifies a negative bound;
+    # a serve refuses a NaN K;
+    # a serve with K = 0 still finishes exact;
+    # the worst-case bound refuses a negative K;
+    # the worst-case bound refuses a NaN K.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -361,6 +368,20 @@ full_gate() {
         a_keyless_admission_scores_every_key_every_time
     run cargo test -q -p batchbb-core --test admission_allocs \
         an_admission_under_another_key_sorts_the_first_again
+    run cargo test -q -p batchbb-penalty --test near_cursor \
+        near_cursor_reproduces_the_cursor_penalty_weights_bit_for_bit
+    run cargo test -q -p batchbb-penalty --test near_cursor \
+        cursors_with_equal_weights_share_a_scoring_key
+    run cargo test -q -p batchbb-serve --test certificate_scale \
+        a_negative_k_is_refused_before_it_certifies_a_negative_bound
+    run cargo test -q -p batchbb-serve --test certificate_scale \
+        a_nan_k_is_refused
+    run cargo test -q -p batchbb-serve --test certificate_scale \
+        a_zero_k_still_serves_to_exact
+    run cargo test -q -p batchbb-serve --test certificate_scale \
+        worst_case_bound_rejects_a_negative_k
+    run cargo test -q -p batchbb-serve --test certificate_scale \
+        worst_case_bound_rejects_a_nan_k
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound

@@ -84,8 +84,8 @@ pub mod prelude {
         MetricsSnapshot, NullSink, Phase, SpanTimer, TraceContext, Tracer,
     };
     pub use batchbb_penalty::{
-        Combination, CursorKernel, CursorPenalty, DiagonalQuadratic, LaplacianPenalty, LpPenalty,
-        Penalty, QuadraticForm, Sse,
+        Combination, CursorKernel, DiagonalQuadratic, LaplacianPenalty, LpPenalty, Penalty,
+        QuadraticForm, Sse,
     };
     pub use batchbb_query::{
         derived, partition, HyperRect, IdentityStrategy, LinearStrategy, Monomial,
@@ -99,7 +99,7 @@ pub mod prelude {
         BatchStatus, ServeConfig, ServeSession, SloContract, SloOutcome,
     };
     pub use batchbb_storage::{
-        retry::get_with_retry, shard_of, ArrayStore, AsyncFetchStore, CoefficientStore, Completion,
+        retry::get_with_retry, shard_of, AsyncFetchStore, CoefficientStore, Completion,
         EvictionPolicy, FaultInjectingStore, FaultPlan, FaultStats, HedgeConfig, InstrumentedStore,
         IoStats, LatencyStore, MemoryStore, MutableStore, RetryPolicy, ShardClient, ShardRouter,
         ShardStats, ShardTopology, ShardedCachingStore, StorageError, VersionId, VersionView,

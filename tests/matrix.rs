@@ -116,7 +116,7 @@ fn every_penalty_family_reaches_exactness_and_orders_sanely() {
     let penalties: Vec<Box<dyn Penalty>> = vec![
         Box::new(Sse),
         Box::new(DiagonalQuadratic::cursored(s, &[0, 1], 10.0)),
-        Box::new(CursorPenalty::new(
+        Box::new(DiagonalQuadratic::near_cursor(
             s,
             s / 2,
             10.0,
