@@ -124,12 +124,7 @@ fn main() {
         }
         // §7 made concrete: lay coefficients out by this workload's own
         // importance ranking — the progressive scan becomes sequential.
-        let ranking: batchbb_tensor::KeyMap<usize> =
-            batchbb_core::optimality::importance_ranking(&batch, &Sse)
-                .into_iter()
-                .enumerate()
-                .map(|(rank, (k, _))| (k, rank))
-                .collect();
+        let ranking = batchbb_core::layout::aggregate_importance_ranking(&[(&batch, &Sse)]);
         let path =
             std::env::temp_dir().join(format!("batchbb-obs1-workload-{}", std::process::id()));
         let store = BlockStore::create_ranked(&path, entries, block_size, 64, |k| {

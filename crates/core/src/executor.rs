@@ -219,7 +219,8 @@ pub struct DegradationReport {
     /// The current progressive estimates (valid, possibly inexact).
     pub estimates: Vec<f64>,
     /// Coefficients awaiting recovery, as `(key, importance)` in queue
-    /// order.
+    /// order.  Mapping each key through `batchbb_storage::shard_of` names
+    /// the shard whose failure deferred it.
     pub deferred: Vec<(CoeffKey, f64)>,
     /// Σ ι_p over the deferred coefficients.
     pub deferred_importance: f64,
@@ -1018,16 +1019,6 @@ impl<'a> ProgressiveExecutor<'a> {
         self.deferred_importance
     }
 
-    /// The keys currently parked in the deferral queue, in queue order.
-    ///
-    /// In sharded serving this is the attribution surface: mapping each
-    /// deferred key through `batchbb_storage::shard_of` names the shard
-    /// whose failure deferred it, turning a batch's `DegradationReport`
-    /// into a per-shard blast-radius account.
-    pub fn deferred_keys(&self) -> Vec<CoeffKey> {
-        self.deferred.iter().map(|e| e.key).collect()
-    }
-
     /// Fault-path counters accumulated by this executor's
     /// [`ProgressiveExecutor::try_step`] calls.
     pub fn fault_stats(&self) -> FaultStats {
@@ -1049,8 +1040,8 @@ impl<'a> ProgressiveExecutor<'a> {
     /// The pending progression `order[cursor..]`, most important first:
     /// entry `t` drives the certified bound after `t` more retrievals
     /// (see [`ProgressiveExecutor::steps_to_bound`]).  Deferred
-    /// coefficients are not part of it (see
-    /// [`ProgressiveExecutor::deferred_keys`]).
+    /// coefficients are not part of it (see [`DegradationReport::deferred`],
+    /// which lists them in queue order).
     pub fn progression(&self) -> &[ProgressionEntry] {
         &self.order[self.cursor..]
     }

@@ -8,13 +8,14 @@
 //! coefficients out contiguously, so future progressive scans are close to
 //! sequential.
 //!
-//! Measured behaviour (see the tests and `obs1_io_sharing --block-size`):
-//! a layout trained on the batch it serves is near-perfectly sequential
-//! (~420× fewer block reads than key order); a layout trained on *other*
-//! batches of the same family still transfers — it beats key order — but
-//! a workload-oblivious coarse-first (level-major) layout remains the more
-//! robust default for ad hoc queries.  §7's conjecture holds strongest
-//! exactly where workload information is real.
+//! Measured behaviour (see the tests, and the `WorkloadImportance` row of
+//! `obs1_io_sharing --block-size`, which lays its one batch out by this
+//! ranking): a layout trained on the batch it serves is near-perfectly
+//! sequential (~420× fewer block reads than key order); a layout trained
+//! on *other* batches of the same family still transfers — it beats key
+//! order — but a workload-oblivious coarse-first (level-major) layout
+//! remains the more robust default for ad hoc queries.  §7's conjecture
+//! holds strongest exactly where workload information is real.
 
 use batchbb_penalty::Penalty;
 use batchbb_tensor::{CoeffKey, KeyMap};

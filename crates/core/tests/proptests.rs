@@ -363,7 +363,11 @@ fn a_window_failing_ahead_of_one_in_flight_agrees_with_the_blocking_run() {
         sync_exec.retrieved_entries()
     );
     assert_eq!(async_exec.fault_stats(), sync_exec.fault_stats());
-    assert_eq!(async_exec.deferred_keys(), vec![victim]);
+    let deferred = async_exec.degradation_report(shape.len(), 0.0).deferred;
+    assert_eq!(
+        deferred.iter().map(|&(key, _)| key).collect::<Vec<_>>(),
+        vec![victim]
+    );
     engine.quiesce();
     for (at, key) in order.iter().enumerate() {
         let reads = gate.reads_of(key);

@@ -188,11 +188,6 @@ impl HistogramSnapshot {
         Histogram::bucket_bounds(HISTOGRAM_BUCKETS - 1).1
     }
 
-    /// [`Self::quantile_upper_bound`] under its common name.
-    pub fn percentile(&self, q: f64) -> u64 {
-        self.quantile_upper_bound(q)
-    }
-
     /// The (p50, p95, p99) bucket upper bounds in one call — the trio the
     /// snapshot exporter and the benches report.
     pub fn p50_p95_p99(&self) -> (u64, u64, u64) {
@@ -492,7 +487,7 @@ mod tests {
         let hs = r.snapshot();
         let hs = hs.histogram("sat").unwrap();
         assert_eq!(hs.max, u64::MAX);
-        assert_eq!(hs.percentile(0.99), u64::MAX);
+        assert_eq!(hs.quantile_upper_bound(0.99), u64::MAX);
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! The paper's experiments "partitioned \[the\] entire data domain into 512
 //! randomly sized ranges" (§6).  [`random_partition`] reproduces that
-//! workload; [`grid_partition`] builds the regular coarse partitions of the
-//! drill-down scenario in §1.
+//! workload and [`dyadic_partition`] its dyadically aligned variant;
+//! [`grid_partition`] builds the regular coarse partitions of the
+//! drill-down scenario in §1.  The §6 queries sum the temperature
+//! attribute, which the harnesses fold into the cube's cell weights
+//! (`to_measure_cube`), so their ranges partition the whole domain of that
+//! cube and no generator needs a measure axis.
 
 use batchbb_tensor::Shape;
 use rand::rngs::SmallRng;
@@ -89,52 +93,6 @@ pub fn dyadic_partition(shape: &Shape, cells: usize, seed: u64) -> Vec<HyperRect
         parts.push(b);
     }
     parts
-}
-
-fn embed_with_measure(shape: &Shape, measure_axis: usize, r: &HyperRect) -> HyperRect {
-    let mut lo = Vec::with_capacity(shape.rank());
-    let mut hi = Vec::with_capacity(shape.rank());
-    let mut sub_axis = 0;
-    for a in 0..shape.rank() {
-        if a == measure_axis {
-            lo.push(0);
-            hi.push(shape.dim(a) - 1);
-        } else {
-            lo.push(r.lo()[sub_axis]);
-            hi.push(r.hi()[sub_axis]);
-            sub_axis += 1;
-        }
-    }
-    HyperRect::new(lo, hi)
-}
-
-/// Partitions the domain into `cells` ranges that split only the
-/// non-`measure_axis` dimensions; every range spans the measure axis fully.
-///
-/// This is the workload of the paper's §6 experiments: the 512 ranges
-/// partition latitude × longitude × altitude × time, and each query sums
-/// the temperature *attribute* (a degree-1 polynomial on the measure axis)
-/// over its full domain.  It is also why the prefix-sum comparison sees
-/// `2^4` corners per query — only 4 axes are restricted.
-pub fn random_partition_with_measure(
-    shape: &Shape,
-    measure_axis: usize,
-    cells: usize,
-    seed: u64,
-) -> Vec<HyperRect> {
-    assert!(measure_axis < shape.rank(), "measure axis out of range");
-    let sub_dims: Vec<usize> = shape
-        .dims()
-        .iter()
-        .enumerate()
-        .filter(|&(a, _)| a != measure_axis)
-        .map(|(_, &d)| d)
-        .collect();
-    let sub = Shape::new(sub_dims).expect("sub-domain valid");
-    random_partition(&sub, cells, seed)
-        .into_iter()
-        .map(|r| embed_with_measure(shape, measure_axis, &r))
-        .collect()
 }
 
 /// Splits the domain into a regular grid with `per_axis[i]` cells along
@@ -255,18 +213,6 @@ mod tests {
         let shape = Shape::new(vec![8]).unwrap();
         let parts = grid_partition(&shape, &[3]);
         assert!(is_partition(&shape, &parts));
-    }
-
-    #[test]
-    fn measure_partition_spans_measure_axis() {
-        let shape = Shape::new(vec![8, 16, 4]).unwrap();
-        let parts = random_partition_with_measure(&shape, 2, 12, 9);
-        assert_eq!(parts.len(), 12);
-        assert!(is_partition(&shape, &parts));
-        for r in &parts {
-            assert_eq!(r.lo()[2], 0);
-            assert_eq!(r.hi()[2], 3, "measure axis must span fully");
-        }
     }
 
     #[test]

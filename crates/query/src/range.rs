@@ -81,27 +81,6 @@ impl HyperRect {
             && (0..self.rank()).all(|a| self.lo[a] <= other.hi[a] && other.lo[a] <= self.hi[a])
     }
 
-    /// True if the ranges share a `(d-1)`-dimensional face (used to build
-    /// neighbour graphs for Laplacian penalties).
-    pub fn is_adjacent(&self, other: &HyperRect) -> bool {
-        if self.rank() != other.rank() || self.intersects(other) {
-            return false;
-        }
-        let mut touching_axis = None;
-        for a in 0..self.rank() {
-            let overlap = self.lo[a] <= other.hi[a] && other.lo[a] <= self.hi[a];
-            if overlap {
-                continue;
-            }
-            let touches = self.hi[a] + 1 == other.lo[a] || other.hi[a] + 1 == self.lo[a];
-            if !touches || touching_axis.is_some() {
-                return false;
-            }
-            touching_axis = Some(a);
-        }
-        touching_axis.is_some()
-    }
-
     /// Splits the range at `point` along `axis`, returning
     /// `([lo, point], [point+1, hi])`. Panics unless
     /// `lo[axis] <= point < hi[axis]`.
@@ -167,19 +146,6 @@ mod tests {
         let c = HyperRect::new(vec![4, 0], vec![5, 2]);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-    }
-
-    #[test]
-    fn adjacency() {
-        let a = HyperRect::new(vec![0, 0], vec![3, 3]);
-        let b = HyperRect::new(vec![4, 0], vec![7, 3]); // shares x-face
-        let c = HyperRect::new(vec![4, 4], vec![7, 7]); // corner only
-        let d = HyperRect::new(vec![6, 0], vec![7, 3]); // gap
-        assert!(a.is_adjacent(&b));
-        assert!(b.is_adjacent(&a));
-        assert!(!a.is_adjacent(&c), "corner contact is not adjacency");
-        assert!(!a.is_adjacent(&d));
-        assert!(!a.is_adjacent(&a), "overlap is not adjacency");
     }
 
     #[test]

@@ -203,8 +203,9 @@ mod tests {
                 for (k, v) in &batch {
                     add_store.add(*k, *v);
                 }
-                let versioned = VersionedStore::new();
-                versioned.publish(&batch);
+                let store = VersionedStore::new();
+                store.publish(&batch);
+                let versioned = store.pin();
                 prop_assert_eq!(add_store.nnz(), tuple_store.nnz());
                 prop_assert_eq!(versioned.nnz(), tuple_store.nnz());
                 for (k, v) in tuple_store.iter() {

@@ -292,16 +292,6 @@ impl BlockStore {
         }
         Ok(out)
     }
-
-    /// Moves the store behind `threads` I/O threads, making
-    /// [`CoefficientStore::submit`] genuinely asynchronous: each queued
-    /// batch still runs through this store's block-grouping
-    /// `submit` (each block read at most once per batch), but
-    /// submitters no longer block on the read.  See
-    /// [`crate::AsyncFetchStore`].
-    pub fn into_async(self, threads: usize) -> crate::AsyncFetchStore<Self> {
-        crate::AsyncFetchStore::new(self, threads)
-    }
 }
 
 impl CoefficientStore for BlockStore {

@@ -102,15 +102,6 @@ impl FileStore {
         }
         Ok(out)
     }
-
-    /// Moves the store behind `threads` I/O threads, making
-    /// [`CoefficientStore::submit`] genuinely asynchronous: each queued
-    /// batch still runs through this store's coalescing `submit`
-    /// (sorted contiguous slots become single preads), but submitters no
-    /// longer block on the read.  See [`crate::AsyncFetchStore`].
-    pub fn into_async(self, threads: usize) -> crate::AsyncFetchStore<Self> {
-        crate::AsyncFetchStore::new(self, threads)
-    }
 }
 
 impl CoefficientStore for FileStore {

@@ -34,7 +34,8 @@
 //!   slots changed since it, so a publish costs the slots it changes and
 //!   never a copy of the store; readers pin a [`VersionView`] and advance
 //!   on their own schedule, receiving the exact update delta for estimate
-//!   repair (see DESIGN.md §13).
+//!   repair (see DESIGN.md §13).  The store itself is not a
+//!   [`CoefficientStore`]: a view is the only way to read it.
 //!
 //! All stores are safe to share across threads (`&self` reads, atomic
 //! counters).

@@ -454,9 +454,8 @@ struct RouterShared {
     shards: Vec<ShardRuntime>,
     hedge_cfg: HedgeConfig,
     /// Keys with an outstanding read: the cross-submit dedup table, keyed
-    /// by `(version tag at submit, key)` so riders pinned to different
-    /// versions of a [`crate::VersionedStore`]/[`crate::VersionView`]
-    /// never share a physical read (unversioned stores all tag `0`, so
+    /// by `(version tag at submit, key)` so riders on either side of a
+    /// [`crate::VersionView`] advance never share a physical read (unversioned stores all tag `0`, so
     /// the table degenerates to the plain per-key one). Holds only
     /// unanswered jobs' slots — an answered job's entries are removed
     /// immediately.

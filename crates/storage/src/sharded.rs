@@ -57,11 +57,12 @@
 //! store's [`CoefficientStore::version_tag`] at lookup time (for a batch:
 //! at submit time, however late its completion is taken).  For
 //! unversioned stores the tag is the constant `0` and nothing changes; over
-//! a [`crate::VersionedStore`]/[`crate::VersionView`] a version advance
-//! silently retires the old version's entries (they stop matching) instead
-//! of serving stale values, and entries belonging to *untouched* versions
-//! survive — publishing never blows away another reader's warm cache, and
-//! nothing ever has to be invalidated.
+//! a [`crate::VersionView`] (the only way to read a
+//! [`crate::VersionedStore`]) a version advance silently retires the old
+//! version's entries (they stop matching) instead of serving stale values,
+//! and entries belonging to *untouched* versions survive — publishing never
+//! blows away another reader's warm cache, and nothing ever has to be
+//! invalidated.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -553,14 +554,16 @@ mod tests {
     #[test]
     fn version_bump_never_serves_stale_values() {
         let inner = VersionedStore::from_entries([(CoeffKey::one(1), 2.0)]);
-        let s = ShardedCachingStore::new(inner);
+        let s = ShardedCachingStore::new(inner.pin());
         let key = CoeffKey::one(1);
         assert_eq!(s.get(&key), Some(2.0)); // memoized under v0
         assert_eq!(s.get(&key), Some(2.0));
         assert_eq!(s.stats().cache_hits, 1);
-        s.inner().publish(&[(key, 5.0)]);
-        // No invalidation call: the new version tag simply stops matching
-        // the v0 memo, so the read goes through and sees the update.
+        inner.publish(&[(key, 5.0)]);
+        s.inner().advance_to_current();
+        // No invalidation call: the advanced view's tag simply stops
+        // matching the v0 memo, so the read goes through and sees the
+        // update.
         assert_eq!(s.get(&key), Some(7.0));
         let st = s.stats();
         assert_eq!(st.cache_hits, 1, "stale memo must not hit across versions");

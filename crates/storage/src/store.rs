@@ -84,12 +84,13 @@ pub trait CoefficientStore: Send + Sync {
     /// tag.
     ///
     /// Unversioned stores return `0` (the default) — "there is only one
-    /// version".  [`crate::VersionedStore`] returns the current
-    /// [`crate::VersionId`] and a pinned [`crate::VersionView`] returns its
-    /// pinned id, so version-aware wrappers ([`crate::ShardedCachingStore`],
-    /// [`crate::AsyncFetchStore`]) can key cache and in-flight tables by
-    /// `(version, key)` and never serve one version's value to a reader of
-    /// another.  Pass-through wrappers must forward it.
+    /// version".  A pinned [`crate::VersionView`] returns its pinned
+    /// [`crate::VersionId`] (a [`crate::VersionedStore`] is read only
+    /// through its views), so version-aware wrappers
+    /// ([`crate::ShardedCachingStore`], [`crate::AsyncFetchStore`]) can key
+    /// cache and in-flight tables by `(version, key)` and never serve one
+    /// version's value to a reader of another.  Pass-through wrappers must
+    /// forward it.
     fn version_tag(&self) -> u64 {
         0
     }

@@ -17,7 +17,10 @@
 //! A reader pins a version with [`VersionedStore::pin`] and reads through
 //! the returned [`VersionView`] — an ordinary [`CoefficientStore`] whose
 //! answers are frozen at the pinned version no matter how many later
-//! versions are published.  When the reader *chooses* to move forward it
+//! versions are published.  The view is the only read path: the store
+//! itself is not a [`CoefficientStore`], so no executor, cache or engine
+//! can be handed the moving head and mix two versions under one
+//! certificate.  When the reader *chooses* to move forward it
 //! calls [`VersionView::advance_to_current`], which re-pins and returns the
 //! exact update entries between the two versions (concatenated in publish
 //! order, never pre-summed) so a progressive executor can repair its
@@ -30,10 +33,10 @@
 //! each key owns one slot, so the publish *is* the equivalent sequence of
 //! [`crate::MutableStore::add`] calls on a [`crate::MemoryStore`] — no
 //! grouping or sort to argue about — with the same `1e-13` zero-eviction
-//! rule after every single delta.  Version tags
-//! ([`CoefficientStore::version_tag`]) let caching and async-fetch wrappers
-//! key their tables by `(version, key)` so entries from different versions
-//! never alias.
+//! rule after every single delta.  A view's version tag
+//! ([`CoefficientStore::version_tag`], the pinned id) lets caching and
+//! async-fetch wrappers key their tables by `(version, key)` so entries
+//! from different versions never alias.
 //!
 //! See DESIGN.md §13 for the pin/publish/advance contract.
 
@@ -160,10 +163,20 @@ impl VersionLog {
 /// Cheap to share: readers pin views, writers publish batches, and the only
 /// synchronization is a short mutex around the version log — readers never
 /// take it on the data path (their pinned version data is immutable).
+///
+/// The store itself is not a [`CoefficientStore`]: coefficients are read
+/// only through a [`VersionView`] from [`VersionedStore::pin`] or
+/// [`VersionedStore::pin_at`], so no reader can see a publish land
+/// mid-run.
+///
+/// ```compile_fail,E0277
+/// use batchbb_storage::{CoefficientStore, VersionedStore};
+/// fn read(_: &dyn CoefficientStore) {}
+/// read(&VersionedStore::new());
+/// ```
 #[derive(Debug)]
 pub struct VersionedStore {
     log: Arc<Mutex<VersionLog>>,
-    counters: Counters,
 }
 
 impl VersionedStore {
@@ -193,7 +206,6 @@ impl VersionedStore {
                 deltas: Vec::new(),
                 base: VersionId(0),
             })),
-            counters: Counters::default(),
         }
     }
 
@@ -239,6 +251,12 @@ impl VersionedStore {
     /// The id of the latest published version.
     pub fn current_version(&self) -> VersionId {
         self.log.lock().unwrap().head().id
+    }
+
+    /// [`VersionedStore::current_version`] as the tag a [`VersionView`]
+    /// pinned now would report from [`CoefficientStore::version_tag`].
+    pub fn version_tag(&self) -> u64 {
+        self.current_version().as_u64()
     }
 
     /// Pins the current version and returns a view frozen at it.
@@ -318,35 +336,6 @@ impl VersionedStore {
 impl Default for VersionedStore {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl CoefficientStore for VersionedStore {
-    /// Reads the *current* version (pin a [`VersionView`] for stability);
-    /// a window reads one version, under one lock.
-    fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        let log = self.log.lock().unwrap();
-        Completion::per_key(keys, |key| {
-            self.counters.count_retrieval();
-            self.counters.count_physical();
-            Ok(log.head().get(key))
-        })
-    }
-
-    fn nnz(&self) -> usize {
-        self.log.lock().unwrap().head().nnz
-    }
-
-    fn stats(&self) -> IoStats {
-        self.counters.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.counters.reset();
-    }
-
-    fn version_tag(&self) -> u64 {
-        self.current_version().as_u64()
     }
 }
 
@@ -448,8 +437,9 @@ mod tests {
             (k(0, 0), -0.3),
             (k(2, 2), 0.25),
         ];
-        let versioned = VersionedStore::from_entries(seed.iter().cloned());
-        versioned.publish(&updates);
+        let store = VersionedStore::from_entries(seed.iter().cloned());
+        store.publish(&updates);
+        let versioned = store.pin();
         let mut reference = MemoryStore::from_entries(seed);
         for (key, delta) in &updates {
             reference.add(*key, *delta);
@@ -479,9 +469,10 @@ mod tests {
         assert_eq!(pinned.version(), VersionId(0));
         assert_eq!(pinned.get(&k(0, 0)), Some(1.0));
         assert_eq!(pinned.get(&k(5, 5)), None);
-        // Direct store reads see the head.
-        assert_eq!(store.get(&k(0, 0)), Some(11.0));
-        assert_eq!(store.get(&k(5, 5)), Some(3.0));
+        // A fresh pin sees the head.
+        let head = store.pin();
+        assert_eq!(head.get(&k(0, 0)), Some(11.0));
+        assert_eq!(head.get(&k(5, 5)), Some(3.0));
     }
 
     /// Where a view's base lives and how many slots its overlay holds —

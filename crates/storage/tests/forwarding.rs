@@ -44,7 +44,6 @@ fn leaf_stores_read_alike_singly_and_by_window() {
         "MemoryStore",
     );
     let versioned = VersionedStore::from_entries(entries());
-    reads_agree(&versioned, &leaf_window(), "VersionedStore");
     reads_agree(&versioned.pin(), &leaf_window(), "VersionView");
     #[cfg(unix)]
     {

@@ -129,11 +129,6 @@ impl Tensor {
         }
     }
 
-    /// Number of elements with `|v| > tol`.
-    pub fn count_nonzero(&self, tol: f64) -> usize {
-        self.data.iter().filter(|v| v.abs() > tol).count()
-    }
-
     /// Visits every *lane* along `axis` — a contiguous logical 1-D slice of
     /// extent `dims[axis]` — copying it into a scratch buffer, invoking `f`,
     /// and copying the (possibly modified) buffer back.
@@ -304,11 +299,5 @@ mod tests {
             t.for_each_lane_mut(axis, |_| count += 1);
             assert_eq!(count, t.shape().len() / t.shape().dim(axis));
         }
-    }
-
-    #[test]
-    fn count_nonzero_with_tolerance() {
-        let t = Tensor::from_vec(shape(&[4]), vec![0.0, 1e-14, 0.5, -2.0]).unwrap();
-        assert_eq!(t.count_nonzero(1e-12), 2);
     }
 }

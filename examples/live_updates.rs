@@ -19,7 +19,7 @@ fn main() {
     println!(
         "initial load: {} records, {} coefficients in the view",
         dataset.len(),
-        store.nnz()
+        store.pin().nnz()
     );
 
     // Dashboard: COUNT over an 8×8 grid, evaluated progressively.

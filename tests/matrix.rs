@@ -50,7 +50,7 @@ fn every_strategy_times_every_store_is_exact() {
             ),
             (
                 "versioned",
-                Box::new(VersionedStore::from_entries(entries.clone())),
+                Box::new(VersionedStore::from_entries(entries.clone()).pin()),
             ),
             (
                 "sharded-caching",
