@@ -9,18 +9,20 @@
 //! plus the degenerate cases: an empty delta, a delta touching every
 //! pinned key, and a delta racing a pending `AsyncFetchStore` completion.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use batchbb_core::{BatchQueries, DrainStatus, ProgressiveExecutor};
 use batchbb_penalty::Sse;
-use batchbb_query::{partition, LinearStrategy, RangeSum, WaveletStrategy};
+use batchbb_query::{partition, HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
 use batchbb_relation::{cube, Attribute, FrequencyDistribution, Schema};
 use batchbb_storage::{
     testing::Gated, AsyncFetchStore, CoefficientStore, RetryPolicy, ShardedCachingStore,
     VersionedStore,
 };
 use batchbb_tensor::{CoeffKey, Shape};
-use batchbb_wavelet::Wavelet;
+use batchbb_wavelet::{Wavelet, DEFAULT_TOL};
 
 /// A deterministic dataset on a `2^bx × 2^by` domain, one batch of count
 /// queries, and the versioned wavelet store holding version 0.
@@ -388,5 +390,76 @@ fn advance_touching_only_the_second_window_keeps_the_first_flying() {
         gate.reads_of(&updated),
         2,
         "the second was read again at the new version (the stale read finished unobserved)"
+    );
+}
+
+/// An insert is the rewrite of its one-cell COUNT query: every coefficient
+/// the rewrite of `COUNT [x, x]` keeps appears in `point_entries(x)` with
+/// the same bits, and the insert's other keys are below the rewrite's
+/// tolerance. So the delta a publish applies, and the one
+/// `advance_version` repairs with, is the query transform itself.
+#[test]
+fn an_insert_is_the_one_cell_count_query() {
+    let cases: [(Vec<usize>, [Vec<usize>; 6]); 2] = [
+        (
+            vec![64, 32],
+            [
+                vec![0, 0],
+                vec![63, 31],
+                vec![1, 30],
+                vec![17, 5],
+                vec![32, 16],
+                vec![45, 27],
+            ],
+        ),
+        (
+            vec![16, 8, 32],
+            [
+                vec![0, 0, 0],
+                vec![15, 7, 31],
+                vec![3, 4, 17],
+                vec![8, 1, 30],
+                vec![11, 6, 2],
+                vec![5, 5, 5],
+            ],
+        ),
+    ];
+    let (mut checked, mut differing) = (0usize, 0usize);
+    for wavelet in [Wavelet::Haar, Wavelet::Db4, Wavelet::Db8] {
+        for (dims, cells) in &cases {
+            let shape = Shape::new(dims.clone()).unwrap();
+            for x in cells {
+                let query = RangeSum::count(HyperRect::new(x.clone(), x.clone()));
+                let rewrite = WaveletStrategy::new(wavelet)
+                    .query_coefficients(&query, &shape)
+                    .unwrap();
+                let insert: BTreeMap<CoeffKey, f64> = cube::point_entries(&shape, x, 1.0, wavelet)
+                    .into_iter()
+                    .collect();
+                for (key, v) in rewrite.entries() {
+                    checked += 1;
+                    let got = insert.get(key).map(|v| v.to_bits());
+                    if got != Some(v.to_bits()) {
+                        differing += 1;
+                    }
+                }
+                for (key, v) in &insert {
+                    if rewrite
+                        .entries()
+                        .binary_search_by_key(key, |&(k, _)| k)
+                        .is_err()
+                    {
+                        assert!(
+                            v.abs() <= DEFAULT_TOL,
+                            "{wavelet} {dims:?} {x:?}: insert-only key {key} holds {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        differing, 0,
+        "{differing} of {checked} rewrite coefficients differ in their bits from the insert's"
     );
 }

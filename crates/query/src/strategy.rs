@@ -11,7 +11,7 @@
 use std::fmt;
 
 use batchbb_tensor::{CoeffKey, Shape, Tensor};
-use batchbb_wavelet::{lazy_query_transform, Poly, SparseCoeffs, SparseVec1, Wavelet, DEFAULT_TOL};
+use batchbb_wavelet::{lazy_query_transform, Poly, SparseCoeffs, Wavelet, DEFAULT_TOL};
 
 use crate::{Monomial, RangeSum};
 
@@ -85,63 +85,29 @@ pub trait LinearStrategy: Send + Sync {
 }
 
 /// The paper's preferred strategy: orthonormal wavelet transform of `Δ`,
-/// lazy sparse transform of each query factor.
+/// lazy sparse transform ([`lazy_query_transform`]) of each query factor.
+/// The dense transform is an oracle and an ablation arm, never served.
 #[derive(Debug, Clone, Copy)]
 pub struct WaveletStrategy {
     /// The filter bank.
     pub wavelet: Wavelet,
-    /// Use the lazy `O(L² log N)` query transform (`true`, default) or the
-    /// dense `O(L·N)` reference transform (`false`) — the ✦ ablation knob.
-    pub lazy: bool,
 }
 
 impl WaveletStrategy {
-    /// Lazy-transform strategy with the given filter.
+    /// The strategy with the given filter.
     pub fn new(wavelet: Wavelet) -> Self {
-        WaveletStrategy {
-            wavelet,
-            lazy: true,
-        }
+        WaveletStrategy { wavelet }
     }
 
     /// Picks the minimal filter for a query batch's maximum degree.
     pub fn for_degree(degree: u32) -> Option<Self> {
         Wavelet::for_degree(degree as usize).map(WaveletStrategy::new)
     }
-
-    fn factor(
-        &self,
-        n: usize,
-        lo: usize,
-        hi: usize,
-        exponent: u32,
-        coeff: f64,
-    ) -> Result<SparseVec1, StrategyError> {
-        let poly = Poly::monomial(exponent as usize).scale(coeff);
-        let transform = if self.lazy {
-            lazy_query_transform
-        } else {
-            batchbb_wavelet::dense_query_transform
-        };
-        transform(n, lo, hi, &poly, self.wavelet, DEFAULT_TOL).map_err(|e| match e {
-            batchbb_wavelet::LazyError::DegreeTooHigh { degree, .. } => {
-                StrategyError::UnsupportedDegree {
-                    degree: degree as u32,
-                    strategy: self.name(),
-                }
-            }
-            _ => StrategyError::RangeOutOfDomain,
-        })
-    }
 }
 
 impl LinearStrategy for WaveletStrategy {
     fn name(&self) -> String {
-        format!(
-            "wavelet({}, {})",
-            self.wavelet,
-            if self.lazy { "lazy" } else { "dense" }
-        )
+        format!("wavelet({})", self.wavelet)
     }
 
     fn transform_data(&self, data: &Tensor) -> Vec<(CoeffKey, f64)> {
@@ -172,13 +138,16 @@ impl LinearStrategy for WaveletStrategy {
             for axis in 0..domain.rank() {
                 // Fold the scalar coefficient into the first axis factor.
                 let c = if axis == 0 { m.coeff } else { 1.0 };
-                factors.push(self.factor(
+                let poly = Poly::monomial(m.exponents[axis] as usize).scale(c);
+                let (n, lo, hi) = (
                     domain.dim(axis),
                     query.range().lo()[axis],
                     query.range().hi()[axis],
-                    m.exponents[axis],
-                    c,
-                )?);
+                );
+                // The range and the degree passed the checks above, so a
+                // non-dyadic axis is the one error left.
+                let factor = lazy_query_transform(n, lo, hi, &poly, self.wavelet, DEFAULT_TOL);
+                factors.push(factor.map_err(|_| StrategyError::RangeOutOfDomain)?);
             }
             terms.push(SparseCoeffs::tensor_product(&factors, DEFAULT_TOL));
         }
@@ -492,19 +461,16 @@ mod tests {
 
     #[test]
     fn wavelet_lazy_equals_dense_rewrite() {
+        // The rewrite against the dense oracle, `dwt_nd` of the query vector.
         let shape = Shape::new(vec![16, 16]).unwrap();
         let q = RangeSum::sum(HyperRect::new(vec![3, 0], vec![12, 9]), 1);
-        let lazy = WaveletStrategy {
-            wavelet: Wavelet::Db4,
-            lazy: true,
-        };
-        let dense = WaveletStrategy {
-            wavelet: Wavelet::Db4,
-            lazy: false,
-        };
-        let a = lazy.query_coefficients(&q, &shape).unwrap();
-        let b = dense.query_coefficients(&q, &shape).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-8, "diff {}", a.max_abs_diff(&b));
+        let lazy = WaveletStrategy::new(Wavelet::Db4).query_coefficients(&q, &shape);
+        let mut dense = Tensor::from_fn(shape.clone(), |ix| q.eval_at(ix));
+        batchbb_wavelet::dwt_nd(&mut dense, Wavelet::Db4);
+        let diff = lazy
+            .unwrap()
+            .max_abs_diff(&SparseCoeffs::from_tensor(&dense, DEFAULT_TOL));
+        assert!(diff < 1e-8, "diff {diff}");
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! Building the transformed view `Δ̂` — bulk and tuple-at-a-time.
+//! Building the transformed view `Δ̂` — tuple-at-a-time.
 //!
 //! The wavelet representation is a materialized view of the database
-//! (§1.3).  Two construction paths are provided:
+//! (§1.3).  The bulk path — transform the dense `Δ` with the separable DWT
+//! and keep the nonzeros, one pass for the initial load — is the strategy's
+//! own `LinearStrategy::transform_data` (`batchbb_query`).  This module
+//! holds the incremental paths:
 //!
-//! * [`bulk_transform`] — transform the dense `Δ` with the separable DWT
-//!   and keep the nonzeros (one pass, best for initial load);
 //! * [`point_entries`] — the coefficients touched by a single tuple, a
 //!   tensor product of 1-D point transforms with `O((L·log N)^d)` entries;
 //!   adding them to a `batchbb_storage::MutableStore` implements the
-//!   paper's `O((2δ+1)^d log^d N)` incremental insert;
+//!   paper's `O((2δ+1)^d log^d N)` incremental insert.  Each 1-D factor is
+//!   the lazy transform of a one-cell range, so the delta carries the bits
+//!   of the one-cell COUNT query's rewrite;
 //! * [`batch_point_entries`] — the streaming-update batch path: the
 //!   concatenated point deltas of many tuples, grouped by affected wavelet
 //!   support (stable-sorted by coefficient key), so downstream consumers
@@ -18,19 +21,7 @@
 //!   maintenance.
 
 use batchbb_tensor::{CoeffKey, Shape};
-use batchbb_wavelet::{dwt_nd, point_transform, SparseCoeffs, SparseVec1, Wavelet, DEFAULT_TOL};
-
-use crate::FrequencyDistribution;
-
-/// Transforms the dense data frequency distribution and returns the nonzero
-/// coefficients of `Δ̂`, ready to bulk-load into any store.
-pub fn bulk_transform(dfd: &FrequencyDistribution, wavelet: Wavelet) -> Vec<(CoeffKey, f64)> {
-    let mut t = dfd.tensor().clone();
-    dwt_nd(&mut t, wavelet);
-    SparseCoeffs::from_tensor(&t, DEFAULT_TOL)
-        .entries()
-        .to_vec()
-}
+use batchbb_wavelet::{point_transform, SparseCoeffs, SparseVec1, Wavelet};
 
 /// The sparse coefficient delta produced by inserting one binned point of
 /// `weight` at `coords`: `weight · Π_i (point transform of δ_{coords[i]})`.
@@ -83,7 +74,8 @@ pub fn batch_point_entries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Attribute, Schema};
+    use crate::{Attribute, FrequencyDistribution, Schema};
+    use batchbb_wavelet::{dwt_nd, DEFAULT_TOL};
     use std::collections::HashMap;
 
     fn small_dfd() -> FrequencyDistribution {
@@ -102,11 +94,18 @@ mod tests {
     #[test]
     fn bulk_matches_incremental() {
         // Inserting points one at a time must converge to the bulk
-        // transform — the update-efficiency claim of §2.1.
+        // transform of the dense tensor — the update-efficiency claim of
+        // §2.1.
         let dfd = small_dfd();
         let shape = dfd.schema().domain();
         for w in [Wavelet::Haar, Wavelet::Db4, Wavelet::Db8] {
-            let bulk: HashMap<CoeffKey, f64> = bulk_transform(&dfd, w).into_iter().collect();
+            let mut dense = dfd.tensor().clone();
+            dwt_nd(&mut dense, w);
+            let bulk: HashMap<CoeffKey, f64> = SparseCoeffs::from_tensor(&dense, DEFAULT_TOL)
+                .entries()
+                .iter()
+                .copied()
+                .collect();
             let mut incr: HashMap<CoeffKey, f64> = HashMap::new();
             for (coords, weight) in [
                 (vec![1usize, 1usize], 1.0),

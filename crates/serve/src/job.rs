@@ -5,7 +5,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use batchbb_core::{DegradationReport, DrainStatus, ProgressiveExecutor};
 use batchbb_obs::{LifecycleRecorder, Phase};
-use batchbb_storage::VersionId;
+use batchbb_storage::{VersionId, VersionView};
 use batchbb_tensor::CoeffKey;
 
 use crate::slo::{SloContract, SloOutcome};
@@ -150,8 +150,6 @@ pub(crate) struct JobState<'a> {
     pub(crate) slices: usize,
     pub(crate) bound_history: Vec<f64>,
     pub(crate) result: Option<BatchResult>,
-    /// The store version this job currently reads (versioned mode only).
-    pub(crate) pinned_version: Option<VersionId>,
     /// The batch's phase recorder, `None` on untraced runs. Only the pool
     /// writes it, and only under this lock, so no transition can land
     /// inside another holder's bracket (an `advance_batch` repair, say).
@@ -189,11 +187,15 @@ impl JobState<'_> {
 }
 
 /// One submitted batch: its executor and phase lifecycle (behind the
-/// slice lock), its published snapshot, its contract, and the
-/// cancellation flag.
+/// slice lock), its published snapshot, its contract, the cancellation
+/// flag and, in versioned serving, its pinned read view.
 pub(crate) struct JobCell<'a> {
     pub(crate) index: usize,
     pub(crate) contract: SloContract,
+    /// The view the executor reads in versioned serving, and so the owner
+    /// of the batch's version. Only `ServeSession::advance_batch` re-pins
+    /// it, under the slice lock that finalizing also holds.
+    pub(crate) view: Option<&'a VersionView>,
     pub(crate) state: Mutex<JobState<'a>>,
     pub(crate) snapshot: Mutex<BatchSnapshot>,
     pub(crate) cancelled: AtomicBool,
@@ -211,7 +213,7 @@ impl<'a> JobCell<'a> {
         exec: ProgressiveExecutor<'a>,
         config: &ServeConfig,
         contract: SloContract,
-        pinned: Option<VersionId>,
+        view: Option<&'a VersionView>,
         lifecycle: Option<LifecycleRecorder>,
         refused: Option<SloOutcome>,
     ) -> Self {
@@ -225,14 +227,13 @@ impl<'a> JobCell<'a> {
             report,
             retrieved_entries: Vec::new(),
             slices: 0,
-            pinned_version: pinned,
+            pinned_version: view.map(VersionView::version),
         });
         let mut state = JobState {
             exec,
             slices: 0,
             bound_history: Vec::new(),
             result,
-            pinned_version: pinned,
             lifecycle,
             store_wait_mark: 0,
         };
@@ -248,6 +249,7 @@ impl<'a> JobCell<'a> {
         JobCell {
             index,
             contract,
+            view,
             state: Mutex::new(state),
             snapshot: Mutex::new(snapshot),
             cancelled: AtomicBool::new(false),

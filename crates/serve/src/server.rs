@@ -156,12 +156,8 @@ impl BatchServer {
         driver: impl FnOnce(&ServeSession<'_, '_>) -> R,
     ) -> (Vec<BatchResult>, R) {
         let views: Vec<VersionView> = requests.iter().map(|_| store.pin()).collect();
-        let versioned = VersionedCtx {
-            store,
-            views: &views,
-        };
-        let read = |i: usize| (&views[i] as &dyn CoefficientStore, Some(views[i].version()));
-        self.serve_body(requests, read, Some(versioned), driver)
+        let read = |i: usize| (&views[i] as &dyn CoefficientStore, Some(&views[i]));
+        self.serve_body(requests, read, Some(store), driver)
     }
 
     /// The one serving body behind [`BatchServer::serve_with`] and
@@ -169,12 +165,12 @@ impl BatchServer {
     /// while `driver` runs on the calling thread, and collect once the
     /// driver has returned *and* every job has published its final
     /// result. The two differ only in `store_for` — each job's read store
-    /// and the version it pins — and in the session's versioned half.
+    /// and the view it pins — and in the session's published store.
     fn serve_body<'a, R>(
         &self,
         requests: &[BatchRequest<'a>],
-        store_for: impl FnMut(usize) -> (&'a dyn CoefficientStore, Option<VersionId>),
-        versioned: Option<VersionedCtx<'_, 'a>>,
+        store_for: impl FnMut(usize) -> (&'a dyn CoefficientStore, Option<&'a VersionView>),
+        versioned: Option<&'a VersionedStore>,
         driver: impl FnOnce(&ServeSession<'_, '_>) -> R,
     ) -> (Vec<BatchResult>, R) {
         let config = &self.config;
@@ -238,12 +234,12 @@ impl BatchServer {
     /// every time under a keyless penalty.  Moving construction to a
     /// helper thread raised `peak_rss_mb` (ROADMAP item 4).  `store_for`
     /// hands each job its read store (the shared effective store, or the
-    /// job's own pinned [`VersionView`]) plus the version it pins, if any.
+    /// job's own pinned [`VersionView`]) plus that view, if any.
     fn admit_jobs<'a>(
         &self,
         shared: &PoolShared,
         requests: &[BatchRequest<'a>],
-        mut store_for: impl FnMut(usize) -> (&'a dyn CoefficientStore, Option<VersionId>),
+        mut store_for: impl FnMut(usize) -> (&'a dyn CoefficientStore, Option<&'a VersionView>),
     ) -> Vec<JobCell<'a>> {
         let config = &self.config;
         let mut committed: u64 = 0;
@@ -254,7 +250,7 @@ impl BatchServer {
                 // The lifecycle starts *before* pricing so the Admitted
                 // phase covers the whole admission decision.
                 let batch_lifecycle = self.lifecycle_for(i);
-                let (store, pinned) = store_for(i);
+                let (store, view) = store_for(i);
                 let mut exec = ProgressiveExecutor::new(req.batch, req.penalty, store)
                     .with_prefetch_window(config.prefetch_window);
                 let estimate = estimate_cost(&exec, &req.slo, config.k_abs_sum);
@@ -279,7 +275,7 @@ impl BatchServer {
                         None
                     }
                 };
-                JobCell::new(i, exec, config, req.slo, pinned, batch_lifecycle, refused)
+                JobCell::new(i, exec, config, req.slo, view, batch_lifecycle, refused)
             })
             .collect()
     }
@@ -343,24 +339,15 @@ fn collect_results(config: &ServeConfig, jobs: Vec<JobCell<'_>>) -> Vec<BatchRes
         .collect()
 }
 
-/// The versioned half of a session: the published store plus each job's
-/// pinned read view (index-aligned with `jobs`).
-struct VersionedCtx<'s, 'a> {
-    store: &'a VersionedStore,
-    views: &'s [VersionView],
-}
-
-impl VersionedCtx<'_, '_> {
-    /// Compacts the version log as far as its live pins allow
-    /// ([`VersionedStore::compact`] stops at the oldest version a view
-    /// still holds). Finished batches freeze their view at their final
-    /// pinned version, so every `BatchResult::pinned_version` stays
-    /// retrievable (`pin_at`) for the life of the session — while a
-    /// long-serving session whose batches keep advancing keeps the log
-    /// bounded instead of accreting one delta per publish forever.
-    fn compact(&self) {
-        self.store.compact(self.store.current_version());
-    }
+/// Compacts `store`'s version log as far as its live pins allow
+/// ([`VersionedStore::compact`] stops at the oldest version a view still
+/// holds). Finished batches freeze their view at their final pinned
+/// version, so every `BatchResult::pinned_version` stays retrievable
+/// (`pin_at`) for the life of the session — while a long-serving session
+/// whose batches keep advancing keeps the log bounded instead of accreting
+/// one delta per publish forever.
+fn compact(store: &VersionedStore) {
+    store.compact(store.current_version());
 }
 
 /// The in-flight pool, as seen by [`BatchServer::serve_with`]'s (or
@@ -368,7 +355,9 @@ impl VersionedCtx<'_, '_> {
 pub struct ServeSession<'s, 'a> {
     jobs: &'s [JobCell<'a>],
     config: &'s ServeConfig,
-    versioned: Option<VersionedCtx<'s, 'a>>,
+    /// The published store of a versioned session; each batch's pinned
+    /// view is its job's `JobCell::view`.
+    versioned: Option<&'a VersionedStore>,
 }
 
 impl<'s, 'a> ServeSession<'s, 'a> {
@@ -422,29 +411,24 @@ impl<'s, 'a> ServeSession<'s, 'a> {
     /// in-flight certificate. Serve through
     /// [`BatchServer::serve_versioned_with`] to update live.
     pub fn update(&self, entries: &[(CoeffKey, f64)], write_store: impl FnOnce()) {
-        let versioned = self
+        let store = self
             .versioned
-            .as_ref()
             .expect("ServeSession::update needs a versioned session: use serve_versioned_with");
-        versioned.store.publish(entries);
+        store.publish(entries);
         write_store();
-        versioned.compact();
+        compact(store);
     }
 
     /// The latest published store version, or `None` for unversioned
     /// sessions.
     pub fn current_version(&self) -> Option<VersionId> {
-        self.versioned
-            .as_ref()
-            .map(|versioned| versioned.store.current_version())
+        self.versioned.map(VersionedStore::current_version)
     }
 
     /// The store version batch `index` currently reads, or `None` for
     /// unversioned sessions (panics if out of range).
     pub fn pinned_version(&self, index: usize) -> Option<VersionId> {
-        self.versioned
-            .as_ref()
-            .map(|versioned| versioned.views[index].version())
+        self.jobs[index].view.map(VersionView::version)
     }
 
     /// Opts batch `index` in to the latest published store version.
@@ -452,30 +436,37 @@ impl<'s, 'a> ServeSession<'s, 'a> {
     /// Takes only that batch's slice lock (never another's), re-pins its
     /// view to the current version, and repairs the executor with
     /// [`ProgressiveExecutor::advance_version`] against the exact
-    /// concatenated delta between the two versions — so its estimates and
-    /// certified bounds are what they would have been had it read the new
-    /// version from the start. The order matters and is handled here: the
-    /// view advances *first*, so every fresh read (including the re-fetch
-    /// of an abandoned prefetch) sees the new version, and the repair then
-    /// patches exactly what the executor had already consumed of the old
-    /// one.
+    /// concatenated delta between the two versions — so its estimates are
+    /// what they would have been had it read the new version from the
+    /// start. The order matters and is handled here: the view advances
+    /// *first*, so every fresh read (including the re-fetch of an abandoned
+    /// prefetch) sees the new version, and the repair then patches exactly
+    /// what the executor had already consumed of the old one.
+    ///
+    /// The bounds are not re-priced. This repair and every later slice
+    /// certify the batch with the one `K` the caller configured
+    /// (`k_abs_sum` in [`ServeConfig::new`]), as they do every batch of the
+    /// serve, and that certificate holds for the advanced batch only while
+    /// `K` is at least the ℓ¹ of the version it advanced to
+    /// ([`VersionView::abs_sum`]). Pricing an advanced batch at `K + Σ|Δ|`
+    /// is ROADMAP item 15 (d).
     ///
     /// Returns the version the batch now reads, or `None` if the session
     /// is unversioned or the batch has already published its final result
     /// (its answer stays certified for its pinned version). Panics if
     /// `index` is out of range.
     pub fn advance_batch(&self, index: usize) -> Option<VersionId> {
-        let versioned = self.versioned.as_ref()?;
+        let store = self.versioned?;
         let cell = &self.jobs[index];
+        let view = cell.view.expect("a versioned session pins every batch");
         let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.result.is_some() {
             return None;
         }
         let interrupted = state.phase();
         state.enter_phase(Phase::Repair);
-        let (id, delta) = versioned.views[index].advance_to_current();
+        let (pinned, delta) = view.advance_to_current();
         state.exec.advance_version(&delta);
-        state.pinned_version = Some(id);
         let report = state
             .exec
             .degradation_report(self.config.n_total, self.config.k_abs_sum);
@@ -484,8 +475,8 @@ impl<'s, 'a> ServeSession<'s, 'a> {
             state.enter_phase(prev);
         }
         drop(state);
-        versioned.compact();
-        Some(id)
+        compact(store);
+        Some(pinned)
     }
 }
 
@@ -746,7 +737,7 @@ fn finalize(
         slices: state.slices,
         bound_history: std::mem::take(&mut state.bound_history),
         report,
-        pinned_version: state.pinned_version,
+        pinned_version: cell.view.map(VersionView::version),
     });
     cell.finished.store(true, Ordering::Release);
     state.flush_lifecycle();

@@ -367,8 +367,9 @@ fn haar_walk(n: usize, lo: usize, hi: usize, c: f64, tol: f64) -> SparseVec1 {
 }
 
 /// Dense reference implementation: materializes the query factor and runs
-/// the full pyramid transform. Used for validation and the ✦ lazy-vs-dense
-/// ablation benchmark.
+/// the full pyramid transform. It is the oracle [`lazy_query_transform`] is
+/// tested against and the dense arm of the ✦ lazy-vs-dense ablation
+/// (`coeff_count_sweep`); no strategy serves through it.
 pub fn dense_query_transform(
     n: usize,
     lo: usize,

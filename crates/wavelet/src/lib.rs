@@ -7,11 +7,16 @@
 //!   orthonormality and vanishing-moment properties;
 //! * [`dwt_full`] / [`idwt_full`] and [`dwt_nd`] / [`idwt_nd`] — periodic
 //!   orthogonal transforms in the pyramid layout (1-D and separable d-D);
+//!   one analysis filter loop serves these and the nonstandard
+//!   decomposition ([`nonstd_transform`], [`nonstd_separable`]);
+//! * [`lazy_query_transform`] — the one sparse transform of a factor
+//!   `p(x)·χ_[lo,hi]`, the `O((4δ+2)^d log^d N)` query-rewrite path;
+//!   [`dense_query_transform`] is its dense oracle and ablation arm, and no
+//!   strategy serves through it;
 //! * [`point_transform`] — sparse transform of a point mass, the
-//!   `O((2δ+1)^d log^d N)` tuple-insertion path;
-//! * [`lazy_query_transform`] — sparse transform of `p(x)·χ_[lo,hi]`, the
-//!   `O((4δ+2)^d log^d N)` query-rewrite path (with a dense reference
-//!   implementation for validation and ablation);
+//!   `O((2δ+1)^d log^d N)` tuple-insertion path: the lazy transform of the
+//!   one-cell range, so an insert and the one-cell COUNT rewrite agree bit
+//!   for bit;
 //! * [`SparseVec1`] / [`SparseCoeffs`] — sparse coefficient containers and
 //!   the tensor-product combination used for separable multi-d queries.
 //!
@@ -54,5 +59,5 @@ pub use multid::{dwt_nd, idwt_nd};
 pub use nonstd::{nonstd_dense_of_separable, nonstd_separable, nonstd_transform};
 pub use point::point_transform;
 pub use poly::Poly;
-pub use pyramid::{children, parent, support, supports};
+pub use pyramid::{support, supports};
 pub use sparse::{SparseCoeffs, SparseVec1, DEFAULT_TOL};

@@ -24,6 +24,7 @@
 
 use batchbb_tensor::{CoeffKey, Shape, Tensor};
 
+use crate::dwt1d::dwt_level;
 use crate::{SparseVec1, Wavelet};
 
 /// One analysis level along `axis`: every lane `[x₀…x_{m-1}]` becomes
@@ -31,25 +32,12 @@ use crate::{SparseVec1, Wavelet};
 /// lane are touched; `m` is the current live extent of that axis).
 fn level_step(t: &mut Tensor, axis: usize, live: &[usize], wavelet: Wavelet) {
     let m = live[axis];
-    debug_assert!(m >= 2 && m.is_power_of_two());
     let h = wavelet.lowpass();
     let g = wavelet.highpass();
-    let l = h.len();
     let mut scratch = vec![0.0f64; m];
     t.for_each_lane_mut(axis, |lane| {
-        let half = m / 2;
-        for k in 0..half {
-            let mut a = 0.0;
-            let mut d = 0.0;
-            for j in 0..l {
-                let v = lane[(2 * k + j) % m];
-                a += h[j] * v;
-                d += g[j] * v;
-            }
-            scratch[k] = a;
-            scratch[half + k] = d;
-        }
-        lane[..m].copy_from_slice(&scratch[..m]);
+        dwt_level(&lane[..m], h, &g, &mut scratch);
+        lane[..m].copy_from_slice(&scratch);
     });
 }
 
@@ -155,22 +143,13 @@ pub fn nonstd_separable(factors: &[Vec<f64>], wavelet: Wavelet, tol: f64) -> Vec
             assert!(f.len().is_power_of_two(), "factor lengths must be dyadic");
             let h = wavelet.lowpass();
             let g = wavelet.highpass();
-            let l = h.len();
             let mut scaling = vec![f.clone()];
             let mut detail = Vec::new();
             while scaling.last().unwrap().len() > 1 {
                 let s = scaling.last().unwrap();
-                let m = s.len();
-                let half = m / 2;
-                let mut a = vec![0.0; half];
-                let mut dd = vec![0.0; half];
-                for k in 0..half {
-                    for j in 0..l {
-                        let v = s[(2 * k + j) % m];
-                        a[k] += h[j] * v;
-                        dd[k] += g[j] * v;
-                    }
-                }
+                let mut a = vec![0.0; s.len()];
+                dwt_level(s, h, &g, &mut a);
+                let dd = a.split_off(s.len() / 2);
                 scaling.push(a);
                 detail.push(dd);
             }
@@ -278,7 +257,7 @@ pub fn nonstd_dense_of_separable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn sample(dims: &[usize]) -> Tensor {
         Tensor::from_fn(Shape::new(dims.to_vec()).unwrap(), |ix| {
@@ -298,8 +277,10 @@ mod tests {
                 (ix.iter().sum::<usize>() % 5) as f64
             });
             for w in [Wavelet::Haar, Wavelet::Db4] {
-                let ta: HashMap<CoeffKey, f64> = nonstd_transform(&a, w, 0.0).into_iter().collect();
-                let tb: HashMap<CoeffKey, f64> = nonstd_transform(&b, w, 0.0).into_iter().collect();
+                let ta: BTreeMap<CoeffKey, f64> =
+                    nonstd_transform(&a, w, 0.0).into_iter().collect();
+                let tb: BTreeMap<CoeffKey, f64> =
+                    nonstd_transform(&b, w, 0.0).into_iter().collect();
                 let dot: f64 = ta
                     .iter()
                     .map(|(k, v)| v * tb.get(k).copied().unwrap_or(0.0))
@@ -320,7 +301,7 @@ mod tests {
         let coeffs = nonstd_transform(&t, Wavelet::Db4, -1.0);
         assert_eq!(coeffs.len(), 64);
         // keys are unique
-        let uniq: std::collections::HashSet<CoeffKey> = coeffs.iter().map(|&(k, _)| k).collect();
+        let uniq: BTreeSet<CoeffKey> = coeffs.iter().map(|&(k, _)| k).collect();
         assert_eq!(uniq.len(), 64);
     }
 
@@ -331,10 +312,10 @@ mod tests {
             .collect();
         let g: Vec<f64> = (0..16).map(|i| i as f64 * 0.25).collect();
         for w in [Wavelet::Haar, Wavelet::Db4] {
-            let fast: HashMap<CoeffKey, f64> = nonstd_separable(&[f.clone(), g.clone()], w, 1e-12)
+            let fast: BTreeMap<CoeffKey, f64> = nonstd_separable(&[f.clone(), g.clone()], w, 1e-12)
                 .into_iter()
                 .collect();
-            let dense: HashMap<CoeffKey, f64> =
+            let dense: BTreeMap<CoeffKey, f64> =
                 nonstd_dense_of_separable(&[f.clone(), g.clone()], w, 1e-12)
                     .into_iter()
                     .collect();

@@ -5,70 +5,25 @@
 //! `χ_{x}` — a vector with `O(L·log N)` nonzeros per dimension, computable
 //! without touching the other `N-1` positions.  This is the
 //! `O((2δ+1)^d log^d N)` update path claimed in §2.1/§3.1.
+//!
+//! `χ_{x}` is the one-cell range `[x, x]`, so the point transform *is* the
+//! query transform of that range: [`point_transform`] calls
+//! [`lazy_query_transform`], and an insert's delta carries the same bits
+//! as the rewrite of the one-cell COUNT query.
 
-use std::collections::HashMap;
-
-use crate::{SparseVec1, Wavelet, DEFAULT_TOL};
+use crate::{lazy_query_transform, Poly, SparseVec1, Wavelet, DEFAULT_TOL};
 
 /// Nonzero pyramid coefficients of the 1-D transform of `weight·δ_t` on a
-/// length-`n` periodic domain.
+/// length-`n` periodic domain: the lazy transform of the constant `weight`
+/// over the one-cell range `[t, t]`.
 ///
 /// # Panics
 /// Panics if `n` is not a power of two or `t >= n`.
 pub fn point_transform(n: usize, t: usize, weight: f64, wavelet: Wavelet) -> SparseVec1 {
     assert!(n.is_power_of_two(), "domain length must be a power of two");
     assert!(t < n, "position {t} out of domain {n}");
-    let h = wavelet.lowpass();
-    let g = wavelet.highpass();
-    let l = h.len();
-
-    // Current approximation coefficients as a sparse map, starting from the
-    // level-0 signal itself.
-    let mut approx: HashMap<usize, f64> = HashMap::from([(t, weight)]);
-    let mut out: Vec<(usize, f64)> = Vec::new();
-    let mut m = n;
-    while m > 1 {
-        let half = m / 2;
-        let mut next: HashMap<usize, f64> = HashMap::with_capacity(approx.len() + l);
-        let mut details: HashMap<usize, f64> = HashMap::with_capacity(approx.len() + l);
-        // Fold in ascending index order: several positions can contribute
-        // to the same output coefficient, and f64 `+=` is order-sensitive,
-        // so HashMap iteration order would make the low bits vary between
-        // calls — breaking the bit-identity contract of the batched and
-        // versioned update paths.
-        let mut positions: Vec<(usize, f64)> = approx.iter().map(|(&i, &v)| (i, v)).collect();
-        positions.sort_unstable_by_key(|&(i, _)| i);
-        for (i, v) in positions {
-            // i contributes to output k whenever (2k + j) ≡ i (mod m).
-            for j in 0..l {
-                let pos = (i + m - (j % m)) % m;
-                if !pos.is_multiple_of(2) {
-                    continue;
-                }
-                let k = pos / 2;
-                // Guard double counting when the filter wraps the small
-                // domain more than once: positions j and j+m hit the same k,
-                // and both taps must be applied, so iterate raw j (done) —
-                // each (j, k) pairing is distinct.
-                *next.entry(k).or_insert(0.0) += h[j] * v;
-                *details.entry(k).or_insert(0.0) += g[j] * v;
-            }
-        }
-        for (k, v) in details {
-            if v.abs() > DEFAULT_TOL {
-                out.push((half + k, v));
-            }
-        }
-        approx = next;
-        m = half;
-    }
-    debug_assert!(approx.len() <= 1);
-    if let Some(&v) = approx.get(&0) {
-        if v.abs() > DEFAULT_TOL {
-            out.push((0, v));
-        }
-    }
-    SparseVec1::from_pairs(out, 0.0)
+    lazy_query_transform(n, t, t, &Poly::constant(weight), wavelet, DEFAULT_TOL)
+        .expect("a constant over one in-domain cell is a valid factor")
 }
 
 #[cfg(test)]

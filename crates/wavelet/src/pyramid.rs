@@ -2,39 +2,10 @@
 //!
 //! The in-place pyramid stores the overall scaling coefficient at index 0
 //! and the detail at level `j` (coarse → fine), translation `k`, at index
-//! `2^j + k`.  These helpers expose the tree structure — parents, children,
-//! and (periodic) support — which disk-layout strategies, tests, and
-//! visualization code need.
+//! `2^j + k`.  These helpers give the (periodic) support of each
+//! coefficient's basis function on the original signal.
 
-use crate::{pyramid_index, pyramid_level, Wavelet};
-
-/// The parent of a detail coefficient in the dyadic tree: the detail one
-/// level coarser whose translation covers it.  The two level-0 slots
-/// (scaling `0` and coarsest detail `1`) have no parent.
-pub fn parent(xi: usize) -> Option<usize> {
-    let level = pyramid_level(xi)?;
-    if level == 0 {
-        return None;
-    }
-    let k = xi - (1 << level);
-    Some(pyramid_index(level - 1, k / 2))
-}
-
-/// The two children of a detail coefficient one level finer, or `None` for
-/// coefficients already at the finest level of a length-`n` pyramid.
-pub fn children(xi: usize, n: usize) -> Option<(usize, usize)> {
-    assert!(n.is_power_of_two(), "pyramid length must be a power of two");
-    let level = pyramid_level(xi)?;
-    let finest = n.ilog2().checked_sub(1)?;
-    if level >= finest {
-        return None;
-    }
-    let k = xi - (1 << level);
-    Some((
-        pyramid_index(level + 1, 2 * k),
-        pyramid_index(level + 1, 2 * k + 1),
-    ))
-}
+use crate::{pyramid_level, Wavelet};
 
 /// The (periodic) support of the coefficient's basis function on the
 /// original length-`n` signal: the set of positions `x` where the wavelet
@@ -75,36 +46,6 @@ pub fn supports(xi: usize, x: usize, n: usize, wavelet: Wavelet) -> bool {
 mod tests {
     use super::*;
     use crate::dwt;
-
-    #[test]
-    fn parent_child_inverse() {
-        let n = 64;
-        for xi in 1..n {
-            if let Some((a, b)) = children(xi, n) {
-                assert_eq!(parent(a), Some(xi));
-                assert_eq!(parent(b), Some(xi));
-            }
-        }
-    }
-
-    #[test]
-    fn roots_have_no_parent() {
-        assert_eq!(parent(0), None);
-        assert_eq!(parent(1), None);
-        assert_eq!(parent(2), Some(1));
-        assert_eq!(parent(3), Some(1));
-        assert_eq!(parent(5), Some(2));
-    }
-
-    #[test]
-    fn finest_level_has_no_children() {
-        let n = 16;
-        for k in 0..8 {
-            assert_eq!(children(8 + k, n), None);
-        }
-        assert_eq!(children(4, n), Some((8, 9)));
-        assert_eq!(children(0, n), None, "scaling coefficient is not a detail");
-    }
 
     #[test]
     fn support_covers_actual_sensitivity() {

@@ -305,7 +305,8 @@ full_gate() {
     # a serve with K = 0 still finishes exact;
     # the worst-case bound refuses a negative K;
     # the worst-case bound refuses a NaN K;
-    # a VersionedStore is no CoefficientStore, so only a pinned view reads it.
+    # a VersionedStore is no CoefficientStore, so only a pinned view reads it;
+    # an insert's delta is its one-cell COUNT query's rewrite, bit for bit.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -384,6 +385,8 @@ full_gate() {
     run cargo test -q -p batchbb-serve --test certificate_scale \
         worst_case_bound_rejects_a_nan_k
     run cargo test -q -p batchbb-storage --doc VersionedStore
+    run cargo test -q -p batchbb-core --test versioning \
+        an_insert_is_the_one_cell_count_query
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound

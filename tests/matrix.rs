@@ -24,10 +24,6 @@ fn strategies() -> Vec<Box<dyn LinearStrategy>> {
         Box::new(WaveletStrategy::new(Wavelet::Haar)),
         Box::new(WaveletStrategy::new(Wavelet::Db4)),
         Box::new(WaveletStrategy::new(Wavelet::Db8)),
-        Box::new(WaveletStrategy {
-            wavelet: Wavelet::Db4,
-            lazy: false,
-        }),
         Box::new(NonstandardStrategy::new(Wavelet::Haar)),
         Box::new(NonstandardStrategy::new(Wavelet::Db4)),
         Box::new(PrefixSumStrategy::count(2)),
