@@ -753,8 +753,7 @@ mod tests {
 
     fn synthetic_trace(bounds: &[f64], engine: &str) -> Vec<String> {
         let mut lines = vec![format!(
-            r#"{{"event":"exec.start","engine":"{engine}","queries":1,"coefficients":{}}}"#,
-            bounds.len()
+            r#"{{"event":"exec.start","engine":"{engine}","queries":1}}"#
         )];
         for (i, b) in bounds.iter().enumerate() {
             lines.push(format!(

@@ -2,14 +2,12 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use batchbb_obs::SpanTimer;
 use batchbb_penalty::{Penalty, PenaltyKey};
 use batchbb_query::{LinearStrategy, RangeSum, StrategyError};
 use batchbb_tensor::Shape;
 use batchbb_wavelet::SparseCoeffs;
 
 use crate::executor::{progression_order, Progression};
-use crate::observe::RewriteObserver;
 use crate::MasterList;
 
 /// A query batch after step 2 of Batch-Biggest-B: every query's sparse
@@ -55,22 +53,11 @@ impl BatchQueries {
         queries: Vec<RangeSum>,
         domain: &Shape,
     ) -> Result<Self, StrategyError> {
-        BatchQueries::rewrite_observed(strategy, queries, domain, None)
+        BatchQueries::rewrite_parallel(strategy, queries, domain, 1)
     }
 
-    /// [`BatchQueries::rewrite`] with an optional [`RewriteObserver`]:
-    /// per-query rewrite latency and coefficient counts go to `rewrite.*`
-    /// metrics and events. With `None` no clock is ever read.
-    pub fn rewrite_observed(
-        strategy: &dyn LinearStrategy,
-        queries: Vec<RangeSum>,
-        domain: &Shape,
-        observer: Option<&RewriteObserver>,
-    ) -> Result<Self, StrategyError> {
-        BatchQueries::rewrite_parallel_observed(strategy, queries, domain, 1, observer)
-    }
-
-    /// Rewrites the batch on `threads` scoped worker threads.
+    /// Rewrites the batch on `threads` scoped worker threads; one thread,
+    /// or one query, rewrites on the caller.
     ///
     /// Query rewriting is embarrassingly parallel — each query's
     /// coefficient list is independent — and dominates preprocessing time
@@ -81,37 +68,13 @@ impl BatchQueries {
         domain: &Shape,
         threads: usize,
     ) -> Result<Self, StrategyError> {
-        BatchQueries::rewrite_parallel_observed(strategy, queries, domain, threads, None)
-    }
-
-    /// [`BatchQueries::rewrite_parallel`] with an optional
-    /// [`RewriteObserver`]. Workers emit `rewrite.query` events concurrently
-    /// (the sink serializes); the `rewrite.batch` summary carries the
-    /// wall-clock time of the whole scoped fan-out. One thread, or one
-    /// query, rewrites on the caller.
-    pub fn rewrite_parallel_observed(
-        strategy: &dyn LinearStrategy,
-        queries: Vec<RangeSum>,
-        domain: &Shape,
-        threads: usize,
-        observer: Option<&RewriteObserver>,
-    ) -> Result<Self, StrategyError> {
         assert!(threads >= 1, "need at least one thread");
         let threads = if queries.len() < 2 { 1 } else { threads };
-        let batch_timer = observer.map(|_| SpanTimer::start());
-        let rewrite = |qi: usize, q: &RangeSum| {
-            let timer = observer.map(|_| SpanTimer::start());
-            let coeffs = strategy.query_coefficients(q, domain)?;
-            if let Some(obs) = observer {
-                obs.on_query(qi, coeffs.nnz(), timer.map_or(0, |t| t.elapsed_ns()));
-            }
-            Ok(coeffs)
-        };
+        let rewrite = |q: &RangeSum| strategy.query_coefficients(q, domain);
         let coeffs = if threads == 1 {
             queries
                 .iter()
-                .enumerate()
-                .map(|(qi, q)| rewrite(qi, q))
+                .map(rewrite)
                 .collect::<Result<Vec<_>, StrategyError>>()?
         } else {
             let chunk = queries.len().div_ceil(threads);
@@ -119,15 +82,7 @@ impl BatchQueries {
                 let rewrite = &rewrite;
                 let workers: Vec<_> = queries
                     .chunks(chunk)
-                    .enumerate()
-                    .map(|(ci, qs)| {
-                        scope.spawn(move || {
-                            qs.iter()
-                                .enumerate()
-                                .map(|(i, q)| rewrite(ci * chunk + i, q))
-                                .collect::<Vec<_>>()
-                        })
-                    })
+                    .map(|qs| scope.spawn(move || qs.iter().map(rewrite).collect::<Vec<_>>()))
                     .collect();
                 // Joined here, not left to the scope: the scope returns once
                 // each worker's closure has, while its OS thread may still be
@@ -139,15 +94,6 @@ impl BatchQueries {
                     .collect::<Result<Vec<_>, StrategyError>>()
             })?
         };
-        if let Some(obs) = observer {
-            let total = coeffs.iter().map(SparseCoeffs::nnz).sum();
-            obs.on_batch(
-                queries.len(),
-                total,
-                threads,
-                batch_timer.map_or(0, |t| t.elapsed_ns()),
-            );
-        }
         Ok(BatchQueries::new(queries, coeffs))
     }
 

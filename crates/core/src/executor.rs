@@ -375,7 +375,7 @@ impl<'a> ProgressiveExecutor<'a> {
     /// Observation never alters evaluation — estimates, progression order,
     /// and fault handling are bit-for-bit identical with or without it.
     pub fn with_observer(mut self, observer: ExecObserver) -> Self {
-        observer.on_start(self.estimates.len(), self.master.len());
+        observer.on_start(self.estimates.len());
         self.observer = Some(observer);
         self
     }

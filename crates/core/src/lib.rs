@@ -38,9 +38,8 @@
 //! penalty bounds through [`DegradationReport`] — progressive evaluation
 //! degrades gracefully instead of aborting.
 //!
-//! Every engine can carry an [`ExecObserver`] (and the rewrite stage a
-//! [`RewriteObserver`]) that records metrics and emits `exec.*` /
-//! `rewrite.*` trace events in one uniform schema — see DESIGN.md §8.
+//! Every engine can carry an [`ExecObserver`] that records metrics and
+//! emits `exec.*` trace events in one uniform schema — see DESIGN.md §8.
 //! Observation is read-only: runs with the default no-op sink are
 //! bit-for-bit identical to unobserved runs.
 
@@ -104,4 +103,4 @@ pub use executor::{
     DegradationReport, DrainStatus, ProgressionEntry, ProgressiveExecutor, StepInfo, TryStepOutcome,
 };
 pub use master::MasterList;
-pub use observe::{ExecObserver, RewriteObserver};
+pub use observe::ExecObserver;

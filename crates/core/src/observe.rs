@@ -5,8 +5,7 @@
 //! per query — can carry an
 //! [`ExecObserver`] that emits one uniform event schema per retrieval, so
 //! trajectories from the two are directly comparable (and replayable by the
-//! `progress_report` harness in `batchbb-bench`).  Query rewriting is
-//! observed separately through [`RewriteObserver`].
+//! `progress_report` harness in `batchbb-bench`).
 //!
 //! Observation is strictly read-only: with the default
 //! [`batchbb_obs::NullSink`] the instrumented paths produce output
@@ -15,9 +14,7 @@
 
 use std::sync::Arc;
 
-use batchbb_obs::{
-    Counter, Event, EventSink, Gauge, Histogram, MetricsRegistry, NullSink, SpanTimer,
-};
+use batchbb_obs::{Counter, Event, EventSink, Histogram, MetricsRegistry, NullSink, SpanTimer};
 use batchbb_storage::{FaultStats, StorageError};
 use batchbb_tensor::CoeffKey;
 
@@ -73,9 +70,6 @@ pub struct ExecObserver {
     batch: Option<u64>,
     steps: Counter,
     deferrals: Counter,
-    recoveries: Counter,
-    pending_depth: Gauge,
-    deferred_depth: Gauge,
     step_ns: Histogram,
 }
 
@@ -100,9 +94,6 @@ impl ExecObserver {
         ExecObserver {
             steps: registry.counter(&metric("steps")),
             deferrals: registry.counter(&metric("deferrals")),
-            recoveries: registry.counter(&metric("recoveries")),
-            pending_depth: registry.gauge(&metric("pending")),
-            deferred_depth: registry.gauge(&metric("deferred")),
             step_ns: registry.histogram(&metric("step_ns")),
             sink,
             registry,
@@ -183,28 +174,20 @@ impl ExecObserver {
         self.sink.emit(&event);
     }
 
-    pub(crate) fn on_start(&self, queries: usize, coefficients: usize) {
+    pub(crate) fn on_start(&self, queries: usize) {
         if !self.sink.enabled() {
             return;
         }
         self.emit(
             Event::new("exec.start")
                 .str("engine", self.engine)
-                .u64("queries", queries as u64)
-                .u64("coefficients", coefficients as u64)
-                .f64_finite("n_total", self.bounds.map_or(f64::NAN, |b| b.0 as f64))
-                .f64_finite("k_abs_sum", self.bounds.map_or(f64::NAN, |b| b.1)),
+                .u64("queries", queries as u64),
         );
     }
 
     pub(crate) fn on_step(&self, o: &StepObservation<'_>) {
         self.steps.inc();
-        if o.kind == "recovered" {
-            self.recoveries.inc();
-        }
         self.step_ns.record(o.latency_ns);
-        self.pending_depth.set(o.pending as i64);
-        self.deferred_depth.set(o.deferred as i64);
         if !self.sink.enabled() {
             return;
         }
@@ -227,18 +210,12 @@ impl ExecObserver {
                 .u64("step", o.retrieved as u64)
                 .str("key", o.info.key.to_string())
                 .f64("importance", o.info.importance)
-                .f64("value", o.info.value)
-                .u64("queries", o.info.queries_advanced as u64)
                 .u64("pending", o.pending as u64)
                 .u64("deferred", o.deferred as u64)
-                .f64_finite("remaining_iota", o.remaining_importance)
-                .f64_finite("deferred_iota", o.deferred_importance)
                 .f64_finite("expected_penalty", expected_penalty)
                 .f64_finite("worst_case_bound", worst_case_bound)
                 .u64("attempts", o.fault.attempts)
-                .u64("retries", o.fault.retries)
-                .u64("backoff_ticks", o.fault.backoff_ticks)
-                .u64("latency_ns", o.latency_ns),
+                .u64("retries", o.fault.retries),
         );
     }
 
@@ -255,7 +232,6 @@ impl ExecObserver {
         if first {
             self.deferrals.inc();
         }
-        self.deferred_depth.set(deferred as i64);
         if !self.sink.enabled() {
             return;
         }
@@ -300,78 +276,6 @@ impl ExecObserver {
     }
 }
 
-/// Observer for the query-rewrite stage ([`crate::BatchQueries`]): per-query
-/// rewrite latency and coefficient counts, plus a batch summary event.
-pub struct RewriteObserver {
-    sink: Arc<dyn EventSink>,
-    registry: Arc<MetricsRegistry>,
-    queries: Counter,
-    coefficients: Counter,
-    query_ns: Histogram,
-}
-
-impl RewriteObserver {
-    /// An observer emitting to `sink` with a fresh private registry.
-    pub fn new(sink: Arc<dyn EventSink>) -> Self {
-        Self::build(sink, Arc::new(MetricsRegistry::new()))
-    }
-
-    fn build(sink: Arc<dyn EventSink>, registry: Arc<MetricsRegistry>) -> Self {
-        RewriteObserver {
-            queries: registry.counter("rewrite.queries"),
-            coefficients: registry.counter("rewrite.coefficients"),
-            query_ns: registry.histogram("rewrite.query_ns"),
-            sink,
-            registry,
-        }
-    }
-
-    /// Uses `registry` (shared with other components) instead of a private
-    /// one.
-    pub fn with_registry(self, registry: Arc<MetricsRegistry>) -> Self {
-        Self::build(self.sink, registry)
-    }
-
-    /// The registry this observer records into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    pub(crate) fn on_query(&self, qi: usize, coefficients: usize, latency_ns: u64) {
-        self.queries.inc();
-        self.coefficients.add(coefficients as u64);
-        self.query_ns.record(latency_ns);
-        if !self.sink.enabled() {
-            return;
-        }
-        self.sink.emit(
-            &Event::new("rewrite.query")
-                .u64("query", qi as u64)
-                .u64("coefficients", coefficients as u64)
-                .u64("latency_ns", latency_ns),
-        );
-    }
-
-    pub(crate) fn on_batch(
-        &self,
-        queries: usize,
-        total_coefficients: usize,
-        threads: usize,
-        latency_ns: u64,
-    ) {
-        if !self.sink.enabled() {
-            return;
-        }
-        self.sink.emit(
-            &Event::new("rewrite.batch")
-                .u64("queries", queries as u64)
-                .u64("total_coefficients", total_coefficients as u64)
-                .u64("threads", threads as u64)
-                .u64("latency_ns", latency_ns),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,7 +299,7 @@ mod tests {
     fn metrics_only_observer_emits_nothing() {
         let obs = ExecObserver::metrics_only();
         assert!(!obs.sink().enabled());
-        obs.on_start(4, 100);
+        obs.on_start(4);
         obs.on_finish("exact", 100, true, &FaultStats::default());
         assert_eq!(
             obs.registry().snapshot().counter("progressive.steps"),
@@ -421,19 +325,5 @@ mod tests {
         assert_eq!(parsed.name(), "exec.defer");
         assert_eq!(parsed.str("error"), Some("permanent"));
         assert_eq!(parsed.bool("first"), Some(true));
-    }
-
-    #[test]
-    fn rewrite_observer_counts_queries_and_coefficients() {
-        let sink = Arc::new(MemorySink::new());
-        let obs = RewriteObserver::new(sink.clone());
-        obs.on_query(0, 10, 100);
-        obs.on_query(1, 20, 200);
-        obs.on_batch(2, 30, 1, 500);
-        let snap = obs.registry().snapshot();
-        assert_eq!(snap.counter("rewrite.queries"), Some(2));
-        assert_eq!(snap.counter("rewrite.coefficients"), Some(30));
-        assert_eq!(snap.histogram("rewrite.query_ns").unwrap().count, 2);
-        assert_eq!(sink.len(), 3);
     }
 }

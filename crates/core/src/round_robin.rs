@@ -45,7 +45,7 @@ impl<'a> RoundRobin<'a> {
     /// penalty-bound fields are omitted from its step events.
     pub fn with_observer(mut self, observer: ExecObserver) -> Self {
         let observer = observer.with_engine("round_robin");
-        observer.on_start(self.instances.len(), self.pending_count());
+        observer.on_start(self.instances.len());
         self.observer = Some(observer);
         self
     }

@@ -2,13 +2,12 @@
 
 use std::time::Instant;
 
-use crate::Histogram;
-
 /// Times a span of work in nanoseconds.
 ///
 /// A `SpanTimer` is just an [`Instant`]; starting one costs a single clock
-/// read, so instrumented hot paths can time every retrieval.  Readings
-/// saturate at `u64::MAX` nanoseconds (~584 years).
+/// read, so an observed executor can time every retrieval into its
+/// `{engine}.step_ns` histogram.  Readings saturate at `u64::MAX`
+/// nanoseconds (~584 years).
 #[derive(Debug, Clone, Copy)]
 pub struct SpanTimer {
     start: Instant,
@@ -26,19 +25,11 @@ impl SpanTimer {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Records the elapsed nanoseconds into `histogram` and returns them.
-    pub fn finish(&self, histogram: &Histogram) -> u64 {
-        let ns = self.elapsed_ns();
-        histogram.record(ns);
-        ns
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
 
     #[test]
     fn elapsed_is_monotone() {
@@ -46,16 +37,5 @@ mod tests {
         let a = t.elapsed_ns();
         let b = t.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn finish_records_into_histogram() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("ns");
-        let t = SpanTimer::start();
-        let ns = t.finish(&h);
-        assert_eq!(h.count(), 1);
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("ns").unwrap().sum, ns);
     }
 }

@@ -238,8 +238,7 @@ impl SloObserver {
     /// Records a finalized batch's contract outcome: the `slo.met` /
     /// `slo.degraded` counters, the per-priority certified-bound
     /// histogram, and one `slo.outcome` event. `cause` is the terminal
-    /// [`BatchStatus`](crate::BatchStatus) label; deadline expiries and
-    /// sheds get their own counters on top of `slo.degraded`/`slo.met`.
+    /// [`BatchStatus`](crate::BatchStatus) label, which the event carries.
     pub(crate) fn on_outcome(
         &self,
         batch: usize,
@@ -260,11 +259,6 @@ impl SloObserver {
             }
             SloOutcome::Rejected { .. } => "rejected",
         };
-        match cause {
-            "deadline_expired" => self.count("slo.deadline_expired"),
-            "shed" => self.count("slo.shed"),
-            _ => {}
-        }
         if let Some(registry) = &self.registry {
             // Histograms bucket u64s; certified bounds are scaled to
             // nano-units so sub-unit bounds keep resolution (log2 buckets

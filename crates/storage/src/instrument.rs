@@ -1,32 +1,31 @@
 //! A metrics-and-tracing wrapper for any [`CoefficientStore`].
 //!
 //! [`InstrumentedStore`] sits between an evaluation engine and the real
-//! store: every key read is timed into the `store.try_get_ns` latency
-//! histogram and counted as a hit (the key held a value) or a miss
-//! (absent ⇒ zero).  Failures are classified per [`StorageError::class`] into
-//! `store.fault.{transient,permanent,io}` counters, and — when an event
-//! sink is attached — emit one `store.fault` trace event each.  Successful
-//! retrievals emit *no* events: at one event per retrieval the trace would
-//! dwarf the executor's own, and the executor already records per-step
-//! retrieval latency.
+//! store: every key read is counted as a hit (the key held a value) or a
+//! miss (absent ⇒ zero).  Failures are classified per [`StorageError::class`]
+//! into `store.fault.{transient,permanent,io}` counters, and — when an
+//! event sink is attached — emit one `store.fault` trace event each,
+//! carrying the key and its `error` class.  The wrapper reads no clock and
+//! successful retrievals emit *no* events: the executor already records
+//! per-step retrieval latency (`{engine}.step_ns`), and at one event per
+//! retrieval the trace would dwarf the executor's own.
 //!
 //! Wrapping is observation-only: values, errors, and the inner store's own
 //! [`IoStats`] accounting pass through unchanged.
 
 use std::sync::Arc;
 
-use batchbb_obs::{Counter, Event, EventSink, Histogram, MetricsRegistry, NullSink, SpanTimer};
+use batchbb_obs::{Counter, Event, EventSink, MetricsRegistry, NullSink};
 use batchbb_tensor::CoeffKey;
 
 use crate::{CoefficientStore, Completion, IoStats, StorageError};
 
-/// Wraps a [`CoefficientStore`] with latency histograms, hit/miss/fault
-/// counters, and optional `store.fault` trace events.
+/// Wraps a [`CoefficientStore`] with hit/miss/fault counters and optional
+/// `store.fault` trace events.
 pub struct InstrumentedStore<S> {
     inner: S,
     sink: Arc<dyn EventSink>,
     registry: Arc<MetricsRegistry>,
-    try_get_ns: Histogram,
     hits: Counter,
     misses: Counter,
     transient: Counter,
@@ -42,7 +41,6 @@ impl<S: CoefficientStore> InstrumentedStore<S> {
 
     fn build(inner: S, sink: Arc<dyn EventSink>, registry: Arc<MetricsRegistry>) -> Self {
         InstrumentedStore {
-            try_get_ns: registry.histogram("store.try_get_ns"),
             hits: registry.counter("store.hits"),
             misses: registry.counter("store.misses"),
             transient: registry.counter("store.fault.transient"),
@@ -103,16 +101,13 @@ impl<S: CoefficientStore> InstrumentedStore<S> {
 impl<S: CoefficientStore> CoefficientStore for InstrumentedStore<S> {
     /// The wrapper's one read body, key by key ([`Completion::per_key`])
     /// rather than forwarded to the inner store's batched path: each key
-    /// gets its own `store.try_get_ns` sample and hit/miss/fault
-    /// classification, so the histograms and counters are byte-identical
-    /// however callers batch.  Instrumentation trades away inner batching
+    /// gets its own hit/miss/fault classification, so the counters are
+    /// byte-identical however callers batch.  Instrumentation trades away inner batching
     /// (and asynchrony) for per-key observability — wrap the instrumented
     /// store *inside* a batching wrapper or an engine if both are wanted.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         Completion::per_key(keys, |key| {
-            let timer = SpanTimer::start();
             let result = self.inner.try_get(key);
-            timer.finish(&self.try_get_ns);
             match &result {
                 Ok(value) => self.count_value(value),
                 Err(error) => self.count_error(key, error),
@@ -156,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_hits_misses_and_latency() {
+    fn counts_hits_and_misses() {
         let store = InstrumentedStore::new(inner());
         assert_eq!(store.get(&CoeffKey::new(&[0, 0])), Some(12.5));
         assert_eq!(store.get(&CoeffKey::new(&[9, 9])), None);
@@ -164,7 +159,6 @@ mod tests {
         let snap = store.registry().snapshot();
         assert_eq!(snap.counter("store.hits"), Some(2));
         assert_eq!(snap.counter("store.misses"), Some(1));
-        assert_eq!(snap.histogram("store.try_get_ns").unwrap().count, 3);
         // Inner accounting passes through: 3 logical retrievals.
         assert_eq!(store.stats().retrievals, 3);
         assert_eq!(store.nnz(), 2);

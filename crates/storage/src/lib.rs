@@ -20,9 +20,9 @@
 //!   retrievals (the round-robin baseline's, or many in-flight batches of
 //!   the `batchbb-serve` pool) become cache hits, sharing each physical
 //!   fetch without serializing on one lock;
-//! * [`InstrumentedStore`] — an observability wrapper recording per-call
-//!   latency histograms, hit/miss counters, and per-class fault counters
-//!   into a `batchbb_obs` registry (plus `store.fault` trace events);
+//! * [`InstrumentedStore`] — an observability wrapper recording hit/miss
+//!   counters and per-class fault counters into a `batchbb_obs` registry
+//!   (plus `store.fault` trace events);
 //! * [`ShardRouter`] — the completion-based asynchronous engine: I/O
 //!   worker threads behind [`CoefficientStore::submit`], an in-flight
 //!   table that dedups reads *across* concurrent batches, and

@@ -14,7 +14,6 @@
 //! coefficients in `O(L²·log N)` time instead of the dense transform's
 //! `O(L·N)` — the "computed quickly" claim of §2.1/§3.1.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 #[cfg(test)]
@@ -64,33 +63,6 @@ impl fmt::Display for LazyError {
 
 impl std::error::Error for LazyError {}
 
-/// One polynomial piece of the level state, covering `[start, start+len)`.
-#[derive(Debug, Clone)]
-struct Segment {
-    start: usize,
-    len: usize,
-    poly: Poly,
-}
-
-/// Piecewise-polynomial signal on `Z_m`: sorted segments covering `[0, m)`.
-struct Level {
-    m: usize,
-    segs: Vec<Segment>,
-}
-
-impl Level {
-    fn eval(&self, pos: usize) -> f64 {
-        debug_assert!(pos < self.m);
-        let i = self.segs.partition_point(|s| s.start <= pos) - 1;
-        self.segs[i].poly.eval(pos as f64)
-    }
-
-    /// Index of the segment containing `pos`.
-    fn seg_at(&self, pos: usize) -> usize {
-        self.segs.partition_point(|s| s.start <= pos) - 1
-    }
-}
-
 /// Computes all nonzero pyramid coefficients of `p(x)·χ_{[lo,hi]}(x)` on a
 /// length-`n` periodic domain. Coefficients with magnitude `<= tol` are
 /// dropped (pass [`DEFAULT_TOL`](crate::DEFAULT_TOL) for the workspace default).
@@ -123,6 +95,10 @@ pub fn lazy_query_transform(
 }
 
 /// The level-by-level walk behind [`lazy_query_transform`], for any filter.
+///
+/// A level is a piecewise-polynomial signal on `Z_m`: sorted
+/// `(start, poly)` pieces covering `[0, m)`, each running to the next
+/// piece's start.
 fn pyramid_walk(
     n: usize,
     lo: usize,
@@ -136,132 +112,114 @@ fn pyramid_walk(
     let l = h.len();
     let max_deg = poly.degree().unwrap_or(0);
     let moments = wavelet.lowpass_moments(max_deg);
+    // The piece containing `pos`.
+    let piece = |pieces: &[(usize, Poly)], pos: usize| -> usize {
+        pieces.partition_point(|&(start, _)| start <= pos) - 1
+    };
 
     // Initial level: zero / poly / zero pieces.
-    let mut segs: Vec<Segment> = Vec::with_capacity(3);
+    let mut pieces: Vec<(usize, Poly)> = Vec::with_capacity(3);
     if lo > 0 {
-        segs.push(Segment {
-            start: 0,
-            len: lo,
-            poly: Poly::zero(),
-        });
+        pieces.push((0, Poly::zero()));
     }
-    segs.push(Segment {
-        start: lo,
-        len: hi - lo + 1,
-        poly: poly.clone(),
-    });
+    pieces.push((lo, poly.clone()));
     if hi + 1 < n {
-        segs.push(Segment {
-            start: hi + 1,
-            len: n - hi - 1,
-            poly: Poly::zero(),
-        });
+        pieces.push((hi + 1, Poly::zero()));
     }
-    let mut level = Level { m: n, segs };
 
     let mut out: Vec<(usize, f64)> = Vec::new();
-    while level.m > 1 {
-        let m = level.m;
+    let (mut explicit, mut values, mut marks) = (Vec::new(), Vec::new(), Vec::new());
+    let mut next: Vec<(usize, Poly)> = Vec::new();
+    let mut m = n;
+    while m > 1 {
         let half = m / 2;
 
         // Which output indices must be evaluated explicitly?
-        let mut explicit: BTreeSet<usize> = BTreeSet::new();
+        explicit.clear();
         if m <= 2 * l {
             explicit.extend(0..half);
         } else {
-            for seg in &level.segs {
-                let b = seg.start;
+            for &(b, _) in &pieces {
                 if b == 0 {
                     continue; // the seam is covered by the wrap rule below
                 }
                 // windows [2k, 2k+L-1] with 2k < b <= 2k+L-1
                 let k_lo = (b + 1).saturating_sub(l).div_ceil(2);
                 let k_hi = (b - 1) / 2;
-                for k in k_lo..=k_hi.min(half - 1) {
-                    explicit.insert(k);
-                }
+                explicit.extend(k_lo..=k_hi.min(half - 1));
             }
             // wrap windows: 2k + L - 1 >= m
-            let k_wrap = (m + 1 - l).div_ceil(2);
-            for k in k_wrap..half {
-                explicit.insert(k);
-            }
+            explicit.extend((m + 1 - l).div_ceil(2)..half);
+            explicit.sort_unstable();
+            explicit.dedup();
         }
 
         // Explicit evaluation of straddling windows.
-        let mut explicit_vals: Vec<(usize, f64)> = Vec::with_capacity(explicit.len());
+        values.clear();
         for &k in &explicit {
             let mut a = 0.0;
             let mut d = 0.0;
             for j in 0..l {
-                let v = level.eval((2 * k + j) % m);
+                let pos = (2 * k + j) % m;
+                let v = pieces[piece(&pieces, pos)].1.eval(pos as f64);
                 a += h[j] * v;
                 d += g[j] * v;
             }
-            explicit_vals.push((k, a));
+            values.push((k, a));
             if d.abs() > tol {
                 out.push((half + k, d));
             }
         }
 
         // Region marks: explicit singletons plus every position where the
-        // source segment under a clean window changes.
-        let mut marks: BTreeSet<usize> = BTreeSet::new();
-        marks.insert(0);
-        for seg in &level.segs {
-            let half_b = seg.start.div_ceil(2);
-            if half_b < half {
-                marks.insert(half_b);
-            }
-        }
+        // source piece under a clean window changes.
+        marks.clear();
+        marks.push(0);
+        marks.extend(
+            pieces
+                .iter()
+                .map(|&(b, _)| b.div_ceil(2))
+                .filter(|&s| s < half),
+        );
         for &k in &explicit {
-            marks.insert(k);
+            marks.push(k);
             if k + 1 < half {
-                marks.insert(k + 1);
+                marks.push(k + 1);
             }
         }
+        marks.sort_unstable();
+        marks.dedup();
 
-        let marks: Vec<usize> = marks.into_iter().collect();
-        let mut new_segs: Vec<Segment> = Vec::with_capacity(marks.len());
-        let mut exp_iter = explicit_vals.iter().peekable();
+        next.clear();
+        let mut exp = values.iter().peekable();
         for (i, &s) in marks.iter().enumerate() {
-            let end = marks.get(i + 1).copied().unwrap_or(half);
-            debug_assert!(end > s);
-            let poly = if explicit.contains(&s) {
-                debug_assert_eq!(end, s + 1, "explicit region must be a singleton");
-                let &(k, a) = exp_iter.next().expect("explicit value present");
-                debug_assert_eq!(k, s);
-                if a.abs() > tol {
-                    Poly::constant(a)
-                } else {
-                    Poly::zero()
+            let poly = match exp.next_if(|&&(k, _)| k == s) {
+                Some(&(_, a)) => {
+                    debug_assert_eq!(
+                        marks.get(i + 1).copied().unwrap_or(half),
+                        s + 1,
+                        "explicit region must be a singleton"
+                    );
+                    if a.abs() > tol {
+                        Poly::constant(a)
+                    } else {
+                        Poly::zero()
+                    }
                 }
-            } else {
-                let src = level.seg_at(2 * s);
-                level.segs[src].poly.refine(&moments)
+                None => pieces[piece(&pieces, 2 * s)].1.refine(&moments),
             };
-            // Merge with the previous segment when the polynomial is equal
-            // (common for runs of zeros) to keep the segment count bounded.
-            if let Some(prev) = new_segs.last_mut() {
-                if prev.poly == poly {
-                    prev.len += end - s;
-                    continue;
-                }
+            // Merge with the previous piece when the polynomial is equal
+            // (common for runs of zeros) to keep the piece count bounded.
+            if next.last().is_some_and(|(_, prev)| *prev == poly) {
+                continue;
             }
-            new_segs.push(Segment {
-                start: s,
-                len: end - s,
-                poly,
-            });
+            next.push((s, poly));
         }
-        level = Level {
-            m: half,
-            segs: new_segs,
-        };
+        std::mem::swap(&mut pieces, &mut next);
+        m = half;
     }
 
-    let scaling = level.eval(0);
+    let scaling = pieces[0].1.eval(0.0);
     if scaling.abs() > tol {
         out.push((0, scaling));
     }

@@ -1,7 +1,8 @@
-//! Observability end to end: metrics and trace events from every stage.
+//! Observability end to end: metrics and trace events from the executor
+//! and the store.
 //!
-//! Rewrites a batch under a `RewriteObserver`, evaluates it over a
-//! fault-injected, instrumented store with an `ExecObserver` attached —
+//! Rewrites a batch, evaluates it over a fault-injected, instrumented
+//! store with an `ExecObserver` attached —
 //! tracing through a `BoundedSink`, so the emitting threads pay a queue
 //! handoff instead of sink I/O — then prints the metrics registry (with
 //! the sink's own `obs.*` ledger), appends the snapshot to the trace as
@@ -34,16 +35,13 @@ fn main() {
             .build(inner.clone()),
     );
 
-    // Stage 1: observed rewrite.
     let queries: Vec<RangeSum> = (0..8)
         .map(|i| RangeSum::count(HyperRect::new(vec![0, i * 4], vec![31, i * 4 + 3])))
         .collect();
-    let rewrite_obs = RewriteObserver::new(sink.clone()).with_registry(registry.clone());
-    let batch =
-        BatchQueries::rewrite_observed(&strategy, queries, &shape, Some(&rewrite_obs)).unwrap();
+    let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
 
-    // Stage 2: observed progressive evaluation over an instrumented,
-    // fault-injected store (one permanently broken coefficient).
+    // Observed progressive evaluation over an instrumented, fault-injected
+    // store (one permanently broken coefficient).
     let broken = {
         let mut probe = ProgressiveExecutor::new(&batch, &Sse, &store);
         probe.step().unwrap().key

@@ -306,7 +306,8 @@ full_gate() {
     # the worst-case bound refuses a negative K;
     # the worst-case bound refuses a NaN K;
     # a VersionedStore is no CoefficientStore, so only a pinned view reads it;
-    # an insert's delta is its one-cell COUNT query's rewrite, bit for bit.
+    # an insert's delta is its one-cell COUNT query's rewrite, bit for bit;
+    # every exec.step and exec.start field is one a reader parses.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -387,6 +388,8 @@ full_gate() {
     run cargo test -q -p batchbb-storage --doc VersionedStore
     run cargo test -q -p batchbb-core --test versioning \
         an_insert_is_the_one_cell_count_query
+    run cargo test -q -p batchbb --test observability \
+        every_trace_field_has_a_reader
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound

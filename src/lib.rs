@@ -76,7 +76,7 @@ pub mod prelude {
         metrics, optimality,
         round_robin::RoundRobin,
         BatchQueries, DegradationReport, DrainStatus, ExecObserver, MasterList, ProgressionEntry,
-        ProgressiveExecutor, RewriteObserver, StepInfo, TryStepOutcome,
+        ProgressiveExecutor, StepInfo, TryStepOutcome,
     };
     pub use batchbb_obs::{
         jsonl, span_end_event, span_start_event, BoundedSink, BoundedSinkBuilder, BoundedSinkStats,

@@ -364,6 +364,73 @@ fn registry_aggregates_all_components() {
     assert_eq!(hist.count, steps);
 }
 
+/// The fields each `exec.*` event writes are the ones some reader parses
+/// (DESIGN.md §8): `exec.step` carries the Theorem-1/2 trajectory and what
+/// the `progress_report` step table prints, `exec.start` the batch size,
+/// and a serve labels both with `batch`. The observer keeps no gauge that
+/// every batch of a serve would overwrite.
+#[test]
+fn every_trace_field_has_a_reader() {
+    let fx = fixture();
+    let requests: Vec<BatchRequest<'_>> =
+        (0..3).map(|_| BatchRequest::new(&fx.batch, &Sse)).collect();
+    let registry = Arc::new(MetricsRegistry::new());
+    let sink = Arc::new(MemorySink::new());
+    let server = BatchServer::new(
+        ServeConfig::new(fx.n_total, fx.k_abs_sum)
+            .workers(2)
+            .slice_steps(16)
+            .registry(registry.clone())
+            .sink(sink.clone())
+            .tracing(Tracer::new(5)),
+    );
+    let results = server.serve(&fx.store, &requests);
+    assert!(results.iter().all(|r| r.status == BatchStatus::Exact));
+
+    let fields = |e: &jsonl::ParsedEvent| -> Vec<String> { e.fields().keys().cloned().collect() };
+    let sorted = |names: &[&str]| -> Vec<String> {
+        let mut names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        names.sort();
+        names
+    };
+    let step_fields = sorted(&[
+        "engine",
+        "kind",
+        "step",
+        "key",
+        "importance",
+        "pending",
+        "deferred",
+        "expected_penalty",
+        "worst_case_bound",
+        "attempts",
+        "retries",
+        "batch",
+    ]);
+    let start_fields = sorted(&["engine", "queries", "batch"]);
+    let (mut steps, mut starts) = (0, 0);
+    for event in parse(&sink.lines()) {
+        match event.name() {
+            "exec.step" => {
+                assert_eq!(fields(&event), step_fields, "exec.step");
+                steps += 1;
+            }
+            "exec.start" => {
+                assert_eq!(fields(&event), start_fields, "exec.start");
+                starts += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(starts, requests.len());
+    assert!(steps > 0, "the serve must step");
+
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.gauge("serve.pending"), None);
+    assert_eq!(snapshot.gauge("serve.deferred"), None);
+    assert_eq!(snapshot.counter("serve.recoveries"), None);
+}
+
 /// One traced batch, read back from its spans.
 #[derive(Default)]
 struct TracedBatch {
