@@ -763,7 +763,7 @@ mod tests {
             ));
         }
         lines.push(format!(
-            r#"{{"event":"exec.finish","engine":"{engine}","status":"exact","retrieved":{},"exact":true,"attempts":{}}}"#,
+            r#"{{"event":"exec.finish","engine":"{engine}","status":"exact","retrieved":{},"attempts":{}}}"#,
             bounds.len(),
             bounds.len()
         ));

@@ -750,7 +750,6 @@ impl<'a> ProgressiveExecutor<'a> {
                     obs.on_defer(
                         &entry.key,
                         entry.importance,
-                        &error,
                         !recovering,
                         self.deferred.len(),
                         &self.fault,
@@ -850,7 +849,7 @@ impl<'a> ProgressiveExecutor<'a> {
                     DrainStatus::BudgetExhausted => "budget_exhausted",
                     DrainStatus::BoundReached => "bound_reached",
                 };
-                obs.on_finish(label, self.retrieved, self.is_exact(), &self.fault);
+                obs.on_finish(label, self.retrieved, &self.fault);
             }
         }
         status
@@ -947,9 +946,8 @@ impl<'a> ProgressiveExecutor<'a> {
             done += 1;
         }
         if let Some(obs) = &self.observer {
-            let exact = self.is_exact();
-            let status = if exact { "exact" } else { "degraded" };
-            obs.on_finish(status, self.retrieved, exact, &self.fault);
+            let status = if self.is_exact() { "exact" } else { "degraded" };
+            obs.on_finish(status, self.retrieved, &self.fault);
         }
         done
     }

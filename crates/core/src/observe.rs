@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use batchbb_obs::{Counter, Event, EventSink, Histogram, MetricsRegistry, NullSink, SpanTimer};
-use batchbb_storage::{FaultStats, StorageError};
+use batchbb_storage::FaultStats;
 use batchbb_tensor::CoeffKey;
 
 use crate::optimality::{theorem1_bound, theorem2_penalty};
@@ -219,12 +219,10 @@ impl ExecObserver {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_defer(
         &self,
         key: &CoeffKey,
         importance: f64,
-        error: &StorageError,
         first: bool,
         deferred: usize,
         fault: &FaultStats,
@@ -240,7 +238,6 @@ impl ExecObserver {
                 .str("engine", self.engine)
                 .str("key", key.to_string())
                 .f64("importance", importance)
-                .str("error", error.class())
                 .bool("first", first)
                 .u64("deferred", deferred as u64)
                 .u64("attempts", fault.attempts)
@@ -248,13 +245,7 @@ impl ExecObserver {
         );
     }
 
-    pub(crate) fn on_finish(
-        &self,
-        status: &str,
-        retrieved: usize,
-        exact: bool,
-        fault: &FaultStats,
-    ) {
+    pub(crate) fn on_finish(&self, status: &str, retrieved: usize, fault: &FaultStats) {
         if !self.sink.enabled() {
             return;
         }
@@ -263,7 +254,6 @@ impl ExecObserver {
                 .str("engine", self.engine)
                 .str("status", status)
                 .u64("retrieved", retrieved as u64)
-                .bool("exact", exact)
                 .u64("attempts", fault.attempts)
                 .u64("successes", fault.successes)
                 .u64("transient_failures", fault.transient_failures)
@@ -300,30 +290,10 @@ mod tests {
         let obs = ExecObserver::metrics_only();
         assert!(!obs.sink().enabled());
         obs.on_start(4);
-        obs.on_finish("exact", 100, true, &FaultStats::default());
+        obs.on_finish("exact", 100, &FaultStats::default());
         assert_eq!(
             obs.registry().snapshot().counter("progressive.steps"),
             Some(0)
         );
-    }
-
-    #[test]
-    fn defer_event_carries_error_class() {
-        let sink = Arc::new(MemorySink::new());
-        let obs = ExecObserver::new(sink.clone());
-        let key = CoeffKey::one(3);
-        obs.on_defer(
-            &key,
-            0.5,
-            &StorageError::Permanent { key },
-            true,
-            1,
-            &FaultStats::default(),
-        );
-        let line = sink.lines().pop().unwrap();
-        let parsed = batchbb_obs::jsonl::parse_line(&line).unwrap();
-        assert_eq!(parsed.name(), "exec.defer");
-        assert_eq!(parsed.str("error"), Some("permanent"));
-        assert_eq!(parsed.bool("first"), Some(true));
     }
 }

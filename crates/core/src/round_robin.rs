@@ -141,14 +141,12 @@ impl<'a> RoundRobin<'a> {
             TryStepOutcome::Retrieved(info) => self.observe_step("retrieved", info, latency_ns),
             TryStepOutcome::Recovered(info) => self.observe_step("recovered", info, latency_ns),
             TryStepOutcome::Deferred {
-                key,
-                importance,
-                error,
+                key, importance, ..
             } => {
                 if let Some(obs) = &self.observer {
                     let first = self.instances[qi].fault_stats().deferrals > before.deferrals;
                     let (deferred, fault) = (self.deferred_count(), self.fault_stats());
-                    obs.on_defer(key, *importance, error, first, deferred, &fault);
+                    obs.on_defer(key, *importance, first, deferred, &fault);
                 }
             }
             TryStepOutcome::BudgetExhausted => return None,
@@ -174,7 +172,7 @@ impl<'a> RoundRobin<'a> {
         if let Some(obs) = &self.observer {
             let status = if exact { "exact" } else { "degraded" };
             let retrieved = self.retrievals() as usize;
-            obs.on_finish(status, retrieved, exact, &self.fault_stats());
+            obs.on_finish(status, retrieved, &self.fault_stats());
         }
     }
 

@@ -113,9 +113,7 @@ impl LinearStrategy for WaveletStrategy {
     fn transform_data(&self, data: &Tensor) -> Vec<(CoeffKey, f64)> {
         let mut t = data.clone();
         batchbb_wavelet::dwt_nd(&mut t, self.wavelet);
-        SparseCoeffs::from_tensor(&t, DEFAULT_TOL)
-            .entries()
-            .to_vec()
+        SparseCoeffs::from_tensor(&t, DEFAULT_TOL).into_entries()
     }
 
     fn query_coefficients(

@@ -7,7 +7,9 @@
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
-use crate::{Dataset, Schema, SchemaError};
+use batchbb_tensor::MAX_DIMS;
+
+use crate::{Dataset, Schema};
 
 /// Errors from CSV parsing.
 #[derive(Debug)]
@@ -23,7 +25,8 @@ pub enum CsvError {
         /// Found field count.
         got: usize,
     },
-    /// A field failed to parse as a number.
+    /// A field failed to parse as a finite number (`NaN` and the
+    /// infinities parse as `f64` but have no bin, so they are rejected).
     Parse {
         /// 1-based line number.
         line: usize,
@@ -34,8 +37,6 @@ pub enum CsvError {
     },
     /// Header names did not match the schema's attribute names.
     HeaderMismatch,
-    /// Schema-level validation failure.
-    Schema(SchemaError),
 }
 
 impl fmt::Display for CsvError {
@@ -48,10 +49,12 @@ impl fmt::Display for CsvError {
                 got,
             } => write!(f, "line {line}: expected {expected} fields, got {got}"),
             CsvError::Parse { line, column, text } => {
-                write!(f, "line {line}, column {column}: `{text}` is not a number")
+                write!(
+                    f,
+                    "line {line}, column {column}: `{text}` is not a finite number"
+                )
             }
             CsvError::HeaderMismatch => write!(f, "header does not match schema attributes"),
-            CsvError::Schema(e) => write!(f, "schema error: {e}"),
         }
     }
 }
@@ -79,33 +82,40 @@ pub fn read_csv(schema: Schema, reader: impl Read) -> Result<Dataset, CsvError> 
     if names != expected {
         return Err(CsvError::HeaderMismatch);
     }
-    let mut tuples = Vec::new();
+    let mut dataset = Dataset::new(schema);
     for (i, line) in lines.enumerate() {
         let line = line?;
         let lineno = i + 2;
         if line.trim().is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        if fields.len() != schema.arity() {
+        let arity = dataset.schema().arity();
+        let got = line.split(',').count();
+        if got != arity {
             return Err(CsvError::Arity {
                 line: lineno,
-                expected: schema.arity(),
-                got: fields.len(),
+                expected: arity,
+                got,
             });
         }
-        let mut tuple = Vec::with_capacity(fields.len());
-        for (column, f) in fields.iter().enumerate() {
-            let v: f64 = f.parse().map_err(|_| CsvError::Parse {
-                line: lineno,
-                column,
-                text: (*f).to_string(),
-            })?;
-            tuple.push(v);
+        let mut row = [0.0; MAX_DIMS];
+        for (column, field) in line.split(',').map(str::trim).enumerate() {
+            row[column] = match field.parse::<f64>() {
+                Ok(v) if v.is_finite() => v,
+                _ => {
+                    return Err(CsvError::Parse {
+                        line: lineno,
+                        column,
+                        text: field.to_string(),
+                    })
+                }
+            };
         }
-        tuples.push(tuple);
+        dataset
+            .push(&row[..arity])
+            .expect("field count checked above");
     }
-    Dataset::from_tuples(schema, tuples).map_err(CsvError::Schema)
+    Ok(dataset)
 }
 
 /// Writes a dataset as CSV with a header row.
@@ -148,7 +158,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&d, &mut buf).unwrap();
         let back = read_csv(schema(), buf.as_slice()).unwrap();
-        assert_eq!(back.tuples(), d.tuples());
+        assert!(back.tuples().eq(d.tuples()));
     }
 
     #[test]
@@ -173,6 +183,32 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    fn assert_rejected(field: &str) {
+        let text = format!("x,y\n1,2\n3,{field}\n");
+        let err = read_csv(schema(), text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, CsvError::Parse { line: 3, column: 1, text } if text == field),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nan_field_rejected() {
+        assert_rejected("NaN");
+    }
+
+    #[test]
+    fn inf_field_rejected() {
+        assert_rejected("inf");
+        assert_rejected("-inf");
+    }
+
+    #[test]
+    fn infinity_field_rejected() {
+        assert_rejected("infinity");
+        assert_rejected("+Infinity");
     }
 
     #[test]

@@ -1,43 +1,55 @@
-//! A bag of raw tuples under a schema.
+//! A bag of raw tuples under a schema, stored as one row-major buffer.
+
+use std::slice::ChunksExact;
+
+use batchbb_tensor::MAX_DIMS;
 
 use crate::{FrequencyDistribution, Schema, SchemaError};
 
 /// A dataset: a schema plus raw (un-binned) tuples.
+///
+/// The tuples live in one row-major `Vec<f64>` of stride
+/// `schema.arity()`, so loading `n` records allocates the buffer once
+/// rather than once per record.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: Schema,
-    tuples: Vec<Vec<f64>>,
+    values: Vec<f64>,
 }
 
 impl Dataset {
     /// Creates an empty dataset.
     pub fn new(schema: Schema) -> Self {
-        Dataset {
-            schema,
-            tuples: Vec::new(),
-        }
+        Dataset::from_values(schema, Vec::new())
     }
 
-    /// Creates a dataset from tuples, validating arity.
+    /// Wraps a row-major buffer whose length is a multiple of the arity.
+    pub(crate) fn from_values(schema: Schema, values: Vec<f64>) -> Self {
+        assert_eq!(
+            values.len() % schema.arity(),
+            0,
+            "buffer holds a partial row"
+        );
+        Dataset { schema, values }
+    }
+
+    /// Creates a dataset from tuples, validating arity — a small-input
+    /// constructor that flattens them into the row buffer.
     pub fn from_tuples(schema: Schema, tuples: Vec<Vec<f64>>) -> Result<Self, SchemaError> {
-        if let Some(t) = tuples.iter().find(|t| t.len() != schema.arity()) {
-            return Err(SchemaError::ArityMismatch {
-                expected: schema.arity(),
-                got: t.len(),
-            });
+        let mut dataset = Dataset::new(schema);
+        dataset
+            .values
+            .reserve(tuples.len() * dataset.schema.arity());
+        for t in &tuples {
+            dataset.push(t)?;
         }
-        Ok(Dataset { schema, tuples })
+        Ok(dataset)
     }
 
     /// Appends a tuple, validating arity.
-    pub fn push(&mut self, tuple: Vec<f64>) -> Result<(), SchemaError> {
-        if tuple.len() != self.schema.arity() {
-            return Err(SchemaError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: tuple.len(),
-            });
-        }
-        self.tuples.push(tuple);
+    pub fn push(&mut self, tuple: &[f64]) -> Result<(), SchemaError> {
+        self.schema.check_arity(tuple)?;
+        self.values.extend_from_slice(tuple);
         Ok(())
     }
 
@@ -46,26 +58,26 @@ impl Dataset {
         &self.schema
     }
 
-    /// The raw tuples.
-    pub fn tuples(&self) -> &[Vec<f64>] {
-        &self.tuples
+    /// The raw tuples, one `arity`-long row each.
+    pub fn tuples(&self) -> ChunksExact<'_, f64> {
+        self.values.chunks_exact(self.schema.arity())
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.values.len() / self.schema.arity()
     }
 
     /// True when there are no records.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.values.is_empty()
     }
 
     /// Bins every tuple into the dense data frequency distribution `Δ`.
     pub fn to_frequency_distribution(&self) -> FrequencyDistribution {
         let mut dfd = FrequencyDistribution::new(self.schema.clone());
-        for t in &self.tuples {
-            dfd.insert(t).expect("arity validated at insert time");
+        for t in self.tuples() {
+            dfd.insert(t).expect("rows have the schema's arity");
         }
         dfd
     }
@@ -92,17 +104,14 @@ impl Dataset {
             .filter(|&(i, _)| i != measure_attr)
             .map(|(_, a)| a.clone())
             .collect();
-        let cube_schema = Schema::new(attrs).expect("sub-schema valid");
-        let mut cube = FrequencyDistribution::new(cube_schema.clone());
-        for t in &self.tuples {
-            let reduced: Vec<f64> = t
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != measure_attr)
-                .map(|(_, &v)| v)
-                .collect();
-            let coords = cube_schema.bin_tuple(&reduced).expect("arity matches");
-            cube.insert_binned(&coords, t[measure_attr] + offset);
+        let mut cube = FrequencyDistribution::new(Schema::new(attrs).expect("sub-schema valid"));
+        let mut reduced = [0.0; MAX_DIMS];
+        let d = self.schema.arity() - 1;
+        for t in self.tuples() {
+            reduced[..measure_attr].copy_from_slice(&t[..measure_attr]);
+            reduced[measure_attr..d].copy_from_slice(&t[measure_attr + 1..]);
+            cube.insert_weighted(&reduced[..d], t[measure_attr] + offset)
+                .expect("reduced rows have the cube's arity");
         }
         cube
     }
@@ -124,8 +133,8 @@ mod tests {
     #[test]
     fn push_validates_arity() {
         let mut d = Dataset::new(schema());
-        assert!(d.push(vec![1.0, 2.0]).is_ok());
-        assert!(d.push(vec![1.0]).is_err());
+        assert!(d.push(&[1.0, 2.0]).is_ok());
+        assert!(d.push(&[1.0]).is_err());
         assert_eq!(d.len(), 1);
     }
 

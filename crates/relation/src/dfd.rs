@@ -24,10 +24,18 @@ impl FrequencyDistribution {
 
     /// Inserts one raw tuple (weight 1).
     pub fn insert(&mut self, tuple: &[f64]) -> Result<(), SchemaError> {
-        let coords = self.schema.bin_tuple(tuple)?;
-        self.tensor
-            .add_at(&coords, 1.0)
-            .expect("binned coords are in-domain");
+        self.insert_weighted(tuple, 1.0)
+    }
+
+    /// Inserts one raw tuple with an arbitrary weight, binning it straight
+    /// to its offset in `Δ` without allocating.
+    pub(crate) fn insert_weighted(
+        &mut self,
+        tuple: &[f64],
+        weight: f64,
+    ) -> Result<(), SchemaError> {
+        let offset = self.schema.bin_offset(tuple)?;
+        self.tensor.data_mut()[offset] += weight;
         Ok(())
     }
 

@@ -27,8 +27,8 @@
 //!     Attribute::new("temp", -40.0, 40.0, 4),
 //! ]).unwrap();
 //! let mut data = Dataset::new(schema);
-//! data.push(vec![34.0, 18.5]).unwrap();
-//! data.push(vec![-12.0, 31.0]).unwrap();
+//! data.push(&[34.0, 18.5]).unwrap();
+//! data.push(&[-12.0, 31.0]).unwrap();
 //!
 //! let dfd = data.to_frequency_distribution();
 //! assert_eq!(dfd.total(), 2.0);

@@ -212,20 +212,38 @@ impl Schema {
             .expect("schema validated at construction")
     }
 
-    /// Bins a raw tuple into domain coordinates.
-    pub fn bin_tuple(&self, tuple: &[f64]) -> Result<Vec<usize>, SchemaError> {
+    /// Errors unless the tuple has one value per attribute.
+    pub(crate) fn check_arity(&self, tuple: &[f64]) -> Result<(), SchemaError> {
         if tuple.len() != self.arity() {
             return Err(SchemaError::ArityMismatch {
                 expected: self.arity(),
                 got: tuple.len(),
             });
         }
+        Ok(())
+    }
+
+    /// Bins a raw tuple into domain coordinates.
+    pub fn bin_tuple(&self, tuple: &[f64]) -> Result<Vec<usize>, SchemaError> {
+        self.check_arity(tuple)?;
         Ok(self
             .attrs
             .iter()
             .zip(tuple.iter())
             .map(|(a, &v)| a.bin(v))
             .collect())
+    }
+
+    /// Bins a raw tuple straight to its row-major offset in [`Schema::domain`]
+    /// — the coordinates of [`Schema::bin_tuple`] without the `Vec`. Every
+    /// axis has `2^bits` bins, so the offset is the bins' bits concatenated.
+    pub(crate) fn bin_offset(&self, tuple: &[f64]) -> Result<usize, SchemaError> {
+        self.check_arity(tuple)?;
+        Ok(self
+            .attrs
+            .iter()
+            .zip(tuple)
+            .fold(0, |offset, (a, &v)| (offset << a.bits) | a.bin(v)))
     }
 }
 

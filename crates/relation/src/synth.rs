@@ -73,8 +73,9 @@ impl TemperatureConfig {
         attrs.push(Attribute::new("temperature", -80.0, 50.0, self.temp_bits));
         let schema = Schema::new(attrs).expect("temperature schema is valid");
 
+        let arity = schema.arity();
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut tuples = Vec::with_capacity(self.records);
+        let mut values = Vec::with_capacity(self.records * arity);
         if self.gridded {
             // Fixed station network: one station per (lat, lon) bin
             // midpoint, reporting on a regular time cadence, with density
@@ -95,8 +96,8 @@ impl TemperatureConfig {
                             let u: f64 = rng.gen_range(0.0..1.0);
                             30_000.0 * u * u
                         });
-                        tuples.push(self.one_tuple(&mut rng, lat, lon, alt, day));
-                        if tuples.len() >= self.records {
+                        self.push_tuple(&mut values, &mut rng, lat, lon, alt, day);
+                        if values.len() >= self.records * arity {
                             break 'outer;
                         }
                     }
@@ -118,21 +119,23 @@ impl TemperatureConfig {
                     None
                 };
                 let day = rng.gen_range(0.0..60.0);
-                tuples.push(self.one_tuple(&mut rng, lat, lon, alt, day));
+                self.push_tuple(&mut values, &mut rng, lat, lon, alt, day);
             }
         }
-        Dataset::from_tuples(schema, tuples).expect("generated tuples match schema")
+        Dataset::from_values(schema, values)
     }
 
-    /// The physical temperature model (°C) shared by both network modes.
-    fn one_tuple(
+    /// The physical temperature model (°C) shared by both network modes;
+    /// appends one record to the row buffer.
+    fn push_tuple(
         &self,
+        values: &mut Vec<f64>,
         rng: &mut SmallRng,
         lat: f64,
         lon: f64,
         alt: Option<f64>,
         day: f64,
-    ) -> Vec<f64> {
+    ) {
         let base = 28.0 - 55.0 * (lat.to_radians().sin()).powi(2); // latitudinal gradient
         let seasonal = 3.0 * (std::f64::consts::TAU * day / 60.0).sin(); // slow drift
         let diurnal = 5.0 * (std::f64::consts::TAU * day.fract()).sin(); // day/night
@@ -140,13 +143,9 @@ impl TemperatureConfig {
         let regional = 6.0 * (lon.to_radians() * 3.0).sin() * (lat.to_radians() * 2.0).cos();
         let noise: f64 = rng.gen_range(-3.0..3.0) + rng.gen_range(-3.0..3.0); // ~triangular
         let temp = (base + seasonal + diurnal + lapse + regional + noise).clamp(-80.0, 50.0);
-        let mut tuple = vec![lat, lon];
-        if let Some(a) = alt {
-            tuple.push(a);
-        }
-        tuple.push(day);
-        tuple.push(temp);
-        tuple
+        values.extend_from_slice(&[lat, lon]);
+        values.extend(alt);
+        values.extend_from_slice(&[day, temp]);
     }
 }
 
@@ -159,10 +158,8 @@ pub fn uniform(d: usize, bits: u32, records: usize, seed: u64) -> Dataset {
         .collect();
     let schema = Schema::new(attrs).expect("uniform schema valid");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let tuples = (0..records)
-        .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
-        .collect();
-    Dataset::from_tuples(schema, tuples).expect("arity matches")
+    let values = (0..records * d).map(|_| rng.gen_range(0.0..1.0)).collect();
+    Dataset::from_values(schema, values)
 }
 
 /// Gaussian-cluster dataset: `clusters` blobs with shared spread, a common
@@ -178,19 +175,16 @@ pub fn clustered(d: usize, bits: u32, records: usize, clusters: usize, seed: u64
         .map(|_| (0..d).map(|_| rng.gen_range(0.1..0.9)).collect())
         .collect();
     let spread = 0.05;
-    let tuples = (0..records)
-        .map(|_| {
-            let c = &centers[rng.gen_range(0..clusters)];
-            c.iter()
-                .map(|&mu| {
-                    // sum of uniforms ≈ gaussian
-                    let g: f64 = (0..4).map(|_| rng.gen_range(-1.0..1.0)).sum::<f64>() / 2.0;
-                    (mu + g * spread).clamp(0.0, 1.0 - 1e-9)
-                })
-                .collect()
-        })
-        .collect();
-    Dataset::from_tuples(schema, tuples).expect("arity matches")
+    let mut values = Vec::with_capacity(records * d);
+    for _ in 0..records {
+        let c = &centers[rng.gen_range(0..clusters)];
+        values.extend(c.iter().map(|&mu| {
+            // sum of uniforms ≈ gaussian
+            let g: f64 = (0..4).map(|_| rng.gen_range(-1.0..1.0)).sum::<f64>() / 2.0;
+            (mu + g * spread).clamp(0.0, 1.0 - 1e-9)
+        }));
+    }
+    Dataset::from_values(schema, values)
 }
 
 /// Employee (age, salary) dataset matching the paper's §3.1 running
@@ -203,18 +197,17 @@ pub fn salary(records: usize, seed: u64) -> Dataset {
     ])
     .expect("salary schema valid");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let tuples = (0..records)
-        .map(|_| {
-            let age: f64 = rng.gen_range(18.0..70.0);
-            // Salary loosely increases with age, saturating mid-career.
-            let career = ((age - 18.0) / 25.0f64).min(1.0);
-            let base = 25.0 + 70.0 * career;
-            let jitter: f64 = rng.gen_range(-20.0..20.0);
-            let salary = (base + jitter).clamp(10.0, 127.9);
-            vec![age, salary]
-        })
-        .collect();
-    Dataset::from_tuples(schema, tuples).expect("arity matches")
+    let mut values = Vec::with_capacity(records * 2);
+    for _ in 0..records {
+        let age: f64 = rng.gen_range(18.0..70.0);
+        // Salary loosely increases with age, saturating mid-career.
+        let career = ((age - 18.0) / 25.0f64).min(1.0);
+        let base = 25.0 + 70.0 * career;
+        let jitter: f64 = rng.gen_range(-20.0..20.0);
+        let salary = (base + jitter).clamp(10.0, 127.9);
+        values.extend_from_slice(&[age, salary]);
+    }
+    Dataset::from_values(schema, values)
 }
 
 #[cfg(test)]
@@ -253,7 +246,7 @@ mod tests {
         };
         let a = cfg.generate();
         let b = cfg.generate();
-        assert_eq!(a.tuples(), b.tuples());
+        assert!(a.tuples().eq(b.tuples()));
     }
 
     #[test]
@@ -272,7 +265,6 @@ mod tests {
         let avg = |lo: f64, hi: f64| {
             let xs: Vec<f64> = d
                 .tuples()
-                .iter()
                 .filter(|t| t[0] >= lo && t[0] < hi)
                 .map(|t| t[3])
                 .collect();

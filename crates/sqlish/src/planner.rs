@@ -523,7 +523,6 @@ mod tests {
         // ground truth by scanning the table
         let in_range: Vec<f64> = dataset
             .tuples()
-            .iter()
             .map(|t| dfd.schema().bin_tuple(t).unwrap())
             .filter(|c| p.range().contains(c))
             .map(|c| c[1] as f64)

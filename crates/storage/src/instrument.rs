@@ -5,7 +5,7 @@
 //! miss (absent ⇒ zero).  Failures are classified per [`StorageError::class`]
 //! into `store.fault.{transient,permanent,io}` counters, and — when an
 //! event sink is attached — emit one `store.fault` trace event each,
-//! carrying the key and its `error` class.  The wrapper reads no clock and
+//! carrying its `error` class.  The wrapper reads no clock and
 //! successful retrievals emit *no* events: the executor already records
 //! per-step retrieval latency (`{engine}.step_ns`), and at one event per
 //! retrieval the trace would dwarf the executor's own.
@@ -82,18 +82,15 @@ impl<S: CoefficientStore> InstrumentedStore<S> {
         }
     }
 
-    fn count_error(&self, key: &CoeffKey, error: &StorageError) {
+    fn count_error(&self, error: &StorageError) {
         match error {
             StorageError::Transient { .. } => self.transient.inc(),
             StorageError::Permanent { .. } => self.permanent.inc(),
             StorageError::Io { .. } => self.io.inc(),
         }
         if self.sink.enabled() {
-            self.sink.emit(
-                &Event::new("store.fault")
-                    .str("key", key.to_string())
-                    .str("error", error.class()),
-            );
+            self.sink
+                .emit(&Event::new("store.fault").str("error", error.class()));
         }
     }
 }
@@ -110,7 +107,7 @@ impl<S: CoefficientStore> CoefficientStore for InstrumentedStore<S> {
             let result = self.inner.try_get(key);
             match &result {
                 Ok(value) => self.count_value(value),
-                Err(error) => self.count_error(key, error),
+                Err(error) => self.count_error(error),
             }
             result
         })

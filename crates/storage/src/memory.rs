@@ -30,7 +30,8 @@ impl MemoryStore {
 
     /// Bulk-loads from `(key, value)` pairs, summing duplicates.
     pub fn from_entries(entries: impl IntoIterator<Item = (CoeffKey, f64)>) -> Self {
-        let mut map: KeyMap<f64> = KeyMap::default();
+        let entries = entries.into_iter();
+        let mut map = KeyMap::with_capacity_and_hasher(entries.size_hint().0, Default::default());
         for (k, v) in entries {
             *map.entry(k).or_insert(0.0) += v;
         }

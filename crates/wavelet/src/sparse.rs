@@ -189,6 +189,11 @@ impl SparseCoeffs {
         &self.entries
     }
 
+    /// The sorted entries, handed over without a copy.
+    pub fn into_entries(self) -> Vec<(CoeffKey, f64)> {
+        self.entries
+    }
+
     /// Number of stored nonzeros.
     pub fn nnz(&self) -> usize {
         self.entries.len()

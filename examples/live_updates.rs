@@ -39,10 +39,10 @@ fn main() {
         let stepped = exec.run(32);
         if inserted < late_arrivals.len() {
             let mut points = Vec::with_capacity(chunk);
-            for tuple in &late_arrivals.tuples()[inserted..inserted + chunk] {
+            for tuple in late_arrivals.tuples().skip(inserted).take(chunk) {
                 let coords = late_arrivals.schema().bin_tuple(tuple).unwrap();
                 dfd.insert_binned(&coords, 1.0);
-                dataset.push(tuple.clone()).unwrap();
+                dataset.push(tuple).unwrap();
                 points.push((coords, 1.0));
             }
             // O(L² log²N) coefficients per insert: publish the burst as one

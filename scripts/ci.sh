@@ -307,7 +307,9 @@ full_gate() {
     # the worst-case bound refuses a NaN K;
     # a VersionedStore is no CoefficientStore, so only a pinned view reads it;
     # an insert's delta is its one-cell COUNT query's rewrite, bit for bit;
-    # every exec.step and exec.start field is one a reader parses.
+    # every field of every traced event is one a reader parses;
+    # loading and binning a relation, and bulk-loading a store, allocate per load, not per record;
+    # every generator, binning path and the CSV round trip match a tuple-at-a-time reference bit for bit.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         prefetch_windows_agree_bit_for_bit
@@ -390,6 +392,10 @@ full_gate() {
         an_insert_is_the_one_cell_count_query
     run cargo test -q -p batchbb --test observability \
         every_trace_field_has_a_reader
+    run cargo test -q -p batchbb-relation --test load_allocs
+    run cargo test -q -p batchbb-relation --test generators -- \
+        match_their_tuple_at_a_time_reference binning_matches_a_per_tuple_reference \
+        csv_round_trip_is_unchanged
 
     # Replay gates. progress_report runs a fault-injected evaluation and
     # replays its own JSONL trace, exiting nonzero if the penalty-bound

@@ -229,7 +229,6 @@ fn derived_statistics_from_progressive_batch() {
     // direct: mean/variance of binned salary over tuples in range
     let vals: Vec<f64> = dataset
         .tuples()
-        .iter()
         .map(|t| dataset.schema().bin_tuple(t).unwrap())
         .filter(|c| range.contains(c))
         .map(|c| c[1] as f64)

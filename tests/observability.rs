@@ -138,12 +138,15 @@ fn trace_reconciles_with_fault_stats() {
     assert_eq!(finish.u64("recoveries"), Some(stats.recoveries));
 
     // The instrumented store saw every injected fault as a store.fault
-    // event: one per transient + permanent failure.
-    let store_faults = events.iter().filter(|e| e.name() == "store.fault").count() as u64;
-    assert_eq!(
-        store_faults,
-        stats.transient_failures + stats.permanent_failures
-    );
+    // event of its class: one per transient and one per permanent failure.
+    let store_faults = |class: &str| {
+        events
+            .iter()
+            .filter(|e| e.name() == "store.fault" && e.str("error") == Some(class))
+            .count() as u64
+    };
+    assert_eq!(store_faults("transient"), stats.transient_failures);
+    assert_eq!(store_faults("permanent"), stats.permanent_failures);
 }
 
 #[test]
@@ -364,11 +367,14 @@ fn registry_aggregates_all_components() {
     assert_eq!(hist.count, steps);
 }
 
-/// The fields each `exec.*` event writes are the ones some reader parses
+/// The fields each traced event writes are the ones some reader parses
 /// (DESIGN.md §8): `exec.step` carries the Theorem-1/2 trajectory and what
 /// the `progress_report` step table prints, `exec.start` the batch size,
-/// and a serve labels both with `batch`. The observer keeps no gauge that
-/// every batch of a serve would overwrite.
+/// and a serve labels both with `batch`; `exec.defer` carries what the
+/// step table's defer rows print, `exec.finish` the status and the
+/// counters `TraceSummary::check` reconciles, and `store.fault` the class
+/// `trace_reconciles_with_fault_stats` counts. The observer keeps no gauge
+/// that every batch of a serve would overwrite.
 #[test]
 fn every_trace_field_has_a_reader() {
     let fx = fixture();
@@ -424,6 +430,43 @@ fn every_trace_field_has_a_reader() {
     }
     assert_eq!(starts, requests.len());
     assert!(steps > 0, "the serve must step");
+
+    let defer_fields = sorted(&[
+        "engine",
+        "key",
+        "importance",
+        "first",
+        "deferred",
+        "attempts",
+        "retries",
+    ]);
+    let finish_fields = sorted(&[
+        "engine",
+        "status",
+        "retrieved",
+        "attempts",
+        "successes",
+        "transient_failures",
+        "permanent_failures",
+        "retries",
+        "deferrals",
+        "recoveries",
+        "backoff_ticks",
+    ]);
+    let fault_fields = sorted(&["error"]);
+    let (_, _, lines) = observed_faulty_run(&fx);
+    let mut seen = BTreeMap::new();
+    for event in parse(&lines) {
+        let want = match event.name() {
+            "exec.defer" => &defer_fields,
+            "exec.finish" => &finish_fields,
+            "store.fault" => &fault_fields,
+            _ => continue,
+        };
+        assert_eq!(&fields(&event), want, "{}", event.name());
+        *seen.entry(event.name().to_string()).or_insert(0) += 1;
+    }
+    assert_eq!(seen.len(), 3, "the faulty run emits all three: {seen:?}");
 
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.gauge("serve.pending"), None);

@@ -38,7 +38,6 @@ fn group_by_drilldown_matches_direct_scans() {
         // direct scan of the raw tuples
         let binned: Vec<Vec<usize>> = dataset
             .tuples()
-            .iter()
             .map(|t| dfd.schema().bin_tuple(t).unwrap())
             .filter(|c| cell.contains(c))
             .collect();
