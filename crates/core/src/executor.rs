@@ -385,6 +385,16 @@ impl<'a> ProgressiveExecutor<'a> {
         self.observer.as_ref()
     }
 
+    /// Re-prices the attached observer's per-step Theorem-1 bounds at
+    /// `k_abs_sum` — for a caller whose `K` grew, as a serve batch's does
+    /// when it advances to a newer version.  A no-op without an observer
+    /// or without [`ExecObserver::with_bounds`].
+    pub fn reprice_observer(&mut self, k_abs_sum: f64) {
+        if let Some(observer) = &mut self.observer {
+            observer.reprice(k_abs_sum);
+        }
+    }
+
     /// Wall-clock nanoseconds spent inside store calls so far — singleton
     /// reads, window submits and completion waits — counted only while an
     /// observer is attached (0 otherwise: an unobserved executor reads no

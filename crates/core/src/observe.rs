@@ -148,6 +148,14 @@ impl ExecObserver {
         self
     }
 
+    /// Replaces `K` in the bounds set by [`ExecObserver::with_bounds`]
+    /// (a no-op without them).
+    pub(crate) fn reprice(&mut self, k_abs_sum: f64) {
+        if let Some((_, k)) = &mut self.bounds {
+            *k = k_abs_sum;
+        }
+    }
+
     /// The registry this observer records into.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry

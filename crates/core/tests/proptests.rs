@@ -183,48 +183,6 @@ proptest! {
         }
     }
 
-    /// Final estimates and retrieved entries are bit-identical across
-    /// prefetch windows, on arbitrary instances and under injected
-    /// transient faults: the window changes how values cross the store
-    /// boundary, never what the executor computes.
-    #[test]
-    fn prefetch_windows_agree_bit_for_bit(
-        (data, queries, shape) in arb_instance(),
-        window in 2usize..64,
-        rate in 0.0f64..0.4,
-        seed in 0u64..1000,
-    ) {
-        let _ = data;
-        let strategy = WaveletStrategy::new(Wavelet::Haar);
-        let store = MemoryStore::from_entries(strategy.transform_data(&data));
-        let batch = BatchQueries::rewrite(&strategy, queries, &shape).unwrap();
-        let policy = RetryPolicy::default();
-        let run = |w: usize| {
-            let faulty = FaultInjectingStore::new(
-                &store,
-                FaultPlan::new(seed).with_transient_rate(rate),
-            );
-            let mut exec = ProgressiveExecutor::new(&batch, &Sse, &faulty)
-                .with_prefetch_window(w);
-            if exec.drain_with_faults(&policy) != DrainStatus::Exact {
-                // Unlucky transient streak exhausted the retry budget:
-                // heal and finish — canonical finalization still applies.
-                faulty.heal();
-                assert_eq!(exec.drain_with_faults(&policy), DrainStatus::Exact);
-            }
-            (exec.estimates().to_vec(), exec.retrieved_entries())
-        };
-        let (base_est, base_entries) = run(1);
-        for w in [window, 16] {
-            let (est, entries) = run(w);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&est), bits(&base_est),
-                "estimates diverge at window {}", w);
-            prop_assert_eq!(&entries, &base_entries,
-                "retrieved entries diverge at window {}", w);
-        }
-    }
-
     /// ✦ The asynchronous completion engine is a transparent storage-engine
     /// swap for the executor: across pool shapes (I/O thread counts),
     /// prefetch windows, and seeded transient faults, the parked-completion

@@ -96,7 +96,9 @@ pub struct BatchResult {
     /// How many scheduling slices the batch consumed.
     pub slices: usize,
     /// Theorem 1's worst-case bound sampled at the end of every slice;
-    /// monotone non-increasing regardless of scheduling interleaving.
+    /// monotone non-increasing regardless of scheduling interleaving,
+    /// except across a [`ServeSession::advance_batch`](crate::ServeSession::advance_batch),
+    /// which re-prices the batch at `K + Σ|Δ|`.
     /// Every terminal status ends it at `report.worst_case_bound`, so a
     /// batch cancelled before its first slice, or rejected at admission,
     /// has exactly `[initial bound]`.
@@ -147,6 +149,11 @@ pub struct BatchSnapshot {
 /// locks the one job it repairs.
 pub(crate) struct JobState<'a> {
     pub(crate) exec: ProgressiveExecutor<'a>,
+    /// The `K` this batch is certified with: the configured one, plus
+    /// `Σ|Δ|` over every delta an advance applied — by the triangle
+    /// inequality at least the ℓ¹ of the version the batch now reads
+    /// whenever the configured `K` bounds the version it pinned.
+    pub(crate) k_abs_sum: f64,
     pub(crate) slices: usize,
     pub(crate) bound_history: Vec<f64>,
     pub(crate) result: Option<BatchResult>,
@@ -171,6 +178,15 @@ impl JobState<'_> {
         let waited = self.exec.store_wait_ns() - self.store_wait_mark;
         self.store_wait_mark = self.exec.store_wait_ns();
         lifecycle.transition_after(Phase::StoreWait, waited, phase);
+    }
+
+    /// Repairs the executor across `delta` (the view already advanced)
+    /// and re-prices the batch at `K + Σ|Δ|` — O(|Δ|), no walk of the
+    /// data.
+    pub(crate) fn advance(&mut self, delta: &[(CoeffKey, f64)]) {
+        self.exec.advance_version(delta);
+        self.k_abs_sum += delta.iter().map(|(_, d)| d.abs()).sum::<f64>();
+        self.exec.reprice_observer(self.k_abs_sum);
     }
 
     /// The phase the batch is in, `None` on untraced runs.
@@ -231,6 +247,7 @@ impl<'a> JobCell<'a> {
         });
         let mut state = JobState {
             exec,
+            k_abs_sum: config.k_abs_sum,
             slices: 0,
             bound_history: Vec::new(),
             result,

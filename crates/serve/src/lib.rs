@@ -123,14 +123,12 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    use batchbb_core::{BatchQueries, DrainStatus, ProgressiveExecutor};
+    use batchbb_core::{BatchQueries, ProgressiveExecutor};
     use batchbb_obs::{jsonl, MemorySink, MetricsRegistry};
     use batchbb_penalty::{DiagonalQuadratic, Sse};
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
     use batchbb_relation::{Attribute, FrequencyDistribution, Schema};
-    use batchbb_storage::{
-        CoefficientStore, Completion, IoStats, MemoryStore, RetryPolicy, VersionedStore,
-    };
+    use batchbb_storage::{CoefficientStore, Completion, IoStats, MemoryStore, VersionedStore};
     use batchbb_wavelet::Wavelet;
 
     use super::*;
@@ -182,130 +180,6 @@ mod tests {
         ];
         let k = store.abs_sum();
         (store, batches, 256, k)
-    }
-
-    #[test]
-    fn pool_matches_serial_execution_bit_for_bit() {
-        let (store, batches, n_total, k) = fixture();
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(3).slice_steps(5));
-        let results = server.serve(&store, &requests);
-        assert_eq!(results.len(), batches.len());
-        for (batch, result) in batches.iter().zip(&results) {
-            assert_eq!(result.status, BatchStatus::Exact);
-            assert!(result.slices > 1, "5-step slices must interleave");
-            let mut serial = ProgressiveExecutor::new(batch, &Sse, &store);
-            assert_eq!(
-                serial.drain_with_faults(&RetryPolicy::default()),
-                DrainStatus::Exact
-            );
-            assert_eq!(result.estimates(), serial.estimates());
-            assert_eq!(result.retrieved_entries, serial.retrieved_entries());
-        }
-    }
-
-    #[test]
-    fn bound_history_is_monotone_and_ends_at_zero() {
-        let (store, batches, n_total, k) = fixture();
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(4).slice_steps(3));
-        for result in server.serve(&store, &requests) {
-            let history = &result.bound_history;
-            assert!(!history.is_empty());
-            assert!(history.windows(2).all(|w| w[1] <= w[0]));
-            assert_eq!(*history.last().unwrap(), 0.0);
-        }
-    }
-
-    #[test]
-    fn cancellation_keeps_valid_progressive_estimates() {
-        let (store, batches, n_total, k) = fixture();
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        // One-step slices and a single worker: batch 0 cannot finish
-        // before the driver's cancel lands (the driver cancels before
-        // observing any progress requirement — cancellation is
-        // cooperative, so either outcome must be coherent).
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(1));
-        let (results, cancelled_first) = server.serve_with(&store, &requests, |session| {
-            let handle = session.handle(0);
-            handle.cancel();
-            !handle.is_finished() || handle.snapshot().finished
-        });
-        assert!(cancelled_first);
-        let result = &results[0];
-        match result.status {
-            BatchStatus::Cancelled => {
-                // The partial estimates still honor Theorem 1: each
-                // true answer lies within the published bound.
-                let mut serial = ProgressiveExecutor::new(&batches[0], &Sse, &store);
-                serial.run_to_end();
-                assert!(result.report.worst_case_bound >= 0.0);
-                assert!(!result.report.is_exact || result.estimates() == serial.estimates());
-            }
-            BatchStatus::Exact => (), // finished before the flag was seen
-            other => panic!("unexpected status {other:?}"),
-        }
-        // Cancelling one batch never disturbs the others.
-        for result in &results[1..] {
-            assert_eq!(result.status, BatchStatus::Exact);
-        }
-    }
-
-    #[test]
-    fn snapshots_progress_while_serving() {
-        let (store, batches, n_total, k) = fixture();
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(2).slice_steps(2));
-        let (results, peak) = server.serve_with(&store, &requests, |session| {
-            assert_eq!(session.batches(), 3);
-            assert_eq!(session.handles().len(), 3);
-            let mut peak = 0;
-            while !session.all_finished() {
-                for handle in session.handles() {
-                    peak = peak.max(handle.snapshot().retrieved);
-                }
-                std::thread::yield_now();
-            }
-            // Final snapshots are published before the finished flag, so
-            // after the loop every handle shows its terminal state.
-            for handle in session.handles() {
-                let snapshot = handle.snapshot();
-                assert!(snapshot.finished);
-                assert!(handle.is_finished());
-                peak = peak.max(snapshot.retrieved);
-            }
-            peak
-        });
-        assert!(peak > 0, "snapshots must reflect retrieval progress");
-        for result in &results {
-            assert_eq!(result.status, BatchStatus::Exact);
-        }
-    }
-
-    #[test]
-    fn unshared_cache_and_mixed_penalties_still_match_serial() {
-        let (store, batches, n_total, k) = fixture();
-        let diag = DiagonalQuadratic::new(vec![3.0, 1.0]);
-        let requests = vec![
-            BatchRequest::new(&batches[0], &diag),
-            BatchRequest::new(&batches[1], &Sse),
-        ];
-        let server = BatchServer::new(
-            ServeConfig::new(n_total, k)
-                .share_cache(false)
-                .slice_steps(7),
-        );
-        let results = server.serve(&store, &requests);
-        let mut serial0 = ProgressiveExecutor::new(&batches[0], &diag, &store);
-        serial0.run_to_end();
-        let mut serial1 = ProgressiveExecutor::new(&batches[1], &Sse, &store);
-        serial1.run_to_end();
-        assert_eq!(results[0].estimates(), serial0.estimates());
-        assert_eq!(results[1].estimates(), serial1.estimates());
     }
 
     /// Plain and versioned serving are one body: over a versioned store
@@ -475,105 +349,6 @@ mod tests {
         let server = BatchServer::new(ServeConfig::new(n_total, k).registry(registry.clone()));
         server.serve(&store, &requests);
         assert!(registry.snapshot().counter("serve.steps").unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn bound_target_finalizes_early_with_met_outcome() {
-        let (store, batches, n_total, k) = fixture();
-        // A loose-but-finite ε: the batch must stop at the certificate,
-        // well before exactness, and still classify as Met.
-        let mut probe = ProgressiveExecutor::new(&batches[0], &Sse, &store);
-        probe.run_to_end();
-        let epsilon = k * 1e-3;
-        let requests = vec![BatchRequest::new(&batches[0], &Sse)
-            .with_slo(SloContract::new().with_target_bound(epsilon))];
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(4));
-        let results = server.serve(&store, &requests);
-        let result = &results[0];
-        assert!(matches!(
-            result.status,
-            BatchStatus::BoundReached | BatchStatus::Exact
-        ));
-        assert_eq!(result.slo, SloOutcome::Met);
-        assert!(result.report.worst_case_bound <= epsilon);
-        // The certificate still holds: the SSE penalty against the exact
-        // answers is within the published Theorem-1 bound.
-        let sse: f64 = result
-            .estimates()
-            .iter()
-            .zip(probe.estimates())
-            .map(|(e, x)| (e - x) * (e - x))
-            .sum();
-        assert!(sse <= result.report.worst_case_bound * (1.0 + 1e-9) + 1e-9);
-    }
-
-    #[test]
-    fn zero_capacity_rejects_everything_atomically() {
-        let (store, batches, n_total, k) = fixture();
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(ServeConfig::new(n_total, k).capacity(0));
-        let results = server.serve(&store, &requests);
-        assert_eq!(results.len(), requests.len(), "no batch is lost");
-        for result in &results {
-            assert_eq!(result.status, BatchStatus::Rejected);
-            match result.slo {
-                SloOutcome::Rejected {
-                    estimated_cost,
-                    capacity,
-                } => {
-                    assert!(estimated_cost > 0);
-                    assert_eq!(capacity, 0);
-                }
-                ref other => panic!("expected Rejected, got {other:?}"),
-            }
-            assert!(result.retrieved_entries.is_empty(), "zero retrievals");
-            // The rejected result still carries a full certificate.
-            assert!(result.report.worst_case_bound > 0.0);
-            assert!(!result.report.is_exact);
-        }
-    }
-
-    #[test]
-    fn admission_admits_within_capacity_and_rejects_overflow() {
-        let (store, batches, n_total, k) = fixture();
-        // Price batch 0 alone by running it to exact: its master-list
-        // length is its infinite-target cost estimate.
-        let mut probe = ProgressiveExecutor::new(&batches[0], &Sse, &store);
-        probe.run_to_end();
-        let cost0 = probe.retrieved() as u64;
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(ServeConfig::new(n_total, k).capacity(cost0));
-        let results = server.serve(&store, &requests);
-        assert_eq!(results[0].status, BatchStatus::Exact);
-        assert_eq!(results[0].slo, SloOutcome::Met);
-        // Later batches cannot fit behind batch 0's committed estimate.
-        for result in &results[1..] {
-            assert_eq!(result.status, BatchStatus::Rejected);
-        }
-    }
-
-    #[test]
-    fn deadline_expiry_degrades_with_certified_bound() {
-        let (store, batches, n_total, k) = fixture();
-        let requests = vec![BatchRequest::new(&batches[0], &Sse).with_slo(
-            SloContract::new()
-                .with_target_bound(0.0)
-                .with_deadline_ticks(8),
-        )];
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(4));
-        let results = server.serve(&store, &requests);
-        let result = &results[0];
-        assert_eq!(result.status, BatchStatus::DeadlineExpired);
-        assert_eq!(result.slo, SloOutcome::DegradedAtBound);
-        // The batch honored the deadline to within one bounded slice and
-        // published the certificate of the prefix it reached.
-        assert!(result.report.fault.attempts >= 8);
-        assert!(result.report.worst_case_bound > 0.0);
-        assert!(result.report.worst_case_bound.is_finite());
-        let history = &result.bound_history;
-        assert!(history.windows(2).all(|w| w[1] <= w[0]), "still monotone");
     }
 
     #[test]

@@ -443,13 +443,17 @@ impl<'s, 'a> ServeSession<'s, 'a> {
     /// prefetch) sees the new version, and the repair then patches exactly
     /// what the executor had already consumed of the old one.
     ///
-    /// The bounds are not re-priced. This repair and every later slice
-    /// certify the batch with the one `K` the caller configured
-    /// (`k_abs_sum` in [`ServeConfig::new`]), as they do every batch of the
-    /// serve, and that certificate holds for the advanced batch only while
-    /// `K` is at least the ℓ¹ of the version it advanced to
-    /// ([`VersionView::abs_sum`]). Pricing an advanced batch at `K + Σ|Δ|`
-    /// is ROADMAP item 15 (d).
+    /// The batch is re-priced: it is certified from here on — by this
+    /// repair's snapshot, every later slice, its bound-targeted drain, its
+    /// report and `SloOutcome`, and its observer's per-step bounds — at its
+    /// own `K` plus `Σ|Δ|` over the delta just applied. Every batch starts
+    /// at the configured `K` (`k_abs_sum` in [`ServeConfig::new`]); by the
+    /// triangle inequality the sum is at least the ℓ¹ of the version the
+    /// batch now reads whenever the configured `K` bounds the one it
+    /// pinned, at O(|Δ|) per advance rather than a walk of the data
+    /// ([`VersionView::abs_sum`]). So its certificate can *grow* at an
+    /// advance, and [`BatchResult::bound_history`] is monotone only between
+    /// advances.
     ///
     /// Returns the version the batch now reads, or `None` if the session
     /// is unversioned or the batch has already published its final result
@@ -466,10 +470,10 @@ impl<'s, 'a> ServeSession<'s, 'a> {
         let interrupted = state.phase();
         state.enter_phase(Phase::Repair);
         let (pinned, delta) = view.advance_to_current();
-        state.exec.advance_version(&delta);
+        state.advance(&delta);
         let report = state
             .exec
-            .degradation_report(self.config.n_total, self.config.k_abs_sum);
+            .degradation_report(self.config.n_total, state.k_abs_sum);
         publish_snapshot(cell, &state, &report, false);
         if let Some(prev) = interrupted {
             state.enter_phase(prev);
@@ -591,7 +595,7 @@ fn run_slice(
     let status = drain_slice(cell, &mut state, config, shared);
     let report = state
         .exec
-        .degradation_report(config.n_total, config.k_abs_sum);
+        .degradation_report(config.n_total, state.k_abs_sum);
     state.bound_history.push(report.worst_case_bound);
     if let Some(status) = status {
         finalize(cell, &mut state, status, report, active, shared);
@@ -673,7 +677,7 @@ fn drain_slice(
             &policy,
             budget,
             cell.contract.target_bound,
-            config.k_abs_sum,
+            state.k_abs_sum,
         )
     } else {
         state.exec.drain_with_faults_budgeted(&policy, budget)
@@ -749,12 +753,13 @@ fn finalize(
 mod tests {
     use super::*;
     use batchbb_core::{BatchQueries, ProgressiveExecutor};
-    use batchbb_penalty::Sse;
+    use batchbb_penalty::{Penalty, Sse};
     use batchbb_query::{HyperRect, LinearStrategy, RangeSum, WaveletStrategy};
-    use batchbb_relation::{Attribute, FrequencyDistribution, Schema};
+    use batchbb_relation::{cube, Attribute, FrequencyDistribution, Schema};
+    use batchbb_tensor::Shape;
     use batchbb_wavelet::Wavelet;
 
-    use crate::{BatchRequest, ServeConfig};
+    use crate::{BatchRequest, ServeConfig, SloContract};
 
     /// A 32×32 dataset on a versioned store, plus `nb` two-query batches
     /// whose master lists are hundreds of coefficients long — long enough
@@ -874,45 +879,55 @@ mod tests {
         panic!("a worker reached the last batch first in 50 attempts");
     }
 
-    /// Opting a batch forward mid-drain finalizes it bit-identically to a
-    /// fresh serial run against the version it advanced to; batches that
-    /// finished first keep answers bit-identical to their pinned snapshot.
+    /// An advanced batch is certified at `K + Σ|Δ|`, not at the serve's
+    /// configured `K`. Slices run on the test thread, without the pool: a
+    /// bound-targeted batch drains part-way on `v0`, a publish then adds
+    /// an insert whose delta has about 16 times the data's ℓ¹, and the batch
+    /// advances over it and drains to its target. Priced at the
+    /// configured `K`, it would stop on a certificate five times below its
+    /// actual penalty.
     #[test]
-    fn advance_batch_agrees_with_restart_on_the_new_version() {
-        let (store, batches, n_total, k) = fixture(3);
-        let requests: Vec<BatchRequest<'_>> =
-            batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(2).slice_steps(2));
-        let entries = vec![
-            (CoeffKey::new(&[0, 0]), 2.5),
-            (CoeffKey::new(&[1, 3]), -1.25),
-            (CoeffKey::new(&[2, 2]), 0.5),
-        ];
-        let (results, (v0, v1)) = server.serve_versioned_with(&store, &requests, |session| {
-            let v0 = session.current_version().unwrap();
-            session.update(&entries, || ());
-            let v1 = session.current_version().unwrap();
-            for i in 0..session.batches() {
-                if let Some(id) = session.advance_batch(i) {
-                    assert_eq!(id, v1);
-                }
-            }
-            (v0, v1)
-        });
-        for (i, result) in results.iter().enumerate() {
-            assert_eq!(result.status, BatchStatus::Exact);
-            let pinned = result
-                .pinned_version
-                .expect("versioned runs pin every batch");
-            let view = store.pin_at(pinned).expect("pinned versions are retained");
-            let mut serial = ProgressiveExecutor::new(&batches[i], &Sse, &view);
-            serial.run_to_end();
-            assert_eq!(
-                result.estimates(),
-                serial.estimates(),
-                "batch {i} (pinned {pinned}) must replay bit-for-bit"
-            );
-            assert!(pinned == v0 || pinned == v1);
+    fn an_advanced_batch_is_certified_at_k_plus_its_delta() {
+        let (store, batches, n_total, k) = fixture(1);
+        let views = [store.pin()];
+        // On `v0` the target is met a third of the way down the progression.
+        let probe = ProgressiveExecutor::new(&batches[0], &Sse, &views[0]);
+        let target = k * k * probe.progression()[probe.remaining() / 3].importance;
+        let requests = [BatchRequest::new(&batches[0], &Sse)
+            .with_slo(SloContract::new().with_target_bound(target))];
+        let server = BatchServer::new(ServeConfig::new(n_total, k).slice_steps(4));
+        let (config, active) = (server.config(), AtomicUsize::new(1));
+        let shared = PoolShared {
+            consumed: AtomicU64::new(0),
+            slo: SloObserver::new(None, None),
+            parked: Mutex::new(Vec::new()),
+        };
+        let read = |i: usize| (&views[i] as &dyn CoefficientStore, Some(&views[i]));
+        let jobs = server.admit_jobs(&shared, &requests, read);
+        let slice = || run_slice(&jobs[0], config, &active, &shared);
+        for _ in 0..3 {
+            assert!(matches!(slice(), SliceOutcome::Requeue { .. }));
         }
+        let shape = Shape::new(vec![32, 32]).unwrap();
+        store.publish(&cube::point_entries(&shape, &[31, 0], 4e3, Wavelet::Db4));
+        let session = ServeSession {
+            jobs: &jobs,
+            config,
+            versioned: Some(&store),
+        };
+        let v1 = session.advance_batch(0).expect("the batch is running");
+        while !matches!(slice(), SliceOutcome::Finished) {}
+        let result = jobs[0].state.lock().unwrap().result.take().unwrap();
+        assert_eq!(result.status, BatchStatus::BoundReached);
+        let mut exact = ProgressiveExecutor::new(&batches[0], &Sse, &views[0]);
+        exact.run_to_end();
+        assert_eq!(views[0].version(), v1, "the advance re-pinned the view");
+        let pairs = result.estimates().iter().zip(exact.estimates());
+        let errors: Vec<f64> = pairs.map(|(e, x)| e - x).collect();
+        let (actual, bound) = (Sse.evaluate(&errors), result.report.worst_case_bound);
+        assert!(
+            actual <= bound * (1.0 + 1e-9),
+            "penalty {actual} above its bound {bound}"
+        );
     }
 }

@@ -56,7 +56,7 @@
 //!   tests and callers with nothing to degrade to;
 //! * [`FaultInjectingStore`] — wraps any store and injects faults into
 //!   every read from a deterministic seeded [`FaultPlan`] (per-attempt
-//!   transient failures, persistently failing keys, simulated latency),
+//!   transient failures and persistently failing keys),
 //!   for tests and robustness experiments; its `inner()` is the
 //!   fault-free ground truth;
 //! * [`RetryPolicy`] / [`retry::get_with_retry`] — bounded retries with

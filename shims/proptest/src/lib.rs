@@ -5,8 +5,11 @@
 //! * case generation is **deterministic**: the per-test seed is derived
 //!   from the test's name (override with `PROPTEST_SEED`), so failures
 //!   reproduce without a persistence file;
+//! * a failure — a failed `prop_assert*!` or a panic in the body — names
+//!   the case, the attempt and the runner's seed, so `PROPTEST_SEED=<seed>
+//!   cargo test <name>` replays the failing run;
 //! * there is **no shrinking** — a failing case reports its inputs via the
-//!   assertion message and case index only;
+//!   assertion message only;
 //! * `prop_assume!` rejects the current case; rejected cases are retried
 //!   with fresh draws, up to 10× the configured case count.
 
@@ -295,6 +298,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub struct TestRunner {
     config: ProptestConfig,
     rng: TestRng,
+    seed: u64,
     name: &'static str,
 }
 
@@ -313,12 +317,14 @@ impl TestRunner {
         TestRunner {
             config,
             rng: TestRng::new(seed),
+            seed,
             name,
         }
     }
 
     /// Runs the property until `cases` accepted cases pass. Panics on the
-    /// first failure, reporting the case index for reproduction.
+    /// first failure — a failed assertion or a panic in the body —
+    /// reporting the case index and the seed that replays it.
     pub fn run<F>(&mut self, mut case: F)
     where
         F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
@@ -335,13 +341,22 @@ impl TestRunner {
                 accepted,
                 self.config.cases
             );
-            match case(&mut self.rng) {
-                Ok(()) => accepted += 1,
-                Err(TestCaseError::Reject) => continue,
-                Err(TestCaseError::Fail(msg)) => panic!(
-                    "{} failed at case {} (attempt {}): {}",
-                    self.name, accepted, attempts, msg
-                ),
+            let failed = || {
+                format!(
+                    "{} failed at case {} (attempt {}, seed {})",
+                    self.name, accepted, attempts, self.seed
+                )
+            };
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut self.rng)));
+            match outcome {
+                Ok(Ok(())) => accepted += 1,
+                Ok(Err(TestCaseError::Reject)) => continue,
+                Ok(Err(TestCaseError::Fail(msg))) => panic!("{}: {}", failed(), msg),
+                Err(panic) => {
+                    eprintln!("{}: the body panicked", failed());
+                    std::panic::resume_unwind(panic)
+                }
             }
         }
     }
@@ -476,6 +491,28 @@ mod tests {
             Ok(())
         });
         assert_eq!(va, vb);
+    }
+
+    #[test]
+    fn a_failure_names_the_seed_that_replays_it() {
+        let mut runner = crate::TestRunner::new(ProptestConfig::with_cases(5), "x");
+        let seed = runner.seed;
+        let mut case = 0;
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runner.run(|_| {
+                case += 1;
+                match case {
+                    2 => Err(TestCaseError::Reject),
+                    4 => Err(TestCaseError::Fail("boom".into())),
+                    _ => Ok(()),
+                }
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<String>().unwrap(),
+            &format!("x failed at case 2 (attempt 4, seed {seed}): boom")
+        );
     }
 
     proptest! {
