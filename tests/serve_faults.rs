@@ -1,9 +1,7 @@
 //! Fault tolerance under concurrency: a seeded `FaultInjectingStore`
-//! behind the batch-server pool. Degraded batches must publish the
-//! penalty-bounded contract and defer exactly the keys that broke. That
-//! per-batch and merged `FaultStats` reconcile against the injector, under
-//! transient faults, healing and every pool shape, is drawn by
-//! `tests/serve_stacks.rs`.
+//! behind the batch-server pool. Per-batch `FaultStats` must reconcile
+//! exactly — across batches, no deferral may be lost or double-counted —
+//! and degraded batches must publish the penalty-bounded contract.
 
 use batchbb::prelude::*;
 
@@ -36,6 +34,59 @@ fn fixture() -> (MemoryStore, Vec<BatchQueries>, Shape) {
     (store, batches, shape)
 }
 
+/// Serves `batches` over `store` and returns the results.
+fn serve_all<'a>(
+    store: &dyn CoefficientStore,
+    batches: &'a [BatchQueries],
+    n_total: usize,
+    k: f64,
+    retry: RetryPolicy,
+) -> Vec<BatchResult> {
+    let requests: Vec<BatchRequest<'a>> =
+        batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+    let server = BatchServer::new(
+        ServeConfig::new(n_total, k)
+            .workers(4)
+            .slice_steps(3)
+            .retry(retry),
+    );
+    server.serve(store, &requests)
+}
+
+#[test]
+fn per_batch_fault_stats_reconcile_under_concurrency() {
+    let (store, batches, shape) = fixture();
+    let k = store.abs_sum();
+    let faulty = FaultInjectingStore::new(store, FaultPlan::new(42).with_transient_rate(0.3));
+    let results = serve_all(&faulty, &batches, shape.len(), k, RetryPolicy::default());
+    let mut merged = FaultStats::default();
+    for result in &results {
+        let fault = &result.report.fault;
+        // Every batch's own ledger balances: each attempt ended exactly
+        // one way, and each deferral either recovered or is still parked.
+        assert!(fault.attempts_reconcile(), "torn ledger: {fault:?}");
+        assert!(fault.deferrals_reconcile(result.report.deferred.len() as u64));
+        // Transient-only faults with generous retries: everything lands.
+        assert_eq!(result.status, BatchStatus::Exact);
+        assert!(result.report.deferred.is_empty());
+        merged.merge(fault);
+    }
+    // Cross-batch reconciliation: the executors' merged ledger balances
+    // too, and matches the injector's view of the world — attempts the
+    // store saw were issued by exactly one batch each (none lost, none
+    // double-counted). The injector may see *fewer* attempts than the
+    // executors issued because the shared cache absorbs repeats.
+    assert!(merged.attempts_reconcile());
+    assert!(merged.deferrals_reconcile(0));
+    let injected = faulty.injected();
+    assert!(injected.attempts_reconcile());
+    assert!(injected.attempts <= merged.attempts);
+    assert_eq!(
+        merged.transient_failures, injected.transient_failures,
+        "every injected transient fault must surface in exactly one batch"
+    );
+}
+
 #[test]
 fn permanent_faults_degrade_each_batch_with_a_valid_contract() {
     let (store, batches, shape) = fixture();
@@ -54,10 +105,7 @@ fn permanent_faults_degrade_each_batch_with_a_valid_contract() {
     );
     // Cache sharing would memoize nothing for failing keys (only
     // successes are cached), so this exercises the retry path per batch.
-    let requests: Vec<BatchRequest<'_>> =
-        batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-    let server = BatchServer::new(ServeConfig::new(n_total, k).workers(4).slice_steps(3));
-    let results = server.serve(&faulty, &requests);
+    let results = serve_all(&faulty, &batches, n_total, k, RetryPolicy::default());
     for result in &results {
         assert_eq!(result.status, BatchStatus::Degraded);
         let report = &result.report;
@@ -90,5 +138,50 @@ fn permanent_faults_degrade_each_batch_with_a_valid_contract() {
             *result.bound_history.last().unwrap(),
             report.worst_case_bound
         );
+    }
+}
+
+#[test]
+fn healing_mid_serve_lets_deferred_batches_recover() {
+    let (store, batches, shape) = fixture();
+    let k = store.abs_sum();
+    let n_total = shape.len();
+    let broken = [CoeffKey::new(&[0, 0]), CoeffKey::new(&[1, 1])];
+    let faulty = FaultInjectingStore::new(
+        store,
+        FaultPlan::new(3).with_permanent_keys(broken.iter().copied()),
+    );
+    let requests: Vec<BatchRequest<'_>> =
+        batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+    // No cache: recovery must hit the healed physical store directly.
+    let server = BatchServer::new(
+        ServeConfig::new(n_total, k)
+            .workers(2)
+            .slice_steps(2)
+            .share_cache(false),
+    );
+    let (results, _) = server.serve_with(&faulty, &requests, |session| {
+        // Heal the store while batches are in flight (or already
+        // degraded — either way the run must stay coherent).
+        faulty.heal();
+        let _ = session.all_finished();
+    });
+    for result in &results {
+        let fault = &result.report.fault;
+        assert!(fault.attempts_reconcile());
+        assert!(fault.deferrals_reconcile(result.report.deferred.len() as u64));
+        match result.status {
+            // Healed in time: every deferral recovered, finals exact.
+            BatchStatus::Exact => {
+                assert!(result.report.deferred.is_empty());
+                assert_eq!(fault.deferrals, fault.recoveries);
+            }
+            // A full deferral pass concluded before the heal landed.
+            BatchStatus::Degraded => {
+                assert!(!result.report.deferred.is_empty());
+                assert!(result.report.worst_case_bound > 0.0);
+            }
+            other => panic!("unexpected status {other:?}"),
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! DESIGN.md §15: sharded scatter-gather serving.
 //!
-//! Scatter-gather changes *who answers a read*, never the value: that a
-//! healthy topology serves every batch bit-identically to the single-store
-//! path, across shard counts, replication and pool shapes, is drawn by
-//! `tests/serve_stacks.rs`. Here: a dead shard must surface as *bounded
+//! Scatter-gather changes *who answers a read*, never the value: on a
+//! healthy topology every batch's finals, witness, and fault ledger must
+//! be bit-identical to the single-store path across shard counts,
+//! replication, and pool shapes. A dead shard must surface as *bounded
 //! degradation* — deferred keys certified in each batch's
 //! `DegradationReport` and attributed back to the failing shard — never
 //! as a query error; batches that own no key on the dead shard must be
@@ -13,6 +13,104 @@
 //! the oldest live pin.
 
 use batchbb::prelude::*;
+
+/// A 16×16 wavelet fixture: the transformed entries plus a few
+/// multi-query batches whose master lists overlap heavily.
+fn wavelet_fixture() -> (Vec<(CoeffKey, f64)>, Vec<BatchQueries>, Shape) {
+    let schema = Schema::new(vec![
+        Attribute::new("x", 0.0, 16.0, 4),
+        Attribute::new("y", 0.0, 16.0, 4),
+    ])
+    .unwrap();
+    let mut dfd = FrequencyDistribution::new(schema);
+    for i in 0..16 {
+        for j in 0..16 {
+            let w = ((i * 7 + j * 3) % 5) as f64;
+            if w != 0.0 {
+                dfd.insert_binned(&[i, j], w);
+            }
+        }
+    }
+    let strategy = WaveletStrategy::new(Wavelet::Haar);
+    let entries = strategy.transform_data(dfd.tensor());
+    let shape = dfd.schema().domain();
+    let mut batches = Vec::new();
+    for b in 0..4u64 {
+        let queries: Vec<RangeSum> = partition::random_partition(&shape, 3, 70 + b)
+            .into_iter()
+            .map(RangeSum::count)
+            .collect();
+        batches.push(BatchQueries::rewrite(&strategy, queries, &shape).unwrap());
+    }
+    (entries, batches, shape)
+}
+
+mod bit_identity {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// Healthy topologies: finals, witness, and FaultStats are exact
+        /// equality against the single-store pool, for every shard count
+        /// × replication × pool shape.
+        #[test]
+        fn sharded_serving_matches_the_single_store_bit_for_bit(
+            shards in 1usize..9,
+            replicate in any::<bool>(),
+            workers in 1usize..5,
+            slice_steps in 1usize..6,
+            window in 1usize..5,
+        ) {
+            let (entries, batches, shape) = wavelet_fixture();
+            let n_total = shape.len();
+            let single = MemoryStore::from_entries(entries.iter().copied());
+            let k = single.abs_sum();
+            let requests: Vec<BatchRequest<'_>> =
+                batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
+            // The shared cache is off on both sides: the router is the
+            // coalescing layer under test, and the baseline must count
+            // retrievals the same way.
+            let config = ServeConfig::new(n_total, k)
+                .workers(workers)
+                .slice_steps(slice_steps)
+                .prefetch_window(window)
+                .share_cache(false);
+            let baseline = BatchServer::new(config.clone()).serve(&single, &requests);
+            let mut topology = ShardTopology::new(shards);
+            if replicate {
+                topology = topology.with_replication();
+            }
+            let router = topology.build(entries.iter().copied());
+            let results = BatchServer::new(config).serve(&router, &requests);
+            // Drain outstanding hedge obligations so the counters below
+            // are final (a cancelled hedge may still sit queued after the
+            // last batch publishes).
+            router.quiesce();
+            let shard_stats = router.shard_stats();
+            for (single_result, sharded_result) in baseline.iter().zip(&results) {
+                prop_assert_eq!(single_result.status, BatchStatus::Exact);
+                prop_assert_eq!(sharded_result.status, BatchStatus::Exact);
+                prop_assert_eq!(single_result.estimates(), sharded_result.estimates());
+                prop_assert_eq!(
+                    &single_result.retrieved_entries,
+                    &sharded_result.retrieved_entries
+                );
+                prop_assert_eq!(&single_result.report.fault, &sharded_result.report.fault);
+            }
+            prop_assert_eq!(shard_stats.len(), shards);
+            prop_assert!(results.iter().all(|r| r.report.deferred.is_empty()));
+            // Every logical retrieval was answered by some shard RPC —
+            // singleton (window-1) calls and scatter-gather batches both
+            // land in the per-shard key account — or rode one that was
+            // already outstanding.
+            let rpc_keys: u64 = shard_stats.iter().map(|s| s.keys).sum();
+            let logical: u64 = results.iter().map(|r| r.report.fault.attempts).sum();
+            prop_assert!(rpc_keys + router.dedup_hits() >= logical);
+            prop_assert_eq!(router.pending_depth(), 0);
+        }
+    }
+}
 
 /// A small identity-strategy fixture where each batch's key set is its
 /// query rectangle, so batches can be constructed to hit — or provably
