@@ -149,7 +149,7 @@ impl LinearStrategy for WaveletStrategy {
             }
             terms.push(SparseCoeffs::tensor_product(&factors, DEFAULT_TOL));
         }
-        Ok(SparseCoeffs::sum(&terms, DEFAULT_TOL))
+        Ok(SparseCoeffs::sum(terms, DEFAULT_TOL))
     }
 }
 
@@ -335,7 +335,7 @@ impl LinearStrategy for NonstandardStrategy {
                 DEFAULT_TOL,
             ));
         }
-        Ok(SparseCoeffs::sum(&terms, DEFAULT_TOL))
+        Ok(SparseCoeffs::sum(terms, DEFAULT_TOL))
     }
 }
 

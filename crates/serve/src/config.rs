@@ -15,8 +15,8 @@ use crate::slo::SloContract;
 /// `n_total` (the domain size `N^d`, Theorem 2's denominator) and
 /// `k_abs_sum` (the data's coefficient ℓ¹-norm `K`, Theorem 1's scale).
 /// Everything else has serving defaults tuned for small fixtures: 4
-/// workers, 64-step slices, the default retry policy, and a shared
-/// 16-shard read-through cache.
+/// workers, 64-step slices, 32-key prefetch windows, the default retry
+/// policy, and a shared 16-shard read-through cache.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Domain size `N^d` for expected-penalty reporting.
@@ -68,7 +68,7 @@ impl ServeConfig {
             workers: 4,
             slice_steps: 64,
             retry: RetryPolicy::default(),
-            prefetch_window: 1,
+            prefetch_window: 32,
             share_cache: true,
             registry: None,
             sink: None,
@@ -131,11 +131,12 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the prefetch window W (values below 1 become 1): each worker
-    /// slice fetches up to W coefficients per `submit` call instead of
-    /// one per step, cutting store lock acquisitions roughly W-fold
-    /// while leaving results bit-identical (see
-    /// `ProgressiveExecutor::with_prefetch_window`).
+    /// Sets the prefetch window W (values below 1 become 1; the default
+    /// is 32): each worker slice fetches up to W coefficients per
+    /// `submit` call instead of one per step, cutting store calls roughly
+    /// W-fold while leaving results bit-identical (see
+    /// `ProgressiveExecutor::with_prefetch_window`). `prefetch_window(1)`
+    /// is the singleton path, one `submit` per step.
     pub fn prefetch_window(mut self, w: usize) -> Self {
         self.prefetch_window = w.max(1);
         self

@@ -38,11 +38,12 @@
 //!   [`batchbb_storage::ShardedCachingStore`], so a coefficient needed
 //!   by several batches is served from memory after its first fetch. At
 //!   `prefetch_window(1)` reads are singletons and a resident coefficient
-//!   is fetched exactly once; at wider windows each window crosses the
-//!   cache as one non-blocking batch — fetched at most once while
-//!   resident, and once while outstanding when the store beneath is
-//!   the asynchronous engine (which shares in-flight reads), in which
-//!   case the batch parks and the pool advances another;
+//!   is fetched exactly once; at wider windows (the default is 32) each
+//!   window crosses the cache as one non-blocking batch — fetched at
+//!   most once while resident, and once while outstanding when the
+//!   store beneath is the asynchronous engine (which shares in-flight
+//!   reads), in which case the batch parks and the pool advances
+//!   another;
 //! * observability — with a sink/registry configured, each batch's
 //!   `exec.*` events carry a `batch = <id>` label, written by its
 //!   observer as the last field, all metrics land in one shared

@@ -58,11 +58,8 @@ impl MemoryStore {
 impl CoefficientStore for MemoryStore {
     #[inline]
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        Completion::per_key(keys, |key| {
-            self.counters.count_retrieval();
-            self.counters.count_physical();
-            Ok(self.map.get(key).copied())
-        })
+        self.counters.count_memory_reads(keys.len());
+        Completion::per_key(keys, |key| Ok(self.map.get(key).copied()))
     }
 
     fn nnz(&self) -> usize {

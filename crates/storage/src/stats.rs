@@ -95,6 +95,13 @@ impl Counters {
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A window of `n` keys answered from memory: `n` retrievals, each
+    /// its own physical read, counted with one update per counter.
+    pub(crate) fn count_memory_reads(&self, n: usize) {
+        self.retrievals.fetch_add(n as u64, Ordering::Relaxed);
+        self.physical_reads.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
     pub(crate) fn count_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }

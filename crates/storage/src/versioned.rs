@@ -394,11 +394,8 @@ impl CoefficientStore for VersionView {
     #[inline]
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         let pinned = self.pinned.lock().unwrap();
-        Completion::per_key(keys, |key| {
-            self.counters.count_retrieval();
-            self.counters.count_physical();
-            Ok(pinned.get(key))
-        })
+        self.counters.count_memory_reads(keys.len());
+        Completion::per_key(keys, |key| Ok(pinned.get(key)))
     }
 
     fn nnz(&self) -> usize {

@@ -5,8 +5,6 @@
 //! lists.  The multi-dimensional list of a separable query factor is the
 //! cross product of its 1-D factor lists.
 
-use std::collections::HashMap;
-
 use batchbb_tensor::{CoeffKey, KeyMap, Tensor};
 
 /// Default magnitude below which a coefficient is treated as exactly zero.
@@ -100,21 +98,18 @@ impl SparseCoeffs {
         SparseCoeffs::default()
     }
 
-    /// Builds from unsorted pairs, merging duplicates and dropping
-    /// `|v| <= tol`.
+    /// Builds from unsorted pairs, merging duplicates (summed in input
+    /// order, from `0.0`) and dropping `|v| <= tol`. The list is allocated
+    /// at its length.
     pub fn from_pairs(pairs: Vec<(CoeffKey, f64)>, tol: f64) -> Self {
-        // The one coefficient-keyed map left on std's hasher (allow-listed
-        // in scripts/ci.sh).  Under `KeyMap` the rewrite gets cheaper and
-        // the wave shorter, and traced `dash_mem`'s fatal `store_is_free`
-        // guard — store busy time over wave time — read ≈ 1.3× its parent,
-        // at the 0.15 limit on a slow hour.  Swap it when the guard is
-        // re-based (ROADMAP items 1 and 3).
-        let mut map: HashMap<CoeffKey, f64> = HashMap::with_capacity(pairs.len());
+        let mut map: KeyMap<f64> =
+            KeyMap::with_capacity_and_hasher(pairs.len(), Default::default());
         for (k, v) in pairs {
             *map.entry(k).or_insert(0.0) += v;
         }
-        let mut entries: Vec<(CoeffKey, f64)> =
-            map.into_iter().filter(|&(_, v)| v.abs() > tol).collect();
+        map.retain(|_, v| v.abs() > tol);
+        let mut entries: Vec<(CoeffKey, f64)> = Vec::with_capacity(map.len());
+        entries.extend(map);
         entries.sort_by_key(|&(k, _)| k);
         SparseCoeffs { entries }
     }
@@ -143,7 +138,10 @@ impl SparseCoeffs {
         if factors.iter().any(SparseVec1::is_empty) {
             return SparseCoeffs::new();
         }
-        let mut entries: Vec<(CoeffKey, f64)> = Vec::new();
+        // One entry per combination of factor entries, less what `tol`
+        // drops: allocated at that count, the list never regrows.
+        let combinations = factors.iter().map(SparseVec1::nnz).product();
+        let mut entries: Vec<(CoeffKey, f64)> = Vec::with_capacity(combinations);
         let mut cursor = vec![0usize; factors.len()];
         let mut coords = vec![0usize; factors.len()];
         'outer: loop {
@@ -175,13 +173,45 @@ impl SparseCoeffs {
     }
 
     /// Sums several sparse lists (e.g. the separable terms of a
-    /// multi-monomial polynomial range-sum).
-    pub fn sum(terms: &[SparseCoeffs], tol: f64) -> Self {
-        let pairs: Vec<(CoeffKey, f64)> = terms
-            .iter()
-            .flat_map(|t| t.entries.iter().copied())
-            .collect();
-        SparseCoeffs::from_pairs(pairs, tol)
+    /// multi-monomial polynomial range-sum), dropping `|v| <= tol`.
+    ///
+    /// Every term is key-sorted, so this is a k-way merge: a key shared
+    /// by several terms is summed from `0.0` in term order, which is
+    /// [`SparseCoeffs::from_pairs`] of the concatenated terms bit for bit,
+    /// without hashing or re-sorting. One term is filtered in place.
+    pub fn sum(mut terms: Vec<SparseCoeffs>, tol: f64) -> Self {
+        if terms.len() == 1 {
+            let mut entries = terms.swap_remove(0).entries;
+            entries.retain(|&(_, v)| v.abs() > tol);
+            entries.shrink_to_fit();
+            return SparseCoeffs { entries };
+        }
+        let mut heads: Vec<&[(CoeffKey, f64)]> = terms.iter().map(|t| &t.entries[..]).collect();
+        let mut entries = Vec::with_capacity(heads.iter().map(|h| h.len()).sum());
+        let smallest = |heads: &[&[(CoeffKey, f64)]]| {
+            heads
+                .iter()
+                .filter_map(|h| h.first())
+                .map(|&(k, _)| k)
+                .min()
+        };
+        while let Some(key) = smallest(&heads) {
+            let mut acc = 0.0;
+            for head in &mut heads {
+                while let Some((&(k, v), rest)) = head.split_first() {
+                    if k != key {
+                        break;
+                    }
+                    acc += v;
+                    *head = rest;
+                }
+            }
+            if acc.abs() > tol {
+                entries.push((key, acc));
+            }
+        }
+        entries.shrink_to_fit();
+        SparseCoeffs { entries }
     }
 
     /// Sorted `(key, value)` entries.
@@ -300,7 +330,7 @@ mod tests {
         let a = SparseCoeffs::from_pairs(vec![(CoeffKey::one(1), 1.0)], 0.0);
         let b =
             SparseCoeffs::from_pairs(vec![(CoeffKey::one(1), 2.0), (CoeffKey::one(3), 5.0)], 0.0);
-        let s = SparseCoeffs::sum(&[a, b], 0.0);
+        let s = SparseCoeffs::sum(vec![a, b], 0.0);
         assert_eq!(s.entries()[0], (CoeffKey::one(1), 3.0));
         assert_eq!(s.entries()[1], (CoeffKey::one(3), 5.0));
     }
@@ -309,7 +339,7 @@ mod tests {
     fn sum_cancellation_removed() {
         let a = SparseCoeffs::from_pairs(vec![(CoeffKey::one(1), 1.0)], 0.0);
         let b = SparseCoeffs::from_pairs(vec![(CoeffKey::one(1), -1.0)], 0.0);
-        assert!(SparseCoeffs::sum(&[a, b], 1e-12).is_empty());
+        assert!(SparseCoeffs::sum(vec![a, b], 1e-12).is_empty());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use batchbb_tensor::CoeffKey;
 use batchbb_wavelet::{
     dense_query_transform, dwt, idwt, lazy_query_transform, point_transform, Poly, SparseCoeffs,
     SparseVec1, Wavelet, DEFAULT_TOL,
@@ -140,4 +141,43 @@ proptest! {
             prop_assert!((v - expect).abs() < 1e-10);
         }
     }
+
+    /// The merged `sum` is `from_pairs` of the concatenated terms, bit
+    /// for bit: 0–4 terms (empty ones included) over a small key grid so
+    /// keys are shared, values that cancel exactly or down to below
+    /// `DEFAULT_TOL`, and `tol` of zero, `DEFAULT_TOL` and 0.5.
+    #[test]
+    fn merged_sum_is_from_pairs_of_the_concatenation(
+        terms in prop::collection::vec(
+            prop::collection::vec(((0usize..4, 0usize..4), arb_term_value()), 0..12),
+            0..5,
+        ),
+        tol in prop::sample::select(vec![0.0, DEFAULT_TOL, 0.5]),
+    ) {
+        let terms: Vec<SparseCoeffs> = terms
+            .into_iter()
+            .map(|pairs| {
+                let pairs = pairs.into_iter().map(|((i, j), v)| (CoeffKey::new(&[i, j]), v)).collect();
+                SparseCoeffs::from_pairs(pairs, 0.0)
+            })
+            .collect();
+        let concatenated: Vec<(CoeffKey, f64)> =
+            terms.iter().flat_map(|t| t.entries().iter().copied()).collect();
+        let bits = |s: &SparseCoeffs| -> Vec<(CoeffKey, u64)> {
+            s.entries().iter().map(|&(k, v)| (k, v.to_bits())).collect()
+        };
+        let want = SparseCoeffs::from_pairs(concatenated, tol);
+        let got = SparseCoeffs::sum(terms, tol);
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert!(got.entries().windows(2).all(|w| w[0].0 < w[1].0), "sorted, unique keys");
+    }
+}
+
+/// Term values that make a shared key's sum cancel: exactly (`±1`) or to
+/// a residue under `DEFAULT_TOL` (`±1e-12`), beside arbitrary ones.
+fn arb_term_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -3.0f64..3.0,
+        prop::sample::select(vec![1.0, -1.0, 1e-12, -1e-12, 0.25]),
+    ]
 }

@@ -199,15 +199,12 @@ production_lines() {
 # Key-hasher gate (DESIGN.md §6): a map keyed by a coefficient key — bare
 # or under a version tag — is a `KeyMap`/`KeySet`, so every probe on the
 # hot path costs the routing fingerprint, not SipHash over 41 bytes. Fails
-# on a std-hashed one in production code. One line is allowed: the
-# rewrite's merge map in `SparseCoeffs::from_pairs`, which stays on SipHash
-# until dash_mem's `store_is_free` guard is re-based (ROADMAP items 1 and 3).
+# on a std-hashed one in production code.
 key_hasher_gate() {
     echo "==> no coefficient-keyed map on the default hasher"
     if production_lines |
         grep -E 'Hash(Map|Set)<(\(u64, )?CoeffKey|HashMap<VersionedKey' |
-        grep -v 'KeyHasher' |
-        grep -Ev '^crates/wavelet/src/sparse\.rs:[0-9]+: .*HashMap::with_capacity\(pairs\.len\(\)\)'
+        grep -v 'KeyHasher'
     then
         echo "use batchbb_tensor::{KeyMap, KeySet}" >&2
         exit 1
@@ -318,7 +315,8 @@ full_gate() {
     # an insert's delta is its one-cell COUNT query's rewrite, bit for bit;
     # every field of every traced event is one a reader parses;
     # loading and binning a relation, and bulk-loading a store, allocate per load, not per record;
-    # every generator, binning path and the CSV round trip match a tuple-at-a-time reference bit for bit.
+    # every generator, binning path and the CSV round trip match a tuple-at-a-time reference bit for bit;
+    # the default prefetch window serves what singleton reads serve, bit for bit.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         the_flat_master_list_is_the_hashed_merge_built_once_per_batch
@@ -401,6 +399,8 @@ full_gate() {
     run cargo test -q -p batchbb-relation --test generators -- \
         match_their_tuple_at_a_time_reference binning_matches_a_per_tuple_reference \
         csv_round_trip_is_unchanged
+    run cargo test -q -p batchbb --test serve_windows \
+        the_default_window_serves_what_singleton_reads_serve
 
     # The serve-stack generator once more, under a fresh seed echoed
     # first: each full run explores draws the fixed seed never makes, and

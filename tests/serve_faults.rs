@@ -34,23 +34,26 @@ fn fixture() -> (MemoryStore, Vec<BatchQueries>, Shape) {
     (store, batches, shape)
 }
 
-/// Serves `batches` over `store` and returns the results.
+/// Serves `batches` over `store` and returns the results, at prefetch
+/// window `window` if given, else at the serving default.
 fn serve_all<'a>(
     store: &dyn CoefficientStore,
     batches: &'a [BatchQueries],
     n_total: usize,
     k: f64,
     retry: RetryPolicy,
+    window: Option<usize>,
 ) -> Vec<BatchResult> {
     let requests: Vec<BatchRequest<'a>> =
         batches.iter().map(|b| BatchRequest::new(b, &Sse)).collect();
-    let server = BatchServer::new(
-        ServeConfig::new(n_total, k)
-            .workers(4)
-            .slice_steps(3)
-            .retry(retry),
-    );
-    server.serve(store, &requests)
+    let mut config = ServeConfig::new(n_total, k)
+        .workers(4)
+        .slice_steps(3)
+        .retry(retry);
+    if let Some(window) = window {
+        config = config.prefetch_window(window);
+    }
+    BatchServer::new(config).serve(store, &requests)
 }
 
 #[test]
@@ -58,7 +61,16 @@ fn per_batch_fault_stats_reconcile_under_concurrency() {
     let (store, batches, shape) = fixture();
     let k = store.abs_sum();
     let faulty = FaultInjectingStore::new(store, FaultPlan::new(42).with_transient_rate(0.3));
-    let results = serve_all(&faulty, &batches, shape.len(), k, RetryPolicy::default());
+    // Singleton reads: a failed prefetch window's attempts reach no
+    // batch's ledger, so the injector is reconciled at W = 1.
+    let results = serve_all(
+        &faulty,
+        &batches,
+        shape.len(),
+        k,
+        RetryPolicy::default(),
+        Some(1),
+    );
     let mut merged = FaultStats::default();
     for result in &results {
         let fault = &result.report.fault;
@@ -105,7 +117,7 @@ fn permanent_faults_degrade_each_batch_with_a_valid_contract() {
     );
     // Cache sharing would memoize nothing for failing keys (only
     // successes are cached), so this exercises the retry path per batch.
-    let results = serve_all(&faulty, &batches, n_total, k, RetryPolicy::default());
+    let results = serve_all(&faulty, &batches, n_total, k, RetryPolicy::default(), None);
     for result in &results {
         assert_eq!(result.status, BatchStatus::Degraded);
         let report = &result.report;
