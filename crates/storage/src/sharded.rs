@@ -25,18 +25,23 @@
 //! released and the value memoized when the completion is taken, as for a
 //! wider window: no shard lock is ever held across a pending fetch.
 //!
-//! A window of two or more never fetches under a lock and never blocks: it
-//! is probed for hits, its misses cross to the inner store as **one**
-//! `submit`, and the fetched values are memoized when the returned
-//! [`Completion`] is taken.
-//! A coefficient is then fetched *at most once while resident, and once
-//! while outstanding when the inner store shares in-flight reads* — which
-//! the crate's one asynchronous engine does ([`crate::ShardRouter`], and
+//! A window of two or more never fetches under a lock: it is probed for
+//! hits and **claims** its misses — a marker per key beside the memo,
+//! taken in ascending key order — then sends them to the inner store as
+//! **one** `submit`.  When that completion is ready at submit (any
+//! blocking store) the values are memoized before the claims are
+//! released; when it is pending (the asynchronous engine) the claims are
+//! released at once and the values memoized when the returned
+//! [`Completion`] is taken.  A reader — window or singleton — that finds
+//! a key claimed waits for the release and probes again, so over a
+//! blocking store a resident coefficient is fetched **exactly once** at
+//! any window, and over the crate's one asynchronous engine, which shares
+//! in-flight reads itself ([`crate::ShardRouter`], and
 //! [`crate::AsyncFetchStore`], which is that engine over one shard;
-//! DESIGN.md §12), so the cache composes with it beneath: the batch parks
-//! on the inner completion and racing reads — windows or singletons — ride
-//! one physical read. Over a plain blocking store two windows racing on a
-//! cold key may each read it.
+//! DESIGN.md §12), racing reads ride one physical read while the batch
+//! parks on the inner completion.  A claim lives only inside one
+//! `submit` call, and a window waits on another's claim only while
+//! holding claims on smaller keys, so waits never form a cycle.
 //! The memo never holds a pending marker, so a completion dropped
 //! unresolved leaves no trace and cannot strand a reader.
 //!
@@ -65,7 +70,7 @@
 //! invalidated.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use batchbb_tensor::{CoeffKey, KeyMap};
 
@@ -119,10 +124,12 @@ pub enum EvictionPolicy {
     LruOnly,
 }
 
-/// One cache shard: the memo map plus a logical clock for LRU stamps.
+/// One cache shard: the memo map, the claims of windows fetching keys
+/// that are not resident yet, and a logical clock for LRU stamps.
 #[derive(Debug, Default)]
 struct ShardState {
     map: KeyMap<CacheEntry, VersionedKey>,
+    claims: KeyMap<Arc<Claim>, VersionedKey>,
     clock: u64,
 }
 
@@ -173,6 +180,54 @@ impl ShardState {
 
 type Shard = Mutex<ShardState>;
 
+/// A window's claim on the keys it is fetching (module docs): a reader of
+/// a claimed key waits for the release, then probes the memo again.
+#[derive(Debug, Default)]
+struct Claim {
+    released: Mutex<bool>,
+    cv: Condvar,
+    /// How many readers have waited on it: lets a test know its riders
+    /// arrived.
+    #[cfg(test)]
+    waits: AtomicU64,
+}
+
+impl Claim {
+    fn release(&self) {
+        *self.released.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) {
+        #[cfg(test)]
+        self.waits.fetch_add(1, Ordering::SeqCst);
+        let released = self.released.lock().unwrap_or_else(|e| e.into_inner());
+        drop(
+            self.cv
+                .wait_while(released, |released| !*released)
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+    }
+}
+
+/// The keys one window claimed, under one [`Claim`]; dropping it removes
+/// the markers and wakes their waiters — also when the fetch panics.
+struct Claimed<'m> {
+    memo: &'m Memo,
+    tag: u64,
+    keys: Vec<CoeffKey>,
+    claim: Arc<Claim>,
+}
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        for key in &self.keys {
+            self.memo.shard(key).claims.remove(&(self.tag, *key));
+        }
+        self.claim.release();
+    }
+}
+
 /// The memo table proper, behind an `Arc` so a batched read's completion
 /// can fill it after `submit` returned without borrowing the store.
 #[derive(Debug)]
@@ -193,6 +248,27 @@ impl Memo {
             shard.evict_to(cap, policy, &self.evictions);
         }
     }
+}
+
+/// A window position answered by a hit (`submit`'s `first` marks).
+const HIT: usize = usize::MAX;
+
+/// Merges a window's fetched values into `out`, its hits, in input order:
+/// `first[i]` is `HIT` or the position whose key was fetched for `i`.
+fn answer(
+    mut out: Vec<Option<f64>>,
+    first: &[usize],
+    fetched: Vec<Option<f64>>,
+) -> Vec<Option<f64>> {
+    let mut fetched = fetched.into_iter();
+    for i in 0..out.len() {
+        match first[i] {
+            HIT => {}
+            f if f == i => out[i] = fetched.next().expect("one value per miss"),
+            f => out[i] = out[f],
+        }
+    }
+    out
 }
 
 /// Wraps any store with a sharded read-through memo table, unbounded by
@@ -288,9 +364,17 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
         self.counters.count_retrieval();
         let (tag, cap, policy) = (self.inner.version_tag(), self.shard_capacity, self.policy);
         let mut shard = self.memo.shard(&key);
-        if let Some(v) = shard.get(&(tag, key)) {
-            self.counters.count_hit();
-            return Completion::one(Ok(v));
+        loop {
+            if let Some(v) = shard.get(&(tag, key)) {
+                self.counters.count_hit();
+                return Completion::one(Ok(v));
+            }
+            let Some(claim) = shard.claims.get(&(tag, key)).map(Arc::clone) else {
+                break;
+            };
+            drop(shard);
+            claim.wait();
+            shard = self.memo.shard(&key);
         }
         self.counters.count_physical();
         let fetch = self.inner.submit(&[key]);
@@ -316,55 +400,100 @@ impl<S: CoefficientStore> ShardedCachingStore<S> {
 
 impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
     /// A window of one takes the branch above; a wider one is retrieved
-    /// without ever blocking or fetching under a lock.
+    /// without ever fetching under a lock.
     ///
-    /// Every key is probed for a hit (one shard lock at a time); the
-    /// distinct misses, in first-occurrence order, cross to the inner
-    /// store as **one** `submit`, so an asynchronous engine beneath keeps
-    /// its overlap and a blocking store is charged one round-trip per
-    /// window.  Within-batch repeats of a miss are fetched once and
-    /// counted as hits, matching the singleton sequence.  All accounting
-    /// happens here, at submit time.
+    /// Every key is probed for a hit and, on a miss, claimed — one shard
+    /// lock at a time, in ascending key order, waiting out another
+    /// window's claim (module docs); the distinct misses, in
+    /// first-occurrence order, cross to the inner store as **one**
+    /// `submit`, so an asynchronous engine beneath keeps its overlap and a
+    /// blocking store is charged one round-trip per window.  Within-batch
+    /// repeats of a miss are fetched once and counted as hits, matching
+    /// the singleton sequence.  All accounting happens here, at submit
+    /// time.
     ///
-    /// Taking the returned completion memoizes the fetched values — under
-    /// the inner version tag sampled *here*, so a batch straddling a
-    /// version advance can never plant an old value under the new tag —
-    /// trims each touched shard to capacity (a batch wider than the cap
-    /// passes through rather than wedging), and merges hits and fetched
-    /// values in input order.  An inner `Err` memoizes nothing and is
-    /// returned as is: it is the error the singleton loop would hit first,
-    /// because hits cannot fail and the misses keep their input order.
+    /// The fetched values are memoized — here when the inner completion is
+    /// ready, else when the returned one is taken — under the inner
+    /// version tag sampled *here*, so a batch straddling a version advance
+    /// can never plant an old value under the new tag; each touched shard
+    /// is trimmed to capacity (a batch wider than the cap passes through
+    /// rather than wedging), and hits and fetched values are merged in
+    /// input order.  An inner `Err` memoizes nothing and is returned as
+    /// is: it is the error the singleton loop would hit first, because
+    /// hits cannot fail and the misses keep their input order.
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         if let [key] = keys {
             return self.submit_one(*key);
         }
-        let tag = self.inner.version_tag();
+        let (tag, cap, policy) = (self.inner.version_tag(), self.shard_capacity, self.policy);
         let mut out = vec![None; keys.len()];
-        let mut misses: Vec<CoeffKey> = Vec::new();
-        let mut miss_index: KeyMap<usize> = KeyMap::default();
-        // (position in `out`, index in `misses`) for every unanswered key.
-        let mut fills: Vec<(usize, usize)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            self.counters.count_retrieval();
-            if let Some(&m) = miss_index.get(key) {
-                self.counters.count_hit();
-                fills.push((i, m));
-            } else if let Some(v) = self.memo.shard(key).get(&(tag, *key)) {
-                self.counters.count_hit();
-                out[i] = v;
-            } else {
+        // Per position: `HIT`, or the first position of its key, which is
+        // the one fetched.
+        let mut first = vec![HIT; keys.len()];
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_unstable_by_key(|&i| (keys[i], i));
+        let mut claimed = Claimed {
+            memo: &self.memo,
+            tag,
+            keys: Vec::new(),
+            claim: Arc::default(),
+        };
+        for run in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
+            let (key, head) = (keys[run[0]], run[0]);
+            for _ in run {
+                self.counters.count_retrieval();
+            }
+            let mut shard = self.memo.shard(&key);
+            loop {
+                if let Some(v) = shard.get(&(tag, key)) {
+                    for &i in run {
+                        self.counters.count_hit();
+                        out[i] = v;
+                    }
+                    break;
+                }
+                if let Some(other) = shard.claims.get(&(tag, key)).map(Arc::clone) {
+                    drop(shard);
+                    other.wait();
+                    shard = self.memo.shard(&key);
+                    continue;
+                }
+                shard.claims.insert((tag, key), Arc::clone(&claimed.claim));
+                claimed.keys.push(key);
                 self.counters.count_physical();
-                miss_index.insert(*key, misses.len());
-                fills.push((i, misses.len()));
-                misses.push(*key);
+                for &i in run {
+                    if i != head {
+                        self.counters.count_hit();
+                    }
+                    first[i] = head;
+                }
+                break;
             }
         }
-        if misses.is_empty() {
+        if claimed.keys.is_empty() {
             return Completion::ready(Ok(out));
         }
+        let misses: Vec<CoeffKey> = (0..keys.len())
+            .filter(|&i| first[i] == i)
+            .map(|i| keys[i])
+            .collect();
         let fetch = self.inner.submit(&misses);
+        if fetch.is_ready() {
+            let fetched = fetch.wait();
+            if let Ok(values) = &fetched {
+                for (key, value) in misses.iter().zip(values) {
+                    let mut shard = self.memo.shard(key);
+                    shard.insert((tag, *key), *value);
+                    shard.claims.remove(&(tag, *key));
+                    self.memo.trim(&mut shard, cap, policy);
+                }
+                claimed.keys.clear();
+            }
+            drop(claimed);
+            return Completion::ready(fetched.map(|values| answer(out, &first, values)));
+        }
+        drop(claimed);
         let memo = Arc::clone(&self.memo);
-        let (cap, policy) = (self.shard_capacity, self.policy);
         Completion::wrapped(fetch, move |fetched| {
             let fetched = fetched?;
             for (key, value) in misses.iter().zip(&fetched) {
@@ -372,10 +501,7 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
                 shard.insert((tag, *key), *value);
                 memo.trim(&mut shard, cap, policy);
             }
-            for (i, m) in fills {
-                out[i] = fetched[m];
-            }
-            Ok(out)
+            Ok(answer(out, &first, fetched))
         })
     }
 
@@ -458,6 +584,56 @@ mod tests {
         assert_eq!(s.inner().stats().retrievals, 64);
         assert_eq!(s.stats().physical_reads, 64);
         assert_eq!(s.stats().cache_hits, 7 * 64);
+    }
+
+    #[test]
+    fn readers_of_a_claimed_key_wait_for_the_window_reading_it() {
+        use std::time::{Duration, Instant};
+
+        let s = ShardedCachingStore::new(Gated::closed(store(16)));
+        let claimed = CoeffKey::one(4);
+        let (held_calls, reads) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| s.try_get_many(&window(0..8)));
+            while s.inner().calls().is_empty() {
+                std::thread::yield_now();
+            }
+            // The first window's read is held at the gate with its keys
+            // claimed: a window overlapping it and a singleton inside it
+            // wait on that claim instead of reading them again. Nothing
+            // may panic while the gate is shut.
+            let claim = s
+                .memo
+                .shard(&claimed)
+                .claims
+                .get(&(0, claimed))
+                .map(Arc::clone);
+            let overlapping = scope.spawn(|| s.try_get_many(&window(4..12)));
+            let singleton = scope.spawn(|| s.try_get(&CoeffKey::one(2)));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while claim
+                .as_ref()
+                .is_some_and(|c| c.waits.load(Ordering::SeqCst) < 2)
+                && Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            let held_calls = s.inner().calls().len();
+            s.inner().set_gate(true);
+            let reads = (
+                first.join().unwrap(),
+                overlapping.join().unwrap(),
+                singleton.join().unwrap(),
+            );
+            (held_calls, reads)
+        });
+        assert_eq!(held_calls, 1, "a reader went past a claimed key");
+        assert_eq!(reads, (Ok(values(0..8)), Ok(values(4..12)), Ok(Some(3.0))));
+        assert_eq!(s.inner().calls(), vec![window(0..8), window(8..12)]);
+        let st = s.stats();
+        assert_eq!(
+            (st.retrievals, st.physical_reads, st.cache_hits),
+            (17, 12, 5)
+        );
     }
 
     #[test]

@@ -168,7 +168,9 @@ impl SparseCoeffs {
                 cursor[d] = 0;
             }
         }
-        entries.sort_by_key(|&(k, _)| k);
+        // Each factor is index-sorted and the odometer turns the last
+        // dimension fastest, so the keys come out in `CoeffKey` order.
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         SparseCoeffs { entries }
     }
 

@@ -315,8 +315,7 @@ full_gate() {
     # an insert's delta is its one-cell COUNT query's rewrite, bit for bit;
     # every field of every traced event is one a reader parses;
     # loading and binning a relation, and bulk-loading a store, allocate per load, not per record;
-    # every generator, binning path and the CSV round trip match a tuple-at-a-time reference bit for bit;
-    # the default prefetch window serves what singleton reads serve, bit for bit.
+    # every generator, binning path and the CSV round trip match a tuple-at-a-time reference bit for bit.
     run cargo test -q -p batchbb-wavelet haar_walk_is_the_generic_walk
     run cargo test -q -p batchbb-core --test proptests \
         the_flat_master_list_is_the_hashed_merge_built_once_per_batch
@@ -399,8 +398,6 @@ full_gate() {
     run cargo test -q -p batchbb-relation --test generators -- \
         match_their_tuple_at_a_time_reference binning_matches_a_per_tuple_reference \
         csv_round_trip_is_unchanged
-    run cargo test -q -p batchbb --test serve_windows \
-        the_default_window_serves_what_singleton_reads_serve
 
     # The serve-stack generator once more, under a fresh seed echoed
     # first: each full run explores draws the fixed seed never makes, and

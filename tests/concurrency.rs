@@ -174,15 +174,7 @@ fn shared_cache_beats_independent_executors_on_fetches() {
     // Pool: 8 identical batches behind the shared read-through cache.
     instrumented.inner().reset_stats();
     let requests: Vec<BatchRequest<'_>> = (0..8).map(|_| BatchRequest::new(batch, &Sse)).collect();
-    // Singleton reads: one read per resident key is the cache's promise
-    // at W = 1; wider windows racing on a cold key over a blocking store
-    // may each read it (DESIGN.md §12).
-    let server = BatchServer::new(
-        ServeConfig::new(n_total, k)
-            .workers(4)
-            .slice_steps(4)
-            .prefetch_window(1),
-    );
+    let server = BatchServer::new(ServeConfig::new(n_total, k).workers(4).slice_steps(4));
     let results = server.serve(&instrumented, &requests);
     let pooled_fetches = instrumented.inner().stats().retrievals;
 

@@ -99,6 +99,48 @@ fn per_batch_fault_stats_reconcile_under_concurrency() {
     );
 }
 
+/// The serve's default window over the same faulty store. A window that
+/// fails is charged to no batch (ROADMAP item 19): its keys are re-read
+/// singly, and only those reads reach a ledger. So every answer is still
+/// the singleton run's and every ledger balances, but the batches' merged
+/// transient failures fall short of the injector's — by one per failed
+/// window, since the injector stops a window at its first failure. The
+/// shortfall is asserted, not just bounded, so that charging failed
+/// windows (which turns it into an equality) shows up here.
+#[test]
+fn the_default_window_leaves_failed_windows_off_the_ledger() {
+    let (store, batches, shape) = fixture();
+    let k = store.abs_sum();
+    let serve = |window| {
+        let faulty = FaultInjectingStore::new(&store, FaultPlan::new(42).with_transient_rate(0.3));
+        let results = serve_all(
+            &faulty,
+            &batches,
+            shape.len(),
+            k,
+            RetryPolicy::default(),
+            window,
+        );
+        (results, faulty.injected())
+    };
+    let (windowed, injected) = serve(None);
+    let (singleton, _) = serve(Some(1));
+    let mut merged = FaultStats::default();
+    for (result, reference) in windowed.iter().zip(&singleton) {
+        assert_eq!(result.status, BatchStatus::Exact);
+        assert_eq!(result.estimates(), reference.estimates());
+        assert_eq!(result.retrieved_entries, reference.retrieved_entries);
+        assert!(result.report.fault.attempts_reconcile());
+        merged.merge(&result.report.fault);
+    }
+    assert!(injected.attempts_reconcile());
+    assert_eq!(merged.permanent_failures, injected.permanent_failures);
+    assert!(
+        merged.transient_failures < injected.transient_failures,
+        "failed windows reached a ledger: served {merged:?}, injected {injected:?}"
+    );
+}
+
 #[test]
 fn permanent_faults_degrade_each_batch_with_a_valid_contract() {
     let (store, batches, shape) = fixture();

@@ -19,7 +19,9 @@
 //!   history ending at its report's bound — monotone unless the driver
 //!   advanced the batch;
 //! * a one-worker run over a synchronous faulty stack is bit for bit the
-//!   same with tracing flipped, fault ledger included.
+//!   same with tracing flipped, fault ledger included;
+//! * a fault-free synchronous run in windows — 32 keys is the serving
+//!   default — is bit for bit the same with singleton reads.
 //!
 //! A failure prints the runner's seed: `PROPTEST_SEED=<seed> cargo test
 //! --test serve_stacks` replays it.
@@ -182,7 +184,8 @@ impl Strategy for Grammar {
             } else {
                 1 + below(4) as usize
             },
-            window: below(5) as usize,
+            // Windows 0–4, and the serving default.
+            window: [0, 1, 2, 3, 4, 32][below(6) as usize],
             // A quarter of the targets are 0: met only by a zero bound.
             target: (below(3) == 0)
                 .then(|| (below(4) > 0) as u64 as f64 * below(50) as f64 / 100.0),
@@ -281,11 +284,11 @@ proptest! {
             })
             .unzip();
         let capacity = draw.capacity.map(|f| (f * prices.iter().sum::<u64>() as f64) as u64);
-        let config = |traced: bool| {
+        let config = |traced: bool, window: usize| {
             let mut config = ServeConfig::new(shape.len().max(2), k)
                 .workers(draw.workers)
                 .slice_steps(draw.slice)
-                .prefetch_window(draw.window)
+                .prefetch_window(window)
                 .share_cache(draw.cache.is_some());
             if let Some(Some(entries)) = draw.cache {
                 config = config.cache_capacity(entries);
@@ -307,10 +310,10 @@ proptest! {
         // Serves a plain base through the drawn injector and engine; the
         // stack quiesces before its counters are read. Without faults the
         // injector under an engine injects nothing and is not read.
-        let serve_plain = |traced: bool| {
+        let serve_plain = |traced: bool, window: usize| {
             let serve = |store: &dyn CoefficientStore, faulty: Option<&FaultInjectingStore<MemoryStore>>| {
                 let faulty = faulty.filter(|_| draw.faults.is_some());
-                let (results, snapshots) = BatchServer::new(config(traced)).serve_with(store, &requests, |session| {
+                let (results, snapshots) = BatchServer::new(config(traced, window)).serve_with(store, &requests, |session| {
                     cancel(session);
                     if let (Some(faulty), Some(Faults { heal: true, .. })) = (faulty, &draw.faults) {
                         faulty.heal();
@@ -363,7 +366,7 @@ proptest! {
         // advanced, every batch's final snapshot, and the injector's
         // counters once the stack has quiesced.
         let run = match &draw.versioned {
-            None => serve_plain(draw.traced),
+            None => serve_plain(draw.traced, draw.window),
             Some(Versioned { insert, advance, .. }) => {
                 let driver_insert = point(7, 7, *insert);
                 let ((results, (advanced, snapshots)), published) = std::thread::scope(|scope| {
@@ -374,7 +377,7 @@ proptest! {
                             std::thread::yield_now();
                         });
                     }
-                    let server = BatchServer::new(config(draw.traced));
+                    let server = BatchServer::new(config(draw.traced, draw.window));
                     let run = server.serve_versioned_with(&versioned, &requests, |session| {
                         cancel(session);
                         session.update(&driver_insert, || ());
@@ -504,9 +507,19 @@ proptest! {
         if draw.versioned.is_none() && matches!(draw.engine, Engine::Direct) && draw.cancel == 0
             && !heals && (draw.workers == 1 || !draw.faulty())
         {
-            let flipped = serve_plain(!draw.traced);
+            let flipped = serve_plain(!draw.traced, draw.window);
             prop_assert_eq!(&flipped.0, results, "tracing {} changed the run", !draw.traced);
             prop_assert_eq!(&flipped.3, injected);
+        }
+        // A window changes how many store calls a batch makes, never what
+        // it answers: estimates, retrieved values, bound history, status
+        // and fault ledger are those of singleton reads. (Under faults a
+        // failed window spends injector draws its singleton twin does not.)
+        if draw.versioned.is_none() && matches!(draw.engine, Engine::Direct) && draw.cancel == 0
+            && !draw.faulty() && draw.window > 1
+        {
+            let singleton = serve_plain(draw.traced, 1);
+            prop_assert_eq!(&singleton.0, results, "window {} changed the run", draw.window);
         }
     }
 }
