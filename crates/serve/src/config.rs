@@ -16,7 +16,7 @@ use crate::slo::SloContract;
 /// `k_abs_sum` (the data's coefficient ℓ¹-norm `K`, Theorem 1's scale).
 /// Everything else has serving defaults tuned for small fixtures: 4
 /// workers, 64-step slices, 32-key prefetch windows, the default retry
-/// policy, and a shared 16-shard read-through cache.
+/// policy, and no cache: batches read the caller's store.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Domain size `N^d` for expected-penalty reporting.
@@ -48,7 +48,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Creates a config with serving defaults.
+    /// Creates a config with serving defaults; the shared cache is off
+    /// until [`share_cache`](ServeConfig::share_cache) turns it on.
     ///
     /// # Panics
     ///
@@ -69,7 +70,7 @@ impl ServeConfig {
             slice_steps: 64,
             retry: RetryPolicy::default(),
             prefetch_window: 32,
-            share_cache: true,
+            share_cache: false,
             registry: None,
             sink: None,
             tracer: None,
@@ -144,10 +145,13 @@ impl ServeConfig {
 
     /// Enables or disables the shared read-through coefficient cache.
     ///
-    /// With sharing on (the default), a coefficient several batches need
-    /// is fetched once and then served from memory (the exact guarantee
-    /// per read path is in the crate docs); with it off, every batch reads
-    /// the store directly. The cache composes with an asynchronous store
+    /// With sharing on, a coefficient several batches need is fetched
+    /// once and then served from memory (the exact guarantee per read
+    /// path is in the crate docs); with it off (the default), every batch
+    /// reads the store directly. Sharing pays where a read costs more
+    /// than the memo's ≈ 400 ns and batches overlap — a disk, a
+    /// remote or latency-charged store; over an in-memory store it only
+    /// adds that cost. The cache composes with an asynchronous store
     /// beneath it: windows cross it without blocking (DESIGN.md §12).
     pub fn share_cache(mut self, share: bool) -> Self {
         self.share_cache = share;

@@ -33,17 +33,17 @@
 //!   with [`ServeSession::advance_batch`], which repairs that one batch's
 //!   estimates and certified bounds against the exact inter-version
 //!   delta;
-//! * cross-batch I/O sharing — with [`ServeConfig::share_cache`] (the
-//!   default) all batches read through one
-//!   [`batchbb_storage::ShardedCachingStore`], so a coefficient needed
-//!   by several batches is served from memory after its first fetch. At
-//!   `prefetch_window(1)` reads are singletons and a resident coefficient
-//!   is fetched exactly once; at wider windows (the default is 32) each
-//!   window crosses the cache as one non-blocking batch — fetched at
-//!   most once while resident, and once while outstanding when the
-//!   store beneath is the asynchronous engine (which shares in-flight
-//!   reads), in which case the batch parks and the pool advances
-//!   another;
+//! * cross-batch I/O sharing — with [`ServeConfig::share_cache`] (off
+//!   by default, so a serve reads the caller's store) all batches read
+//!   through one [`batchbb_storage::ShardedCachingStore`], so a
+//!   coefficient needed by several batches is served from memory after
+//!   its first fetch. At `prefetch_window(1)` reads are singletons and a
+//!   resident coefficient is fetched exactly once; at wider windows (the
+//!   default is 32) each window crosses the cache as one non-blocking
+//!   batch — fetched at most once while resident, and once while
+//!   outstanding when the store beneath is the asynchronous engine
+//!   (which shares in-flight reads), in which case the batch parks and
+//!   the pool advances another;
 //! * observability — with a sink/registry configured, each batch's
 //!   `exec.*` events carry a `batch = <id>` label, written by its
 //!   observer as the last field, all metrics land in one shared
@@ -201,12 +201,7 @@ mod tests {
             BatchRequest::new(&batches[2], &Sse)
                 .with_slo(SloContract::new().with_deadline_ticks(9)),
         ];
-        let server = BatchServer::new(
-            ServeConfig::new(n_total, k)
-                .workers(1)
-                .share_cache(false)
-                .slice_steps(3),
-        );
+        let server = BatchServer::new(ServeConfig::new(n_total, k).workers(1).slice_steps(3));
         let plain = server.serve(&plain_store, &requests);
         let versioned = server.serve_versioned(&versioned_store, &requests);
         assert_eq!(plain.len(), versioned.len());

@@ -96,7 +96,9 @@ impl BatchServer {
     ///
     /// The driver observes and steers the in-flight pool through a
     /// [`ServeSession`]: progressive snapshots and cancellation per batch
-    /// ([`BatchHandle`]). The store is read-only for the whole call — live
+    /// ([`BatchHandle`]). Every batch reads `store` itself, or one cache
+    /// over it built for this call when [`ServeConfig::share_cache`] asks
+    /// for it. The store is read-only for the whole call — live
     /// data updates need [`BatchServer::serve_versioned_with`]. The call
     /// returns once the driver has returned *and* every batch has
     /// published its final result.
@@ -145,10 +147,9 @@ impl BatchServer {
     /// [`BatchResult::pinned_version`]) unless the driver opts them in to
     /// the newer data with [`ServeSession::advance_batch`].
     ///
-    /// No shared read cache is layered on top in this mode: snapshot reads
-    /// are in-memory hash lookups, and jobs pinned at different versions
-    /// could not share one cache generation anyway (the version-keyed
-    /// caches in `batchbb_storage` cover the disk-backed topologies).
+    /// No shared read cache is layered on top in this mode, even with
+    /// [`ServeConfig::share_cache`]: jobs pinned at different versions
+    /// could not share one cache generation.
     pub fn serve_versioned_with<R>(
         &self,
         store: &VersionedStore,

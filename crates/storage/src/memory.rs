@@ -58,7 +58,7 @@ impl MemoryStore {
 impl CoefficientStore for MemoryStore {
     #[inline]
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
-        self.counters.count_memory_reads(keys.len());
+        self.counters.count_window(keys.len(), keys.len());
         Completion::per_key(keys, |key| Ok(self.map.get(key).copied()))
     }
 

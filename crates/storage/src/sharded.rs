@@ -440,14 +440,10 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
         };
         for run in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
             let (key, head) = (keys[run[0]], run[0]);
-            for _ in run {
-                self.counters.count_retrieval();
-            }
             let mut shard = self.memo.shard(&key);
             loop {
                 if let Some(v) = shard.get(&(tag, key)) {
                     for &i in run {
-                        self.counters.count_hit();
                         out[i] = v;
                     }
                     break;
@@ -460,16 +456,15 @@ impl<S: CoefficientStore> CoefficientStore for ShardedCachingStore<S> {
                 }
                 shard.claims.insert((tag, key), Arc::clone(&claimed.claim));
                 claimed.keys.push(key);
-                self.counters.count_physical();
                 for &i in run {
-                    if i != head {
-                        self.counters.count_hit();
-                    }
                     first[i] = head;
                 }
                 break;
             }
         }
+        // Every position is a retrieval; each claimed key one physical
+        // read, every other position a hit.
+        self.counters.count_window(keys.len(), claimed.keys.len());
         if claimed.keys.is_empty() {
             return Completion::ready(Ok(out));
         }

@@ -95,11 +95,15 @@ impl Counters {
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A window of `n` keys answered from memory: `n` retrievals, each
-    /// its own physical read, counted with one update per counter.
-    pub(crate) fn count_memory_reads(&self, n: usize) {
-        self.retrievals.fetch_add(n as u64, Ordering::Relaxed);
-        self.physical_reads.fetch_add(n as u64, Ordering::Relaxed);
+    /// A window of `n` retrievals, `physical` of them read beneath and the
+    /// rest cache hits, counted with one update per counter.
+    pub(crate) fn count_window(&self, n: usize, physical: usize) {
+        let (n, physical) = (n as u64, physical as u64);
+        self.retrievals.fetch_add(n, Ordering::Relaxed);
+        self.physical_reads.fetch_add(physical, Ordering::Relaxed);
+        if physical < n {
+            self.cache_hits.fetch_add(n - physical, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn count_hit(&self) {

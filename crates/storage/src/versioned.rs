@@ -394,7 +394,7 @@ impl CoefficientStore for VersionView {
     #[inline]
     fn submit(&self, keys: &[CoeffKey]) -> Completion {
         let pinned = self.pinned.lock().unwrap();
-        self.counters.count_memory_reads(keys.len());
+        self.counters.count_window(keys.len(), keys.len());
         Completion::per_key(keys, |key| Ok(pinned.get(key)))
     }
 

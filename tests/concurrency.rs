@@ -174,7 +174,12 @@ fn shared_cache_beats_independent_executors_on_fetches() {
     // Pool: 8 identical batches behind the shared read-through cache.
     instrumented.inner().reset_stats();
     let requests: Vec<BatchRequest<'_>> = (0..8).map(|_| BatchRequest::new(batch, &Sse)).collect();
-    let server = BatchServer::new(ServeConfig::new(n_total, k).workers(4).slice_steps(4));
+    let server = BatchServer::new(
+        ServeConfig::new(n_total, k)
+            .workers(4)
+            .slice_steps(4)
+            .share_cache(true),
+    );
     let results = server.serve(&instrumented, &requests);
     let pooled_fetches = instrumented.inner().stats().retrievals;
 

@@ -86,13 +86,13 @@ fn per_batch_fault_stats_reconcile_under_concurrency() {
     // Cross-batch reconciliation: the executors' merged ledger balances
     // too, and matches the injector's view of the world — attempts the
     // store saw were issued by exactly one batch each (none lost, none
-    // double-counted). The injector may see *fewer* attempts than the
-    // executors issued because the shared cache absorbs repeats.
+    // double-counted). No cache sits in between by default, so the
+    // injector sees every attempt the executors issued.
     assert!(merged.attempts_reconcile());
     assert!(merged.deferrals_reconcile(0));
     let injected = faulty.injected();
     assert!(injected.attempts_reconcile());
-    assert!(injected.attempts <= merged.attempts);
+    assert_eq!(injected.attempts, merged.attempts);
     assert_eq!(
         merged.transient_failures, injected.transient_failures,
         "every injected transient fault must surface in exactly one batch"
@@ -157,8 +157,6 @@ fn permanent_faults_degrade_each_batch_with_a_valid_contract() {
         store,
         FaultPlan::new(7).with_permanent_keys(broken.iter().copied()),
     );
-    // Cache sharing would memoize nothing for failing keys (only
-    // successes are cached), so this exercises the retry path per batch.
     let results = serve_all(&faulty, &batches, n_total, k, RetryPolicy::default(), None);
     for result in &results {
         assert_eq!(result.status, BatchStatus::Degraded);
